@@ -40,7 +40,7 @@ pub fn probe_local_function<R: LocalRouter + ?Sized>(
     target: Label,
 ) -> BTreeMap<NodeId, NodeId> {
     let mut f = BTreeMap::new();
-    for &v in view.center_neighbors() {
+    for v in view.center_neighbors() {
         let packet = Packet {
             origin: Some(origin),
             target,
@@ -174,7 +174,7 @@ mod tests {
             }
             // Send the message straight back where it came from; first
             // hop goes to the lowest-label neighbour.
-            let mut nbrs: Vec<NodeId> = view.center_neighbors().to_vec();
+            let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
             view.sort_by_label(&mut nbrs);
             match packet.predecessor {
                 Some(l) if view.contains_label(l) => Ok(l),

@@ -109,7 +109,7 @@ impl LocalRouter for StrategyRouter {
                 return Ok(view.label(step));
             }
         }
-        let mut nbrs: Vec<NodeId> = view.center_neighbors().to_vec();
+        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
         if nbrs.is_empty() {
             return Err(RoutingError::Unroutable(packet.target));
         }
@@ -180,7 +180,7 @@ impl LocalRouter for ArrowRouter {
                 return Ok(view.label(step));
             }
         }
-        let mut nbrs: Vec<NodeId> = view.center_neighbors().to_vec();
+        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
         if nbrs.is_empty() {
             return Err(RoutingError::Unroutable(packet.target));
         }

@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use local_routing::{engine, LocalRouter};
 use locality_adversary::defeat;
 use locality_bench::cli::{parse_alg, parse_graph};
-use locality_graph::{io, NodeId};
+use locality_graph::{io, Graph, NodeId};
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,19 +34,7 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         Some("route") => {
-            let [spec, alg, k, s, t] = [1, 2, 3, 4, 5].map(|i| args.get(i).cloned());
-            let (spec, alg, k, s, t) = (
-                spec.ok_or("missing graph")?,
-                alg.ok_or("missing algorithm")?,
-                k.ok_or("missing k")?,
-                s.ok_or("missing source")?,
-                t.ok_or("missing target")?,
-            );
-            let g = parse_graph(&spec)?;
-            let router = parse_alg(&alg)?;
-            let k: u32 = k.parse().map_err(|_| "k must be an integer")?;
-            let s = NodeId(s.parse().map_err(|_| "s must be a node index")?);
-            let t = NodeId(t.parse().map_err(|_| "t must be a node index")?);
+            let (g, router, k, s, t) = route_args(&args)?;
             let run = engine::route(&g, k, &router, s, t, &Default::default());
             println!(
                 "{} on {} nodes, k = {k} (threshold T(n) = {}):",
@@ -131,19 +119,7 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         Some("trace") => {
-            let [spec, alg, k, s, t] = [1, 2, 3, 4, 5].map(|i| args.get(i).cloned());
-            let (spec, alg, k, s, t) = (
-                spec.ok_or("missing graph")?,
-                alg.ok_or("missing algorithm")?,
-                k.ok_or("missing k")?,
-                s.ok_or("missing source")?,
-                t.ok_or("missing target")?,
-            );
-            let g = parse_graph(&spec)?;
-            let router = parse_alg(&alg)?;
-            let k: u32 = k.parse().map_err(|_| "k must be an integer")?;
-            let s = NodeId(s.parse().map_err(|_| "s must be a node index")?);
-            let t = NodeId(t.parse().map_err(|_| "t must be a node index")?);
+            let (g, router, k, s, t) = route_args(&args)?;
             let traced = engine::route_traced(&g, k, &router, s, t, &Default::default());
             println!("{} ({:?}):", router.name(), traced.report.status);
             for (i, rule) in traced.rules.iter().enumerate() {
@@ -211,6 +187,37 @@ fn run() -> Result<(), String> {
         }
         _ => Err(usage.to_string()),
     }
+}
+
+/// The `<family> <alg> <k> <s> <t>` arguments `route` and `trace`
+/// share, with `s` and `t` checked against the graph's node count.
+type RouteArgs = (Graph, Box<dyn LocalRouter>, u32, NodeId, NodeId);
+
+fn route_args(args: &[String]) -> Result<RouteArgs, String> {
+    let [spec, alg, k, s, t] = [1, 2, 3, 4, 5].map(|i| args.get(i));
+    let (spec, alg, k, s, t) = (
+        spec.ok_or("missing graph")?,
+        alg.ok_or("missing algorithm")?,
+        k.ok_or("missing k")?,
+        s.ok_or("missing source")?,
+        t.ok_or("missing target")?,
+    );
+    let g = parse_graph(spec)?;
+    let router = parse_alg(alg)?;
+    let k: u32 = k.parse().map_err(|_| "k must be an integer")?;
+    let n = g.node_count();
+    let node = |name: &str, arg: &str| -> Result<NodeId, String> {
+        let i: u32 = arg
+            .parse()
+            .map_err(|_| format!("{name} must be a node index"))?;
+        if i as usize >= n {
+            return Err(format!(
+                "{name} = {i} is out of range for a graph of n = {n} nodes"
+            ));
+        }
+        Ok(NodeId(i))
+    };
+    Ok((g, router, k, node("s", s)?, node("t", t)?))
 }
 
 fn main() -> ExitCode {

@@ -480,7 +480,7 @@ pub fn fig10_12() -> String {
     for legs in 1..=3usize {
         let g = generators::spider(legs.max(2), k as usize);
         let view = LocalView::extract(&g, NodeId(0), k);
-        let mut nbrs: Vec<NodeId> = view.center_neighbors().to_vec();
+        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
         view.sort_by_label(&mut nbrs);
         for &v in nbrs.iter().take(legs.max(2)) {
             let packet = Packet::new(Label(900), Label(901), Some(view.label(v)));
@@ -508,7 +508,7 @@ pub fn fig10_12() -> String {
                 to.to_string(),
             ]);
         }
-        let mut nbrs: Vec<NodeId> = view.center_neighbors().to_vec();
+        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
         view.sort_by_label(&mut nbrs);
         for &v in &nbrs {
             let packet = Packet::new(origin, Label(901), Some(view.label(v)));
@@ -545,7 +545,7 @@ pub fn fig10_12() -> String {
         let g = b.build();
         let view = LocalView::extract(&g, NodeId(0), k);
         let origin = g.label(s);
-        let mut nbrs: Vec<NodeId> = view.center_neighbors().to_vec();
+        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
         view.sort_by_label(&mut nbrs);
         for &v in &nbrs {
             let packet = Packet::new(origin, Label(901), Some(view.label(v)));

@@ -125,8 +125,8 @@ pub fn sim_throughput_traced(
 /// (`C_n(1..=chords)`, degree `2·chords`) routed by the `k = 1` greedy
 /// ring router, with windowed traffic (`t = s + 1..=window` mod `n`) so
 /// route length — and therefore hop work — is independent of `n`.
-/// Provisioning cost is linear in `n` and excluded from the timed
-/// phase, which is what lets one trial reach `n = 10⁵`.
+/// Provisioning costs O(view) per node, so it grows linearly in `n`; it
+/// is timed separately as `provision_ns`, not as part of the hop phase.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleConfig {
     /// Node count of the ring lattice.

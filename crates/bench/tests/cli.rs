@@ -146,3 +146,24 @@ fn double_dash_marker_is_tolerated_everywhere() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown mode bogus"), "tracecat: {err}");
 }
+
+#[test]
+fn localroute_out_of_range_node_is_an_error_not_a_panic() {
+    for (mode, graph, s, t, named) in [
+        ("route", "cycle:24", "99", "3", ["s = 99", "n = 24"]),
+        ("route", "cycle:24", "0", "24", ["t = 24", "n = 24"]),
+        ("trace", "cycle:9", "9", "4", ["s = 9", "n = 9"]),
+        ("trace", "cycle:9", "0", "99999", ["t = 99999", "n = 9"]),
+    ] {
+        let args = [mode, graph, "alg1", "3", s, t];
+        let out = run(env!("CARGO_BIN_EXE_localroute"), &args);
+        let what = args.join(" ");
+        assert_eq!(out.status.code(), Some(1), "{what}: wrong exit code");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("error: "), "{what}: stderr: {err}");
+        for part in named {
+            assert!(err.contains(part), "{what}: {part} not named: {err}");
+        }
+        assert!(!err.contains("panicked"), "{what}: {err}");
+    }
+}

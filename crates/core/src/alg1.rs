@@ -384,8 +384,6 @@ fn pick_spine_neighbor(
 ) -> Option<Label> {
     rv.sub
         .neighbors(pivot)
-        .iter()
-        .copied()
         .filter(|&x| rv.dist.get(x) == Some(want))
         .filter(|x| comp.constraint_vertices.binary_search(x).is_ok())
         .map(|x| view.label(x))

@@ -52,7 +52,7 @@ impl LocalRouter for RightHandRule {
                 return Ok(view.label(step));
             }
         }
-        let mut nbrs: Vec<NodeId> = view.center_neighbors().to_vec();
+        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
         if nbrs.is_empty() {
             return Err(RoutingError::Unroutable(packet.target));
         }
@@ -96,7 +96,7 @@ impl LocalRouter for LowestRankForward {
                 return Ok(view.label(step));
             }
         }
-        let mut nbrs: Vec<NodeId> = view.center_neighbors().to_vec();
+        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
         if nbrs.is_empty() {
             return Err(RoutingError::Unroutable(packet.target));
         }
@@ -158,8 +158,7 @@ impl LocalRouter for RingGreedy {
 
     fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
         view.center_neighbors()
-            .iter()
-            .map(|&v| view.label(v))
+            .map(|v| view.label(v))
             .min_by_key(|l| (self.ring_dist(l.value(), packet.target.value()), l.value()))
             .ok_or(RoutingError::Unroutable(packet.target))
     }

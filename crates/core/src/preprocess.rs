@@ -150,7 +150,7 @@ pub fn dormant_edges_exact(
         dormant: &mut BTreeSet<EdgeKey>,
     ) {
         let u = *path.last().expect("path starts at center");
-        for &v in view.neighbors(u) {
+        for v in view.neighbors(u) {
             if v == center && path.len() >= 3 {
                 // A simple cycle of length path.len() closes here.
                 let min_edge = path
@@ -301,7 +301,7 @@ mod tests {
             let bad = inconsistent_edges(&g, k);
             for u in g.nodes() {
                 let p = preprocess_at(&g, u, k);
-                for &v in p.routing.neighbors(u) {
+                for v in p.routing.neighbors(u) {
                     assert!(
                         !bad.contains(&edge_key(u, v)),
                         "edge {{{u},{v}}} routing at {u} but inconsistent in {g:?}"

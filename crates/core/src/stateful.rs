@@ -89,7 +89,7 @@ impl StatefulLocalRouter for DfsStateRouter {
         }
         state.visited.insert(here);
         // Descend into the smallest unvisited neighbour, if any.
-        let mut nbrs: Vec<NodeId> = view.center_neighbors().to_vec();
+        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
         view.sort_by_label(&mut nbrs);
         for &x in &nbrs {
             let l = view.label(x);

@@ -69,14 +69,7 @@ impl LocalView {
     ///
     /// Panics if `u` is not a node of `graph`.
     pub fn extract(graph: &Graph, u: NodeId, k: u32) -> LocalView {
-        let (raw, raw_dist) = neighborhood::k_neighborhood_with_distances(graph, u, k);
-        // Re-pack the BFS distances slot-aligned; members are exactly
-        // the reached set, so the fallback is unreachable.
-        let dists: Vec<u32> = raw
-            .node_slice()
-            .iter()
-            .map(|&x| raw_dist.get(x).unwrap_or(0))
-            .collect();
+        let (raw, dists) = neighborhood::k_neighborhood_with_distances(graph, u, k);
         let labels: Vec<Label> = raw.node_slice().iter().map(|&x| graph.label(x)).collect();
         LocalView {
             center: u,
@@ -193,7 +186,8 @@ impl LocalView {
         table
             .binary_search_by_key(&l, |&(lbl, _)| lbl)
             .ok()
-            .map(|i| table[i].1)
+            .and_then(|i| table.get(i))
+            .map(|&(_, x)| x)
     }
 
     /// Whether any visible node carries label `l`.
@@ -208,7 +202,7 @@ impl LocalView {
     }
 
     /// Neighbours of the centre in `G_k(u)`, sorted by node id.
-    pub fn center_neighbors(&self) -> &[NodeId] {
+    pub fn center_neighbors(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
         self.raw.neighbors(self.center)
     }
 
@@ -249,43 +243,28 @@ impl LocalView {
     pub(crate) fn step_table(&self) -> &[u32] {
         self.steps.get_or_init(|| {
             let n = self.raw.node_count();
-            // Transient id → slot scratch: the wavefront resolves a
-            // slot per edge end, which must stay O(1) even when the
-            // view's IndexMap chose its sparse representation. The
-            // scratch is freed on return, so it never joins the
-            // resident footprint of a cached view.
-            let bound = self.raw.node_slice().last().map_or(0, |m| m.index() + 1);
-            let mut slot_by_id = vec![u32::MAX; bound];
-            for (s, &x) in self.raw.node_slice().iter().enumerate() {
-                slot_by_id[x.index()] = s as u32;
-            }
             let mut step: Vec<u32> = vec![0; n];
             let mut depth: Vec<u32> = vec![u32::MAX; n];
             let mut queue = std::collections::VecDeque::with_capacity(n);
-            if let Some(c) = self.raw.slot_of(self.center) {
+            let center = self.raw.slot_of(self.center);
+            if let Some(c) = center {
                 depth[c] = 0;
-                queue.push_back((self.center, c));
+                queue.push_back(c);
             }
-            while let Some((u, us)) = queue.pop_front() {
+            while let Some(us) = queue.pop_front() {
                 let du = depth[us];
-                for &w in self.raw.neighbors_of_slot(us) {
-                    // CSR targets are members, so the scratch lookup
-                    // cannot miss.
-                    let ws = slot_by_id[w.index()] as usize;
+                for &w in self.raw.neighbor_slots(us) {
+                    let ws = w as usize;
                     if depth[ws] == u32::MAX {
                         depth[ws] = du + 1;
-                        queue.push_back((w, ws));
+                        queue.push_back(ws);
                     }
                     if depth[ws] == du + 1 {
                         // First step this edge contributes: `w` itself
                         // from the centre, else whatever reaches `u`.
                         // Entries are step slots plus one, so label
                         // comparison is two direct loads.
-                        let cand = if u == self.center {
-                            ws as u32 + 1
-                        } else {
-                            step[us]
-                        };
+                        let cand = if Some(us) == center { w + 1 } else { step[us] };
                         if cand != 0 {
                             step[ws] = if step[ws] == 0 {
                                 cand

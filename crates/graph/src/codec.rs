@@ -403,8 +403,10 @@ impl<'a> Reader<'a> {
 ///
 /// Layout: member count, members as delta varints (first id, then
 /// gap − 1), per-slot degrees, then each target as the *slot* of the
-/// neighbour. Encoding slots instead of ids keeps targets small and
-/// makes bounds validation on decode a single comparison. The member
+/// neighbour. Slots keep targets small and make bounds validation on
+/// decode a single comparison; since [`Subgraph`] stores its CSR
+/// targets as slots too, both directions copy them straight through
+/// with no id lookup. The member
 /// list and every neighbour run are already sorted ascending in a CSR
 /// subgraph, so the encoding is canonical: equal subgraphs produce
 /// identical bytes.
@@ -419,14 +421,13 @@ pub fn encode_subgraph(w: &mut Writer, s: &Subgraph) {
         }
         prev = Some(u.0);
     }
-    for &u in members {
-        w.put_varint(s.degree(u) as u64);
+    for slot in 0..members.len() {
+        w.put_varint(s.neighbor_slots(slot).len() as u64);
     }
-    for &u in members {
-        for &v in s.neighbors(u) {
-            // Every target is a member; encode its dense slot.
-            let slot = s.slot_of(v).unwrap_or(0) as u64;
-            w.put_varint(slot);
+    // Targets are stored as slots already: copy them straight through.
+    for slot in 0..members.len() {
+        for &t in s.neighbor_slots(slot) {
+            w.put_varint(u64::from(t));
         }
     }
 }
@@ -493,7 +494,7 @@ pub fn decode_subgraph(r: &mut Reader<'_>) -> Result<Subgraph, CodecError> {
             what: "odd number of directed edge ends",
         });
     }
-    let mut targets: Vec<NodeId> = Vec::with_capacity(total as usize);
+    let mut targets: Vec<u32> = Vec::with_capacity(total as usize);
     // Degrees are the gaps between consecutive offsets; reading them
     // back saves a scratch vector per decoded view.
     let degrees = offsets
@@ -505,12 +506,12 @@ pub fn decode_subgraph(r: &mut Reader<'_>) -> Result<Subgraph, CodecError> {
         for _ in 0..deg {
             let at = r.position();
             let t = r.varint_len()?;
-            let Some(&id) = members.get(t) else {
+            if t >= n {
                 return Err(CodecError::Malformed {
                     at,
                     what: "target slot out of bounds",
                 });
-            };
+            }
             if t == slot {
                 return Err(CodecError::Malformed {
                     at,
@@ -524,7 +525,8 @@ pub fn decode_subgraph(r: &mut Reader<'_>) -> Result<Subgraph, CodecError> {
                 });
             }
             prev_slot = Some(t);
-            targets.push(id);
+            // `t < n`, and n members with distinct u32 ids fit in u32.
+            targets.push(t as u32);
         }
     }
     // Members are strictly ascending (enforced by the gap coding), so

@@ -101,8 +101,6 @@ impl ComponentAnalysis {
             nodes.sort_unstable();
             let roots: Vec<NodeId> = view
                 .neighbors(center)
-                .iter()
-                .copied()
                 .filter(|v| nodes.binary_search(v).is_ok())
                 .collect();
             let depth_k_nodes: Vec<NodeId> = nodes
@@ -418,7 +416,7 @@ mod tests {
             if from == to {
                 out.push(acc.clone());
             } else {
-                for &x in view.neighbors(from) {
+                for x in view.neighbors(from) {
                     if dist.get(x) == Some(dist[from] + 1)
                         && dist.get(to).is_some_and(|dt| dist[x] <= dt)
                     {

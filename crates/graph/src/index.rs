@@ -13,10 +13,10 @@ use crate::labels::NodeId;
 const ABSENT: u32 = u32::MAX;
 
 /// Above this many table entries per member the dense id → slot table
-/// is dropped in favour of binary search: a `G_k(u)` view holds a few
-/// hundred members of a many-thousand-id parent, and materialising
-/// thousands of such views makes the per-view zero fill and cache
-/// footprint of the table cost far more than O(log members) lookups.
+/// is dropped in favour of binary search over the members. The table is
+/// sized by the largest member id, so without this cap a small `G_k(u)`
+/// of a large parent would allocate and zero-fill memory in proportion
+/// to the parent rather than to what the view can see.
 const DENSE_FACTOR: usize = 4;
 
 /// Bidirectional map between sparse parent [`NodeId`]s and dense slots.

@@ -15,10 +15,10 @@
 //! the "far" edge joining the two antipodal vertices is *not* visible,
 //! splitting the view into two independent path components.
 
-use crate::dist::DistMap;
+use crate::index::IndexMap;
 use crate::labels::NodeId;
-use crate::subgraph::{Subgraph, SubgraphBuilder};
-use crate::traversal::{self, Topology};
+use crate::subgraph::Subgraph;
+use crate::traversal::{Ball, Topology};
 
 /// Extracts `G_k(u)` from `topo` as a [`Subgraph`].
 ///
@@ -45,52 +45,86 @@ pub fn k_neighborhood<T: Topology + ?Sized>(topo: &T, u: NodeId, k: u32) -> Subg
     k_neighborhood_with_distances(topo, u, k).0
 }
 
-/// `G_k(u)` together with the BFS distances from `u`, which every
-/// consumer of a view wants anyway.
+/// `G_k(u)` together with the BFS distances from `u` in slot order:
+/// `dists[view.slot_of(x)]` is `dist(u, x)`, which every consumer of a
+/// view wants anyway.
 ///
-/// The distances are the ones computed by the extraction BFS itself:
-/// distances within `G_k(u)` equal distances within `G` truncated at
-/// depth `k`, because every prefix of a shortest path of length `<= k`
-/// lies in the view by the edge-membership rule. (A debug assertion
-/// re-checks this equivalence in debug builds.)
+/// The work is proportional to the view, not to `topo`: the ball of
+/// radius `k` around `u` comes from the thread's reusable [`Ball`], and
+/// the CSR is laid out directly in slots from it. The distances are
+/// the ones the extraction BFS computed: distances within `G_k(u)`
+/// equal distances within `G` truncated at depth `k`, because every
+/// prefix of a shortest path of length `<= k` lies in the view by the
+/// edge-membership rule. (A debug assertion re-checks this equivalence
+/// in debug builds.)
 pub fn k_neighborhood_with_distances<T: Topology + ?Sized>(
     topo: &T,
     u: NodeId,
     k: u32,
-) -> (Subgraph, DistMap) {
-    let dist = traversal::bfs_distances(topo, u, Some(k));
-    let mut b = SubgraphBuilder::with_capacity(dist.len(), dist.len());
-    if dist.is_empty() {
-        return (b.build(), dist);
-    }
-    b.insert_node(u);
-    for (x, dx) in dist.iter() {
-        b.insert_node(x);
-        if dx < k {
-            topo.for_each_neighbor(x, &mut |y| {
-                // The nearer endpoint decides membership; iterate from the
-                // nearer side only to avoid double work.
-                if dist.get(y).is_some_and(|dy| dy >= dx) {
-                    b.insert_edge(x, y);
-                }
-            });
-        }
-    }
-    let sub = b.build();
-    debug_assert_eq!(
-        traversal::bfs_distances(&sub, u, Some(k))
-            .iter()
-            .collect::<Vec<_>>(),
-        dist.iter().collect::<Vec<_>>(),
+) -> (Subgraph, Vec<u32>) {
+    let (sub, dists) = Ball::with(|ball| {
+        ball.search(topo, u, k);
+        from_ball(topo, ball, k)
+    });
+    debug_assert!(
+        Ball::with(|ball| {
+            ball.search(&sub, u, k);
+            ball.len() == dists.len()
+                && ball
+                    .members()
+                    .iter()
+                    .all(|&(x, d)| sub.slot_of(x).and_then(|s| dists.get(s)) == Some(&d))
+        }),
         "distances in G truncated at k must equal distances within G_k(u)"
     );
-    (sub, dist)
+    (sub, dists)
+}
+
+/// Builds `G_k(u)` from a finished radius-`k` search around `u`.
+fn from_ball<T: Topology + ?Sized>(topo: &T, ball: &Ball, k: u32) -> (Subgraph, Vec<u32>) {
+    let reached = ball.members();
+    // Slot order is id order. `at` maps a BFS position to the member's
+    // slot and distance, for the edge pass below.
+    let mut by_id: Vec<(NodeId, u32, u32)> = reached
+        .iter()
+        .enumerate()
+        .map(|(i, &(x, d))| (x, d, i as u32))
+        .collect();
+    by_id.sort_unstable();
+    let mut at = vec![(0u32, 0u32); reached.len()];
+    for (s, &(_, d, i)) in by_id.iter().enumerate() {
+        at[i as usize] = (s as u32, d);
+    }
+    // An edge is in the view iff its nearer endpoint is closer than k.
+    // Only nodes closer than k (a prefix of the BFS order) scan their
+    // neighbours; each emits its own edge ends, plus the reverse end
+    // for a neighbour at depth k, which never scans.
+    let mut ends: Vec<(u32, u32)> = Vec::new();
+    for (&(x, dx), &(sx, _)) in reached.iter().zip(&at) {
+        if dx >= k {
+            break;
+        }
+        topo.for_each_neighbor(x, &mut |y| {
+            if let Some(j) = ball.position(y) {
+                let (sy, dy) = at[j];
+                ends.push((sx, sy));
+                if dy == k {
+                    ends.push((sy, sx));
+                }
+            }
+        });
+    }
+    let dists = by_id.iter().map(|&(_, d, _)| d).collect();
+    let members: Vec<NodeId> = by_id.into_iter().map(|(x, _, _)| x).collect();
+    let id_bound = members.last().map_or(0, |m| m.index() + 1);
+    let index = IndexMap::from_sorted_ids(members, id_bound);
+    (Subgraph::from_directed_ends(index, &ends), dists)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, traversal};
 
     #[test]
     fn path_neighborhood_is_truncated_path() {
@@ -141,9 +175,10 @@ mod tests {
     fn distances_accompany_view() {
         let g = generators::cycle(12);
         let (view, dist) = k_neighborhood_with_distances(&g, NodeId(0), 5);
-        assert_eq!(dist[NodeId(0)], 0);
-        assert_eq!(dist[NodeId(5)], 5);
-        assert_eq!(dist[NodeId(7)], 5);
+        let at = |x: u32| dist[view.slot_of(NodeId(x)).expect("member")];
+        assert_eq!(at(0), 0);
+        assert_eq!(at(5), 5);
+        assert_eq!(at(7), 5);
         assert_eq!(dist.len(), view.node_count());
     }
 
@@ -161,7 +196,7 @@ mod tests {
                 let (sub, dist) = k_neighborhood_with_distances(&g, u, k);
                 let inside = traversal::bfs_distances(&sub, u, Some(k));
                 assert_eq!(
-                    dist.iter().collect::<Vec<_>>(),
+                    sub.nodes().zip(dist).collect::<Vec<_>>(),
                     inside.iter().collect::<Vec<_>>(),
                     "node {u} k={k}"
                 );

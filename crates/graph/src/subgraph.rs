@@ -13,12 +13,16 @@ use crate::traversal::Topology;
 /// `Subgraph` is the representation of `G_k(u)` and of the routing
 /// subgraph `G'_k(u)`. It is an immutable CSR structure: an
 /// [`IndexMap`] assigns each member node a dense slot, `offsets` cuts
-/// the flat `targets` array into per-slot neighbour runs, and every run
-/// is sorted ascending by `NodeId` — the same deterministic order the
-/// earlier tree-map representation exposed, now with O(1) slot lookup
-/// and zero per-node allocation. Construction goes through
-/// [`SubgraphBuilder`]. It does not borrow the parent graph, so views
-/// can be cached and shipped to simulated nodes independently.
+/// the flat `targets` array into per-slot neighbour runs, and every
+/// run holds the neighbours' *slots*, sorted ascending. Slot order is
+/// `NodeId` order, so each run is also sorted by id — the same
+/// deterministic order the earlier tree-map representation exposed.
+/// Storing slots rather than parent ids means an in-view traversal
+/// indexes member-sized arrays directly, with no id → slot table sized
+/// by the parent graph. Construction goes through [`SubgraphBuilder`]
+/// (or [`crate::neighborhood`] for views). It does not borrow the
+/// parent graph, so views can be cached and shipped to simulated
+/// nodes independently.
 ///
 /// ```
 /// use locality_graph::{NodeId, SubgraphBuilder};
@@ -30,14 +34,15 @@ use crate::traversal::Topology;
 /// let s = b.build();
 /// assert!(s.has_edge(NodeId(7), NodeId(3)));
 /// assert_eq!(s.node_count(), 2);
+/// assert_eq!(s.neighbor_slots(0), &[1]);
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Subgraph {
     index: IndexMap,
     /// slot → start of its neighbour run in `targets`; length `len + 1`.
     offsets: Vec<u32>,
-    /// Concatenated neighbour runs (parent ids), each run sorted ascending.
-    targets: Vec<NodeId>,
+    /// Concatenated neighbour runs (member slots), each run sorted ascending.
+    targets: Vec<u32>,
     edge_count: usize,
 }
 
@@ -63,7 +68,10 @@ impl Subgraph {
 
     /// Whether the edge `{u, v}` is present.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
+        match (self.slot_of(u), self.slot_of(v)) {
+            (Some(su), Some(sv)) => self.neighbor_slots(su).binary_search(&(sv as u32)).is_ok(),
+            _ => false,
+        }
     }
 
     /// Number of nodes.
@@ -78,29 +86,30 @@ impl Subgraph {
         self.edge_count
     }
 
-    /// Neighbours of `u` within the subgraph (sorted by `NodeId`), or an
-    /// empty slice if `u` is absent.
-    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        match self.index.slot_of(u) {
-            Some(s) => &self.targets[self.offsets[s] as usize..self.offsets[s + 1] as usize],
+    /// Neighbours of `u` within the subgraph, ascending by `NodeId`
+    /// (empty if `u` is absent).
+    pub fn neighbors(&self, u: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        let run: &[u32] = match self.slot_of(u) {
+            Some(s) => self.neighbor_slots(s),
             None => &[],
-        }
+        };
+        run.iter().map(move |&t| self.id_of(t as usize))
     }
 
     /// Degree of `u` within the subgraph (0 if absent).
     pub fn degree(&self, u: NodeId) -> usize {
-        self.neighbors(u).len()
+        self.slot_of(u).map_or(0, |s| self.neighbor_slots(s).len())
     }
 
-    /// Neighbours of the member occupying `slot` — the slot-addressed
-    /// twin of [`neighbors`](Self::neighbors), for wavefronts that
-    /// already track slots and must not pay a per-call id lookup.
+    /// The neighbour run of the member occupying `slot`, as member
+    /// slots in ascending order — what in-view traversals that track
+    /// slots walk, with no id lookup per edge.
     ///
     /// # Panics
     ///
     /// Panics if `slot >= node_count()`.
     #[inline]
-    pub fn neighbors_of_slot(&self, slot: usize) -> &[NodeId] {
+    pub fn neighbor_slots(&self, slot: usize) -> &[u32] {
         &self.targets[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
     }
 
@@ -117,25 +126,25 @@ impl Subgraph {
 
     /// Iterator over edges, each reported once as `(min, max)` by id.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.nodes().flat_map(move |u| {
-            self.neighbors(u)
+        (0..self.node_count()).flat_map(move |s| {
+            self.neighbor_slots(s)
                 .iter()
-                .copied()
-                .filter(move |&v| u < v)
-                .map(move |v| (u, v))
+                .filter(move |&&t| s < t as usize)
+                .map(move |&t| (self.id_of(s), self.id_of(t as usize)))
         })
     }
 
     /// Reassembles a subgraph from pre-validated CSR parts (the codec's
     /// decode path). The caller must guarantee the CSR invariants:
     /// `offsets` has `index.len() + 1` monotone entries cutting
-    /// `targets` into sorted runs of members, and `edge_count` is half
-    /// the directed edge ends. [`crate::codec::decode_subgraph`]
-    /// validates all of this before calling.
+    /// `targets` into strictly ascending runs of in-range slots, and
+    /// `edge_count` is half the directed edge ends.
+    /// [`crate::codec::decode_subgraph`] validates all of this before
+    /// calling.
     pub(crate) fn from_csr_parts(
         index: IndexMap,
         offsets: Vec<u32>,
-        targets: Vec<NodeId>,
+        targets: Vec<u32>,
         edge_count: usize,
     ) -> Subgraph {
         Subgraph {
@@ -146,24 +155,59 @@ impl Subgraph {
         }
     }
 
+    /// Lays out a subgraph over `index` from its directed edge ends
+    /// `(from_slot, to_slot)`: every undirected edge must appear once
+    /// in each direction, with no duplicates. A counting sort groups
+    /// the ends into per-slot runs, each then sorted ascending.
+    pub(crate) fn from_directed_ends(index: IndexMap, ends: &[(u32, u32)]) -> Subgraph {
+        let n = index.len();
+        let mut offsets = vec![0u32; n + 1];
+        for &(from, _) in ends {
+            offsets[from as usize + 1] += 1;
+        }
+        for s in 0..n {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        let mut targets = vec![0u32; ends.len()];
+        for &(from, to) in ends {
+            let at = &mut cursor[from as usize];
+            targets[*at as usize] = to;
+            *at += 1;
+        }
+        for s in 0..n {
+            targets[offsets[s] as usize..offsets[s + 1] as usize].sort_unstable();
+        }
+        Subgraph {
+            index,
+            offsets,
+            targets,
+            edge_count: ends.len() / 2,
+        }
+    }
+
     /// Returns a copy of the subgraph with node `u` (and its incident
     /// edges) removed. Used for local-component analysis: the local
     /// components of `u` are the connected components of `G_k(u) \ {u}`.
     pub fn without_node(&self, u: NodeId) -> Subgraph {
+        let gone = self.slot_of(u);
         let members: Vec<NodeId> = self.nodes().filter(|&x| x != u).collect();
         // Canonical id bound (max id + 1) so structurally equal
         // subgraphs compare equal however they were produced.
         let id_bound = members.last().map_or(0, |m| m.index() + 1);
         let index = IndexMap::from_sorted_ids(members, id_bound);
+        // Slots past the removed one shift down by one; order is kept.
+        let renumber = |t: u32| match gone {
+            Some(g) if t as usize > g => t - 1,
+            _ => t,
+        };
         let mut offsets = Vec::with_capacity(index.len() + 1);
         let mut targets = Vec::with_capacity(self.targets.len());
         offsets.push(0u32);
-        let mut edge_ends = 0usize;
-        for &x in index.members() {
-            for &y in self.neighbors(x) {
-                if y != u {
-                    targets.push(y);
-                    edge_ends += 1;
+        for s in (0..self.node_count()).filter(|&s| Some(s) != gone) {
+            for &t in self.neighbor_slots(s) {
+                if Some(t as usize) != gone {
+                    targets.push(renumber(t));
                 }
             }
             offsets.push(targets.len() as u32);
@@ -171,8 +215,8 @@ impl Subgraph {
         Subgraph {
             index,
             offsets,
+            edge_count: targets.len() / 2,
             targets,
-            edge_count: edge_ends / 2,
         }
     }
 }
@@ -215,7 +259,7 @@ impl Topology for Subgraph {
     }
 
     fn for_each_neighbor(&self, u: NodeId, f: &mut dyn FnMut(NodeId)) {
-        for &v in self.neighbors(u) {
+        for v in self.neighbors(u) {
             f(v);
         }
     }
@@ -236,7 +280,7 @@ impl Topology for Subgraph {
 /// b.insert_edge(NodeId(0), NodeId(1)); // duplicate: ignored at build
 /// let s = b.build();
 /// assert_eq!(s.edge_count(), 1);
-/// assert_eq!(s.neighbors(NodeId(0)), &[NodeId(1)]);
+/// assert!(s.neighbors(NodeId(0)).eq([NodeId(1)]));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SubgraphBuilder {
@@ -287,48 +331,15 @@ impl SubgraphBuilder {
         self.edges.dedup();
         let id_bound = self.nodes.last().map_or(0, |u| u.index() + 1);
         let index = IndexMap::from_sorted_ids(self.nodes, id_bound);
-        let n = index.len();
-        // Transient id → slot scratch: the counting sort below resolves
-        // four endpoint lookups per edge, which must stay O(1) even
-        // when the finished IndexMap chose its sparse representation.
-        // Every endpoint was registered by insert_edge, so the lookups
-        // cannot miss.
-        let mut slot_by_id = vec![u32::MAX; id_bound];
-        for (s, &u) in index.members().iter().enumerate() {
-            slot_by_id[u.index()] = s as u32;
-        }
-        let slot = |u: NodeId| slot_by_id[u.index()] as usize;
-        // Counting sort of edge endpoints into CSR runs. Edges are
-        // sorted by (min, max), and each is emitted in both directions;
-        // sorting each run once at the end keeps runs ascending.
-        let mut degree = vec![0u32; n];
+        // insert_edge registered both endpoints, so every lookup hits.
+        let mut ends = Vec::with_capacity(2 * self.edges.len());
         for &(u, v) in &self.edges {
-            degree[slot(u)] += 1;
-            degree[slot(v)] += 1;
+            if let (Some(su), Some(sv)) = (index.slot_of(u), index.slot_of(v)) {
+                ends.push((su as u32, sv as u32));
+                ends.push((sv as u32, su as u32));
+            }
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        for s in 0..n {
-            offsets.push(offsets[s] + degree[s]);
-        }
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut targets = vec![NodeId(0); offsets[n] as usize];
-        for &(u, v) in &self.edges {
-            let (su, sv) = (slot(u), slot(v));
-            targets[cursor[su] as usize] = v;
-            cursor[su] += 1;
-            targets[cursor[sv] as usize] = u;
-            cursor[sv] += 1;
-        }
-        for s in 0..n {
-            targets[offsets[s] as usize..offsets[s + 1] as usize].sort_unstable();
-        }
-        Subgraph {
-            index,
-            offsets,
-            targets,
-            edge_count: self.edges.len(),
-        }
+        Subgraph::from_directed_ends(index, &ends)
     }
 }
 
@@ -351,7 +362,8 @@ mod tests {
         assert_eq!(s.edge_count(), 3);
         assert!(s.has_edge(NodeId(0), NodeId(2)));
         assert_eq!(s.degree(NodeId(1)), 2);
-        assert_eq!(s.neighbors(NodeId(9)), &[]);
+        assert_eq!(s.neighbors(NodeId(9)).len(), 0);
+        assert!(!s.has_edge(NodeId(0), NodeId(9)));
     }
 
     #[test]
@@ -373,7 +385,8 @@ mod tests {
         b.insert_edge(NodeId(5), NodeId(9));
         b.insert_edge(NodeId(5), NodeId(0));
         let s = b.build();
-        assert_eq!(s.neighbors(NodeId(5)), &[NodeId(0), NodeId(2), NodeId(9)]);
+        assert!(s.neighbors(NodeId(5)).eq([NodeId(0), NodeId(2), NodeId(9)]));
+        assert_eq!(s.neighbor_slots(2), &[0, 1, 3]);
         assert_eq!(
             s.nodes().collect::<Vec<_>>(),
             vec![NodeId(0), NodeId(2), NodeId(5), NodeId(9)]
@@ -407,6 +420,23 @@ mod tests {
         assert_eq!(s.edge_count(), 1);
         assert!(s.has_edge(NodeId(0), NodeId(1)));
         assert!(!s.contains_node(NodeId(2)));
+    }
+
+    #[test]
+    fn without_node_renumbers_later_slots() {
+        // Removing a middle member shifts every later slot down by one;
+        // the result must equal the same subgraph built from scratch.
+        let mut b = SubgraphBuilder::new();
+        for (u, v) in [(1, 4), (4, 7), (7, 9), (1, 9), (2, 4), (2, 9)] {
+            b.insert_edge(NodeId(u), NodeId(v));
+        }
+        let s = b.build().without_node(NodeId(4));
+        let mut want = SubgraphBuilder::new();
+        for (u, v) in [(7, 9), (1, 9), (2, 9)] {
+            want.insert_edge(NodeId(u), NodeId(v));
+        }
+        assert_eq!(s, want.build());
+        assert_eq!(s.neighbor_slots(3), &[0, 1, 2]);
     }
 
     #[test]

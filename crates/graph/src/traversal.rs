@@ -5,10 +5,14 @@
 //! [`Subgraph`](crate::Subgraph), and on filtered views (e.g. "edges of
 //! rank greater than r" during preprocessing) via [`FilteredTopology`].
 //!
-//! Distances come back as a dense [`DistMap`] rather than a tree map:
-//! node ids are small integers, so a flat `Vec<u32>` with a sentinel is
-//! both faster and allocation-free per visit.
+//! Whole-topology distances come back as a dense [`DistMap`] rather
+//! than a tree map: node ids are small integers, so a flat `Vec<u32>`
+//! with a sentinel is both faster and allocation-free per visit. Searches
+//! that must cost in proportion to what they explore — view extraction,
+//! churn checks — use a [`Ball`] instead, whose per-id buffer is reused
+//! across calls rather than allocated and zero-filled per search.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use crate::dist::DistMap;
@@ -77,6 +81,155 @@ impl<T: Topology + ?Sized, F: Fn(NodeId, NodeId) -> bool> Topology for FilteredT
     }
 }
 
+/// A radius-bounded breadth-first search — the ball of nodes within
+/// `radius` hops of a centre — run over a reusable per-id buffer.
+///
+/// The buffer holds, per node id, the generation of the search that
+/// last reached the node and the node's position in that search's BFS
+/// order. A search starts by bumping the generation, which forgets the
+/// previous search without touching the buffer, so one search costs
+/// time in proportion to the ball it explores, not to the graph. The
+/// buffer only ever grows, to the largest id bound it has been asked
+/// to cover. [`Ball::with`] lends each thread one long-lived instance,
+/// so view extraction and churn checks share a single buffer per
+/// thread instead of allocating a graph-sized array per call.
+///
+/// ```
+/// use locality_graph::traversal::Ball;
+/// use locality_graph::{generators, NodeId};
+///
+/// let g = generators::path(10);
+/// Ball::with(|ball| {
+///     ball.search(&g, NodeId(4), 2);
+///     assert_eq!(ball.len(), 5);
+///     let i = ball.position(NodeId(2)).expect("within 2 hops");
+///     assert_eq!(ball.members()[i], (NodeId(2), 2));
+///     assert_eq!(ball.position(NodeId(7)), None);
+///     assert!(ball.reaches(&g, NodeId(0), NodeId(9)));
+/// });
+/// ```
+#[derive(Debug, Default)]
+pub struct Ball {
+    /// Per id: the generation that last reached it and its position in
+    /// `order`. Generation 0 is never current, so fresh entries read as
+    /// unreached.
+    marks: Vec<(u32, u32)>,
+    generation: u32,
+    /// Reached nodes with their distance from the centre, in BFS order
+    /// (distances nondecreasing). Doubles as the search queue.
+    order: Vec<(NodeId, u32)>,
+}
+
+thread_local! {
+    static BALL: RefCell<Ball> = RefCell::new(Ball::default());
+}
+
+impl Ball {
+    /// Runs `f` on the calling thread's reusable ball. A nested call —
+    /// `f` asking for the ball again — gets a fresh one rather than
+    /// panicking.
+    pub fn with<R>(f: impl FnOnce(&mut Ball) -> R) -> R {
+        BALL.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut ball) => f(&mut ball),
+            Err(_) => f(&mut Ball::default()),
+        })
+    }
+
+    /// Explores every node within `radius` hops of `center`, replacing
+    /// the previous search. Explores nothing if `center` is not a node
+    /// of `topo`.
+    pub fn search<T: Topology + ?Sized>(&mut self, topo: &T, center: NodeId, radius: u32) {
+        self.explore(topo, center, radius, None);
+    }
+
+    /// Whether `to` is reachable from `from`. Explores outward from
+    /// `from` and stops as soon as `to` is reached, so the cost is the
+    /// ball out to `dist(from, to)`, not the component.
+    pub fn reaches<T: Topology + ?Sized>(&mut self, topo: &T, from: NodeId, to: NodeId) -> bool {
+        self.explore(topo, from, u32::MAX, Some(to))
+    }
+
+    fn explore<T: Topology + ?Sized>(
+        &mut self,
+        topo: &T,
+        center: NodeId,
+        radius: u32,
+        target: Option<NodeId>,
+    ) -> bool {
+        let bound = topo.id_bound();
+        if self.marks.len() < bound {
+            self.marks.resize(bound, (0, 0));
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: stale marks could alias the new generation.
+            self.marks.fill((0, 0));
+            self.generation = 1;
+        }
+        self.order.clear();
+        if !topo.contains_node(center) {
+            return false;
+        }
+        self.visit(center, 0);
+        if target == Some(center) {
+            return true;
+        }
+        let mut head = 0;
+        while let Some(&(x, dx)) = self.order.get(head) {
+            head += 1;
+            if dx >= radius {
+                // BFS order: everything after is at least as far.
+                break;
+            }
+            let mut found = false;
+            topo.for_each_neighbor(x, &mut |y| {
+                if self.position(y).is_none() {
+                    self.visit(y, dx + 1);
+                    found |= target == Some(y);
+                }
+            });
+            if found {
+                return true;
+            }
+        }
+        false
+    }
+
+    #[inline]
+    fn visit(&mut self, x: NodeId, d: u32) {
+        self.marks[x.index()] = (self.generation, self.order.len() as u32);
+        self.order.push((x, d));
+    }
+
+    /// The reached nodes with their distances, in BFS order.
+    #[inline]
+    pub fn members(&self) -> &[(NodeId, u32)] {
+        &self.order
+    }
+
+    /// Number of reached nodes.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether the last search reached nothing.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// The position of `x` in [`members`](Self::members), or `None` if
+    /// the last search did not reach it.
+    #[inline]
+    pub fn position(&self, x: NodeId) -> Option<usize> {
+        match self.marks.get(x.index()) {
+            Some(&(g, pos)) if g == self.generation => Some(pos as usize),
+            _ => None,
+        }
+    }
+}
+
 /// BFS distances from `source`; nodes unreachable from `source` are
 /// absent from the map. `max_depth`, if given, truncates the search.
 pub fn bfs_distances<T: Topology + ?Sized>(
@@ -90,9 +243,8 @@ pub fn bfs_distances<T: Topology + ?Sized>(
     }
     dist.insert(source, 0);
     let mut queue = VecDeque::new();
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u];
+    queue.push_back((source, 0));
+    while let Some((u, du)) = queue.pop_front() {
         if let Some(md) = max_depth {
             if du >= md {
                 continue;
@@ -101,7 +253,7 @@ pub fn bfs_distances<T: Topology + ?Sized>(
         topo.for_each_neighbor(u, &mut |v| {
             if !dist.contains(v) {
                 dist.insert(v, du + 1);
-                queue.push_back(v);
+                queue.push_back((v, du + 1));
             }
         });
     }
@@ -233,8 +385,7 @@ pub fn articulation_points<T: Topology + ?Sized>(topo: &T) -> Vec<NodeId> {
         while let Some(&mut (u, ref mut cursor)) = stack.last_mut() {
             let mut nbrs = Vec::new();
             topo.for_each_neighbor(u, &mut |v| nbrs.push(v));
-            if *cursor < nbrs.len() {
-                let v = nbrs[*cursor];
+            if let Some(&v) = nbrs.get(*cursor) {
                 *cursor += 1;
                 if disc[v.index()] == UNSET {
                     parent[v.index()] = u.0;
@@ -263,9 +414,11 @@ pub fn articulation_points<T: Topology + ?Sized>(topo: &T) -> Vec<NodeId> {
             is_cut[root.index()] = true;
         }
     }
-    (0..bound)
-        .filter(|&i| is_cut[i])
-        .map(|i| NodeId(i as u32))
+    is_cut
+        .iter()
+        .enumerate()
+        .filter(|&(_, &cut)| cut)
+        .map(|(i, _)| NodeId(i as u32))
         .collect()
 }
 
@@ -419,6 +572,77 @@ mod tests {
                 assert_eq!(cuts.binary_search(&u).is_ok(), is_cut, "node {u} on {g:?}");
             }
         }
+    }
+
+    #[test]
+    fn ball_matches_truncated_bfs() {
+        use crate::rng::DetRng;
+        let mut rng = DetRng::seed_from_u64(5);
+        let mut ball = Ball::default();
+        for round in 0..30 {
+            // Alternate graph sizes so the reused buffer is larger than
+            // the graph about half the time.
+            let n = if round % 2 == 0 { 40 } else { 7 };
+            let g = generators::random_mixed(n, &mut rng);
+            for u in g.nodes() {
+                for k in [0, 1, 2, 5] {
+                    ball.search(&g, u, k);
+                    let want: Vec<(NodeId, u32)> = bfs_distances(&g, u, Some(k)).iter().collect();
+                    let mut got = ball.members().to_vec();
+                    assert!(got.windows(2).all(|w| w[0].1 <= w[1].1), "BFS order");
+                    got.sort_unstable();
+                    assert_eq!(got, want, "u={u} k={k} on {g:?}");
+                    for (i, &(x, _)) in ball.members().iter().enumerate() {
+                        assert_eq!(ball.position(x), Some(i));
+                    }
+                    let outside = g.nodes().filter(|&x| ball.position(x).is_none()).count();
+                    assert_eq!(outside + ball.len(), g.node_count());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ball_reaches_stops_at_the_target() {
+        let g = generators::path(50);
+        let mut ball = Ball::default();
+        assert!(ball.reaches(&g, NodeId(10), NodeId(12)));
+        // The search stopped within a hop of the target's distance.
+        assert!(ball.len() <= 5, "explored {} nodes", ball.len());
+        assert!(ball.reaches(&g, NodeId(3), NodeId(3)));
+        let split = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        assert!(!ball.reaches(&split, NodeId(0), NodeId(3)));
+        assert!(!ball.reaches(&split, NodeId(0), NodeId(9)));
+        assert!(!ball.reaches(&split, NodeId(9), NodeId(0)));
+        assert!(ball.is_empty(), "an absent centre explores nothing");
+    }
+
+    #[test]
+    fn ball_survives_generation_wraparound() {
+        let g = generators::cycle(10);
+        let mut ball = Ball::default();
+        ball.search(&g, NodeId(0), 2);
+        ball.generation = u32::MAX;
+        // The wrapped search must not mistake stale marks for fresh.
+        ball.search(&g, NodeId(5), 1);
+        let mut got: Vec<NodeId> = ball.members().iter().map(|&(x, _)| x).collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![NodeId(4), NodeId(5), NodeId(6)]);
+        assert_eq!(ball.position(NodeId(0)), None);
+    }
+
+    #[test]
+    fn nested_ball_loans_do_not_panic() {
+        let g = generators::path(6);
+        let outer = Ball::with(|a| {
+            a.search(&g, NodeId(0), 1);
+            let inner = Ball::with(|b| {
+                b.search(&g, NodeId(5), 2);
+                b.len()
+            });
+            (a.len(), inner)
+        });
+        assert_eq!(outer, (2, 3));
     }
 
     #[test]

@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use local_routing::{LocalRouter, Packet, ViewArtifact, ViewStore, ViewStoreStats};
 use locality_graph::rng::DetRng;
-use locality_graph::{traversal, Graph, GraphError, NodeId};
+use locality_graph::traversal::{self, Ball};
+use locality_graph::{Graph, GraphError, NodeId};
 use locality_obs::{Level, Recorder};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionVerdict, SaturationSample};
@@ -247,6 +248,7 @@ impl NetworkBuilder {
         }
         let rng = DetRng::seed_from_u64(self.faults.seed);
         Ok(Network {
+            connected: traversal::is_connected(&self.graph),
             k: self.k,
             hop_budget: if self.hop_budget == 0 {
                 8 * n * n + 16
@@ -323,6 +325,10 @@ struct MsgState {
 /// unit-latency FIFO links, and (optionally) deterministic faults.
 pub struct Network {
     graph: Graph,
+    /// Whether `graph` is connected. Only a graph disconnected at build
+    /// starts false: a link-down is refused unless it keeps the graph
+    /// connected, and a link-up on a disconnected graph re-checks.
+    connected: bool,
     k: u32,
     hop_budget: usize,
     nodes: Vec<SimNode>,
@@ -1135,7 +1141,9 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`SimError::WouldDisconnect`] if removing `(a, b)` would
-    /// disconnect the network, [`SimError::UnknownNode`] for an
+    /// leave the network disconnected (always, on a network built from
+    /// a disconnected graph that no link-up has joined since),
+    /// [`SimError::UnknownNode`] for an
     /// out-of-range endpoint, or [`SimError::Topology`] for a
     /// self-loop. The network is unchanged on error.
     pub fn set_edge(&mut self, a: NodeId, b: NodeId, present: bool) -> Result<(), SimError> {
@@ -1164,6 +1172,9 @@ impl Network {
         self.collect_dirty(&mut dirty, a, b);
         if present {
             self.graph.insert_edge(a, b)?;
+            if !self.connected {
+                self.connected = traversal::is_connected(&self.graph);
+            }
             // A restored link delivers whatever was parked on it, in
             // FIFO order, starting next tick.
             if let Some(q) = self.parked.remove(&LinkKey::new(a, b)) {
@@ -1173,7 +1184,12 @@ impl Network {
             }
         } else {
             self.graph.remove_edge(a, b)?;
-            if !traversal::is_connected(&self.graph) {
+            // A connected graph stays connected without {a, b} iff `a`
+            // still reaches `b`: every other node keeps its path to one
+            // of the two. The search stops at `b`, so it costs the ball
+            // around `a` out to `b`'s new distance, not the graph.
+            let joined = self.connected && Ball::with(|ball| ball.reaches(&self.graph, a, b));
+            if !joined {
                 self.graph.insert_edge(a, b)?;
                 return Err(SimError::WouldDisconnect(a, b));
             }
@@ -1195,12 +1211,15 @@ impl Network {
     /// the **current** topology, keyed by its distance to the nearest
     /// endpoint (minimum over calls).
     fn collect_dirty(&self, dirty: &mut BTreeMap<NodeId, u32>, a: NodeId, b: NodeId) {
-        for &end in &[a, b] {
-            for (x, d) in traversal::bfs_distances(&self.graph, end, Some(self.k)).iter() {
-                let entry = dirty.entry(x).or_insert(d);
-                *entry = (*entry).min(d);
+        Ball::with(|ball| {
+            for &end in &[a, b] {
+                ball.search(&self.graph, end, self.k);
+                for &(x, d) in ball.members() {
+                    let entry = dirty.entry(x).or_insert(d);
+                    *entry = (*entry).min(d);
+                }
             }
-        }
+        });
     }
 
     /// Re-extracts the views of `due` (sorted, deduped) from the
@@ -1485,7 +1504,7 @@ impl HopCtx<'_> {
             },
             Ok((next_label, rule)) => match self.graph.node_by_label(next_label) {
                 Some(next) if self.graph.has_edge(at, next) => HopDecision::Forward { next, rule },
-                Some(next) if node.view().center_neighbors().contains(&next) => {
+                Some(next) if node.view().center_neighbors().any(|x| x == next) => {
                     // Valid on the node's (stale) view — the link is
                     // simply down right now.
                     match self.cfg.dead_link {
@@ -1597,6 +1616,95 @@ mod tests {
         let r = net.record(id).expect("id was returned by send");
         assert!(r.delivered());
         assert_eq!(r.hops(), 3, "must use the new shortcut: 1-0-10-9");
+    }
+
+    #[test]
+    fn refuses_a_bridge_and_accepts_a_cycle_edge() {
+        // Cycle 0..=4 with a tail 4-5-6: {4, 5} is a bridge.
+        let g = generators::lollipop(5, 2);
+        let mut net = NetworkBuilder::new(&g, 2).build(Alg3);
+        assert_eq!(
+            net.set_edge(NodeId(4), NodeId(5), false),
+            Err(SimError::WouldDisconnect(NodeId(4), NodeId(5)))
+        );
+        assert!(net.graph().has_edge(NodeId(4), NodeId(5)));
+        net.set_edge(NodeId(0), NodeId(1), false)
+            .expect("a cycle edge is not a bridge");
+        assert!(!net.graph().has_edge(NodeId(0), NodeId(1)));
+        // The cut turned the cycle into a path: {1, 2} is a bridge now.
+        assert_eq!(
+            net.set_edge(NodeId(1), NodeId(2), false),
+            Err(SimError::WouldDisconnect(NodeId(1), NodeId(2)))
+        );
+    }
+
+    #[test]
+    fn refuses_every_cut_while_disconnected_since_build() {
+        // Two triangles: no cut is accepted, not even a cycle edge.
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+            .expect("two triangles are simple");
+        let mut net = NetworkBuilder::new(&g, 2).build(Alg3);
+        for (a, b) in [(0, 1), (1, 2), (3, 4)] {
+            assert_eq!(
+                net.set_edge(NodeId(a), NodeId(b), false),
+                Err(SimError::WouldDisconnect(NodeId(a), NodeId(b)))
+            );
+        }
+        // A link-up that joins the halves makes cycle edges cuttable,
+        // while the joining edge itself is a bridge.
+        net.set_edge(NodeId(2), NodeId(3), true)
+            .expect("adding an edge never fails");
+        net.set_edge(NodeId(0), NodeId(1), false)
+            .expect("a cycle edge of a connected graph is not a bridge");
+        assert_eq!(
+            net.set_edge(NodeId(2), NodeId(3), false),
+            Err(SimError::WouldDisconnect(NodeId(2), NodeId(3)))
+        );
+    }
+
+    #[test]
+    fn link_down_decisions_match_whole_graph_connectivity() {
+        // Random flips on random (possibly disconnected) graphs: every
+        // decision must equal the whole-graph rule "refuse iff the
+        // graph without the edge is disconnected".
+        let mut rng = DetRng::seed_from_u64(0xC07);
+        for _ in 0..12 {
+            let n = rng.gen_range(4..12u32);
+            let mut edges = Vec::new();
+            for _ in 0..rng.gen_range(n / 2..2 * n) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b && !edges.contains(&(a, b)) && !edges.contains(&(b, a)) {
+                    edges.push((a, b));
+                }
+            }
+            let g = Graph::from_edges(n as usize, &edges).expect("simple edge set");
+            let mut shadow = g.clone();
+            let mut net = NetworkBuilder::new(&g, 2).build(Alg3);
+            for _ in 0..40 {
+                let (a, b) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+                if a == b {
+                    continue;
+                }
+                let up = rng.gen_range(0..3u8) == 0;
+                let expect_ok = if up || !shadow.has_edge(a, b) {
+                    true
+                } else {
+                    let mut cut = shadow.clone();
+                    cut.remove_edge(a, b).expect("edge is present");
+                    traversal::is_connected(&cut)
+                };
+                let got = net.set_edge(a, b, up);
+                assert_eq!(got.is_ok(), expect_ok, "{a}-{b} up={up} on {shadow:?}");
+                if got.is_ok() && shadow.has_edge(a, b) != up {
+                    if up {
+                        shadow.insert_edge(a, b).expect("edge is absent");
+                    } else {
+                        shadow.remove_edge(a, b).expect("edge is present");
+                    }
+                }
+                assert_eq!(net.graph().edge_count(), shadow.edge_count());
+            }
+        }
     }
 
     #[test]

@@ -87,12 +87,42 @@ awk -v cur="$(extract "$perf_now" sim_hops_per_sec_per_core)" \
   }
 }'
 
-echo "==> simbench scale sweep smoke (fingerprint identity across shards)"
+echo "==> simbench scale sweep smoke (fingerprint identity across shards, linear provisioning)"
 # The sweep itself asserts outcome fingerprints match at every shard
 # count per n (2048, 32768, 100000) — a panic here means sharding
 # changed routing results. Smoke-sized traffic keeps this under a
 # minute even at n=100000.
-cargo run -q --release -p locality-bench --bin simbench -- --scale-smoke > /dev/null
+scale_json="$(cargo run -q --release -p locality-bench --bin simbench -- --scale-smoke)"
+# Provisioning costs O(view) per node, so build time per node must stay
+# flat in n: at each shard count, provision_ms / n at n = 100000 may be
+# at most 3x its n = 2048 value (an O(n) scratch per view reads ~20x).
+printf '%s' "$scale_json" | grep -oE '\{"n":[0-9]+,"shards":[0-9]+[^}]*\}' | awk '
+  function field(row, key) {
+    if (!match(row, "\"" key "\":[0-9.]+")) return ""
+    return substr(row, RSTART + length(key) + 3, RLENGTH - length(key) - 3)
+  }
+  {
+    n = field($0, "n"); s = field($0, "shards")
+    per[n, s] = field($0, "provision_ms") / n
+    shards[s] = 1
+  }
+  END {
+    bad = 0
+    for (s in shards) {
+      small = per[2048, s]; big = per[100000, s]
+      if (small <= 0 || big <= 0) {
+        printf "simbench: S=%s scale rows missing n=2048 or n=100000\n", s > "/dev/stderr"
+        bad = 1
+        continue
+      }
+      printf "provisioning per node, n=100000 vs n=2048, S=%s: %.2fx\n", s, big / small
+      if (big > 3 * small) {
+        printf "simbench: S=%s provisioning per node grew %.2fx from n=2048 to n=100000 (limit 3x)\n", s, big / small > "/dev/stderr"
+        bad = 1
+      }
+    }
+    exit bad
+  }'
 
 echo "==> tracing-off overhead gate"
 # A recorder at Level::Off must cost nothing measurable: perfsmoke
