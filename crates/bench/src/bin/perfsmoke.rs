@@ -18,7 +18,7 @@
 //! omitted, so the reported speedups are lower bounds.
 //!
 //! The `sim` section does the same for the distributed simulator: the
-//! real engine (timing wheel, arrival slab, dense loop bitset,
+//! real engine (timing wheel, arrival slab, route-sized loop state,
 //! memoized step tables) against a replay of the identical hop
 //! sequence charged to the pre-refactor simulator structures, plus an
 //! end-to-end trials-per-second figure through the parallel driver.
@@ -450,7 +450,7 @@ fn bench_size(n: usize) -> SizeReport {
 }
 
 /// The simulator throughput section: the real engine (timing wheel,
-/// arrival slab, dense loop bitset, memoized step tables) against a
+/// arrival slab, route-sized loop state, memoized step tables) against a
 /// replay of the same hops charged to the **pre-refactor simulator
 /// structures** — `BTreeMap<u64, Vec<Arrival>>` scheduling, per-message
 /// `BTreeSet<(NodeId, Option<NodeId>)>` loop detection, and an uncached

@@ -1,14 +1,14 @@
 //! Deterministic run engine: drives a router hop by hop with exact loop
 //! detection, and evaluates delivery and dilation (§2.2).
 
-// The `HashMap`/`HashSet` here are the hot-path exceptions to the R2
-// determinism rule: the view-cache shards and the loop-detection state
-// set are keyed lookups/membership tests whose iteration order never
-// reaches an output. Each site is justified in `lint.allow`; clippy's
-// workspace-wide `disallowed-types` is relaxed file-locally to match.
+// The `HashMap` here is the hot-path exception to the R2 determinism
+// rule: the view-cache shards are keyed lookups whose iteration order
+// never reaches an output. The site is justified in `lint.allow`;
+// clippy's workspace-wide `disallowed-types` is relaxed file-locally to
+// match.
 #![allow(clippy::disallowed_types)]
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -19,6 +19,7 @@ use crate::model::Packet;
 use crate::oracle::ViewArtifact;
 use crate::traits::LocalRouter;
 use crate::view::LocalView;
+use crate::visited::VisitedStates;
 
 /// Options controlling a run.
 #[derive(Clone, Debug, Default)]
@@ -532,68 +533,7 @@ pub fn route_with_cache<R: LocalRouter + ?Sized>(
     t: NodeId,
     options: &RunOptions,
 ) -> RunReport {
-    let graph = cache.graph;
-    let k = cache.k;
-    let n = graph.node_count();
-    let shortest = traversal::distance(graph, s, t).unwrap_or(0);
-    let max_steps = options.max_steps.unwrap_or(8 * n * n + 16);
-    let awareness = router.awareness();
-    let origin_label = graph.label(s);
-    let target_label = graph.label(t);
-
-    let mut route = vec![s];
-    let mut current = s;
-    let mut predecessor: Option<NodeId> = None;
-    let mut seen: HashSet<(NodeId, Option<NodeId>)> = HashSet::new();
-
-    let status = loop {
-        if current == t {
-            break RunStatus::Delivered;
-        }
-        // The run state that determines all future behaviour of a pure
-        // stateless router: the current node plus — only if the router
-        // can see it — the predecessor.
-        let state = (
-            current,
-            if awareness.predecessor {
-                predecessor
-            } else {
-                None
-            },
-        );
-        if !seen.insert(state) {
-            break RunStatus::LoopDetected;
-        }
-        if route.len() > max_steps {
-            break RunStatus::StepLimit;
-        }
-        let view = cache.view(current);
-        let packet = Packet::new(
-            origin_label,
-            target_label,
-            predecessor.map(|p| graph.label(p)),
-        )
-        .masked(awareness);
-        match router.decide(&packet, &view) {
-            Err(e) => break RunStatus::RouterError(e),
-            Ok(next_label) => {
-                let next = graph.node_by_label(next_label);
-                let Some(next) = next.filter(|&x| graph.has_edge(current, x)) else {
-                    break RunStatus::InvalidDecision { at: current };
-                };
-                route.push(next);
-                predecessor = Some(current);
-                current = next;
-            }
-        }
-    };
-
-    RunReport {
-        status,
-        route,
-        shortest,
-        k,
-    }
+    walk(cache, router, s, t, options, None)
 }
 
 /// A run together with the rule that fired at each hop.
@@ -619,6 +559,24 @@ pub fn route_traced<R: LocalRouter + ?Sized>(
     options: &RunOptions,
 ) -> TracedRun {
     let cache = ViewCache::new(graph, k);
+    let mut rules = Vec::new();
+    let report = walk(&cache, router, s, t, options, Some(&mut rules));
+    TracedRun { report, rules }
+}
+
+/// The hop loop behind every engine run. With `rules`, the router names
+/// the rule behind each hop ([`LocalRouter::decide_explained`]) and the
+/// names are appended; without, it is asked for the next hop only.
+fn walk<R: LocalRouter + ?Sized>(
+    cache: &ViewCache<'_>,
+    router: &R,
+    s: NodeId,
+    t: NodeId,
+    options: &RunOptions,
+    mut rules: Option<&mut Vec<&'static str>>,
+) -> RunReport {
+    let graph = cache.graph;
+    let k = cache.k;
     let n = graph.node_count();
     let shortest = traversal::distance(graph, s, t).unwrap_or(0);
     let max_steps = options.max_steps.unwrap_or(8 * n * n + 16);
@@ -627,24 +585,23 @@ pub fn route_traced<R: LocalRouter + ?Sized>(
     let target_label = graph.label(t);
 
     let mut route = vec![s];
-    let mut rules = Vec::new();
     let mut current = s;
     let mut predecessor: Option<NodeId> = None;
-    let mut seen: HashSet<(NodeId, Option<NodeId>)> = HashSet::new();
+    let mut visited = VisitedStates::new();
 
     let status = loop {
         if current == t {
             break RunStatus::Delivered;
         }
-        let state = (
-            current,
-            if awareness.predecessor {
-                predecessor
-            } else {
-                None
-            },
-        );
-        if !seen.insert(state) {
+        // The run state that determines all future behaviour of a pure
+        // stateless router: the current node plus — only if the router
+        // can see it — the predecessor.
+        let visible = if awareness.predecessor {
+            predecessor
+        } else {
+            None
+        };
+        if !visited.insert(current, visible) {
             break RunStatus::LoopDetected;
         }
         if route.len() > max_steps {
@@ -657,7 +614,12 @@ pub fn route_traced<R: LocalRouter + ?Sized>(
             predecessor.map(|p| graph.label(p)),
         )
         .masked(awareness);
-        match router.decide_explained(&packet, &view) {
+        let decision = if rules.is_some() {
+            router.decide_explained(&packet, &view)
+        } else {
+            router.decide(&packet, &view).map(|l| (l, "?"))
+        };
+        match decision {
             Err(e) => break RunStatus::RouterError(e),
             Ok((next_label, rule)) => {
                 let next = graph.node_by_label(next_label);
@@ -665,21 +627,20 @@ pub fn route_traced<R: LocalRouter + ?Sized>(
                     break RunStatus::InvalidDecision { at: current };
                 };
                 route.push(next);
-                rules.push(rule);
+                if let Some(rules) = rules.as_deref_mut() {
+                    rules.push(rule);
+                }
                 predecessor = Some(current);
                 current = next;
             }
         }
     };
 
-    TracedRun {
-        report: RunReport {
-            status,
-            route,
-            shortest,
-            k,
-        },
-        rules,
+    RunReport {
+        status,
+        route,
+        shortest,
+        k,
     }
 }
 

@@ -28,7 +28,8 @@
 //!   `k >= ⌊n/2⌋` and follows a shortest path (§5.3),
 //!
 //! plus baselines ([`baselines`]), the deterministic run engine with
-//! exact loop detection ([`engine`]), the preprocessing step that breaks
+//! exact loop detection ([`engine`], over the route-sized state set of
+//! [`visited`]), the preprocessing step that breaks
 //! local cycles ([`preprocess`]), and checkers for the paper's structural
 //! lemmas ([`verify`]).
 //!
@@ -68,6 +69,7 @@ pub mod stateful;
 mod traits;
 pub mod verify;
 mod view;
+pub mod visited;
 
 pub use alg1::{Alg1, Alg1B};
 pub use alg2::Alg2;

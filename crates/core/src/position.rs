@@ -12,6 +12,8 @@
 use locality_graph::geo::{EmbeddedGraph, Point};
 use locality_graph::NodeId;
 
+use crate::visited::VisitedStates;
+
 /// A position-based 1-local routing rule: given the current node's
 /// position, its neighbours' positions, and the destination's position,
 /// choose the next hop (`None` = stuck).
@@ -105,7 +107,7 @@ pub fn route_position<R: PositionRouter>(
     let target = g.position(t);
     let mut current = s;
     let mut route = vec![s];
-    let mut seen = std::collections::BTreeSet::new();
+    let mut visited = VisitedStates::new();
     loop {
         if current == t {
             return PositionRunReport {
@@ -113,7 +115,7 @@ pub fn route_position<R: PositionRouter>(
                 route,
             };
         }
-        if !seen.insert(current) {
+        if !visited.insert(current, None) {
             return PositionRunReport {
                 status: PositionRunStatus::LoopDetected,
                 route,

@@ -41,10 +41,11 @@
 //!   missing docs; `clippy.toml` co-enforces R2/R3 natively.
 //! * **R5 silent libraries** — no stdout/stderr writes from library
 //!   code; output goes through the `locality-obs` recorder.
-//! * **R6 hot-path allocation** — no `Vec::new`/`Box::new`/`format!`/
-//!   `collect`/`to_vec` inside the designated hot-path functions
-//!   (`sim::sched`, `sim::slab`, `sim::driver`, the `core::view` step
-//!   tables, `graph::codec` decode) outside setup constructors.
+//! * **R6 hot-path allocation** — no `Vec::new`/`vec!`/`Box::new`/
+//!   `format!`/`collect`/`to_vec` inside the designated hot-path
+//!   functions (`sim::sched`, `sim::slab`, `sim::driver`, the
+//!   `core::view` step tables, `core::visited`, `graph::codec` decode)
+//!   outside setup constructors.
 //! * **R7 lock discipline** — no `Mutex`/`RwLock` acquisition or
 //!   blocking I/O reachable from the simulator's per-tick step path —
 //!   the precondition for sharding the simulator.

@@ -16,8 +16,8 @@
 //!   bit-reproducible crate that (transitively) calls it, across file
 //!   and crate boundaries.
 //! * **R6 hot-path allocation** ([`Workspace::check_r6`]) — no
-//!   `Vec::new`/`Box::new`/`format!`/`collect`/`to_vec` inside the
-//!   designated hot-path functions, outside setup constructors.
+//!   `Vec::new`/`vec!`/`Box::new`/`format!`/`collect`/`to_vec` inside
+//!   the designated hot-path functions, outside setup constructors.
 //! * **R7 lock discipline** ([`Workspace::check_r7`]) — no
 //!   `Mutex`/`RwLock` acquisition or blocking I/O reachable from the
 //!   per-tick step path.
@@ -155,6 +155,8 @@ const R6_FILES: &[&str] = &[
     "crates/sim/src/workload.rs",
     "crates/sim/src/admission.rs",
     "crates/sim/src/shard.rs",
+    // Per-hop loop detection for the engine and the simulator.
+    "crates/core/src/visited.rs",
     // The chunked trace reader: its per-line loop runs once per event
     // over multi-GB corpora, so a stray per-line allocation turns the
     // bounded-memory design into an allocator benchmark.
@@ -194,6 +196,7 @@ const R7_FILES: &[&str] = &[
     "crates/sim/src/sched.rs",
     "crates/sim/src/slab.rs",
     "crates/sim/src/shard.rs",
+    "crates/core/src/visited.rs",
 ];
 const R7_NETWORK: &str = "crates/sim/src/network.rs";
 
@@ -963,6 +966,7 @@ impl Workspace {
                         })
                     }
                     "format" if lx.is_punct(j + 1, b'!') => Some("format!"),
+                    "vec" if lx.is_punct(j + 1, b'!') => Some("vec!"),
                     "collect" | "to_vec" => {
                         // `collect(` / `collect::<..>(` / `to_vec(`.
                         let mut k = j + 1;
@@ -1282,6 +1286,7 @@ mod tests {
                  pub fn new() -> Wheel { Wheel { slots: Vec::new() } }\n\
                  pub fn advance(&mut self) { let v: Vec<u32> = Vec::new(); let _ = v; }\n\
                  pub fn drain(&self) -> Vec<u32> { self.slots.iter().copied().collect() }\n\
+                 pub fn grow(&mut self) { self.slots = vec![0; 8]; }\n\
              }\n",
         )]);
         let v = w.check_r6();
@@ -1291,6 +1296,7 @@ mod tests {
             .collect();
         assert!(syms.contains(&("advance", "Vec::new")), "{v:?}");
         assert!(syms.contains(&("drain", "collect")), "{v:?}");
+        assert!(syms.contains(&("grow", "vec!")), "{v:?}");
         assert!(!syms.iter().any(|&(s, _)| s == "new"), "setup fn exempt");
     }
 

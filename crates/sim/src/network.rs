@@ -9,6 +9,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
+use local_routing::visited::VisitedStates;
 use local_routing::{LocalRouter, Packet, ViewArtifact, ViewStore, ViewStoreStats};
 use locality_graph::rng::DetRng;
 use locality_graph::traversal::{self, Ball};
@@ -23,7 +24,7 @@ use crate::metrics::{MessageFate, MessageRecord, NetworkMetrics};
 use crate::node::SimNode;
 use crate::sched::Wheel;
 use crate::shard::{build_partition, Shard, ShardStats};
-use crate::slab::{ArrivalData, LoopTable, SeenSet};
+use crate::slab::ArrivalData;
 
 /// Smallest same-tick arrival batch worth fanning out to worker
 /// threads. Below this the per-thread spawn cost dominates; the
@@ -239,7 +240,6 @@ impl NetworkBuilder {
             .nodes()
             .map(|u| SimNode::provision_from(&views, &self.graph, u))
             .collect();
-        let loop_table = LoopTable::new(&self.graph);
         let mut fault_schedule = Wheel::new();
         for (at, evs) in self.plan.into_schedule() {
             for ev in evs {
@@ -270,13 +270,11 @@ impl NetworkBuilder {
             fault_schedule,
             reprovision_at: Wheel::new(),
             timers: Wheel::new(),
-            loop_table,
             parked: BTreeMap::new(),
             cfg: self.faults,
             rng,
             messages: Vec::new(),
             states: Vec::new(),
-            seen_states: Vec::new(),
             retries_total: 0,
             faults_applied: 0,
             faults_skipped: 0,
@@ -319,6 +317,10 @@ struct MsgState {
     /// are ignored when they eventually surface.
     attempt: u32,
     retries: u32,
+    /// The `(node, visible predecessor)` states this attempt has
+    /// visited, for exact loop detection: sized by the route, cleared
+    /// on retry and dropped with the terminal fate.
+    visited: VisitedStates,
 }
 
 /// A running simulated network: provisioned nodes, in-flight messages,
@@ -362,8 +364,6 @@ pub struct Network {
     reprovision_at: Wheel<NodeId>,
     /// Source-side timeout checks (message indices) due at a tick.
     timers: Wheel<u32>,
-    /// Frozen dense layout for per-message loop-detection states.
-    loop_table: LoopTable,
     /// Messages parked on a down link under [`DeadLinkPolicy::Queue`],
     /// FIFO per link as `(shard, handle)`, released when the link
     /// comes back.
@@ -372,7 +372,6 @@ pub struct Network {
     rng: DetRng,
     messages: Vec<MessageRecord>,
     states: Vec<MsgState>,
-    seen_states: Vec<SeenSet>,
     retries_total: u64,
     faults_applied: usize,
     faults_skipped: usize,
@@ -493,8 +492,8 @@ impl Network {
         self.states.push(MsgState {
             attempt: 0,
             retries: 0,
+            visited: VisitedStates::new(),
         });
-        self.seen_states.push(SeenSet::new());
         if let Some(rec) = self.trace.as_deref_mut() {
             rec.inc("sim.sent", 1);
             if let Some(e) = rec.event(Level::Hops, self.tick, "send") {
@@ -841,8 +840,6 @@ impl Network {
             crashed: &self.crashed,
             messages: &self.messages,
             states: &self.states,
-            seen: &self.seen_states,
-            loop_table: &self.loop_table,
             shards: &self.shards,
             router: self.router.as_ref(),
             cfg: &self.cfg,
@@ -884,7 +881,7 @@ impl Network {
             } else {
                 None
             };
-            let fresh = net.loop_table.insert(&mut net.seen_states[msg], at, pred);
+            let fresh = net.states[msg].visited.insert(at, pred);
             debug_assert!(fresh, "speculated loop state already present");
         };
         match d {
@@ -997,6 +994,9 @@ impl Network {
             }
         }
         self.messages[msg].fate = fate;
+        // A terminal message is never tested again: return its loop
+        // state now rather than when the network drops.
+        self.states[msg].visited = VisitedStates::new();
     }
 
     /// Puts `msg` on the wire from `at` to its live neighbour `next`:
@@ -1058,7 +1058,7 @@ impl Network {
             let s = self.messages[msg].s;
             self.messages[msg].retries += 1;
             self.messages[msg].path = vec![s];
-            self.seen_states[msg].clear();
+            self.states[msg].visited.clear();
             let attempt = self.states[msg].attempt;
             if let Some(rec) = self.trace.as_deref_mut() {
                 rec.inc("sim.retries", 1);
@@ -1429,8 +1429,6 @@ struct HopCtx<'a> {
     crashed: &'a [bool],
     messages: &'a [MessageRecord],
     states: &'a [MsgState],
-    seen: &'a [SeenSet],
-    loop_table: &'a LoopTable,
     shards: &'a [Shard],
     router: &'a (dyn LocalRouter + Send + Sync),
     cfg: &'a FaultConfig,
@@ -1478,7 +1476,7 @@ impl HopCtx<'_> {
         // stateless router revisiting (node, predecessor-it-can-see)
         // will repeat forever.
         let pred = if self.predecessor_aware { from } else { None };
-        if self.loop_table.contains(&self.seen[msg], at, pred) {
+        if self.states[msg].visited.contains(at, pred) {
             return HopDecision::Loop;
         }
         if self.messages[msg].hops() >= self.hop_budget {

@@ -1,24 +1,12 @@
-//! Flat storage for the simulator's hot per-message state: an arena of
-//! in-flight transmissions and a dense loop-detection bitset.
+//! Flat storage for the simulator's in-flight transmissions.
 //!
 //! [`ArrivalSlab`] replaces heap-allocated arrival structs flowing
 //! through per-tick `VecDeque`s: a transmission is four parallel `u32`
 //! fields (struct-of-arrays) addressed by a `u32` handle, recycled
 //! through a free list. The scheduler and the parked-link queues carry
 //! handles only.
-//!
-//! [`LoopTable`] + [`SeenSet`] replace the per-message
-//! `BTreeSet<(NodeId, Option<NodeId>)>`: the table freezes the initial
-//! topology's adjacency into a CSR layout and assigns every
-//! `(node, predecessor)` state a dense bit — `deg₀(u) + 1` bits per
-//! node `u` (one per initial neighbour, plus one for "no
-//! predecessor"). States the frozen table cannot name (the predecessor
-//! edge was added after build, or the message crossed a dying link
-//! under [`DeadLinkPolicy::Deliver`](crate::DeadLinkPolicy::Deliver))
-//! fall back to an exact side list, so detection stays exact — the
-//! bitset is a fast path, never an approximation.
 
-use locality_graph::{Graph, NodeId};
+use locality_graph::NodeId;
 
 /// Copy-out of one in-flight transmission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,165 +105,9 @@ impl ArrivalSlab {
     }
 }
 
-/// A `(node, predecessor)` state named by the frozen table: either a
-/// dense bit or — when the predecessor edge postdates the table — the
-/// exact pair.
-enum StateKey {
-    Bit(u32),
-    Pair(NodeId, NodeId),
-}
-
-/// Frozen bit layout for loop-detection states, shared by every
-/// message of one network.
-///
-/// Built once from the initial topology: node `u` owns the bit range
-/// `[base(u), base(u) + deg₀(u) + 1)` — bit `base(u)` is the state
-/// "at `u`, no predecessor", bit `base(u) + 1 + j` the state "at `u`,
-/// from its `j`-th initial neighbour (sorted by id)". The mapping is
-/// fixed for the lifetime of the network, so a state keeps one
-/// identity even while the topology churns underneath — edges that
-/// appear later simply fall through to [`SeenSet::extra`].
-pub struct LoopTable {
-    /// `base[u] .. base[u + 1]` is `u`'s bit range (prefix sums).
-    base: Vec<u32>,
-    /// CSR of each node's **initial** sorted neighbour list.
-    nbr_off: Vec<u32>,
-    nbrs: Vec<u32>,
-}
-
-impl LoopTable {
-    /// Freezes `graph`'s current adjacency into a bit layout.
-    pub fn new(graph: &Graph) -> LoopTable {
-        let n = graph.node_count();
-        let mut base = Vec::with_capacity(n + 1);
-        let mut nbr_off = Vec::with_capacity(n + 1);
-        let mut nbrs = Vec::new();
-        let (mut bits, mut off) = (0u32, 0u32);
-        base.push(0);
-        nbr_off.push(0);
-        for u in graph.nodes() {
-            let adj = graph.neighbors(u);
-            // Adjacency follows insertion order (permuted graphs are
-            // not ascending); sort each list so `key_of` can binary
-            // search it.
-            let start = nbrs.len();
-            nbrs.extend(adj.iter().map(|x| x.0));
-            nbrs[start..].sort_unstable();
-            off += adj.len() as u32;
-            bits += adj.len() as u32 + 1;
-            base.push(bits);
-            nbr_off.push(off);
-        }
-        LoopTable {
-            base,
-            nbr_off,
-            nbrs,
-        }
-    }
-
-    /// Total bits a full [`SeenSet`] needs.
-    fn bit_count(&self) -> u32 {
-        self.base.last().copied().unwrap_or(0)
-    }
-
-    fn key_of(&self, at: NodeId, from: Option<NodeId>) -> StateKey {
-        let u = at.index();
-        let (Some(&lo), Some(&no), Some(&ne)) = (
-            self.base.get(u),
-            self.nbr_off.get(u),
-            self.nbr_off.get(u + 1),
-        ) else {
-            // `at` postdates the table — impossible today (the node set
-            // is fixed), kept exact rather than panicking.
-            return StateKey::Pair(at, from.unwrap_or(at));
-        };
-        let Some(f) = from else {
-            return StateKey::Bit(lo);
-        };
-        let adj = self.nbrs.get(no as usize..ne as usize).unwrap_or(&[]);
-        match adj.binary_search(&f.0) {
-            Ok(j) => StateKey::Bit(lo + 1 + j as u32),
-            Err(_) => StateKey::Pair(at, f),
-        }
-    }
-
-    /// Whether the state `(at, from)` is already recorded in `seen`,
-    /// without mutating anything. The sharded simulator's speculation
-    /// phase reads loop state concurrently; the sequential apply phase
-    /// performs the matching [`insert`](Self::insert).
-    pub fn contains(&self, seen: &SeenSet, at: NodeId, from: Option<NodeId>) -> bool {
-        match self.key_of(at, from) {
-            StateKey::Bit(bit) => {
-                let w = (bit / 64) as usize;
-                let mask = 1u64 << (bit % 64);
-                seen.words.get(w).is_some_and(|word| *word & mask != 0)
-            }
-            StateKey::Pair(a, f) => seen.extra.contains(&(a, f)),
-        }
-    }
-
-    /// Records the state `(at, from)` in `seen`. Returns `false` iff it
-    /// was already present — the exact semantics of the `BTreeSet`
-    /// insert this replaces.
-    pub fn insert(&self, seen: &mut SeenSet, at: NodeId, from: Option<NodeId>) -> bool {
-        match self.key_of(at, from) {
-            StateKey::Bit(bit) => {
-                let w = (bit / 64) as usize;
-                if seen.words.len() <= w {
-                    let need = (self.bit_count() as usize).div_ceil(64);
-                    seen.words.resize(need.max(w + 1), 0);
-                }
-                let mask = 1u64 << (bit % 64);
-                match seen.words.get_mut(w) {
-                    Some(word) if *word & mask != 0 => false,
-                    Some(word) => {
-                        *word |= mask;
-                        true
-                    }
-                    None => false,
-                }
-            }
-            StateKey::Pair(a, f) => {
-                if seen.extra.contains(&(a, f)) {
-                    false
-                } else {
-                    seen.extra.push((a, f));
-                    true
-                }
-            }
-        }
-    }
-}
-
-/// Per-message visited-state set; interpreted through a [`LoopTable`].
-#[derive(Default)]
-pub struct SeenSet {
-    /// Dense bits, lazily sized on first insert.
-    words: Vec<u64>,
-    /// Exact states the frozen table cannot name.
-    extra: Vec<(NodeId, NodeId)>,
-}
-
-impl SeenSet {
-    /// An empty set.
-    pub fn new() -> SeenSet {
-        SeenSet::default()
-    }
-
-    /// Forgets everything (a source-side retry starts a fresh attempt),
-    /// keeping the word allocation.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.extra.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locality_graph::generators;
-    use locality_graph::rng::DetRng;
-    use std::collections::BTreeSet;
 
     #[test]
     fn slab_roundtrip_and_recycling() {
@@ -312,84 +144,5 @@ mod tests {
         assert_eq!(slab.high_water(), 3);
         slab.free(d);
         assert_eq!(slab.high_water(), 3, "high-water never recedes");
-    }
-
-    #[test]
-    fn loop_table_matches_btreeset_semantics() {
-        let g = generators::random_connected(20, 12, &mut DetRng::seed_from_u64(3));
-        let table = LoopTable::new(&g);
-        let mut seen = SeenSet::new();
-        let mut reference: BTreeSet<(NodeId, Option<NodeId>)> = BTreeSet::new();
-        let mut rng = DetRng::seed_from_u64(4);
-        for _ in 0..500 {
-            let at = NodeId(rng.gen_range(0..20u32));
-            let from = match rng.gen_range(0..3u32) {
-                0 => None,
-                // Sometimes a genuine neighbour, sometimes an arbitrary
-                // node (the Deliver-policy / new-edge fallback path).
-                1 => {
-                    let adj = g.neighbors(at);
-                    Some(adj[rng.gen_range(0..adj.len())])
-                }
-                _ => Some(NodeId(rng.gen_range(0..20u32))),
-            };
-            assert_eq!(
-                table.insert(&mut seen, at, from),
-                reference.insert((at, from)),
-                "state ({at:?}, {from:?})"
-            );
-        }
-        seen.clear();
-        reference.clear();
-        // After a clear every state is fresh again.
-        assert!(table.insert(&mut seen, NodeId(0), None));
-        assert!(!table.insert(&mut seen, NodeId(0), None));
-    }
-
-    #[test]
-    fn unsorted_adjacency_is_handled() {
-        // Permuted graphs keep adjacency in (relabelled) insertion
-        // order; the table must sort before it binary searches.
-        let g = generators::random_connected(16, 10, &mut DetRng::seed_from_u64(9));
-        let perm: Vec<NodeId> = (0..16u32).map(|i| NodeId((i * 7 + 3) % 16)).collect();
-        let pg = locality_graph::permute::permute_nodes(&g, &perm);
-        let table = LoopTable::new(&pg);
-        let mut seen = SeenSet::new();
-        let mut reference: BTreeSet<(NodeId, Option<NodeId>)> = BTreeSet::new();
-        let mut rng = DetRng::seed_from_u64(10);
-        for _ in 0..400 {
-            let at = NodeId(rng.gen_range(0..16u32));
-            let from = match rng.gen_range(0..2u32) {
-                0 => None,
-                _ => Some(NodeId(rng.gen_range(0..16u32))),
-            };
-            assert_eq!(
-                table.insert(&mut seen, at, from),
-                reference.insert((at, from)),
-                "state ({at:?}, {from:?})"
-            );
-        }
-        // Every frozen dense state is distinct: inserting (u, j-th
-        // neighbour) for all u exercises each binary-search hit once.
-        let mut fresh = SeenSet::new();
-        for u in pg.nodes() {
-            assert!(table.insert(&mut fresh, u, None));
-            for &v in pg.neighbors(u) {
-                assert!(table.insert(&mut fresh, u, Some(v)));
-            }
-        }
-        assert!(fresh.extra.is_empty(), "initial edges all map to bits");
-    }
-
-    #[test]
-    fn non_neighbor_predecessors_stay_exact() {
-        let g = generators::path(4); // 0-1-2-3: (0, from 3) is no edge
-        let table = LoopTable::new(&g);
-        let mut seen = SeenSet::new();
-        assert!(table.insert(&mut seen, NodeId(0), Some(NodeId(3))));
-        assert!(!table.insert(&mut seen, NodeId(0), Some(NodeId(3))));
-        // ... and does not collide with any dense state.
-        assert!(table.insert(&mut seen, NodeId(0), None));
-        assert!(table.insert(&mut seen, NodeId(0), Some(NodeId(1))));
     }
 }

@@ -87,7 +87,7 @@ awk -v cur="$(extract "$perf_now" sim_hops_per_sec_per_core)" \
   }
 }'
 
-echo "==> simbench scale sweep smoke (fingerprint identity across shards, linear provisioning)"
+echo "==> simbench scale sweep smoke (fingerprint identity across shards, linear provisioning, flat per-hop cost)"
 # The sweep itself asserts outcome fingerprints match at every shard
 # count per n (2048, 32768, 100000) — a panic here means sharding
 # changed routing results. Smoke-sized traffic keeps this under a
@@ -96,6 +96,11 @@ scale_json="$(cargo run -q --release -p locality-bench --bin simbench -- --scale
 # Provisioning costs O(view) per node, so build time per node must stay
 # flat in n: at each shard count, provision_ms / n at n = 100000 may be
 # at most 3x its n = 2048 value (an O(n) scratch per view reads ~20x).
+# Per-message loop state is sized by the route, and every n routes
+# messages with the same target offsets (the same hop count), so run
+# time per hop must stay near flat as well:
+# elapsed_ms / hops at n = 100000 may be at most 4x its n = 2048 value
+# (graph-sized loop state per message read 8-11x at S = 1).
 printf '%s' "$scale_json" | grep -oE '\{"n":[0-9]+,"shards":[0-9]+[^}]*\}' | awk '
   function field(row, key) {
     if (!match(row, "\"" key "\":[0-9.]+")) return ""
@@ -104,13 +109,15 @@ printf '%s' "$scale_json" | grep -oE '\{"n":[0-9]+,"shards":[0-9]+[^}]*\}' | awk
   {
     n = field($0, "n"); s = field($0, "shards")
     per[n, s] = field($0, "provision_ms") / n
+    hops = field($0, "hops")
+    hop[n, s] = hops > 0 ? field($0, "elapsed_ms") / hops : 0
     shards[s] = 1
   }
   END {
     bad = 0
     for (s in shards) {
       small = per[2048, s]; big = per[100000, s]
-      if (small <= 0 || big <= 0) {
+      if (small <= 0 || big <= 0 || hop[2048, s] <= 0 || hop[100000, s] <= 0) {
         printf "simbench: S=%s scale rows missing n=2048 or n=100000\n", s > "/dev/stderr"
         bad = 1
         continue
@@ -118,6 +125,12 @@ printf '%s' "$scale_json" | grep -oE '\{"n":[0-9]+,"shards":[0-9]+[^}]*\}' | awk
       printf "provisioning per node, n=100000 vs n=2048, S=%s: %.2fx\n", s, big / small
       if (big > 3 * small) {
         printf "simbench: S=%s provisioning per node grew %.2fx from n=2048 to n=100000 (limit 3x)\n", s, big / small > "/dev/stderr"
+        bad = 1
+      }
+      ratio = hop[100000, s] / hop[2048, s]
+      printf "run time per hop, n=100000 vs n=2048, S=%s: %.2fx\n", s, ratio
+      if (ratio > 4) {
+        printf "simbench: S=%s run time per hop grew %.2fx from n=2048 to n=100000 (limit 4x)\n", s, ratio > "/dev/stderr"
         bad = 1
       }
     }
