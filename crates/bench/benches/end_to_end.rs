@@ -1,10 +1,10 @@
 //! End-to-end routing benchmarks: full message journeys through the
-//! central engine (with a shared, pre-warmed view cache) and through
+//! central engine (with a shared, pre-warmed view store) and through
 //! the distributed simulator, including the paper's worst-case
 //! instances.
 
-use local_routing::engine::{self, RunOptions, ViewCache};
-use local_routing::{Alg1, Alg1B, Alg2, Alg3, LocalRouter};
+use local_routing::engine::{self, RunOptions};
+use local_routing::{Alg1, Alg1B, Alg2, Alg3, LocalRouter, ViewStore};
 use locality_adversary::tight;
 use locality_bench::timing::{measure_ns, report};
 use locality_graph::rng::DetRng;
@@ -15,11 +15,12 @@ fn main() {
     // Worst-case fig13 journeys for Algorithm 1 (route length 2n-k-3).
     for n in [32usize, 64] {
         let inst = tight::fig13(n);
-        let cache = ViewCache::new(&inst.graph, inst.k);
+        let g = &inst.graph;
+        let views = ViewStore::new(g, inst.k);
         // Warm every view on the route once.
-        engine::route_with_cache(&cache, &Alg1, inst.s, inst.t, &RunOptions::default());
+        engine::route_with_cache(g, &views, &Alg1, inst.s, inst.t, &RunOptions::default());
         let ns = measure_ns(|| {
-            engine::route_with_cache(&cache, &Alg1, inst.s, inst.t, &RunOptions::default())
+            engine::route_with_cache(g, &views, &Alg1, inst.s, inst.t, &RunOptions::default())
         });
         report("route", &format!("alg1_fig13/{n}"), ns);
     }
@@ -34,9 +35,10 @@ fn main() {
         (&Alg3, "alg3"),
     ] {
         let k = router.min_locality(n);
-        let cache = ViewCache::new(&g, k);
+        let views = ViewStore::new(&g, k);
         engine::route_with_cache(
-            &cache,
+            &g,
+            &views,
             &router,
             NodeId(0),
             NodeId(40),
@@ -44,7 +46,8 @@ fn main() {
         );
         let ns = measure_ns(|| {
             engine::route_with_cache(
-                &cache,
+                &g,
+                &views,
                 &router,
                 NodeId(0),
                 NodeId(40),

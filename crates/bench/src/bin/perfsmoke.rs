@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use local_routing::engine::{self, RunOptions, ViewCache};
+use local_routing::engine::{self, RunOptions};
 use local_routing::{preprocess, Alg1, LocalView, ViewArtifact, ViewStore};
 use locality_bench::loadgen;
 use locality_bench::simbench;
@@ -390,13 +390,13 @@ fn bench_size(n: usize) -> SizeReport {
         }
         acc
     });
-    let cache = ViewCache::new(&g, k);
+    let views = ViewStore::new(&g, k);
     let mut routes: Vec<Vec<NodeId>> = Vec::new();
     for s in g.nodes() {
         for t in g.nodes() {
             if s != t {
                 routes.push(
-                    engine::route_with_cache(&cache, &Alg1, s, t, &RunOptions::default()).route,
+                    engine::route_with_cache(&g, &views, &Alg1, s, t, &RunOptions::default()).route,
                 );
             }
         }
@@ -827,7 +827,7 @@ fn bench_oracle() -> OracleReport {
     }
 
     let bfs_cold_start_ns = measure_ns(|| {
-        let views = ViewStore::new(K);
+        let views = ViewStore::new(&g, K);
         let mut acc = 0usize;
         for u in g.nodes() {
             let v = views.view(&g, u);

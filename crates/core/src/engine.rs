@@ -1,16 +1,9 @@
 //! Deterministic run engine: drives a router hop by hop with exact loop
 //! detection, and evaluates delivery and dilation (§2.2).
 
-// The `HashMap` here is the hot-path exception to the R2 determinism
-// rule: the view-cache shards are keyed lookups whose iteration order
-// never reaches an output. The site is justified in `lint.allow`;
-// clippy's workspace-wide `disallowed-types` is relaxed file-locally to
-// match.
-#![allow(clippy::disallowed_types)]
-
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use locality_graph::{traversal, Graph, NodeId};
 
@@ -92,180 +85,86 @@ impl RunReport {
     /// predecessor-aware run).
     pub fn max_directed_edge_uses(&self) -> usize {
         let mut uses: BTreeMap<(NodeId, NodeId), usize> = BTreeMap::new();
-        for w in self.route.windows(2) {
-            *uses.entry((w[0], w[1])).or_insert(0) += 1;
+        for pair in self.route.windows(2) {
+            if let &[a, b] = pair {
+                *uses.entry((a, b)).or_insert(0) += 1;
+            }
         }
         uses.values().copied().max().unwrap_or(0)
     }
 }
 
-/// Number of independently locked shards in a [`ViewCache`]. A small
-/// power of two: enough to keep a handful of worker threads from
-/// serialising on one lock, cheap enough to allocate per cache.
-const VIEW_CACHE_SHARDS: usize = 16;
-
-/// Shared, thread-safe cache of [`LocalView`]s for one `(graph, k)`
-/// pair. Views (and their lazily computed preprocessing) are built
-/// **exactly once** per node and reused across runs and across threads
-/// — exactly like real nodes that preprocess once and then route many
-/// messages (§5.1: "the preprocessing step need not be repeated unless
-/// the network topology changes").
+/// The one view store: a dense slot per node, each holding that node's
+/// [`LocalView`] once it is first asked for. Views (and their lazily
+/// computed preprocessing) are materialized **exactly once** per node
+/// and reused across runs and threads — exactly like real nodes that
+/// preprocess once and then route many messages (§5.1: "the
+/// preprocessing step need not be repeated unless the network topology
+/// changes").
 ///
-/// Internally the cache is sharded: each shard is an `RwLock` over a
-/// hash map of `Arc<LocalView>`. Lookups of an already-built view take
-/// a read lock only; the first request for a node holds its shard's
-/// write lock while extracting, so concurrent requests for the same
-/// node converge on one `Arc` and the extraction work is never
-/// duplicated. All methods take `&self`, so one cache can be shared by
-/// reference across [`std::thread::scope`] workers.
+/// A lookup indexes the node's slot and, if it is empty, fills it under
+/// the slot's own once-cell: no lock, no hash, and concurrent first
+/// requests for one node run exactly one extraction and all receive the
+/// same view. [`view`](Self::view) takes `&self`, so one store can be
+/// shared by reference across [`std::thread::scope`] workers.
+///
+/// The store holds no graph: each lookup is handed the current one, so
+/// a host that owns and mutates its topology (the simulator) can keep
+/// the store beside it. After a topology change the **caller** must
+/// [`invalidate`](Self::invalidate) every node whose `G_k(u)` the
+/// change could have reached; every other slot keeps its view, and with
+/// it every memoized routing structure. An empty slot costs one boxed
+/// pointer and its once-state: two words, 16 bytes on 64-bit targets.
 ///
 /// ```
-/// use local_routing::engine::ViewCache;
+/// use local_routing::ViewStore;
 /// use locality_graph::{generators, NodeId};
 ///
 /// let g = generators::cycle(8);
-/// let cache = ViewCache::new(&g, 2);
-/// let a = cache.view(NodeId(0));
-/// let b = cache.view(NodeId(0));
-/// assert!(std::sync::Arc::ptr_eq(&a, &b)); // built once, shared
+/// let views = ViewStore::new(&g, 2);
+/// let a = views.view(&g, NodeId(0));
+/// let b = views.view(&g, NodeId(0));
+/// assert!(std::ptr::eq(a, b)); // built once, shared
+/// assert_eq!((views.stats().misses, views.stats().hits), (1, 1));
+/// assert_eq!(views.len(), 1);
 /// ```
-pub struct ViewCache<'g> {
-    graph: &'g Graph,
-    k: u32,
-    shards: Vec<RwLock<HashMap<NodeId, Arc<LocalView>>>>,
-}
-
-impl<'g> ViewCache<'g> {
-    /// Creates an empty cache for `(graph, k)`.
-    pub fn new(graph: &'g Graph, k: u32) -> ViewCache<'g> {
-        ViewCache {
-            graph,
-            k,
-            shards: (0..VIEW_CACHE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    /// The locality parameter.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// The graph the cached views were extracted from.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
-    /// Number of views currently cached.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
-    }
-
-    /// Whether no view has been built yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    #[inline]
-    fn shard_of(&self, u: NodeId) -> &RwLock<HashMap<NodeId, Arc<LocalView>>> {
-        &self.shards[u.index() % VIEW_CACHE_SHARDS]
-    }
-
-    /// The view at `u`, extracting it on first request. Safe to call
-    /// from many threads; all callers receive the same `Arc`.
-    pub fn view(&self, u: NodeId) -> Arc<LocalView> {
-        // A poisoned shard still holds structurally consistent data
-        // (writes are complete `Arc` insertions), so recover the guard
-        // instead of propagating a sibling thread's panic.
-        let shard = self.shard_of(u);
-        if let Some(v) = shard.read().unwrap_or_else(PoisonError::into_inner).get(&u) {
-            return Arc::clone(v);
-        }
-        // Double-checked: take the write lock and extract under it, so
-        // a racing thread blocks here and reuses our result instead of
-        // extracting a second time.
-        let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(
-            map.entry(u)
-                .or_insert_with(|| Arc::new(LocalView::extract(self.graph, u, self.k))),
-        )
-    }
-}
-
-/// Owned, invalidatable sibling of [`ViewCache`] for long-lived hosts
-/// whose graph **changes** over time — the simulator being the
-/// canonical one. A `ViewCache` borrows its graph, so a struct that
-/// owns and mutates its own `Graph` cannot hold one; a `ViewStore`
-/// holds no graph reference and is handed the current graph at each
-/// lookup instead.
-///
-/// The contract is the inverse of `ViewCache`'s immutability: after
-/// any topology change the **caller** must [`invalidate`]
-/// (Self::invalidate) every node whose `G_k(u)` the change could have
-/// reached (the simulator's dirty-set computation does exactly this).
-/// A lookup then re-extracts from the graph it is given; undamaged
-/// entries keep their `Arc` — and with it every lazily memoized
-/// routing structure — across the wave.
-///
-/// Sharded exactly like [`ViewCache`], so provisioning can be shared
-/// across scoped worker threads.
 pub struct ViewStore {
     k: u32,
-    shards: Vec<RwLock<HashMap<NodeId, CachedView>>>,
+    /// `slots[u.index()]`: the view at `u`, once materialized.
+    slots: Vec<OnceLock<Box<LocalView>>>,
     /// Precomputed payloads to materialize misses from, when the store
     /// was opened over an artifact ([`from_artifact`](Self::from_artifact)).
     backing: Option<ArtifactBacking>,
-    /// Resident-view budget across all shards; `0` means unbounded
-    /// (the historical behaviour). See
-    /// [`set_resident_budget`](Self::set_resident_budget).
-    budget: AtomicUsize,
-    /// Monotone logical clock stamping every hit/insert, the LRU order
-    /// eviction follows.
-    clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    invalidations: AtomicU64,
     artifact_loads: AtomicU64,
     rebuilds: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// One resident entry of a [`ViewStore`] shard: the view plus its
-/// last-touched stamp. The stamp is an atomic so the hit path can
-/// refresh it under the shard's *read* lock.
-struct CachedView {
-    view: Arc<LocalView>,
-    touched: AtomicU64,
+    invalidations: u64,
 }
 
 /// The oracle side of a [`ViewStore`]: the artifact misses are decoded
 /// from, plus a per-node staleness flag. Invalidation marks a node
-/// stale instead of merely evicting it, so the next lookup re-extracts
-/// from the *live* graph rather than serving a payload the topology
-/// has moved past.
+/// stale instead of merely emptying its slot, so the next lookup
+/// re-extracts from the *live* graph rather than serving a payload the
+/// topology has moved past.
 struct ArtifactBacking {
     artifact: Arc<ViewArtifact>,
-    stale: Vec<AtomicBool>,
+    stale: Vec<bool>,
 }
 
 /// Cumulative effectiveness counters of a [`ViewStore`]: how often a
-/// lookup was served from cache (`hits`) versus extracted (`misses`),
-/// and how many invalidations actually evicted an entry. Relaxed
-/// atomics — the counts are exact under the store's own locking (every
-/// miss holds the shard write lock), only their *reads* are racy, and
-/// the simulator reads them once, after a run.
+/// lookup was served from a filled slot (`hits`) versus materialized
+/// (`misses`), and how many invalidations emptied a slot. Relaxed
+/// atomics — each slot is filled exactly once, so the counts are exact;
+/// only their *reads* are racy, and hosts read them after a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ViewStoreStats {
-    /// Lookups served from an existing entry.
+    /// Lookups served from an existing view.
     pub hits: u64,
     /// Lookups that materialized a fresh view (by extraction, or by
     /// artifact decode on a backed store).
     pub misses: u64,
-    /// Invalidations that evicted a cached entry.
+    /// Invalidations that emptied a filled slot.
     pub invalidations: u64,
     /// Misses served by decoding the backing artifact (lazy
     /// materialization; zero on unbacked stores).
@@ -275,54 +174,13 @@ pub struct ViewStoreStats {
     /// counter: after a wave, this grows by exactly the dirty-radius
     /// node count, proving untouched entries were never rebuilt.
     pub rebuilds: u64,
-    /// Clean entries dropped to stay inside the resident-view budget
-    /// ([`ViewStore::set_resident_budget`]); zero on unbounded stores.
-    /// Budget evictions are invisible to routing (an evicted view
-    /// re-materializes identically on the next miss) and deliberately
-    /// excluded from `invalidations`, so the churn conservation pair
-    /// `misses == artifact_loads + rebuilds` keeps holding on backed
-    /// stores.
-    pub evictions: u64,
 }
 
 impl ViewStore {
-    /// Creates an empty store for locality `k`.
-    pub fn new(k: u32) -> ViewStore {
-        ViewStore {
-            k,
-            shards: (0..VIEW_CACHE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            backing: None,
-            budget: AtomicUsize::new(0),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            artifact_loads: AtomicU64::new(0),
-            rebuilds: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Bounds the number of resident views across all cache shards;
-    /// `0` removes the bound (the default). Once a shard exceeds its
-    /// slice of the budget, its least-recently-touched **clean**
-    /// entries are evicted at insert time: on an unbacked store every
-    /// entry is clean (the caller invalidates on topology change, so
-    /// residents always match the current graph); on an artifact-backed
-    /// store only artifact-fresh entries are candidates — churn-rebuilt
-    /// entries stay pinned, so the `rebuilds` conservation counter
-    /// still counts exactly the dirty radius. Eviction never changes a
-    /// routing result, only when views are re-materialized; a store
-    /// over budget with nothing evictable simply stays over budget.
-    pub fn set_resident_budget(&self, views: usize) {
-        self.budget.store(views, Ordering::Relaxed);
-    }
-
-    /// The configured resident-view budget (`0` = unbounded).
-    pub fn resident_budget(&self) -> usize {
-        self.budget.load(Ordering::Relaxed)
+    /// Creates an empty store with one slot per node of `graph`, for
+    /// locality `k`.
+    pub fn new(graph: &Graph, k: u32) -> ViewStore {
+        ViewStore::with_slots(graph.node_count(), k, None)
     }
 
     /// Opens a store over a prebuilt [`ViewArtifact`]: lookups decode
@@ -331,12 +189,22 @@ impl ViewStore {
     /// from then on that node (and only that node) re-extracts from the
     /// live graph, exactly like an unbacked store.
     pub fn from_artifact(artifact: Arc<ViewArtifact>) -> ViewStore {
-        let mut store = ViewStore::new(artifact.k());
-        let stale = (0..artifact.node_count())
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        store.backing = Some(ArtifactBacking { artifact, stale });
-        store
+        let (n, k) = (artifact.node_count() as usize, artifact.k());
+        let stale = vec![false; n];
+        ViewStore::with_slots(n, k, Some(ArtifactBacking { artifact, stale }))
+    }
+
+    fn with_slots(n: usize, k: u32, backing: Option<ArtifactBacking>) -> ViewStore {
+        ViewStore {
+            k,
+            slots: (0..n).map(|_| OnceLock::new()).collect(),
+            backing,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            artifact_loads: AtomicU64::new(0),
+            rebuilds: AtomicU64::new(0),
+            invalidations: 0,
+        }
     }
 
     /// Whether misses are served from an artifact.
@@ -349,10 +217,9 @@ impl ViewStore {
         ViewStoreStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
+            invalidations: self.invalidations,
             artifact_loads: self.artifact_loads.load(Ordering::Relaxed),
             rebuilds: self.rebuilds.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 
@@ -361,102 +228,49 @@ impl ViewStore {
         self.k
     }
 
-    /// Number of views currently cached.
+    /// Number of views currently resident.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.slots.iter().filter(|s| s.get().is_some()).count()
     }
 
-    /// Whether no view is cached.
+    /// Whether no view is resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.slots.iter().all(|s| s.get().is_none())
     }
 
-    #[inline]
-    fn shard_of(&self, u: NodeId) -> &RwLock<HashMap<NodeId, CachedView>> {
-        &self.shards[u.index() % VIEW_CACHE_SHARDS]
-    }
-
-    /// Stamps the next LRU-clock value.
-    #[inline]
-    fn touch(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The view at `u`, extracted from `graph` on first request (or on
-    /// the first request after an [`invalidate`](Self::invalidate)).
+    /// The view at `u`, materialized from `graph` on first request (or
+    /// on the first request after an [`invalidate`](Self::invalidate)).
+    /// Safe to call from many threads; all callers receive the same
+    /// view, and only one of them extracts it.
     ///
     /// The caller is responsible for passing the same graph state
     /// between invalidations — the store cannot tell graphs apart.
-    pub fn view(&self, graph: &Graph, u: NodeId) -> Arc<LocalView> {
-        let shard = self.shard_of(u);
-        if let Some(c) = shard.read().unwrap_or_else(PoisonError::into_inner).get(&u) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            c.touched.store(self.touch(), Ordering::Relaxed);
-            return Arc::clone(&c.view);
-        }
-        let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
-        // Double-checked: a racing thread may have extracted while we
-        // waited for the write lock — that is a hit, not a miss.
-        if let Some(c) = map.get(&u) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            c.touched.store(self.touch(), Ordering::Relaxed);
-            return Arc::clone(&c.view);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = Arc::new(self.materialize(graph, u));
-        map.insert(
-            u,
-            CachedView {
-                view: Arc::clone(&v),
-                touched: AtomicU64::new(self.touch()),
-            },
-        );
-        self.enforce_budget(&mut map);
-        v
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is not a node of the graph the store was sized
+    /// for.
+    pub fn view(&self, graph: &Graph, u: NodeId) -> &LocalView {
+        let mut missed = false;
+        let view = self.slots[u.index()].get_or_init(|| {
+            missed = true;
+            Box::new(self.materialize(graph, u))
+        });
+        let counter = if missed { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        view
     }
 
-    /// Evicts least-recently-touched clean entries from one shard
-    /// until it is back inside its slice of the resident budget.
-    /// Called with the shard's write lock held, straight after an
-    /// insert. Selection scans the shard map but picks the strict
-    /// minimum of the (unique) LRU stamps, so the choice is
-    /// independent of hash iteration order.
-    fn enforce_budget(&self, map: &mut HashMap<NodeId, CachedView>) {
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget == 0 {
-            return;
-        }
-        let cap = budget.div_ceil(VIEW_CACHE_SHARDS).max(1);
-        while map.len() > cap {
-            let victim = map
-                .iter()
-                .filter(|(u, _)| self.evictable(**u))
-                .min_by_key(|(_, c)| c.touched.load(Ordering::Relaxed))
-                .map(|(u, _)| *u);
-            let Some(u) = victim else {
-                // Everything left is churn-rebuilt (pinned to protect
-                // the conservation counters): stay over budget.
-                return;
-            };
-            map.remove(&u);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether the resident entry at `u` may be dropped by the budget:
-    /// always on an unbacked store, only while artifact-fresh on a
-    /// backed one.
-    fn evictable(&self, u: NodeId) -> bool {
-        match &self.backing {
-            None => true,
-            Some(b) => b
-                .stale
-                .get(u.index())
-                .is_some_and(|s| !s.load(Ordering::Relaxed)),
-        }
+    /// The view resident at `u`, if any, without materializing one or
+    /// counting a hit: the read for a host that fills every slot up
+    /// front and keeps its own traffic counters (the simulator's
+    /// per-hop decision). `None` for an empty slot or an id out of
+    /// range.
+    pub fn resident(&self, u: NodeId) -> Option<&LocalView> {
+        self.slots
+            .get(u.index())
+            .and_then(OnceLock::get)
+            .map(|v| &**v)
     }
 
     /// Produces the view for a miss: decoded from the artifact when the
@@ -467,11 +281,7 @@ impl ViewStore {
     /// rebuild, so the conservation counter exposes it.
     fn materialize(&self, graph: &Graph, u: NodeId) -> LocalView {
         if let Some(b) = &self.backing {
-            let fresh = b
-                .stale
-                .get(u.index())
-                .is_some_and(|s| !s.load(Ordering::Relaxed));
-            if fresh {
+            if b.stale.get(u.index()) == Some(&false) {
                 if let Ok(view) = b.artifact.decode_view(u) {
                     self.artifact_loads.fetch_add(1, Ordering::Relaxed);
                     return view;
@@ -482,36 +292,34 @@ impl ViewStore {
         LocalView::extract(graph, u, self.k)
     }
 
-    /// Drops the cached view at `u`, forcing re-extraction on the next
-    /// lookup. Returns whether an entry existed. `Arc`s already handed
-    /// out keep the old view alive — exactly the stale-view semantics
-    /// the simulator wants for nodes that have not yet been told about
-    /// a topology change.
+    /// Empties the slot at `u`, dropping its view and forcing
+    /// re-extraction on the next lookup. Returns whether the slot was
+    /// filled. Taking `&mut self` is what makes the drop safe: no
+    /// lookup can be holding the old view.
     ///
     /// On an artifact-backed store this also marks `u` **stale**: its
     /// payload describes a topology that no longer exists, so every
     /// later miss at `u` re-extracts from the live graph instead of
     /// decoding.
-    pub fn invalidate(&self, u: NodeId) -> bool {
-        if let Some(b) = &self.backing {
-            if let Some(s) = b.stale.get(u.index()) {
-                s.store(true, Ordering::Relaxed);
+    pub fn invalidate(&mut self, u: NodeId) -> bool {
+        if let Some(b) = &mut self.backing {
+            if let Some(stale) = b.stale.get_mut(u.index()) {
+                *stale = true;
             }
         }
-        let evicted = self
-            .shard_of(u)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&u)
+        let emptied = self
+            .slots
+            .get_mut(u.index())
+            .and_then(OnceLock::take)
             .is_some();
-        if evicted {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+        if emptied {
+            self.invalidations += 1;
         }
-        evicted
+        emptied
     }
 }
 
-/// Routes one message from `s` to `t` with a fresh view cache.
+/// Routes one message from `s` to `t` with a fresh view store.
 pub fn route<R: LocalRouter + ?Sized>(
     graph: &Graph,
     k: u32,
@@ -520,20 +328,20 @@ pub fn route<R: LocalRouter + ?Sized>(
     t: NodeId,
     options: &RunOptions,
 ) -> RunReport {
-    let cache = ViewCache::new(graph, k);
-    route_with_cache(&cache, router, s, t, options)
+    route_with_cache(graph, &ViewStore::new(graph, k), router, s, t, options)
 }
 
-/// Routes one message reusing an existing view cache (preferred when
-/// routing many pairs on the same graph).
+/// Routes one message reusing an existing view store over `graph`
+/// (preferred when routing many pairs on the same graph).
 pub fn route_with_cache<R: LocalRouter + ?Sized>(
-    cache: &ViewCache<'_>,
+    graph: &Graph,
+    views: &ViewStore,
     router: &R,
     s: NodeId,
     t: NodeId,
     options: &RunOptions,
 ) -> RunReport {
-    walk(cache, router, s, t, options, None)
+    walk(graph, views, router, s, t, options, None)
 }
 
 /// A run together with the rule that fired at each hop.
@@ -558,9 +366,9 @@ pub fn route_traced<R: LocalRouter + ?Sized>(
     t: NodeId,
     options: &RunOptions,
 ) -> TracedRun {
-    let cache = ViewCache::new(graph, k);
+    let views = ViewStore::new(graph, k);
     let mut rules = Vec::new();
-    let report = walk(&cache, router, s, t, options, Some(&mut rules));
+    let report = walk(graph, &views, router, s, t, options, Some(&mut rules));
     TracedRun { report, rules }
 }
 
@@ -568,15 +376,15 @@ pub fn route_traced<R: LocalRouter + ?Sized>(
 /// the rule behind each hop ([`LocalRouter::decide_explained`]) and the
 /// names are appended; without, it is asked for the next hop only.
 fn walk<R: LocalRouter + ?Sized>(
-    cache: &ViewCache<'_>,
+    graph: &Graph,
+    views: &ViewStore,
     router: &R,
     s: NodeId,
     t: NodeId,
     options: &RunOptions,
     mut rules: Option<&mut Vec<&'static str>>,
 ) -> RunReport {
-    let graph = cache.graph;
-    let k = cache.k;
+    let k = views.k();
     let n = graph.node_count();
     let shortest = traversal::distance(graph, s, t).unwrap_or(0);
     let max_steps = options.max_steps.unwrap_or(8 * n * n + 16);
@@ -607,7 +415,7 @@ fn walk<R: LocalRouter + ?Sized>(
         if route.len() > max_steps {
             break RunStatus::StepLimit;
         }
-        let view = cache.view(current);
+        let view = views.view(graph, current);
         let packet = Packet::new(
             origin_label,
             target_label,
@@ -615,9 +423,9 @@ fn walk<R: LocalRouter + ?Sized>(
         )
         .masked(awareness);
         let decision = if rules.is_some() {
-            router.decide_explained(&packet, &view)
+            router.decide_explained(&packet, view)
         } else {
-            router.decide(&packet, &view).map(|l| (l, "?"))
+            router.decide(&packet, view).map(|l| (l, "?"))
         };
         match decision {
             Err(e) => break RunStatus::RouterError(e),
@@ -676,19 +484,23 @@ pub fn delivery_matrix<R: LocalRouter + ?Sized>(graph: &Graph, k: u32, router: &
     )
 }
 
-/// Runs `router` on the given pairs, sharing one view cache.
+/// Runs `router` on the given pairs, sharing one view store.
 pub fn delivery_matrix_for_pairs<R, I>(graph: &Graph, k: u32, router: &R, pairs: I) -> MatrixReport
 where
     R: LocalRouter + ?Sized,
     I: IntoIterator<Item = (NodeId, NodeId)>,
 {
-    let cache = ViewCache::new(graph, k);
-    delivery_matrix_with_cache(&cache, router, pairs)
+    delivery_matrix_with_cache(graph, &ViewStore::new(graph, k), router, pairs)
 }
 
 /// Runs `router` on the given pairs through a caller-supplied (and
-/// possibly shared) view cache.
-pub fn delivery_matrix_with_cache<R, I>(cache: &ViewCache<'_>, router: &R, pairs: I) -> MatrixReport
+/// possibly shared) view store over `graph`.
+pub fn delivery_matrix_with_cache<R, I>(
+    graph: &Graph,
+    views: &ViewStore,
+    router: &R,
+    pairs: I,
+) -> MatrixReport
 where
     R: LocalRouter + ?Sized,
     I: IntoIterator<Item = (NodeId, NodeId)>,
@@ -701,7 +513,7 @@ where
         total_hops: 0,
     };
     for (s, t) in pairs {
-        let run = route_with_cache(cache, router, s, t, &options);
+        let run = route_with_cache(graph, views, router, s, t, &options);
         report.runs += 1;
         if run.status.is_delivered() {
             report.total_hops += run.hops();
@@ -718,7 +530,7 @@ where
 }
 
 /// Runs `router` on every ordered pair, fanned out over `threads` OS
-/// threads sharing **one** [`ViewCache`]: each `G_k(u)` (and its lazy
+/// threads sharing **one** [`ViewStore`]: each `G_k(u)` (and its lazy
 /// preprocessing) is extracted exactly once no matter how many workers
 /// route through `u`. Semantically identical to [`delivery_matrix`],
 /// modulo the order of `failures`; used by the large-n validation
@@ -738,14 +550,15 @@ where
         .collect();
     let threads = threads.max(1).min(pairs.len().max(1));
     let chunk = pairs.len().div_ceil(threads);
-    let cache = ViewCache::new(graph, k);
+    let views = ViewStore::new(graph, k);
     let partials: Vec<MatrixReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = pairs
             .chunks(chunk.max(1))
             .map(|slice| {
-                let cache = &cache;
-                scope
-                    .spawn(move || delivery_matrix_with_cache(cache, router, slice.iter().copied()))
+                let views = &views;
+                scope.spawn(move || {
+                    delivery_matrix_with_cache(graph, views, router, slice.iter().copied())
+                })
             })
             .collect();
         handles
@@ -892,144 +705,94 @@ mod tests {
     #[test]
     fn view_cache_shares_views() {
         let g = generators::cycle(8);
-        let cache = ViewCache::new(&g, 2);
-        assert!(cache.is_empty());
-        let a = cache.view(NodeId(0));
-        let b = cache.view(NodeId(0));
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
+        let views = ViewStore::new(&g, 2);
+        assert!(views.is_empty());
+        let a = views.view(&g, NodeId(0));
+        let b = views.view(&g, NodeId(0));
+        assert!(std::ptr::eq(a, b));
+        assert_eq!(views.len(), 1);
+        assert_eq!(
+            std::mem::size_of::<OnceLock<Box<LocalView>>>(),
+            2 * std::mem::size_of::<usize>(),
+            "an empty slot is one pointer plus its once-state"
+        );
     }
 
     #[test]
-    fn view_cache_shared_across_threads_returns_same_arc() {
+    fn view_store_shared_across_threads_extracts_once() {
         // Many threads hammering the same nodes must converge on one
-        // Arc per node — the extraction happens exactly once.
+        // view per node, and the miss counter proves each view was
+        // extracted exactly once. The barrier releases all threads
+        // together, so first requests for a node race.
         let g = generators::grid(5, 5);
-        let cache = ViewCache::new(&g, 3);
-        let views: Vec<Vec<Arc<LocalView>>> = std::thread::scope(|scope| {
+        let views = ViewStore::new(&g, 3);
+        let start = std::sync::Barrier::new(8);
+        let seen: Vec<Vec<usize>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
-                    let (cache, g) = (&cache, &g);
-                    scope.spawn(move || g.nodes().map(|u| cache.view(u)).collect::<Vec<_>>())
+                    let (views, g, start) = (&views, &g, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        g.nodes()
+                            .map(|u| std::ptr::from_ref(views.view(g, u)) as usize)
+                            .collect::<Vec<_>>()
+                    })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        for per_thread in &views[1..] {
-            for (a, b) in views[0].iter().zip(per_thread) {
-                assert!(Arc::ptr_eq(a, b), "threads must share cached views");
-            }
+        for per_thread in &seen[1..] {
+            assert_eq!(per_thread, &seen[0], "threads must share stored views");
         }
-        assert_eq!(cache.len(), g.node_count());
+        assert_eq!(views.len(), g.node_count());
+        let stats = views.stats();
+        assert_eq!(stats.misses, 25, "one extraction per node");
+        assert_eq!(stats.hits, 8 * 25 - 25);
     }
 
     #[test]
     fn view_store_invalidation_reextracts_from_current_graph() {
         let mut g = generators::cycle(8);
-        let store = ViewStore::new(2);
-        assert!(store.is_empty());
-        let a = store.view(&g, NodeId(0));
-        let b = store.view(&g, NodeId(0));
-        assert!(Arc::ptr_eq(&a, &b), "unchanged entries share one Arc");
-        assert_eq!(store.len(), 1);
+        let mut views = ViewStore::new(&g, 2);
+        let a = views.view(&g, NodeId(0));
+        assert!(
+            std::ptr::eq(a, views.view(&g, NodeId(0))),
+            "one view per node"
+        );
         // Mutate the topology; the store cannot see it until told.
         g.insert_edge(NodeId(0), NodeId(4)).expect("simple edge");
-        let stale = store.view(&g, NodeId(0));
-        assert!(Arc::ptr_eq(&a, &stale), "uninvalidated views stay stale");
-        assert!(store.invalidate(NodeId(0)));
-        assert!(!store.invalidate(NodeId(0)), "second invalidate is a no-op");
-        let fresh = store.view(&g, NodeId(0));
-        assert!(!Arc::ptr_eq(&a, &fresh));
         assert_eq!(
-            fresh.center_neighbors().collect::<Vec<_>>(),
+            views
+                .view(&g, NodeId(0))
+                .center_neighbors()
+                .collect::<Vec<_>>(),
+            [NodeId(1), NodeId(7)],
+            "uninvalidated views stay stale"
+        );
+        assert!(views.invalidate(NodeId(0)));
+        assert!(!views.invalidate(NodeId(0)), "second invalidate is a no-op");
+        assert!(views.resident(NodeId(0)).is_none());
+        assert_eq!(
+            views
+                .view(&g, NodeId(0))
+                .center_neighbors()
+                .collect::<Vec<_>>(),
             [NodeId(1), NodeId(4), NodeId(7)],
             "re-extraction must see the new edge"
         );
-        // The old Arc is still alive and still shows the old world.
-        assert_eq!(
-            a.center_neighbors().collect::<Vec<_>>(),
-            [NodeId(1), NodeId(7)]
-        );
+        let s = views.stats();
+        assert_eq!((s.hits, s.misses, s.invalidations), (2, 2, 1));
     }
 
     #[test]
-    fn view_store_budget_evicts_least_recently_touched() {
-        let g = generators::cycle(64);
-        let store = ViewStore::new(1);
-        // Budget 32 → 2 resident views per internal shard. Nodes 0, 16,
-        // and 32 all hash to the same shard, so they compete.
-        store.set_resident_budget(32);
-        assert_eq!(store.resident_budget(), 32);
-        let v0 = store.view(&g, NodeId(0));
-        let _v16 = store.view(&g, NodeId(16));
-        // Refresh 0 so 16 becomes the LRU entry, then overflow the
-        // shard: 16 must be the victim.
-        let hit = store.view(&g, NodeId(0));
-        assert!(Arc::ptr_eq(&v0, &hit));
-        let _v32 = store.view(&g, NodeId(32));
-        let s = store.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.invalidations, 0, "budget evictions are not invalidations");
-        let back = store.view(&g, NodeId(0));
-        assert!(Arc::ptr_eq(&v0, &back), "recently touched entry survived");
-        store.view(&g, NodeId(16));
-        assert_eq!(store.stats().misses, 4, "evicted node 16 re-misses");
-    }
-
-    #[test]
-    fn view_store_unbounded_by_default_never_evicts() {
-        let g = generators::cycle(64);
-        let store = ViewStore::new(1);
-        for u in g.nodes() {
-            store.view(&g, u);
-        }
-        assert_eq!(store.len(), 64);
-        assert_eq!(store.stats().evictions, 0);
-    }
-
-    #[test]
-    fn view_store_budget_pins_churn_rebuilt_entries() {
-        use crate::oracle::ViewArtifact;
-        let mut g = generators::cycle(64);
-        let artifact = Arc::new(ViewArtifact::build(&g, 1));
-        let store = ViewStore::from_artifact(artifact);
-        store.set_resident_budget(16); // one resident view per shard
-                                       // Churn at node 0: the artifact entry goes permanently stale,
-                                       // so the re-extracted view is a conservation-counted rebuild
-                                       // and must never be evicted by the budget.
-        g.insert_edge(NodeId(0), NodeId(7)).expect("simple edge");
-        store.invalidate(NodeId(0));
-        let rebuilt = store.view(&g, NodeId(0));
-        // Overflow node 0's shard with artifact-fresh entries: they are
-        // the only evictable candidates.
-        let _v16 = store.view(&g, NodeId(16));
-        let _v32 = store.view(&g, NodeId(32));
-        let s = store.stats();
-        assert!(s.evictions >= 1, "fresh entries were evicted");
-        assert_eq!(s.rebuilds, 1, "only the churned node rebuilt");
-        let still = store.view(&g, NodeId(0));
-        assert!(
-            Arc::ptr_eq(&rebuilt, &still),
-            "rebuilt entry must be pinned, not re-rebuilt"
-        );
-        let s = store.stats();
-        assert_eq!(
-            s.misses,
-            s.artifact_loads + s.rebuilds,
-            "conservation must survive budget eviction"
-        );
-    }
-
-    #[test]
-    fn view_store_matches_view_cache_per_node() {
+    fn view_store_matches_extraction_per_node() {
         let g = generators::grid(4, 4);
-        let cache = ViewCache::new(&g, 3);
-        let store = ViewStore::new(3);
+        let views = ViewStore::new(&g, 3);
         for u in g.nodes() {
             assert_eq!(
-                cache.view(u).fingerprint(),
-                store.view(&g, u).fingerprint(),
-                "store and cache must extract identical views"
+                views.view(&g, u).fingerprint(),
+                LocalView::extract(&g, u, 3).fingerprint(),
+                "the store must serve exactly the extracted view"
             );
         }
     }

@@ -74,7 +74,7 @@ pub mod visited;
 pub use alg1::{Alg1, Alg1B};
 pub use alg2::Alg2;
 pub use alg3::{Alg3, Alg3OriginAware};
-pub use engine::{ViewCache, ViewStore, ViewStoreStats};
+pub use engine::{ViewStore, ViewStoreStats};
 pub use error::RoutingError;
 pub use model::{Awareness, Packet};
 pub use oracle::{OracleError, ViewArtifact};

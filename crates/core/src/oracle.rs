@@ -715,7 +715,7 @@ mod tests {
 
         let g = sample_graph(10, 16);
         let artifact = Arc::new(ViewArtifact::build(&g, 3));
-        let store = ViewStore::from_artifact(Arc::clone(&artifact));
+        let mut store = ViewStore::from_artifact(Arc::clone(&artifact));
         assert!(store.is_artifact_backed());
         // Cold lookups decode from the arena — no BFS anywhere.
         for u in g.nodes() {
@@ -731,7 +731,7 @@ mod tests {
         }
         assert_eq!(store.stats().hits, 16);
         // Invalidate two nodes: exactly those rebuild from the live
-        // graph; every other entry keeps its decoded Arc untouched.
+        // graph; every other slot keeps its decoded view untouched.
         store.invalidate(NodeId(0));
         store.invalidate(NodeId(1));
         for u in g.nodes() {
@@ -754,12 +754,10 @@ mod tests {
 
         let g = sample_graph(12, 14);
         let artifact = Arc::new(ViewArtifact::build(&g, 4));
-        let bfs = ViewStore::new(4);
+        let bfs = ViewStore::new(&g, 4);
         let oracle = ViewStore::from_artifact(artifact);
         for u in g.nodes() {
-            let a = bfs.view(&g, u);
-            let b = oracle.view(&g, u);
-            assert_views_equal(&a, &b, &format!("node {u}"));
+            assert_views_equal(bfs.view(&g, u), oracle.view(&g, u), &format!("node {u}"));
         }
     }
 

@@ -8,8 +8,9 @@
 //! speed; this crate models the deployment the paper describes (§1.1):
 //! every network node is an independent state machine that, at start-up
 //! (or after a topology change), *discovers its k-neighbourhood* and
-//! thereafter makes forwarding decisions purely from that stored view —
-//! the node objects hold no reference to the global graph. Messages
+//! thereafter makes forwarding decisions purely from that stored view
+//! (its slot in the network's one view store) — the router never sees
+//! the global graph. Messages
 //! travel through FIFO links with unit latency, many messages are in
 //! flight at once, and per-node load (congestion) is recorded.
 //!

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use local_routing::visited::VisitedStates;
-use local_routing::{LocalRouter, Packet, ViewArtifact, ViewStore, ViewStoreStats};
+use local_routing::{LocalRouter, LocalView, Packet, ViewArtifact, ViewStore, ViewStoreStats};
 use locality_graph::rng::DetRng;
 use locality_graph::traversal::{self, Ball};
 use locality_graph::{Graph, GraphError, NodeId};
@@ -80,7 +80,6 @@ pub struct NetworkBuilder {
     shards: usize,
     shard_map: Option<Vec<u32>>,
     shard_workers: usize,
-    view_budget: Option<usize>,
 }
 
 impl NetworkBuilder {
@@ -98,7 +97,6 @@ impl NetworkBuilder {
             shards: 1,
             shard_map: None,
             shard_workers: driver::default_threads(),
-            view_budget: None,
         }
     }
 
@@ -133,17 +131,6 @@ impl NetworkBuilder {
     /// so this is purely a cost knob.
     pub fn shard_workers(mut self, workers: usize) -> NetworkBuilder {
         self.shard_workers = workers.max(1);
-        self
-    }
-
-    /// Bounds the number of views the shared [`ViewStore`] keeps
-    /// resident (default: unbounded, the historical behaviour). Past
-    /// the budget, least-recently-touched clean entries are evicted
-    /// and re-materialized on next demand — routing results are
-    /// unaffected, only the memory/recompute trade-off moves. See
-    /// [`ViewStoreStats::evictions`].
-    pub fn view_budget(mut self, resident_views: usize) -> NetworkBuilder {
-        self.view_budget = Some(resident_views);
         self
     }
 
@@ -195,10 +182,10 @@ impl NetworkBuilder {
         self
     }
 
-    /// Provisions every node and returns the network. All nodes share
-    /// one persistent [`ViewStore`], so any view needed twice is
-    /// extracted once — and the store stays with the network, serving
-    /// incremental invalidation when the topology later changes.
+    /// Provisions every node and returns the network. The network
+    /// keeps one [`ViewStore`] with a slot per node, filled here — one
+    /// view per node, the one each node routes with — and invalidated
+    /// incrementally when the topology later changes.
     ///
     /// # Panics
     ///
@@ -226,19 +213,19 @@ impl NetworkBuilder {
         };
         let shard_count = shard_map.iter().max().map_or(1, |&m| m as usize + 1);
         let views = match self.provisioner {
-            Provisioner::Bfs => ViewStore::new(self.k),
+            Provisioner::Bfs => ViewStore::new(&self.graph, self.k),
             Provisioner::Oracle(artifact) => {
                 artifact.ensure_matches(&self.graph, self.k)?;
                 ViewStore::from_artifact(artifact)
             }
         };
-        if let Some(budget) = self.view_budget {
-            views.set_resident_budget(budget);
+        for u in self.graph.nodes() {
+            views.view(&self.graph, u);
         }
         let nodes: Vec<SimNode> = self
             .graph
             .nodes()
-            .map(|u| SimNode::provision_from(&views, &self.graph, u))
+            .map(|u| SimNode::new(u, self.graph.label(u)))
             .collect();
         let mut fault_schedule = Wheel::new();
         for (at, evs) in self.plan.into_schedule() {
@@ -336,8 +323,8 @@ pub struct Network {
     nodes: Vec<SimNode>,
     /// `crashed[u.index()]`: the node black-holes arrivals until restart.
     crashed: Vec<bool>,
-    /// Persistent per-node view cache; re-provision waves invalidate
-    /// only the dirty entries.
+    /// The one view per node, filled at build; re-provision waves
+    /// replace only the dirty slots.
     views: ViewStore,
     router: Box<dyn LocalRouter + Send + Sync>,
     /// The trial's shards: each owns an arrival wheel + arena for the
@@ -433,6 +420,13 @@ impl Network {
     /// Returns [`SimError::UnknownNode`] if `u` is out of range.
     pub fn try_node(&self, u: NodeId) -> Result<&SimNode, SimError> {
         self.nodes.get(u.index()).ok_or(SimError::UnknownNode(u))
+    }
+
+    /// The view node `u` currently routes with: under a
+    /// [`FaultConfig::view_delay`], the pre-change view until `u`'s
+    /// re-provision wave arrives. `None` only for an out-of-range id.
+    pub fn view(&self, u: NodeId) -> Option<&LocalView> {
+        self.views.resident(u)
     }
 
     /// Injects a message from `s` to `t` at the current tick.
@@ -836,7 +830,7 @@ impl Network {
     fn hop_ctx(&self) -> HopCtx<'_> {
         HopCtx {
             graph: &self.graph,
-            nodes: &self.nodes,
+            views: &self.views,
             crashed: &self.crashed,
             messages: &self.messages,
             states: &self.states,
@@ -1226,13 +1220,13 @@ impl Network {
     /// current topology, preserving each node's traffic counters and
     /// stamping [`SimNode::provisioned_at`].
     ///
-    /// Only the due entries of the persistent [`ViewStore`] are
-    /// invalidated and rebuilt — a wave touching three nodes costs
-    /// three view extractions, not a whole-graph cache construction.
-    /// Every other node keeps its `Arc` (and its lazily computed
-    /// routing structure), which is exactly the stale-view semantics:
-    /// a node that has not been told about a change keeps acting on
-    /// the world it last saw.
+    /// Only the due slots of the [`ViewStore`] are invalidated and
+    /// refilled — a wave touching three nodes costs three view
+    /// extractions, and drops the three views they replace. Every
+    /// other node keeps its view (and its lazily computed routing
+    /// structure), which is exactly the stale-view semantics: a node
+    /// that has not been told about a change keeps acting on the world
+    /// it last saw.
     fn reprovision(&mut self, due: &[NodeId]) {
         if let Some(rec) = self.trace.as_deref_mut() {
             rec.inc("sim.reprovisions", due.len() as u64);
@@ -1244,10 +1238,8 @@ impl Network {
         }
         for &u in due {
             self.views.invalidate(u);
-        }
-        for &u in due {
-            let view = self.views.view(&self.graph, u);
-            self.nodes[u.index()].refresh(view, self.tick);
+            self.views.view(&self.graph, u);
+            self.nodes[u.index()].provisioned_at = self.tick;
         }
     }
 
@@ -1425,7 +1417,7 @@ enum HopDecision {
 /// [`Network::apply_decision`].
 struct HopCtx<'a> {
     graph: &'a Graph,
-    nodes: &'a [SimNode],
+    views: &'a ViewStore,
     crashed: &'a [bool],
     messages: &'a [MessageRecord],
     states: &'a [MsgState],
@@ -1485,15 +1477,23 @@ impl HopCtx<'_> {
         let origin_label = self.graph.label(self.messages[msg].s);
         let target_label = self.graph.label(t);
         let from_label = from.map(|f| self.graph.label(f));
-        let node = &self.nodes[at.index()];
+        // Build fills every slot and a re-provision wave refills each
+        // slot it empties before returning, so this read always finds
+        // the node's current (possibly stale) view.
+        let Some(view) = self.views.resident(at) else {
+            return HopDecision::Errored {
+                err: format!("node {at} holds no view"),
+                decided: false,
+            };
+        };
         let packet =
             Packet::new(origin_label, target_label, from_label).masked(self.router.awareness());
         // The traced path asks the router to name its rule; the
         // untraced path is the exact pre-tracing decision call.
         let decision = if self.traced_hops {
-            self.router.decide_explained(&packet, node.view())
+            self.router.decide_explained(&packet, view)
         } else {
-            self.router.decide(&packet, node.view()).map(|l| (l, "?"))
+            self.router.decide(&packet, view).map(|l| (l, "?"))
         };
         match decision {
             Err(e) => HopDecision::Errored {
@@ -1502,7 +1502,7 @@ impl HopCtx<'_> {
             },
             Ok((next_label, rule)) => match self.graph.node_by_label(next_label) {
                 Some(next) if self.graph.has_edge(at, next) => HopDecision::Forward { next, rule },
-                Some(next) if node.view().center_neighbors().any(|x| x == next) => {
+                Some(next) if view.center_neighbors().any(|x| x == next) => {
                     // Valid on the node's (stale) view — the link is
                     // simply down right now.
                     match self.cfg.dead_link {
@@ -1964,14 +1964,18 @@ mod tests {
         let mut net = NetworkBuilder::new(&g, 2).faults(cfg).build(Alg3);
         net.set_edge(NodeId(0), NodeId(9), false)
             .expect("one cycle edge can go");
-        // Instantly after the cut, node 0 still *sees* the old edge.
-        assert!(net.node(NodeId(0)).view().contains_label(Label(9)));
+        // After the cut, node 0 still *sees* the old edge until its
+        // wave arrives: endpoints re-provision at delay*(0+1), their
+        // neighbours at delay*(1+1), …
+        let sees_cut_edge = |net: &Network| net.view(NodeId(0)).unwrap().contains_label(Label(9));
+        assert!(sees_cut_edge(&net));
+        net.run_until(1);
+        assert!(sees_cut_edge(&net), "stale until the wave's tick");
+        net.run_until(2);
+        assert!(!sees_cut_edge(&net), "refreshed at the wave's tick");
         net.run_until_quiet();
-        // Endpoints re-provision at delay*(0+1), their neighbours at
-        // delay*(1+1), …
         assert_eq!(net.node(NodeId(0)).provisioned_at, 2);
         assert_eq!(net.node(NodeId(1)).provisioned_at, 4);
-        assert!(!net.node(NodeId(0)).view().contains_label(Label(9)));
         // Nodes farther than k from both endpoints never re-provision.
         assert_eq!(net.node(NodeId(5)).provisioned_at, 0);
     }
@@ -2168,7 +2172,7 @@ mod tests {
         assert_eq!(vs.misses, vs.artifact_loads + vs.rebuilds);
         // The rebuilt views reflect the new topology: node 0 no longer
         // sees its removed neighbour, and short routes still deliver.
-        assert!(!net.node(NodeId(0)).view().contains_label(Label(11)));
+        assert!(!net.view(NodeId(0)).unwrap().contains_label(Label(11)));
         let id = net.send(NodeId(1), NodeId(3));
         net.run_until_quiet();
         let r = net.record(id).expect("id was returned by send");

@@ -1,19 +1,16 @@
-//! The per-node state machine.
+//! Per-node identity and traffic counters.
 
-use std::sync::Arc;
+use locality_graph::{Label, NodeId};
 
-use local_routing::{LocalRouter, LocalView, Packet, RoutingError, ViewStore};
-use locality_graph::{Graph, Label, NodeId};
-
-/// One simulated network node: a label, a stored k-neighbourhood view,
-/// and counters. A `SimNode` deliberately holds **no reference to the
-/// global graph** — after provisioning, everything it does is computed
-/// from its own view, which is exactly the locality guarantee of the
-/// paper's model.
+/// One simulated network node: its identity and traffic counters. The
+/// node's stored k-neighbourhood view lives in the network's one view
+/// store ([`Network::view`](crate::Network::view)), and every
+/// forwarding decision at the node is computed from that view alone —
+/// never from the global graph — which is exactly the locality
+/// guarantee of the paper's model.
 pub struct SimNode {
     id: NodeId,
     label: Label,
-    view: Arc<LocalView>,
     /// Messages this node has forwarded (its traffic load).
     pub forwarded: u64,
     /// Messages delivered at this node.
@@ -25,38 +22,15 @@ pub struct SimNode {
 }
 
 impl SimNode {
-    /// Provisions the node from the (global) graph: the one moment the
-    /// deployment is allowed to look outward, modelling neighbourhood
-    /// discovery.
-    pub fn provision(graph: &Graph, id: NodeId, k: u32) -> SimNode {
-        let store = ViewStore::new(k);
-        SimNode::provision_from(&store, graph, id)
-    }
-
-    /// Provisions the node through a shared [`ViewStore`], so a
-    /// deployment provisioning every node (possibly from several
-    /// threads) extracts each view exactly once — and can later
-    /// [`refresh`](Self::refresh) selectively after topology changes.
-    pub fn provision_from(store: &ViewStore, graph: &Graph, id: NodeId) -> SimNode {
+    /// A node provisioned at start-up, with zeroed counters.
+    pub(crate) fn new(id: NodeId, label: Label) -> SimNode {
         SimNode {
             id,
-            label: graph.label(id),
-            view: store.view(graph, id),
+            label,
             forwarded: 0,
             delivered: 0,
             provisioned_at: 0,
         }
-    }
-
-    /// Swaps in a freshly extracted view, keeping the node's identity
-    /// and traffic counters, and stamps
-    /// [`provisioned_at`](Self::provisioned_at) with `now`. This is a
-    /// re-discovery of the neighbourhood, not a reboot: forwarded and
-    /// delivered counts survive, exactly as they did when re-provision
-    /// rebuilt the node wholesale.
-    pub fn refresh(&mut self, view: Arc<LocalView>, now: u64) {
-        self.view = view;
-        self.provisioned_at = now;
     }
 
     /// The node's id in the simulation.
@@ -67,92 +41,5 @@ impl SimNode {
     /// The node's label.
     pub fn label(&self) -> Label {
         self.label
-    }
-
-    /// The stored view (for diagnostics).
-    pub fn view(&self) -> &LocalView {
-        &self.view
-    }
-
-    /// Makes a forwarding decision for a message not destined here.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the router's error.
-    pub fn forward<R: LocalRouter + ?Sized>(
-        &mut self,
-        router: &R,
-        origin: Label,
-        target: Label,
-        from: Option<Label>,
-    ) -> Result<Label, RoutingError> {
-        let packet = Packet::new(origin, target, from).masked(router.awareness());
-        let next = router.decide(&packet, &self.view)?;
-        self.forwarded += 1;
-        Ok(next)
-    }
-
-    /// Like [`forward`](Self::forward), but also names the router rule
-    /// that fired — the traced path. Kept separate so an untraced
-    /// simulation runs the exact pre-tracing decision call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the router's error.
-    pub fn forward_explained<R: LocalRouter + ?Sized>(
-        &mut self,
-        router: &R,
-        origin: Label,
-        target: Label,
-        from: Option<Label>,
-    ) -> Result<(Label, &'static str), RoutingError> {
-        let packet = Packet::new(origin, target, from).masked(router.awareness());
-        let next = router.decide_explained(&packet, &self.view)?;
-        self.forwarded += 1;
-        Ok(next)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use local_routing::Alg3;
-    use locality_graph::generators;
-
-    #[test]
-    fn provision_and_forward() {
-        let g = generators::path(9);
-        let mut node = SimNode::provision(&g, NodeId(4), 4);
-        assert_eq!(node.label(), Label(4));
-        let next = node
-            .forward(&Alg3, Label(0), Label(8), Some(Label(3)))
-            .unwrap();
-        assert_eq!(next, Label(5));
-        assert_eq!(node.forwarded, 1);
-    }
-
-    #[test]
-    fn forward_explained_agrees_with_forward() {
-        let g = generators::path(9);
-        let mut plain = SimNode::provision(&g, NodeId(4), 4);
-        let mut traced = SimNode::provision(&g, NodeId(4), 4);
-        let next = plain
-            .forward(&Alg3, Label(0), Label(8), Some(Label(3)))
-            .unwrap();
-        let (next_t, rule) = traced
-            .forward_explained(&Alg3, Label(0), Label(8), Some(Label(3)))
-            .unwrap();
-        assert_eq!(next, next_t, "tracing must not change the decision");
-        assert!(!rule.is_empty());
-        assert_eq!(traced.forwarded, 1);
-    }
-
-    #[test]
-    fn node_cannot_see_beyond_k() {
-        let g = generators::path(20);
-        let node = SimNode::provision(&g, NodeId(10), 3);
-        assert!(node.view().contains_label(Label(7)));
-        assert!(!node.view().contains_label(Label(6)));
-        assert!(!node.view().contains_label(Label(19)));
     }
 }

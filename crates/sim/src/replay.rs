@@ -202,7 +202,7 @@ pub fn verify_witnesses<R: LocalRouter + ?Sized>(
     witnesses: &[RouteWitness],
 ) -> Result<ReplayReport, ReplayError> {
     let n = graph.node_count() as u32;
-    let views = ViewStore::new(k);
+    let views = ViewStore::new(graph, k);
     let factor = dilation_factor(router.name());
     let mut report = ReplayReport::default();
     for w in witnesses {
@@ -255,7 +255,7 @@ pub fn verify_witnesses<R: LocalRouter + ?Sized>(
                 let view = views.view(graph, at);
                 let from_label = hop.from.map(|f| graph.label(NodeId(f)));
                 let packet = Packet::new(origin, target, from_label).masked(router.awareness());
-                let (label, rule) = router.decide_explained(&packet, &view).map_err(|e| {
+                let (label, rule) = router.decide_explained(&packet, view).map_err(|e| {
                     ReplayError::RouterError {
                         msg: w.msg,
                         hop: i,

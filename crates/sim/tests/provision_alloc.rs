@@ -10,6 +10,11 @@
 //! comes first: it lets the thread's reusable search buffer grow to
 //! the graph once, which is the only graph-sized allocation allowed.
 //!
+//! The allocator also counts frees, which pins the memory claim of the
+//! view store: a network holds one view per node, and a churn wave
+//! drops every view it replaces. After the warm-up flap, a hundred more
+//! flaps must leave the live bytes exactly where they were.
+//!
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide, and contains exactly one
 //! `#[test]` so no concurrent test can pollute the counter.
@@ -22,10 +27,11 @@ use local_routing::LocalView;
 use locality_graph::{generators, NodeId};
 use locality_sim::{Network, NetworkBuilder};
 
-/// System allocator that totals the bytes it hands out.
+/// System allocator that totals the bytes it hands out and takes back.
 struct Counting;
 
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+static FREED: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -34,6 +40,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREED.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -46,6 +53,11 @@ fn allocated_by(f: impl FnOnce()) -> usize {
     let before = ALLOCATED.load(Ordering::Relaxed);
     f();
     ALLOCATED.load(Ordering::Relaxed) - before
+}
+
+/// Bytes allocated and not yet freed.
+fn live_bytes() -> usize {
+    ALLOCATED.load(Ordering::Relaxed) - FREED.load(Ordering::Relaxed)
 }
 
 /// Takes the link {1000, 1001} down and brings it back up.
@@ -69,6 +81,15 @@ fn extraction_and_link_flaps_allocate_per_view_not_per_graph() {
         flap(&mut net);
         extract.push(allocated_by(|| drop(LocalView::extract(&g, u, 1))));
         flaps.push(allocated_by(|| flap(&mut net)));
+        let live = live_bytes();
+        for _ in 0..100 {
+            flap(&mut net);
+        }
+        assert_eq!(
+            live_bytes(),
+            live,
+            "100 link flaps at n = {n} must free every view they replace"
+        );
     }
     assert!(
         extract[0] > 0 && flaps[0] > 0,

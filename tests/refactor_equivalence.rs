@@ -1,15 +1,15 @@
 //! Equivalence suite for the dense data-model refactor.
 //!
 //! The indexed views, Vec-backed distance maps, and the shared view
-//! cache must not change a single routing decision: every execution
-//! path through the engine (fresh views, shared cache, serial matrix,
+//! store must not change a single routing decision: every execution
+//! path through the engine (fresh views, shared store, serial matrix,
 //! parallel matrix) has to produce identical routes, dilations, and
 //! dormant-edge classifications. These tests pin that down on
 //! exhaustive small graphs, the Theorem 1/2 lower-bound families, and
 //! the tight Fig. 13 / Fig. 17 instances.
 
-use local_routing::engine::{self, MatrixReport, RunOptions, ViewCache};
-use local_routing::{preprocess, Alg1, Alg1B, Alg3, LocalRouter, LocalView};
+use local_routing::engine::{self, MatrixReport, RunOptions};
+use local_routing::{preprocess, Alg1, Alg1B, Alg3, LocalRouter, LocalView, ViewStore};
 use locality_adversary::{thm1, thm2, tight};
 use locality_graph::Graph;
 use locality_integration::{exhaustive_suite, random_suite};
@@ -43,7 +43,7 @@ fn all_pairs(g: &Graph) -> Vec<(locality_graph::NodeId, locality_graph::NodeId)>
     pairs
 }
 
-/// Serial matrix, cache-based matrix, and parallel matrix agree on
+/// Serial matrix, store-based matrix, and parallel matrix agree on
 /// every connected graph with at most 5 nodes, for a
 /// preprocessing-based and a component-based router.
 #[test]
@@ -53,8 +53,8 @@ fn exhaustive_small_graphs_matrix_parity() {
             for router in [&Alg1 as &dyn LocalRouter, &Alg3] {
                 let k = router.min_locality(n);
                 let serial = engine::delivery_matrix(&g, k, &router);
-                let cache = ViewCache::new(&g, k);
-                let cached = engine::delivery_matrix_with_cache(&cache, &router, all_pairs(&g));
+                let views = ViewStore::new(&g, k);
+                let cached = engine::delivery_matrix_with_cache(&g, &views, &router, all_pairs(&g));
                 let parallel = engine::delivery_matrix_parallel(&g, k, &router, 4);
                 assert_same_matrix(&serial, &cached, "serial vs cached");
                 assert_same_matrix(&serial, &parallel, "serial vs parallel");
@@ -77,7 +77,7 @@ fn sampled_six_node_graphs_matrix_parity() {
 }
 
 /// On the Theorem 1/2 lower-bound families, the route taken through a
-/// shared (and then reused) cache is hop-for-hop the route taken with
+/// shared (and then reused) store is hop-for-hop the route taken with
 /// fresh views — at the working locality and below it, where the
 /// failure paths are exercised too.
 #[test]
@@ -90,9 +90,9 @@ fn thm_families_routes_unchanged_by_cache_reuse() {
     for (g, s, t) in instances {
         for k in [2, (n / 4) as u32, (n / 2) as u32] {
             let fresh = engine::route(&g, k, &Alg1, s, t, &RunOptions::default());
-            let cache = ViewCache::new(&g, k);
-            let first = engine::route_with_cache(&cache, &Alg1, s, t, &RunOptions::default());
-            let warm = engine::route_with_cache(&cache, &Alg1, s, t, &RunOptions::default());
+            let views = ViewStore::new(&g, k);
+            let first = engine::route_with_cache(&g, &views, &Alg1, s, t, &RunOptions::default());
+            let warm = engine::route_with_cache(&g, &views, &Alg1, s, t, &RunOptions::default());
             assert_eq!(fresh.status, first.status, "status (k = {k})");
             assert_eq!(fresh.route, first.route, "route (k = {k})");
             assert_eq!(first.route, warm.route, "route on warm cache (k = {k})");
@@ -150,16 +150,16 @@ fn cached_routing_view_matches_direct_preprocess() {
     }
 }
 
-/// Re-running a matrix on an already warm shared cache changes nothing:
-/// cached views carry no run state.
+/// Re-running a matrix on an already warm shared store changes nothing:
+/// stored views carry no run state.
 #[test]
 fn warm_cache_matrix_is_stable() {
     for g in random_suite(23, 6, 8..16) {
         let k = Alg1.min_locality(g.node_count());
-        let cache = ViewCache::new(&g, k);
-        let first = engine::delivery_matrix_with_cache(&cache, &Alg1, all_pairs(&g));
-        let second = engine::delivery_matrix_with_cache(&cache, &Alg1, all_pairs(&g));
-        assert_same_matrix(&first, &second, "cold vs warm cache");
-        assert_eq!(cache.len(), g.node_count(), "every view built once");
+        let views = ViewStore::new(&g, k);
+        let first = engine::delivery_matrix_with_cache(&g, &views, &Alg1, all_pairs(&g));
+        let second = engine::delivery_matrix_with_cache(&g, &views, &Alg1, all_pairs(&g));
+        assert_same_matrix(&first, &second, "cold vs warm store");
+        assert_eq!(views.len(), g.node_count(), "every view built once");
     }
 }

@@ -13,7 +13,7 @@ use local_routing::{LocalView, ViewArtifact};
 use locality_graph::codec::fnv1a;
 use locality_graph::rng::DetRng;
 use locality_graph::{generators, neighborhood, permute, traversal};
-use locality_graph::{Graph, NodeId, SubgraphBuilder};
+use locality_graph::{Graph, Label, NodeId, SubgraphBuilder};
 
 /// `G_k(u)` from the definition: members ascending by id, each member's
 /// neighbour slots ascending, and distances in member order.
@@ -157,6 +157,16 @@ fn extraction_matches_definition_on_ring_lattices() {
             &format!("ring({n},{chords})"),
         );
     }
+}
+
+#[test]
+fn extraction_matches_definition_on_paths() {
+    let g = generators::path(20);
+    check_graph(&g, "path(20)");
+    // A node cannot see beyond k: at k = 3, node 10 sees labels 7..=13.
+    let view = LocalView::extract(&g, NodeId(10), 3);
+    let seen: Vec<u32> = (0..20).filter(|&l| view.contains_label(Label(l))).collect();
+    assert_eq!(seen, (7..=13).collect::<Vec<u32>>());
 }
 
 /// Artifact bytes are unchanged by the move to slot-indexed views: the
