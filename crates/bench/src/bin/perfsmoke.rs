@@ -284,7 +284,7 @@ fn check_equivalence(g: &Graph, k: u32) {
             "routing edges at {u}"
         );
         for (&x, &dx) in &old_pre.dist {
-            assert_eq!(rv.dist.get(x), Some(dx), "routing dist({u}, {x})");
+            assert_eq!(rv.dist(x), Some(dx), "routing dist({u}, {x})");
         }
     }
 }

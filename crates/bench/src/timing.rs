@@ -46,6 +46,29 @@ pub fn measure_ns<T>(mut f: impl FnMut() -> T) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Median nanoseconds per call of `f` on inputs made by `setup`, which
+/// runs outside the clock. For calls that cache their result inside
+/// their input, so every call needs a fresh one: each of nine batches
+/// makes `batch` inputs, then times `f` once on each.
+pub fn measure_fresh_ns<S, T>(
+    batch: usize,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(&S) -> T,
+) -> f64 {
+    let mut samples: Vec<f64> = (0..9)
+        .map(|_| {
+            let inputs: Vec<S> = (0..batch).map(|_| setup()).collect();
+            let t = Instant::now();
+            for input in &inputs {
+                black_box(f(input));
+            }
+            t.elapsed().as_nanos() as f64 / batch.max(1) as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// Wall-clock milliseconds for a single call of `f`, returned with its
 /// result — for one-shot passes too expensive to batch-calibrate (e.g.
 /// the whole-workspace lint pass timed by `perfsmoke`).
@@ -81,6 +104,21 @@ mod tests {
     fn measure_returns_positive_time() {
         let ns = measure_ns(|| (0..100u64).sum::<u64>());
         assert!(ns > 0.0);
+    }
+
+    #[test]
+    fn measure_fresh_keeps_setup_off_the_clock() {
+        let mut made = 0;
+        let ns = measure_fresh_ns(
+            4,
+            || {
+                made += 1;
+                vec![1u64; 1000]
+            },
+            |v| v.len(),
+        );
+        assert!(ns > 0.0);
+        assert_eq!(made, 36, "nine batches of four fresh inputs");
     }
 
     #[test]

@@ -45,6 +45,7 @@
 //! well-formed run — Corollary 4 — and fall back to `a`.)
 
 use locality_graph::components::LocalComponent;
+use locality_graph::dist::UNREACHED;
 use locality_graph::{Label, NodeId};
 
 use crate::error::RoutingError;
@@ -183,7 +184,7 @@ fn decide(
     let s_passive_comp = s_node.and_then(|x| {
         rv.analysis
             .component_of(x)
-            .map(|i| &rv.analysis.components[i])
+            .and_then(|i| rv.analysis.components.get(i))
             .filter(|c| !c.is_active())
     });
 
@@ -285,16 +286,19 @@ fn u2_refined(
     let Some(s) = s_node else {
         return plain("U2a");
     };
-    let Some(ds) = rv.dist.get(s) else {
+    let Some(ds) = rv.dist(s) else {
         return plain("U2a");
     };
     if ds >= view.k() {
         return plain("U2a");
     }
-    let Some(comp_idx) = rv.analysis.component_of(s) else {
+    let Some(comp) = rv
+        .analysis
+        .component_of(s)
+        .and_then(|i| rv.analysis.components.get(i))
+    else {
         return plain("U2a");
     };
-    let comp = &rv.analysis.components[comp_idx];
     if !comp.is_active() {
         // s in a passive component is Case 4, handled before we get here.
         return plain("U2a");
@@ -318,7 +322,7 @@ fn u2_refined(
     let Some(pivot) = pivot else {
         return plain("U2f");
     };
-    let Some(dp) = rv.dist.get(pivot) else {
+    let Some(dp) = rv.dist(pivot) else {
         return plain("U2f");
     };
 
@@ -349,28 +353,32 @@ fn u2_refined(
 /// The constraint vertex `e` of `comp` such that `s` lies in a branch
 /// hanging off `e` that (seen from `e`) is passive: removing `e`
 /// separates `s` from both the centre and every depth-k vertex.
+///
+/// One slot BFS over `G'_k(u)` per candidate, all sharing one pair of
+/// view-sized buffers.
 fn find_shelter_pivot(
     view: &LocalView,
     rv: &RoutingView,
     comp: &LocalComponent,
     s: NodeId,
 ) -> Option<NodeId> {
-    use locality_graph::traversal::{bfs_distances, FilteredTopology};
-    for &e in &comp.constraint_vertices {
-        if e == s {
-            continue;
-        }
-        let masked = FilteredTopology::new(&rv.sub, |a: NodeId, b: NodeId| a != e && b != e);
-        let reach = bfs_distances(&masked, s, None);
-        if reach.contains(view.center()) {
-            continue;
-        }
-        if comp.depth_k_nodes.iter().any(|&z| reach.contains(z)) {
-            continue;
-        }
-        return Some(e);
-    }
-    None
+    let (mut reach, mut order) = (Vec::new(), Vec::new());
+    comp.constraint_vertices
+        .iter()
+        .copied()
+        .filter(|&e| e != s)
+        .find(|&e| {
+            let gone = rv.sub.slot_of(e);
+            rv.sub
+                .bfs_slots(s, u32::MAX, |_, t| Some(t) != gone, &mut reach, &mut order);
+            let reached = |x: NodeId| {
+                rv.sub
+                    .slot_of(x)
+                    .and_then(|x| reach.get(x))
+                    .is_some_and(|&d| d != UNREACHED)
+            };
+            !reached(view.center()) && !comp.depth_k_nodes.iter().any(|&z| reached(z))
+        })
 }
 
 /// The constraint-vertex neighbour of `pivot` in `G'_k(u)` at distance
@@ -384,7 +392,7 @@ fn pick_spine_neighbor(
 ) -> Option<Label> {
     rv.sub
         .neighbors(pivot)
-        .filter(|&x| rv.dist.get(x) == Some(want))
+        .filter(|&x| rv.dist(x) == Some(want))
         .filter(|x| comp.constraint_vertices.binary_search(x).is_ok())
         .map(|x| view.label(x))
         .min()

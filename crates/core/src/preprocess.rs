@@ -36,6 +36,32 @@
 //!
 //! These three facts are property-tested in [`crate::verify`].
 //!
+//! ### One pass in rank order
+//!
+//! [`dormant_edges`] evaluates the criterion for every edge in a single
+//! pass. It inserts the view's edges one at a time in descending rank
+//! order into an initially edgeless graph on the view's nodes, keeping
+//! the distance from `u` to every node over the edges inserted so far.
+//! Ranks are a strict total order (labels are unique), so just before
+//! `e` is inserted the pass holds exactly the edges ranked above `e`,
+//! and the distances it keeps are `dist_{>rank(e)}`: testing
+//! `d[x] + d[y] + 1 <= 2k` there is the criterion above, word for word,
+//! and marks the same edges as one BFS per edge would. (Equal ranks,
+//! possible only if a caller passes duplicate labels, are all tested
+//! before any of them is inserted, which keeps the equivalence.)
+//!
+//! Inserting an edge can only shorten distances, so the pass relaxes
+//! them incrementally: a node whose distance falls rescans its
+//! neighbours over inserted edges. Only distances below `2k` can take
+//! part in a test, so larger ones are kept as unreached; a node's
+//! distance therefore falls at most `2k` times, and the pass costs
+//! O(m log m) for the sort plus O(m·k) for the relaxations, against the
+//! m BFS passes of the per-edge form. Every array it uses is indexed by
+//! the view's member slots or edge-end positions, so its memory is
+//! sized by the view, never by the largest node id in it.
+//! [`preprocess`] then builds `G'_k(u)` with one slot BFS over the
+//! view that skips the dormant edge ends.
+//!
 //! ### Label convention
 //!
 //! Every function here takes labels as a **slot-aligned slice**:
@@ -43,11 +69,12 @@
 //! stores its label table in exactly this layout, so the hot path never
 //! materialises a map.
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
+use locality_graph::dist::UNREACHED;
 use locality_graph::neighborhood;
-use locality_graph::traversal::{self, FilteredTopology};
-use locality_graph::{DistMap, EdgeRank, Graph, Label, NodeId, Subgraph, SubgraphBuilder};
+use locality_graph::{EdgeRank, Graph, Label, NodeId, Subgraph, SubgraphBuilder};
 
 /// An undirected edge normalised as `(min, max)` by node id.
 pub type EdgeKey = (NodeId, NodeId);
@@ -75,8 +102,10 @@ pub struct Preprocessed {
     /// The routing subgraph `G'_k(u)`: non-dormant edges on paths of
     /// length ≤ k rooted at `u` (and the nodes they reach).
     pub routing: Subgraph,
-    /// Distances from `u` within `G'_k(u)` (the paper's `dist'`).
-    pub dist: DistMap,
+    /// Distances from `u` within `G'_k(u)` (the paper's `dist'`),
+    /// slot-aligned with `routing`: `dist[routing.slot_of(x)]` is the
+    /// distance to `x`. Every member is reached.
+    pub dist: Vec<u32>,
 }
 
 /// Classifies the dormant edges of the view `G_k(u)`.
@@ -89,35 +118,97 @@ pub fn dormant_edges(
     center: NodeId,
     k: u32,
 ) -> BTreeSet<EdgeKey> {
-    let rank_of =
-        |a: NodeId, b: NodeId| EdgeRank::new(label_of(view, labels, a), label_of(view, labels, b));
-    let mut dormant = BTreeSet::new();
-    for (x, y) in view.edges() {
-        let r = rank_of(x, y);
-        let higher = FilteredTopology::new(view, |a: NodeId, b: NodeId| rank_of(a, b) > r);
-        // Both endpoints must be reachable within a combined budget of
-        // 2k - 1 edges; cap the BFS there.
-        let dist = traversal::bfs_distances(&higher, center, Some(2 * k));
-        let (Some(dx), Some(dy)) = (dist.get(x), dist.get(y)) else {
-            continue;
-        };
-        if dx + dy < 2 * k {
-            dormant.insert(edge_key(x, y));
+    dormant_set(view, &dormant_mask(view, labels, center, k))
+}
+
+/// The rank-ordered pass of the module docs: flags both edge ends (by
+/// position, see [`Subgraph::neighbor_range`]) of every dormant edge.
+fn dormant_mask(view: &Subgraph, labels: &[Label], center: NodeId, k: u32) -> Vec<bool> {
+    let mut mask = vec![false; 2 * view.edge_count()];
+    let Some(c) = view.slot_of(center) else {
+        return mask;
+    };
+    let rank = |a: usize, b: usize| EdgeRank::new(labels[a], labels[b]);
+    // Each edge once, with its endpoints' slots and its ends' positions.
+    let mut edges: Vec<(EdgeRank, usize, usize, usize, usize)> =
+        Vec::with_capacity(view.edge_count());
+    for a in 0..view.node_count() {
+        for (pa, &b) in view.neighbor_range(a).zip(view.neighbor_slots(a)) {
+            let b = b as usize;
+            if a < b {
+                // Runs are sorted, so `a` sits where it would be inserted.
+                let pb = view.neighbor_range(b).start
+                    + view
+                        .neighbor_slots(b)
+                        .partition_point(|&x| (x as usize) < a);
+                edges.push((rank(a, b), a, b, pa, pb));
+            }
         }
     }
-    dormant
+    edges.sort_unstable_by_key(|e| Reverse(e.0));
+
+    // Distances from the centre over the inserted edges; only values
+    // below `limit` can satisfy the test, so larger ones stay UNREACHED.
+    let limit = 2 * k;
+    let mut dist = vec![UNREACHED; view.node_count()];
+    dist[c] = 0;
+    let mut queue: Vec<usize> = Vec::new();
+    for group in edges.chunk_by(|x, y| x.0 == y.0) {
+        for &(_, a, b, pa, pb) in group {
+            if dist[a].saturating_add(dist[b]) < limit {
+                mask[pa] = true;
+                mask[pb] = true;
+            }
+        }
+        for &(r, a, b, _, _) in group {
+            for (from, to) in [(a, b), (b, a)] {
+                if dist[from].saturating_add(1) < dist[to].min(limit) {
+                    dist[to] = dist[from] + 1;
+                    queue.push(to);
+                }
+            }
+            // Breadth-first from the one node the edge improved: the
+            // first improvement a node gets here is its final one.
+            let mut head = 0;
+            while let Some(&x) = queue.get(head) {
+                head += 1;
+                let next = dist[x] + 1;
+                if next >= limit {
+                    continue;
+                }
+                for &y in view.neighbor_slots(x) {
+                    let y = y as usize;
+                    if next < dist[y] && rank(x, y) >= r {
+                        dist[y] = next;
+                        queue.push(y);
+                    }
+                }
+            }
+            queue.clear();
+        }
+    }
+    mask
+}
+
+/// The dormant edges a [`dormant_mask`] flags, as edge keys.
+fn dormant_set(view: &Subgraph, mask: &[bool]) -> BTreeSet<EdgeKey> {
+    let mut set = BTreeSet::new();
+    for a in 0..view.node_count() {
+        for (p, &b) in view.neighbor_range(a).zip(view.neighbor_slots(a)) {
+            if mask[p] && a < b as usize {
+                set.insert((view.id_of(a), view.id_of(b as usize)));
+            }
+        }
+    }
+    set
 }
 
 /// Runs the full preprocessing step at `center`, producing `G'_k(u)`.
 pub fn preprocess(view: &Subgraph, labels: &[Label], center: NodeId, k: u32) -> Preprocessed {
-    let dormant = dormant_edges(view, labels, center, k);
-    let filtered = FilteredTopology::new(view, |a: NodeId, b: NodeId| {
-        !dormant.contains(&edge_key(a, b))
-    });
-    let routing = neighborhood::k_neighborhood(&filtered, center, k);
-    let dist = traversal::bfs_distances(&routing, center, Some(k));
+    let mask = dormant_mask(view, labels, center, k);
+    let (routing, dist) = neighborhood::k_neighborhood_masked(view, center, k, &mask);
     Preprocessed {
-        dormant,
+        dormant: dormant_set(view, &mask),
         routing,
         dist,
     }
@@ -154,8 +245,9 @@ pub fn dormant_edges_exact(
             if v == center && path.len() >= 3 {
                 // A simple cycle of length path.len() closes here.
                 let min_edge = path
-                    .windows(2)
-                    .map(|w| (w[0], w[1]))
+                    .iter()
+                    .copied()
+                    .zip(path.iter().copied().skip(1))
                     .chain([(u, center)])
                     .min_by_key(|&(a, b)| {
                         EdgeRank::new(label_of(view, labels, a), label_of(view, labels, b))
@@ -221,13 +313,83 @@ pub fn consistent_subgraph(g: &Graph, k: u32) -> Subgraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locality_adversary::tight;
     use locality_graph::rng::DetRng;
+    use locality_graph::traversal::{self, FilteredTopology};
     use locality_graph::{cycles, generators, permute};
 
     fn preprocess_at(g: &Graph, u: NodeId, k: u32) -> Preprocessed {
         let view = neighborhood::k_neighborhood(g, u, k);
         let labels = view_labels(g, &view);
         preprocess(&view, &labels, u, k)
+    }
+
+    /// The closed-walk criterion evaluated literally: one BFS per edge
+    /// over the edges ranked above it. The reference the rank-ordered
+    /// pass must reproduce.
+    fn dormant_edges_per_edge_bfs(
+        view: &Subgraph,
+        labels: &[Label],
+        center: NodeId,
+        k: u32,
+    ) -> BTreeSet<EdgeKey> {
+        let rank_of = |a: NodeId, b: NodeId| {
+            EdgeRank::new(label_of(view, labels, a), label_of(view, labels, b))
+        };
+        let mut dormant = BTreeSet::new();
+        for (x, y) in view.edges() {
+            let r = rank_of(x, y);
+            let higher = FilteredTopology::new(view, |a: NodeId, b: NodeId| rank_of(a, b) > r);
+            let dist = traversal::bfs_distances(&higher, center, Some(2 * k));
+            let (Some(dx), Some(dy)) = (dist.get(x), dist.get(y)) else {
+                continue;
+            };
+            if dx + dy < 2 * k {
+                dormant.insert(edge_key(x, y));
+            }
+        }
+        dormant
+    }
+
+    /// At every node of `g`: the pass marks what the per-edge reference
+    /// marks, and `G'_k(u)` with its distances is what extraction over
+    /// the view minus those edges gives.
+    fn assert_matches_per_edge_bfs(g: &Graph, k: u32, what: &str) {
+        for u in g.nodes() {
+            let view = neighborhood::k_neighborhood(g, u, k);
+            let labels = view_labels(g, &view);
+            let want = dormant_edges_per_edge_bfs(&view, &labels, u, k);
+            let p = preprocess(&view, &labels, u, k);
+            assert_eq!(p.dormant, want, "{what}: dormant set at {u}, k = {k}");
+            let kept = FilteredTopology::new(&view, |a: NodeId, b: NodeId| {
+                !want.contains(&edge_key(a, b))
+            });
+            let (routing, dist) = neighborhood::k_neighborhood_with_distances(&kept, u, k);
+            assert_eq!(p.routing, routing, "{what}: G'_k at {u}, k = {k}");
+            assert_eq!(p.dist, dist, "{what}: dist' at {u}, k = {k}");
+        }
+    }
+
+    #[test]
+    fn rank_ordered_pass_matches_per_edge_bfs() {
+        let mut rng = DetRng::seed_from_u64(15);
+        for _ in 0..10 {
+            let n = rng.gen_range(4..40usize);
+            let g = generators::random_mixed(n, &mut rng);
+            for k in 1..=(n as u32 / 2) {
+                assert_matches_per_edge_bfs(&g, k, "random_mixed");
+            }
+        }
+        let g = generators::random_connected(60, 30, &mut rng);
+        for k in [1, 2, 3, 5, 8, 15, 30] {
+            assert_matches_per_edge_bfs(&g, k, "random_connected(60, 30)");
+        }
+        assert_matches_per_edge_bfs(&generators::grid(30, 30), 6, "grid(30, 30)");
+        for n in [32, 64, 128] {
+            let k = n as u32 / 4;
+            assert_matches_per_edge_bfs(&tight::fig13(n).graph, k, "fig13");
+            assert_matches_per_edge_bfs(&tight::fig17(n).graph, k, "fig17");
+        }
     }
 
     #[test]
@@ -284,7 +446,7 @@ mod tests {
         for far in [1u32, 2, 3] {
             assert!(!p.routing.contains_node(NodeId(far)), "{:?}", p.routing);
         }
-        assert_eq!(p.dist[NodeId(4)], 4);
+        assert_eq!(p.dist[p.routing.slot_of(NodeId(4)).unwrap()], 4);
         assert_eq!(p.routing.edge_count(), 4);
     }
 

@@ -5,7 +5,8 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use locality_graph::components::ComponentAnalysis;
-use locality_graph::{neighborhood, DistMap, Graph, Label, NodeId, Subgraph};
+use locality_graph::dist::UNREACHED;
+use locality_graph::{neighborhood, Graph, Label, NodeId, Subgraph};
 
 use crate::preprocess::{self, EdgeKey, Preprocessed};
 
@@ -23,7 +24,10 @@ use crate::preprocess::{self, EdgeKey, Preprocessed};
 /// per-query allocation or tree traversal happens on the hot path, and
 /// every per-node array is sized to the view's member count — not the
 /// parent graph — so thousands of resident views (the oracle
-/// cold-start case) cost memory proportional to what they can see.
+/// cold-start case) cost memory proportional to what they can see. The
+/// same holds for the derived structure: the [`RoutingView`], the raw
+/// component analysis and the work that builds them index member slots
+/// only, never node ids.
 pub struct LocalView {
     center: NodeId,
     k: u32,
@@ -56,10 +60,18 @@ pub struct RoutingView {
     pub dormant: std::collections::BTreeSet<EdgeKey>,
     /// The routing subgraph `G'_k(u)`.
     pub sub: Subgraph,
-    /// Distances from the centre within `G'_k(u)` (the paper's `dist'`).
-    pub dist: DistMap,
-    /// Local-component decomposition of `G'_k(u)`.
+    /// Local-component decomposition of `G'_k(u)`; its distances are
+    /// the paper's `dist'`, read through [`dist`](Self::dist).
     pub analysis: ComponentAnalysis,
+}
+
+impl RoutingView {
+    /// Distance from the centre to `x` within `G'_k(u)` (the paper's
+    /// `dist'`), if `x` is a member.
+    pub fn dist(&self, x: NodeId) -> Option<u32> {
+        let d = *self.analysis.dist.get(self.sub.slot_of(x)?)?;
+        (d != UNREACHED).then_some(d)
+    }
 }
 
 impl LocalView {
@@ -289,15 +301,12 @@ impl LocalView {
     pub fn routing_view(&self) -> &RoutingView {
         self.routing.get_or_init(|| {
             let Preprocessed {
-                dormant,
-                routing,
-                dist,
+                dormant, routing, ..
             } = preprocess::preprocess(&self.raw, &self.labels, self.center, self.k);
             let analysis = ComponentAnalysis::analyze(&routing, self.center, self.k);
             RoutingView {
                 dormant,
                 sub: routing,
-                dist,
                 analysis,
             }
         })

@@ -16,11 +16,30 @@
 //!
 //! Every independent active component is constrained (its root is a
 //! constraint vertex). These notions drive all four routing algorithms.
+//!
+//! ### Constraint vertices from the shortest-path DAG
+//!
+//! Call a vertex of `C` *on an active path* if some shortest path from
+//! `u` to a depth-`k` vertex of `C` passes through it. Then `w` is a
+//! constraint vertex iff it is on an active path and no other vertex of
+//! `C` at `w`'s depth is:
+//!
+//! * every shortest path to a depth-`k` vertex has exactly one vertex at
+//!   each depth `0..=k`, so if `w` is the only on-path vertex at its
+//!   depth, every active path meets that depth at `w`;
+//! * conversely, if `w` lies on every active path, another on-path
+//!   vertex `x` at the same depth would put a second vertex at that
+//!   depth on the active path through `x`.
+//!
+//! The on-path vertices are what a walk backwards from the depth-`k`
+//! vertices along the BFS DAG (edges from depth `d - 1` to depth `d`)
+//! reaches, so [`ComponentAnalysis::analyze`] finds every component's
+//! constraint vertices with one BFS, one backward pass and one flood of
+//! `G_k(u) \ {u}`: O(view), with every array sized by the member count.
 
-use crate::dist::DistMap;
+use crate::dist::UNREACHED;
 use crate::labels::NodeId;
 use crate::subgraph::Subgraph;
-use crate::traversal::{self, FilteredTopology};
 
 /// One local component of a node's k-neighbourhood.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,8 +91,10 @@ pub struct ComponentAnalysis {
     pub k: u32,
     /// All local components, sorted by their smallest node id.
     pub components: Vec<LocalComponent>,
-    /// Distances from the centre within the view.
-    pub dist: DistMap,
+    /// Distances from the centre within the view, slot-aligned with it:
+    /// `dist[view.slot_of(x)]` is the distance to `x`, or [`UNREACHED`]
+    /// for a member the centre cannot reach.
+    pub dist: Vec<u32>,
 }
 
 impl ComponentAnalysis {
@@ -88,43 +109,86 @@ impl ComponentAnalysis {
             view.contains_node(center),
             "centre {center} missing from view"
         );
-        let dist = traversal::bfs_distances(view, center, None);
-        let punctured = view.without_node(center);
-        let mut comps = Vec::new();
-        for nodes in traversal::connected_components(&punctured) {
-            // Skip stray nodes disconnected from the centre (cannot occur
-            // in a genuine k-neighbourhood, but be defensive).
-            if !dist.contains(nodes[0]) {
+        let n = view.node_count();
+        let (mut dist, mut order) = (Vec::new(), Vec::new());
+        view.bfs_slots(center, u32::MAX, |_, _| true, &mut dist, &mut order);
+        let c = view.slot_of(center).unwrap_or_default();
+
+        // On-path vertices (see the module docs): walking the BFS order
+        // backwards visits every vertex after all its DAG successors.
+        let mut on_path = vec![false; n];
+        for &x in order.iter().rev() {
+            let x = x as usize;
+            if x == c || (dist[x] != k && !on_path[x]) {
                 continue;
             }
-            let mut nodes = nodes;
-            nodes.sort_unstable();
-            let roots: Vec<NodeId> = view
-                .neighbors(center)
-                .filter(|v| nodes.binary_search(v).is_ok())
-                .collect();
-            let depth_k_nodes: Vec<NodeId> = nodes
-                .iter()
-                .copied()
-                .filter(|&x| dist.get(x) == Some(k))
-                .collect();
+            on_path[x] = true;
+            for &y in view.neighbor_slots(x) {
+                if dist[y as usize] + 1 == dist[x] {
+                    on_path[y as usize] = true;
+                }
+            }
+        }
+
+        // One flood of the view minus the centre. Scanning slots in
+        // ascending order meets each component first at its smallest
+        // member, so components come out sorted by their smallest id.
+        // Stray members the centre cannot reach (impossible in a
+        // genuine k-neighbourhood) are skipped.
+        let mut seen = vec![false; n];
+        let mut per_depth = vec![0u32; n];
+        let mut stack = Vec::new();
+        let mut components = Vec::new();
+        for first in 0..n {
+            if first == c || seen[first] || dist[first] == UNREACHED {
+                continue;
+            }
+            let mut members = Vec::new();
+            seen[first] = true;
+            stack.push(first);
+            while let Some(x) = stack.pop() {
+                members.push(x);
+                for &y in view.neighbor_slots(x) {
+                    let y = y as usize;
+                    if y != c && !seen[y] {
+                        seen[y] = true;
+                        stack.push(y);
+                    }
+                }
+            }
+            members.sort_unstable();
+            let ids = |keep: &dyn Fn(usize) -> bool| -> Vec<NodeId> {
+                members
+                    .iter()
+                    .filter(|&&x| keep(x))
+                    .map(|&x| view.id_of(x))
+                    .collect()
+            };
+            let depth_k_nodes = ids(&|x| dist[x] == k);
             let constraint_vertices = if depth_k_nodes.is_empty() {
                 Vec::new()
             } else {
-                constraint_vertices(view, center, k, &nodes, &depth_k_nodes)
+                for &x in members.iter().filter(|&&x| on_path[x]) {
+                    per_depth[dist[x] as usize] += 1;
+                }
+                let unique = ids(&|x| on_path[x] && per_depth[dist[x] as usize] == 1);
+                for &x in members.iter().filter(|&&x| on_path[x]) {
+                    per_depth[dist[x] as usize] = 0;
+                }
+                unique
             };
-            comps.push(LocalComponent {
-                nodes,
-                roots,
+            components.push(LocalComponent {
+                nodes: ids(&|_| true),
+                // The centre's neighbours are exactly the depth-1 nodes.
+                roots: ids(&|x| dist[x] == 1),
                 depth_k_nodes,
                 constraint_vertices,
             });
         }
-        comps.sort_by_key(|c| c.nodes[0]);
         ComponentAnalysis {
             center,
             k,
-            components: comps,
+            components,
             dist,
         }
     }
@@ -162,44 +226,6 @@ impl ComponentAnalysis {
             .iter()
             .find(|c| c.roots.binary_search(&v).is_ok())
     }
-}
-
-/// Vertices `w` in `comp` such that *every* shortest path from `center`
-/// to *every* depth-`k` vertex of `comp` passes through `w`.
-///
-/// `w` lies on every shortest `center → z` path (all of length `k`) iff
-/// deleting `w` pushes `dist(center, z)` above `k` (or disconnects `z`).
-fn constraint_vertices(
-    view: &Subgraph,
-    center: NodeId,
-    k: u32,
-    comp: &[NodeId],
-    depth_k: &[NodeId],
-) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    for &w in comp {
-        if depth_k == [w] && comp.len() == 1 {
-            // A single depth-k vertex that is the entire component: the
-            // root itself is the constraint vertex (k = 1 corner case).
-            out.push(w);
-            continue;
-        }
-        if depth_k.contains(&w) && depth_k.len() == 1 {
-            // The unique deep vertex trivially lies on all its own paths.
-            out.push(w);
-            continue;
-        }
-        let masked = FilteredTopology::new(view, |a: NodeId, b: NodeId| a != w && b != w);
-        let dist = traversal::bfs_distances(&masked, center, Some(k));
-        if depth_k
-            .iter()
-            .all(|&z| z == w || dist.get(z).is_none_or(|d| d > k))
-        {
-            out.push(w);
-        }
-    }
-    out.sort_unstable();
-    out
 }
 
 #[cfg(test)]
@@ -395,7 +421,7 @@ mod tests {
     /// centre to every depth-k vertex of a component by walking the BFS
     /// DAG, and declare `w` a constraint vertex iff it lies on all of
     /// them — the literal §2.1 definition, computed without the
-    /// masked-BFS shortcut the production code uses.
+    /// one-per-depth rule the production code uses.
     fn constraint_vertices_oracle(
         view: &crate::Subgraph,
         center: NodeId,
@@ -406,7 +432,7 @@ mod tests {
         // Collect all shortest paths center -> z for deep z.
         fn all_paths(
             view: &crate::Subgraph,
-            dist: &DistMap,
+            dist: &crate::DistMap,
             from: NodeId,
             to: NodeId,
             acc: &mut Vec<NodeId>,

@@ -2,17 +2,20 @@
 //!
 //! Every BFS in this workspace runs over node ids that are dense small
 //! integers (a graph's ids are `0..n`). [`DistMap`] exploits that: it is
-//! a flat `Vec<u32>` indexed by id, with `u32::MAX` as the "unreached"
-//! sentinel — no allocation per insert, O(1) lookups, and ascending-id
-//! iteration for free. It replaces the `BTreeMap<NodeId, u32>` results
-//! the traversal, neighbourhood, cycle, and component layers used to
-//! return.
+//! a flat `Vec<u32>` indexed by id, with [`UNREACHED`] as the sentinel —
+//! no allocation per insert, O(1) lookups, and ascending-id iteration
+//! for free. It serves whole-graph searches ([`crate::traversal`],
+//! [`crate::cycles`]). A search inside one view indexes by the view's
+//! member slots instead ([`crate::Subgraph::bfs_slots`]), so its arrays
+//! are sized by what the view holds, not by the largest id it holds.
 
 use std::fmt;
 
 use crate::labels::NodeId;
 
-const UNREACHED: u32 = u32::MAX;
+/// The distance recorded for a node a search did not reach, in
+/// [`DistMap`] and in slot-aligned distance vectors alike.
+pub const UNREACHED: u32 = u32::MAX;
 
 /// A map from [`NodeId`] to BFS distance, backed by a dense `Vec<u32>`.
 ///

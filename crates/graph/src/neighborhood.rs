@@ -15,6 +15,7 @@
 //! the "far" edge joining the two antipodal vertices is *not* visible,
 //! splitting the view into two independent path components.
 
+use crate::dist::UNREACHED;
 use crate::index::IndexMap;
 use crate::labels::NodeId;
 use crate::subgraph::Subgraph;
@@ -121,9 +122,68 @@ fn from_ball<T: Topology + ?Sized>(topo: &T, ball: &Ball, k: u32) -> (Subgraph, 
     (Subgraph::from_directed_ends(index, &ends), dists)
 }
 
+/// `G_k(u)` of `view` with some of its edges removed, together with
+/// the distances from `u` in the result's slot order — the
+/// preprocessing step's `G'_k(u)`, where the removed edges are the
+/// dormant ones.
+///
+/// `removed` flags directed edge ends by position (see
+/// [`Subgraph::neighbor_range`]) and must flag both ends of each
+/// removed edge. Membership follows the module's rule: a node within
+/// `k` hops of `u` over the kept edges, and a kept edge whose nearer
+/// endpoint is closer than `k`. One slot BFS over the view's own CSR
+/// does the work, so time and every array are sized by the view, and
+/// the result equals [`k_neighborhood`] run over the view filtered to
+/// its kept edges. Empty if `u` is not a member.
+pub fn k_neighborhood_masked(
+    view: &Subgraph,
+    u: NodeId,
+    k: u32,
+    removed: &[bool],
+) -> (Subgraph, Vec<u32>) {
+    let (mut depth, mut order) = (Vec::new(), Vec::new());
+    view.bfs_slots(u, k, |p, _| !removed[p], &mut depth, &mut order);
+    // Slot order is id order, so the reached slots taken in ascending
+    // order are the members, already sorted; `renumber` maps a view
+    // slot to its slot in the result.
+    let mut renumber = vec![0u32; depth.len()];
+    let mut members = Vec::with_capacity(order.len());
+    let mut dists = Vec::with_capacity(order.len());
+    for (s, &d) in depth.iter().enumerate() {
+        if d != UNREACHED {
+            renumber[s] = members.len() as u32;
+            members.push(view.id_of(s));
+            dists.push(d);
+        }
+    }
+    // As in `from_ball`: nodes closer than k emit their own kept edge
+    // ends, plus the reverse end toward a depth-k neighbour.
+    let mut ends: Vec<(u32, u32)> = Vec::new();
+    for (s, &d) in depth.iter().enumerate() {
+        if d >= k {
+            continue;
+        }
+        for (p, &t) in view.neighbor_range(s).zip(view.neighbor_slots(s)) {
+            if removed[p] {
+                continue;
+            }
+            let t = t as usize;
+            ends.push((renumber[s], renumber[t]));
+            if depth[t] == k {
+                ends.push((renumber[t], renumber[s]));
+            }
+        }
+    }
+    let id_bound = members.last().map_or(0, |m| m.index() + 1);
+    let index = IndexMap::from_sorted_ids(members, id_bound);
+    (Subgraph::from_directed_ends(index, &ends), dists)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DetRng;
+    use crate::traversal::FilteredTopology;
     use crate::{generators, traversal};
 
     #[test]
@@ -219,5 +279,29 @@ mod tests {
         // With k = 4 the joining edge becomes visible.
         let view = k_neighborhood(&g, NodeId(0), 4);
         assert!(view.has_edge(NodeId(3), NodeId(6)));
+    }
+
+    #[test]
+    fn masked_neighborhood_matches_filtered_extraction() {
+        // Removing edges by position must give exactly what extraction
+        // over the view filtered to its kept edges gives.
+        let mut rng = DetRng::seed_from_u64(5);
+        for _ in 0..20 {
+            let g = generators::random_connected(30, 15, &mut rng);
+            let view = k_neighborhood(&g, NodeId(0), 4);
+            let gone: Vec<(NodeId, NodeId)> = view.edges().filter(|_| rng.gen_bool(0.25)).collect();
+            let is_gone = |a: NodeId, b: NodeId| gone.contains(&(a.min(b), a.max(b)));
+            let mut removed = vec![false; 2 * view.edge_count()];
+            for s in 0..view.node_count() {
+                for (p, &t) in view.neighbor_range(s).zip(view.neighbor_slots(s)) {
+                    removed[p] = is_gone(view.id_of(s), view.id_of(t as usize));
+                }
+            }
+            let kept = FilteredTopology::new(&view, |a, b| !is_gone(a, b));
+            for k in 0..=4 {
+                let got = k_neighborhood_masked(&view, NodeId(0), k, &removed);
+                assert_eq!(got, k_neighborhood_with_distances(&kept, NodeId(0), k));
+            }
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! stored in compressed sparse row (CSR) form.
 
 use std::fmt;
+use std::ops::Range;
 
+use crate::dist::UNREACHED;
 use crate::index::IndexMap;
 use crate::labels::NodeId;
 use crate::traversal::Topology;
@@ -110,7 +112,67 @@ impl Subgraph {
     /// Panics if `slot >= node_count()`.
     #[inline]
     pub fn neighbor_slots(&self, slot: usize) -> &[u32] {
-        &self.targets[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+        &self.targets[self.neighbor_range(slot)]
+    }
+
+    /// The positions of `slot`'s neighbour run among all directed edge
+    /// ends: `neighbor_slots(slot)[i]` is the end at position
+    /// `neighbor_range(slot).start + i`. Positions number the ends
+    /// `0..2 * edge_count()`, so per-edge data (a mask of removed
+    /// edges, say) lives in one flat `Vec` sized by the view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= node_count()`.
+    #[inline]
+    pub fn neighbor_range(&self, slot: usize) -> Range<usize> {
+        self.offsets[slot] as usize..self.offsets[slot + 1] as usize
+    }
+
+    /// Breadth-first search over member slots from `source`, out to
+    /// depth `max_depth`, following only the edge ends
+    /// `keep(position, target_slot)` accepts (positions as in
+    /// [`neighbor_range`](Self::neighbor_range)).
+    ///
+    /// On return `dist` has one entry per member: the depth of each
+    /// reached slot, [`UNREACHED`] elsewhere. `order` lists the reached
+    /// slots in BFS order, so depths along it never decrease. Both
+    /// buffers are cleared first, so repeated searches reuse them, and
+    /// neither is sized by anything but the member count. Reaches
+    /// nothing if `source` is not a member.
+    pub fn bfs_slots(
+        &self,
+        source: NodeId,
+        max_depth: u32,
+        keep: impl Fn(usize, usize) -> bool,
+        dist: &mut Vec<u32>,
+        order: &mut Vec<u32>,
+    ) {
+        dist.clear();
+        dist.resize(self.node_count(), UNREACHED);
+        order.clear();
+        let Some(s) = self.slot_of(source) else {
+            return;
+        };
+        dist[s] = 0;
+        order.push(s as u32);
+        let mut head = 0;
+        while let Some(&s) = order.get(head) {
+            head += 1;
+            let s = s as usize;
+            let ds = dist[s];
+            if ds >= max_depth {
+                // BFS order: everything after is at least as deep.
+                break;
+            }
+            for (p, &t) in self.neighbor_range(s).zip(self.neighbor_slots(s)) {
+                let t = t as usize;
+                if dist[t] == UNREACHED && keep(p, t) {
+                    dist[t] = ds + 1;
+                    order.push(t as u32);
+                }
+            }
+        }
     }
 
     /// Iterator over nodes in ascending `NodeId` order.
@@ -183,40 +245,6 @@ impl Subgraph {
             offsets,
             targets,
             edge_count: ends.len() / 2,
-        }
-    }
-
-    /// Returns a copy of the subgraph with node `u` (and its incident
-    /// edges) removed. Used for local-component analysis: the local
-    /// components of `u` are the connected components of `G_k(u) \ {u}`.
-    pub fn without_node(&self, u: NodeId) -> Subgraph {
-        let gone = self.slot_of(u);
-        let members: Vec<NodeId> = self.nodes().filter(|&x| x != u).collect();
-        // Canonical id bound (max id + 1) so structurally equal
-        // subgraphs compare equal however they were produced.
-        let id_bound = members.last().map_or(0, |m| m.index() + 1);
-        let index = IndexMap::from_sorted_ids(members, id_bound);
-        // Slots past the removed one shift down by one; order is kept.
-        let renumber = |t: u32| match gone {
-            Some(g) if t as usize > g => t - 1,
-            _ => t,
-        };
-        let mut offsets = Vec::with_capacity(index.len() + 1);
-        let mut targets = Vec::with_capacity(self.targets.len());
-        offsets.push(0u32);
-        for s in (0..self.node_count()).filter(|&s| Some(s) != gone) {
-            for &t in self.neighbor_slots(s) {
-                if Some(t as usize) != gone {
-                    targets.push(renumber(t));
-                }
-            }
-            offsets.push(targets.len() as u32);
-        }
-        Subgraph {
-            index,
-            offsets,
-            edge_count: targets.len() / 2,
-            targets,
         }
     }
 }
@@ -414,29 +442,24 @@ mod tests {
     }
 
     #[test]
-    fn without_node_drops_incident_edges() {
-        let s = triangle().without_node(NodeId(2));
-        assert_eq!(s.node_count(), 2);
-        assert_eq!(s.edge_count(), 1);
-        assert!(s.has_edge(NodeId(0), NodeId(1)));
-        assert!(!s.contains_node(NodeId(2)));
-    }
-
-    #[test]
-    fn without_node_renumbers_later_slots() {
-        // Removing a middle member shifts every later slot down by one;
-        // the result must equal the same subgraph built from scratch.
+    fn bfs_slots_filters_positions_and_stops_at_depth() {
+        // Path 0-1-2-3 plus chord 0-3: dropping the chord's end at 0
+        // forces the long way round; depth 2 then stops short of 3.
         let mut b = SubgraphBuilder::new();
-        for (u, v) in [(1, 4), (4, 7), (7, 9), (1, 9), (2, 4), (2, 9)] {
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (0, 3)] {
             b.insert_edge(NodeId(u), NodeId(v));
         }
-        let s = b.build().without_node(NodeId(4));
-        let mut want = SubgraphBuilder::new();
-        for (u, v) in [(7, 9), (1, 9), (2, 9)] {
-            want.insert_edge(NodeId(u), NodeId(v));
-        }
-        assert_eq!(s, want.build());
-        assert_eq!(s.neighbor_slots(3), &[0, 1, 2]);
+        let s = b.build();
+        let chord = s.neighbor_range(0).start + 1;
+        assert_eq!(s.neighbor_slots(0)[1], 3);
+        let (mut dist, mut order) = (Vec::new(), Vec::new());
+        s.bfs_slots(NodeId(0), u32::MAX, |_, _| true, &mut dist, &mut order);
+        assert_eq!(dist, vec![0, 1, 2, 1]);
+        s.bfs_slots(NodeId(0), 2, |p, _| p != chord, &mut dist, &mut order);
+        assert_eq!(dist, vec![0, 1, 2, UNREACHED]);
+        assert_eq!(order, vec![0, 1, 2]);
+        s.bfs_slots(NodeId(9), u32::MAX, |_, _| true, &mut dist, &mut order);
+        assert!(order.is_empty() && dist.iter().all(|&d| d == UNREACHED));
     }
 
     #[test]

@@ -39,9 +39,11 @@ pub trait Topology {
 
 /// A topology with some edges masked out by a predicate.
 ///
-/// Used by the preprocessing step to run BFS over "edges of rank greater
-/// than `r`" and by constraint-vertex detection to run BFS with a vertex
-/// removed.
+/// The generic way to search a graph minus some edges or a vertex. The
+/// per-view algorithms work on slots instead
+/// ([`Subgraph::bfs_slots`](crate::Subgraph::bfs_slots)); the tests
+/// keep their id-keyed definitions on this type as references (BFS over
+/// "edges of rank greater than `r`", BFS with a vertex removed).
 pub struct FilteredTopology<'a, T: ?Sized, F> {
     inner: &'a T,
     edge_keep: F,

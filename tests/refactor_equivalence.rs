@@ -11,7 +11,9 @@
 use local_routing::engine::{self, MatrixReport, RunOptions};
 use local_routing::{preprocess, Alg1, Alg1B, Alg3, LocalRouter, LocalView, ViewStore};
 use locality_adversary::{thm1, thm2, tight};
-use locality_graph::Graph;
+use locality_graph::components::LocalComponent;
+use locality_graph::traversal::{self, FilteredTopology};
+use locality_graph::{generators, Graph, NodeId, Subgraph};
 use locality_integration::{exhaustive_suite, random_suite};
 
 /// Two matrix reports computed over the same pairs must agree bit for
@@ -144,10 +146,69 @@ fn cached_routing_view_matches_direct_preprocess() {
             assert_eq!(rv.sub.node_count(), direct.routing.node_count());
             assert_eq!(rv.sub.edge_count(), direct.routing.edge_count());
             for x in rv.sub.nodes() {
-                assert_eq!(rv.dist.get(x), direct.dist.get(x), "dist'({u}, {x})");
+                let slot = direct.routing.slot_of(x).expect("same members");
+                assert_eq!(rv.dist(x), Some(direct.dist[slot]), "dist'({u}, {x})");
             }
         }
     }
+}
+
+/// The masked-BFS definition of a constraint vertex: `w` is one iff,
+/// with `w` deleted, no depth-k vertex of its component other than `w`
+/// lies within `k` hops of the centre.
+fn constraint_vertices_by_masked_bfs(
+    view: &Subgraph,
+    center: NodeId,
+    k: u32,
+    comp: &LocalComponent,
+) -> Vec<NodeId> {
+    let cut_off_by = |w: NodeId| {
+        let masked = FilteredTopology::new(view, |a: NodeId, b: NodeId| a != w && b != w);
+        let dist = traversal::bfs_distances(&masked, center, Some(k));
+        comp.depth_k_nodes
+            .iter()
+            .all(|&z| z == w || !dist.contains(z))
+    };
+    comp.nodes
+        .iter()
+        .copied()
+        .filter(|&w| cut_off_by(w))
+        .collect()
+}
+
+/// `ComponentAnalysis` reads constraint vertices off the shortest-path
+/// DAG (one on-path vertex at their depth). That must agree with the
+/// masked-BFS definition on views too large for the exhaustive path
+/// oracle: the tight families at k = n/4 and ring lattices, on the raw
+/// view and on `G'_k(u)`.
+#[test]
+fn constraint_vertices_match_masked_bfs_on_large_views() {
+    let mut cases: Vec<(Graph, u32)> = Vec::new();
+    for n in [32, 64, 128] {
+        cases.push((tight::fig13(n).graph, n as u32 / 4));
+        cases.push((tight::fig17(n).graph, n as u32 / 4));
+    }
+    for (n, c, k) in [(64, 3, 2), (96, 4, 5), (128, 8, 1), (200, 2, 12)] {
+        cases.push((generators::ring_lattice(n, c), k));
+    }
+    let mut constrained = 0;
+    for (g, k) in &cases {
+        for u in g.nodes() {
+            let view = LocalView::extract(g, u, *k);
+            let rv = view.routing_view();
+            for (sub, analysis) in [(view.raw(), view.raw_analysis()), (&rv.sub, &rv.analysis)] {
+                for c in analysis.active_components() {
+                    let want = constraint_vertices_by_masked_bfs(sub, u, *k, c);
+                    assert_eq!(c.constraint_vertices, want, "at {u}, k = {k}, on {g:?}");
+                    constrained += usize::from(!want.is_empty());
+                }
+            }
+        }
+    }
+    assert!(
+        constrained > 0,
+        "the cases must include constrained components"
+    );
 }
 
 /// Re-running a matrix on an already warm shared store changes nothing:
