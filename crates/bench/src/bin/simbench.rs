@@ -1,5 +1,5 @@
 //! Simulator hop-throughput snapshot at n ∈ {128, 512, 2048}, plus a
-//! sharded scale sweep at n ∈ {2048, 32768, 100000}.
+//! sharded scale sweep at n ∈ {2048, 32768, 100000, 1000000}.
 //!
 //! One line of JSON per size: delivered-hop throughput of the
 //! zero-fault simulator with Algorithm 1 at its threshold locality
@@ -26,7 +26,7 @@ use locality_sim::{driver, Level, Recorder};
 const MESSAGES: usize = 4096;
 const SEED: u64 = 42;
 const SIZES: [usize; 3] = [128, 512, 2048];
-const SCALE_SIZES: [usize; 3] = [2048, 32768, 100_000];
+const SCALE_SIZES: [usize; 4] = [2048, 32768, 100_000, 1_000_000];
 const SCALE_SHARDS: [usize; 2] = [1, 4];
 
 /// One scale row as a JSON object, with the per-core figure attached.

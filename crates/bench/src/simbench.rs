@@ -21,7 +21,7 @@ use std::time::Instant;
 use local_routing::LocalRouter;
 use locality_graph::rng::DetRng;
 use locality_graph::{generators, NodeId};
-use locality_sim::{NetworkBuilder, Recorder};
+use locality_sim::{MessageFate, NetworkBuilder, Recorder};
 
 /// Sends per round; a new round starts every four ticks.
 const BATCH: usize = 32;
@@ -188,10 +188,12 @@ pub struct ScaleRun {
     pub provision_ns: u64,
     /// Cross-shard transmissions (0 at `shards == 1`).
     pub crossings: u64,
-    /// Order-independent digest of every message's outcome (fate
-    /// discriminant, hop count, delivery tick, retries). Equal
-    /// fingerprints across shard counts certify byte-equivalent
-    /// routing, which is what makes the sweep's speedups comparable.
+    /// FNV-1a digest of every message record in injection order: its
+    /// fate (see [`fate_code`]), delivery tick and retry count, and
+    /// every node on the path of its last attempt. Equal fingerprints
+    /// mean every message took the same route to the same end, so the
+    /// sweep can compare runs across shard counts, and a change can
+    /// compare its runs with its parent's, route by route.
     pub fingerprint: u64,
 }
 
@@ -272,17 +274,19 @@ pub fn sim_scale(cfg: &ScaleConfig) -> ScaleRun {
     let elapsed_ns = start.elapsed().as_nanos() as u64;
     let hops: u64 = net.records().iter().map(|r| r.hops() as u64).sum();
     let delivered = net.records().iter().filter(|r| r.delivered()).count();
-    // FNV-1a over each record's outcome, in injection order.
     let mut fingerprint: u64 = 0xcbf2_9ce4_8422_2325;
-    let mix = |fp: &mut u64, v: u64| {
-        *fp ^= v;
-        *fp = fp.wrapping_mul(0x100_0000_01b3);
+    let mut mix = |v: u64| {
+        fingerprint ^= v;
+        fingerprint = fingerprint.wrapping_mul(0x100_0000_01b3);
     };
     for r in net.records() {
-        mix(&mut fingerprint, format!("{:?}", r.fate).len() as u64);
-        mix(&mut fingerprint, r.hops() as u64);
-        mix(&mut fingerprint, r.delivered_at.map_or(u64::MAX, |t| t));
-        mix(&mut fingerprint, u64::from(r.retries));
+        mix(fate_code(&r.fate));
+        mix(r.delivered_at.map_or(u64::MAX, |t| t));
+        mix(u64::from(r.retries));
+        mix(r.path.len() as u64);
+        for &x in &r.path {
+            mix(u64::from(x.0));
+        }
     }
     ScaleRun {
         n: cfg.n,
@@ -295,6 +299,23 @@ pub fn sim_scale(cfg: &ScaleConfig) -> ScaleRun {
         provision_ns,
         crossings: net.shard_stats().total_crossings(),
         fingerprint,
+    }
+}
+
+/// The number [`ScaleRun::fingerprint`] hashes for a fate: one per
+/// variant, so two fates never share a code.
+pub fn fate_code(fate: &MessageFate) -> u64 {
+    match fate {
+        MessageFate::InFlight => 0,
+        MessageFate::Delivered => 1,
+        MessageFate::Looped => 2,
+        MessageFate::Errored(_) => 3,
+        MessageFate::HopBudgetExhausted => 4,
+        MessageFate::Dropped => 5,
+        MessageFate::TimedOut => 6,
+        MessageFate::GaveUp => 7,
+        MessageFate::Rejected => 8,
+        MessageFate::Shed => 9,
     }
 }
 
@@ -361,6 +382,26 @@ mod tests {
             assert_eq!(run.delivered, base.delivered);
             assert!(run.crossings > 0, "windowed traffic must cross at S={s}");
         }
+    }
+
+    #[test]
+    fn fate_codes_are_distinct() {
+        let fates = [
+            MessageFate::InFlight,
+            MessageFate::Delivered,
+            MessageFate::Looped,
+            MessageFate::Errored(String::new()),
+            MessageFate::HopBudgetExhausted,
+            MessageFate::Dropped,
+            MessageFate::TimedOut,
+            MessageFate::GaveUp,
+            MessageFate::Rejected,
+            MessageFate::Shed,
+        ];
+        let mut codes: Vec<u64> = fates.iter().map(fate_code).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(codes.len(), fates.len());
     }
 
     #[test]

@@ -512,13 +512,15 @@ fn decode_view_payload(
         steps.push(s);
     }
     r.expect_eof()?;
+    // Each table was filled to the capacity it was created with, so
+    // boxing keeps its allocation as it is.
     Ok(LocalView::from_parts(
         expect_center,
         k,
         raw,
-        dists,
-        labels,
-        steps,
+        dists.into_boxed_slice(),
+        labels.into_boxed_slice(),
+        steps.into_boxed_slice(),
     ))
 }
 
@@ -705,6 +707,33 @@ mod tests {
         assert_eq!(
             artifact.decode_view(NodeId(99)).unwrap_err(),
             OracleError::UnknownNode(NodeId(99))
+        );
+    }
+
+    #[test]
+    fn largest_member_id_is_a_corrupt_payload() {
+        // A well-formed subgraph whose last member is NodeId(u32::MAX):
+        // it decodes (no wrap, no table sized by the id bound), and
+        // the view decoder then rejects the member as outside the
+        // artifact's node range.
+        let mut w = Writer::new();
+        w.put_varint(0); // centre
+        w.put_varint(2); // members 0 and u32::MAX, one edge
+        w.put_varint(0);
+        w.put_varint(u64::from(u32::MAX - 1));
+        w.put_varint(1);
+        w.put_varint(1);
+        w.put_varint(1);
+        w.put_varint(0);
+        for v in [0, 1, 0, 1, 0, 2] {
+            w.put_varint(v); // labels, distances, steps
+        }
+        assert_eq!(
+            decode_view_payload(w.as_bytes(), NodeId(0), 1, 2048).unwrap_err(),
+            OracleError::Corrupt {
+                node: Some(NodeId(0)),
+                what: "view member outside the artifact's node range",
+            }
         );
     }
 

@@ -18,38 +18,50 @@ use crate::preprocess::{self, EdgeKey, Preprocessed};
 /// graph, so a router holding one *cannot* observe anything beyond `k`
 /// hops — locality is a type-level guarantee, not a convention.
 ///
-/// Internally the view is flat: labels and centre distances live in
-/// `Vec`s aligned with the raw subgraph's slot order, and the
-/// label→node lookup in a sorted vector searched by binary search. No
-/// per-query allocation or tree traversal happens on the hot path, and
-/// every per-node array is sized to the view's member count — not the
-/// parent graph — so thousands of resident views (the oracle
-/// cold-start case) cost memory proportional to what they can see. The
-/// same holds for the derived structure: the [`RoutingView`], the raw
-/// component analysis and the work that builds them index member slots
+/// Internally the view is flat and sized by what it can see, never by
+/// the parent graph: labels and centre distances are exact-size blocks
+/// aligned with the raw subgraph's slot order, beside the subgraph's
+/// own two blocks, so an extracted view keeps four heap blocks and a
+/// 112-byte struct. The derived structure sits behind one boxed cache
+/// that is allocated on first use: the label→node lookup (a sorted
+/// table searched by binary search), the [`RoutingView`] and the raw
+/// component analysis. Routers that never ask for them, like the ring
+/// baselines, and views that are only decoded and stored pay one empty
+/// 16-byte cell. The first-step table stays outside that box, because
+/// every view decoded from an artifact arrives with it. No per-query
+/// allocation or tree traversal happens on the hot path, and the
+/// derived structure and the work that builds it index member slots
 /// only, never node ids.
 pub struct LocalView {
     center: NodeId,
     k: u32,
     raw: Subgraph,
-    /// `dists[raw.slot_of(x)]` is the distance from the centre to `x`;
-    /// every member of `G_k(u)` is reached, so the vec is total.
-    dists: Vec<u32>,
     /// `labels[raw.slot_of(x)]` is the label of visible node `x`.
-    labels: Vec<Label>,
-    /// Sorted by label; binary-searched by [`node_by_label`](Self::node_by_label).
-    /// Built on first query: cold provisioning (BFS and artifact paths
-    /// alike) never asks for it, so the sort and the allocation stay
-    /// off the materialisation path entirely.
-    by_label: OnceLock<Vec<(Label, NodeId)>>,
-    routing: OnceLock<RoutingView>,
-    raw_analysis: OnceLock<ComponentAnalysis>,
+    labels: Box<[Label]>,
+    /// `dists[raw.slot_of(x)]` is the distance from the centre to `x`;
+    /// every member of `G_k(u)` is reached, so the table is total.
+    dists: Box<[u32]>,
     /// All-targets memo for [`shortest_step_toward`](Self::shortest_step_toward),
     /// indexed by the target's raw slot and packed as the step's slot
     /// plus one (`0` = no step) — the artifact wire encoding, so
     /// decoded payloads seed it verbatim. Built by a single BFS on
     /// first use (see [`step_table`](Self::step_table)).
-    steps: OnceLock<Vec<u32>>,
+    steps: OnceLock<Box<[u32]>>,
+    /// The caches many routers never ask for, boxed together so that
+    /// while they are empty they cost one pointer and a once-flag.
+    derived: OnceLock<Box<Derived>>,
+}
+
+/// The lazily filled structure of a [`LocalView`], each part built on
+/// its first query.
+#[derive(Default)]
+struct Derived {
+    /// `(label, node)` sorted by label; binary-searched by
+    /// [`LocalView::node_by_label`]. Cold provisioning (BFS and
+    /// artifact paths alike) never asks for it.
+    by_label: OnceLock<Box<[(Label, NodeId)]>>,
+    routing: OnceLock<RoutingView>,
+    raw_analysis: OnceLock<ComponentAnalysis>,
 }
 
 /// The preprocessed routing structure `G'_k(u)` (§5.1) with its
@@ -75,24 +87,26 @@ impl RoutingView {
 }
 
 impl LocalView {
-    /// Extracts `G_k(u)` (with labels) from `graph`.
+    /// Extracts `G_k(u)` (with labels) from `graph`. Allocates the
+    /// view's four blocks, each once at its final size, and nothing
+    /// else once the thread has extracted a view before.
     ///
     /// # Panics
     ///
     /// Panics if `u` is not a node of `graph`.
     pub fn extract(graph: &Graph, u: NodeId, k: u32) -> LocalView {
         let (raw, dists) = neighborhood::k_neighborhood_with_distances(graph, u, k);
-        let labels: Vec<Label> = raw.node_slice().iter().map(|&x| graph.label(x)).collect();
+        let labels = raw.node_slice().iter().map(|&x| graph.label(x)).collect();
         LocalView {
             center: u,
             k,
             raw,
-            dists,
             labels,
-            by_label: OnceLock::new(),
-            routing: OnceLock::new(),
-            raw_analysis: OnceLock::new(),
+            // One distance per member: the Vec is full, so boxing it
+            // keeps the allocation as it is.
+            dists: dists.into_boxed_slice(),
             steps: OnceLock::new(),
+            derived: OnceLock::new(),
         }
     }
 
@@ -109,22 +123,18 @@ impl LocalView {
         center: NodeId,
         k: u32,
         raw: Subgraph,
-        dists: Vec<u32>,
-        labels: Vec<Label>,
-        steps: Vec<u32>,
+        dists: Box<[u32]>,
+        labels: Box<[Label]>,
+        steps: Box<[u32]>,
     ) -> LocalView {
-        let seeded = OnceLock::new();
-        let _ = seeded.set(steps);
         LocalView {
             center,
             k,
             raw,
-            dists,
             labels,
-            by_label: OnceLock::new(),
-            routing: OnceLock::new(),
-            raw_analysis: OnceLock::new(),
-            steps: seeded,
+            dists,
+            steps: OnceLock::from(steps),
+            derived: OnceLock::new(),
         }
     }
 
@@ -177,10 +187,15 @@ impl LocalView {
         self.labels[slot]
     }
 
+    /// The derived-structure cache, allocated on first use.
+    fn derived(&self) -> &Derived {
+        self.derived.get_or_init(Box::default)
+    }
+
     /// The label-sorted lookup table, built on first use.
     fn by_label(&self) -> &[(Label, NodeId)] {
-        self.by_label.get_or_init(|| {
-            let mut v: Vec<(Label, NodeId)> = self
+        self.derived().by_label.get_or_init(|| {
+            let mut v: Box<[(Label, NodeId)]> = self
                 .raw
                 .node_slice()
                 .iter()
@@ -292,14 +307,14 @@ impl LocalView {
                     }
                 }
             }
-            step
+            step.into_boxed_slice()
         })
     }
 
     /// The preprocessed routing structure `G'_k(u)`, computed on first
     /// use and cached.
     pub fn routing_view(&self) -> &RoutingView {
-        self.routing.get_or_init(|| {
+        self.derived().routing.get_or_init(|| {
             let Preprocessed {
                 dormant, routing, ..
             } = preprocess::preprocess(&self.raw, &self.labels, self.center, self.k);
@@ -315,7 +330,8 @@ impl LocalView {
     /// Local-component analysis of the **raw** view `G_k(u)` (used by
     /// Algorithm 3, which skips preprocessing), cached.
     pub fn raw_analysis(&self) -> &ComponentAnalysis {
-        self.raw_analysis
+        self.derived()
+            .raw_analysis
             .get_or_init(|| ComponentAnalysis::analyze(&self.raw, self.center, self.k))
     }
 
@@ -374,6 +390,13 @@ impl fmt::Debug for LocalView {
 mod tests {
     use super::*;
     use locality_graph::{generators, traversal};
+
+    #[test]
+    fn view_struct_stays_small() {
+        // Centre, k, the subgraph's two blocks, labels, distances, the
+        // step table's cell and one pointer for every other cache.
+        assert!(std::mem::size_of::<LocalView>() <= 128);
+    }
 
     #[test]
     fn extract_and_query() {

@@ -16,7 +16,6 @@
 
 use std::fmt;
 
-use crate::index::IndexMap;
 use crate::labels::NodeId;
 use crate::subgraph::Subgraph;
 
@@ -442,6 +441,10 @@ pub fn encode_subgraph(w: &mut Writer, s: &Subgraph) {
 /// artifact checksum already guards against corruption, and the check
 /// would double decode cost for data the encoder produced from a
 /// well-formed CSR.
+///
+/// A first pass over the degrees sizes the CSR block, and the targets
+/// are then decoded straight into it: the members and the block are
+/// the only allocations, each made once at its final size.
 pub fn decode_subgraph(r: &mut Reader<'_>) -> Result<Subgraph, CodecError> {
     let at = r.position();
     let n = r.varint_len()?;
@@ -472,8 +475,7 @@ pub fn decode_subgraph(r: &mut Reader<'_>) -> Result<Subgraph, CodecError> {
         members.push(NodeId(id));
         prev = Some(id);
     }
-    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-    offsets.push(0);
+    let degrees = r.clone();
     let mut total: u32 = 0;
     for _ in 0..n {
         let at = r.position();
@@ -486,7 +488,6 @@ pub fn decode_subgraph(r: &mut Reader<'_>) -> Result<Subgraph, CodecError> {
                 what: "degree sum overflows u32",
             })?;
         total += d;
-        offsets.push(total);
     }
     if !total.is_multiple_of(2) {
         return Err(CodecError::Malformed {
@@ -494,51 +495,49 @@ pub fn decode_subgraph(r: &mut Reader<'_>) -> Result<Subgraph, CodecError> {
             what: "odd number of directed edge ends",
         });
     }
-    let mut targets: Vec<u32> = Vec::with_capacity(total as usize);
-    // Degrees are the gaps between consecutive offsets; reading them
-    // back saves a scratch vector per decoded view.
-    let degrees = offsets
-        .iter()
-        .zip(offsets.iter().skip(1))
-        .map(|(a, b)| b - a);
-    for (slot, deg) in degrees.enumerate() {
-        let mut prev_slot: Option<usize> = None;
-        for _ in 0..deg {
-            let at = r.position();
-            let t = r.varint_len()?;
-            if t >= n {
-                return Err(CodecError::Malformed {
-                    at,
-                    what: "target slot out of bounds",
-                });
+    // The gap coding makes the members strictly ascending, as the
+    // subgraph requires. All n were pushed, so boxing keeps the
+    // allocation as it is.
+    let members = members.into_boxed_slice();
+    Subgraph::try_with_csr(members, total as usize, |offsets, targets| {
+        // The degrees were validated above; this pass turns them into
+        // offsets and reads each run's targets behind them.
+        let mut degrees = degrees;
+        let mut targets = targets.iter_mut();
+        let mut end: u32 = 0;
+        for (slot, offset) in offsets.iter_mut().skip(1).enumerate() {
+            let deg = degrees.varint()?;
+            end += deg as u32;
+            *offset = end;
+            let mut prev_slot: Option<usize> = None;
+            for (_, target) in (0..deg).zip(targets.by_ref()) {
+                let at = r.position();
+                let t = r.varint_len()?;
+                if t >= n {
+                    return Err(CodecError::Malformed {
+                        at,
+                        what: "target slot out of bounds",
+                    });
+                }
+                if t == slot {
+                    return Err(CodecError::Malformed {
+                        at,
+                        what: "self-loop in neighbour run",
+                    });
+                }
+                if prev_slot.is_some_and(|p| t <= p) {
+                    return Err(CodecError::Malformed {
+                        at,
+                        what: "neighbour run not strictly ascending",
+                    });
+                }
+                prev_slot = Some(t);
+                // `t < n`, and n members with distinct u32 ids fit in u32.
+                *target = t as u32;
             }
-            if t == slot {
-                return Err(CodecError::Malformed {
-                    at,
-                    what: "self-loop in neighbour run",
-                });
-            }
-            if prev_slot.is_some_and(|p| t <= p) {
-                return Err(CodecError::Malformed {
-                    at,
-                    what: "neighbour run not strictly ascending",
-                });
-            }
-            prev_slot = Some(t);
-            // `t < n`, and n members with distinct u32 ids fit in u32.
-            targets.push(t as u32);
         }
-    }
-    // Members are strictly ascending (enforced by the gap coding), so
-    // the canonical id bound and the IndexMap constructor are safe.
-    let id_bound = members.last().map_or(0, |m| m.index() + 1);
-    let index = IndexMap::from_sorted_ids(members, id_bound);
-    Ok(Subgraph::from_csr_parts(
-        index,
-        offsets,
-        targets,
-        (total / 2) as usize,
-    ))
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -716,6 +715,55 @@ mod tests {
             encode_subgraph(&mut w2, &decoded);
             assert_eq!(w1.as_bytes(), w2.as_bytes());
         }
+    }
+
+    #[test]
+    fn largest_member_id_decodes_without_a_table() {
+        // Last member u32::MAX: the derived id bound is 2^32. Computed
+        // in u32 it would wrap to 0, pass the density test and build an
+        // empty id -> slot table that finds no member.
+        let mut w = Writer::new();
+        w.put_varint(2); // members u32::MAX - 1 and u32::MAX
+        w.put_varint(u64::from(u32::MAX - 1));
+        w.put_varint(0);
+        w.put_varint(1); // one edge between them
+        w.put_varint(1);
+        w.put_varint(1);
+        w.put_varint(0);
+        let mut r = Reader::new(w.as_bytes());
+        let s = decode_subgraph(&mut r).expect("a valid payload");
+        assert!(r.is_empty());
+        assert_eq!(s.id_bound(), u32::MAX as usize + 1);
+        assert_eq!(s.slot_of(NodeId(u32::MAX)), Some(1));
+        assert!(s.has_edge(NodeId(u32::MAX - 1), NodeId(u32::MAX)));
+        let mut b = SubgraphBuilder::new();
+        b.insert_edge(NodeId(u32::MAX - 1), NodeId(u32::MAX));
+        assert_eq!(
+            s,
+            b.build(),
+            "same blocks as the builder's, which hold no table"
+        );
+
+        // A lone member at u32::MAX.
+        let mut w = Writer::new();
+        w.put_varint(1);
+        w.put_varint(u64::from(u32::MAX));
+        w.put_varint(0);
+        let s = round_trip(&decode_subgraph(&mut Reader::new(w.as_bytes())).expect("valid"));
+        assert_eq!(s.node_slice(), &[NodeId(u32::MAX)]);
+        assert!(s.contains_node(NodeId(u32::MAX)));
+        // One past u32::MAX is a typed error, not a wrap.
+        let mut w = Writer::new();
+        w.put_varint(2);
+        w.put_varint(u64::from(u32::MAX));
+        w.put_varint(0);
+        assert!(matches!(
+            decode_subgraph(&mut Reader::new(w.as_bytes())),
+            Err(CodecError::Malformed {
+                what: "member id overflows u32",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -47,7 +47,6 @@ mod error;
 pub mod generators;
 pub mod geo;
 mod graph;
-mod index;
 pub mod io;
 mod labels;
 pub mod neighborhood;
@@ -60,7 +59,6 @@ pub use codec::CodecError;
 pub use dist::DistMap;
 pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder};
-pub use index::IndexMap;
 pub use labels::{EdgeRank, Label, NodeId};
 pub use subgraph::{Subgraph, SubgraphBuilder};
 pub use traversal::Topology;

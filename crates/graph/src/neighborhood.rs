@@ -16,9 +16,8 @@
 //! splitting the view into two independent path components.
 
 use crate::dist::UNREACHED;
-use crate::index::IndexMap;
 use crate::labels::NodeId;
-use crate::subgraph::Subgraph;
+use crate::subgraph::{Scratch, Subgraph};
 use crate::traversal::{Ball, Topology};
 
 /// Extracts `G_k(u)` from `topo` as a [`Subgraph`].
@@ -81,45 +80,58 @@ pub fn k_neighborhood_with_distances<T: Topology + ?Sized>(
     (sub, dists)
 }
 
-/// Builds `G_k(u)` from a finished radius-`k` search around `u`.
+/// Builds `G_k(u)` from a finished radius-`k` search around `u`. The
+/// members, the CSR block and the distances are each allocated once,
+/// at their final size; everything else lives in the thread's
+/// [`Scratch`].
 fn from_ball<T: Topology + ?Sized>(topo: &T, ball: &Ball, k: u32) -> (Subgraph, Vec<u32>) {
-    let reached = ball.members();
-    // Slot order is id order. `at` maps a BFS position to the member's
-    // slot and distance, for the edge pass below.
-    let mut by_id: Vec<(NodeId, u32, u32)> = reached
-        .iter()
-        .enumerate()
-        .map(|(i, &(x, d))| (x, d, i as u32))
-        .collect();
-    by_id.sort_unstable();
-    let mut at = vec![(0u32, 0u32); reached.len()];
-    for (s, &(_, d, i)) in by_id.iter().enumerate() {
-        at[i as usize] = (s as u32, d);
-    }
-    // An edge is in the view iff its nearer endpoint is closer than k.
-    // Only nodes closer than k (a prefix of the BFS order) scan their
-    // neighbours; each emits its own edge ends, plus the reverse end
-    // for a neighbour at depth k, which never scans.
-    let mut ends: Vec<(u32, u32)> = Vec::new();
-    for (&(x, dx), &(sx, _)) in reached.iter().zip(&at) {
-        if dx >= k {
-            break;
+    Scratch::with(|scratch| {
+        let Scratch {
+            by_id,
+            at,
+            ends,
+            cursor,
+            ..
+        } = scratch;
+        let reached = ball.members();
+        // Slot order is id order. `at` maps a BFS position to the
+        // member's slot and distance, for the edge pass below.
+        by_id.clear();
+        by_id.extend(
+            reached
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, d))| (x, d, i as u32)),
+        );
+        by_id.sort_unstable();
+        at.clear();
+        at.resize(reached.len(), (0, 0));
+        for (s, &(_, d, i)) in by_id.iter().enumerate() {
+            at[i as usize] = (s as u32, d);
         }
-        topo.for_each_neighbor(x, &mut |y| {
-            if let Some(j) = ball.position(y) {
-                let (sy, dy) = at[j];
-                ends.push((sx, sy));
-                if dy == k {
-                    ends.push((sy, sx));
-                }
+        // An edge is in the view iff its nearer endpoint is closer than
+        // k. Only nodes closer than k (a prefix of the BFS order) scan
+        // their neighbours; each emits its own edge ends, plus the
+        // reverse end for a neighbour at depth k, which never scans.
+        ends.clear();
+        for (&(x, dx), &(sx, _)) in reached.iter().zip(at.iter()) {
+            if dx >= k {
+                break;
             }
-        });
-    }
-    let dists = by_id.iter().map(|&(_, d, _)| d).collect();
-    let members: Vec<NodeId> = by_id.into_iter().map(|(x, _, _)| x).collect();
-    let id_bound = members.last().map_or(0, |m| m.index() + 1);
-    let index = IndexMap::from_sorted_ids(members, id_bound);
-    (Subgraph::from_directed_ends(index, &ends), dists)
+            topo.for_each_neighbor(x, &mut |y| {
+                if let Some(j) = ball.position(y) {
+                    let (sy, dy) = at[j];
+                    ends.push((sx, sy));
+                    if dy == k {
+                        ends.push((sy, sx));
+                    }
+                }
+            });
+        }
+        let dists = by_id.iter().map(|&(_, d, _)| d).collect();
+        let members = by_id.iter().map(|&(x, _, _)| x).collect();
+        (Subgraph::from_directed_ends(members, ends, cursor), dists)
+    })
 }
 
 /// `G_k(u)` of `view` with some of its edges removed, together with
@@ -156,27 +168,32 @@ pub fn k_neighborhood_masked(
             dists.push(d);
         }
     }
-    // As in `from_ball`: nodes closer than k emit their own kept edge
-    // ends, plus the reverse end toward a depth-k neighbour.
-    let mut ends: Vec<(u32, u32)> = Vec::new();
-    for (s, &d) in depth.iter().enumerate() {
-        if d >= k {
-            continue;
-        }
-        for (p, &t) in view.neighbor_range(s).zip(view.neighbor_slots(s)) {
-            if removed[p] {
+    // One member per reached slot: the Vec is full, so boxing it keeps
+    // the allocation as it is.
+    let members = members.into_boxed_slice();
+    let sub = Scratch::with(|scratch| {
+        let Scratch { ends, cursor, .. } = scratch;
+        // As in `from_ball`: nodes closer than k emit their own kept
+        // edge ends, plus the reverse end toward a depth-k neighbour.
+        ends.clear();
+        for (s, &d) in depth.iter().enumerate() {
+            if d >= k {
                 continue;
             }
-            let t = t as usize;
-            ends.push((renumber[s], renumber[t]));
-            if depth[t] == k {
-                ends.push((renumber[t], renumber[s]));
+            for (p, &t) in view.neighbor_range(s).zip(view.neighbor_slots(s)) {
+                if removed[p] {
+                    continue;
+                }
+                let t = t as usize;
+                ends.push((renumber[s], renumber[t]));
+                if depth[t] == k {
+                    ends.push((renumber[t], renumber[s]));
+                }
             }
         }
-    }
-    let id_bound = members.last().map_or(0, |m| m.index() + 1);
-    let index = IndexMap::from_sorted_ids(members, id_bound);
-    (Subgraph::from_directed_ends(index, &ends), dists)
+        Subgraph::from_directed_ends(members, ends, cursor)
+    });
+    (sub, dists)
 }
 
 #[cfg(test)]

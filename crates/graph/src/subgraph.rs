@@ -1,30 +1,48 @@
 //! Lightweight subgraph views over a parent [`Graph`](crate::Graph),
 //! stored in compressed sparse row (CSR) form.
 
+use std::cell::RefCell;
+use std::convert::Infallible;
 use std::fmt;
 use std::ops::Range;
 
 use crate::dist::UNREACHED;
-use crate::index::IndexMap;
 use crate::labels::NodeId;
 use crate::traversal::Topology;
+
+/// Id → slot table entry of an id that is not a member.
+const ABSENT: u32 = u32::MAX;
+
+/// Above this many table entries per member the id → slot table is
+/// dropped in favour of binary search over the members. The table is
+/// sized by the largest member id, so without this cap a small `G_k(u)`
+/// of a large parent would hold memory in proportion to the parent
+/// rather than to what the view can see.
+const DENSE_FACTOR: usize = 4;
 
 /// A vertex- and edge-subset of a parent graph, keyed by the parent's
 /// [`NodeId`]s.
 ///
 /// `Subgraph` is the representation of `G_k(u)` and of the routing
-/// subgraph `G'_k(u)`. It is an immutable CSR structure: an
-/// [`IndexMap`] assigns each member node a dense slot, `offsets` cuts
-/// the flat `targets` array into per-slot neighbour runs, and every
-/// run holds the neighbours' *slots*, sorted ascending. Slot order is
-/// `NodeId` order, so each run is also sorted by id — the same
-/// deterministic order the earlier tree-map representation exposed.
+/// subgraph `G'_k(u)`. It is an immutable CSR structure held in two
+/// blocks, each allocated once at its exact size:
+///
+/// * the member ids, strictly ascending. A member's position is its
+///   dense *slot*, so slot order is `NodeId` order;
+/// * one `u32` block: `n + 1` offsets, which cut the `2m` targets that
+///   follow into per-slot neighbour runs of member slots, each sorted
+///   ascending (so also by id). A *dense* view, whose largest id is at
+///   most four times its member count, ends the block with an
+///   id → slot table; a sparse one looks ids up by binary search over
+///   the members instead.
+///
 /// Storing slots rather than parent ids means an in-view traversal
-/// indexes member-sized arrays directly, with no id → slot table sized
-/// by the parent graph. Construction goes through [`SubgraphBuilder`]
-/// (or [`crate::neighborhood`] for views). It does not borrow the
-/// parent graph, so views can be cached and shipped to simulated
-/// nodes independently.
+/// indexes member-sized arrays directly, with no table sized by the
+/// parent graph. The id bound and the edge count are derived: one past
+/// the last member, and half the last offset. Construction goes
+/// through [`SubgraphBuilder`] (or [`crate::neighborhood`] for views).
+/// It does not borrow the parent graph, so views can be cached and
+/// shipped to simulated nodes independently.
 ///
 /// ```
 /// use locality_graph::{NodeId, SubgraphBuilder};
@@ -38,34 +56,57 @@ use crate::traversal::Topology;
 /// assert_eq!(s.node_count(), 2);
 /// assert_eq!(s.neighbor_slots(0), &[1]);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Subgraph {
-    index: IndexMap,
-    /// slot → start of its neighbour run in `targets`; length `len + 1`.
-    offsets: Vec<u32>,
-    /// Concatenated neighbour runs (member slots), each run sorted ascending.
-    targets: Vec<u32>,
-    edge_count: usize,
+    /// slot → parent id, strictly ascending.
+    members: Box<[NodeId]>,
+    /// `offsets[n + 1] | targets[2m]`, then the id → slot table of a
+    /// dense view ([`ABSENT`] for ids that are not members). The table
+    /// is a pure function of the members, so equal subgraphs stay `==`.
+    words: Box<[u32]>,
+}
+
+impl Default for Subgraph {
+    /// The empty subgraph: no members, one offset.
+    fn default() -> Subgraph {
+        Subgraph {
+            members: Box::default(),
+            words: Box::new([0]),
+        }
+    }
 }
 
 impl Subgraph {
     /// Whether node `u` is present.
     #[inline]
     pub fn contains_node(&self, u: NodeId) -> bool {
-        self.index.contains(u)
+        self.slot_of(u).is_some()
     }
 
     /// The dense slot of `u`, or `None` if absent. Slots number the
     /// members `0..node_count()` in ascending `NodeId` order.
     #[inline]
     pub fn slot_of(&self, u: NodeId) -> Option<usize> {
-        self.index.slot_of(u)
+        let table = self.members.len() + 1 + self.ends();
+        if self.words.len() == table {
+            // Sparse: members ascend and slot order is id order, so
+            // the position found is the slot.
+            return self.members.binary_search(&u).ok();
+        }
+        match self.words.get(table + u.index()) {
+            Some(&s) if s != ABSENT => Some(s as usize),
+            _ => None,
+        }
     }
 
     /// The member occupying `slot` (inverse of [`slot_of`](Self::slot_of)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= node_count()`.
     #[inline]
     pub fn id_of(&self, slot: usize) -> NodeId {
-        self.index.id_of(slot)
+        self.members[slot]
     }
 
     /// Whether the edge `{u, v}` is present.
@@ -79,13 +120,27 @@ impl Subgraph {
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.index.len()
+        self.members.len()
     }
 
     /// Number of undirected edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.ends() / 2
+    }
+
+    /// Number of directed edge ends: the last offset.
+    #[inline]
+    fn ends(&self) -> usize {
+        self.words
+            .get(self.members.len())
+            .map_or(0, |&e| e as usize)
+    }
+
+    /// The `n + 1` offsets: slot `s`'s run is `offsets[s]..offsets[s + 1]`.
+    #[inline]
+    fn offsets(&self) -> &[u32] {
+        &self.words[..=self.members.len()]
     }
 
     /// Neighbours of `u` within the subgraph, ascending by `NodeId`
@@ -112,7 +167,9 @@ impl Subgraph {
     /// Panics if `slot >= node_count()`.
     #[inline]
     pub fn neighbor_slots(&self, slot: usize) -> &[u32] {
-        &self.targets[self.neighbor_range(slot)]
+        let run = self.neighbor_range(slot);
+        let base = self.members.len() + 1;
+        &self.words[base + run.start..base + run.end]
     }
 
     /// The positions of `slot`'s neighbour run among all directed edge
@@ -126,7 +183,8 @@ impl Subgraph {
     /// Panics if `slot >= node_count()`.
     #[inline]
     pub fn neighbor_range(&self, slot: usize) -> Range<usize> {
-        self.offsets[slot] as usize..self.offsets[slot + 1] as usize
+        let offsets = self.offsets();
+        offsets[slot] as usize..offsets[slot + 1] as usize
     }
 
     /// Breadth-first search over member slots from `source`, out to
@@ -177,13 +235,13 @@ impl Subgraph {
 
     /// Iterator over nodes in ascending `NodeId` order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.index.members().iter().copied()
+        self.members.iter().copied()
     }
 
     /// The member nodes as a sorted slice (slot order).
     #[inline]
     pub fn node_slice(&self) -> &[NodeId] {
-        self.index.members()
+        &self.members
     }
 
     /// Iterator over edges, each reported once as `(min, max)` by id.
@@ -196,56 +254,113 @@ impl Subgraph {
         })
     }
 
-    /// Reassembles a subgraph from pre-validated CSR parts (the codec's
-    /// decode path). The caller must guarantee the CSR invariants:
-    /// `offsets` has `index.len() + 1` monotone entries cutting
-    /// `targets` into strictly ascending runs of in-range slots, and
-    /// `edge_count` is half the directed edge ends.
-    /// [`crate::codec::decode_subgraph`] validates all of this before
-    /// calling.
-    pub(crate) fn from_csr_parts(
-        index: IndexMap,
-        offsets: Vec<u32>,
-        targets: Vec<u32>,
-        edge_count: usize,
-    ) -> Subgraph {
-        Subgraph {
-            index,
-            offsets,
-            targets,
-            edge_count,
+    /// A subgraph over the strictly ascending `members` with `ends`
+    /// directed edge ends, in a block allocated once at its final
+    /// size. `fill` writes the `n + 1` offsets and the `ends` targets,
+    /// which arrive zeroed; the id → slot table of a dense view is
+    /// written behind them afterwards. An error from `fill` is passed
+    /// on and the block dropped.
+    ///
+    /// The caller guarantees the CSR invariants: offsets rising from 0
+    /// to `ends`, cutting the targets into strictly ascending runs of
+    /// in-range slots. [`crate::codec::decode_subgraph`] validates all
+    /// of this as it fills.
+    pub(crate) fn try_with_csr<E>(
+        members: Box<[NodeId]>,
+        ends: usize,
+        fill: impl FnOnce(&mut [u32], &mut [u32]) -> Result<(), E>,
+    ) -> Result<Subgraph, E> {
+        let n = members.len();
+        // The id bound is derived, and a usize, so a last member of
+        // u32::MAX cannot wrap it into a small dense table.
+        let bound = members.last().map_or(0, |m| m.index() + 1);
+        let table_len = if bound <= n.saturating_mul(DENSE_FACTOR) {
+            bound
+        } else {
+            0
+        };
+        let mut words = vec![0u32; n + 1 + ends + table_len].into_boxed_slice();
+        let (offsets, rest) = words.split_at_mut(n + 1);
+        let (targets, table) = rest.split_at_mut(ends);
+        fill(offsets, targets)?;
+        if !table.is_empty() {
+            table.fill(ABSENT);
+            for (slot, &u) in members.iter().enumerate() {
+                table[u.index()] = slot as u32;
+            }
         }
+        Ok(Subgraph { members, words })
     }
 
-    /// Lays out a subgraph over `index` from its directed edge ends
+    /// Lays out a subgraph over `members` from its directed edge ends
     /// `(from_slot, to_slot)`: every undirected edge must appear once
     /// in each direction, with no duplicates. A counting sort groups
-    /// the ends into per-slot runs, each then sorted ascending.
-    pub(crate) fn from_directed_ends(index: IndexMap, ends: &[(u32, u32)]) -> Subgraph {
-        let n = index.len();
-        let mut offsets = vec![0u32; n + 1];
-        for &(from, _) in ends {
-            offsets[from as usize + 1] += 1;
-        }
-        for s in 0..n {
-            offsets[s + 1] += offsets[s];
-        }
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut targets = vec![0u32; ends.len()];
-        for &(from, to) in ends {
-            let at = &mut cursor[from as usize];
-            targets[*at as usize] = to;
-            *at += 1;
-        }
-        for s in 0..n {
-            targets[offsets[s] as usize..offsets[s + 1] as usize].sort_unstable();
-        }
-        Subgraph {
-            index,
-            offsets,
-            targets,
-            edge_count: ends.len() / 2,
-        }
+    /// the ends into per-slot runs, each then sorted ascending;
+    /// `cursor` is its scratch.
+    pub(crate) fn from_directed_ends(
+        members: Box<[NodeId]>,
+        ends: &[(u32, u32)],
+        cursor: &mut Vec<u32>,
+    ) -> Subgraph {
+        let n = members.len();
+        let Ok(sub) = Subgraph::try_with_csr(members, ends.len(), |offsets, targets| {
+            for &(from, _) in ends {
+                offsets[from as usize + 1] += 1;
+            }
+            let mut sum = 0;
+            for o in offsets.iter_mut() {
+                sum += *o;
+                *o = sum;
+            }
+            cursor.clear();
+            cursor.extend_from_slice(&offsets[..n]);
+            for &(from, to) in ends {
+                let at = &mut cursor[from as usize];
+                targets[*at as usize] = to;
+                *at += 1;
+            }
+            let mut start = 0;
+            for &end in &offsets[1..] {
+                targets[start..end as usize].sort_unstable();
+                start = end as usize;
+            }
+            Ok::<(), Infallible>(())
+        });
+        sub
+    }
+}
+
+/// The buffers that laying out a view needs only while it runs:
+/// extraction's id-sorted members and per-position slots, the directed
+/// edge ends and the counting sort's cursor. [`Scratch::with`] lends
+/// each thread one set, the way
+/// [`Ball::with`](crate::traversal::Ball::with) lends the search
+/// buffer, so once a thread has extracted a view, every allocation an
+/// extraction makes is a block the view keeps.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// `(id, distance, BFS position)` per reached node, sorted by id.
+    pub(crate) by_id: Vec<(NodeId, u32, u32)>,
+    /// Per BFS position: the node's slot and distance.
+    pub(crate) at: Vec<(u32, u32)>,
+    /// Directed edge ends `(from_slot, to_slot)` awaiting layout.
+    pub(crate) ends: Vec<(u32, u32)>,
+    /// Counting-sort cursor for [`Subgraph::from_directed_ends`].
+    pub(crate) cursor: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+impl Scratch {
+    /// Runs `f` on the calling thread's scratch. A nested call gets a
+    /// fresh one rather than panicking.
+    pub(crate) fn with<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+        SCRATCH.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut scratch) => f(&mut scratch),
+            Err(_) => f(&mut Scratch::default()),
+        })
     }
 }
 
@@ -273,7 +388,7 @@ impl Topology for Subgraph {
     }
 
     fn id_bound(&self) -> usize {
-        self.index.id_bound()
+        self.members.last().map_or(0, |m| m.index() + 1)
     }
 
     fn contains_node(&self, u: NodeId) -> bool {
@@ -357,17 +472,16 @@ impl SubgraphBuilder {
         self.nodes.dedup();
         self.edges.sort_unstable();
         self.edges.dedup();
-        let id_bound = self.nodes.last().map_or(0, |u| u.index() + 1);
-        let index = IndexMap::from_sorted_ids(self.nodes, id_bound);
-        // insert_edge registered both endpoints, so every lookup hits.
+        let members: Box<[NodeId]> = self.nodes.as_slice().into();
+        // insert_edge registered both endpoints, so every search hits.
         let mut ends = Vec::with_capacity(2 * self.edges.len());
         for &(u, v) in &self.edges {
-            if let (Some(su), Some(sv)) = (index.slot_of(u), index.slot_of(v)) {
+            if let (Ok(su), Ok(sv)) = (members.binary_search(&u), members.binary_search(&v)) {
                 ends.push((su as u32, sv as u32));
                 ends.push((sv as u32, su as u32));
             }
         }
-        Subgraph::from_directed_ends(index, &ends)
+        Subgraph::from_directed_ends(members, &ends, &mut Vec::new())
     }
 }
 
@@ -460,6 +574,81 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2]);
         s.bfs_slots(NodeId(9), u32::MAX, |_, _| true, &mut dist, &mut order);
         assert!(order.is_empty() && dist.iter().all(|&d| d == UNREACHED));
+    }
+
+    #[test]
+    fn slots_round_trip_both_directions() {
+        let ids = [0, 3, 4, 7];
+        let mut b = SubgraphBuilder::new();
+        for &u in &ids {
+            b.insert_node(NodeId(u));
+        }
+        let s = b.build();
+        for (slot, &u) in ids.iter().enumerate() {
+            assert_eq!(s.slot_of(NodeId(u)), Some(slot));
+            assert_eq!(s.id_of(slot), NodeId(u));
+        }
+        assert_eq!(s.node_count(), 4);
+        assert!(!s.contains_node(NodeId(1)));
+    }
+
+    #[test]
+    fn out_of_bound_ids_are_absent() {
+        let mut b = SubgraphBuilder::new();
+        b.insert_node(NodeId(1));
+        let s = b.build();
+        assert_eq!(s.slot_of(NodeId(1)), Some(0));
+        assert_eq!(s.slot_of(NodeId(2)), None);
+        assert_eq!(s.slot_of(NodeId(99)), None);
+    }
+
+    #[test]
+    fn sparse_and_dense_lookups_agree() {
+        // A packed member set carries the id -> slot table, a spread-out
+        // one binary-searches its members; every lookup must agree.
+        let build = |ids: &[u32]| {
+            let mut b = SubgraphBuilder::new();
+            for &u in ids {
+                b.insert_node(NodeId(u));
+            }
+            b.build()
+        };
+        let packed = build(&[0, 1, 2]);
+        assert_eq!(packed.words.len(), 4 + 3, "dense: offsets then table");
+        assert_eq!(packed.slot_of(NodeId(1)), Some(1));
+        assert_eq!(packed.slot_of(NodeId(3)), None);
+        assert_eq!(packed.id_bound(), 3);
+
+        let ids = [2, 40, 41, 900];
+        let sparse = build(&ids);
+        assert_eq!(sparse.words.len(), 5, "sparse: offsets only");
+        assert_eq!(sparse.id_bound(), 901);
+        for (slot, &u) in ids.iter().enumerate() {
+            assert_eq!(sparse.slot_of(NodeId(u)), Some(slot), "member {u}");
+            assert_eq!(sparse.id_of(slot), NodeId(u));
+        }
+        for probe in [0u32, 3, 39, 42, 899, 901, 2047, 100_000, u32::MAX] {
+            assert_eq!(sparse.slot_of(NodeId(probe)), None, "non-member {probe}");
+        }
+    }
+
+    #[test]
+    fn id_bound_of_the_largest_id_does_not_wrap() {
+        let mut b = SubgraphBuilder::new();
+        b.insert_edge(NodeId(u32::MAX - 1), NodeId(u32::MAX));
+        let s = b.build();
+        assert_eq!(s.id_bound(), u32::MAX as usize + 1);
+        assert_eq!(s.words.len(), 3 + 2, "no table sized by the id bound");
+        assert_eq!(s.slot_of(NodeId(u32::MAX)), Some(1));
+        assert!(s.has_edge(NodeId(u32::MAX), NodeId(u32::MAX - 1)));
+    }
+
+    #[test]
+    fn empty_subgraph_is_the_default() {
+        let s = SubgraphBuilder::new().build();
+        assert_eq!(s, Subgraph::default());
+        assert_eq!((s.node_count(), s.edge_count(), s.id_bound()), (0, 0, 0));
+        assert_eq!(s.slot_of(NodeId(0)), None);
     }
 
     #[test]

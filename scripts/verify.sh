@@ -89,18 +89,21 @@ awk -v cur="$(extract "$perf_now" sim_hops_per_sec_per_core)" \
 
 echo "==> simbench scale sweep smoke (fingerprint identity across shards, linear provisioning, flat per-hop cost)"
 # The sweep itself asserts outcome fingerprints match at every shard
-# count per n (2048, 32768, 100000) — a panic here means sharding
-# changed routing results. Smoke-sized traffic keeps this under a
-# minute even at n=100000.
+# count per n (2048, 32768, 100000, 1000000) — a panic here means
+# sharding changed routing results. Smoke-sized traffic keeps this
+# to about ten seconds even with n = 10^6.
 scale_json="$(cargo run -q --release -p locality-bench --bin simbench -- --scale-smoke)"
 # Provisioning costs O(view) per node, so build time per node must stay
-# flat in n: at each shard count, provision_ms / n at n = 100000 may be
-# at most 3x its n = 2048 value (an O(n) scratch per view reads ~20x).
+# flat in n: at each shard count, provision_ms / n at n = 100000 and at
+# n = 1000000 may be at most 3x its n = 2048 value (an O(n) scratch per
+# view reads ~20x at n = 100000).
 # Per-message loop state is sized by the route, and every n routes
 # messages with the same target offsets (the same hop count), so run
 # time per hop must stay near flat as well:
 # elapsed_ms / hops at n = 100000 may be at most 4x its n = 2048 value
-# (graph-sized loop state per message read 8-11x at S = 1).
+# (graph-sized loop state per message read 8-11x at S = 1). At
+# n = 1000000 the per-hop ratio is printed but not gated: cold-cache
+# runs there scatter 1.6-4.6x.
 printf '%s' "$scale_json" | grep -oE '\{"n":[0-9]+,"shards":[0-9]+[^}]*\}' | awk '
   function field(row, key) {
     if (!match(row, "\"" key "\":[0-9.]+")) return ""
@@ -133,6 +136,18 @@ printf '%s' "$scale_json" | grep -oE '\{"n":[0-9]+,"shards":[0-9]+[^}]*\}' | awk
         printf "simbench: S=%s run time per hop grew %.2fx from n=2048 to n=100000 (limit 4x)\n", s, ratio > "/dev/stderr"
         bad = 1
       }
+      huge = per[1000000, s]
+      if (huge <= 0 || hop[1000000, s] <= 0) {
+        printf "simbench: S=%s scale rows missing n=1000000\n", s > "/dev/stderr"
+        bad = 1
+        continue
+      }
+      printf "provisioning per node, n=1000000 vs n=2048, S=%s: %.2fx\n", s, huge / small
+      if (huge > 3 * small) {
+        printf "simbench: S=%s provisioning per node grew %.2fx from n=2048 to n=1000000 (limit 3x)\n", s, huge / small > "/dev/stderr"
+        bad = 1
+      }
+      printf "run time per hop, n=1000000 vs n=2048, S=%s: %.2fx (not gated)\n", s, hop[1000000, s] / hop[2048, s]
     }
     exit bad
   }'
