@@ -11,11 +11,6 @@
 //! summarise or diff. Same seed, same level → byte-identical trace,
 //! at any worker count.
 //!
-//! With `--shards S` every storm's network is partitioned into `S`
-//! shards; the report is byte-identical to `--shards 1` (sharding may
-//! never change outcomes) and the trace gains only the trailing
-//! per-shard gauges. `scripts/verify.sh` diffs exactly that.
-//!
 //! With `--trace-shards W --trace-shard-dir DIR` the trace is instead
 //! written as `W` per-worker shard files `DIR/shard-<i>.jsonl` (trial
 //! block `i` → shard `i % W`, the parallel driver's strided
@@ -37,7 +32,7 @@ use local_routing::ViewArtifact;
 use locality_bench::chaos;
 use locality_sim::Level;
 
-const USAGE: &str = "usage: chaos [--seed N] [--shards S] [--trace-out PATH] \
+const USAGE: &str = "usage: chaos [--seed N] [--trace-out PATH] \
 [--trace-level off|metrics|hops|debug] [--trace-shards W --trace-shard-dir DIR] \
 [--provisioner bfs|oracle] [--artifact-dir DIR]";
 
@@ -49,7 +44,6 @@ fn fail(msg: &str) -> ! {
 
 fn main() {
     let mut seed = 7u64;
-    let mut shards = 1usize;
     let mut trace_out: Option<String> = None;
     let mut trace_shards: Option<usize> = None;
     let mut trace_shard_dir: Option<String> = None;
@@ -63,11 +57,6 @@ fn main() {
                 Some(Ok(v)) => seed = v,
                 Some(Err(_)) => fail("--seed takes an unsigned integer"),
                 None => fail("--seed needs a value"),
-            },
-            "--shards" => match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(v)) if v >= 1 => shards = v,
-                Some(_) => fail("--shards takes a positive integer"),
-                None => fail("--shards needs a value"),
             },
             "--trace-out" => match args.next() {
                 Some(p) => trace_out = Some(p),
@@ -112,9 +101,6 @@ fn main() {
         if trace_out.is_some() || trace_shard_dir.is_some() || trace_shards.is_some() {
             fail("tracing is not supported with --provisioner oracle");
         }
-        if shards != 1 {
-            fail("--shards is not supported with --provisioner oracle");
-        }
         let mut artifacts: BTreeMap<u32, Arc<ViewArtifact>> = BTreeMap::new();
         for k in chaos::trial_ks() {
             let path = format!("{dir}/k{k}.lrvo");
@@ -156,8 +142,7 @@ fn main() {
     if trace_shard_dir.is_some() {
         fail("--trace-shard-dir requires --trace-shards W");
     }
-    let (json, trace) =
-        chaos::report_with_trace_sharded(seed, trace_out.as_ref().map(|_| level), shards);
+    let (json, trace) = chaos::report_with_trace(seed, trace_out.as_ref().map(|_| level));
     if let Some(path) = trace_out {
         if let Err(e) = std::fs::write(&path, &trace) {
             fail(&format!("cannot write trace to {path}: {e}"));

@@ -500,33 +500,22 @@ impl SimReport {
     }
 }
 
-/// The sharded scale section: the `k = 1` greedy ring-lattice workload
-/// under churn, swept over n ∈ {2048, 32768, 100000} × shards ∈ {1, 4}.
-/// Every row's outcome fingerprint is asserted equal across shard
-/// counts before anything is reported — sharding must never change
-/// results, only wall-clock. The headline `sim_hops_per_sec_per_core`
-/// figure is the S = 4 run at n = 32768, median-of-five alternating
-/// pairs against S = 1 (single samples at this trial length scatter 2x
-/// under shared-CPU steal), normalised by the cores the speculation
-/// path could actually occupy. On a single-core host the speculation
-/// threads never engage, so `scale_shard_speedup` degenerates to the
-/// cache-locality ratio of four small arenas over one big one (~1x);
-/// the multi-core speedup only shows up where `driver_threads > 1`.
+/// The scale section: the `k = 1` greedy ring-lattice workload under
+/// churn at n ∈ {2048, 32768, 100000}, one row each. One trial steps on
+/// one thread, so its hops per second are hops per second per core.
+/// The headline `sim_hops_per_sec_per_core` is the median of five runs
+/// at n = 32768: single samples at this trial length scatter 2x under
+/// shared-CPU steal.
 struct ScaleReport {
     rows: Vec<String>,
     sim_hops_per_sec_per_core: f64,
-    scale_shard_speedup: f64,
 }
 
 impl ScaleReport {
     fn json(&self) -> String {
         format!(
-            concat!(
-                "{{\"sim_hops_per_sec_per_core\":{:.0},",
-                "\"scale_shard_speedup\":{:.2},\"rows\":[{}]}}"
-            ),
+            "{{\"sim_hops_per_sec_per_core\":{:.0},\"rows\":[{}]}}",
             self.sim_hops_per_sec_per_core,
-            self.scale_shard_speedup,
             self.rows.join(","),
         )
     }
@@ -538,83 +527,52 @@ fn bench_scale() -> ScaleReport {
     const MEDIAN_N: usize = 32768;
     const MEDIAN_REPS: usize = 5;
 
-    let cfg_for = |n: usize, shards: usize| {
+    let cfg_for = |n: usize| {
         let mut cfg = simbench::ScaleConfig::for_n(n);
         cfg.messages = SCALE_MESSAGES;
         cfg.churn = true;
-        cfg.shards = shards;
-        cfg.workers = if shards > 1 {
-            driver::default_threads()
-        } else {
-            1
-        };
         cfg
     };
 
-    let mut rows = Vec::new();
-    for n in SCALE_SIZES {
-        let mut fp_at_one: Option<u64> = None;
-        for shards in [1usize, 4] {
-            let r = simbench::sim_scale(&cfg_for(n, shards));
-            match fp_at_one {
-                None => fp_at_one = Some(r.fingerprint),
-                Some(base) => assert_eq!(
-                    r.fingerprint, base,
-                    "scale sweep: n={n} outcomes diverge at {shards} shards"
-                ),
-            }
-            rows.push(format!(
+    let rows = SCALE_SIZES
+        .into_iter()
+        .map(|n| {
+            let r = simbench::sim_scale(&cfg_for(n));
+            format!(
                 concat!(
-                    "{{\"n\":{},\"shards\":{},\"workers\":{},\"delivered\":{},",
-                    "\"hops\":{},\"crossings\":{},\"fingerprint\":\"{:016x}\",",
-                    "\"provision_ms\":{:.1},\"elapsed_ms\":{:.1},",
-                    "\"hops_per_sec\":{:.0},\"hops_per_sec_per_core\":{:.0}}}"
+                    "{{\"n\":{},\"delivered\":{},\"hops\":{},\"fingerprint\":\"{:016x}\",",
+                    "\"provision_ms\":{:.1},\"elapsed_ms\":{:.1},\"hops_per_sec\":{:.0}}}"
                 ),
                 r.n,
-                r.shards,
-                r.workers,
                 r.delivered,
                 r.hops,
-                r.crossings,
                 r.fingerprint,
                 r.provision_ns as f64 / 1e6,
                 r.elapsed_ns as f64 / 1e6,
                 r.hops_per_sec(),
-                r.hops_per_sec_per_core(),
-            ));
-        }
-    }
+            )
+        })
+        .collect();
 
-    // The gated figure: alternating S=1/S=4 pairs so both medians see
-    // the same interference profile.
-    let mut one: Vec<u64> = Vec::new();
-    let mut four: Vec<u64> = Vec::new();
+    // The gated figure: the median run phase of five identical trials.
+    let mut elapsed: Vec<u64> = Vec::new();
     let mut hops = 0u64;
-    let mut cores = 1usize;
     for _ in 0..MEDIAN_REPS {
-        let a = simbench::sim_scale(&cfg_for(MEDIAN_N, 1));
-        let b = simbench::sim_scale(&cfg_for(MEDIAN_N, 4));
-        assert_eq!(a.fingerprint, b.fingerprint, "median probe diverged");
-        hops = b.hops;
-        cores = b.cores_used();
-        one.push(a.elapsed_ns);
-        four.push(b.elapsed_ns);
+        let r = simbench::sim_scale(&cfg_for(MEDIAN_N));
+        hops = r.hops;
+        elapsed.push(r.elapsed_ns);
     }
-    one.sort_unstable();
-    four.sort_unstable();
-    let one_ns = one[MEDIAN_REPS / 2] as f64;
-    let four_ns = four[MEDIAN_REPS / 2] as f64;
-    let sim_hops_per_sec_per_core = if four_ns > 0.0 {
-        hops as f64 * 1e9 / four_ns / cores as f64
+    elapsed.sort_unstable();
+    let median_ns = elapsed[MEDIAN_REPS / 2] as f64;
+    let sim_hops_per_sec_per_core = if median_ns > 0.0 {
+        hops as f64 * 1e9 / median_ns
     } else {
         0.0
     };
-    let scale_shard_speedup = if four_ns > 0.0 { one_ns / four_ns } else { 0.0 };
 
     ScaleReport {
         rows,
         sim_hops_per_sec_per_core,
-        scale_shard_speedup,
     }
 }
 
@@ -1077,8 +1035,8 @@ fn main() {
         oracle.speedup()
     );
     assert!(
-        scale.sim_hops_per_sec_per_core > 0.0 && scale.rows.len() == 6,
-        "scale sweep must land a per-core figure and all six rows"
+        scale.sim_hops_per_sec_per_core > 0.0 && scale.rows.len() == 3,
+        "scale sweep must land a per-core figure and all three rows"
     );
     assert!(
         qps > 0.0 && capacity_rate_milli > 0,

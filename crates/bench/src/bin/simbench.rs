@@ -1,5 +1,5 @@
 //! Simulator hop-throughput snapshot at n ∈ {128, 512, 2048}, plus a
-//! sharded scale sweep at n ∈ {2048, 32768, 100000, 1000000}.
+//! scale sweep at n ∈ {2048, 32768, 100000, 1000000}.
 //!
 //! One line of JSON per size: delivered-hop throughput of the
 //! zero-fault simulator with Algorithm 1 at its threshold locality
@@ -8,10 +8,10 @@
 //! Feeds the before/after table in `EXPERIMENTS.md`.
 //!
 //! The scale sweep runs the `k = 1` greedy ring-lattice workload under
-//! churn at shard counts 1 and 4, asserting the outcome fingerprints
-//! match — sharding must never change results, only wall-clock — and
-//! reports `hops_per_sec_per_core` per row. `--scale-smoke` shrinks
-//! the sweep's traffic for CI; `--skip-scale` drops it entirely.
+//! churn, one row per n, with build time, run time, hop throughput and
+//! an outcome fingerprint that hashes every route. `--scale-smoke`
+//! shrinks the sweep's traffic for CI (`scripts/verify.sh` pins its
+//! four fingerprints); `--skip-scale` drops it entirely.
 //!
 //! `--trace-out PATH` additionally re-runs each size with a recorder
 //! attached (level from `--trace-level`, default `metrics`) and writes
@@ -21,38 +21,31 @@
 
 use local_routing::{Alg1, LocalRouter};
 use locality_bench::simbench::{sim_scale, sim_throughput, sim_throughput_traced, ScaleConfig};
-use locality_sim::{driver, Level, Recorder};
+use locality_sim::{Level, Recorder};
 
 const MESSAGES: usize = 4096;
 const SEED: u64 = 42;
 const SIZES: [usize; 3] = [128, 512, 2048];
 const SCALE_SIZES: [usize; 4] = [2048, 32768, 100_000, 1_000_000];
-const SCALE_SHARDS: [usize; 2] = [1, 4];
 
-/// One scale row as a JSON object, with the per-core figure attached.
-fn scale_row(cfg: &ScaleConfig) -> (u64, String) {
+/// One scale row as a JSON object.
+fn scale_row(cfg: &ScaleConfig) -> String {
     let r = sim_scale(cfg);
-    let row = format!(
+    format!(
         concat!(
-            "{{\"n\":{},\"shards\":{},\"workers\":{},\"messages\":{},\"delivered\":{},",
-            "\"hops\":{},\"crossings\":{},\"fingerprint\":\"{:016x}\",",
-            "\"provision_ms\":{:.1},\"elapsed_ms\":{:.1},",
-            "\"hops_per_sec\":{:.0},\"hops_per_sec_per_core\":{:.0}}}"
+            "{{\"n\":{},\"messages\":{},\"delivered\":{},\"hops\":{},",
+            "\"fingerprint\":\"{:016x}\",\"provision_ms\":{:.1},\"elapsed_ms\":{:.1},",
+            "\"hops_per_sec\":{:.0}}}"
         ),
         r.n,
-        r.shards,
-        r.workers,
         r.messages,
         r.delivered,
         r.hops,
-        r.crossings,
         r.fingerprint,
         r.provision_ns as f64 / 1e6,
         r.elapsed_ns as f64 / 1e6,
         r.hops_per_sec(),
-        r.hops_per_sec_per_core(),
-    );
-    (r.fingerprint, row)
+    )
 }
 
 fn main() {
@@ -119,27 +112,11 @@ fn main() {
     } else {
         SCALE_SIZES
             .into_iter()
-            .flat_map(|n| {
-                let mut fp_at_one: Option<u64> = None;
-                SCALE_SHARDS
-                    .into_iter()
-                    .map(|s| {
-                        let mut cfg = ScaleConfig::for_n(n);
-                        cfg.messages = scale_messages;
-                        cfg.churn = true;
-                        cfg.shards = s;
-                        cfg.workers = if s > 1 { driver::default_threads() } else { 1 };
-                        let (fp, row) = scale_row(&cfg);
-                        match fp_at_one {
-                            None => fp_at_one = Some(fp),
-                            Some(base) => assert_eq!(
-                                fp, base,
-                                "simbench: n={n} outcomes diverge at {s} shards"
-                            ),
-                        }
-                        row
-                    })
-                    .collect::<Vec<_>>()
+            .map(|n| {
+                let mut cfg = ScaleConfig::for_n(n);
+                cfg.messages = scale_messages;
+                cfg.churn = true;
+                scale_row(&cfg)
             })
             .collect()
     };

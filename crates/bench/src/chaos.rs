@@ -101,7 +101,6 @@ impl SoakReport {
 /// Drives one router through the storm: the same seeded fault plan and
 /// the same seeded traffic for every caller, so reports are comparable
 /// across routers.
-#[allow(clippy::too_many_arguments)] // internal fan-out target; every arg is per-trial state
 fn soak(
     g: &Graph,
     k: u32,
@@ -110,7 +109,6 @@ fn soak(
     seed: u64,
     trace: Option<Level>,
     artifact: Option<Arc<ViewArtifact>>,
-    shards: usize,
 ) -> SoakReport {
     let plan = FaultPlan::random_churn(
         g,
@@ -119,8 +117,7 @@ fn soak(
     );
     let mut b = NetworkBuilder::new(g, k)
         .faults(fault_config(seed))
-        .fault_plan(plan)
-        .shards(shards.max(1));
+        .fault_plan(plan);
     if let Some(level) = trace {
         b = b.recorder(Recorder::new(level));
     }
@@ -213,7 +210,7 @@ pub fn report_with_trace_threads(
     trace: Option<Level>,
     threads: usize,
 ) -> (String, Vec<u8>) {
-    let (json, blocks) = run(seed, trace, threads, None, 1);
+    let (json, blocks) = run(seed, trace, threads, None);
     (json, blocks.concat())
 }
 
@@ -230,7 +227,7 @@ pub fn report_with_trace_striped(
     stripes: usize,
 ) -> (String, Vec<Vec<u8>>) {
     let stripes = stripes.max(1);
-    let (json, blocks) = run(seed, trace, driver::default_threads(), None, 1);
+    let (json, blocks) = run(seed, trace, driver::default_threads(), None);
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); stripes];
     for (i, block) in blocks.iter().enumerate() {
         if let Some(stripe) = out.get_mut(i % stripes) {
@@ -238,21 +235,6 @@ pub fn report_with_trace_striped(
         }
     }
     (json, out)
-}
-
-/// [`report_with_trace`] with every storm's network partitioned into
-/// `shards`. The JSON is byte-identical to the unsharded report — the
-/// sharded engine's merge order reproduces the single-wheel schedule
-/// exactly — and the trace differs only by the trailing per-shard
-/// gauges each trial flushes. `scripts/verify.sh` diffs the S = 4
-/// report against the S = 1 golden to pin this end to end.
-pub fn report_with_trace_sharded(
-    seed: u64,
-    trace: Option<Level>,
-    shards: usize,
-) -> (String, Vec<u8>) {
-    let (json, blocks) = run(seed, trace, driver::default_threads(), None, shards);
-    (json, blocks.concat())
 }
 
 /// The seed's soak topology — the graph `bin/oracle build
@@ -289,7 +271,7 @@ pub fn report_with_artifacts(
     for a in artifacts.values() {
         a.ensure_matches(&g, a.k())?;
     }
-    Ok(run(seed, None, driver::default_threads(), Some(artifacts), 1).0)
+    Ok(run(seed, None, driver::default_threads(), Some(artifacts)).0)
 }
 
 /// Builds one trial block: the `{"ev":"trial"}` header line followed
@@ -333,23 +315,13 @@ fn run(
     trace: Option<Level>,
     threads: usize,
     artifacts: Option<&BTreeMap<u32, Arc<ViewArtifact>>>,
-    shards: usize,
 ) -> (String, Vec<Vec<u8>>) {
     let g = topology(seed);
     let trials = trials();
 
     let rendered = driver::run_trials(&trials, threads, |_, &(name, k, is_sweep)| {
         let artifact = artifacts.and_then(|m| m.get(&k)).cloned();
-        let r = soak(
-            &g,
-            k,
-            router_by_name(name),
-            name,
-            seed,
-            trace,
-            artifact,
-            shards,
-        );
+        let r = soak(&g, k, router_by_name(name), name, seed, trace, artifact);
         let json = if is_sweep {
             format!(
                 "{{\"k\":{},\"delivery_ratio\":{:.4},\"delivered\":{},\"sent\":{},\"retries\":{}}}",

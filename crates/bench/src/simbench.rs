@@ -10,6 +10,12 @@
 //! The traffic is batched — `BATCH` sends, then four ticks of
 //! progress, repeated — so the scheduler carries a realistic mix of
 //! near-future arrival ticks instead of one giant tick-zero burst.
+//!
+//! [`sim_scale`] is the scale sweep's trial: a ring lattice of up to
+//! 10⁶ nodes under churn, stepped on one thread, timed separately for
+//! provisioning and the run phase, with a fingerprint of every route.
+//! `bin/perfsmoke` gates its median hops per second at n = 32768 as
+//! `sim_hops_per_sec_per_core`.
 
 // Wall-clock measurement is the point here, exactly as in `timing`;
 // the workspace `std::time` ban protects routing determinism, not the
@@ -139,10 +145,6 @@ pub struct ScaleConfig {
     /// Target-offset window: destinations are `1..=window` ring
     /// positions ahead of the source.
     pub window: u32,
-    /// Shard count for the partitioned engine (1 = historical engine).
-    pub shards: usize,
-    /// Speculation workers (threads engage only when `shards > 1`).
-    pub workers: usize,
     /// Whether to lay a seeded churn plan (link flaps + crashes) with
     /// source-side timeout/retry over the run.
     pub churn: bool,
@@ -152,15 +154,13 @@ pub struct ScaleConfig {
 
 impl ScaleConfig {
     /// The sweep's default shape at `n`: degree-16 lattice, 4096
-    /// messages over a 512-wide window, unsharded, no churn, seed 42.
+    /// messages over a 512-wide window, no churn, seed 42.
     pub fn for_n(n: usize) -> ScaleConfig {
         ScaleConfig {
             n,
             chords: 8,
             messages: 4096,
             window: 512,
-            shards: 1,
-            workers: 1,
             churn: false,
             seed: 42,
         }
@@ -172,10 +172,6 @@ impl ScaleConfig {
 pub struct ScaleRun {
     /// Node count probed.
     pub n: usize,
-    /// Shard count the trial ran at.
-    pub shards: usize,
-    /// Speculation workers configured.
-    pub workers: usize,
     /// Messages injected.
     pub messages: usize,
     /// Messages delivered.
@@ -186,60 +182,36 @@ pub struct ScaleRun {
     pub elapsed_ns: u64,
     /// Wall-clock of build + provisioning, in nanoseconds.
     pub provision_ns: u64,
-    /// Cross-shard transmissions (0 at `shards == 1`).
-    pub crossings: u64,
     /// FNV-1a digest of every message record in injection order: its
     /// fate (see [`fate_code`]), delivery tick and retry count, and
     /// every node on the path of its last attempt. Equal fingerprints
-    /// mean every message took the same route to the same end, so the
-    /// sweep can compare runs across shard counts, and a change can
-    /// compare its runs with its parent's, route by route.
+    /// mean every message took the same route to the same end, so a
+    /// change can compare its runs with its parent's, route by route.
     pub fingerprint: u64,
 }
 
 impl ScaleRun {
-    /// Message-hops per second, aggregate across all cores.
+    /// Message-hops per second of the run phase, on the one thread
+    /// that steps the trial.
     pub fn hops_per_sec(&self) -> f64 {
         if self.elapsed_ns == 0 {
             return 0.0;
         }
         self.hops as f64 * 1e9 / self.elapsed_ns as f64
     }
-
-    /// Cores the run could actually occupy: speculation threads only
-    /// engage when both the shard and worker counts exceed one, and
-    /// never more than the machine offers.
-    pub fn cores_used(&self) -> usize {
-        if self.shards <= 1 || self.workers <= 1 {
-            return 1;
-        }
-        self.shards
-            .min(self.workers)
-            .min(locality_sim::driver::default_threads())
-            .max(1)
-    }
-
-    /// Aggregate throughput normalised by occupied cores — the
-    /// `sim_hops_per_sec_per_core` figure `bin/perfsmoke` baselines.
-    pub fn hops_per_sec_per_core(&self) -> f64 {
-        self.hops_per_sec() / self.cores_used() as f64
-    }
 }
 
 /// Runs one [`ScaleConfig`] trial and measures hop throughput.
 ///
 /// Everything but the two `*_ns` fields is a pure function of the
-/// config — the fingerprint in particular is identical at every shard
-/// and worker count, which the simbench sweep asserts.
+/// config; `scripts/verify.sh` pins the smoke sweep's fingerprints.
 pub fn sim_scale(cfg: &ScaleConfig) -> ScaleRun {
     use locality_sim::fault::{ChurnConfig, FaultConfig, FaultPlan};
 
     let g = generators::ring_lattice(cfg.n, cfg.chords);
     let router = local_routing::baselines::RingGreedy::new(cfg.n as u32);
     let build_start = Instant::now();
-    let mut b = NetworkBuilder::new(&g, 1)
-        .shards(cfg.shards)
-        .shard_workers(cfg.workers);
+    let mut b = NetworkBuilder::new(&g, 1);
     if cfg.churn {
         b = b
             .faults(FaultConfig {
@@ -290,14 +262,11 @@ pub fn sim_scale(cfg: &ScaleConfig) -> ScaleRun {
     }
     ScaleRun {
         n: cfg.n,
-        shards: net.shard_count(),
-        workers: cfg.workers,
         messages: net.records().len(),
         delivered,
         hops,
         elapsed_ns,
         provision_ns,
-        crossings: net.shard_stats().total_crossings(),
         fingerprint,
     }
 }
@@ -366,22 +335,18 @@ mod tests {
     }
 
     #[test]
-    fn scale_run_fingerprint_is_shard_invariant() {
+    fn scale_run_fingerprint_is_pinned() {
+        // The n = 2048 churn run: every route, fate, delivery tick and
+        // retry count hashes to the value the engine has produced
+        // since the fingerprint began hashing paths.
         let mut cfg = ScaleConfig::for_n(2048);
         cfg.messages = 256;
         cfg.churn = true;
-        let base = sim_scale(&cfg);
-        assert!(base.delivered > 0);
-        assert_eq!(base.crossings, 0, "one shard cannot cross");
-        for s in [2usize, 4] {
-            let mut c = cfg;
-            c.shards = s;
-            let run = sim_scale(&c);
-            assert_eq!(run.fingerprint, base.fingerprint, "outcome drift at S={s}");
-            assert_eq!(run.hops, base.hops, "hop drift at S={s}");
-            assert_eq!(run.delivered, base.delivered);
-            assert!(run.crossings > 0, "windowed traffic must cross at S={s}");
-        }
+        let run = sim_scale(&cfg);
+        assert_eq!(run.fingerprint, 0x302e_1a97_bf1e_3031, "outcome drift");
+        assert_eq!(run.hops, 8307);
+        assert_eq!(run.delivered, 256);
+        assert_eq!(run.messages, 256);
     }
 
     #[test]
@@ -410,8 +375,7 @@ mod tests {
         cfg.messages = 128;
         let r = sim_scale(&cfg);
         assert_eq!(r.delivered, r.messages);
-        assert_eq!(r.cores_used(), 1, "unsharded runs occupy one core");
-        assert!(r.hops_per_sec_per_core() > 0.0);
+        assert!(r.hops_per_sec() > 0.0);
     }
 
     #[test]

@@ -24,6 +24,14 @@ fn chaos_unknown_flag_exits_nonzero_with_usage() {
 }
 
 #[test]
+fn chaos_shards_is_an_unknown_flag() {
+    let out = run(env!("CARGO_BIN_EXE_chaos"), &["--shards", "4"]);
+    assert_usage_failure(&out, "chaos --shards 4");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag '--shards'"), "stderr: {err}");
+}
+
+#[test]
 fn chaos_malformed_seed_exits_nonzero_with_usage() {
     let out = run(env!("CARGO_BIN_EXE_chaos"), &["--seed", "twelve"]);
     assert_usage_failure(&out, "chaos --seed twelve");

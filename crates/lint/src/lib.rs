@@ -47,8 +47,10 @@
 //!   `core::view` step tables, `core::visited`, `graph::codec` decode)
 //!   outside setup constructors.
 //! * **R7 lock discipline** — no `Mutex`/`RwLock` acquisition or
-//!   blocking I/O reachable from the simulator's per-tick step path —
-//!   the precondition for sharding the simulator.
+//!   blocking I/O reachable from the simulator's per-tick step path:
+//!   the trial driver runs trials side by side on threads, and a lock
+//!   or a blocking call there would let one trial stall another, so a
+//!   trial's cost would no longer be its own work.
 //!
 //! Known-good exceptions live in the checked-in [`allow`]list
 //! (`lint.allow`), one justified `rule | file | sym=<symbol> | why`

@@ -223,7 +223,6 @@ pub const R2_SIM_FILES: &[&str] = &[
     "crates/sim/src/driver.rs",
     "crates/sim/src/workload.rs",
     "crates/sim/src/admission.rs",
-    "crates/sim/src/shard.rs",
 ];
 
 const R1_IDENTS: &[&str] = &["Graph", "GraphBuilder", "EmbeddedGraph"];

@@ -154,7 +154,6 @@ const R6_FILES: &[&str] = &[
     "crates/sim/src/driver.rs",
     "crates/sim/src/workload.rs",
     "crates/sim/src/admission.rs",
-    "crates/sim/src/shard.rs",
     // Per-hop loop detection for the engine and the simulator.
     "crates/core/src/visited.rs",
     // The chunked trace reader: its per-line loop runs once per event
@@ -176,12 +175,6 @@ const R7_STEP_FNS: &[&str] = &[
     "drain_arrivals",
     "decide",
     "apply_decision",
-    "schedule_arrival",
-    "slab_alloc",
-    "slab_free",
-    "shard_of",
-    "hop_ctx",
-    "overflow_ticks_distinct",
     "emit_hop",
     "set_fate",
     "transmit",
@@ -195,7 +188,6 @@ const R7_STEP_FNS: &[&str] = &[
 const R7_FILES: &[&str] = &[
     "crates/sim/src/sched.rs",
     "crates/sim/src/slab.rs",
-    "crates/sim/src/shard.rs",
     "crates/core/src/visited.rs",
 ];
 const R7_NETWORK: &str = "crates/sim/src/network.rs";
@@ -1065,7 +1057,7 @@ impl Workspace {
                     symbol: f.def.name.clone(),
                     message: format!(
                         "step-path fn `{}` uses {what}; the per-tick path must stay lock- and \
-                         blocking-free (sharded-simulator precondition)",
+                         blocking-free (trials run side by side on the trial driver's threads)",
                         self.qname(id),
                     ),
                     raw_line: self.line_text(f.file, *line).trim().to_string(),

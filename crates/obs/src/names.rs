@@ -35,27 +35,3 @@ pub const ADMISSION_PEAK_LIVE: &str = "admission.peak_live";
 /// Gauge: admission decisions taken, i.e. injections attempted while a
 /// non-open policy was active (emitted only when one is configured).
 pub const ADMISSION_DECISIONS: &str = "admission.decisions";
-
-/// Gauge: number of shards the trial was partitioned across (emitted
-/// only when the count exceeds one, so single-shard traces stay
-/// byte-identical to the pre-sharding goldens — the same discipline as
-/// the oracle and admission gauges above).
-pub const SHARD_COUNT: &str = "shard.count";
-
-/// Gauge: the largest per-shard wheel-occupancy high-water mark —
-/// `max` over shards of the peak number of occupied arrival-wheel
-/// slots, sampled at each tick barrier (emitted only when the shard
-/// count exceeds one). Per-shard detail is available programmatically
-/// via the simulator's `shard_stats`.
-pub const SHARD_WHEEL_OCCUPIED_HW: &str = "shard.wheel_occupied_hw";
-
-/// Gauge: the largest per-shard outbox-depth high-water mark — `max`
-/// over shards of the peak number of cross-shard arrivals staged into
-/// one shard within a single tick (emitted only when the shard count
-/// exceeds one).
-pub const SHARD_OUTBOX_DEPTH_HW: &str = "shard.outbox_depth_hw";
-
-/// Gauge: total cross-shard crossings — transmissions whose sending
-/// and receiving nodes live in different shards (emitted only when the
-/// shard count exceeds one).
-pub const SHARD_CROSSINGS: &str = "shard.crossings";

@@ -33,10 +33,16 @@ pub enum SimError {
     /// topology/locality the network is being built for, or failed to
     /// decode.
     Oracle(OracleError),
-    /// The custom node→shard assignment handed to
-    /// [`crate::NetworkBuilder::shard_map`] does not cover the node
-    /// set, or leaves a shard in its `0..=max` range empty.
-    ShardMap(String),
+    /// [`crate::NetworkBuilder::shards`] or
+    /// [`crate::NetworkBuilder::shard_workers`] was given a value other
+    /// than 1: a trial runs on one thread, one timing wheel and one
+    /// arrival arena.
+    ShardOption {
+        /// The builder method that was called.
+        option: &'static str,
+        /// The value it was given.
+        value: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -50,7 +56,9 @@ impl fmt::Display for SimError {
                 write!(f, "node {u} is not provisioned in this network")
             }
             SimError::Oracle(e) => write!(f, "oracle artifact rejected: {e}"),
-            SimError::ShardMap(why) => write!(f, "invalid shard map: {why}"),
+            SimError::ShardOption { option, value } => {
+                write!(f, "{option}({value}) is not supported: only 1 is accepted")
+            }
         }
     }
 }
@@ -60,9 +68,9 @@ impl std::error::Error for SimError {
         match self {
             SimError::Topology(e) => Some(e),
             SimError::Oracle(e) => Some(e),
-            SimError::WouldDisconnect(..) | SimError::UnknownNode(..) | SimError::ShardMap(..) => {
-                None
-            }
+            SimError::WouldDisconnect(..)
+            | SimError::UnknownNode(..)
+            | SimError::ShardOption { .. } => None,
         }
     }
 }

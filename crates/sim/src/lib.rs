@@ -46,7 +46,6 @@ mod network;
 mod node;
 pub mod replay;
 pub mod sched;
-pub mod shard;
 pub mod slab;
 pub mod workload;
 
@@ -60,7 +59,6 @@ pub use fault::{
 pub use metrics::{MessageFate, MessageRecord, NetworkMetrics};
 pub use network::{MessageId, Network, NetworkBuilder, Provisioner};
 pub use node::SimNode;
-pub use shard::ShardStats;
 // Re-exported so callers attaching a recorder need no direct
 // `locality_obs` dependency.
 pub use locality_obs::{Level, Recorder};

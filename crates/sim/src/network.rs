@@ -17,21 +17,12 @@ use locality_graph::{Graph, GraphError, NodeId};
 use locality_obs::{Level, Recorder};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionVerdict, SaturationSample};
-use crate::driver;
 use crate::error::SimError;
 use crate::fault::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan, LinkKey};
 use crate::metrics::{MessageFate, MessageRecord, NetworkMetrics};
 use crate::node::SimNode;
 use crate::sched::Wheel;
-use crate::shard::{build_partition, Shard, ShardStats};
-use crate::slab::ArrivalData;
-
-/// Smallest same-tick arrival batch worth fanning out to worker
-/// threads. Below this the per-thread spawn cost dominates; the
-/// threshold is a pure function of batch size, so the (provably
-/// result-identical) inline and threaded paths interleave
-/// deterministically.
-const SHARD_PAR_MIN_BATCH: usize = 32;
+use crate::slab::{ArrivalData, ArrivalSlab};
 
 /// Handle to a message injected into a [`Network`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -78,7 +69,6 @@ pub struct NetworkBuilder {
     provisioner: Provisioner,
     admission: AdmissionConfig,
     shards: usize,
-    shard_map: Option<Vec<u32>>,
     shard_workers: usize,
 }
 
@@ -95,42 +85,25 @@ impl NetworkBuilder {
             provisioner: Provisioner::Bfs,
             admission: AdmissionConfig::default(),
             shards: 1,
-            shard_map: None,
-            shard_workers: driver::default_threads(),
+            shard_workers: 1,
         }
     }
 
-    /// Partitions the trial across `s` shards, each with its own
-    /// timing wheel and arrival arena (default 1 — the unsharded
-    /// engine). Nodes are assigned contiguous id blocks; results are
-    /// **byte-identical at any shard count**: every scheduled arrival
-    /// carries a global sequence number, and the per-shard wheels are
-    /// drained and merged by it at each tick barrier, reproducing the
-    /// single-wheel FIFO order exactly. Clamped to `[1, n]`.
+    /// Compatibility shim: a trial runs on one timing wheel and one
+    /// arrival arena, so 1 (the default) is the only shard count.
+    /// [`try_build`](Self::try_build) rejects any other value with
+    /// [`SimError::ShardOption`].
     pub fn shards(mut self, s: usize) -> NetworkBuilder {
-        self.shards = s.max(1);
+        self.shards = s;
         self
     }
 
-    /// Installs an explicit node→shard assignment instead of the
-    /// contiguous default (shard count = `1 + max(map)`). Determinism
-    /// does not depend on the partition, so this is mostly a test
-    /// seam (the equivariance suite runs permuted partitions); it also
-    /// lets a caller co-locate hot communities. Validated by
-    /// [`try_build`](Self::try_build): the map must have one entry per
-    /// node and use a gapless `0..=max` shard range.
-    pub fn shard_map(mut self, map: Vec<u32>) -> NetworkBuilder {
-        self.shard_map = Some(map);
-        self
-    }
-
-    /// Caps the worker threads used for the speculation phase of a
-    /// sharded step (default: the trial driver's thread count). With
-    /// one shard, one worker, or a batch under the fan-out threshold
-    /// the engine stays inline; either way the results are identical,
-    /// so this is purely a cost knob.
+    /// Compatibility shim: a trial steps on one thread, so 1 (the
+    /// default) is the only worker count.
+    /// [`try_build`](Self::try_build) rejects any other value with
+    /// [`SimError::ShardOption`].
     pub fn shard_workers(mut self, workers: usize) -> NetworkBuilder {
-        self.shard_workers = workers.max(1);
+        self.shard_workers = workers;
         self
     }
 
@@ -190,28 +163,33 @@ impl NetworkBuilder {
     /// # Panics
     ///
     /// Panics if the configured [`Provisioner::Oracle`] artifact does
-    /// not match the topology; [`try_build`](Self::try_build) is the
-    /// non-panicking form.
+    /// not match the topology, or if [`shards`](Self::shards) or
+    /// [`shard_workers`](Self::shard_workers) is not 1;
+    /// [`try_build`](Self::try_build) is the non-panicking form.
     pub fn build<R: LocalRouter + Send + Sync + 'static>(self, router: R) -> Network {
-        self.try_build(router)
-            .expect("provisioner artifact matches the topology")
+        self.try_build(router).expect(
+            "provisioner artifact matches the topology and shard options are 1; try_build returns the typed error",
+        )
     }
 
     /// Like [`build`](Self::build), but rejects a mismatched or
-    /// corrupt oracle artifact with [`SimError::Oracle`] (or an
-    /// invalid [`shard_map`](Self::shard_map) with
-    /// [`SimError::ShardMap`]) instead of panicking. With
-    /// [`Provisioner::Bfs`] and default sharding this never fails.
+    /// corrupt oracle artifact with [`SimError::Oracle`], and a shard
+    /// or worker count other than 1 with [`SimError::ShardOption`],
+    /// instead of panicking. With [`Provisioner::Bfs`] and the default
+    /// options this never fails.
     pub fn try_build<R: LocalRouter + Send + Sync + 'static>(
         self,
         router: R,
     ) -> Result<Network, SimError> {
+        for (option, value) in [
+            ("shards", self.shards),
+            ("shard_workers", self.shard_workers),
+        ] {
+            if value != 1 {
+                return Err(SimError::ShardOption { option, value });
+            }
+        }
         let n = self.graph.node_count();
-        let shard_map = match self.shard_map {
-            Some(map) => validate_shard_map(map, n)?,
-            None => build_partition(n, self.shards),
-        };
-        let shard_count = shard_map.iter().max().map_or(1, |&m| m as usize + 1);
         let views = match self.provisioner {
             Provisioner::Bfs => ViewStore::new(&self.graph, self.k),
             Provisioner::Oracle(artifact) => {
@@ -247,13 +225,8 @@ impl NetworkBuilder {
             nodes,
             views,
             router: Box::new(router),
-            shards: (0..shard_count).map(|_| Shard::new()).collect(),
-            shard_map,
-            seq: 0,
-            workers: self.shard_workers,
-            arrivals_scratch: Vec::new(),
-            live_now: 0,
-            live_hw: 0,
+            events: Wheel::new(),
+            slab: ArrivalSlab::new(),
             fault_schedule,
             reprovision_at: Wheel::new(),
             timers: Wheel::new(),
@@ -272,28 +245,6 @@ impl NetworkBuilder {
             trace: self.recorder.map(Box::new),
         })
     }
-}
-
-/// Checks a custom shard map: one entry per node, gapless `0..=max`
-/// shard range (every shard owns at least one node).
-fn validate_shard_map(map: Vec<u32>, n: usize) -> Result<Vec<u32>, SimError> {
-    if map.len() != n {
-        return Err(SimError::ShardMap(format!(
-            "map has {} entries for {n} nodes",
-            map.len()
-        )));
-    }
-    let count = map.iter().max().map_or(1, |&m| m as usize + 1);
-    let mut seen = vec![false; count];
-    for &s in &map {
-        seen[s as usize] = true;
-    }
-    if let Some(hole) = seen.iter().position(|&x| !x) {
-        return Err(SimError::ShardMap(format!(
-            "shard {hole} of {count} owns no node"
-        )));
-    }
-    Ok(map)
 }
 
 /// Per-message simulator-side state that is not part of the observable
@@ -327,24 +278,11 @@ pub struct Network {
     /// replace only the dirty slots.
     views: ViewStore,
     router: Box<dyn LocalRouter + Send + Sync>,
-    /// The trial's shards: each owns an arrival wheel + arena for the
-    /// nodes `shard_map` assigns to it. One shard = today's engine.
-    shards: Vec<Shard>,
-    /// `shard_map[u.index()]`: the shard owning node `u`.
-    shard_map: Vec<u32>,
-    /// Global schedule counter stamped onto every arrival. Bumped only
-    /// in sequential code, so merging drained per-shard batches by it
-    /// reproduces the single-wheel FIFO order exactly.
-    seq: u64,
-    /// Worker-thread cap for the sharded speculation phase.
-    workers: usize,
-    /// Reused merge buffer for same-tick `(seq, shard, handle)` drains.
-    arrivals_scratch: Vec<(u64, u32, u32)>,
-    /// Live transmissions across all shard arenas, tracked globally so
-    /// the high-water mark is partition-independent.
-    live_now: usize,
-    /// Peak of `live_now` — the trace's `slab.high_water` gauge.
-    live_hw: usize,
+    /// Arrivals due at each tick, as slab handles, FIFO per tick.
+    events: Wheel<u32>,
+    /// Arena of in-flight transmissions; its high-water mark is the
+    /// trace's `slab.high_water` gauge.
+    slab: ArrivalSlab,
     fault_schedule: Wheel<FaultEvent>,
     /// Stale-view wave: nodes due to re-provision at a tick (deduped
     /// and sorted when the tick fires).
@@ -352,9 +290,9 @@ pub struct Network {
     /// Source-side timeout checks (message indices) due at a tick.
     timers: Wheel<u32>,
     /// Messages parked on a down link under [`DeadLinkPolicy::Queue`],
-    /// FIFO per link as `(shard, handle)`, released when the link
-    /// comes back.
-    parked: BTreeMap<LinkKey, VecDeque<(u32, u32)>>,
+    /// FIFO per link as slab handles, released when the link comes
+    /// back.
+    parked: BTreeMap<LinkKey, VecDeque<u32>>,
     cfg: FaultConfig,
     rng: DetRng,
     messages: Vec<MessageRecord>,
@@ -501,68 +439,25 @@ impl Network {
             self.set_fate(id as usize, MessageFate::Rejected, Some("admission"));
             return Ok(MessageId(id));
         }
-        let sh = self.shard_of(s);
-        let h = self.slab_alloc(sh, id as u32, s, None, 0);
-        self.schedule_arrival(self.tick, sh, h);
+        let h = self.slab.alloc(id as u32, s, None, 0);
+        self.events.schedule(self.tick, h);
         if let Some(timeout) = self.cfg.timeout {
             self.timers.schedule(self.tick + timeout, id as u32);
         }
         Ok(MessageId(id))
     }
 
-    /// The shard owning node `u`.
-    fn shard_of(&self, u: NodeId) -> usize {
-        self.shard_map.get(u.index()).copied().unwrap_or(0) as usize
-    }
-
-    /// Allocates a transmission in `shard`'s arena, tracking the
-    /// global (partition-independent) live count and high-water mark.
-    fn slab_alloc(
-        &mut self,
-        shard: usize,
-        msg: u32,
-        at: NodeId,
-        from: Option<NodeId>,
-        attempt: u32,
-    ) -> u32 {
-        let h = self.shards[shard].slab.alloc(msg, at, from, attempt);
-        self.live_now += 1;
-        self.live_hw = self.live_hw.max(self.live_now);
-        h
-    }
-
-    /// Frees a transmission from `shard`'s arena.
-    fn slab_free(&mut self, shard: usize, h: u32) {
-        self.shards[shard].slab.free(h);
-        self.live_now -= 1;
-    }
-
-    /// Stamps the next global sequence number onto an arrival and
-    /// schedules it on its shard's wheel. Every schedule site runs in
-    /// sequential code, so sequence order *is* the order a single
-    /// merged wheel would have drained same-tick arrivals in.
-    fn schedule_arrival(&mut self, when: u64, shard: usize, h: u32) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.shards[shard].events.schedule(when, (seq, h));
-    }
-
     /// The controller's inputs right now: in-flight arena occupancy
-    /// and the arrival wheels' ring occupancy (any overflow counts as
-    /// a full ring — the window is saturated by definition). The shard
-    /// wheels advance in lockstep, so OR-ing their occupancy words
-    /// yields exactly the single merged wheel's occupied-slot count at
-    /// any shard count.
+    /// and the arrival wheel's ring occupancy (any overflow counts as
+    /// a full ring — the window is saturated by definition).
     fn saturation_sample(&self) -> SaturationSample {
-        let mut occ = 0u64;
-        let mut overflow = 0usize;
-        for sh in &self.shards {
-            occ |= sh.events.occupancy_word();
-            overflow += sh.events.overflow_len();
-        }
-        let wheel_occupied = if overflow > 0 { 64 } else { occ.count_ones() };
+        let wheel_occupied = if self.events.overflow_len() > 0 {
+            64
+        } else {
+            self.events.occupied_slots()
+        };
         SaturationSample {
-            live: self.live_now,
+            live: self.slab.live(),
             wheel_occupied,
         }
     }
@@ -590,19 +485,15 @@ impl Network {
 
     /// The earliest tick at which anything is scheduled.
     fn next_event_time(&self) -> Option<u64> {
-        let global = [
+        [
             self.fault_schedule.next_tick(),
             self.reprovision_at.next_tick(),
+            self.events.next_tick(),
             self.timers.next_tick(),
         ]
         .into_iter()
         .flatten()
-        .min();
-        self.shards
-            .iter()
-            .filter_map(|sh| sh.events.next_tick())
-            .chain(global)
-            .min()
+        .min()
     }
 
     /// Runs one tick: advances the clock to the earliest scheduled
@@ -616,15 +507,9 @@ impl Network {
         self.tick = self.tick.max(when);
         // `when` is the global minimum, so every wheel may slide its
         // window up to it (migrating far-future overflow on the way).
-        // The shard wheels advance in lockstep — the tick barrier —
-        // which keeps their windows aligned for the occupancy union.
         self.fault_schedule.advance_to(when);
         self.reprovision_at.advance_to(when);
-        for sh in &mut self.shards {
-            sh.events.advance_to(when);
-            sh.begin_tick();
-            sh.note_occupancy();
-        }
+        self.events.advance_to(when);
         self.timers.advance_to(when);
         let mut count = 0;
         let evs = self.fault_schedule.take(when);
@@ -655,20 +540,7 @@ impl Network {
         }
         // End-of-tick engine telemetry: per-phase activity counters and
         // scheduler/arena occupancy samples, aggregated in the metrics
-        // registry (no event lines on the hot path). Each sample is the
-        // value a single merged wheel/arena would report, so traces are
-        // shard-count-independent.
-        let mut occ = 0u64;
-        for sh in &self.shards {
-            occ |= sh.events.occupancy_word();
-        }
-        let wheel_occupied = u64::from(occ.count_ones());
-        let wheel_overflow = if self.trace.is_some() {
-            self.overflow_ticks_distinct() as i64
-        } else {
-            0
-        };
-        let slab_live = self.live_now as i64;
+        // registry (no event lines on the hot path).
         if let Some(rec) = self.trace.as_deref_mut() {
             if rec.enabled(Level::Metrics) {
                 rec.inc("sim.ticks", 1);
@@ -677,9 +549,12 @@ impl Network {
                 rec.inc("phase.arrivals", n_arrivals as u64);
                 rec.inc("phase.timers", n_timers as u64);
                 rec.observe("tick.items", count as u64);
-                rec.observe("wheel.events.occupied", wheel_occupied);
-                rec.gauge_max("wheel.events.overflow", wheel_overflow);
-                rec.gauge_max("slab.live", slab_live);
+                rec.observe(
+                    "wheel.events.occupied",
+                    u64::from(self.events.occupied_slots()),
+                );
+                rec.gauge_max("wheel.events.overflow", self.events.overflow_len() as i64);
+                rec.gauge_max("slab.live", self.slab.live() as i64);
             }
         }
         self.tick += 1;
@@ -755,106 +630,28 @@ impl Network {
         }
     }
 
-    /// Distinct far-future ticks across every shard's overflow band —
-    /// the value one merged wheel's `overflow_len` would report.
-    fn overflow_ticks_distinct(&self) -> usize {
-        if self.shards.len() == 1 {
-            return self.shards[0].events.overflow_len();
-        }
-        let mut ticks: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|sh| sh.events.overflow_ticks())
-            .collect();
-        ticks.sort_unstable();
-        ticks.dedup();
-        ticks.len()
-    }
-
-    /// The arrival phase of one tick: drain every shard's wheel at the
-    /// barrier, merge the batches by global sequence number (the
-    /// strided-merge trick the trial driver uses across trials, here
-    /// applied *inside* one trial), then run each arrival through a
-    /// read-only speculation ([`HopCtx::decide`]) and a sequential
-    /// apply ([`apply_decision`](Self::apply_decision)) in sequence
-    /// order. Speculation touches nothing mutable, so a large batch on
-    /// a multi-shard network fans out to worker threads; the apply
-    /// phase replays every mutation (frees, allocs, RNG loss draws,
-    /// trace events) in exactly the order the unsharded engine
-    /// produced them, so both paths — and every shard count — are
-    /// byte-identical. Returns the number of arrivals processed.
+    /// The arrival phase of one tick: each arrival due at `when`, in
+    /// the FIFO order it was scheduled, is decided read-only from the
+    /// node's view ([`decide`](Self::decide)) and then applied
+    /// ([`apply_decision`](Self::apply_decision)). Returns the number
+    /// of arrivals processed.
     fn drain_arrivals(&mut self, when: u64) -> usize {
-        let mut merged = std::mem::take(&mut self.arrivals_scratch);
-        merged.clear();
-        for (i, sh) in self.shards.iter_mut().enumerate() {
-            for (seq, h) in sh.events.take(when) {
-                merged.push((seq, i as u32, h));
-            }
+        let due = self.events.take(when);
+        for &h in &due {
+            let d = self.decide(h);
+            self.apply_decision(h, d);
         }
-        if self.shards.len() > 1 {
-            // Per-shard batches are FIFO ⇒ seq-sorted; the merge just
-            // interleaves them (seqs are unique by construction).
-            merged.sort_unstable();
-        }
-        let n = merged.len();
-        let threaded = self.shards.len() > 1 && self.workers > 1 && n >= SHARD_PAR_MIN_BATCH;
-        if threaded {
-            let decisions = {
-                let ctx = self.hop_ctx();
-                driver::run_trials(&merged, self.workers, |_, &(_, sh, h)| {
-                    ctx.decide(sh as usize, h)
-                })
-            };
-            for (&(_, sh, h), d) in merged.iter().zip(decisions) {
-                self.apply_decision(sh as usize, h, d);
-            }
-        } else {
-            for &(_, sh, h) in &merged {
-                let d = self.hop_ctx().decide(sh as usize, h);
-                self.apply_decision(sh as usize, h, d);
-            }
-        }
-        self.arrivals_scratch = merged;
-        n
+        due.len()
     }
 
-    /// The read-only view of the engine that [`HopCtx::decide`]
-    /// speculates against. Everything it can reach is stable for the
-    /// whole arrival phase: faults and re-provisions ran in earlier
-    /// phases of this tick, and the apply phase only mutates state
-    /// speculation does not read (message fates flip only for arrivals
-    /// in this very batch, of which at most one per message can be
-    /// non-stale — a message has at most one live transmission per
-    /// attempt, and staleness was decided in a prior tick's timer
-    /// phase).
-    fn hop_ctx(&self) -> HopCtx<'_> {
-        HopCtx {
-            graph: &self.graph,
-            views: &self.views,
-            crashed: &self.crashed,
-            messages: &self.messages,
-            states: &self.states,
-            shards: &self.shards,
-            router: self.router.as_ref(),
-            cfg: &self.cfg,
-            hop_budget: self.hop_budget,
-            predecessor_aware: self.router.awareness().predecessor,
-            traced_hops: self
-                .trace
-                .as_deref()
-                .is_some_and(|r| r.enabled(Level::Hops)),
-        }
-    }
-
-    /// Replays one speculated [`HopDecision`] against the real state,
-    /// in global sequence order. The mutation order inside each arm is
-    /// copied verbatim from the historical single-wheel `process`
+    /// Applies one [`HopDecision`] to the network. The mutation order
+    /// inside each arm is copied verbatim from the historical `process`
     /// (free before terminal handling, loop-state insert before the
     /// budget/decision arms, loss draw inside `transmit`), which is
     /// what keeps handle values, the RNG stream, and the trace
-    /// byte-identical at every shard count.
-    fn apply_decision(&mut self, shard: usize, h: u32, d: HopDecision) {
-        let ArrivalData { msg, at, from, .. } = self.shards[shard].slab.get(h);
+    /// byte-identical to it.
+    fn apply_decision(&mut self, h: u32, d: HopDecision) {
+        let ArrivalData { msg, at, from, .. } = self.slab.get(h);
         let msg = msg as usize;
         if matches!(d, HopDecision::ParkIncoming) {
             // Parked transmissions keep their handle.
@@ -862,13 +659,13 @@ impl Network {
             self.parked
                 .entry(LinkKey::new(f, at))
                 .or_default()
-                .push_back((shard as u32, h));
+                .push_back(h);
             return;
         }
-        self.slab_free(shard, h);
+        self.slab.free(h);
         // Arms past the loop check replay the loop-state insert that
-        // speculation only tested (it must succeed: the batch holds at
-        // most one non-stale arrival per message).
+        // `decide` only tested (it must succeed: a message has at most
+        // one live transmission per attempt).
         let record_seen = |net: &mut Network, msg: usize| {
             let pred = if net.router.awareness().predecessor {
                 from
@@ -876,7 +673,7 @@ impl Network {
                 None
             };
             let fresh = net.states[msg].visited.insert(at, pred);
-            debug_assert!(fresh, "speculated loop state already present");
+            debug_assert!(fresh, "decided loop state already present");
         };
         match d {
             HopDecision::Stale | HopDecision::ParkIncoming => {}
@@ -922,15 +719,11 @@ impl Network {
                 let attempt = self.states[msg].attempt;
                 self.messages[msg].path.push(next);
                 self.emit_hop(msg, at, next, from, rule, true);
-                let dst = self.shard_of(next);
-                let nh = self.slab_alloc(dst, msg as u32, next, Some(at), attempt);
-                if dst != shard {
-                    self.shards[dst].note_crossing();
-                }
+                let nh = self.slab.alloc(msg as u32, next, Some(at), attempt);
                 self.parked
                     .entry(LinkKey::new(at, next))
                     .or_default()
-                    .push_back((dst as u32, nh));
+                    .push_back(nh);
             }
             HopDecision::DropOutgoing => {
                 record_seen(self, msg);
@@ -1013,12 +806,10 @@ impl Network {
         }
         self.messages[msg].path.push(next);
         self.emit_hop(msg, at, next, from, rule, false);
-        let dst = self.shard_of(next);
-        let h = self.slab_alloc(dst, msg as u32, next, Some(at), self.states[msg].attempt);
-        if dst != self.shard_of(at) {
-            self.shards[dst].note_crossing();
-        }
-        self.schedule_arrival(self.tick + 1 + profile.extra_latency, dst, h);
+        let attempt = self.states[msg].attempt;
+        let h = self.slab.alloc(msg as u32, next, Some(at), attempt);
+        let when = self.tick + 1 + profile.extra_latency;
+        self.events.schedule(when, h);
     }
 
     /// The message vanished in transit (`why` ∈ `loss` / `dead_link` /
@@ -1062,9 +853,8 @@ impl Network {
                         .finish();
                 }
             }
-            let sh = self.shard_of(s);
-            let h = self.slab_alloc(sh, msg as u32, s, None, attempt);
-            self.schedule_arrival(self.tick + 1, sh, h);
+            let h = self.slab.alloc(msg as u32, s, None, attempt);
+            self.events.schedule(self.tick + 1, h);
             // Under the backoff-scale policy a saturated network
             // stretches the retry backoff, so reliability traffic
             // yields to first attempts instead of amplifying overload.
@@ -1172,8 +962,8 @@ impl Network {
             // A restored link delivers whatever was parked on it, in
             // FIFO order, starting next tick.
             if let Some(q) = self.parked.remove(&LinkKey::new(a, b)) {
-                for (sh, h) in q {
-                    self.schedule_arrival(self.tick + 1, sh as usize, h);
+                for h in q {
+                    self.events.schedule(self.tick + 1, h);
                 }
             }
         } else {
@@ -1259,12 +1049,8 @@ impl Network {
     pub fn finish_trace(&mut self) -> Vec<u8> {
         let vs = self.views.stats();
         let backed = self.views.is_artifact_backed();
-        let slab_hw = self.live_hw as i64;
+        let slab_hw = self.slab.high_water() as i64;
         let adm = self.admission.clone();
-        let shard_count = self.shards.len();
-        let shard_wheel_hw = self.shards.iter().map(|s| s.wheel_occupied_hw).max();
-        let shard_outbox_hw = self.shards.iter().map(|s| s.outbox_depth_hw).max();
-        let shard_crossings: u64 = self.shards.iter().map(|s| s.crossings).sum();
         let Some(rec) = self.trace.as_deref_mut() else {
             return Vec::new();
         };
@@ -1295,23 +1081,6 @@ impl Network {
             );
         }
         rec.flush_metrics(self.tick);
-        // Shard gauges appear only on a multi-shard run, flushed in a
-        // second registry dump so they occupy the trailing sequence
-        // numbers: an S > 1 trace is the S = 1 trace plus these lines,
-        // byte for byte — goldens and seq stamps included.
-        if shard_count > 1 {
-            rec.gauge_set(locality_obs::names::SHARD_COUNT, shard_count as i64);
-            rec.gauge_set(
-                locality_obs::names::SHARD_WHEEL_OCCUPIED_HW,
-                i64::from(shard_wheel_hw.unwrap_or(0)),
-            );
-            rec.gauge_set(
-                locality_obs::names::SHARD_OUTBOX_DEPTH_HW,
-                shard_outbox_hw.unwrap_or(0) as i64,
-            );
-            rec.gauge_set(locality_obs::names::SHARD_CROSSINGS, shard_crossings as i64);
-            rec.flush_metrics(self.tick);
-        }
         rec.take_bytes()
     }
 
@@ -1337,111 +1106,19 @@ impl Network {
         self.views.stats()
     }
 
-    /// Number of shards this trial is partitioned across (1 = the
-    /// unsharded engine).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard load counters: wheel-occupancy and staging-depth
-    /// high-water marks, cross-shard crossings, and arena peaks. Kept
-    /// outside [`NetworkMetrics`] because they describe the partition
-    /// (and legitimately vary with the shard count), while metrics are
-    /// byte-identical at any `S`.
-    pub fn shard_stats(&self) -> ShardStats {
-        ShardStats {
-            wheel_occupied_hw: self.shards.iter().map(|s| s.wheel_occupied_hw).collect(),
-            outbox_depth_hw: self.shards.iter().map(|s| s.outbox_depth_hw).collect(),
-            crossings: self.shards.iter().map(|s| s.crossings).collect(),
-            slab_high_water: self.shards.iter().map(|s| s.slab.high_water()).collect(),
-        }
-    }
-}
-
-/// What the speculation phase decided for one drained arrival,
-/// computed read-only against pre-arrival-phase state and replayed by
-/// [`Network::apply_decision`] in global sequence order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum HopDecision {
-    /// The message's fate is terminal or the attempt was superseded:
-    /// free the handle, nothing else.
-    Stale,
-    /// Mid-flight on a link that went down under
-    /// [`DeadLinkPolicy::Queue`]: park the handle on that link.
-    ParkIncoming,
-    /// Same, under [`DeadLinkPolicy::Drop`]: the message is lost.
-    DropIncoming,
-    /// The node is crashed and black-holes the arrival.
-    Crashed,
-    /// Arrived at its destination.
-    Deliver,
-    /// The `(node, predecessor)` state recurred: a provable loop.
-    Loop,
-    /// The per-attempt hop budget is spent.
-    Exhaust,
-    /// The router failed (`decided: false`) or named a node that is a
-    /// neighbour in neither the topology nor the view
-    /// (`decided: true` — the decision counter still advanced).
-    Errored {
-        /// The fate's error message.
-        err: String,
-        /// Whether the router returned a next hop at all.
-        decided: bool,
-    },
-    /// Forward over a live edge (the loss draw and latency are applied
-    /// at replay time, in global order, to keep the RNG stream
-    /// shard-count-independent).
-    Forward {
-        /// The live neighbour to transmit to.
-        next: NodeId,
-        /// The router rule that fired (traced runs only).
-        rule: &'static str,
-    },
-    /// The decision is valid on the node's (stale) view but the link
-    /// is down, under [`DeadLinkPolicy::Queue`]: allocate and park a
-    /// fresh transmission on that link.
-    ParkOutgoing {
-        /// The view-valid neighbour the message is parked towards.
-        next: NodeId,
-        /// The router rule that fired.
-        rule: &'static str,
-    },
-    /// Same, under a non-queueing policy: the message is lost.
-    DropOutgoing,
-}
-
-/// Immutable snapshot of everything a forwarding decision reads —
-/// the per-arrival speculation input. All fields are `Sync` shared
-/// borrows, so a batch of decisions fans out across the trial
-/// driver's workers; mutations happen afterwards, sequentially, in
-/// [`Network::apply_decision`].
-struct HopCtx<'a> {
-    graph: &'a Graph,
-    views: &'a ViewStore,
-    crashed: &'a [bool],
-    messages: &'a [MessageRecord],
-    states: &'a [MsgState],
-    shards: &'a [Shard],
-    router: &'a (dyn LocalRouter + Send + Sync),
-    cfg: &'a FaultConfig,
-    hop_budget: usize,
-    predecessor_aware: bool,
-    traced_hops: bool,
-}
-
-impl HopCtx<'_> {
-    /// Speculates the outcome of one arrival — the exact decision
-    /// ladder of the historical `process`, with every mutation
-    /// deferred: staleness, dead incoming link, crash, delivery, loop
-    /// recurrence (a non-mutating containment test), hop budget, and
-    /// finally the router's decision against the node's own view.
-    fn decide(&self, shard: usize, h: u32) -> HopDecision {
+    /// Decides the outcome of one arrival — the exact decision ladder
+    /// of the historical `process`, with every mutation left to
+    /// [`apply_decision`](Self::apply_decision): staleness, dead
+    /// incoming link, crash, delivery, loop recurrence (a non-mutating
+    /// containment test), hop budget, and finally the router's
+    /// decision against the node's own view.
+    fn decide(&self, h: u32) -> HopDecision {
         let ArrivalData {
             msg,
             at,
             from,
             attempt,
-        } = self.shards[shard].slab.get(h);
+        } = self.slab.get(h);
         let msg = msg as usize;
         if self.messages[msg].fate != MessageFate::InFlight || attempt != self.states[msg].attempt {
             return HopDecision::Stale;
@@ -1467,7 +1144,11 @@ impl HopCtx<'_> {
         // Exact loop detection (telemetry, not protocol state): a pure
         // stateless router revisiting (node, predecessor-it-can-see)
         // will repeat forever.
-        let pred = if self.predecessor_aware { from } else { None };
+        let pred = if self.router.awareness().predecessor {
+            from
+        } else {
+            None
+        };
         if self.states[msg].visited.contains(at, pred) {
             return HopDecision::Loop;
         }
@@ -1490,7 +1171,11 @@ impl HopCtx<'_> {
             Packet::new(origin_label, target_label, from_label).masked(self.router.awareness());
         // The traced path asks the router to name its rule; the
         // untraced path is the exact pre-tracing decision call.
-        let decision = if self.traced_hops {
+        let traced_hops = self
+            .trace
+            .as_deref()
+            .is_some_and(|r| r.enabled(Level::Hops));
+        let decision = if traced_hops {
             self.router.decide_explained(&packet, view)
         } else {
             self.router.decide(&packet, view).map(|l| (l, "?"))
@@ -1519,6 +1204,56 @@ impl HopCtx<'_> {
             },
         }
     }
+}
+
+/// What [`Network::decide`] concluded for one arrival, computed
+/// read-only and applied by [`Network::apply_decision`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum HopDecision {
+    /// The message's fate is terminal or the attempt was superseded:
+    /// free the handle, nothing else.
+    Stale,
+    /// Mid-flight on a link that went down under
+    /// [`DeadLinkPolicy::Queue`]: park the handle on that link.
+    ParkIncoming,
+    /// Same, under [`DeadLinkPolicy::Drop`]: the message is lost.
+    DropIncoming,
+    /// The node is crashed and black-holes the arrival.
+    Crashed,
+    /// Arrived at its destination.
+    Deliver,
+    /// The `(node, predecessor)` state recurred: a provable loop.
+    Loop,
+    /// The per-attempt hop budget is spent.
+    Exhaust,
+    /// The router failed (`decided: false`) or named a node that is a
+    /// neighbour in neither the topology nor the view
+    /// (`decided: true` — the decision counter still advanced).
+    Errored {
+        /// The fate's error message.
+        err: String,
+        /// Whether the router returned a next hop at all.
+        decided: bool,
+    },
+    /// Forward over a live edge (the loss draw and latency are applied
+    /// by [`Network::apply_decision`], which owns the RNG stream).
+    Forward {
+        /// The live neighbour to transmit to.
+        next: NodeId,
+        /// The router rule that fired (traced runs only).
+        rule: &'static str,
+    },
+    /// The decision is valid on the node's (stale) view but the link
+    /// is down, under [`DeadLinkPolicy::Queue`]: allocate and park a
+    /// fresh transmission on that link.
+    ParkOutgoing {
+        /// The view-valid neighbour the message is parked towards.
+        next: NodeId,
+        /// The router rule that fired.
+        rule: &'static str,
+    },
+    /// Same, under a non-queueing policy: the message is lost.
+    DropOutgoing,
 }
 
 /// The registry counter a terminal fate bumps (`fate.<tag>`).
@@ -2000,7 +1735,7 @@ mod tests {
 
     /// A churny configuration exercising loss, dead links, crashes,
     /// retries, and stale views all at once.
-    fn churny(g: &Graph, traced: bool) -> Network {
+    fn churny_builder(g: &Graph, k: u32) -> NetworkBuilder {
         let cfg = FaultConfig {
             dead_link: DeadLinkPolicy::Drop,
             view_delay: 2,
@@ -2016,7 +1751,12 @@ mod tests {
         };
         let plan =
             FaultPlan::random_churn(g, &ChurnConfig::default(), &mut DetRng::seed_from_u64(9));
-        let mut b = NetworkBuilder::new(g, 3).faults(cfg).fault_plan(plan);
+        NetworkBuilder::new(g, k).faults(cfg).fault_plan(plan)
+    }
+
+    /// [`churny_builder`] at k = 3 under Algorithm 3, optionally traced.
+    fn churny(g: &Graph, traced: bool) -> Network {
+        let mut b = churny_builder(g, 3);
         if traced {
             b = b.recorder(Recorder::new(Level::Debug));
         }
@@ -2334,229 +2074,11 @@ mod tests {
         crate::replay::check_conservation(&witnesses, &gated.metrics()).unwrap();
     }
 
-    /// [`churny`]'s fault configuration, shared with the sharded
-    /// variants so the scenarios cannot drift apart.
-    fn churn_cfg() -> FaultConfig {
-        FaultConfig {
-            dead_link: DeadLinkPolicy::Drop,
-            view_delay: 2,
-            default_link: LinkProfile {
-                loss: 0.05,
-                extra_latency: 0,
-            },
-            timeout: Some(64),
-            max_retries: 3,
-            backoff: 16,
-            seed: 11,
-            ..Default::default()
-        }
-    }
-
-    /// [`churny`], traced, partitioned across `shards` shards with
-    /// `workers` speculation workers (optionally with an explicit
-    /// node→shard assignment).
-    fn churny_sharded(g: &Graph, shards: usize, workers: usize, map: Option<Vec<u32>>) -> Network {
-        let plan =
-            FaultPlan::random_churn(g, &ChurnConfig::default(), &mut DetRng::seed_from_u64(9));
-        let mut b = NetworkBuilder::new(g, 3)
-            .faults(churn_cfg())
-            .fault_plan(plan)
-            .recorder(Recorder::new(Level::Debug))
-            .shards(shards)
-            .shard_workers(workers);
-        if let Some(m) = map {
-            b = b.shard_map(m);
-        }
-        b.build(Alg3)
-    }
-
-    /// Trace text minus the S>1-only `shard.*` gauge lines — exactly
-    /// what the single-shard engine would have emitted.
-    fn strip_shard_gauges(text: &str) -> String {
-        text.lines()
-            .filter(|l| !l.contains("shard."))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
     #[test]
-    fn shard_counts_are_byte_identical_under_churn() {
-        // All-pairs chaos traffic on the seed-7 graph: every shard
-        // count must reproduce the S=1 run bit for bit, modulo the
-        // shard gauges that only exist at S > 1.
-        let g = generators::random_connected(24, 12, &mut DetRng::seed_from_u64(7));
-        let mut base: Option<(String, NetworkMetrics)> = None;
-        for s in [1usize, 2, 4, 8] {
-            let mut net = churny_sharded(&g, s, 1, None);
-            assert_eq!(net.shard_count(), s);
-            for a in g.nodes() {
-                for b in g.nodes() {
-                    if a != b {
-                        net.send(a, b);
-                    }
-                }
-            }
-            net.run_until_quiet();
-            let m = net.metrics();
-            assert!(m.accounted(), "S={s} run must conserve messages");
-            let records: Vec<String> = (0..m.sent)
-                .map(|i| format!("{:?}", net.record(MessageId(i as u64)).unwrap()))
-                .collect();
-            let text = String::from_utf8(net.finish_trace()).unwrap();
-            let stripped = strip_shard_gauges(&text);
-            match &base {
-                None => {
-                    assert!(!text.contains("shard."), "S=1 traces carry no shard gauges");
-                    base = Some((stripped, m));
-                }
-                Some((t0, m0)) => {
-                    assert_eq!(&m, m0, "metrics diverge at S={s}");
-                    assert_eq!(&stripped, t0, "trace diverges at S={s}");
-                    for (i, r) in records.iter().enumerate() {
-                        let want = format!("{:?}", net.record(MessageId(i as u64)).unwrap());
-                        assert_eq!(r, &want);
-                    }
-                    let stats = net.shard_stats();
-                    assert_eq!(stats.shard_count(), s);
-                    assert!(
-                        stats.total_crossings() > 0,
-                        "all-pairs traffic must cross shard boundaries at S={s}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shard_gauges_flush_only_above_one_shard() {
-        let g = generators::random_connected(24, 12, &mut DetRng::seed_from_u64(7));
-        for (s, expect) in [(1usize, false), (4, true)] {
-            let mut net = churny_sharded(&g, s, 1, None);
-            for a in g.nodes() {
-                net.send(a, NodeId((a.0 + 9) % 24));
-            }
-            net.run_until_quiet();
-            let text = String::from_utf8(net.finish_trace()).unwrap();
-            let events = locality_obs::parse_trace(&text).unwrap();
-            for key in [
-                locality_obs::names::SHARD_COUNT,
-                locality_obs::names::SHARD_WHEEL_OCCUPIED_HW,
-                locality_obs::names::SHARD_OUTBOX_DEPTH_HW,
-                locality_obs::names::SHARD_CROSSINGS,
-            ] {
-                assert_eq!(
-                    events
-                        .iter()
-                        .any(|e| e.str_of("ev") == Some("gauge") && e.str_of("name") == Some(key)),
-                    expect,
-                    "gauge {key} at S={s}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn permuted_partition_is_equivariant() {
-        // A scrambled (but gapless) node→shard assignment changes which
-        // hops cross shard boundaries, but must not change the
-        // simulation: same metrics, same trace modulo shard gauges.
-        let g = generators::random_connected(24, 12, &mut DetRng::seed_from_u64(7));
-        let contiguous = churny_run(&g, None);
-        let scrambled_map: Vec<u32> = (0..24u32).map(|u| (u * 7 + 3) % 4).collect();
-        let scrambled = churny_run(&g, Some(scrambled_map));
-        assert_eq!(contiguous.1, scrambled.1, "metrics must be equivariant");
-        assert_eq!(contiguous.0, scrambled.0, "trace must be equivariant");
-    }
-
-    /// One all-pairs churn run at S=4; returns the shard-gauge-stripped
-    /// trace and the metrics.
-    fn churny_run(g: &Graph, map: Option<Vec<u32>>) -> (String, NetworkMetrics) {
-        let mut net = churny_sharded(g, 4, 1, map);
-        for a in g.nodes() {
-            for b in g.nodes() {
-                if a != b {
-                    net.send(a, b);
-                }
-            }
-        }
-        net.run_until_quiet();
-        let m = net.metrics();
-        let text = String::from_utf8(net.finish_trace()).unwrap();
-        (strip_shard_gauges(&text), m)
-    }
-
-    #[test]
-    fn threaded_speculation_matches_inline() {
-        // All-pairs injection puts hundreds of arrivals on the first
-        // tick, well past the parallel-speculation batch floor, so the
-        // workers > 1 run genuinely exercises the threaded path.
-        let g = generators::random_connected(24, 12, &mut DetRng::seed_from_u64(7));
-        let inline = {
-            let mut net = churny_sharded(&g, 4, 1, None);
-            for a in g.nodes() {
-                for b in g.nodes() {
-                    if a != b {
-                        net.send(a, b);
-                    }
-                }
-            }
-            net.run_until_quiet();
-            let m = net.metrics();
-            (String::from_utf8(net.finish_trace()).unwrap(), m)
-        };
-        let threaded = {
-            let mut net = churny_sharded(&g, 4, 4, None);
-            for a in g.nodes() {
-                for b in g.nodes() {
-                    if a != b {
-                        net.send(a, b);
-                    }
-                }
-            }
-            net.run_until_quiet();
-            let m = net.metrics();
-            (String::from_utf8(net.finish_trace()).unwrap(), m)
-        };
-        assert_eq!(
-            inline.1, threaded.1,
-            "worker count must not leak into results"
-        );
-        assert_eq!(
-            inline.0, threaded.0,
-            "same shard count ⇒ same trace, gauges included"
-        );
-    }
-
-    #[test]
-    fn shard_map_validation_is_typed() {
-        let g = generators::cycle(8);
-        // Wrong length.
-        let err = NetworkBuilder::new(&g, 2)
-            .shard_map(vec![0, 1])
-            .try_build(Alg2)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, SimError::ShardMap(_)), "got {err:?}");
-        // Gap: shard 1 of 0..=2 is empty.
-        let err = NetworkBuilder::new(&g, 2)
-            .shard_map(vec![0, 0, 0, 0, 2, 2, 2, 2])
-            .try_build(Alg2)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, SimError::ShardMap(_)), "got {err:?}");
-        // A valid map binds nodes to their named shards.
-        let net = NetworkBuilder::new(&g, 2)
-            .shard_map(vec![0, 0, 1, 1, 0, 0, 1, 1])
-            .build(Alg2);
-        assert_eq!(net.shard_count(), 2);
-    }
-
-    #[test]
-    fn sharded_conservation_at_scale() {
+    fn churn_conservation_at_scale() {
         // The acceptance-scale topology, shrunk only in traffic: a
-        // degree-16 ring lattice on 10⁵ nodes under churn, partitioned
-        // four ways, must conserve every message and match the S=1
-        // fate counts. Debug builds provision an order of magnitude
+        // degree-16 ring lattice on 10⁵ nodes under churn must conserve
+        // every message. Debug builds provision an order of magnitude
         // slower, so they run the same shape at n = 10⁴; release (and
         // `scripts/verify.sh`, via the simbench sweep) covers 10⁵.
         use local_routing::baselines::RingGreedy;
@@ -2566,27 +2088,52 @@ mod tests {
             100_000usize
         };
         let g = generators::ring_lattice(n, 8);
-        let mut fates: Vec<NetworkMetrics> = Vec::new();
-        for s in [1usize, 4] {
-            let plan =
-                FaultPlan::random_churn(&g, &ChurnConfig::default(), &mut DetRng::seed_from_u64(9));
-            let mut net = NetworkBuilder::new(&g, 1)
-                .faults(churn_cfg())
-                .fault_plan(plan)
-                .shards(s)
-                .build(RingGreedy::new(n as u32));
-            let mut rng = DetRng::seed_from_u64(7);
-            for i in 0..512u32 {
-                let src = (i * 193) % n as u32;
-                let dst = (src + 1 + rng.gen_range(0..1024u32)) % n as u32;
-                net.send(NodeId(src), NodeId(dst));
-            }
-            net.run_until_quiet();
-            let m = net.metrics();
-            assert!(m.accounted(), "S={s} must conserve at n=10⁵");
-            fates.push(m);
+        let mut net = churny_builder(&g, 1).build(RingGreedy::new(n as u32));
+        let mut rng = DetRng::seed_from_u64(7);
+        for i in 0..512u32 {
+            let src = (i * 193) % n as u32;
+            let dst = (src + 1 + rng.gen_range(0..1024u32)) % n as u32;
+            net.send(NodeId(src), NodeId(dst));
         }
-        assert_eq!(fates[0], fates[1], "shard count leaked into fates at n=10⁵");
+        net.run_until_quiet();
+        let m = net.metrics();
+        assert_eq!(m.sent, 512);
+        assert!(m.accounted(), "churn must conserve every message at n={n}");
+        assert!(m.faults_applied > 0, "churn plan should bite");
+    }
+
+    #[test]
+    fn shard_shims_accept_only_one() {
+        let g = generators::cycle(8);
+        let net = NetworkBuilder::new(&g, 2)
+            .shards(1)
+            .shard_workers(1)
+            .build(Alg2);
+        assert_eq!(net.node_count(), 8);
+        let err = NetworkBuilder::new(&g, 2)
+            .shards(4)
+            .try_build(Alg2)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::ShardOption {
+                option: "shards",
+                value: 4
+            }
+        );
+        let err = NetworkBuilder::new(&g, 2)
+            .shard_workers(2)
+            .try_build(Alg2)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::ShardOption {
+                option: "shard_workers",
+                value: 2
+            }
+        );
     }
 
     #[test]

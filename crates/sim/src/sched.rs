@@ -77,24 +77,6 @@ impl<T> Wheel<T> {
         self.overflow.len()
     }
 
-    /// The distinct far-future ticks currently parked in the overflow
-    /// band, in ascending order. Lets the sharded simulator report the
-    /// union across shards — the count a single merged wheel would
-    /// have shown.
-    pub fn overflow_ticks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.overflow.keys().copied()
-    }
-
-    /// Raw occupancy word: bit `s` set ⇔ `slots[s]` is non-empty.
-    ///
-    /// Wheels that share a window start (the sharded simulator advances
-    /// every shard's wheel in lockstep) can OR their words together;
-    /// the popcount of the union is then exactly the number of distinct
-    /// occupied ticks a single merged wheel would report.
-    pub fn occupancy_word(&self) -> u64 {
-        self.occ
-    }
-
     /// Schedules `item` at `tick`. A tick before the window (already
     /// drained) is clamped to the window start, preserving the old
     /// tick map's "late events fire on the next step" behaviour.

@@ -73,12 +73,12 @@ gate tracecat_mb_per_sec \
   "$(extract "$perf_now" tracecat_mb_per_sec)" \
   "$(extract "$(cat BENCH_perfsmoke.json)" tracecat_mb_per_sec)"
 
-echo "==> sharded-scale throughput gate"
-# The sharded-simulator headline: hops/sec/core at n=32768, S=4, from
-# median-of-five alternating pairs inside perfsmoke. A raw throughput
-# figure (not a same-process ratio), so it moves with host load; the
-# 25% gate catches a real engine regression while the fingerprint
-# assertions inside perfsmoke catch any outcome divergence.
+echo "==> scale throughput gate"
+# The simulator headline: hops/sec/core of the n=32768 churn trial,
+# the median of five runs inside perfsmoke (one trial steps on one
+# thread). A raw throughput figure (not a same-process ratio), so it
+# moves with host load; the 25% gate catches a real engine regression
+# while the pinned fingerprints below catch any outcome divergence.
 awk -v cur="$(extract "$perf_now" sim_hops_per_sec_per_core)" \
     -v base="$(extract "$(cat BENCH_perfsmoke.json)" sim_hops_per_sec_per_core)" 'BEGIN {
   if (cur + 0 < 0.75 * base) {
@@ -87,68 +87,73 @@ awk -v cur="$(extract "$perf_now" sim_hops_per_sec_per_core)" \
   }
 }'
 
-echo "==> simbench scale sweep smoke (fingerprint identity across shards, linear provisioning, flat per-hop cost)"
-# The sweep itself asserts outcome fingerprints match at every shard
-# count per n (2048, 32768, 100000, 1000000) — a panic here means
-# sharding changed routing results. Smoke-sized traffic keeps this
-# to about ten seconds even with n = 10^6.
+echo "==> simbench scale sweep smoke (pinned fingerprints, linear provisioning, flat per-hop cost)"
+# Each row's fingerprint hashes every message's path, fate, delivery
+# tick and retries at n = 2048, 32768, 100000 and 1000000; the
+# constants below are the values the engine has produced since the
+# fingerprint began hashing paths, so a mismatch means routes changed.
+# Smoke-sized traffic keeps this to about ten seconds even with
+# n = 10^6.
 scale_json="$(cargo run -q --release -p locality-bench --bin simbench -- --scale-smoke)"
 # Provisioning costs O(view) per node, so build time per node must stay
-# flat in n: at each shard count, provision_ms / n at n = 100000 and at
-# n = 1000000 may be at most 3x its n = 2048 value (an O(n) scratch per
-# view reads ~20x at n = 100000).
+# flat in n: provision_ms / n at n = 100000 and at n = 1000000 may be
+# at most 3x its n = 2048 value (an O(n) scratch per view reads ~20x
+# at n = 100000).
 # Per-message loop state is sized by the route, and every n routes
 # messages with the same target offsets (the same hop count), so run
 # time per hop must stay near flat as well:
 # elapsed_ms / hops at n = 100000 may be at most 4x its n = 2048 value
-# (graph-sized loop state per message read 8-11x at S = 1). At
-# n = 1000000 the per-hop ratio is printed but not gated: cold-cache
-# runs there scatter 1.6-4.6x.
-printf '%s' "$scale_json" | grep -oE '\{"n":[0-9]+,"shards":[0-9]+[^}]*\}' | awk '
+# (graph-sized loop state per message read 8-11x). At n = 1000000 the
+# per-hop ratio is printed but not gated: cold-cache runs there scatter
+# 1.6-4.6x.
+printf '%s' "$scale_json" | sed 's/.*"scale":\[//' | grep -oE '\{"n":[0-9]+[^}]*\}' | awk '
   function field(row, key) {
-    if (!match(row, "\"" key "\":[0-9.]+")) return ""
-    return substr(row, RSTART + length(key) + 3, RLENGTH - length(key) - 3)
+    if (!match(row, "\"" key "\":\"?[0-9a-f.]+")) return ""
+    v = substr(row, RSTART + length(key) + 3, RLENGTH - length(key) - 3)
+    sub(/^"/, "", v)
+    return v
   }
   {
-    n = field($0, "n"); s = field($0, "shards")
-    per[n, s] = field($0, "provision_ms") / n
+    n = field($0, "n")
+    fp[n] = field($0, "fingerprint")
+    per[n] = field($0, "provision_ms") / n
     hops = field($0, "hops")
-    hop[n, s] = hops > 0 ? field($0, "elapsed_ms") / hops : 0
-    shards[s] = 1
+    hop[n] = hops > 0 ? field($0, "elapsed_ms") / hops : 0
   }
   END {
     bad = 0
-    for (s in shards) {
-      small = per[2048, s]; big = per[100000, s]
-      if (small <= 0 || big <= 0 || hop[2048, s] <= 0 || hop[100000, s] <= 0) {
-        printf "simbench: S=%s scale rows missing n=2048 or n=100000\n", s > "/dev/stderr"
-        bad = 1
-        continue
-      }
-      printf "provisioning per node, n=100000 vs n=2048, S=%s: %.2fx\n", s, big / small
-      if (big > 3 * small) {
-        printf "simbench: S=%s provisioning per node grew %.2fx from n=2048 to n=100000 (limit 3x)\n", s, big / small > "/dev/stderr"
+    want[2048] = "0873b3d5e6ccf602"
+    want[32768] = "03056b5fe2da260f"
+    want[100000] = "dfff367c139a1dad"
+    want[1000000] = "c817db1e9d0d9471"
+    for (n in want) {
+      if (fp[n] != want[n]) {
+        printf "simbench: n=%s fingerprint %s, expected %s (routes changed)\n", n, fp[n], want[n] > "/dev/stderr"
         bad = 1
       }
-      ratio = hop[100000, s] / hop[2048, s]
-      printf "run time per hop, n=100000 vs n=2048, S=%s: %.2fx\n", s, ratio
-      if (ratio > 4) {
-        printf "simbench: S=%s run time per hop grew %.2fx from n=2048 to n=100000 (limit 4x)\n", s, ratio > "/dev/stderr"
-        bad = 1
-      }
-      huge = per[1000000, s]
-      if (huge <= 0 || hop[1000000, s] <= 0) {
-        printf "simbench: S=%s scale rows missing n=1000000\n", s > "/dev/stderr"
-        bad = 1
-        continue
-      }
-      printf "provisioning per node, n=1000000 vs n=2048, S=%s: %.2fx\n", s, huge / small
-      if (huge > 3 * small) {
-        printf "simbench: S=%s provisioning per node grew %.2fx from n=2048 to n=1000000 (limit 3x)\n", s, huge / small > "/dev/stderr"
-        bad = 1
-      }
-      printf "run time per hop, n=1000000 vs n=2048, S=%s: %.2fx (not gated)\n", s, hop[1000000, s] / hop[2048, s]
     }
+    small = per[2048]; big = per[100000]; huge = per[1000000]
+    if (small <= 0 || big <= 0 || huge <= 0 || hop[2048] <= 0 || hop[100000] <= 0 || hop[1000000] <= 0) {
+      printf "simbench: scale rows missing n=2048, n=100000 or n=1000000\n" > "/dev/stderr"
+      exit 1
+    }
+    printf "provisioning per node, n=100000 vs n=2048: %.2fx\n", big / small
+    if (big > 3 * small) {
+      printf "simbench: provisioning per node grew %.2fx from n=2048 to n=100000 (limit 3x)\n", big / small > "/dev/stderr"
+      bad = 1
+    }
+    ratio = hop[100000] / hop[2048]
+    printf "run time per hop, n=100000 vs n=2048: %.2fx\n", ratio
+    if (ratio > 4) {
+      printf "simbench: run time per hop grew %.2fx from n=2048 to n=100000 (limit 4x)\n", ratio > "/dev/stderr"
+      bad = 1
+    }
+    printf "provisioning per node, n=1000000 vs n=2048: %.2fx\n", huge / small
+    if (huge > 3 * small) {
+      printf "simbench: provisioning per node grew %.2fx from n=2048 to n=1000000 (limit 3x)\n", huge / small > "/dev/stderr"
+      bad = 1
+    }
+    printf "run time per hop, n=1000000 vs n=2048: %.2fx (not gated)\n", hop[1000000] / hop[2048]
     exit bad
   }'
 
@@ -191,16 +196,6 @@ cmp "$trace_dir/a.jsonl" "$trace_dir/merged.jsonl" || {
   echo "tracecat: merged worker shards differ from the single-writer trace" >&2
   exit 1
 }
-
-echo "==> sharded chaos byte-identity (--shards 4 vs unsharded)"
-# Partitioning every storm's network into 4 shards must not move a
-# single byte of the report: the sharded engine's tick-barrier merge
-# reproduces the single-wheel schedule exactly.
-out_s4="$(cargo run -q --release -p locality-bench --bin chaos -- --seed 7 --shards 4)"
-if [ "$out_a" != "$out_s4" ]; then
-  echo "chaos: seed 7 report differs at 4 shards" >&2
-  exit 1
-fi
 
 echo "==> oracle artifact tier: chaos routing byte-identity"
 # Precompute view artifacts for the chaos seed-7 topology, rerun the
