@@ -23,6 +23,15 @@ use local_routing::{Alg1, LocalRouter};
 use locality_bench::simbench::{sim_scale, sim_throughput, sim_throughput_traced, ScaleConfig};
 use locality_sim::{Level, Recorder};
 
+const USAGE: &str = "usage: simbench [--trace-out PATH] [--trace-level off|metrics|hops|debug] \
+[--skip-scale | --scale-smoke]";
+
+fn fail(msg: &str) -> ! {
+    eprintln!("simbench: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(1);
+}
+
 const MESSAGES: usize = 4096;
 const SEED: u64 = 42;
 const SIZES: [usize; 3] = [128, 512, 2048];
@@ -56,15 +65,22 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--trace-out" => trace_out = args.next(),
-            "--trace-level" => {
-                if let Some(l) = args.next().as_deref().and_then(Level::from_name) {
-                    level = l;
-                }
-            }
+            "--trace-out" => match args.next() {
+                Some(p) => trace_out = Some(p),
+                None => fail("--trace-out needs a path"),
+            },
+            "--trace-level" => match args.next() {
+                Some(v) => match Level::from_name(&v) {
+                    Some(l) => level = l,
+                    None => fail(&format!("unknown trace level '{v}'")),
+                },
+                None => fail("--trace-level needs a value"),
+            },
             "--skip-scale" => skip_scale = true,
             "--scale-smoke" => scale_messages = 1024,
-            _ => {}
+            // The end-of-options marker a `cargo run --` habit pastes in.
+            "--" => {}
+            other => fail(&format!("unknown flag '{other}'")),
         }
     }
     let rows: Vec<String> = SIZES

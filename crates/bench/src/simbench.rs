@@ -14,8 +14,8 @@
 //! [`sim_scale`] is the scale sweep's trial: a ring lattice of up to
 //! 10⁶ nodes under churn, stepped on one thread, timed separately for
 //! provisioning and the run phase, with a fingerprint of every route.
-//! `bin/perfsmoke` gates its median hops per second at n = 32768 as
-//! `sim_hops_per_sec_per_core`.
+//! `bin/perfsmoke` reports its median hops per second at n = 32768 as
+//! `sim_hops_per_sec_per_core`, which `scripts/verify.sh` gates.
 
 // Wall-clock measurement is the point here, exactly as in `timing`;
 // the workspace `std::time` ban protects routing determinism, not the
@@ -286,39 +286,6 @@ pub fn fate_code(fate: &MessageFate) -> u64 {
         MessageFate::Rejected => 8,
         MessageFate::Shed => 9,
     }
-}
-
-/// Replays the exact workload of [`sim_throughput`] (same graph, same
-/// traffic stream) untimed and returns each message's `(target, path)` —
-/// the raw material for `bin/perfsmoke`'s legacy-cost replay, which
-/// charges the pre-refactor data structures for precisely these hops.
-pub fn sim_routes(
-    n: usize,
-    k: u32,
-    messages: usize,
-    seed: u64,
-    router: impl LocalRouter + Send + 'static,
-) -> Vec<(NodeId, Vec<NodeId>)> {
-    let g = generators::random_connected(n, n / 2, &mut DetRng::seed_from_u64(seed));
-    let mut net = NetworkBuilder::new(&g, k).build(router);
-    let mut traffic = DetRng::seed_from_u64(seed ^ 0x7AFF1C);
-    let mut sent = 0usize;
-    while sent < messages {
-        for _ in 0..BATCH.min(messages - sent) {
-            let s = NodeId(traffic.gen_range(0..n as u32));
-            let t = NodeId(traffic.gen_range(0..n as u32));
-            if s != t {
-                net.send(s, t);
-            }
-            sent += 1;
-        }
-        net.run_until(net.now() + 4);
-    }
-    net.run_until_quiet();
-    net.records()
-        .iter()
-        .map(|r| (r.t, r.path.clone()))
-        .collect()
 }
 
 #[cfg(test)]

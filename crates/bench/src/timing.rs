@@ -69,13 +69,13 @@ pub fn measure_fresh_ns<S, T>(
     samples[samples.len() / 2]
 }
 
-/// Wall-clock milliseconds for a single call of `f`, returned with its
+/// Wall-clock nanoseconds for a single call of `f`, returned with its
 /// result — for one-shot passes too expensive to batch-calibrate (e.g.
 /// the whole-workspace lint pass timed by `perfsmoke`).
-pub fn time_once_ms<T>(f: impl FnOnce() -> T) -> (T, u64) {
+pub fn time_once_ns<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let start = Instant::now();
     let out = f();
-    (out, start.elapsed().as_millis() as u64)
+    (out, start.elapsed().as_nanos() as u64)
 }
 
 /// Formats nanoseconds with a human-readable unit.

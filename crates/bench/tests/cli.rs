@@ -15,12 +15,22 @@ fn assert_usage_failure(out: &Output, what: &str) {
     assert!(err.contains("usage:"), "{what}: no usage line in: {err}");
 }
 
+/// The flag-driven binaries: each rejects what it does not know before
+/// doing any work.
+const FLAG_BINS: [(&str, &str); 3] = [
+    ("chaos", env!("CARGO_BIN_EXE_chaos")),
+    ("perfsmoke", env!("CARGO_BIN_EXE_perfsmoke")),
+    ("simbench", env!("CARGO_BIN_EXE_simbench")),
+];
+
 #[test]
 fn chaos_unknown_flag_exits_nonzero_with_usage() {
-    let out = run(env!("CARGO_BIN_EXE_chaos"), &["--bogus"]);
-    assert_usage_failure(&out, "chaos --bogus");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown flag"), "stderr: {err}");
+    for (name, bin) in FLAG_BINS {
+        let out = run(bin, &["--bogus"]);
+        assert_usage_failure(&out, &format!("{name} --bogus"));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag '--bogus'"), "{name}: {err}");
+    }
 }
 
 #[test]
@@ -39,8 +49,12 @@ fn chaos_malformed_seed_exits_nonzero_with_usage() {
 
 #[test]
 fn chaos_bad_trace_level_exits_nonzero_with_usage() {
-    let out = run(env!("CARGO_BIN_EXE_chaos"), &["--trace-level", "loud"]);
-    assert_usage_failure(&out, "chaos --trace-level loud");
+    for (name, bin) in FLAG_BINS {
+        for args in [&["--trace-level", "loud"][..], &["--trace-out"]] {
+            let out = run(bin, args);
+            assert_usage_failure(&out, &format!("{name} {}", args.join(" ")));
+        }
+    }
 }
 
 #[test]
@@ -153,6 +167,12 @@ fn double_dash_marker_is_tolerated_everywhere() {
     let out = run(env!("CARGO_BIN_EXE_tracecat"), &["--", "bogus"]);
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown mode bogus"), "tracecat: {err}");
+
+    for (name, bin) in &FLAG_BINS[1..] {
+        let out = run(bin, &["--", "--bogus"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag '--bogus'"), "{name}: {err}");
+    }
 }
 
 #[test]

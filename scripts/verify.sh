@@ -36,58 +36,56 @@ if [ -n "$lint_json_a" ]; then
   exit 1
 fi
 
-echo "==> perfsmoke regression gate"
-# Compare the live run against the committed BENCH_perfsmoke.json
-# baseline. The factor is 0.6, not tighter: on a shared single-CPU
-# host the speedup ratios scatter ~±25% run to run even with
-# median-of-nine sampling inside perfsmoke (observed delivery-matrix
-# draws 39-60 against a 53 baseline), and the binary already
-# self-asserts absolute floors (>=2x matrix, >=3x sim and oracle), so
-# this gate only needs to catch sustained multi-x regressions without
-# tripping on scheduler noise.
+echo "==> perfsmoke (correctness asserts, then timings against their recorded spread)"
+# perfsmoke asserts correctness itself: artifact view and step parity,
+# the tracecat probe's population, chaos accounting and zero lint
+# findings. It only prints its timings; the gates below hold them, and
+# the scale sweep's exponents, to the runs recorded in
+# BENCH_perfsmoke.json.
 perf_now="$(cargo run -q --release -p locality-bench --bin perfsmoke)"
-gate() { # gate <label> <current> <baseline>
-  awk -v cur="$2" -v base="$3" -v label="$1" 'BEGIN {
-    if (cur + 0 < 0.6 * base) {
-      printf "perfsmoke: %s regressed: %.2f < 0.6 * %.2f\n", label, cur, base > "/dev/stderr"
+baseline="$(cat BENCH_perfsmoke.json)"
+extract() { # extract <json> <key> -> last numeric value for key
+  printf '%s' "$1" | grep -oE "\"$2\":-?[0-9.]+" | tail -n 1 | cut -d: -f2
+}
+# One rule sets every spread-based bound. BENCH_perfsmoke.json records
+# each gated figure as {"min","median","max"} over at least five runs on
+# the reference host. A figure may sit beyond its worst recorded run by
+# half the recorded spread: a rate's floor is min * sqrt(min / max), a
+# time's ceiling max * sqrt(max / min), and a log-log exponent, already a
+# logarithm, may reach max + (max - min) / 2. A few runs understate a
+# shared host's tails, hence the margin; half the spread rather than all
+# of it keeps a 3x regression failing from any recorded run while the
+# spread stays under 2x.
+spread_gate() { # spread_gate <figure> <current> <higher|lower|exponent>
+  local rec
+  rec="$(printf '%s' "$baseline" | grep -oE "\"$1\":\{\"min\":-?[0-9.]+,\"median\":-?[0-9.]+,\"max\":-?[0-9.]+\}" | tail -n 1)"
+  if [ -z "$rec" ] || [ -z "$2" ]; then
+    echo "gate: $1 has no recorded spread in BENCH_perfsmoke.json or no current value" >&2
+    return 1
+  fi
+  awk -v rec="${rec#*:}" -v cur="$2" -v dir="$3" -v label="$1" 'BEGIN {
+    split(rec, f, /[:,}]/)
+    lo = f[2]; med = f[4]; hi = f[6]
+    if (dir == "higher") { bound = lo * sqrt(lo / hi); bad = cur + 0 < bound; kind = "floor" }
+    else if (dir == "lower") { bound = hi * sqrt(hi / lo); bad = cur + 0 > bound; kind = "ceiling" }
+    else { bound = hi + (hi - lo) / 2; bad = cur + 0 > bound; kind = "ceiling" }
+    printf "%s: %.4g (recorded min %.4g, median %.4g, max %.4g; %s %.4g)\n", label, cur, lo, med, hi, kind, bound
+    if (bad) {
+      printf "gate: %s = %.4g is past its bound %.4g\n", label, cur, bound > "/dev/stderr"
       exit 1
     }
   }'
 }
-extract() { # extract <json> <key> -> last numeric value for key
-  printf '%s' "$1" | grep -o "\"$2\":[0-9.]*" | tail -n 1 | cut -d: -f2
-}
-gate delivery_matrix_speedup \
-  "$(extract "$perf_now" delivery_matrix_speedup)" \
-  "$(extract "$(cat BENCH_perfsmoke.json)" delivery_matrix_speedup)"
-gate sim_speedup \
-  "$(extract "$perf_now" sim_speedup)" \
-  "$(extract "$(cat BENCH_perfsmoke.json)" sim_speedup)"
-gate oracle_cold_start_speedup \
-  "$(extract "$perf_now" oracle_cold_start_speedup)" \
-  "$(extract "$(cat BENCH_perfsmoke.json)" oracle_cold_start_speedup)"
-gate sustained_qps_at_slo \
-  "$(extract "$perf_now" sustained_qps_at_slo)" \
-  "$(extract "$(cat BENCH_perfsmoke.json)" sustained_qps_at_slo)"
-gate tracecat_mb_per_sec \
-  "$(extract "$perf_now" tracecat_mb_per_sec)" \
-  "$(extract "$(cat BENCH_perfsmoke.json)" tracecat_mb_per_sec)"
+perf_bad=0
+spread_gate delivery_matrix_ns "$(extract "$perf_now" delivery_matrix_ns)" lower || perf_bad=1
+spread_gate sim_hops_per_sec "$(extract "$perf_now" sim_hops_per_sec)" higher || perf_bad=1
+spread_gate sim_hops_per_sec_per_core "$(extract "$perf_now" sim_hops_per_sec_per_core)" higher || perf_bad=1
+spread_gate oracle_cold_start_speedup "$(extract "$perf_now" oracle_cold_start_speedup)" higher || perf_bad=1
+spread_gate tracecat_mb_per_sec "$(extract "$perf_now" tracecat_mb_per_sec)" higher || perf_bad=1
+spread_gate sustained_qps_at_slo "$(extract "$perf_now" sustained_qps_at_slo)" higher || perf_bad=1
+[ "$perf_bad" -eq 0 ]
 
-echo "==> scale throughput gate"
-# The simulator headline: hops/sec/core of the n=32768 churn trial,
-# the median of five runs inside perfsmoke (one trial steps on one
-# thread). A raw throughput figure (not a same-process ratio), so it
-# moves with host load; the 25% gate catches a real engine regression
-# while the pinned fingerprints below catch any outcome divergence.
-awk -v cur="$(extract "$perf_now" sim_hops_per_sec_per_core)" \
-    -v base="$(extract "$(cat BENCH_perfsmoke.json)" sim_hops_per_sec_per_core)" 'BEGIN {
-  if (cur + 0 < 0.75 * base) {
-    printf "perfsmoke: sim_hops_per_sec_per_core regressed: %.0f < 0.75 * %.0f\n", cur, base > "/dev/stderr"
-    exit 1
-  }
-}'
-
-echo "==> simbench scale sweep smoke (pinned fingerprints, linear provisioning, flat per-hop cost)"
+echo "==> simbench scale sweep smoke (pinned fingerprints, flat per-node and per-hop cost)"
 # Each row's fingerprint hashes every message's path, fate, delivery
 # tick and retries at n = 2048, 32768, 100000 and 1000000; the
 # constants below are the values the engine has produced since the
@@ -95,18 +93,12 @@ echo "==> simbench scale sweep smoke (pinned fingerprints, linear provisioning, 
 # Smoke-sized traffic keeps this to about ten seconds even with
 # n = 10^6.
 scale_json="$(cargo run -q --release -p locality-bench --bin simbench -- --scale-smoke)"
-# Provisioning costs O(view) per node, so build time per node must stay
-# flat in n: provision_ms / n at n = 100000 and at n = 1000000 may be
-# at most 3x its n = 2048 value (an O(n) scratch per view reads ~20x
-# at n = 100000).
-# Per-message loop state is sized by the route, and every n routes
-# messages with the same target offsets (the same hop count), so run
-# time per hop must stay near flat as well:
-# elapsed_ms / hops at n = 100000 may be at most 4x its n = 2048 value
-# (graph-sized loop state per message read 8-11x). At n = 1000000 the
-# per-hop ratio is printed but not gated: cold-cache runs there scatter
-# 1.6-4.6x.
-printf '%s' "$scale_json" | sed 's/.*"scale":\[//' | grep -oE '\{"n":[0-9]+[^}]*\}' | awk '
+# Provisioning costs O(view) per node, and every n routes messages with
+# the same target offsets over route-sized loop state, so provision_ms / n
+# and elapsed_ms / hops must stay flat in n. The gated figures are their
+# least-squares log-log slopes over the four rows; an O(n) scratch per
+# view read about 0.77, graph-sized loop state per message 0.53-0.62.
+slopes="$(printf '%s' "$scale_json" | sed 's/.*"scale":\[//' | grep -oE '\{"n":[0-9]+[^}]*\}' | awk '
   function field(row, key) {
     if (!match(row, "\"" key "\":\"?[0-9a-f.]+")) return ""
     v = substr(row, RSTART + length(key) + 3, RLENGTH - length(key) - 3)
@@ -116,46 +108,37 @@ printf '%s' "$scale_json" | sed 's/.*"scale":\[//' | grep -oE '\{"n":[0-9]+[^}]*
   {
     n = field($0, "n")
     fp[n] = field($0, "fingerprint")
-    per[n] = field($0, "provision_ms") / n
+    per_node = field($0, "provision_ms") / n
     hops = field($0, "hops")
-    hop[n] = hops > 0 ? field($0, "elapsed_ms") / hops : 0
+    per_hop = hops > 0 ? field($0, "elapsed_ms") / hops : 0
+    if (per_node <= 0 || per_hop <= 0) {
+      printf "simbench: n=%s row has no provisioning or run time\n", n > "/dev/stderr"
+      exit 1
+    }
+    x = log(n); yn = log(per_node); yh = log(per_hop)
+    rows++; sx += x; sxx += x * x; syn += yn; sxyn += x * yn; syh += yh; sxyh += x * yh
   }
   END {
-    bad = 0
     want[2048] = "0873b3d5e6ccf602"
     want[32768] = "03056b5fe2da260f"
     want[100000] = "dfff367c139a1dad"
     want[1000000] = "c817db1e9d0d9471"
+    bad = 0
     for (n in want) {
       if (fp[n] != want[n]) {
         printf "simbench: n=%s fingerprint %s, expected %s (routes changed)\n", n, fp[n], want[n] > "/dev/stderr"
         bad = 1
       }
     }
-    small = per[2048]; big = per[100000]; huge = per[1000000]
-    if (small <= 0 || big <= 0 || huge <= 0 || hop[2048] <= 0 || hop[100000] <= 0 || hop[1000000] <= 0) {
-      printf "simbench: scale rows missing n=2048, n=100000 or n=1000000\n" > "/dev/stderr"
-      exit 1
-    }
-    printf "provisioning per node, n=100000 vs n=2048: %.2fx\n", big / small
-    if (big > 3 * small) {
-      printf "simbench: provisioning per node grew %.2fx from n=2048 to n=100000 (limit 3x)\n", big / small > "/dev/stderr"
-      bad = 1
-    }
-    ratio = hop[100000] / hop[2048]
-    printf "run time per hop, n=100000 vs n=2048: %.2fx\n", ratio
-    if (ratio > 4) {
-      printf "simbench: run time per hop grew %.2fx from n=2048 to n=100000 (limit 4x)\n", ratio > "/dev/stderr"
-      bad = 1
-    }
-    printf "provisioning per node, n=1000000 vs n=2048: %.2fx\n", huge / small
-    if (huge > 3 * small) {
-      printf "simbench: provisioning per node grew %.2fx from n=2048 to n=1000000 (limit 3x)\n", huge / small > "/dev/stderr"
-      bad = 1
-    }
-    printf "run time per hop, n=1000000 vs n=2048: %.2fx (not gated)\n", hop[1000000] / hop[2048]
-    exit bad
-  }'
+    if (bad || rows != 4) exit 1
+    d = rows * sxx - sx * sx
+    printf "%.4f %.4f\n", (rows * sxyn - sx * syn) / d, (rows * sxyh - sx * syh) / d
+  }')"
+read -r provision_slope hop_slope <<< "$slopes"
+scale_bad=0
+spread_gate provision_slope "$provision_slope" exponent || scale_bad=1
+spread_gate hop_slope "$hop_slope" exponent || scale_bad=1
+[ "$scale_bad" -eq 0 ]
 
 echo "==> tracing-off overhead gate"
 # A recorder at Level::Off must cost nothing measurable: perfsmoke
