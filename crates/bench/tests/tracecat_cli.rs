@@ -82,6 +82,23 @@ fn malformed_json_is_a_line_numbered_runtime_error() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("line 2"), "stderr: {err}");
     let _ = std::fs::remove_file(&p);
+
+    // A million nested brackets get the same typed error, not a stack
+    // overflow.
+    let deep = tmp("deep.jsonl");
+    let text = format!(
+        "{{\"ev\":\"send\",\"msg\":0}}\n{{\"ev\":{}\n",
+        "[".repeat(1_000_000)
+    );
+    std::fs::write(&deep, text).expect("write");
+    let out = tracecat(&["stats", deep.to_str().expect("utf8")]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("line 2") && err.contains("nesting too deep"),
+        "stderr: {err}"
+    );
+    let _ = std::fs::remove_file(&deep);
 }
 
 #[test]

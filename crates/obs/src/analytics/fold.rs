@@ -11,13 +11,14 @@
 use std::collections::BTreeMap;
 
 use crate::json::Json;
-use crate::witness::{apply_event, witness_from_send, RouteWitness};
+use crate::witness::{apply_event, witness_from_send, RouteWitness, Spares};
 
 /// Streaming fold from message-scoped events to completed
 /// [`RouteWitness`] values.
 #[derive(Debug, Default)]
 pub struct WitnessFold {
     open: BTreeMap<u64, RouteWitness>,
+    spares: Spares,
 }
 
 impl WitnessFold {
@@ -35,22 +36,32 @@ impl WitnessFold {
     /// a terminal `fate` closes its message, and a repeated `send`
     /// (id reuse within a trace span) closes the displaced in-flight
     /// witness. Non-message events return `None` untouched.
-    pub fn feed(&mut self, ev: &Json) -> Option<RouteWitness> {
+    pub fn feed(&mut self, ev: &Json<'_>) -> Option<RouteWitness> {
         let kind = ev.str_of("ev")?;
         let tick = ev.u64_of("tick").unwrap_or(0);
         let msg = ev.u64_of("msg")?;
         if kind == "send" {
-            return self.open.insert(msg, witness_from_send(ev, tick, msg));
+            let w = witness_from_send(ev, tick, msg, &mut self.spares);
+            return self.open.insert(msg, w);
         }
         if kind == "fate" {
             let mut w = self.open.remove(&msg)?;
-            apply_event(&mut w, kind, tick, ev);
+            apply_event(&mut w, kind, tick, ev, &mut self.spares);
             return Some(w);
         }
         if let Some(w) = self.open.get_mut(&msg) {
-            apply_event(w, kind, tick, ev);
+            apply_event(w, kind, tick, ev, &mut self.spares);
         }
         None
+    }
+
+    /// Takes back a witness [`feed`](Self::feed) or
+    /// [`drain`](Self::drain) handed out, once the caller is done with
+    /// it. Later messages reuse its hop list and name strings, so a
+    /// stream that recycles every witness allocates nothing per hop
+    /// once the fold holds as many buffers as its busiest moment.
+    pub fn recycle(&mut self, w: RouteWitness) {
+        self.spares.recycle(w);
     }
 
     /// Removes and returns every in-flight witness in message-id order.

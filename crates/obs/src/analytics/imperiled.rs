@@ -64,10 +64,7 @@ pub fn classify(w: &RouteWitness, timeout: Option<u64>) -> Option<Peril> {
         Some(t) if t > 0 => latency.saturating_mul(4) >= t.saturating_mul(3),
         _ => false,
     };
-    let reprov_saved = w
-        .final_attempt()
-        .iter()
-        .any(|h| h.provisioned_at > w.sent_at);
+    let reprov_saved = w.final_attempt().any(|h| h.provisioned_at > w.sent_at);
     Some(Peril {
         retry_saved: w.retries > 0,
         near_timeout,

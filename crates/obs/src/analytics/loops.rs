@@ -44,28 +44,38 @@ impl LoopHit {
 /// Returns at most one [`LoopHit`] per attempt, in attempt order.
 pub fn detect_loops(w: &RouteWitness) -> Vec<LoopHit> {
     let mut out = Vec::new();
-    let last = w.hops.iter().map(|h| h.attempt).max().unwrap_or(0);
-    for attempt in 0..=last {
+    for_each_loop(w, &mut Vec::new(), |attempt, cycle| {
+        out.push(LoopHit {
+            attempt,
+            node: cycle.last().copied().unwrap_or(w.s),
+            cycle: cycle.to_vec(),
+        });
+    });
+    out
+}
+
+/// The scan behind [`detect_loops`]: calls `found(attempt, cycle)` for
+/// the first revisited node of each attempt, in attempt order, where
+/// `cycle` runs from the node's first visit back to it. `seen` is
+/// scratch, so a caller that keeps it allocates nothing per witness.
+fn for_each_loop(w: &RouteWitness, seen: &mut Vec<u32>, mut found: impl FnMut(u32, &[u32])) {
+    let attempts = || w.hops.iter().map(|h| h.attempt);
+    let mut next = attempts().min();
+    while let Some(attempt) = next {
         // Node sequence of this attempt: the origin, then each chosen
         // next node.
-        let mut seen: Vec<u32> = vec![w.s];
-        let mut hit = None;
+        seen.clear();
+        seen.push(w.s);
         for h in w.hops.iter().filter(|h| h.attempt == attempt) {
-            if let Some(first) = seen.iter().position(|&n| n == h.to) {
-                let mut cycle: Vec<u32> = seen.get(first..).unwrap_or(&[]).to_vec();
-                cycle.push(h.to);
-                hit = Some(LoopHit {
-                    attempt,
-                    node: h.to,
-                    cycle,
-                });
+            let first = seen.iter().position(|&n| n == h.to);
+            seen.push(h.to);
+            if let Some(first) = first {
+                found(attempt, seen.get(first..).unwrap_or_default());
                 break;
             }
-            seen.push(h.to);
         }
-        out.extend(hit);
+        next = attempts().filter(|&a| a > attempt).min();
     }
-    out
 }
 
 /// Per-trial loop tallies.
@@ -85,6 +95,8 @@ pub struct LoopsMode {
     rows: Vec<TrialLoops>,
     cycle_len: PowHistogram,
     examples: Vec<String>,
+    /// Scratch node sequence for [`for_each_loop`].
+    seen: Vec<u32>,
 }
 
 impl LoopsMode {
@@ -104,7 +116,6 @@ impl Mode for LoopsMode {
     }
 
     fn on_witness(&mut self, w: &RouteWitness) {
-        let hits = detect_loops(w);
         let trial = self.rows.len().saturating_sub(1);
         if self.rows.is_empty() {
             self.rows.push(TrialLoops {
@@ -112,30 +123,36 @@ impl Mode for LoopsMode {
                 ..TrialLoops::default()
             });
         }
-        let Some(row) = self.rows.last_mut() else {
+        let LoopsMode {
+            rows,
+            cycle_len,
+            examples,
+            seen,
+        } = self;
+        let Some(row) = rows.last_mut() else {
             return;
         };
         row.witnesses += 1;
         if w.fate.as_deref() == Some("looped") {
             row.looped_fates += 1;
         }
-        if hits.is_empty() {
-            return;
-        }
-        row.looped_msgs += 1;
-        row.loops += hits.len() as u64;
-        for hit in &hits {
-            self.cycle_len.observe(hit.len());
-            if self.examples.len() < EXAMPLES {
-                let path: Vec<String> = hit.cycle.iter().map(|n| n.to_string()).collect();
-                self.examples.push(format!(
-                    "trial {trial} msg {} att {} fate {}: {}",
+        let mut loops = 0;
+        for_each_loop(w, seen, |attempt, cycle| {
+            loops += 1;
+            cycle_len.observe(cycle.len().saturating_sub(1) as u64);
+            if examples.len() < EXAMPLES {
+                let path: Vec<String> = cycle.iter().map(|n| n.to_string()).collect();
+                examples.push(format!(
+                    "trial {trial} msg {} att {attempt} fate {}: {}",
                     w.msg,
-                    hit.attempt,
                     w.fate.as_deref().unwrap_or("in_flight"),
                     path.join("->")
                 ));
             }
+        });
+        if loops > 0 {
+            row.looped_msgs += 1;
+            row.loops += loops;
         }
     }
 

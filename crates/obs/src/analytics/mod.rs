@@ -25,6 +25,7 @@
 //! as [`StreamError::TruncatedTail`], lenient mode drops it and flags
 //! the report.
 
+use std::collections::BTreeMap;
 use std::io::Read;
 
 use crate::json::{Json, JsonError};
@@ -177,7 +178,7 @@ pub trait Mode {
 
     /// One raw parsed event (every non-header line, before witness
     /// folding) with its 1-based line number.
-    fn on_event(&mut self, line: usize, ev: &Json) {
+    fn on_event(&mut self, line: usize, ev: &Json<'_>) {
         let _ = (line, ev);
     }
 
@@ -239,6 +240,7 @@ pub fn run_mode<R: Read, M: Mode + ?Sized>(
             for w in fold.drain() {
                 report.witnesses += 1;
                 mode.on_witness(&w);
+                fold.recycle(w);
             }
             let header = TrialHeader {
                 index: trial_index,
@@ -254,6 +256,7 @@ pub fn run_mode<R: Read, M: Mode + ?Sized>(
         if let Some(w) = fold.feed(&ev) {
             report.witnesses += 1;
             mode.on_witness(&w);
+            fold.recycle(w);
         }
     }
     for w in fold.drain() {
@@ -261,6 +264,17 @@ pub fn run_mode<R: Read, M: Mode + ?Sized>(
         mode.on_witness(&w);
     }
     Ok(report)
+}
+
+/// Adds one to `name`'s count, allocating its key only the first time
+/// the name is seen.
+pub(crate) fn tally(counts: &mut BTreeMap<String, u64>, name: &str) {
+    match counts.get_mut(name) {
+        Some(n) => *n += 1,
+        None => {
+            counts.insert(name.to_string(), 1);
+        }
+    }
 }
 
 /// Fixed-point `num/den` with four fractional digits, in integer
@@ -300,7 +314,7 @@ mod tests {
         fn on_trial(&mut self, t: &TrialHeader) {
             self.trials.push((t.index, t.router.clone(), t.k));
         }
-        fn on_event(&mut self, _line: usize, _ev: &Json) {
+        fn on_event(&mut self, _line: usize, _ev: &Json<'_>) {
             self.events += 1;
         }
         fn on_witness(&mut self, w: &RouteWitness) {

@@ -2,10 +2,11 @@
 //!
 //! The streaming analogue of `graph::io::from_edgelist_reader`: bytes
 //! are pulled through one fixed `buf_bytes` chunk, lines are split on
-//! `\n` byte-wise, and a line that straddles chunk boundaries is
-//! carried in a reusable side buffer. Steady-state operation performs
-//! no per-line allocation (the carry reuses its capacity), which is
-//! what the R6 hot-path lint scope pins for this file.
+//! `\n` found eight bytes at a time, and a line that straddles chunk
+//! boundaries is carried in a reusable side buffer. Steady-state
+//! operation performs no per-line allocation (the carry reuses its
+//! capacity), which is what the R6 hot-path lint scope pins for this
+//! file.
 
 use super::StreamError;
 
@@ -73,7 +74,7 @@ impl<R: std::io::Read> LineReader<R> {
         }
         loop {
             let window = self.chunk.get(self.pos..self.filled).unwrap_or(&[]);
-            match window.iter().position(|&b| b == b'\n') {
+            match find_newline(window) {
                 Some(i) => {
                     let start = self.pos;
                     self.pos = start + i + 1;
@@ -126,6 +127,30 @@ impl<R: std::io::Read> LineReader<R> {
             }
         }
     }
+}
+
+/// Offset of the first `\n` in `bytes`, testing a word of eight bytes
+/// per step: `x - 0x01..01 & !x & 0x80..80` flags the bytes of `x` that
+/// are zero, and a borrow only ever flags a byte above a true zero, so
+/// the lowest flag of the word XOR `\n\n..\n` is the first newline.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    for (i, word) in words.enumerate() {
+        let Ok(word) = <[u8; 8]>::try_from(word) else {
+            break;
+        };
+        let x = u64::from_le_bytes(word) ^ NEWLINES;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(i * 8 + (zeros.trailing_zeros() / 8) as usize);
+        }
+    }
+    let at = bytes.len() - tail.len();
+    tail.iter().position(|&b| b == b'\n').map(|i| at + i)
 }
 
 #[cfg(test)]
@@ -192,6 +217,25 @@ mod tests {
         ];
         for buf in [1, 2, 3, 5, 7, 64, 1 << 16] {
             assert_eq!(drain(LineReader::new(&text[..], buf)), want, "buf={buf}");
+        }
+        // Lines of 0 to 19 chars next to `\n` in value (`\u{b}`, `\t`,
+        // and `ʊ`, which is 0xca 0x8a), so the word-at-a-time scan meets
+        // a newline at every offset of a word.
+        let mut text = String::new();
+        for len in 0..20 {
+            text.extend(['\u{b}', '\t', 'ʊ'].iter().cycle().take(len));
+            text.push('\n');
+        }
+        let want: Vec<_> = (1..)
+            .zip(text.lines())
+            .map(|(i, l)| (i, l.to_string(), true))
+            .collect();
+        for buf in [1, 7, 8, 9, 64, 1 << 16] {
+            assert_eq!(
+                drain(LineReader::new(text.as_bytes(), buf)),
+                want,
+                "buf={buf}"
+            );
         }
     }
 

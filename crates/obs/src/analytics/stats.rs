@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use super::{pct1, ratio4, Mode, StreamReport, TrialHeader};
+use super::{pct1, ratio4, tally, Mode, StreamReport, TrialHeader};
 use crate::hist::PowHistogram;
 use crate::json::Json;
 use crate::witness::RouteWitness;
@@ -153,18 +153,13 @@ impl Mode for StatsMode {
         });
     }
 
-    fn on_event(&mut self, _line: usize, ev: &Json) {
+    fn on_event(&mut self, _line: usize, ev: &Json<'_>) {
         if ev.str_of("ev") == Some("hop") {
-            let rule = ev.str_of("rule").unwrap_or("?");
-            *self.rules.entry(rule.to_string()).or_insert(0) += 1;
+            tally(&mut self.rules, ev.str_of("rule").unwrap_or("?"));
         }
     }
 
     fn on_witness(&mut self, w: &RouteWitness) {
-        let delivered = w.delivered();
-        let route_len = w.final_attempt().len() as u64;
-        let latency = w.latency();
-        let fate = w.fate.clone().unwrap_or_else(|| "in_flight".to_string());
         if self.rows.is_empty() {
             self.rows.push(TrialStats {
                 router: "-".to_string(),
@@ -176,10 +171,10 @@ impl Mode for StatsMode {
         };
         row.sent += 1;
         row.retries += u64::from(w.retries);
-        *row.fates.entry(fate).or_insert(0) += 1;
-        if delivered {
-            row.hops.observe(route_len);
-            if let Some(lat) = latency {
+        tally(&mut row.fates, w.fate.as_deref().unwrap_or("in_flight"));
+        if w.delivered() {
+            row.hops.observe(w.final_attempt().count() as u64);
+            if let Some(lat) = w.latency() {
                 row.latency.observe(lat);
             }
         }

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use super::{Mode, StreamReport, TrialHeader};
+use super::{tally, Mode, StreamReport, TrialHeader};
 use crate::json::Json;
 use crate::witness::RouteWitness;
 
@@ -99,7 +99,7 @@ impl SummaryMode {
 impl Mode for SummaryMode {
     fn on_trial(&mut self, _trial: &TrialHeader) {}
 
-    fn on_event(&mut self, _line: usize, ev: &Json) {
+    fn on_event(&mut self, _line: usize, ev: &Json<'_>) {
         let Some(kind) = ev.str_of("ev") else {
             return;
         };
@@ -123,8 +123,7 @@ impl Mode for SummaryMode {
     }
 
     fn on_witness(&mut self, w: &RouteWitness) {
-        let tag = w.fate.clone().unwrap_or_else(|| "in_flight".to_string());
-        *self.fates.entry(tag).or_insert(0) += 1;
+        tally(&mut self.fates, w.fate.as_deref().unwrap_or("in_flight"));
         if !w.delivered() {
             return;
         }
@@ -136,7 +135,7 @@ impl Mode for SummaryMode {
             order,
             s: w.s,
             t: w.t,
-            hops: w.route().len().saturating_sub(1),
+            hops: w.final_attempt().count(),
             retries: w.retries,
         });
         if self.slow.len() > self.top {

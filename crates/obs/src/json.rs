@@ -1,5 +1,5 @@
 //! Hand-rolled JSON: an escaping writer for deterministic JSONL
-//! emission and a minimal recursive-descent parser for reading traces
+//! emission and a one-pass recursive-descent parser for reading traces
 //! back.
 //!
 //! Zero dependencies is a design constraint, not an accident: the
@@ -10,56 +10,96 @@
 //! the caller pushes them, formats only integers and escaped strings
 //! (no floats on the emission path — float formatting is where
 //! cross-platform byte drift creeps in), and appends `\n`-terminated
-//! lines to a caller-owned buffer.
+//! lines to a caller-owned buffer. It formats without `fmt`: integers
+//! from a stack buffer, strings by copying each run that needs no
+//! escape in one piece.
 //!
 //! The parser accepts general JSON (objects, arrays, strings, bools,
-//! null, and both integer and float numbers) because `tracecat` also
-//! digests the chaos soak's summary JSON, which contains ratios.
+//! null, and both integer and float numbers) because `tracecat` must
+//! type every line of an arbitrary file, not only lines the recorder
+//! wrote. It reads each line once and borrows from it: keys and
+//! strings are slices of the input unless they hold an escape,
+//! integers accumulate during the scan, and nesting deeper than
+//! [`MAX_DEPTH`] is an error rather than a stack overflow.
 
+use std::borrow::Cow;
 use std::fmt;
-use std::io::Write as _;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts (the
+/// limit serde_json uses). Trace lines nest at most two deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Member slots an object's `Vec` is allocated with. The recorder
+/// writes at most 11 members a line, so a trace line's members are
+/// allocated once and never regrown.
+const OBJECT_SLOTS: usize = 16;
 
 /// Appends the canonical decimal rendering of `v` to `buf`.
 #[inline]
 pub fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    // io::Write on Vec<u8> is infallible.
-    let _ = write!(buf, "{v}");
+    // u64::MAX has 20 digits; they are written from the right.
+    let mut digits = [0u8; 20];
+    let mut rest = v;
+    let mut start = digits.len();
+    for slot in digits.iter_mut().rev() {
+        *slot = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        start -= 1;
+        if rest == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(digits.get(start..).unwrap_or_default());
 }
 
 /// Appends the canonical decimal rendering of `v` to `buf`.
 #[inline]
 pub fn push_i64(buf: &mut Vec<u8>, v: i64) {
-    let _ = write!(buf, "{v}");
+    if v < 0 {
+        buf.push(b'-');
+    }
+    push_u64(buf, v.unsigned_abs());
 }
 
 /// Appends `s` as a JSON string literal (quoted, escaped) to `buf`.
 pub fn push_str(buf: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
     buf.push(b'"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.extend_from_slice(b"\\\""),
-            '\\' => buf.extend_from_slice(b"\\\\"),
-            '\n' => buf.extend_from_slice(b"\\n"),
-            '\r' => buf.extend_from_slice(b"\\r"),
-            '\t' => buf.extend_from_slice(b"\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(buf, "\\u{:04x}", c as u32);
+    // Every byte that needs an escape is ASCII, so a run between two
+    // of them is whole UTF-8 and is copied as it stands.
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let unicode;
+        let escaped: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => {
+                let low = HEX.get(usize::from(b & 0xf)).copied().unwrap_or(b'0');
+                unicode = [b'\\', b'u', b'0', b'0', b'0' + (b >> 4), low];
+                &unicode
             }
-            c => {
-                let mut tmp = [0u8; 4];
-                buf.extend_from_slice(c.encode_utf8(&mut tmp).as_bytes());
-            }
-        }
+            _ => continue,
+        };
+        buf.extend_from_slice(bytes.get(run..i).unwrap_or_default());
+        buf.extend_from_slice(escaped);
+        run = i + 1;
     }
+    buf.extend_from_slice(bytes.get(run..).unwrap_or_default());
     buf.push(b'"');
 }
 
-/// A parsed JSON value. Integers that fit `i64` are kept exact in
-/// [`Json::Int`]; everything else numeric falls back to [`Json::Num`].
+/// A parsed JSON value, borrowing from the text it was parsed from.
+/// Integers that fit `i64` are kept exact in [`Json::Int`]; everything
+/// else numeric falls back to [`Json::Num`]. Strings and keys are
+/// [`Cow::Borrowed`] slices of the input unless they hold an escape.
 /// Object keys keep their textual order (and duplicates), which makes
 /// a reparse of writer output structurally faithful.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -69,29 +109,30 @@ pub enum Json {
     /// Any other number (floats, and integers beyond `i64`).
     Num(f64),
     /// A string.
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Json<'a>>),
     /// An object, in key order of appearance.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// Parses one complete JSON document (trailing whitespace allowed).
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] naming the byte offset of the first
-    /// problem.
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
+    /// problem, including nesting deeper than [`MAX_DEPTH`].
+    pub fn parse(text: &'a str) -> Result<Json<'a>, JsonError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.at != p.bytes.len() {
+        if p.at != text.len() {
             return Err(JsonError {
                 at: p.at,
                 what: "trailing garbage after the document",
@@ -101,7 +142,7 @@ impl Json {
     }
 
     /// Member lookup on an object (first match wins); `None` elsewhere.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -133,7 +174,7 @@ impl Json {
     }
 
     /// The value as an array slice, if it is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -169,13 +210,15 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
+        self.text.as_bytes().get(self.at).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -195,7 +238,7 @@ impl Parser<'_> {
 
     fn literal(&mut self, lit: &str, what: &'static str) -> Result<(), JsonError> {
         let end = self.at + lit.len();
-        if self.bytes.get(self.at..end) == Some(lit.as_bytes()) {
+        if self.text.as_bytes().get(self.at..end) == Some(lit.as_bytes()) {
             self.at = end;
             Ok(())
         } else {
@@ -203,7 +246,49 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// The input from `start` to the cursor. Callers cut only at ASCII
+    /// delimiters, which are always `char` boundaries.
+    fn since(&self, start: usize) -> Result<&'a str, JsonError> {
+        self.text.get(start..self.at).ok_or(JsonError {
+            at: start,
+            what: "invalid UTF-8 in string",
+        })
+    }
+
+    /// Steps past the `[` or `{` at the cursor, refusing to nest past
+    /// [`MAX_DEPTH`].
+    fn open(&mut self) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError {
+                at: self.at,
+                what: "nesting too deep",
+            });
+        }
+        self.depth += 1;
+        self.at += 1;
+        Ok(())
+    }
+
+    /// Steps past the `]` or `}` at the cursor that closes `v`.
+    fn close(&mut self, v: Json<'a>) -> Json<'a> {
+        self.depth -= 1;
+        self.at += 1;
+        v
+    }
+
+    /// A member or item value. Strings and numbers, all but a few
+    /// values of a trace line, are parsed inline here; the rest go
+    /// through [`Parser::value`].
+    #[inline(always)]
+    fn member(&mut self) -> Result<Json<'a>, JsonError> {
+        match self.peek() {
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => self.value(),
+        }
+    }
+
+    fn value(&mut self) -> Result<Json<'a>, JsonError> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
@@ -223,29 +308,24 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect_byte(b'{', "expected `{`")?;
-        let mut members = Vec::new();
+    fn object(&mut self) -> Result<Json<'a>, JsonError> {
+        self.open()?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(Json::Obj(members));
+            return Ok(self.close(Json::Obj(Vec::new())));
         }
+        let mut members = Vec::with_capacity(OBJECT_SLOTS);
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect_byte(b':', "expected `:` after object key")?;
             self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
+            members.push((key, self.member()?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(Json::Obj(members));
-                }
+                Some(b'}') => return Ok(self.close(Json::Obj(members))),
                 _ => {
                     return Err(JsonError {
                         at: self.at,
@@ -256,24 +336,20 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect_byte(b'[', "expected `[`")?;
+    fn array(&mut self) -> Result<Json<'a>, JsonError> {
+        self.open()?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(Json::Arr(items));
+            return Ok(self.close(Json::Arr(items)));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.member()?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(Json::Arr(items));
-                }
+                Some(b']') => return Ok(self.close(Json::Arr(items))),
                 _ => {
                     return Err(JsonError {
                         at: self.at,
@@ -284,34 +360,36 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string literal: borrowed from the input, or owned once an
+    /// escape forces a copy.
+    #[inline(always)]
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect_byte(b'"', "expected `\"`")?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
             let start = self.at;
-            // Fast path: a run of plain bytes.
-            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
-                self.at += 1;
-            }
-            if self.at > start {
-                let chunk = self
-                    .bytes
-                    .get(start..self.at)
-                    .and_then(|raw| std::str::from_utf8(raw).ok())
-                    .ok_or(JsonError {
-                        at: start,
-                        what: "invalid UTF-8 in string",
-                    })?;
-                out.push_str(chunk);
-            }
+            let rest = self.text.as_bytes().get(start..).unwrap_or_default();
+            self.at += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            let run = self.since(start)?;
             match self.peek() {
                 Some(b'"') => {
                     self.at += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
                     self.at += 1;
-                    self.escape(&mut out)?;
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    self.escape(out)?;
                 }
                 _ => {
                     return Err(JsonError {
@@ -391,36 +469,52 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// A number. An integer's magnitude accumulates with checked
+    /// arithmetic as its digits are scanned; anything with a fraction,
+    /// an exponent or a magnitude past `i64` is read as `f64` — the
+    /// `Int`/`Num` split `str::parse` gives.
+    #[inline(always)]
+    fn number(&mut self) -> Result<Json<'a>, JsonError> {
         let start = self.at;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.at += 1;
         }
+        let digits = self.at;
+        let mut magnitude = Some(0u64);
         let mut is_float = false;
         while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.at += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.at += 1;
-                }
-                _ => break,
+            if b.is_ascii_digit() {
+                magnitude = magnitude
+                    .and_then(|m| m.checked_mul(10))
+                    .and_then(|m| m.checked_add(u64::from(b - b'0')));
+            } else if matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
+                is_float = true;
+            } else {
+                break;
             }
+            self.at += 1;
         }
-        let text = self
-            .bytes
-            .get(start..self.at)
-            .and_then(|raw| std::str::from_utf8(raw).ok())
-            .unwrap_or("");
-        if !is_float {
-            if let Ok(v) = text.parse::<i64>() {
+        if !is_float && self.at > digits {
+            let int = magnitude.and_then(|m| {
+                if negative {
+                    0i64.checked_sub_unsigned(m)
+                } else {
+                    i64::try_from(m).ok()
+                }
+            });
+            if let Some(v) = int {
                 return Ok(Json::Int(v));
             }
         }
-        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
-            at: start,
-            what: "malformed number",
-        })
+        self.text
+            .get(start..self.at)
+            .and_then(|text| text.parse::<f64>().ok())
+            .map(Json::Num)
+            .ok_or(JsonError {
+                at: start,
+                what: "malformed number",
+            })
     }
 }
 
@@ -440,6 +534,16 @@ mod tests {
         push_u64(&mut buf, 18446744073709551615);
         push_i64(&mut buf, -42);
         assert_eq!(String::from_utf8(buf).unwrap(), "18446744073709551615-42");
+        let mut buf = Vec::new();
+        push_u64(&mut buf, 0);
+        buf.push(b'|');
+        push_i64(&mut buf, i64::MIN);
+        buf.push(b'|');
+        push_i64(&mut buf, i64::MAX);
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "0|-9223372036854775808|9223372036854775807"
+        );
     }
 
     #[test]
@@ -450,6 +554,31 @@ mod tests {
         assert_eq!(Json::parse("-17").unwrap(), Json::Int(-17));
         assert_eq!(Json::parse("3.5").unwrap(), Json::Num(3.5));
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::Str("hi".into()));
+        assert_eq!(
+            Json::parse("9223372036854775807").unwrap(),
+            Json::Int(i64::MAX)
+        );
+        assert_eq!(
+            Json::parse("-9223372036854775808").unwrap(),
+            Json::Int(i64::MIN)
+        );
+        assert_eq!(
+            Json::parse("9223372036854775808").unwrap(),
+            Json::Num(9.223372036854776e18)
+        );
+        assert_eq!(Json::parse("-0").unwrap(), Json::Int(0));
+        assert_eq!(Json::parse("007").unwrap(), Json::Int(7));
+        assert!(Json::parse("-").is_err());
+        assert!(Json::parse("1-2").is_err());
+        // A plain string borrows from the line; an escape forces a copy.
+        assert!(matches!(
+            Json::parse("\"hi\"").unwrap(),
+            Json::Str(Cow::Borrowed("hi"))
+        ));
+        assert!(matches!(
+            Json::parse("\"h\\ni\"").unwrap(),
+            Json::Str(Cow::Owned(s)) if s == "h\ni"
+        ));
     }
 
     #[test]
@@ -491,5 +620,17 @@ mod tests {
         assert!(Json::parse("\"abc").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
+        // A million open brackets: a typed error at the first bracket
+        // past the cap, not a stack overflow.
+        let deep = "[".repeat(1_000_000);
+        assert_eq!(
+            Json::parse(&deep),
+            Err(JsonError {
+                at: MAX_DEPTH,
+                what: "nesting too deep"
+            })
+        );
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
     }
 }

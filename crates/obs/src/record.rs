@@ -8,8 +8,9 @@
 //! At runtime, a [`Level`] picks how much a live recorder captures;
 //! the hot-path contract is that a disabled recorder costs one branch
 //! (callers typically hold `Option<Box<Recorder>>`, making the
-//! tracing-off cost a single pointer test — the ≤2% overhead budget
-//! `bin/perfsmoke` gates on).
+//! tracing-off cost a single pointer test). `bin/perfsmoke` reports
+//! that cost as `sim_trace_overhead_pct`, and `scripts/verify.sh`
+//! holds it to the ≤2% budget.
 //!
 //! Every event line is `{"seq":N,"tick":T,"ev":"kind",...}`: a
 //! monotone per-recorder sequence number and the **simulation tick**.
@@ -373,8 +374,12 @@ mod tests {
         let first = rec.take_bytes();
         rec.span_close(9, "trial:0");
         let second = rec.take_bytes();
-        let a = Json::parse(String::from_utf8(first).unwrap().trim()).unwrap();
-        let b = Json::parse(String::from_utf8(second).unwrap().trim()).unwrap();
+        let (first, second) = (
+            String::from_utf8(first).unwrap(),
+            String::from_utf8(second).unwrap(),
+        );
+        let a = Json::parse(first.trim()).unwrap();
+        let b = Json::parse(second.trim()).unwrap();
         assert_eq!(a.u64_of("seq"), Some(0));
         assert_eq!(b.u64_of("seq"), Some(1));
         assert_eq!(b.str_of("ev"), Some("span_close"));

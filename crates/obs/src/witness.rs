@@ -75,17 +75,17 @@ impl RouteWitness {
         self.fate.as_deref() == Some("delivered")
     }
 
-    /// The hops of the final (possibly only) attempt.
-    pub fn final_attempt(&self) -> Vec<&WitnessHop> {
+    /// The hops of the final (possibly only) attempt, in order.
+    pub fn final_attempt(&self) -> impl Iterator<Item = &WitnessHop> {
         let last = self.hops.iter().map(|h| h.attempt).max().unwrap_or(0);
-        self.hops.iter().filter(|h| h.attempt == last).collect()
+        self.hops.iter().filter(move |h| h.attempt == last)
     }
 
     /// The node sequence of the final attempt: `s`, then each chosen
     /// next node.
     pub fn route(&self) -> Vec<u32> {
         let mut out = vec![self.s];
-        out.extend(self.final_attempt().iter().map(|h| h.to));
+        out.extend(self.final_attempt().map(|h| h.to));
         out
     }
 
@@ -117,7 +117,7 @@ impl std::error::Error for TraceError {}
 /// # Errors
 ///
 /// Returns the first malformed line as a [`TraceError`].
-pub fn parse_trace(text: &str) -> Result<Vec<Json>, TraceError> {
+pub fn parse_trace(text: &str) -> Result<Vec<Json<'_>>, TraceError> {
     let mut out = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -128,15 +128,48 @@ pub fn parse_trace(text: &str) -> Result<Vec<Json>, TraceError> {
     Ok(out)
 }
 
+/// Buffers of finished witnesses, kept for the next messages to reuse:
+/// emptied hop lists, and the strings that held rule, fate and detail
+/// names. They hold no more than the live witnesses did at their peak.
+#[derive(Debug, Default)]
+pub(crate) struct Spares {
+    lists: Vec<Vec<WitnessHop>>,
+    names: Vec<String>,
+}
+
+impl Spares {
+    /// Takes a finished witness apart into its reusable buffers.
+    pub(crate) fn recycle(&mut self, mut w: RouteWitness) {
+        self.names.extend(w.hops.drain(..).map(|h| h.rule));
+        self.names.extend(w.fate);
+        self.names.extend(w.fate_detail);
+        self.lists.push(w.hops);
+    }
+
+    /// `text` in a reused string when one is spare.
+    fn name(&mut self, text: &str) -> String {
+        let mut name = self.names.pop().unwrap_or_default();
+        name.clear();
+        name.push_str(text);
+        name
+    }
+}
+
 /// Builds a fresh witness from a `send` event. Shared by the batch
 /// collector below and the streaming `analytics::WitnessFold` so the
 /// two folds cannot drift.
-pub(crate) fn witness_from_send(ev: &Json, tick: u64, msg: u64) -> RouteWitness {
+pub(crate) fn witness_from_send(
+    ev: &Json<'_>,
+    tick: u64,
+    msg: u64,
+    spares: &mut Spares,
+) -> RouteWitness {
     RouteWitness {
         msg,
         s: ev.u64_of("s").unwrap_or(0) as u32,
         t: ev.u64_of("t").unwrap_or(0) as u32,
         sent_at: tick,
+        hops: spares.lists.pop().unwrap_or_default(),
         ..RouteWitness::default()
     }
 }
@@ -144,26 +177,32 @@ pub(crate) fn witness_from_send(ev: &Json, tick: u64, msg: u64) -> RouteWitness 
 /// Applies one non-`send` message-scoped event to its open witness.
 /// Shared by the batch collector below and the streaming
 /// `analytics::WitnessFold`.
-pub(crate) fn apply_event(w: &mut RouteWitness, kind: &str, tick: u64, ev: &Json) {
+pub(crate) fn apply_event(
+    w: &mut RouteWitness,
+    kind: &str,
+    tick: u64,
+    ev: &Json<'_>,
+    spares: &mut Spares,
+) {
     match kind {
         "hop" => w.hops.push(WitnessHop {
             tick,
             node: ev.u64_of("node").unwrap_or(0) as u32,
             from: ev.u64_of("from").map(|v| v as u32),
             to: ev.u64_of("to").unwrap_or(0) as u32,
-            rule: ev.str_of("rule").unwrap_or("?").to_string(),
+            rule: spares.name(ev.str_of("rule").unwrap_or("?")),
             attempt: ev.u64_of("att").unwrap_or(0) as u32,
             provisioned_at: ev.u64_of("prov").unwrap_or(0),
         }),
         "retry" => w.retries = ev.u64_of("att").unwrap_or(0) as u32,
         "deliver" => w.delivered_at = Some(tick),
         "fate" => {
-            w.fate = ev.str_of("fate").map(str::to_string);
+            w.fate = ev.str_of("fate").map(|f| spares.name(f));
             w.fate_tick = Some(tick);
             w.fate_detail = ev
                 .str_of("why")
                 .or_else(|| ev.str_of("err"))
-                .map(str::to_string);
+                .map(|d| spares.name(d));
         }
         _ => {}
     }
@@ -173,10 +212,12 @@ pub(crate) fn apply_event(w: &mut RouteWitness, kind: &str, tick: u64, ev: &Json
 /// Events that are not message-scoped (`fault`, `reprov`, spans,
 /// metrics) are ignored; a repeated `send` for an id opens a new
 /// witness generation (multi-trial traces reuse ids).
-pub fn collect_witnesses(events: &[Json]) -> Vec<RouteWitness> {
+pub fn collect_witnesses(events: &[Json<'_>]) -> Vec<RouteWitness> {
     let mut out: Vec<RouteWitness> = Vec::new();
     // msg id -> index in `out` of its open (most recent) witness.
     let mut open: BTreeMap<u64, usize> = BTreeMap::new();
+    // Nothing is recycled here: every witness is returned.
+    let mut spares = Spares::default();
     for ev in events {
         let Some(kind) = ev.str_of("ev") else {
             continue;
@@ -187,13 +228,13 @@ pub fn collect_witnesses(events: &[Json]) -> Vec<RouteWitness> {
         };
         if kind == "send" {
             open.insert(msg, out.len());
-            out.push(witness_from_send(ev, tick, msg));
+            out.push(witness_from_send(ev, tick, msg, &mut spares));
             continue;
         }
         let Some(w) = open.get(&msg).and_then(|&i| out.get_mut(i)) else {
             continue;
         };
-        apply_event(w, kind, tick, ev);
+        apply_event(w, kind, tick, ev, &mut spares);
     }
     out
 }
@@ -235,7 +276,7 @@ mod tests {
         let ws = collect_witnesses(&parse_trace(text).unwrap());
         assert_eq!(ws.len(), 1);
         assert_eq!(ws[0].retries, 1);
-        assert_eq!(ws[0].final_attempt().len(), 1);
+        assert_eq!(ws[0].final_attempt().count(), 1);
         assert_eq!(ws[0].route(), vec![0, 2]);
     }
 
