@@ -21,6 +21,15 @@ pub enum CliError {
         /// How many parameters it needs.
         need: usize,
     },
+    /// A family's parameters are outside what its generator accepts,
+    /// or ask for more than [`MAX_SPEC_NODES`] nodes or
+    /// [`MAX_SPEC_EDGES`] edges.
+    OutOfRange {
+        /// The family name, e.g. `cycle`.
+        family: String,
+        /// What the family needs, e.g. `N >= 3`.
+        need: String,
+    },
     /// The family name is not one of the known generators.
     UnknownFamily(String),
     /// The spec looked like a file path but the file was unreadable.
@@ -43,6 +52,7 @@ impl fmt::Display for CliError {
             CliError::WrongArity { family, need } => {
                 write!(f, "{family} needs {need} parameter(s)")
             }
+            CliError::OutOfRange { family, need } => write!(f, "{family} needs {need}"),
             CliError::UnknownFamily(name) => write!(f, "unknown family '{name}'"),
             CliError::UnreadableFile { path, message } => {
                 write!(f, "cannot read {path}: {message}")
@@ -71,15 +81,25 @@ impl From<CliError> for String {
     }
 }
 
+/// The most nodes a family spec may ask for.
+pub const MAX_SPEC_NODES: usize = 1_000_000;
+
+/// The most edges a family spec may ask for.
+pub const MAX_SPEC_EDGES: usize = 4_000_000;
+
 /// Parses a graph spec: either a known family
 /// (`path:N`, `cycle:N`, `grid:RxC`, `lollipop:C,T`, `spider:L,LEN`,
 /// `complete:N`, `random:N,SEED`, `fig13:N`, `fig17:N`) or a path to an
 /// edge-list file in the [`locality_graph::io`] format.
 ///
+/// A family's parameters are checked before its generator runs: they
+/// must meet the generator's precondition (`cycle` needs `N >= 3`, say)
+/// and stay within [`MAX_SPEC_NODES`] and [`MAX_SPEC_EDGES`].
+///
 /// # Errors
 ///
-/// Returns a [`CliError`] describing the malformed spec or unreadable
-/// file.
+/// Returns a [`CliError`] describing the malformed or out-of-range spec
+/// or the unreadable file.
 pub fn parse_graph(spec: &str) -> Result<Graph, CliError> {
     if let Some((family, rest)) = spec.split_once(':') {
         let nums: Vec<usize> = rest
@@ -96,6 +116,7 @@ pub fn parse_graph(spec: &str) -> Result<Graph, CliError> {
                 })
             }
         };
+        check_size(family, &nums)?;
         return match family {
             "path" => {
                 need(1)?;
@@ -144,6 +165,64 @@ pub fn parse_graph(spec: &str) -> Result<Graph, CliError> {
     io::from_str(&text).map_err(CliError::BadGraphFile)
 }
 
+/// Refuses a family spec whose parameters the generator would assert
+/// on, or that asks for more than [`MAX_SPEC_NODES`] nodes or
+/// [`MAX_SPEC_EDGES`] edges, before anything is allocated for it. An
+/// unknown family or a wrong parameter count passes, for
+/// [`parse_graph`] to name.
+fn check_size(family: &str, nums: &[usize]) -> Result<(), CliError> {
+    let w = |x: usize| x as u128;
+    // (precondition holds, what it says, nodes, edges)
+    let (ok, what, nodes, edges) = match (family, nums) {
+        ("path", &[n]) => (n >= 1, "N >= 1", w(n), w(n).saturating_sub(1)),
+        ("cycle", &[n]) => (n >= 3, "N >= 3", w(n), w(n)),
+        ("grid", &[r, c]) => {
+            let (r, c) = (w(r), w(c));
+            let edges = (r * c.saturating_sub(1)).saturating_add(c * r.saturating_sub(1));
+            (r >= 1 && c >= 1, "R >= 1 and C >= 1", r * c, edges)
+        }
+        ("lollipop", &[c, t]) => (c >= 3, "C >= 3", w(c) + w(t), w(c) + w(t)),
+        ("spider", &[legs, len]) => {
+            let edges = w(legs) * w(len);
+            (
+                legs >= 1 && len >= 1,
+                "L >= 1 and LEN >= 1",
+                edges + 1,
+                edges,
+            )
+        }
+        ("complete", &[n]) => (n >= 1, "N >= 1", w(n), w(n) * w(n).saturating_sub(1) / 2),
+        // Every shape random_mixed draws has fewer than 2N edges.
+        ("random", &[n, _]) => (n >= 1, "N >= 1", w(n), 2 * w(n)),
+        ("fig13", &[n]) => (
+            n.is_multiple_of(4) && n >= 16,
+            "N a multiple of 4, N >= 16",
+            w(n),
+            w(n),
+        ),
+        ("fig17", &[n]) => (
+            n.is_multiple_of(4) && n >= 28,
+            "N a multiple of 4, N >= 28",
+            w(n),
+            w(n) + 1,
+        ),
+        _ => return Ok(()),
+    };
+    let need = if !ok {
+        what.to_string()
+    } else if nodes > w(MAX_SPEC_NODES) {
+        format!("at most {MAX_SPEC_NODES} nodes (this spec has {nodes})")
+    } else if edges > w(MAX_SPEC_EDGES) {
+        format!("at most {MAX_SPEC_EDGES} edges (this spec has {edges})")
+    } else {
+        return Ok(());
+    };
+    Err(CliError::OutOfRange {
+        family: family.to_string(),
+        need,
+    })
+}
+
 /// Parses an algorithm name: `alg1 | alg1b | alg2 | alg3 | alg3o | rhr`.
 ///
 /// # Errors
@@ -172,6 +251,8 @@ mod tests {
     #[test]
     fn parses_families() {
         assert_eq!(parsed("path:5").node_count(), 5);
+        assert_eq!(parsed("path:1").node_count(), 1);
+        assert_eq!(parsed("cycle:3").edge_count(), 3);
         assert_eq!(parsed("cycle:7").edge_count(), 7);
         assert_eq!(parsed("grid:3x4").node_count(), 12);
         assert_eq!(parsed("lollipop:5,2").node_count(), 7);
@@ -206,6 +287,30 @@ mod tests {
         assert!(matches!(
             parse_graph("/no/such/file"),
             Err(CliError::UnreadableFile { .. })
+        ));
+        // Outside a generator's range, or past the size caps: refused
+        // before anything is generated.
+        for (spec, want) in [
+            ("cycle:2", "cycle needs N >= 3"),
+            ("fig17:30", "fig17 needs N a multiple of 4, N >= 28"),
+            ("spider:0,3", "spider needs L >= 1 and LEN >= 1"),
+            (
+                "grid:100000x100000",
+                "grid needs at most 1000000 nodes (this spec has 10000000000)",
+            ),
+            (
+                "complete:100000",
+                "complete needs at most 4000000 edges (this spec has 4999950000)",
+            ),
+        ] {
+            let err = parse_graph(spec).err();
+            assert!(matches!(err, Some(CliError::OutOfRange { .. })), "{spec}");
+            assert_eq!(err.map(|e| e.to_string()).as_deref(), Some(want));
+        }
+        let huge = format!("grid:{0}x{0}", usize::MAX);
+        assert!(matches!(
+            parse_graph(&huge),
+            Err(CliError::OutOfRange { .. })
         ));
     }
 

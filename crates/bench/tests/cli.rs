@@ -195,3 +195,35 @@ fn localroute_out_of_range_node_is_an_error_not_a_panic() {
         assert!(!err.contains("panicked"), "{what}: {err}");
     }
 }
+
+#[test]
+fn localroute_out_of_range_family_is_an_error_not_a_panic() {
+    // Each spec breaks its generator's precondition, or asks for more
+    // nodes or edges than the caps allow; both are refused before
+    // anything is generated.
+    for (spec, family) in [
+        ("path:0", "path"),
+        ("cycle:2", "cycle"),
+        ("grid:0x5", "grid"),
+        ("spider:0,0", "spider"),
+        ("lollipop:0,0", "lollipop"),
+        ("random:0,1", "random"),
+        ("fig13:4", "fig13"),
+        ("fig17:5", "fig17"),
+        ("grid:100000x100000", "grid"),
+        ("complete:100000", "complete"),
+    ] {
+        for args in [&["gen", spec][..], &["matrix", spec, "alg1", "2"]] {
+            let out = run(env!("CARGO_BIN_EXE_localroute"), args);
+            let what = args.join(" ");
+            assert_eq!(out.status.code(), Some(1), "{what}: wrong exit code");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.starts_with(&format!("error: {family} needs ")),
+                "{what}: stderr: {err}"
+            );
+            assert!(!err.contains("panicked"), "{what}: {err}");
+            assert!(out.stdout.is_empty(), "{what}: printed a graph");
+        }
+    }
+}

@@ -45,7 +45,6 @@
 //! well-formed run — Corollary 4 — and fall back to `a`.)
 
 use locality_graph::components::LocalComponent;
-use locality_graph::dist::UNREACHED;
 use locality_graph::{Label, NodeId};
 
 use crate::error::RoutingError;
@@ -154,7 +153,7 @@ fn decide(
 
     // Active neighbours of u in G'_k(u), ordered by label: the paper's
     // a, b, c.
-    let mut active = rv.analysis.active_neighbors();
+    let active = rv.active();
     if active.is_empty() {
         return Err(RoutingError::NoActiveComponent);
     }
@@ -164,7 +163,6 @@ fn decide(
             max: 3,
         });
     }
-    view.sort_by_label(&mut active);
 
     let v = packet
         .predecessor
@@ -174,7 +172,7 @@ fn decide(
     // Case 2: u = s.
     if view.center_label() == origin {
         let rule = ["S1", "S2", "S3"][active.len() - 1];
-        return Ok((view.label(s_rules(&active, v)), rule));
+        return Ok((view.label(s_rules(active, v)), rule));
     }
 
     // Locate s within G'_k(u) to pick Case 3 vs Case 4.
@@ -191,13 +189,13 @@ fn decide(
     let (next, rule) = match s_passive_comp {
         // Case 4: s lies in a passive component of u.
         Some(comp) => (
-            us_rules(&active, v, comp),
+            us_rules(active, v, comp),
             ["US1", "US2", "US3"][active.len() - 1],
         ),
         // Case 3: s not visible in G'_k(u), or in an active component.
         None => match (active.len(), u2) {
-            (2, U2Mode::Refined) => u2_refined(view, rv, &active, v, s_node),
-            (len, _) => (u_rules(&active, v), ["U1", "U2", "U3"][len - 1]),
+            (2, U2Mode::Refined) => u2_refined(view, rv, active, v, s_node),
+            (len, _) => (u_rules(active, v), ["U1", "U2", "U3"][len - 1]),
         },
     };
     Ok((view.label(next), rule))
@@ -317,7 +315,7 @@ fn u2_refined(
     let (pivot, via_s) = if comp.constraint_vertices.binary_search(&s).is_ok() {
         (Some(s), true)
     } else {
-        (find_shelter_pivot(view, rv, comp, s), false)
+        (view.shelter_pivot(s), false)
     };
     let Some(pivot) = pivot else {
         return plain("U2f");
@@ -354,14 +352,17 @@ fn u2_refined(
 /// hanging off `e` that (seen from `e`) is passive: removing `e`
 /// separates `s` from both the centre and every depth-k vertex.
 ///
-/// One slot BFS over `G'_k(u)` per candidate, all sharing one pair of
-/// view-sized buffers.
+/// The per-call reference for [`LocalView::shelter_pivot`]'s table:
+/// one slot BFS from `s` over `G'_k(u)` per candidate.
+#[cfg(test)]
 fn find_shelter_pivot(
     view: &LocalView,
     rv: &RoutingView,
     comp: &LocalComponent,
     s: NodeId,
 ) -> Option<NodeId> {
+    use locality_graph::dist::UNREACHED;
+
     let (mut reach, mut order) = (Vec::new(), Vec::new());
     comp.constraint_vertices
         .iter()
@@ -547,6 +548,53 @@ mod tests {
         assert_eq!(u_rules(&active, Some(NodeId(1))), NodeId(4));
         assert_eq!(u_rules(&active, Some(NodeId(4))), NodeId(9));
         assert_eq!(u_rules(&active, Some(NodeId(9))), NodeId(1));
+    }
+
+    /// Checks the per-view pivot table against the per-call search for
+    /// every member of every active component of every view of `g`;
+    /// returns how many members have a pivot.
+    fn assert_pivot_table_matches_search(g: &locality_graph::Graph, k: u32, what: &str) -> usize {
+        let mut sheltered = 0;
+        for u in g.nodes() {
+            let view = LocalView::extract(g, u, k);
+            let rv = view.routing_view();
+            for comp in rv.analysis.active_components() {
+                for &s in &comp.nodes {
+                    let want = find_shelter_pivot(&view, rv, comp, s);
+                    assert_eq!(
+                        view.shelter_pivot(s),
+                        want,
+                        "{what}: pivot of {s} in the view at {u}, k = {k}"
+                    );
+                    sheltered += usize::from(want.is_some());
+                }
+            }
+        }
+        sheltered
+    }
+
+    #[test]
+    fn shelter_pivot_table_matches_per_call_search() {
+        let mut rng = DetRng::seed_from_u64(20);
+        for n in [28, 32, 64] {
+            let fig = locality_adversary::tight::fig17(n);
+            let mut sheltered = assert_pivot_table_matches_search(&fig.graph, fig.k, "fig17");
+            for seed in 0..3 {
+                let (g, _) = permute::random_permute_nodes(&fig.graph, &mut rng);
+                sheltered +=
+                    assert_pivot_table_matches_search(&g, fig.k, &format!("fig17({n}) #{seed}"));
+            }
+            assert!(sheltered > 0, "fig17({n}) must exercise U2d/U2e pivots");
+        }
+        let mut sheltered = 0;
+        for n in [12, 24, 40, 64] {
+            for extra in [0, n / 8, n / 2] {
+                let g = generators::random_connected(n, extra, &mut rng);
+                let k = Alg1B.min_locality(n);
+                sheltered += assert_pivot_table_matches_search(&g, k, "random_connected");
+            }
+        }
+        assert!(sheltered > 0, "random graphs must exercise pivots too");
     }
 
     #[test]

@@ -57,8 +57,7 @@ impl LocalRouter for Alg2 {
             return Ok(view.label(step));
         }
 
-        let rv = view.routing_view();
-        let mut active = rv.analysis.active_neighbors();
+        let active = view.routing_view().active();
         if active.is_empty() {
             return Err(RoutingError::NoActiveComponent);
         }
@@ -68,7 +67,6 @@ impl LocalRouter for Alg2 {
                 max: 2,
             });
         }
-        view.sort_by_label(&mut active);
 
         let v = packet
             .predecessor
@@ -108,8 +106,7 @@ impl LocalRouter for Alg2 {
         } else if packet.predecessor.is_none() {
             "case-2"
         } else {
-            let rv = view.routing_view();
-            match rv.analysis.active_neighbors().len() {
+            match view.routing_view().active().len() {
                 1 => "U1",
                 _ => "U2",
             }

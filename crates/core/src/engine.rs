@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use locality_graph::{traversal, Graph, NodeId};
+use locality_graph::{traversal, DistMap, Graph, NodeId};
 
 use crate::error::RoutingError;
 use crate::model::Packet;
@@ -18,7 +18,7 @@ use crate::visited::VisitedStates;
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
     /// Hard cap on hops, over and above exact loop detection. Mostly a
-    /// belt-and-braces guard; `None` means `8 * n^2`.
+    /// belt-and-braces guard; `None` means `8 * n^2 + 16`.
     pub max_steps: Option<usize>,
 }
 
@@ -341,7 +341,8 @@ pub fn route_with_cache<R: LocalRouter + ?Sized>(
     t: NodeId,
     options: &RunOptions,
 ) -> RunReport {
-    walk(graph, views, router, s, t, options, None)
+    let shortest = traversal::distance(graph, s, t).unwrap_or(0);
+    walk(graph, views, router, s, t, shortest, options, None)
 }
 
 /// A run together with the rule that fired at each hop.
@@ -367,26 +368,40 @@ pub fn route_traced<R: LocalRouter + ?Sized>(
     options: &RunOptions,
 ) -> TracedRun {
     let views = ViewStore::new(graph, k);
+    let shortest = traversal::distance(graph, s, t).unwrap_or(0);
     let mut rules = Vec::new();
-    let report = walk(graph, &views, router, s, t, options, Some(&mut rules));
+    let report = walk(
+        graph,
+        &views,
+        router,
+        s,
+        t,
+        shortest,
+        options,
+        Some(&mut rules),
+    );
     TracedRun { report, rules }
 }
 
-/// The hop loop behind every engine run. With `rules`, the router names
-/// the rule behind each hop ([`LocalRouter::decide_explained`]) and the
-/// names are appended; without, it is asked for the next hop only.
+/// The hop loop behind every engine run. `shortest` is `dist(s, t)`
+/// (0 when disconnected), which the caller computes: one BFS for a
+/// single route, one per origin for a matrix. With `rules`, the router
+/// names the rule behind each hop ([`LocalRouter::decide_explained`])
+/// and the names are appended; without, it is asked for the next hop
+/// only.
+#[allow(clippy::too_many_arguments)]
 fn walk<R: LocalRouter + ?Sized>(
     graph: &Graph,
     views: &ViewStore,
     router: &R,
     s: NodeId,
     t: NodeId,
+    shortest: u32,
     options: &RunOptions,
     mut rules: Option<&mut Vec<&'static str>>,
 ) -> RunReport {
     let k = views.k();
     let n = graph.node_count();
-    let shortest = traversal::distance(graph, s, t).unwrap_or(0);
     let max_steps = options.max_steps.unwrap_or(8 * n * n + 16);
     let awareness = router.awareness();
     let origin_label = graph.label(s);
@@ -430,8 +445,11 @@ fn walk<R: LocalRouter + ?Sized>(
         match decision {
             Err(e) => break RunStatus::RouterError(e),
             Ok((next_label, rule)) => {
-                let next = graph.node_by_label(next_label);
-                let Some(next) = next.filter(|&x| graph.has_edge(current, x)) else {
+                // Labels are unique and a node's neighbours are sorted
+                // by label, so one search finds the named neighbour.
+                let nbrs = graph.neighbors(current);
+                let found = nbrs.binary_search_by_key(&next_label, |&x| graph.label(x));
+                let Some(&next) = found.ok().and_then(|i| nbrs.get(i)) else {
                     break RunStatus::InvalidDecision { at: current };
                 };
                 route.push(next);
@@ -495,6 +513,12 @@ where
 
 /// Runs `router` on the given pairs through a caller-supplied (and
 /// possibly shared) view store over `graph`.
+///
+/// `dist(s, t)` comes from one whole-graph BFS per run of consecutive
+/// pairs that share an origin, so a matrix listed origin by origin (as
+/// [`delivery_matrix`] lists it) costs `n` BFS rather than `n²`. Any
+/// order gives the same report, up to the order of `failures` and
+/// which of several tied pairs is named worst.
 pub fn delivery_matrix_with_cache<R, I>(
     graph: &Graph,
     views: &ViewStore,
@@ -512,8 +536,14 @@ where
         worst_dilation: None,
         total_hops: 0,
     };
+    // `dist(s, ·)` for the origin of the current run of pairs.
+    let mut from: Option<(NodeId, DistMap)> = None;
     for (s, t) in pairs {
-        let run = route_with_cache(graph, views, router, s, t, &options);
+        if from.as_ref().is_none_or(|&(o, _)| o != s) {
+            from = Some((s, traversal::bfs_distances(graph, s, None)));
+        }
+        let shortest = from.as_ref().and_then(|(_, d)| d.get(t)).unwrap_or(0);
+        let run = walk(graph, views, router, s, t, shortest, &options, None);
         report.runs += 1;
         if run.status.is_delivered() {
             report.total_hops += run.hops();
@@ -700,6 +730,52 @@ mod tests {
                 serial.worst_dilation.map(|(d, _, _)| d)
             );
         }
+    }
+
+    #[test]
+    fn matrix_is_independent_of_pair_order() {
+        // One BFS per run of pairs sharing an origin: a shuffled list
+        // interleaves origins, so nearly every pair starts a new run.
+        use crate::{Alg1, Alg1B, Alg2};
+        use locality_adversary::tight;
+        use locality_graph::rng::DetRng;
+        let mut rng = DetRng::seed_from_u64(19);
+        let lollipop = generators::lollipop(10, 6);
+        let random = generators::random_connected(40, 10, &mut rng);
+        let (f13, f17) = (tight::fig13(32), tight::fig17(32));
+        let cases: [(&Graph, u32, &dyn LocalRouter); 5] = [
+            (&f13.graph, f13.k, &Alg1),
+            (&f17.graph, f17.k, &Alg1B),
+            (&random, 14, &Alg2),
+            (&lollipop, 4, &Alg1),
+            (&lollipop, 2, &Stubborn),
+        ];
+        let mut failing = 0;
+        for (g, k, router) in cases {
+            let mut pairs: Vec<(NodeId, NodeId)> = g
+                .nodes()
+                .flat_map(|s| g.nodes().filter(move |&t| t != s).map(move |t| (s, t)))
+                .collect();
+            let ordered = delivery_matrix_for_pairs(g, k, router, pairs.iter().copied());
+            rng.shuffle(&mut pairs);
+            let shuffled = delivery_matrix_for_pairs(g, k, router, pairs.iter().copied());
+            let sorted = |m: &MatrixReport| {
+                let mut f = m.failures.clone();
+                f.sort_by_key(|&(s, t, _)| (s, t));
+                f
+            };
+            let what = router.name();
+            assert_eq!(shuffled.runs, ordered.runs, "{what}");
+            assert_eq!(sorted(&shuffled), sorted(&ordered), "{what}");
+            assert_eq!(shuffled.total_hops, ordered.total_hops, "{what}");
+            assert_eq!(
+                shuffled.worst_dilation.map(|(d, _, _)| d),
+                ordered.worst_dilation.map(|(d, _, _)| d),
+                "{what}"
+            );
+            failing += ordered.failures.len();
+        }
+        assert!(failing > 0, "the stubborn router must fail some pairs");
     }
 
     #[test]

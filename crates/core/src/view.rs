@@ -24,10 +24,10 @@ use crate::preprocess::{self, EdgeKey, Preprocessed};
 /// own two blocks, so an extracted view keeps four heap blocks and a
 /// 112-byte struct. The derived structure sits behind one boxed cache
 /// that is allocated on first use: the label→node lookup (a sorted
-/// table searched by binary search), the [`RoutingView`] and the raw
-/// component analysis. Routers that never ask for them, like the ring
-/// baselines, and views that are only decoded and stored pay one empty
-/// 16-byte cell. The first-step table stays outside that box, because
+/// table searched by binary search), the [`RoutingView`], Algorithm
+/// 1B's shelter pivots and the raw component analysis. Routers that
+/// never ask for them, like the ring baselines, and views that are
+/// only decoded and stored pay one empty 16-byte cell. The first-step table stays outside that box, because
 /// every view decoded from an artifact arrives with it. No per-query
 /// allocation or tree traversal happens on the hot path, and the
 /// derived structure and the work that builds it index member slots
@@ -61,6 +61,10 @@ struct Derived {
     /// artifact paths alike) never asks for it.
     by_label: OnceLock<Box<[(Label, NodeId)]>>,
     routing: OnceLock<RoutingView>,
+    /// Algorithm 1B's shelter pivots, slot-aligned with the routing
+    /// view's subgraph (see [`RoutingView::shelter_table`]). Only a
+    /// refined-U2 hop asks for it, so preprocessing never builds it.
+    shelter: OnceLock<Box<[u32]>>,
     raw_analysis: OnceLock<ComponentAnalysis>,
 }
 
@@ -75,6 +79,9 @@ pub struct RoutingView {
     /// Local-component decomposition of `G'_k(u)`; its distances are
     /// the paper's `dist'`, read through [`dist`](Self::dist).
     pub analysis: ComponentAnalysis,
+    /// The centre's active neighbours ordered by label, read through
+    /// [`active`](Self::active).
+    active: Box<[NodeId]>,
 }
 
 impl RoutingView {
@@ -83,6 +90,79 @@ impl RoutingView {
     pub fn dist(&self, x: NodeId) -> Option<u32> {
         let d = *self.analysis.dist.get(self.sub.slot_of(x)?)?;
         (d != UNREACHED).then_some(d)
+    }
+
+    /// The centre's active neighbours in `G'_k(u)` in ascending label
+    /// order: the paper's `a, b, c`. Sorted once, when the routing view
+    /// is built, so a routing decision reads them without allocating.
+    pub(crate) fn active(&self) -> &[NodeId] {
+        &self.active
+    }
+
+    /// Algorithm 1B's shelter pivots (rules U2d and U2e), one entry per
+    /// slot of [`sub`](Self::sub): the slot of the pivot plus one, or
+    /// `0` where there is none.
+    ///
+    /// The pivot of a member `s` of a component `C` is the first
+    /// constraint vertex `e` of `C`, in id order and other than `s`,
+    /// whose removal cuts `s` off from both the centre and every
+    /// depth-k vertex of `C`. Reachability in the undirected `G'_k(u)`
+    /// is symmetric, so one multi-source search per `e` answers for
+    /// every member at once: with `e` removed, the members it leaves
+    /// unreached are the ones `e` shelters. A path from `s` reaches the
+    /// centre through one of `C`'s roots, so the search starts from
+    /// the roots in the centre's place, and from `C`'s depth-k
+    /// vertices, and never leaves `C`. The table costs one pass over
+    /// `C` per constraint vertex, once per view; a hop that needs a
+    /// pivot then reads one entry.
+    fn shelter_table(&self, center: NodeId) -> Box<[u32]> {
+        let sub = &self.sub;
+        let slots = |nodes: &[NodeId]| -> Vec<u32> {
+            nodes
+                .iter()
+                .filter_map(|&x| sub.slot_of(x).map(|x| x as u32))
+                .collect()
+        };
+        let mut pivot = vec![0u32; sub.node_count()];
+        // `mark[x] == pass`: the current pass reached slot `x`, or
+        // removed it (the centre and `e`).
+        let mut mark = vec![0u32; sub.node_count()];
+        let mut queue: Vec<u32> = Vec::new();
+        let mut pass = 0u32;
+        for comp in &self.analysis.components {
+            if comp.constraint_vertices.is_empty() {
+                continue;
+            }
+            let members = slots(&comp.nodes);
+            let sources = [slots(&comp.roots), slots(&comp.depth_k_nodes)].concat();
+            for e in slots(&comp.constraint_vertices) {
+                pass += 1;
+                for x in sub.slot_of(center).into_iter().chain([e as usize]) {
+                    if let Some(m) = mark.get_mut(x) {
+                        *m = pass;
+                    }
+                }
+                queue.clear();
+                queue.extend(&sources);
+                let mut head = 0;
+                while let Some(&x) = queue.get(head) {
+                    head += 1;
+                    let fresh = mark.get_mut(x as usize).filter(|m| **m != pass);
+                    let Some(m) = fresh else { continue };
+                    *m = pass;
+                    queue.extend(sub.neighbor_slots(x as usize));
+                }
+                for &x in &members {
+                    if mark.get(x as usize) == Some(&pass) {
+                        continue;
+                    }
+                    if let Some(p) = pivot.get_mut(x as usize).filter(|p| **p == 0) {
+                        *p = e + 1;
+                    }
+                }
+            }
+        }
+        pivot.into_boxed_slice()
     }
 }
 
@@ -319,12 +399,29 @@ impl LocalView {
                 dormant, routing, ..
             } = preprocess::preprocess(&self.raw, &self.labels, self.center, self.k);
             let analysis = ComponentAnalysis::analyze(&routing, self.center, self.k);
+            let mut active = analysis.active_neighbors();
+            self.sort_by_label(&mut active);
             RoutingView {
                 dormant,
                 sub: routing,
                 analysis,
+                active: active.into_boxed_slice(),
             }
         })
+    }
+
+    /// Algorithm 1B's shelter pivot of `s` (rules U2d and U2e; see
+    /// [`RoutingView::shelter_table`]), if `s` is a member of
+    /// `G'_k(u)` that has one. The table is built on the first call
+    /// and read by every later one.
+    pub(crate) fn shelter_pivot(&self, s: NodeId) -> Option<NodeId> {
+        let rv = self.routing_view();
+        let table = self
+            .derived()
+            .shelter
+            .get_or_init(|| rv.shelter_table(self.center));
+        let p = *table.get(rv.sub.slot_of(s)?)?;
+        (p != 0).then(|| rv.sub.id_of(p as usize - 1))
     }
 
     /// Local-component analysis of the **raw** view `G_k(u)` (used by

@@ -1,0 +1,122 @@
+//! A warm `decide` allocates nothing: once a node's view holds its
+//! routing view, label table, step table and (for Algorithm 1B) shelter
+//! pivots, choosing the next hop reads them and builds nothing.
+//!
+//! Three workloads record every `(packet, centre)` pair that one
+//! `delivery_matrix` pass asks its router about: `fig13(64)` under
+//! Algorithm 1 and `fig17(64)` under Algorithm 1B, both at k = n/4, and
+//! a sparse `random_connected(64, 8)` under Algorithm 2 at its
+//! threshold. The pass also fills the view store. Replaying the pairs
+//! through `decide` against that store must allocate zero bytes and
+//! give the same answers.
+//!
+//! This lives in its own integration-test binary because a
+//! `#[global_allocator]` is process-wide, and contains exactly one
+//! `#[test]` so no concurrent test can pollute the counter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+use local_routing::engine;
+use local_routing::{
+    Alg1, Alg1B, Alg2, Awareness, LocalRouter, LocalView, Packet, RoutingError, ViewStore,
+};
+use locality_adversary::tight;
+use locality_graph::rng::DetRng;
+use locality_graph::{generators, Graph, Label, NodeId};
+
+/// System allocator that totals the bytes it hands out.
+struct Counting;
+
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// A router that records each question it is asked, and its answer,
+/// before passing the answer on.
+struct Recording<'a> {
+    inner: &'a dyn LocalRouter,
+    calls: Mutex<Vec<(Packet, NodeId, Label)>>,
+}
+
+impl LocalRouter for Recording<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn awareness(&self) -> Awareness {
+        self.inner.awareness()
+    }
+
+    fn min_locality(&self, n: usize) -> u32 {
+        self.inner.min_locality(n)
+    }
+
+    fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
+        let next = self.inner.decide(packet, view)?;
+        if let Ok(mut calls) = self.calls.lock() {
+            calls.push((*packet, view.center(), next));
+        }
+        Ok(next)
+    }
+}
+
+#[test]
+fn warm_decide_allocates_nothing() {
+    let (f13, f17) = (tight::fig13(64), tight::fig17(64));
+    let random = generators::random_connected(64, 8, &mut DetRng::seed_from_u64(20));
+    let cases: [(&str, &Graph, u32, &dyn LocalRouter); 3] = [
+        ("fig13(64) / algorithm 1", &f13.graph, f13.k, &Alg1),
+        ("fig17(64) / algorithm 1b", &f17.graph, f17.k, &Alg1B),
+        (
+            "random_connected(64, 8) / algorithm 2",
+            &random,
+            Alg2.min_locality(64),
+            &Alg2,
+        ),
+    ];
+    for (what, g, k, router) in cases {
+        let recording = Recording {
+            inner: router,
+            calls: Mutex::new(Vec::new()),
+        };
+        let views = ViewStore::new(g, k);
+        let pairs: Vec<(NodeId, NodeId)> = g
+            .nodes()
+            .flat_map(|s| g.nodes().filter(move |&t| t != s).map(move |t| (s, t)))
+            .collect();
+        let m = engine::delivery_matrix_with_cache(g, &views, &recording, pairs);
+        assert!(m.all_delivered(), "{what}: {:?}", m.failures.first());
+        let calls = recording.calls.into_inner().unwrap_or_default();
+        assert_eq!(calls.len(), m.total_hops, "{what}: one decision per hop");
+
+        let before = ALLOCATED.load(Ordering::Relaxed);
+        let mut same = 0usize;
+        for (packet, centre, next) in &calls {
+            let got = router.decide(packet, views.view(g, *centre));
+            same += usize::from(black_box(got) == Ok(*next));
+        }
+        let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
+        assert_eq!(same, calls.len(), "{what}: replayed decisions differ");
+        assert_eq!(
+            allocated,
+            0,
+            "{what}: {} warm decide calls allocated {allocated} bytes",
+            calls.len()
+        );
+    }
+}
