@@ -17,6 +17,8 @@
 //!
 //! `<alg>` is one of `alg1 alg1b alg2 alg3 alg3o rhr`.
 
+use std::error::Error;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 use local_routing::{engine, LocalRouter};
@@ -24,37 +26,39 @@ use locality_adversary::defeat;
 use locality_bench::cli::{parse_alg, parse_graph};
 use locality_graph::{io, Graph, NodeId};
 
-fn run() -> Result<(), String> {
+fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: localroute gen|route|matrix|defeat|report ... (see --help)";
     match args.first().map(String::as_str) {
         Some("gen") => {
             let spec = args.get(1).ok_or("gen needs a family spec")?;
-            print!("{}", io::to_string(&parse_graph(spec)?));
+            write!(out, "{}", io::to_string(&parse_graph(spec)?))?;
             Ok(())
         }
         Some("route") => {
             let (g, router, k, s, t) = route_args(&args)?;
             let run = engine::route(&g, k, &router, s, t, &Default::default());
-            println!(
+            writeln!(
+                out,
                 "{} on {} nodes, k = {k} (threshold T(n) = {}):",
                 router.name(),
                 g.node_count(),
                 router.min_locality(g.node_count())
-            );
-            println!("  status   {:?}", run.status);
-            println!("  hops     {} (shortest {})", run.hops(), run.shortest);
+            )?;
+            writeln!(out, "  status   {:?}", run.status)?;
+            writeln!(out, "  hops     {} (shortest {})", run.hops(), run.shortest)?;
             if let Some(d) = run.dilation() {
-                println!("  dilation {d:.3}");
+                writeln!(out, "  dilation {d:.3}")?;
             }
-            println!(
+            writeln!(
+                out,
                 "  route    {}",
                 run.route
                     .iter()
                     .map(|u| g.label(*u).to_string())
                     .collect::<Vec<_>>()
                     .join(" -> ")
-            );
+            )?;
             Ok(())
         }
         Some("matrix") => {
@@ -67,21 +71,22 @@ fn run() -> Result<(), String> {
                 None => router.min_locality(g.node_count()),
             };
             let m = engine::delivery_matrix(&g, k, &router);
-            println!(
+            writeln!(
+                out,
                 "{} with k = {k} on {} nodes: {}/{} pairs delivered",
                 router.name(),
                 g.node_count(),
                 m.runs - m.failures.len(),
                 m.runs
-            );
+            )?;
             if let Some((d, s, t)) = m.worst_dilation {
-                println!("worst dilation {d:.3} at ({s}, {t})");
+                writeln!(out, "worst dilation {d:.3} at ({s}, {t})")?;
             }
             for (s, t, status) in m.failures.iter().take(5) {
-                println!("  FAILED ({s}, {t}): {status:?}");
+                writeln!(out, "  FAILED ({s}, {t}): {status:?}")?;
             }
             if m.failures.len() > 5 {
-                println!("  ... and {} more", m.failures.len() - 5);
+                writeln!(out, "  ... and {} more", m.failures.len() - 5)?;
             }
             Ok(())
         }
@@ -100,36 +105,39 @@ fn run() -> Result<(), String> {
                 .map_err(|_| "k must be an integer")?;
             match defeat::find_defeat(&router, n, k) {
                 Some(d) => {
-                    println!(
+                    writeln!(
+                        out,
                         "{} defeated by the {} family: message {} -> {} ends {:?}",
                         router.name(),
                         d.family,
                         d.s,
                         d.t,
                         d.status
-                    );
-                    println!("graph:\n{}", io::to_string(&d.graph));
+                    )?;
+                    writeln!(out, "graph:\n{}", io::to_string(&d.graph))?;
                 }
-                None => println!(
+                None => writeln!(
+                    out,
                     "no defeat found for {} at n = {n}, k = {k} (threshold {})",
                     router.name(),
                     router.min_locality(n)
-                ),
+                )?,
             }
             Ok(())
         }
         Some("trace") => {
             let (g, router, k, s, t) = route_args(&args)?;
             let traced = engine::route_traced(&g, k, &router, s, t, &Default::default());
-            println!("{} ({:?}):", router.name(), traced.report.status);
+            writeln!(out, "{} ({:?}):", router.name(), traced.report.status)?;
             for (i, rule) in traced.rules.iter().enumerate() {
-                println!(
+                writeln!(
+                    out,
                     "  {:>4}  {:>7}  {} -> {}",
                     i,
                     rule,
                     g.label(traced.report.route[i]),
                     g.label(traced.report.route[i + 1])
-                );
+                )?;
             }
             Ok(())
         }
@@ -142,7 +150,10 @@ fn run() -> Result<(), String> {
                 None => n.div_ceil(4) as u32,
             };
             use local_routing::verify;
-            println!("verifying the paper's structural lemmas on {n} nodes at k = {k}:");
+            writeln!(
+                out,
+                "verifying the paper's structural lemmas on {n} nodes at k = {k}:"
+            )?;
             let checks: [(&str, Result<(), String>); 4] = [
                 (
                     "Lemma 3 (consistent subgraph connected)",
@@ -164,17 +175,18 @@ fn run() -> Result<(), String> {
             let mut ok = true;
             for (name, result) in checks {
                 match result {
-                    Ok(()) => println!("  PASS  {name}"),
+                    Ok(()) => writeln!(out, "  PASS  {name}")?,
                     Err(e) => {
                         ok = false;
-                        println!("  FAIL  {name}: {e}");
+                        writeln!(out, "  FAIL  {name}: {e}")?;
                     }
                 }
             }
-            println!(
+            writeln!(
+                out,
                 "  max active degree in G'_k(u): {}",
                 verify::max_active_degree(&g, k)
-            );
+            )?;
             if ok {
                 Ok(())
             } else {
@@ -182,10 +194,10 @@ fn run() -> Result<(), String> {
             }
         }
         Some("report") => {
-            println!("{}", locality_bench::report());
+            writeln!(out, "{}", locality_bench::report())?;
             Ok(())
         }
-        _ => Err(usage.to_string()),
+        _ => Err(usage.into()),
     }
 }
 
@@ -221,8 +233,17 @@ fn route_args(args: &[String]) -> Result<RouteArgs, String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let mut out = std::io::stdout().lock();
+    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that stops early (`localroute gen … | head`) has
+        // taken all the output it wants.
+        Err(e)
+            if e.downcast_ref::<std::io::Error>()
+                .is_some_and(|e| e.kind() == ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -3,7 +3,8 @@
 //! with a usage line on stderr — same contract `crates/lint/tests/
 //! cli.rs` pins for `locality-lint` and `bin/tracecat`.
 
-use std::process::{Command, Output};
+use std::io::Read;
+use std::process::{Command, Output, Stdio};
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin).args(args).output().expect("binary runs")
@@ -226,4 +227,24 @@ fn localroute_out_of_range_family_is_an_error_not_a_panic() {
             assert!(out.stdout.is_empty(), "{what}: printed a graph");
         }
     }
+}
+
+#[test]
+fn localroute_ends_quietly_when_its_reader_stops_early() {
+    // grid:300x300 prints 2,467,954 bytes, more than a pipe buffers, so
+    // localroute is still writing when the reader goes away.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_localroute"))
+        .args(["gen", "grid:300x300"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("localroute starts");
+    let mut reader = child.stdout.take().expect("stdout is piped");
+    let mut head = [0u8; 10];
+    reader.read_exact(&mut head).expect("localroute writes");
+    drop(reader);
+    let out = child.wait_with_output().expect("localroute exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}, stderr: {err}", out.status);
+    assert!(!err.contains("panicked"), "stderr: {err}");
 }

@@ -445,11 +445,7 @@ fn walk<R: LocalRouter + ?Sized>(
         match decision {
             Err(e) => break RunStatus::RouterError(e),
             Ok((next_label, rule)) => {
-                // Labels are unique and a node's neighbours are sorted
-                // by label, so one search finds the named neighbour.
-                let nbrs = graph.neighbors(current);
-                let found = nbrs.binary_search_by_key(&next_label, |&x| graph.label(x));
-                let Some(&next) = found.ok().and_then(|i| nbrs.get(i)) else {
+                let Some(next) = graph.neighbor_by_label(current, next_label) else {
                     break RunStatus::InvalidDecision { at: current };
                 };
                 route.push(next);

@@ -151,8 +151,7 @@ pub fn route_stateful<R: StatefulLocalRouter>(
         match router.decide(&packet, &view, &state) {
             Err(e) => break RunStatus::RouterError(e),
             Ok((next_label, new_state)) => {
-                let next = graph.node_by_label(next_label);
-                let Some(next) = next.filter(|&x| graph.has_edge(current, x)) else {
+                let Some(next) = graph.neighbor_by_label(current, next_label) else {
                     break RunStatus::InvalidDecision { at: current };
                 };
                 max_state_bits = max_state_bits.max(new_state.bits(max_label));

@@ -36,9 +36,9 @@ fn pack(at: NodeId, from: Option<NodeId>) -> u64 {
 
 /// The set of `(node, predecessor)` states one route has visited.
 ///
-/// `contains` never mutates, so concurrent readers can test a set that
-/// a later sequential phase inserts into. `clear` keeps the allocation
-/// for the route's next attempt; dropping the set returns it.
+/// A walk tests and records a state in one [`insert`](Self::insert).
+/// `clear` keeps the allocation for the route's next attempt; dropping
+/// the set returns it.
 #[derive(Debug, Default)]
 pub struct VisitedStates {
     /// Packed keys, [`EMPTY`] where free: empty until the first insert,
@@ -55,7 +55,8 @@ impl VisitedStates {
     }
 
     /// Whether the state `(at, from)` has been recorded.
-    pub fn contains(&self, at: NodeId, from: Option<NodeId>) -> bool {
+    #[cfg(test)]
+    fn contains(&self, at: NodeId, from: Option<NodeId>) -> bool {
         self.has(pack(at, from))
     }
 

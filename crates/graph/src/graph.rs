@@ -1,13 +1,10 @@
 //! The labelled, undirected, simple graph type.
+//!
+//! A routing decision names a neighbour of the current node by label,
+//! so a label is resolved only among that node's neighbours
+//! ([`Graph::neighbor_by_label`]); there is no graph-wide label index.
 
-// The label -> id `HashMap` is the R2 determinism rule's sanctioned
-// exception: it is a keyed lookup table (`node_by_label`) that is never
-// iterated, so hash order cannot reach an output. Justified in
-// `lint.allow`; clippy's workspace-wide `disallowed-types` is relaxed
-// file-locally to match.
-#![allow(clippy::disallowed_types)]
-
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::error::GraphError;
@@ -21,7 +18,8 @@ use crate::traversal::Topology;
 /// carries a unique [`Label`]. Neighbour lists are kept sorted by the
 /// neighbour's **label**, so all iteration order (and hence every
 /// deterministic routing decision built on top) is a function of labels
-/// alone, never of insertion order.
+/// alone, never of insertion order, and finding the neighbour with a
+/// given label is one binary search.
 ///
 /// # Example
 ///
@@ -37,7 +35,6 @@ use crate::traversal::Topology;
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     labels: Vec<Label>,
-    by_label: HashMap<Label, NodeId>,
     adj: Vec<Vec<NodeId>>,
     edge_count: usize,
 }
@@ -101,11 +98,6 @@ impl Graph {
         self.labels[u.index()]
     }
 
-    /// Looks a node up by label.
-    pub fn node_by_label(&self, l: Label) -> Option<NodeId> {
-        self.by_label.get(&l).copied()
-    }
-
     /// Neighbours of `u`, sorted ascending by label.
     ///
     /// # Panics
@@ -122,14 +114,30 @@ impl Graph {
         self.adj[u.index()].len()
     }
 
+    /// The neighbour of `u` labelled `l`, if `u` has one: one binary
+    /// search over `u`'s label-sorted neighbours. `None` also for an
+    /// out-of-range `u`.
+    #[inline]
+    pub fn neighbor_by_label(&self, u: NodeId, l: Label) -> Option<NodeId> {
+        let nbrs = self.adj.get(u.index())?;
+        self.search(nbrs, l).ok().and_then(|i| nbrs.get(i)).copied()
+    }
+
+    /// Where label `l` sits in the label-sorted neighbour list `nbrs`:
+    /// `Ok` with its position, or `Err` with the position that keeps
+    /// the list sorted.
+    #[inline]
+    fn search(&self, nbrs: &[NodeId], l: Label) -> Result<usize, usize> {
+        nbrs.binary_search_by_key(&l, |&w| self.label(w))
+    }
+
     /// Whether the edge `{u, v}` exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if u.index() >= self.adj.len() {
-            return false;
-        }
-        self.adj[u.index()]
-            .binary_search_by_key(&self.label(v), |&w| self.label(w))
-            .is_ok()
+        self.neighbor_by_label(u, self.label(v)).is_some()
     }
 
     /// The rank of the edge `{u, v}` (§5.1): the lexicographically ordered
@@ -163,11 +171,7 @@ impl Graph {
             return Err(GraphError::DuplicateEdge(u, v));
         }
         for (a, b) in [(u, v), (v, u)] {
-            let lb = self.labels[b.index()];
-            let pos =
-                match self.adj[a.index()].binary_search_by_key(&lb, |&w| self.labels[w.index()]) {
-                    Ok(i) | Err(i) => i,
-                };
+            let (Ok(pos) | Err(pos)) = self.search(&self.adj[a.index()], self.label(b));
             self.adj[a.index()].insert(pos, b);
         }
         self.edge_count += 1;
@@ -195,10 +199,7 @@ impl Graph {
             return Err(GraphError::MissingEdge(u, v));
         }
         for (a, b) in [(u, v), (v, u)] {
-            let lb = self.labels[b.index()];
-            if let Ok(pos) =
-                self.adj[a.index()].binary_search_by_key(&lb, |&w| self.labels[w.index()])
-            {
+            if let Ok(pos) = self.search(&self.adj[a.index()], self.label(b)) {
                 self.adj[a.index()].remove(pos);
             }
         }
@@ -277,7 +278,9 @@ impl Topology for Graph {
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     labels: Vec<Label>,
-    by_label: HashMap<Label, NodeId>,
+    /// The labels taken so far, for [`GraphBuilder::add_node`]'s
+    /// duplicate check; dropped at [`GraphBuilder::build`].
+    taken: BTreeSet<Label>,
     adj: Vec<Vec<NodeId>>,
     edge_count: usize,
 }
@@ -304,12 +307,11 @@ impl GraphBuilder {
     ///
     /// Returns [`GraphError::DuplicateLabel`] if the label is taken.
     pub fn add_node(&mut self, label: Label) -> Result<NodeId, GraphError> {
-        if self.by_label.contains_key(&label) {
+        if !self.taken.insert(label) {
             return Err(GraphError::DuplicateLabel(label));
         }
         let id = NodeId(self.labels.len() as u32);
         self.labels.push(label);
-        self.by_label.insert(label, id);
         self.adj.push(Vec::new());
         Ok(id)
     }
@@ -351,7 +353,6 @@ impl GraphBuilder {
         }
         Graph {
             labels: self.labels,
-            by_label: self.by_label,
             adj: self.adj,
             edge_count: self.edge_count,
         }
@@ -432,13 +433,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn label_lookup_round_trips() {
-        let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
+    /// Checks `neighbor_by_label` against a linear scan of
+    /// `neighbors(u)` for every node, every label and one label no node
+    /// carries, and for a node id past the end.
+    fn assert_label_search_matches_scan(g: &Graph) {
+        let absent = Label(g.max_label().map_or(0, |l| l.0 + 1));
+        let labels: Vec<Label> = g.nodes().map(|v| g.label(v)).chain([absent]).collect();
         for u in g.nodes() {
-            assert_eq!(g.node_by_label(g.label(u)), Some(u));
+            for &l in &labels {
+                let scan = g.neighbors(u).iter().copied().find(|&v| g.label(v) == l);
+                assert_eq!(g.neighbor_by_label(u, l), scan, "{u}, {l} on {g:?}");
+            }
         }
-        assert_eq!(g.node_by_label(Label(99)), None);
+        let past = NodeId(g.node_count() as u32);
+        assert_eq!(g.neighbor_by_label(past, Label(0)), None);
+    }
+
+    #[test]
+    fn neighbor_by_label_matches_a_linear_scan() {
+        use crate::rng::DetRng;
+        use crate::{generators, permute};
+        for seed in 1..=4u64 {
+            let mut rng = DetRng::seed_from_u64(seed);
+            let n = 24;
+            let g = generators::random_connected(n, 30, &mut rng);
+            let mut g = permute::random_relabel(&g, &mut rng);
+            assert_label_search_matches_scan(&g);
+            for _ in 0..80 {
+                let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                let (u, v) = (NodeId(u), NodeId(v));
+                if u == v {
+                    continue;
+                }
+                if g.has_edge(u, v) {
+                    g.remove_edge(u, v).expect("the edge is present");
+                } else {
+                    g.insert_edge(u, v).expect("the edge is absent");
+                }
+            }
+            assert_label_search_matches_scan(&g);
+        }
     }
 
     #[test]

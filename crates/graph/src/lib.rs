@@ -10,8 +10,9 @@
 //! `G_k(u)` of the current node `u`: the subgraph made up of all paths of
 //! length at most `k` rooted at `u`. This crate provides:
 //!
-//! * [`Graph`]: a labelled, undirected, simple graph with O(1) edge
-//!   queries and deterministic neighbour ordering,
+//! * [`Graph`]: a labelled, undirected, simple graph with label-sorted
+//!   neighbour lists, so an edge query or a label-to-neighbour lookup is
+//!   one O(log deg) binary search,
 //! * [`Subgraph`]: a lightweight vertex/edge subset view used for
 //!   k-neighbourhoods and routing subgraphs,
 //! * [`neighborhood::k_neighborhood`]: extraction of `G_k(u)`,

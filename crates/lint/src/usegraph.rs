@@ -173,8 +173,7 @@ const R7_STEP_FNS: &[&str] = &[
     "next_event_time",
     "apply_fault",
     "drain_arrivals",
-    "decide",
-    "apply_decision",
+    "arrive",
     "emit_hop",
     "set_fate",
     "transmit",
@@ -1321,6 +1320,40 @@ mod tests {
         let hit = v.first().expect("one");
         assert_eq!(hit.symbol, "reprovision");
         assert!(hit.chain.join("\n").contains("RwLock"), "{:?}", hit.chain);
+    }
+
+    /// The names of the non-test functions `rel` defines in this
+    /// workspace's sources.
+    fn fns_defined_in(rel: &str) -> BTreeSet<String> {
+        let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = crate::walk::find_workspace_root(here).expect("workspace root exists");
+        let src = std::fs::read_to_string(root.join(rel)).expect("source file readable");
+        let lx = lexer::lex(&src);
+        symbols::parse(rel, &lx)
+            .fns
+            .into_iter()
+            .filter(|f| !f.is_test)
+            .map(|f| f.name)
+            .collect()
+    }
+
+    #[test]
+    fn every_named_root_is_a_function_of_its_file() {
+        // A renamed function drops out of these lists without a
+        // finding, so each name must still be defined where it is
+        // looked for.
+        for (rel, names) in [
+            (R7_NETWORK, R7_STEP_FNS),
+            ("crates/core/src/view.rs", R6_VIEW_FNS),
+        ] {
+            let defined = fns_defined_in(rel);
+            for name in names {
+                assert!(
+                    defined.contains(*name),
+                    "`{name}` is not a function of {rel}"
+                );
+            }
+        }
     }
 
     #[test]

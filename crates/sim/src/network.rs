@@ -631,91 +631,139 @@ impl Network {
     }
 
     /// The arrival phase of one tick: each arrival due at `when`, in
-    /// the FIFO order it was scheduled, is decided read-only from the
-    /// node's view ([`decide`](Self::decide)) and then applied
-    /// ([`apply_decision`](Self::apply_decision)). Returns the number
-    /// of arrivals processed.
+    /// the FIFO order it was scheduled, is handled by
+    /// [`arrive`](Self::arrive). Returns the number of arrivals
+    /// processed.
     fn drain_arrivals(&mut self, when: u64) -> usize {
         let due = self.events.take(when);
         for &h in &due {
-            let d = self.decide(h);
-            self.apply_decision(h, d);
+            self.arrive(h);
         }
         due.len()
     }
 
-    /// Applies one [`HopDecision`] to the network. The mutation order
-    /// inside each arm is copied verbatim from the historical `process`
-    /// (free before terminal handling, loop-state insert before the
-    /// budget/decision arms, loss draw inside `transmit`), which is
-    /// what keeps handle values, the RNG stream, and the trace
-    /// byte-identical to it.
-    fn apply_decision(&mut self, h: u32, d: HopDecision) {
-        let ArrivalData { msg, at, from, .. } = self.slab.get(h);
+    /// One hop step: settles the arrival behind slab handle `h`. The
+    /// checks run in a fixed order (stale attempt, dead incoming link,
+    /// crash, delivery, loop, hop budget, then the router's decision
+    /// from the node's own view), and the first that fires settles it.
+    /// The handle is freed before any terminal handling, except that a
+    /// transmission parked on a dead link keeps it, and the loss draw
+    /// happens inside [`transmit`](Self::transmit): handle values, the
+    /// RNG stream and the trace follow from the arrival order alone.
+    fn arrive(&mut self, h: u32) {
+        let ArrivalData {
+            msg,
+            at,
+            from,
+            attempt,
+        } = self.slab.get(h);
         let msg = msg as usize;
-        if matches!(d, HopDecision::ParkIncoming) {
-            // Parked transmissions keep their handle.
-            let f = from.unwrap_or(at);
-            self.parked
-                .entry(LinkKey::new(f, at))
-                .or_default()
-                .push_back(h);
+        if self.messages[msg].fate != MessageFate::InFlight || attempt != self.states[msg].attempt {
+            self.slab.free(h);
             return;
         }
+        // A message mid-flight on a link that has since gone down.
+        if let Some(f) = from.filter(|&f| !self.graph.has_edge(f, at)) {
+            match self.cfg.dead_link {
+                DeadLinkPolicy::Deliver => {}
+                DeadLinkPolicy::Drop => {
+                    self.slab.free(h);
+                    self.lose(msg, "dead_link");
+                    return;
+                }
+                DeadLinkPolicy::Queue => {
+                    // A parked transmission keeps its handle.
+                    self.parked
+                        .entry(LinkKey::new(f, at))
+                        .or_default()
+                        .push_back(h);
+                    return;
+                }
+            }
+        }
         self.slab.free(h);
-        // Arms past the loop check replay the loop-state insert that
-        // `decide` only tested (it must succeed: a message has at most
-        // one live transmission per attempt).
-        let record_seen = |net: &mut Network, msg: usize| {
-            let pred = if net.router.awareness().predecessor {
-                from
-            } else {
-                None
-            };
-            let fresh = net.states[msg].visited.insert(at, pred);
-            debug_assert!(fresh, "decided loop state already present");
+        // A crashed node black-holes everything, deliveries included.
+        if self.crashed[at.index()] {
+            self.lose(msg, "crash");
+            return;
+        }
+        let t = self.messages[msg].t;
+        if at == t {
+            self.messages[msg].delivered_at = Some(self.tick);
+            self.nodes[at.index()].delivered += 1;
+            let hops = self.messages[msg].hops() as u64;
+            if let Some(rec) = self.trace.as_deref_mut() {
+                rec.observe("sim.delivered_hops", hops);
+                if let Some(e) = rec.event(Level::Hops, self.tick, "deliver") {
+                    e.u64("msg", msg as u64)
+                        .u64("node", u64::from(at.0))
+                        .u64("hops", hops)
+                        .finish();
+                }
+            }
+            self.set_fate(msg, MessageFate::Delivered, None);
+            return;
+        }
+        // Exact loop detection (telemetry, not protocol state): a pure
+        // stateless router revisiting (node, predecessor-it-can-see)
+        // will repeat forever.
+        let pred = if self.router.awareness().predecessor {
+            from
+        } else {
+            None
         };
-        match d {
-            HopDecision::Stale | HopDecision::ParkIncoming => {}
-            HopDecision::DropIncoming => self.lose(msg, "dead_link"),
-            HopDecision::Crashed => self.lose(msg, "crash"),
-            HopDecision::Deliver => {
-                self.messages[msg].delivered_at = Some(self.tick);
-                self.nodes[at.index()].delivered += 1;
-                let hops = self.messages[msg].hops() as u64;
-                if let Some(rec) = self.trace.as_deref_mut() {
-                    rec.observe("sim.delivered_hops", hops);
-                    if let Some(e) = rec.event(Level::Hops, self.tick, "deliver") {
-                        e.u64("msg", msg as u64)
-                            .u64("node", u64::from(at.0))
-                            .u64("hops", hops)
-                            .finish();
-                    }
-                }
-                self.set_fate(msg, MessageFate::Delivered, None);
+        if !self.states[msg].visited.insert(at, pred) {
+            self.set_fate(msg, MessageFate::Looped, None);
+            return;
+        }
+        if self.messages[msg].hops() >= self.hop_budget {
+            self.set_fate(msg, MessageFate::HopBudgetExhausted, None);
+            return;
+        }
+        let origin_label = self.graph.label(self.messages[msg].s);
+        let target_label = self.graph.label(t);
+        let from_label = from.map(|f| self.graph.label(f));
+        // Build fills every slot and a re-provision wave refills each
+        // slot it empties before returning, so this read always finds
+        // the node's current (possibly stale) view.
+        let Some(view) = self.views.resident(at) else {
+            let err = format!("node {at} holds no view");
+            self.set_fate(msg, MessageFate::Errored(err), None);
+            return;
+        };
+        let packet =
+            Packet::new(origin_label, target_label, from_label).masked(self.router.awareness());
+        // The traced path asks the router to name its rule; the
+        // untraced path is the exact pre-tracing decision call.
+        let traced_hops = self
+            .trace
+            .as_deref()
+            .is_some_and(|r| r.enabled(Level::Hops));
+        let decision = if traced_hops {
+            self.router.decide_explained(&packet, view)
+        } else {
+            self.router.decide(&packet, view).map(|l| (l, "?"))
+        };
+        let (next_label, rule) = match decision {
+            Ok(d) => d,
+            Err(e) => {
+                self.set_fate(msg, MessageFate::Errored(e.to_string()), None);
+                return;
             }
-            HopDecision::Loop => self.set_fate(msg, MessageFate::Looped, None),
-            HopDecision::Exhaust => {
-                record_seen(self, msg);
-                self.set_fate(msg, MessageFate::HopBudgetExhausted, None);
-            }
-            HopDecision::Errored { err, decided } => {
-                record_seen(self, msg);
-                if decided {
-                    // The router returned a next hop (it was merely not
-                    // a neighbour), so its decision counter advanced.
-                    self.nodes[at.index()].forwarded += 1;
-                }
-                self.set_fate(msg, MessageFate::Errored(err), None);
-            }
-            HopDecision::Forward { next, rule } => {
-                record_seen(self, msg);
-                self.nodes[at.index()].forwarded += 1;
-                self.transmit(msg, at, next, from, rule);
-            }
-            HopDecision::ParkOutgoing { next, rule } => {
-                record_seen(self, msg);
-                self.nodes[at.index()].forwarded += 1;
+        };
+        // The router returned a next hop, so its decision counter
+        // advances whether or not the hop can be taken.
+        self.nodes[at.index()].forwarded += 1;
+        if let Some(next) = self.graph.neighbor_by_label(at, next_label) {
+            self.transmit(msg, at, next, from, rule);
+        } else if let Some(next) = self
+            .views
+            .resident(at)
+            .and_then(|v| v.center_neighbors().find(|&x| v.label(x) == next_label))
+        {
+            // Valid on the node's (stale) view: the link is simply down
+            // right now.
+            if self.cfg.dead_link == DeadLinkPolicy::Queue {
                 let attempt = self.states[msg].attempt;
                 self.messages[msg].path.push(next);
                 self.emit_hop(msg, at, next, from, rule, true);
@@ -724,12 +772,14 @@ impl Network {
                     .entry(LinkKey::new(at, next))
                     .or_default()
                     .push_back(nh);
-            }
-            HopDecision::DropOutgoing => {
-                record_seen(self, msg);
-                self.nodes[at.index()].forwarded += 1;
+            } else {
                 self.lose(msg, "dead_link");
             }
+        } else {
+            // Not a neighbour in the topology or the view (or no such
+            // node at all): a router bug, not a fault.
+            let err = format!("router named non-neighbour {next_label}");
+            self.set_fate(msg, MessageFate::Errored(err), None);
         }
     }
 
@@ -1105,155 +1155,6 @@ impl Network {
     pub fn view_stats(&self) -> ViewStoreStats {
         self.views.stats()
     }
-
-    /// Decides the outcome of one arrival — the exact decision ladder
-    /// of the historical `process`, with every mutation left to
-    /// [`apply_decision`](Self::apply_decision): staleness, dead
-    /// incoming link, crash, delivery, loop recurrence (a non-mutating
-    /// containment test), hop budget, and finally the router's
-    /// decision against the node's own view.
-    fn decide(&self, h: u32) -> HopDecision {
-        let ArrivalData {
-            msg,
-            at,
-            from,
-            attempt,
-        } = self.slab.get(h);
-        let msg = msg as usize;
-        if self.messages[msg].fate != MessageFate::InFlight || attempt != self.states[msg].attempt {
-            return HopDecision::Stale;
-        }
-        // A message mid-flight on a link that has since gone down.
-        if let Some(f) = from {
-            if !self.graph.has_edge(f, at) {
-                match self.cfg.dead_link {
-                    DeadLinkPolicy::Deliver => {}
-                    DeadLinkPolicy::Drop => return HopDecision::DropIncoming,
-                    DeadLinkPolicy::Queue => return HopDecision::ParkIncoming,
-                }
-            }
-        }
-        // A crashed node black-holes everything, deliveries included.
-        if self.crashed[at.index()] {
-            return HopDecision::Crashed;
-        }
-        let t = self.messages[msg].t;
-        if at == t {
-            return HopDecision::Deliver;
-        }
-        // Exact loop detection (telemetry, not protocol state): a pure
-        // stateless router revisiting (node, predecessor-it-can-see)
-        // will repeat forever.
-        let pred = if self.router.awareness().predecessor {
-            from
-        } else {
-            None
-        };
-        if self.states[msg].visited.contains(at, pred) {
-            return HopDecision::Loop;
-        }
-        if self.messages[msg].hops() >= self.hop_budget {
-            return HopDecision::Exhaust;
-        }
-        let origin_label = self.graph.label(self.messages[msg].s);
-        let target_label = self.graph.label(t);
-        let from_label = from.map(|f| self.graph.label(f));
-        // Build fills every slot and a re-provision wave refills each
-        // slot it empties before returning, so this read always finds
-        // the node's current (possibly stale) view.
-        let Some(view) = self.views.resident(at) else {
-            return HopDecision::Errored {
-                err: format!("node {at} holds no view"),
-                decided: false,
-            };
-        };
-        let packet =
-            Packet::new(origin_label, target_label, from_label).masked(self.router.awareness());
-        // The traced path asks the router to name its rule; the
-        // untraced path is the exact pre-tracing decision call.
-        let traced_hops = self
-            .trace
-            .as_deref()
-            .is_some_and(|r| r.enabled(Level::Hops));
-        let decision = if traced_hops {
-            self.router.decide_explained(&packet, view)
-        } else {
-            self.router.decide(&packet, view).map(|l| (l, "?"))
-        };
-        match decision {
-            Err(e) => HopDecision::Errored {
-                err: e.to_string(),
-                decided: false,
-            },
-            Ok((next_label, rule)) => match self.graph.node_by_label(next_label) {
-                Some(next) if self.graph.has_edge(at, next) => HopDecision::Forward { next, rule },
-                Some(next) if view.center_neighbors().any(|x| x == next) => {
-                    // Valid on the node's (stale) view — the link is
-                    // simply down right now.
-                    match self.cfg.dead_link {
-                        DeadLinkPolicy::Queue => HopDecision::ParkOutgoing { next, rule },
-                        DeadLinkPolicy::Deliver | DeadLinkPolicy::Drop => HopDecision::DropOutgoing,
-                    }
-                }
-                // Not a neighbour in the topology *or* the view (or no
-                // such node at all): a router bug, not a fault.
-                None | Some(_) => HopDecision::Errored {
-                    err: format!("router named non-neighbour {next_label}"),
-                    decided: true,
-                },
-            },
-        }
-    }
-}
-
-/// What [`Network::decide`] concluded for one arrival, computed
-/// read-only and applied by [`Network::apply_decision`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum HopDecision {
-    /// The message's fate is terminal or the attempt was superseded:
-    /// free the handle, nothing else.
-    Stale,
-    /// Mid-flight on a link that went down under
-    /// [`DeadLinkPolicy::Queue`]: park the handle on that link.
-    ParkIncoming,
-    /// Same, under [`DeadLinkPolicy::Drop`]: the message is lost.
-    DropIncoming,
-    /// The node is crashed and black-holes the arrival.
-    Crashed,
-    /// Arrived at its destination.
-    Deliver,
-    /// The `(node, predecessor)` state recurred: a provable loop.
-    Loop,
-    /// The per-attempt hop budget is spent.
-    Exhaust,
-    /// The router failed (`decided: false`) or named a node that is a
-    /// neighbour in neither the topology nor the view
-    /// (`decided: true` — the decision counter still advanced).
-    Errored {
-        /// The fate's error message.
-        err: String,
-        /// Whether the router returned a next hop at all.
-        decided: bool,
-    },
-    /// Forward over a live edge (the loss draw and latency are applied
-    /// by [`Network::apply_decision`], which owns the RNG stream).
-    Forward {
-        /// The live neighbour to transmit to.
-        next: NodeId,
-        /// The router rule that fired (traced runs only).
-        rule: &'static str,
-    },
-    /// The decision is valid on the node's (stale) view but the link
-    /// is down, under [`DeadLinkPolicy::Queue`]: allocate and park a
-    /// fresh transmission on that link.
-    ParkOutgoing {
-        /// The view-valid neighbour the message is parked towards.
-        next: NodeId,
-        /// The router rule that fired.
-        rule: &'static str,
-    },
-    /// Same, under a non-queueing policy: the message is lost.
-    DropOutgoing,
 }
 
 /// The registry counter a terminal fate bumps (`fate.<tag>`).
@@ -1276,7 +1177,7 @@ fn fate_counter(fate: &MessageFate) -> &'static str {
 mod tests {
     use super::*;
     use crate::fault::{ChurnConfig, LinkProfile};
-    use local_routing::{Alg1, Alg2, Alg3, LocalRouter};
+    use local_routing::{Alg1, Alg2, Alg3, Awareness, LocalRouter, RoutingError};
     use locality_graph::{generators, Label};
 
     #[test]
@@ -1450,6 +1351,65 @@ mod tests {
         let id = net.send(NodeId(0), NodeId(4));
         net.run_until_quiet();
         assert!(net.record(id).expect("id was returned by send").delivered());
+    }
+
+    /// A router that always names one fixed label.
+    struct Names(Label);
+
+    impl LocalRouter for Names {
+        fn name(&self) -> &'static str {
+            "names"
+        }
+        fn awareness(&self) -> Awareness {
+            Awareness::OBLIVIOUS
+        }
+        fn min_locality(&self, _n: usize) -> u32 {
+            1
+        }
+        fn decide(&self, _packet: &Packet, _view: &LocalView) -> Result<Label, RoutingError> {
+            Ok(self.0)
+        }
+    }
+
+    #[test]
+    fn naming_a_non_neighbour_is_a_router_error() {
+        // On the path 0-1-2-3-4 at k = 2, label 2 names a node that
+        // node 0 sees in its view but that is a neighbour of 0 in
+        // neither the topology nor the view; label 99 names no node.
+        let g = generators::path(5);
+        for label in [Label(2), Label(99)] {
+            for traced in [false, true] {
+                let mut b = NetworkBuilder::new(&g, 2);
+                if traced {
+                    b = b.recorder(Recorder::new(Level::Hops));
+                }
+                let mut net = b.build(Names(label));
+                let id = net.send(NodeId(0), NodeId(4));
+                net.run_until_quiet();
+                let err = format!("router named non-neighbour {label}");
+                assert_eq!(
+                    net.record(id).expect("id was returned by send").fate,
+                    MessageFate::Errored(err.clone())
+                );
+                // The router decided once, at node 0, and nowhere else.
+                let forwarded: Vec<u64> = g.nodes().map(|u| net.node(u).forwarded).collect();
+                assert_eq!(forwarded, [1, 0, 0, 0, 0]);
+                let m = net.metrics();
+                assert_eq!(m.errored, 1);
+                assert!(m.accounted());
+                let text = String::from_utf8(net.finish_trace()).expect("traces are UTF-8");
+                if traced {
+                    let events = locality_obs::parse_trace(&text).expect("the trace parses");
+                    let fate = events
+                        .iter()
+                        .find(|e| e.str_of("ev") == Some("fate"))
+                        .expect("the trace carries the fate");
+                    assert_eq!(fate.str_of("err"), Some(err.as_str()));
+                } else {
+                    assert!(text.is_empty());
+                }
+            }
+        }
     }
 
     #[test]

@@ -76,7 +76,8 @@ pub enum ReplayError {
         hop: usize,
         /// The traced next node.
         recorded: u32,
-        /// The re-derived next node.
+        /// The neighbour the re-derived label names, or `u32::MAX` when
+        /// it names none.
         derived: u32,
     },
     /// The decision reproduces but a different router rule fired.
@@ -262,7 +263,7 @@ pub fn verify_witnesses<R: LocalRouter + ?Sized>(
                         err: e.to_string(),
                     }
                 })?;
-                let derived = graph.node_by_label(label).map_or(u32::MAX, |x| x.0);
+                let derived = graph.neighbor_by_label(at, label).map_or(u32::MAX, |x| x.0);
                 if derived != hop.to {
                     return Err(ReplayError::Divergence {
                         msg: w.msg,
