@@ -2,12 +2,14 @@
 //! its threshold, search the paper's families and random suites for a
 //! defeating instance.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use local_routing::engine::{self, RunStatus};
 use local_routing::{Awareness, LocalRouter};
 use locality_graph::rng::DetRng;
-use locality_graph::{generators, permute, Graph, NodeId};
+use locality_graph::{fanout, generators, permute, Graph, NodeId};
 
-use crate::{scan, thm1, thm2, thm3};
+use crate::{thm1, thm2, thm3};
 
 /// A witness that a router fails.
 #[derive(Clone, Debug)]
@@ -119,22 +121,46 @@ pub fn find_defeat<R: LocalRouter + ?Sized>(router: &R, n: usize, k: u32) -> Opt
     let candidates: Vec<Graph> = (0..64)
         .map(|_| permute::random_relabel(&generators::random_mixed(n, &mut rng), &mut rng))
         .collect();
-    // scan::first_match prunes against the lowest witness found so
-    // far and returns the lowest-index hit, identical to a sequential
-    // scan regardless of thread count.
-    scan::first_match(&candidates, |_, g| {
-        let m = engine::delivery_matrix(g, k, router);
-        m.failures.into_iter().next()
+    let (idx, (s, t, status)) = first_failure(&candidates, k, router, fanout::default_threads())?;
+    candidates.get(idx).map(|g| Defeat {
+        graph: g.clone(),
+        s,
+        t,
+        status,
+        family: "random",
     })
-    .and_then(|(idx, (s, t, status))| {
-        candidates.get(idx).map(|g| Defeat {
-            graph: g.clone(),
-            s,
-            t,
-            status,
-            family: "random",
-        })
-    })
+}
+
+/// The lowest-index candidate on which `router` fails some pair, with
+/// that candidate's first failing pair, scanned on up to `threads`
+/// workers.
+///
+/// Workers publish the lowest failing index found so far and skip
+/// every candidate above it. The lowest failing candidate is never
+/// skipped (only a lower hit could prune it), so the first hit in
+/// candidate order is the sequential scan's at any thread count. The
+/// atomic guards no other data, hence `Relaxed`.
+fn first_failure<R: LocalRouter + ?Sized>(
+    candidates: &[Graph],
+    k: u32,
+    router: &R,
+    threads: usize,
+) -> Option<(usize, (NodeId, NodeId, RunStatus))> {
+    let best = AtomicUsize::new(usize::MAX);
+    let hits = fanout::run_trials(candidates, threads, |i, g| {
+        if i > best.load(Ordering::Relaxed) {
+            return None;
+        }
+        let hit = engine::delivery_matrix(g, k, router)
+            .failures
+            .into_iter()
+            .next()?;
+        best.fetch_min(i, Ordering::Relaxed);
+        Some(hit)
+    });
+    hits.into_iter()
+        .enumerate()
+        .find_map(|(i, hit)| Some((i, hit?)))
 }
 
 #[cfg(test)]
@@ -170,6 +196,26 @@ mod tests {
                 "{} unexpectedly defeated at its threshold",
                 router.name()
             );
+        }
+    }
+
+    #[test]
+    fn random_scan_finds_the_lowest_failing_candidate_at_any_thread_count() {
+        // The right-hand rule delivers on trees, so the trees in front
+        // push the lowest failing candidate past index 0.
+        let mut rng = DetRng::seed_from_u64(3);
+        let mut candidates = vec![generators::path(12), generators::star(12)];
+        candidates.extend((0..10).map(|_| generators::random_mixed(12, &mut rng)));
+        candidates.insert(5, generators::binary_tree(3));
+        let k = 2;
+        let sequential = candidates.iter().enumerate().find_map(|(i, g)| {
+            let m = engine::delivery_matrix(g, k, &RightHandRule);
+            m.failures.into_iter().next().map(|hit| (i, hit))
+        });
+        assert!(sequential.as_ref().is_some_and(|&(i, _)| i >= 2));
+        for threads in [1, 2, 3, 8] {
+            let found = first_failure(&candidates, k, &RightHandRule, threads);
+            assert_eq!(found, sequential, "threads = {threads}");
         }
     }
 

@@ -67,7 +67,10 @@ pub fn classify(f: &BTreeMap<NodeId, NodeId>) -> FunctionKind {
         return FunctionKind::NotDerangement;
     }
     // Walk the cycle from the first element; circular iff it covers all.
-    let start = domain[0];
+    // An empty map (a centre without neighbours) has no cycle at all.
+    let Some(&start) = domain.first() else {
+        return FunctionKind::NotCircular;
+    };
     let mut seen = 1;
     let mut cur = f[&start];
     while cur != start {
@@ -266,6 +269,8 @@ mod tests {
         f.insert(NodeId(3), NodeId(4));
         f.insert(NodeId(4), NodeId(3));
         assert_eq!(classify(&f), FunctionKind::NotCircular);
+        // No neighbours: no single cycle, and no panic.
+        assert_eq!(classify(&BTreeMap::new()), FunctionKind::NotCircular);
     }
 
     #[test]

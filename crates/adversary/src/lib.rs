@@ -21,16 +21,17 @@
 //! * [`strategy`] — the enumerable strategy routers the impossibility
 //!   proofs quantify over,
 //! * [`defeat`] — a black-box search that finds a defeating instance
-//!   for a router run below its threshold,
-//! * [`scan`] — the deterministic parallel scan primitives the
-//!   searches and table regenerations fan out through.
+//!   for a router run below its threshold.
+//!
+//! The table regenerations and the defeat search fan their independent
+//! probes out through [`locality_graph::fanout`], whose in-order merge
+//! keeps every result identical at any thread count.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod defeat;
 pub mod lemma1;
-pub mod scan;
 pub mod strategy;
 pub mod thm1;
 pub mod thm2;

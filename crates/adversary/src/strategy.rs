@@ -121,7 +121,17 @@ impl LocalRouter for StrategyRouter {
         let next = if view.center_label() == self.hub {
             match v_pos {
                 None => nbrs[self.initial.min(nbrs.len() - 1)],
-                Some(i) => nbrs[*self.cycle.get(i).unwrap_or(&0)],
+                Some(i) => {
+                    // A strategy over more positions than the hub has
+                    // neighbours can name one that does not exist.
+                    let j = self.cycle.get(i).copied().unwrap_or(0);
+                    *nbrs.get(j).ok_or_else(|| {
+                        RoutingError::ProtocolViolation(format!(
+                            "strategy position {j} is past the hub's {} neighbours",
+                            nbrs.len()
+                        ))
+                    })?
+                }
             }
         } else {
             match v_pos {
@@ -217,6 +227,27 @@ mod tests {
     #[should_panic(expected = "permutation")]
     fn rejects_non_permutation() {
         StrategyRouter::new(Label(0), &[0, 0, 1], 0);
+    }
+
+    #[test]
+    fn strategy_wider_than_the_hub_is_an_error_not_a_panic() {
+        // Four positions at a hub of degree 3: the predecessor in the
+        // third position maps to position 3, which does not exist.
+        let g = generators::spider(3, 2);
+        let view = LocalView::extract(&g, NodeId(0), 2);
+        let router = StrategyRouter::new(g.label(NodeId(0)), &[0, 1, 2, 3], 0);
+        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
+        view.sort_by_label(&mut nbrs);
+        let packet = |v: NodeId| Packet {
+            origin: Some(Label(900)),
+            target: Label(901),
+            predecessor: Some(view.label(v)),
+        };
+        assert!(router.decide(&packet(nbrs[0]), &view).is_ok());
+        assert!(matches!(
+            router.decide(&packet(nbrs[2]), &view),
+            Err(RoutingError::ProtocolViolation(_))
+        ));
     }
 
     #[test]

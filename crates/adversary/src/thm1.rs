@@ -21,7 +21,7 @@
 
 use local_routing::engine::{self, RunOptions};
 use local_routing::LocalRouter;
-use locality_graph::{Graph, GraphBuilder, Label, NodeId};
+use locality_graph::{fanout, Graph, GraphBuilder, Label, NodeId};
 
 use crate::strategy::StrategyRouter;
 
@@ -155,9 +155,9 @@ pub fn table3(n: usize, k: u32) -> Vec<TableRow> {
     let insts = family(n);
     assert!(k >= 1 && (k as usize) <= insts[0].r, "theorem needs k <= r");
     // The six strategies are independent probes of the same family:
-    // fan them out; scan::map_ordered keeps the rows in strategy order.
+    // fan them out; the in-order merge keeps the rows in strategy order.
     let orders = StrategyRouter::all_cycle_orders(4);
-    crate::scan::map_ordered(&orders, |_, order| {
+    fanout::run_trials(&orders, fanout::default_threads(), |_, order| {
         let mut outcomes = [false; 3];
         for (i, inst) in insts.iter().enumerate() {
             let router = StrategyRouter::new(inst.graph.label(inst.hub), order, 0);

@@ -18,7 +18,7 @@
 
 use local_routing::engine::{self, RunOptions};
 use local_routing::LocalRouter;
-use locality_graph::{Graph, GraphBuilder, Label, NodeId};
+use locality_graph::{fanout, Graph, GraphBuilder, Label, NodeId};
 
 use crate::strategy::StrategyRouter;
 
@@ -144,13 +144,14 @@ pub fn table4(n: usize, k: u32) -> Vec<TableRow> {
     let insts = family(n);
     assert!(k >= 1 && (k as usize) <= insts[0].r, "theorem needs k <= r");
     // Six independent (permutation, initial direction) strategies:
-    // fan them out; scan::map_ordered keeps the rows in enumeration
+    // fan them out; the in-order merge keeps the rows in enumeration
     // order.
     let strategies: Vec<(Vec<usize>, usize)> = StrategyRouter::all_cycle_orders(3)
         .into_iter()
         .flat_map(|order| (0..3usize).map(move |initial| (order.clone(), initial)))
         .collect();
-    crate::scan::map_ordered(&strategies, |_, (order, initial)| {
+    let threads = fanout::default_threads();
+    fanout::run_trials(&strategies, threads, |_, (order, initial)| {
         let mut outcomes = [false; 3];
         for (i, inst) in insts.iter().enumerate() {
             let router = StrategyRouter::new(inst.graph.label(inst.s), order, *initial);

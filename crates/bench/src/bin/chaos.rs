@@ -24,8 +24,12 @@
 //! cover every trial `k` — a missing or mismatched artifact is a hard
 //! error, so the verify gate's BFS-vs-oracle stdout diff genuinely
 //! exercises the oracle path.
+//!
+//! A reader that exits first (`chaos | head`) ends the program quietly
+//! with status 0; any other write error prints `error: …` and exits 1.
 
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Write};
 use std::sync::Arc;
 
 use local_routing::ViewArtifact;
@@ -40,6 +44,18 @@ fn fail(msg: &str) -> ! {
     eprintln!("chaos: {msg}");
     eprintln!("{USAGE}");
     std::process::exit(1);
+}
+
+/// Prints the one-line report through one locked handle.
+fn emit(json: &str) {
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{json}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+        _ => {}
+    }
 }
 
 fn main() {
@@ -114,7 +130,7 @@ fn main() {
             };
         }
         match chaos::report_with_artifacts(seed, &artifacts) {
-            Ok(json) => println!("{json}"),
+            Ok(json) => emit(&json),
             Err(e) => fail(&format!("artifacts do not match seed {seed}: {e}")),
         }
         return;
@@ -136,7 +152,7 @@ fn main() {
                 fail(&format!("cannot write trace shard to {path}: {e}"));
             }
         }
-        println!("{json}");
+        emit(&json);
         return;
     }
     if trace_shard_dir.is_some() {
@@ -148,5 +164,5 @@ fn main() {
             fail(&format!("cannot write trace to {path}: {e}"));
         }
     }
-    println!("{json}");
+    emit(&json);
 }

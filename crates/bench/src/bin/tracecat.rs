@@ -32,10 +32,13 @@
 //! (tolerate a torn final line, for traces of in-progress runs).
 //!
 //! Exit status: 0 success / identical traces, 1 runtime (I/O or
-//! parse) error, 2 usage error, 3 `diff` divergence.
+//! parse) error, 2 usage error, 3 `diff` divergence. A reader that
+//! exits first (`tracecat stats FILE | head`) ends the program quietly
+//! with status 0; any other write error to standard output prints
+//! `error: …` and exits 1.
 
 use std::fs::File;
-use std::io::Write;
+use std::io::{self, ErrorKind, StdoutLock, Write};
 
 use locality_obs::analytics::diff::{first_divergence, stats_diff, DiffOutcome};
 use locality_obs::analytics::imperiled::ImperiledMode;
@@ -43,7 +46,7 @@ use locality_obs::analytics::loops::LoopsMode;
 use locality_obs::analytics::merge::{chunk_trace, merge_traces, split_trace};
 use locality_obs::analytics::stats::StatsMode;
 use locality_obs::analytics::summary::SummaryMode;
-use locality_obs::analytics::{run_mode, Mode, TailMode, DEFAULT_BUF_BYTES};
+use locality_obs::analytics::{run_mode, Mode, StreamError, TailMode, DEFAULT_BUF_BYTES};
 
 const USAGE: &str = "usage: tracecat MODE ...\n\
   tracecat summary FILE [--top K] [--buf BYTES] [--lenient]\n\
@@ -190,11 +193,11 @@ fn create(path: &str) -> File {
 }
 
 /// Runs one analysis mode over a file and prints its rendering.
-fn analyze<M: Mode>(path: &str, o: &Opts, mode: &mut M) {
+fn analyze<M: Mode>(out: &mut impl Write, path: &str, o: &Opts, mode: &mut M) -> io::Result<()> {
     // No BufReader: the analytics LineReader already chunks reads at
     // `--buf` bytes, so wrapping would just double-buffer.
     match run_mode(open(path), o.buf(), o.tail(), mode) {
-        Ok(report) => print!("{}", mode.render(&report)),
+        Ok(report) => write!(out, "{}", mode.render(&report)),
         Err(e) => run_fail(&format!("{path}: {e}")),
     }
 }
@@ -207,6 +210,22 @@ fn one_file<'a>(o: &'a Opts, mode: &str) -> &'a str {
 }
 
 fn main() {
+    let mut out = io::stdout().lock();
+    let code = match run(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        // A reader that exits first has taken all the output it wants.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("error: {e}");
+            1
+        }
+    };
+    std::process::exit(code);
+}
+
+/// Runs the mode named on the command line, writing its output to
+/// `out`; returns the exit status (0, or 3 for a `diff` divergence).
+fn run(out: &mut StdoutLock<'_>) -> io::Result<i32> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // Tolerate the conventional end-of-options marker before the mode
     // (`cargo run ... -- summary FILE` habits).
@@ -222,26 +241,26 @@ fn main() {
             o.allow("summary", &["--top", "--buf", "--lenient"]);
             let path = one_file(&o, "summary");
             let mut m = SummaryMode::new(o.top.unwrap_or(5));
-            println!("trace   {path}");
-            analyze(path, &o, &mut m);
+            writeln!(out, "trace   {path}")?;
+            analyze(out, path, &o, &mut m)?;
         }
         "stats" => {
             o.allow("stats", &["--buf", "--lenient"]);
             let path = one_file(&o, "stats");
             let mut m = StatsMode::new();
-            analyze(path, &o, &mut m);
+            analyze(out, path, &o, &mut m)?;
         }
         "loops" => {
             o.allow("loops", &["--buf", "--lenient"]);
             let path = one_file(&o, "loops");
             let mut m = LoopsMode::new();
-            analyze(path, &o, &mut m);
+            analyze(out, path, &o, &mut m)?;
         }
         "imperiled" => {
             o.allow("imperiled", &["--timeout", "--buf", "--lenient"]);
             let path = one_file(&o, "imperiled");
             let mut m = ImperiledMode::new(o.timeout);
-            analyze(path, &o, &mut m);
+            analyze(out, path, &o, &mut m)?;
         }
         "merge" => {
             o.allow("merge", &["--out", "--buf"]);
@@ -253,9 +272,7 @@ fn main() {
                 let mut out = std::io::BufWriter::new(create(out_path));
                 merge_traces(inputs, o.buf(), &mut out)
             } else {
-                let stdout = std::io::stdout();
-                let mut out = std::io::BufWriter::new(stdout.lock());
-                merge_traces(inputs, o.buf(), &mut out)
+                merge_traces(inputs, o.buf(), &mut std::io::BufWriter::new(&mut *out))
             };
             match report {
                 Ok(r) => eprintln!(
@@ -265,6 +282,10 @@ fn main() {
                     r.bytes,
                     o.pos.len()
                 ),
+                // Standard output's reader exited: `main` ends quietly.
+                Err(StreamError::Io { err, .. }) if err.kind() == ErrorKind::BrokenPipe => {
+                    return Err(err)
+                }
                 Err(e) => run_fail(&format!("merge: {e}")),
             }
         }
@@ -298,13 +319,16 @@ fn main() {
             let piece = |i: usize| format!("{prefix}-{i:03}.jsonl");
             match chunk_trace(open(path), o.buf(), max, |i| {
                 let name = piece(i);
-                println!("{name}");
+                writeln!(out, "{name}")?;
                 File::create(name)
             }) {
                 Ok((r, pieces)) => eprintln!(
                     "chunked {} trial(s), {} byte(s) into {pieces} piece(s)",
                     r.trials, r.bytes
                 ),
+                Err(StreamError::Io { err, .. }) if err.kind() == ErrorKind::BrokenPipe => {
+                    return Err(err)
+                }
                 Err(e) => run_fail(&format!("chunk {path}: {e}")),
             }
         }
@@ -316,28 +340,25 @@ fn main() {
             };
             if o.stats {
                 match stats_diff(open(a), open(b), o.buf(), o.tail(), a, b) {
-                    Ok(table) => print!("{table}"),
+                    Ok(table) => write!(out, "{table}")?,
                     Err(e) => run_fail(&format!("diff --stats: {e}")),
                 }
-                return;
+                return Ok(0);
             }
             match first_divergence(open(a), open(b), o.buf()) {
                 Ok(DiffOutcome::Identical { events, bytes }) => {
-                    println!("zero divergence: {events} event(s), {bytes} byte(s)");
+                    writeln!(out, "zero divergence: {events} event(s), {bytes} byte(s)")?;
                 }
                 Ok(DiffOutcome::Diverged { line, a: la, b: lb }) => {
-                    println!("first divergence at event {line} :");
-                    println!("  {a}: {la}");
-                    println!("  {b}: {lb}");
-                    std::process::exit(3);
+                    writeln!(out, "first divergence at event {line} :")?;
+                    writeln!(out, "  {a}: {la}")?;
+                    writeln!(out, "  {b}: {lb}")?;
+                    return Ok(3);
                 }
                 Err(e) => run_fail(&format!("diff: {e}")),
             }
         }
         other => usage_fail(&format!("unknown mode {other}")),
     }
-    // Flush explicitly so write errors surface as a runtime failure.
-    if std::io::stdout().flush().is_err() {
-        std::process::exit(1);
-    }
+    Ok(0)
 }

@@ -248,3 +248,38 @@ fn localroute_ends_quietly_when_its_reader_stops_early() {
     assert!(out.status.success(), "{:?}, stderr: {err}", out.status);
     assert!(!err.contains("panicked"), "stderr: {err}");
 }
+
+/// Runs `bin` with standard output on a pipe whose reader has already
+/// exited, so its first write fails with `BrokenPipe`.
+fn run_with_reader_gone(bin: &str, args: &[&str]) -> Output {
+    let mut child = Command::new(bin)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary starts");
+    drop(child.stdout.take());
+    child.wait_with_output().expect("binary exits")
+}
+
+fn assert_quiet_success(out: &Output, what: &str) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "{what}: {:?}, stderr: {err}",
+        out.status
+    );
+    assert!(err.is_empty(), "{what}: stderr: {err}");
+}
+
+#[test]
+fn report_ends_quietly_when_its_reader_exits_first() {
+    let out = run_with_reader_gone(env!("CARGO_BIN_EXE_report"), &[]);
+    assert_quiet_success(&out, "report");
+}
+
+#[test]
+fn chaos_ends_quietly_when_its_reader_exits_first() {
+    let out = run_with_reader_gone(env!("CARGO_BIN_EXE_chaos"), &["--seed", "7"]);
+    assert_quiet_success(&out, "chaos");
+}

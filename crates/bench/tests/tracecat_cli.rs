@@ -5,7 +5,7 @@
 //! imperiled / merge / split / chunk / diff) must stay reachable.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn tracecat(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_tracecat"))
@@ -214,5 +214,23 @@ fn imperiled_and_loops_modes_run() {
     let loops = tracecat(&["loops", path]);
     assert_eq!(loops.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&loops.stdout).contains("tracecat loops"));
+    let _ = std::fs::remove_file(&p);
+}
+
+#[test]
+fn stats_ends_quietly_when_its_reader_exits_first() {
+    let p = tmp("reader-gone.jsonl");
+    std::fs::write(&p, TRACE).expect("write");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tracecat"))
+        .args(["stats", p.to_str().expect("utf8")])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tracecat");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("tracecat exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+    assert!(err.is_empty(), "stderr: {err}");
     let _ = std::fs::remove_file(&p);
 }

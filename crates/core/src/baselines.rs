@@ -188,23 +188,6 @@ pub fn random_walk(
     None
 }
 
-/// Convenience: the label a router would pick, for rule-table dumps.
-pub fn decision_label<R: LocalRouter>(
-    router: &R,
-    view: &LocalView,
-    origin: Option<Label>,
-    target: Label,
-    predecessor: Option<Label>,
-) -> Result<Label, RoutingError> {
-    let packet = Packet {
-        origin,
-        target,
-        predecessor,
-    }
-    .masked(router.awareness());
-    router.decide(&packet, view)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

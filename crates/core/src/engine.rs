@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use locality_graph::{traversal, DistMap, Graph, NodeId};
+use locality_graph::{fanout, traversal, DistMap, Graph, NodeId};
 
 use crate::error::RoutingError;
 use crate::model::Packet;
@@ -467,7 +467,7 @@ fn walk<R: LocalRouter + ?Sized>(
 }
 
 /// Aggregate outcome over every ordered origin–destination pair.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MatrixReport {
     /// Number of `(s, t)` pairs attempted.
     pub runs: usize,
@@ -526,12 +526,7 @@ where
     I: IntoIterator<Item = (NodeId, NodeId)>,
 {
     let options = RunOptions::default();
-    let mut report = MatrixReport {
-        runs: 0,
-        failures: Vec::new(),
-        worst_dilation: None,
-        total_hops: 0,
-    };
+    let mut report = MatrixReport::default();
     // `dist(s, ·)` for the origin of the current run of pairs.
     let mut from: Option<(NodeId, DistMap)> = None;
     for (s, t) in pairs {
@@ -555,12 +550,14 @@ where
     report
 }
 
-/// Runs `router` on every ordered pair, fanned out over `threads` OS
-/// threads sharing **one** [`ViewStore`]: each `G_k(u)` (and its lazy
-/// preprocessing) is extracted exactly once no matter how many workers
-/// route through `u`. Semantically identical to [`delivery_matrix`],
-/// modulo the order of `failures`; used by the large-n validation
-/// suites and the experiment harness.
+/// Runs `router` on every ordered pair, one job per origin fanned out
+/// over `threads` workers by [`fanout::run_trials`]. The workers share
+/// **one** [`ViewStore`], so each `G_k(u)` (and its lazy preprocessing)
+/// is extracted exactly once no matter how many workers route through
+/// `u`, and each origin's pairs run in one job behind one BFS. The rows
+/// merge in origin order, so the report equals [`delivery_matrix`]'s
+/// field for field, failure order and worst pair included; used by the
+/// large-n validation suites.
 pub fn delivery_matrix_parallel<R>(
     graph: &Graph,
     k: u32,
@@ -570,51 +567,23 @@ pub fn delivery_matrix_parallel<R>(
 where
     R: LocalRouter + Sync + ?Sized,
 {
-    let pairs: Vec<(NodeId, NodeId)> = graph
-        .nodes()
-        .flat_map(|s| graph.nodes().filter(move |&t| t != s).map(move |t| (s, t)))
-        .collect();
-    let threads = threads.max(1).min(pairs.len().max(1));
-    let chunk = pairs.len().div_ceil(threads);
     let views = ViewStore::new(graph, k);
-    let partials: Vec<MatrixReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk.max(1))
-            .map(|slice| {
-                let views = &views;
-                scope.spawn(move || {
-                    delivery_matrix_with_cache(graph, views, router, slice.iter().copied())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(partial) => partial,
-                // A worker panic is not ours to swallow: re-raise it on
-                // the coordinating thread without minting a new panic
-                // site.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+    let origins: Vec<NodeId> = graph.nodes().collect();
+    let rows = fanout::run_trials(&origins, threads, |_, &s| {
+        let pairs = graph.nodes().filter(move |&t| t != s).map(move |t| (s, t));
+        delivery_matrix_with_cache(graph, &views, router, pairs)
     });
-    let mut out = MatrixReport {
-        runs: 0,
-        failures: Vec::new(),
-        worst_dilation: None,
-        total_hops: 0,
-    };
-    for p in partials {
-        out.runs += p.runs;
-        out.failures.extend(p.failures);
-        out.total_hops += p.total_hops;
-        if let Some((d, s, t)) = p.worst_dilation {
+    let mut out = MatrixReport::default();
+    for row in rows {
+        out.runs += row.runs;
+        out.failures.extend(row.failures);
+        out.total_hops += row.total_hops;
+        if let Some((d, s, t)) = row.worst_dilation {
             if out.worst_dilation.is_none_or(|(w, _, _)| d > w) {
                 out.worst_dilation = Some((d, s, t));
             }
         }
     }
-    out.failures.sort_by_key(|&(s, t, _)| (s, t));
     out
 }
 
@@ -712,19 +681,16 @@ mod tests {
 
     #[test]
     fn parallel_matrix_agrees_with_serial() {
+        // Field for field, failure order and worst pair included; the
+        // stubborn router fails pairs under several origins.
         use crate::Alg1;
         let g = generators::lollipop(10, 4);
-        let k = 4;
-        let serial = delivery_matrix(&g, k, &Alg1);
-        for threads in [1usize, 3, 8] {
-            let par = delivery_matrix_parallel(&g, k, &Alg1, threads);
-            assert_eq!(par.runs, serial.runs);
-            assert_eq!(par.failures, serial.failures);
-            assert_eq!(par.total_hops, serial.total_hops);
-            assert_eq!(
-                par.worst_dilation.map(|(d, _, _)| d),
-                serial.worst_dilation.map(|(d, _, _)| d)
-            );
+        for (k, router) in [(4, &Alg1 as &dyn LocalRouter), (2, &Stubborn)] {
+            let serial = delivery_matrix(&g, k, router);
+            for threads in [1usize, 3, 8] {
+                let par = delivery_matrix_parallel(&g, k, router, threads);
+                assert_eq!(par, serial, "{} at {threads} threads", router.name());
+            }
         }
     }
 

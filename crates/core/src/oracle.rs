@@ -41,10 +41,9 @@
 //! re-encodes to exactly its original payload.
 
 use std::fmt;
-use std::thread;
 
 use locality_graph::codec::{self, CodecError, Reader, Writer};
-use locality_graph::{Graph, Label, NodeId};
+use locality_graph::{fanout, Graph, Label, NodeId};
 
 use crate::view::LocalView;
 
@@ -191,56 +190,27 @@ pub struct ViewArtifact {
 
 impl ViewArtifact {
     /// Builds the artifact for every node of `graph` at locality `k`,
-    /// fanning extraction across the machine's available parallelism
-    /// (capped at 8, like the simulator driver). The result is
-    /// byte-identical at every thread count.
+    /// fanning extraction across [`fanout::default_threads`] workers.
+    /// The result is byte-identical at every thread count.
     pub fn build(graph: &Graph, k: u32) -> ViewArtifact {
-        let threads = thread::available_parallelism().map_or(1, |p| p.get().min(8));
-        ViewArtifact::build_with_threads(graph, k, threads)
+        ViewArtifact::build_with_threads(graph, k, fanout::default_threads())
     }
 
     /// [`build`](Self::build) with an explicit worker count
     /// (`1` = fully sequential).
     pub fn build_with_threads(graph: &Graph, k: u32, threads: usize) -> ViewArtifact {
         let n = graph.node_count();
-        let encode_one = |i: usize| -> Vec<u8> {
-            let view = LocalView::extract(graph, NodeId(i as u32), k);
+        // One job per node; the in-order merge makes the arena order a
+        // pure function of the input.
+        let ids: Vec<NodeId> = graph.nodes().collect();
+        let payloads = fanout::run_trials(&ids, threads, |_, &u| {
+            let view = LocalView::extract(graph, u, k);
             let mut w = Writer::new();
             encode_view(&mut w, &view);
             w.into_bytes()
-        };
-        // Strided fan-out, same discipline as the simulator driver:
-        // worker w takes payloads w, w + W, w + 2W, …; the merge sorts
-        // by node index, so the arena order is a pure function of the
-        // input.
-        let workers = threads.max(1).min(n.max(1));
-        let mut payloads: Vec<(usize, Vec<u8>)> = Vec::with_capacity(n);
-        if workers <= 1 {
-            payloads.extend((0..n).map(|i| (i, encode_one(i))));
-        } else {
-            let encode_one = &encode_one;
-            thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || -> Vec<(usize, Vec<u8>)> {
-                            (w..n)
-                                .step_by(workers)
-                                .map(|i| (i, encode_one(i)))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    match h.join() {
-                        Ok(part) => payloads.extend(part),
-                        Err(cause) => std::panic::resume_unwind(cause),
-                    }
-                }
-            });
-        }
-        payloads.sort_unstable_by_key(|&(i, _)| i);
+        });
 
-        let arena_len: usize = payloads.iter().map(|(_, p)| p.len()).sum();
+        let arena_len: usize = payloads.iter().map(Vec::len).sum();
         let total = HEADER_LEN + n * INDEX_ENTRY_LEN + arena_len + CHECKSUM_LEN;
         let mut w = Writer::new();
         let mut bytes = Vec::with_capacity(total);
@@ -252,7 +222,7 @@ impl ViewArtifact {
         w.put_u64(arena_len as u64);
         let mut index: Vec<(u64, u32)> = Vec::with_capacity(n);
         let mut offset: u64 = 0;
-        for (_, p) in &payloads {
+        for p in &payloads {
             index.push((offset, p.len() as u32));
             w.put_u64(offset);
             w.put_u32(p.len() as u32);
@@ -260,7 +230,7 @@ impl ViewArtifact {
         }
         bytes.extend_from_slice(w.as_bytes());
         let arena_offset = bytes.len();
-        for (_, p) in &payloads {
+        for p in &payloads {
             bytes.extend_from_slice(p);
         }
         let checksum = codec::fnv1a_wide(&bytes);

@@ -4,7 +4,7 @@
 use locality_graph::{cycles, traversal, Graph, NodeId};
 
 use crate::engine::RunReport;
-use crate::preprocess::{self, EdgeKey};
+use crate::preprocess;
 use crate::view::LocalView;
 
 /// Observation 1: in a successful predecessor-aware run, every directed
@@ -109,15 +109,6 @@ pub fn check_active_components_large(g: &Graph, k: u32) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// All edges of the route as normalised keys (diagnostics).
-pub fn route_edges(report: &RunReport) -> Vec<EdgeKey> {
-    report
-        .route
-        .windows(2)
-        .map(|w| preprocess::edge_key(w[0], w[1]))
-        .collect()
 }
 
 #[cfg(test)]

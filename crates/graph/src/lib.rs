@@ -20,7 +20,10 @@
 //!   (active / passive / constrained / independent, §2.1, Fig. 1),
 //! * [`cycles`]: girth and local-cycle machinery (§2.1, §5.1),
 //! * [`generators`]: graph families used throughout the paper's
-//!   constructions and our experiments, and
+//!   constructions and our experiments,
+//! * [`fanout`]: the one ordered parallel map that every batch job
+//!   (trials, delivery matrices, artifacts, adversary scans) fans out
+//!   through, and
 //! * [`permute`]: adversarial relabelling (§1.1: labels must not encode
 //!   topology, so algorithms must survive any label permutation).
 //!
@@ -45,6 +48,7 @@ pub mod components;
 pub mod cycles;
 pub mod dist;
 mod error;
+pub mod fanout;
 pub mod generators;
 pub mod geo;
 mod graph;

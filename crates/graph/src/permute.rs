@@ -43,13 +43,6 @@ pub fn reverse_labels(g: &Graph) -> Graph {
     relabel(g, &labels)
 }
 
-/// The node of `g2` playing the role that `u` plays in `g1`, under the
-/// convention that both graphs were produced by [`relabel`]-family calls
-/// from the same base graph (node ids are preserved by relabelling).
-pub fn same_node(_g1: &Graph, u: NodeId) -> NodeId {
-    u
-}
-
 /// Returns an isomorphic copy in which old node `u` occupies slot
 /// `perm[u.index()]` and *keeps its label*; edges map through `perm`.
 ///

@@ -71,12 +71,6 @@ impl DetRng {
         result
     }
 
-    /// The next raw 32-bit output (upper half of [`next_u64`](Self::next_u64)).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform draw from a half-open or inclusive integer range.
     ///
     /// Panics when the range is empty, matching `rand`'s contract.

@@ -573,4 +573,12 @@ mod tests {
         assert!(names.contains(&"Graph"));
         assert!(!names.contains(&"Sub"));
     }
+
+    #[test]
+    fn nonspace_scans_skip_blanks() {
+        assert_eq!(next_nonspace("  x", 0), Some((2, b'x')));
+        assert_eq!(prev_nonspace("x  ", 3), Some((0, b'x')));
+        assert_eq!(next_nonspace("x  ", 1), None);
+        assert_eq!(prev_nonspace("  x", 2), None);
+    }
 }

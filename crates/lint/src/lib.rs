@@ -43,7 +43,7 @@
 //!   code; output goes through the `locality-obs` recorder.
 //! * **R6 hot-path allocation** — no `Vec::new`/`vec!`/`Box::new`/
 //!   `format!`/`collect`/`to_vec` inside the designated hot-path
-//!   functions (`sim::sched`, `sim::slab`, `sim::driver`, the
+//!   functions (`sim::sched`, `sim::slab`, `graph::fanout`, the
 //!   `core::view` step tables, `core::visited`, `graph::codec` decode)
 //!   outside setup constructors.
 //! * **R7 lock discipline** — no `Mutex`/`RwLock` acquisition or
@@ -66,7 +66,6 @@
 pub mod allow;
 pub mod lexer;
 pub mod rules;
-pub mod scan;
 pub mod symbols;
 pub mod usegraph;
 pub mod walk;

@@ -41,7 +41,7 @@
 //! propagation, R6, R7) are implemented on the workspace use-graph in
 //! [`crate::usegraph`].
 
-use crate::scan;
+use crate::lexer::{identifiers, next_nonspace, preprocess, prev_nonspace};
 
 /// Identifier of a rule family (sub-rule `R3i` is R3's slice-indexing
 /// arm, split out so allowlist entries stay precise).
@@ -213,14 +213,14 @@ pub const R2_DETRNG_FILES: &[&str] = &[
 
 /// Simulator hot-path files held to full R2 determinism even though
 /// the `sim` crate as a whole sits outside [`R2_CRATES`]: the timing
-/// wheel, the arrival arena, and the parallel trial driver are the
-/// machinery behind the simulator's byte-identical-per-seed guarantee,
-/// so hash-ordered collections, wall clocks, and NaN-unstable floats
-/// are banned in them outright.
+/// wheel, the arrival arena and the overload modules are the machinery
+/// behind the simulator's byte-identical-per-seed guarantee, so
+/// hash-ordered collections, wall clocks, and NaN-unstable floats are
+/// banned in them outright. (The parallel trial driver is
+/// `locality_graph::fanout`, which the `graph` crate's full R2 covers.)
 pub const R2_SIM_FILES: &[&str] = &[
     "crates/sim/src/sched.rs",
     "crates/sim/src/slab.rs",
-    "crates/sim/src/driver.rs",
     "crates/sim/src/workload.rs",
     "crates/sim/src/admission.rs",
 ];
@@ -282,7 +282,7 @@ pub fn check_file(rel: &str, source: &str) -> Vec<Violation> {
     let Some(class) = classify(rel) else {
         return Vec::new();
     };
-    let pre = scan::preprocess(source);
+    let pre = preprocess(source);
     let r1 = R1_FILES.contains(&rel);
     let r2 = class != FileClass::TestBench
         && (crate_dir(rel).is_some_and(|c| R2_CRATES.contains(&c)) || R2_SIM_FILES.contains(&rel));
@@ -308,7 +308,7 @@ pub fn check_file(rel: &str, source: &str) -> Vec<Violation> {
                 chain: Vec::new(),
             });
         };
-        let idents = scan::identifiers(masked_line);
+        let idents = identifiers(masked_line);
         if r1 {
             check_r1(masked_line, &idents, &mut push);
         }
@@ -404,7 +404,7 @@ fn check_r3(
     push: &mut impl FnMut(Rule, String, String),
 ) {
     for &(off, tok) in idents {
-        let next = scan::next_nonspace(masked_line, off + tok.len()).map(|(_, b)| b);
+        let next = next_nonspace(masked_line, off + tok.len()).map(|(_, b)| b);
         if R3_CALLS.contains(&tok) && next == Some(b'(') {
             push(
                 Rule::R3,
@@ -428,7 +428,7 @@ fn check_r5(
     push: &mut impl FnMut(Rule, String, String),
 ) {
     for &(off, tok) in idents {
-        let next = scan::next_nonspace(masked_line, off + tok.len()).map(|(_, b)| b);
+        let next = next_nonspace(masked_line, off + tok.len()).map(|(_, b)| b);
         if R5_MACROS.contains(&tok) && next == Some(b'!') {
             push(
                 Rule::R5,
@@ -449,7 +449,7 @@ fn check_r3i(
 ) {
     let bytes = masked_line.as_bytes();
     for (open, _) in bytes.iter().enumerate().filter(|&(_, &b)| b == b'[') {
-        let Some((prev_off, prev)) = scan::prev_nonspace(masked_line, open) else {
+        let Some((prev_off, prev)) = prev_nonspace(masked_line, open) else {
             continue;
         };
         let mut receiver = "[]".to_string();
@@ -649,10 +649,13 @@ mod tests {
     fn r2_sim_arm_covers_scheduler_arena_and_driver() {
         let src = "use std::collections::HashMap;\n\
                    fn f() { let t = std::time::Instant::now(); }\n";
-        // The wheel, the slab, the driver, and the overload modules get
-        // full R2 despite the sim crate sitting outside R2_CRATES. A
-        // file that is *also* in the DetRng set (the workload) picks up
-        // one extra hit from the randomness-source arm.
+        // The wheel, the slab and the overload modules get full R2
+        // despite the sim crate sitting outside R2_CRATES, and the
+        // trial driver (the graph crate's fan-out) gets it with its
+        // crate. A file that is *also* in the DetRng set (the workload)
+        // picks up one extra hit from the randomness-source arm.
+        let v = check_file("crates/graph/src/fanout.rs", src);
+        assert_eq!(rules_of(&v), vec![Rule::R2; 3]);
         for rel in super::R2_SIM_FILES {
             let v = check_file(rel, src);
             let expected = if super::R2_DETRNG_FILES.contains(rel) {

@@ -151,9 +151,11 @@ const BLOCK_PATHS: &[(&str, &str)] = &[("std", "fs"), ("std", "net")];
 const R6_FILES: &[&str] = &[
     "crates/sim/src/sched.rs",
     "crates/sim/src/slab.rs",
-    "crates/sim/src/driver.rs",
     "crates/sim/src/workload.rs",
     "crates/sim/src/admission.rs",
+    // The one fan-out behind the trial driver, the parallel matrix,
+    // the artifact build and the adversary scans.
+    "crates/graph/src/fanout.rs",
     // Per-hop loop detection for the engine and the simulator.
     "crates/core/src/visited.rs",
     // The chunked trace reader: its per-line loop runs once per event

@@ -298,6 +298,8 @@ mod tests {
         let ws = collect_witnesses(&parse_trace(&trace).unwrap());
         assert!(classify(&ws[0], Some(100)).unwrap().near_timeout);
         assert!(!classify(&ws[1], Some(100)).unwrap().near_timeout);
+        // No horizon disables the near-timeout peril entirely.
+        assert!(!classify(&ws[0], None).unwrap().near_timeout);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! byte, at any worker-thread count. This crate is the shared
 //! substrate that makes that possible:
 //!
-//! * [`Recorder`]: a compile-time-feature-gated (`record`, on by
-//!   default) and runtime-switchable event sink writing structured
+//! * [`Recorder`]: a runtime-switchable event sink writing structured
 //!   JSONL into an in-memory buffer. Events are stamped with a
 //!   monotone sequence number and the **simulation tick** — never a
 //!   wall clock, which the `locality-lint` R2 rule bans from this

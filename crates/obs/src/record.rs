@@ -1,16 +1,12 @@
-//! The [`Recorder`]: a feature-gated, runtime-levelled JSONL event
-//! sink.
+//! The [`Recorder`]: a runtime-levelled JSONL event sink.
 //!
-//! Two switches control cost. At compile time, the `record` cargo
-//! feature (default on) gates the whole emission path: without it
-//! [`Recorder::enabled`] is a constant `false` and every
-//! `if let Some(e) = rec.event(..)` in instrumented code is dead code.
-//! At runtime, a [`Level`] picks how much a live recorder captures;
-//! the hot-path contract is that a disabled recorder costs one branch
-//! (callers typically hold `Option<Box<Recorder>>`, making the
-//! tracing-off cost a single pointer test). `bin/perfsmoke` reports
-//! that cost as `sim_trace_overhead_pct`, and `scripts/verify.sh`
-//! holds it to the ≤2% budget.
+//! A [`Level`] picks how much a live recorder captures; the hot-path
+//! contract is that a disabled recorder costs one branch. Callers
+//! typically hold `Option<Box<Recorder>>`, and the simulator's builder
+//! drops a recorder at [`Level::Off`], so tracing off is a single
+//! pointer test. `bin/perfsmoke` reports that cost as
+//! `sim_trace_overhead_pct`, and `scripts/verify.sh` holds it to the
+//! ≤2% budget.
 //!
 //! Every event line is `{"seq":N,"tick":T,"ev":"kind",...}`: a
 //! monotone per-recorder sequence number and the **simulation tick**.
@@ -93,20 +89,10 @@ impl Recorder {
         self.level
     }
 
-    /// Whether events at `at` are captured. With the `record` feature
-    /// disabled this is a constant `false` and instrumentation
-    /// compiles away.
+    /// Whether events at `at` are captured.
     #[inline]
     pub fn enabled(&self, at: Level) -> bool {
-        #[cfg(feature = "record")]
-        {
-            at != Level::Off && self.level >= at
-        }
-        #[cfg(not(feature = "record"))]
-        {
-            let _ = at;
-            false
-        }
+        at != Level::Off && self.level >= at
     }
 
     /// Starts an event line (kind `ev`, stamped with the next sequence
@@ -306,7 +292,6 @@ mod tests {
         assert!(rec.metrics().is_empty());
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn levels_are_ordered_and_gated() {
         let rec = Recorder::new(Level::Hops);
@@ -317,7 +302,6 @@ mod tests {
         assert!(!Recorder::off().enabled(Level::Off));
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn events_are_sequenced_and_parseable() {
         let mut rec = Recorder::new(Level::Debug);
@@ -349,7 +333,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn metrics_level_aggregates_but_suppresses_event_lines() {
         let mut rec = Recorder::new(Level::Metrics);
@@ -366,7 +349,6 @@ mod tests {
         assert!(rec.metrics().is_empty());
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn spans_and_take_bytes_keep_sequencing() {
         let mut rec = Recorder::new(Level::Hops);

@@ -37,7 +37,6 @@
 #![deny(missing_docs)]
 
 pub mod admission;
-pub mod driver;
 mod error;
 pub mod fault;
 pub mod flood;
@@ -59,6 +58,9 @@ pub use fault::{
 pub use metrics::{MessageFate, MessageRecord, NetworkMetrics};
 pub use network::{MessageId, Network, NetworkBuilder, Provisioner};
 pub use node::SimNode;
+// The multi-trial driver is the workspace's one fan-out
+// (`locality_graph::fanout`), kept reachable by its simulator path.
+pub use locality_graph::fanout as driver;
 // Re-exported so callers attaching a recorder need no direct
 // `locality_obs` dependency.
 pub use locality_obs::{Level, Recorder};

@@ -314,73 +314,6 @@ pub fn verify_witnesses<R: LocalRouter + ?Sized>(
     Ok(report)
 }
 
-/// Route-quality tallies over a witness population, computed with the
-/// same classifiers `bin/tracecat`'s `loops` and `imperiled` modes
-/// stream with ([`detect_loops`], [`classify`]) — replay and analytics
-/// must never disagree about what a loop or an imperiled delivery is.
-///
-/// [`detect_loops`]: locality_obs::analytics::loops::detect_loops
-/// [`classify`]: locality_obs::analytics::imperiled::classify
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RouteHealth {
-    /// Witnesses examined.
-    pub messages: usize,
-    /// Witnesses with at least one routing loop in some attempt.
-    pub looped_msgs: usize,
-    /// Total loops across all attempts (one witness can loop in
-    /// several attempts).
-    pub loops: usize,
-    /// Delivered witnesses.
-    pub delivered: usize,
-    /// Delivered only because at least one retry re-sent the message.
-    pub retry_saved: usize,
-    /// Delivered with latency within 25% of the timeout horizon
-    /// (0 when no horizon was given).
-    pub near_timeout: usize,
-    /// Delivered on a view reprovisioned after the send.
-    pub reprov_saved: usize,
-    /// Delivered witnesses that hit at least one peril. Perils
-    /// overlap, so this is tallied directly rather than derived from
-    /// the per-peril counts.
-    pub imperiled: usize,
-}
-
-/// Classifies every witness with the analytics classifiers and tallies
-/// loops and imperiled deliveries. `timeout` is the scheduler horizon
-/// in ticks (as passed to `tracecat imperiled --timeout`); `None`
-/// disables the near-timeout peril.
-#[must_use]
-pub fn check_route_health(witnesses: &[RouteWitness], timeout: Option<u64>) -> RouteHealth {
-    use locality_obs::analytics::{imperiled::classify, loops::detect_loops};
-    let mut h = RouteHealth {
-        messages: witnesses.len(),
-        ..RouteHealth::default()
-    };
-    for w in witnesses {
-        let hits = detect_loops(w);
-        if !hits.is_empty() {
-            h.looped_msgs += 1;
-            h.loops += hits.len();
-        }
-        if let Some(peril) = classify(w, timeout) {
-            h.delivered += 1;
-            if peril.retry_saved {
-                h.retry_saved += 1;
-            }
-            if peril.near_timeout {
-                h.near_timeout += 1;
-            }
-            if peril.reprov_saved {
-                h.reprov_saved += 1;
-            }
-            if peril.any() {
-                h.imperiled += 1;
-            }
-        }
-    }
-    h
-}
-
 /// A conservation mismatch between a trace and [`NetworkMetrics`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConservationError {
@@ -541,29 +474,6 @@ mod tests {
         ws.first_mut().unwrap().fate = None;
         let err = check_conservation(&ws, &m).unwrap_err();
         assert_eq!(err.field, "delivered");
-    }
-
-    #[test]
-    fn route_health_agrees_with_the_analytics_classifiers() {
-        let g = generators::cycle(12);
-        let k = Alg3.min_locality(12);
-        let (ws, m) = traced_all_pairs(&g, k, Alg3);
-        let h = check_route_health(&ws, Some(1_000_000));
-        assert_eq!(h.messages, ws.len());
-        assert_eq!(h.delivered, m.delivered);
-        // Algorithm 3 routes shortest paths on a fault-free cycle:
-        // no loops, no retries, nothing imperiled.
-        assert_eq!(h.loops, 0);
-        assert_eq!(h.looped_msgs, 0);
-        assert_eq!(h.retry_saved, 0);
-        assert_eq!(h.imperiled, 0);
-        // A one-tick horizon makes every delivery near-timeout.
-        let tight = check_route_health(&ws, Some(1));
-        assert_eq!(tight.near_timeout, tight.delivered);
-        assert_eq!(tight.imperiled, tight.delivered);
-        // No horizon disables the near-timeout peril entirely.
-        let open = check_route_health(&ws, None);
-        assert_eq!(open.near_timeout, 0);
     }
 
     #[test]

@@ -13,16 +13,12 @@
 //! two seeds.
 //!
 //! [`run_schedule`] injects a schedule into a [`Network`] tick by tick
-//! (the admission controller, if any, judges each injection), and
-//! [`build_phase_reports`] folds the finished run's records into
-//! per-phase SLO latency histograms.
+//! (the admission controller, if any, judges each injection).
 
-use crate::metrics::MessageRecord;
 use crate::network::Network;
 use crate::SimError;
 use locality_graph::rng::DetRng;
 use locality_graph::NodeId;
-use locality_obs::PowHistogram;
 
 /// One segment of offered load. Rates are in *arrivals per 1000
 /// ticks* (`rate_milli`), so sub-one-per-tick loads need no floats and
@@ -326,60 +322,6 @@ pub fn run_schedule(net: &mut Network, sched: &ArrivalSchedule) -> Result<usize,
     }
     net.run_until_quiet();
     Ok(injected)
-}
-
-/// Per-phase outcome summary: SLO latency percentiles over the phase's
-/// delivered traffic, plus admission outcomes.
-#[derive(Clone, Debug)]
-pub struct PhaseReport {
-    /// Phase name.
-    pub name: &'static str,
-    /// Messages injected during the phase (including rejected ones).
-    pub injected: usize,
-    /// Messages injected during the phase and delivered.
-    pub delivered: usize,
-    /// Messages rejected or shed among the phase's injections.
-    pub rejected_or_shed: usize,
-    /// End-to-end delivery latency in ticks (delivered traffic only):
-    /// p50/p95 via the histogram's helpers, p99 via
-    /// [`PowHistogram::percentile`].
-    pub latency: PowHistogram,
-}
-
-/// Buckets a finished run's records by the phase their injection tick
-/// falls in and folds each phase's delivery latencies into a
-/// [`PowHistogram`].
-pub fn build_phase_reports(sched: &ArrivalSchedule, records: &[MessageRecord]) -> Vec<PhaseReport> {
-    let mut reports: Vec<PhaseReport> = sched
-        .phases
-        .iter()
-        .map(|p| PhaseReport {
-            name: p.name,
-            injected: 0,
-            delivered: 0,
-            rejected_or_shed: 0,
-            latency: PowHistogram::default(),
-        })
-        .collect();
-    for r in records {
-        let Some(rep) = sched.phase_of(r.sent_at).and_then(|i| reports.get_mut(i)) else {
-            continue;
-        };
-        rep.injected += 1;
-        match r.fate {
-            crate::MessageFate::Delivered => {
-                rep.delivered += 1;
-                if let Some(lat) = r.latency() {
-                    rep.latency.observe(lat);
-                }
-            }
-            crate::MessageFate::Rejected | crate::MessageFate::Shed => {
-                rep.rejected_or_shed += 1;
-            }
-            _ => {}
-        }
-    }
-    reports
 }
 
 #[cfg(test)]
