@@ -71,7 +71,7 @@ pub fn find_defeat<R: LocalRouter + ?Sized>(router: &R, n: usize, k: u32) -> Opt
         }
         let p = thm3::instance_pair(n);
         for (g, s, t) in [(p.g1.clone(), p.s, p.t1), (p.g2.clone(), p.s, p.t2)] {
-            let run = engine::route(&g, k, router, s, t, &Default::default());
+            let run = engine::route(&g, k, router, s, t);
             if !run.status.is_delivered() {
                 return Some(Defeat {
                     graph: g,

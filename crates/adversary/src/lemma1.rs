@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use local_routing::engine::{self, RunOptions};
+use local_routing::engine;
 use local_routing::{LocalRouter, LocalView, Packet};
 use locality_graph::{generators, Graph, GraphBuilder, Label, NodeId};
 
@@ -142,7 +142,7 @@ pub fn defeat_on_fig2<R: LocalRouter + ?Sized>(
                 continue;
             }
             let f = fig2(legs, k, s_leg, t_leg);
-            let run = engine::route(&f.graph, k, router, f.s, f.t, &RunOptions::default());
+            let run = engine::route(&f.graph, k, router, f.s, f.t);
             if !run.status.is_delivered() {
                 return Some((s_leg, t_leg));
             }

@@ -19,7 +19,7 @@
 //! which ports are ever explored. Each of the six permutations misses
 //! `t`'s path on exactly one graph, reproducing Table 3.
 
-use local_routing::engine::{self, RunOptions};
+use local_routing::engine;
 use local_routing::LocalRouter;
 use locality_graph::{fanout, Graph, GraphBuilder, Label, NodeId};
 
@@ -161,14 +161,7 @@ pub fn table3(n: usize, k: u32) -> Vec<TableRow> {
         let mut outcomes = [false; 3];
         for (i, inst) in insts.iter().enumerate() {
             let router = StrategyRouter::new(inst.graph.label(inst.hub), order, 0);
-            let run = engine::route(
-                &inst.graph,
-                k,
-                &router,
-                inst.s,
-                inst.t,
-                &RunOptions::default(),
-            );
+            let run = engine::route(&inst.graph, k, &router, inst.s, inst.t);
             outcomes[i] = run.status.is_delivered();
         }
         TableRow {
@@ -199,14 +192,7 @@ pub fn defeat_router<R: LocalRouter + ?Sized>(
     k: u32,
 ) -> Option<(Variant, local_routing::engine::RunStatus)> {
     for (inst, variant) in family(n).into_iter().zip(Variant::ALL) {
-        let run = engine::route(
-            &inst.graph,
-            k,
-            router,
-            inst.s,
-            inst.t,
-            &RunOptions::default(),
-        );
+        let run = engine::route(&inst.graph, k, router, inst.s, inst.t);
         if !run.status.is_delivered() {
             return Some((variant, run.status));
         }

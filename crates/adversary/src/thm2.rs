@@ -16,7 +16,7 @@
 //! directions: six strategies, each defeated by exactly one variant —
 //! Table 4.
 
-use local_routing::engine::{self, RunOptions};
+use local_routing::engine;
 use local_routing::LocalRouter;
 use locality_graph::{fanout, Graph, GraphBuilder, Label, NodeId};
 
@@ -155,14 +155,7 @@ pub fn table4(n: usize, k: u32) -> Vec<TableRow> {
         let mut outcomes = [false; 3];
         for (i, inst) in insts.iter().enumerate() {
             let router = StrategyRouter::new(inst.graph.label(inst.s), order, *initial);
-            let run = engine::route(
-                &inst.graph,
-                k,
-                &router,
-                inst.s,
-                inst.t,
-                &RunOptions::default(),
-            );
+            let run = engine::route(&inst.graph, k, &router, inst.s, inst.t);
             outcomes[i] = run.status.is_delivered();
         }
         TableRow {
@@ -193,14 +186,7 @@ pub fn defeat_router<R: LocalRouter + ?Sized>(
     k: u32,
 ) -> Option<(Variant, local_routing::engine::RunStatus)> {
     for (inst, variant) in family(n).into_iter().zip(Variant::ALL) {
-        let run = engine::route(
-            &inst.graph,
-            k,
-            router,
-            inst.s,
-            inst.t,
-            &RunOptions::default(),
-        );
+        let run = engine::route(&inst.graph, k, router, inst.s, inst.t);
         if !run.status.is_delivered() {
             return Some((variant, run.status));
         }

@@ -84,7 +84,7 @@ pub fn instance_pair(n: usize) -> InstancePair {
 mod tests {
     use super::*;
     use crate::strategy::ArrowRouter;
-    use local_routing::engine::{self, RunOptions};
+    use local_routing::engine;
     use local_routing::{Alg3, LocalRouter, LocalView};
     use locality_graph::traversal;
 
@@ -129,8 +129,8 @@ mod tests {
                 let mut arrows = std::collections::BTreeMap::new();
                 arrows.insert(p.g1.label(p.s), s_high);
                 let router = ArrowRouter::new(arrows, default_high);
-                let r1 = engine::route(&p.g1, k, &router, p.s, p.t1, &RunOptions::default());
-                let r2 = engine::route(&p.g2, k, &router, p.s, p.t2, &RunOptions::default());
+                let r1 = engine::route(&p.g1, k, &router, p.s, p.t1);
+                let r2 = engine::route(&p.g2, k, &router, p.s, p.t2);
                 assert!(
                     !(r1.status.is_delivered() && r2.status.is_delivered()),
                     "strategy (s_high={s_high}, default={default_high}) beat both graphs"
@@ -143,8 +143,8 @@ mod tests {
     fn alg3_below_threshold_fails_on_one_of_the_pair() {
         let p = instance_pair(12);
         let k = Alg3.min_locality(12) - 1;
-        let r1 = engine::route(&p.g1, k, &Alg3, p.s, p.t1, &RunOptions::default());
-        let r2 = engine::route(&p.g2, k, &Alg3, p.s, p.t2, &RunOptions::default());
+        let r1 = engine::route(&p.g1, k, &Alg3, p.s, p.t1);
+        let r2 = engine::route(&p.g2, k, &Alg3, p.s, p.t2);
         assert!(!(r1.status.is_delivered() && r2.status.is_delivered()));
     }
 
@@ -152,8 +152,8 @@ mod tests {
     fn alg3_at_threshold_beats_both() {
         let p = instance_pair(12);
         let k = Alg3.min_locality(12);
-        let r1 = engine::route(&p.g1, k, &Alg3, p.s, p.t1, &RunOptions::default());
-        let r2 = engine::route(&p.g2, k, &Alg3, p.s, p.t2, &RunOptions::default());
+        let r1 = engine::route(&p.g1, k, &Alg3, p.s, p.t1);
+        let r2 = engine::route(&p.g2, k, &Alg3, p.s, p.t2);
         assert!(r1.status.is_delivered() && r2.status.is_delivered());
         assert_eq!(r1.dilation(), Some(1.0));
         assert_eq!(r2.dilation(), Some(1.0));

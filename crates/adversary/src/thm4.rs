@@ -9,7 +9,7 @@
 //! forcing a detour of `2(n - 2k - 1)` extra edges over a shortest path
 //! of length `k + 1`.
 
-use local_routing::engine::{self, RunOptions};
+use local_routing::engine;
 use local_routing::LocalRouter;
 use locality_graph::{generators, permute, Graph, NodeId};
 
@@ -60,7 +60,7 @@ pub fn measured_worst_dilation<R: LocalRouter + ?Sized>(
 ) -> Option<f64> {
     let mut worst: Option<f64> = None;
     for (g, s, t) in path_instances(n, k) {
-        let run = engine::route(&g, k, router, s, t, &RunOptions::default());
+        let run = engine::route(&g, k, router, s, t);
         if let Some(d) = run.dilation() {
             if worst.is_none_or(|w| d > w) {
                 worst = Some(d);

@@ -29,7 +29,7 @@
 //! rank orientation), retraces to `c` and descends: route `n + 2k - 6`
 //! versus `k + 1`, i.e. dilation `6 - 48/(n + 4)`.
 
-use local_routing::engine::{self, RunOptions};
+use local_routing::engine;
 use local_routing::LocalRouter;
 use locality_graph::{Graph, GraphBuilder, Label, NodeId};
 
@@ -59,14 +59,7 @@ impl TightInstance {
     /// Runs `router` on the instance and returns `(route length,
     /// dilation)`; panics if the message is not delivered.
     pub fn measure<R: LocalRouter + ?Sized>(&self, router: &R) -> (usize, f64) {
-        let run = engine::route(
-            &self.graph,
-            self.k,
-            router,
-            self.s,
-            self.t,
-            &RunOptions::default(),
-        );
+        let run = engine::route(&self.graph, self.k, router, self.s, self.t);
         assert!(
             run.status.is_delivered(),
             "{} failed on tight instance: {:?}",
@@ -315,14 +308,8 @@ mod tests {
         // send and the bounce), U3 at c on both passes, U2 everywhere
         // else on the cycle, case-1 down the pendant.
         let inst = fig13(32);
-        let traced = local_routing::engine::route_traced(
-            &inst.graph,
-            inst.k,
-            &Alg1,
-            inst.s,
-            inst.t,
-            &Default::default(),
-        );
+        let traced =
+            local_routing::engine::route_traced(&inst.graph, inst.k, &Alg1, inst.s, inst.t);
         assert!(traced.report.status.is_delivered());
         assert_eq!(traced.rules.iter().filter(|r| **r == "S2").count(), 2);
         assert_eq!(traced.rules.iter().filter(|r| **r == "U3").count(), 2);
@@ -333,14 +320,8 @@ mod tests {
         // US2 at e, U2e exactly once (the pre-emptive reversal at u),
         // U3 at c, case-1 down to t.
         let inst = fig17(40);
-        let traced = local_routing::engine::route_traced(
-            &inst.graph,
-            inst.k,
-            &Alg1B,
-            inst.s,
-            inst.t,
-            &Default::default(),
-        );
+        let traced =
+            local_routing::engine::route_traced(&inst.graph, inst.k, &Alg1B, inst.s, inst.t);
         assert!(traced.report.status.is_delivered());
         assert_eq!(traced.rules[0], "S1");
         assert!(traced.rules.contains(&"US1"));
@@ -364,14 +345,7 @@ mod tests {
         labels.swap(3, 16);
         let g = permute::relabel(&inst.graph, &labels);
         for router in [&Alg1 as &dyn LocalRouter, &Alg1B] {
-            let run = local_routing::engine::route(
-                &g,
-                inst.k,
-                &router,
-                inst.s,
-                inst.t,
-                &Default::default(),
-            );
+            let run = local_routing::engine::route(&g, inst.k, &router, inst.s, inst.t);
             assert!(run.status.is_delivered(), "{}", router.name());
             let d = run.dilation().unwrap();
             let bound = if router.name().ends_with("1b") {

@@ -3,7 +3,7 @@
 //! the distributed simulator, including the paper's worst-case
 //! instances.
 
-use local_routing::engine::{self, RunOptions};
+use local_routing::engine;
 use local_routing::{Alg1, Alg1B, Alg2, Alg3, LocalRouter, ViewStore};
 use locality_adversary::tight;
 use locality_bench::timing::{measure_ns, report};
@@ -18,10 +18,8 @@ fn main() {
         let g = &inst.graph;
         let views = ViewStore::new(g, inst.k);
         // Warm every view on the route once.
-        engine::route_with_cache(g, &views, &Alg1, inst.s, inst.t, &RunOptions::default());
-        let ns = measure_ns(|| {
-            engine::route_with_cache(g, &views, &Alg1, inst.s, inst.t, &RunOptions::default())
-        });
+        engine::route_with_cache(g, &views, &Alg1, inst.s, inst.t);
+        let ns = measure_ns(|| engine::route_with_cache(g, &views, &Alg1, inst.s, inst.t));
         report("route", &format!("alg1_fig13/{n}"), ns);
     }
     // Typical journeys on a random graph for each algorithm.
@@ -36,24 +34,9 @@ fn main() {
     ] {
         let k = router.min_locality(n);
         let views = ViewStore::new(&g, k);
-        engine::route_with_cache(
-            &g,
-            &views,
-            &router,
-            NodeId(0),
-            NodeId(40),
-            &RunOptions::default(),
-        );
-        let ns = measure_ns(|| {
-            engine::route_with_cache(
-                &g,
-                &views,
-                &router,
-                NodeId(0),
-                NodeId(40),
-                &RunOptions::default(),
-            )
-        });
+        engine::route_with_cache(&g, &views, &router, NodeId(0), NodeId(40));
+        let ns =
+            measure_ns(|| engine::route_with_cache(&g, &views, &router, NodeId(0), NodeId(40)));
         report("route", &format!("random48/{name}"), ns);
     }
 

@@ -10,8 +10,8 @@
 //! localroute report                            regenerate every table/figure
 //! ```
 //!
-//! `<family>` is either a path to an edge-list file (the format of
-//! `locality_graph::io`) or one of:
+//! `<family>` is either a path to a graph file (the native format of
+//! `locality_graph::io` or a plain `u v` edge list) or one of:
 //! `path:N cycle:N grid:RxC lollipop:C,T spider:L,LEN complete:N
 //! random:N,SEED fig13:N fig17:N`.
 //!
@@ -37,7 +37,7 @@ fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
         }
         Some("route") => {
             let (g, router, k, s, t) = route_args(&args)?;
-            let run = engine::route(&g, k, &router, s, t, &Default::default());
+            let run = engine::route(&g, k, &router, s, t);
             writeln!(
                 out,
                 "{} on {} nodes, k = {k} (threshold T(n) = {}):",
@@ -127,7 +127,7 @@ fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
         }
         Some("trace") => {
             let (g, router, k, s, t) = route_args(&args)?;
-            let traced = engine::route_traced(&g, k, &router, s, t, &Default::default());
+            let traced = engine::route_traced(&g, k, &router, s, t);
             writeln!(out, "{} ({:?}):", router.name(), traced.report.status)?;
             for (i, rule) in traced.rules.iter().enumerate() {
                 writeln!(

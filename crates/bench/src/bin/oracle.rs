@@ -13,9 +13,10 @@
 //! oracle verify FILE.lrvo [--graph FILE --k K]
 //! ```
 //!
-//! Graph files are autodetected: the native `n`/`l`/`e` format or a
-//! plain `u v` edgelist. Every subcommand prints one line of JSON on
-//! success; errors go to stderr with exit status 1.
+//! Graph files are read by `locality_graph::io::from_str`: the native
+//! `n`/`l`/`e` format or a plain `u v` edge list. Every subcommand
+//! prints one line of JSON on success; errors go to stderr with exit
+//! status 1.
 
 use std::process::exit;
 use std::sync::Arc;
@@ -34,24 +35,13 @@ fn fail(msg: &str) -> ! {
     exit(1);
 }
 
-/// Reads a graph file, autodetecting the native format (tagged `n`/
-/// `l`/`e` lines) versus a plain edgelist (`u v` lines).
+/// Reads a graph file in either dialect [`io::from_str`] accepts.
 fn read_graph(path: &str) -> Graph {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => fail(&format!("cannot read graph {path}: {e}")),
     };
-    let native = text
-        .lines()
-        .map(str::trim)
-        .find(|l| !l.is_empty() && !l.starts_with('#'))
-        .is_some_and(|l| matches!(l.split_whitespace().next(), Some("n" | "l" | "e")));
-    let parsed = if native {
-        io::from_str(&text)
-    } else {
-        io::from_edgelist(&text)
-    };
-    match parsed {
+    match io::from_str(&text) {
         Ok(g) => g,
         Err(e) => fail(&format!("cannot parse graph {path}: {e}")),
     }

@@ -148,9 +148,10 @@ impl SimReport {
 /// prints the per-n rows and their fingerprints.
 fn bench_scale() -> f64 {
     const REPS: usize = 5;
-    let mut cfg = simbench::ScaleConfig::for_n(32768);
-    cfg.messages = 1024;
-    cfg.churn = true;
+    let cfg = simbench::ScaleConfig {
+        n: 32768,
+        messages: 1024,
+    };
 
     let mut elapsed: Vec<u64> = Vec::new();
     let mut hops = 0u64;
@@ -439,7 +440,6 @@ fn chaos_delivery_ratio() -> f64 {
         max_retries: 3,
         backoff: 32,
         seed: 9,
-        ..Default::default()
     };
     let mut net = NetworkBuilder::new(&g, Alg1.min_locality(32))
         .faults(cfg)

@@ -129,10 +129,10 @@ fn main() {
         SCALE_SIZES
             .into_iter()
             .map(|n| {
-                let mut cfg = ScaleConfig::for_n(n);
-                cfg.messages = scale_messages;
-                cfg.churn = true;
-                scale_row(&cfg)
+                scale_row(&ScaleConfig {
+                    n,
+                    messages: scale_messages,
+                })
             })
             .collect()
     };

@@ -54,7 +54,6 @@ pub(crate) fn fault_config(seed: u64) -> FaultConfig {
         max_retries: 3,
         backoff: N as u64,
         seed,
-        ..Default::default()
     }
 }
 

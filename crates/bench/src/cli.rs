@@ -22,7 +22,7 @@ pub enum CliError {
         need: usize,
     },
     /// A family's parameters are outside what its generator accepts,
-    /// or ask for more than [`MAX_SPEC_NODES`] nodes or
+    /// or ask for more than [`io::MAX_NODES`] nodes or
     /// [`MAX_SPEC_EDGES`] edges.
     OutOfRange {
         /// The family name, e.g. `cycle`.
@@ -39,7 +39,7 @@ pub enum CliError {
         /// The I/O error text.
         message: String,
     },
-    /// The edge-list file was readable but did not parse.
+    /// The graph file was readable but did not parse.
     BadGraphFile(GraphError),
     /// Not a recognized algorithm name.
     UnknownAlgorithm(String),
@@ -81,20 +81,19 @@ impl From<CliError> for String {
     }
 }
 
-/// The most nodes a family spec may ask for.
-pub const MAX_SPEC_NODES: usize = 1_000_000;
-
 /// The most edges a family spec may ask for.
 pub const MAX_SPEC_EDGES: usize = 4_000_000;
 
 /// Parses a graph spec: either a known family
 /// (`path:N`, `cycle:N`, `grid:RxC`, `lollipop:C,T`, `spider:L,LEN`,
-/// `complete:N`, `random:N,SEED`, `fig13:N`, `fig17:N`) or a path to an
-/// edge-list file in the [`locality_graph::io`] format.
+/// `complete:N`, `random:N,SEED`, `fig13:N`, `fig17:N`) or a path to a
+/// graph file, read by [`io::from_str`]: the native format or a plain
+/// `u v` edge list.
 ///
 /// A family's parameters are checked before its generator runs: they
 /// must meet the generator's precondition (`cycle` needs `N >= 3`, say)
-/// and stay within [`MAX_SPEC_NODES`] and [`MAX_SPEC_EDGES`].
+/// and stay within [`io::MAX_NODES`] and [`MAX_SPEC_EDGES`]. A file
+/// is held to the same node cap before anything is allocated for it.
 ///
 /// # Errors
 ///
@@ -166,7 +165,7 @@ pub fn parse_graph(spec: &str) -> Result<Graph, CliError> {
 }
 
 /// Refuses a family spec whose parameters the generator would assert
-/// on, or that asks for more than [`MAX_SPEC_NODES`] nodes or
+/// on, or that asks for more than [`io::MAX_NODES`] nodes or
 /// [`MAX_SPEC_EDGES`] edges, before anything is allocated for it. An
 /// unknown family or a wrong parameter count passes, for
 /// [`parse_graph`] to name.
@@ -210,8 +209,8 @@ fn check_size(family: &str, nums: &[usize]) -> Result<(), CliError> {
     };
     let need = if !ok {
         what.to_string()
-    } else if nodes > w(MAX_SPEC_NODES) {
-        format!("at most {MAX_SPEC_NODES} nodes (this spec has {nodes})")
+    } else if nodes > w(io::MAX_NODES) {
+        format!("at most {} nodes (this spec has {nodes})", io::MAX_NODES)
     } else if edges > w(MAX_SPEC_EDGES) {
         format!("at most {MAX_SPEC_EDGES} edges (this spec has {edges})")
     } else {

@@ -4,7 +4,7 @@
 //! basis of EXPERIMENTS.md).
 
 use local_routing::baselines::RightHandRule;
-use local_routing::engine::{self, RunOptions};
+use local_routing::engine;
 use local_routing::{Alg1, Alg1B, Alg2, Alg3, LocalRouter, LocalView, Packet};
 use locality_adversary::{defeat, lemma1, thm1, thm2, thm3, thm4, tight};
 use locality_graph::components::ComponentAnalysis;
@@ -354,8 +354,8 @@ pub fn fig05(n: usize) -> String {
         let mut arrows = std::collections::BTreeMap::new();
         arrows.insert(p.g1.label(p.s), s_high);
         let router = locality_adversary::strategy::ArrowRouter::new(arrows, s_high);
-        let r1 = engine::route(&p.g1, k, &router, p.s, p.t1, &RunOptions::default());
-        let r2 = engine::route(&p.g2, k, &router, p.s, p.t2, &RunOptions::default());
+        let r1 = engine::route(&p.g1, k, &router, p.s, p.t1);
+        let r2 = engine::route(&p.g2, k, &router, p.s, p.t2);
         table.row(&[
             if s_high {
                 "go high (right)"
@@ -384,7 +384,7 @@ pub fn fig06(n: usize) -> String {
     ));
     // Route shape: out (n-2k-1 hops), turn, back, to t.
     for (g, s, t) in thm4::path_instances(n, k) {
-        let run = engine::route(&g, k, &Alg1, s, t, &RunOptions::default());
+        let run = engine::route(&g, k, &Alg1, s, t);
         if run.dilation().is_some_and(|d| (d - measured).abs() < 1e-9) {
             let turn = run
                 .route
@@ -413,9 +413,9 @@ pub fn fig07() -> String {
     let lolly = generators::lollipop(20, 3);
     let s = NodeId(10);
     let t = NodeId(22);
-    let rhr_run = engine::route(&lolly, 2, &RightHandRule, s, t, &RunOptions::default());
+    let rhr_run = engine::route(&lolly, 2, &RightHandRule, s, t);
     let alg1_k = Alg1.min_locality(lolly.node_count());
-    let alg1_run = engine::route(&lolly, alg1_k, &Alg1, s, t, &RunOptions::default());
+    let alg1_run = engine::route(&lolly, alg1_k, &Alg1, s, t);
     table.row(&[
         "binary tree (15)".to_string(),
         k_tree.to_string(),
@@ -669,7 +669,7 @@ pub fn state_vs_locality(n: usize) -> String {
         (&Alg3, "Alg 3 (stateless)"),
     ] {
         let k = router.min_locality(n);
-        let run = engine::route(&g, k, &router, s, t, &RunOptions::default());
+        let run = engine::route(&g, k, &router, s, t);
         table.row(&[
             name.to_string(),
             k.to_string(),
@@ -678,7 +678,7 @@ pub fn state_vs_locality(n: usize) -> String {
             run.hops().to_string(),
         ]);
     }
-    let dfs = stateful::route_stateful(&g, 1, &DfsStateRouter, s, t, &RunOptions::default());
+    let dfs = stateful::route_stateful(&g, 1, &DfsStateRouter, s, t);
     table.row(&[
         "DFS with message state".to_string(),
         "1".to_string(),
@@ -742,7 +742,7 @@ pub fn position_based(n: usize, radius: f64) -> String {
                 if route_position(&g, &CompassRouter, s, t).delivered() {
                     compass_ok += 1;
                 }
-                let run = engine::route(&g.graph, k, &Alg1, s, t, &RunOptions::default());
+                let run = engine::route(&g.graph, k, &Alg1, s, t);
                 if run.status.is_delivered() {
                     alg1_ok += 1;
                 }

@@ -127,45 +127,31 @@ pub fn sim_throughput_traced(
     )
 }
 
-/// Configuration of one large-topology scale probe: a ring lattice
-/// (`C_n(1..=chords)`, degree `2·chords`) routed by the `k = 1` greedy
-/// ring router, with windowed traffic (`t = s + 1..=window` mod `n`) so
-/// route length — and therefore hop work — is independent of `n`.
+/// One large-topology scale probe: a degree-16 ring lattice
+/// (`C_n(1..=8)`) routed by the `k = 1` greedy ring router under a
+/// seeded churn plan (link flaps and crashes) with source-side timeout
+/// and retry. Traffic is windowed (`t = s + 1..=512` mod `n`), so
+/// route length, and therefore hop work, is independent of `n`.
 /// Provisioning costs O(view) per node, so it grows linearly in `n`; it
 /// is timed separately as `provision_ns`, not as part of the hop phase.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleConfig {
     /// Node count of the ring lattice.
     pub n: usize,
-    /// Chord reach: each node links to its `chords` nearest neighbours
-    /// per side.
-    pub chords: usize,
     /// Messages injected (batched like [`sim_throughput`]).
     pub messages: usize,
-    /// Target-offset window: destinations are `1..=window` ring
-    /// positions ahead of the source.
-    pub window: u32,
-    /// Whether to lay a seeded churn plan (link flaps + crashes) with
-    /// source-side timeout/retry over the run.
-    pub churn: bool,
-    /// Master seed for topology-independent traffic and churn streams.
-    pub seed: u64,
 }
 
-impl ScaleConfig {
-    /// The sweep's default shape at `n`: degree-16 lattice, 4096
-    /// messages over a 512-wide window, no churn, seed 42.
-    pub fn for_n(n: usize) -> ScaleConfig {
-        ScaleConfig {
-            n,
-            chords: 8,
-            messages: 4096,
-            window: 512,
-            churn: false,
-            seed: 42,
-        }
-    }
-}
+/// Chord reach of the scale probe's lattice: each node links to its 8
+/// nearest neighbours per side.
+const SCALE_CHORDS: usize = 8;
+
+/// Target-offset window of the scale probe: destinations are `1..=512`
+/// ring positions ahead of the source.
+const SCALE_WINDOW: u32 = 512;
+
+/// Master seed of the scale probe's traffic and churn streams.
+const SCALE_SEED: u64 = 42;
 
 /// One finished scale run.
 #[derive(Clone, Copy, Debug)]
@@ -208,35 +194,32 @@ impl ScaleRun {
 pub fn sim_scale(cfg: &ScaleConfig) -> ScaleRun {
     use locality_sim::fault::{ChurnConfig, FaultConfig, FaultPlan};
 
-    let g = generators::ring_lattice(cfg.n, cfg.chords);
+    let g = generators::ring_lattice(cfg.n, SCALE_CHORDS);
     let router = local_routing::baselines::RingGreedy::new(cfg.n as u32);
     let build_start = Instant::now();
-    let mut b = NetworkBuilder::new(&g, 1);
-    if cfg.churn {
-        b = b
-            .faults(FaultConfig {
-                timeout: Some(64),
-                max_retries: 3,
-                backoff: 16,
-                seed: cfg.seed,
-                ..Default::default()
-            })
-            .fault_plan(FaultPlan::random_churn(
-                &g,
-                &ChurnConfig::default(),
-                &mut DetRng::seed_from_u64(cfg.seed ^ 0xC0FFEE),
-            ));
-    }
-    let mut net = b.build(router);
+    let mut net = NetworkBuilder::new(&g, 1)
+        .faults(FaultConfig {
+            timeout: Some(64),
+            max_retries: 3,
+            backoff: 16,
+            seed: SCALE_SEED,
+            ..Default::default()
+        })
+        .fault_plan(FaultPlan::random_churn(
+            &g,
+            &ChurnConfig::default(),
+            &mut DetRng::seed_from_u64(SCALE_SEED ^ 0xC0FFEE),
+        ))
+        .build(router);
     let provision_ns = build_start.elapsed().as_nanos() as u64;
-    let mut traffic = DetRng::seed_from_u64(cfg.seed ^ 0x5CA1E);
+    let mut traffic = DetRng::seed_from_u64(SCALE_SEED ^ 0x5CA1E);
     let start = Instant::now();
     let mut sent = 0usize;
     let n = cfg.n as u32;
     while sent < cfg.messages {
         for _ in 0..BATCH.min(cfg.messages - sent) {
             let s = traffic.gen_range(0..n);
-            let t = (s + 1 + traffic.gen_range(0..cfg.window)) % n;
+            let t = (s + 1 + traffic.gen_range(0..SCALE_WINDOW)) % n;
             net.send(NodeId(s), NodeId(t));
             sent += 1;
         }
@@ -306,10 +289,10 @@ mod tests {
         // The n = 2048 churn run: every route, fate, delivery tick and
         // retry count hashes to the value the engine has produced
         // since the fingerprint began hashing paths.
-        let mut cfg = ScaleConfig::for_n(2048);
-        cfg.messages = 256;
-        cfg.churn = true;
-        let run = sim_scale(&cfg);
+        let run = sim_scale(&ScaleConfig {
+            n: 2048,
+            messages: 256,
+        });
         assert_eq!(run.fingerprint, 0x302e_1a97_bf1e_3031, "outcome drift");
         assert_eq!(run.hops, 8307);
         assert_eq!(run.delivered, 256);
@@ -337,10 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_fault_scale_run_delivers_everything() {
-        let mut cfg = ScaleConfig::for_n(4096);
-        cfg.messages = 128;
-        let r = sim_scale(&cfg);
+    fn scale_run_delivers_everything_under_churn() {
+        let r = sim_scale(&ScaleConfig {
+            n: 4096,
+            messages: 128,
+        });
         assert_eq!(r.delivered, r.messages);
         assert!(r.hops_per_sec() > 0.0);
     }

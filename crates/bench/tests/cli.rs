@@ -229,6 +229,70 @@ fn localroute_out_of_range_family_is_an_error_not_a_panic() {
     }
 }
 
+/// Writes `text` to a file of its own under the temp directory.
+fn temp_file(name: &str, text: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("locality-cli-{}-{name}", std::process::id()));
+    std::fs::write(&path, text).expect("temp dir is writable");
+    path
+}
+
+#[test]
+fn graph_files_past_the_node_cap_are_errors_not_aborts() {
+    // A native header and an edge-list id that ask for 4·10⁹ and
+    // 2³² - 1 nodes: each must fail before anything is allocated.
+    let native = temp_file("huge.graph", "# 4e9 nodes\nn 4000000000\n");
+    let native_arg = native.to_str().expect("temp path is UTF-8");
+    let out = run(
+        env!("CARGO_BIN_EXE_localroute"),
+        &["matrix", native_arg, "alg3", "1"],
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "localroute: stderr: {err}");
+    assert!(err.starts_with("error: "), "localroute: stderr: {err}");
+    assert!(err.contains("line 2 asks for 4000000000 nodes"), "{err}");
+
+    let edges = temp_file("huge.edges", "0 4294967294\n");
+    let artifact = temp_file("huge.lrvo", "");
+    let [edges_arg, artifact_arg] =
+        [&edges, &artifact].map(|p| p.to_str().expect("temp path is UTF-8"));
+    let out = run(
+        env!("CARGO_BIN_EXE_oracle"),
+        &[
+            "build",
+            "--graph",
+            edges_arg,
+            "--k",
+            "1",
+            "--out",
+            artifact_arg,
+        ],
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "oracle: stderr: {err}");
+    assert!(err.contains("oracle: cannot parse graph"), "{err}");
+    assert!(err.contains("line 1 asks for 4294967295 nodes"), "{err}");
+    for p in [native, edges, artifact] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn localroute_reads_a_plain_edge_list() {
+    let triangle = temp_file("triangle.edges", "# triangle\n0 1\n1 2\n2 0\n");
+    let arg = triangle.to_str().expect("temp path is UTF-8");
+    let out = run(
+        env!("CARGO_BIN_EXE_localroute"),
+        &["route", arg, "alg1", "1", "0", "2"],
+    );
+    let _ = std::fs::remove_file(&triangle);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {err}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("on 3 nodes"), "{text}");
+    assert!(text.contains("status   Delivered"), "{text}");
+    assert!(text.contains("route    v0 -> v2"), "{text}");
+}
+
 #[test]
 fn localroute_ends_quietly_when_its_reader_stops_early() {
     // grid:300x300 prints 2,467,954 bytes, more than a pipe buffers, so

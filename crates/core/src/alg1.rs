@@ -61,7 +61,7 @@ use crate::view::{LocalView, RoutingView};
 ///
 /// let g = generators::lollipop(12, 4);
 /// let k = Alg1.min_locality(g.node_count());
-/// let report = engine::route(&g, k, &Alg1, NodeId(2), NodeId(15), &Default::default());
+/// let report = engine::route(&g, k, &Alg1, NodeId(2), NodeId(15));
 /// assert!(report.status.is_delivered());
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -507,7 +507,7 @@ mod tests {
         let k = Alg1.min_locality(g.node_count());
         for s in g.nodes() {
             for t in g.nodes().filter(|&t| t != s) {
-                let r = engine::route(&g, k, &Alg1, s, t, &Default::default());
+                let r = engine::route(&g, k, &Alg1, s, t);
                 assert_eq!(r.status, RunStatus::Delivered);
                 assert!(r.max_directed_edge_uses() <= 1, "({s},{t}): {:?}", r.route);
             }
@@ -608,8 +608,8 @@ mod tests {
             let k = Alg1.min_locality(n);
             for s in g.nodes() {
                 for t in g.nodes().filter(|&t| t != s) {
-                    let r1 = engine::route(&g, k, &Alg1, s, t, &Default::default());
-                    let rb = engine::route(&g, k, &Alg1B, s, t, &Default::default());
+                    let r1 = engine::route(&g, k, &Alg1, s, t);
+                    let rb = engine::route(&g, k, &Alg1B, s, t);
                     assert!(r1.status.is_delivered() && rb.status.is_delivered());
                     assert!(
                         rb.hops() <= r1.hops(),

@@ -23,7 +23,7 @@ use crate::view::LocalView;
 ///
 /// let g = generators::cycle(12);
 /// let k = Alg2.min_locality(g.node_count()); // 4
-/// let report = engine::route(&g, k, &Alg2, NodeId(0), NodeId(6), &Default::default());
+/// let report = engine::route(&g, k, &Alg2, NodeId(0), NodeId(6));
 /// assert!(report.status.is_delivered());
 /// assert!(report.dilation().unwrap() < 3.0);
 /// ```
@@ -44,6 +44,14 @@ impl LocalRouter for Alg2 {
     }
 
     fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
+        self.decide_explained(packet, view).map(|(label, _)| label)
+    }
+
+    fn decide_explained(
+        &self,
+        packet: &Packet,
+        view: &LocalView,
+    ) -> Result<(Label, &'static str), RoutingError> {
         // Case 1: dist(u, t) <= k.
         if let Some(t_node) = view.node_by_label(packet.target) {
             if t_node == view.center() {
@@ -54,7 +62,7 @@ impl LocalRouter for Alg2 {
             let step = view.shortest_step_toward(t_node).ok_or_else(|| {
                 RoutingError::ProtocolViolation("destination visible but unreachable".into())
             })?;
-            return Ok(view.label(step));
+            return Ok((view.label(step), "case-1"));
         }
 
         let active = view.routing_view().active();
@@ -73,45 +81,28 @@ impl LocalRouter for Alg2 {
             .and_then(|l| view.node_by_label(l))
             .filter(|p| view.raw().has_edge(view.center(), *p));
 
-        let next = match v {
-            // Case 2: first send from the origin — any active edge.
-            None => active[0],
+        let (next, rule) = match v {
+            // Case 2: first send from the origin — any active edge. A
+            // predecessor that is not adjacent (the message crossed a
+            // link that has since died) counts as none.
+            None => (active[0], "case-2"),
             Some(v) => match active.len() {
                 // Rule U1: reverse.
-                1 => active[0],
+                1 => (active[0], "U1"),
                 // Rule U2: pass through; arrivals from passive
                 // components take any active edge.
                 _ => {
                     if v == active[0] {
-                        active[1]
+                        (active[1], "U2")
                     } else {
                         // From the second port or a passive neighbour:
                         // out the first.
-                        active[0]
+                        (active[0], "U2")
                     }
                 }
             },
         };
-        Ok(view.label(next))
-    }
-
-    fn decide_explained(
-        &self,
-        packet: &Packet,
-        view: &LocalView,
-    ) -> Result<(Label, &'static str), RoutingError> {
-        let label = self.decide(packet, view)?;
-        let rule = if view.contains_label(packet.target) {
-            "case-1"
-        } else if packet.predecessor.is_none() {
-            "case-2"
-        } else {
-            match view.routing_view().active().len() {
-                1 => "U1",
-                _ => "U2",
-            }
-        };
-        Ok((label, rule))
+        Ok((view.label(next), rule))
     }
 }
 
@@ -177,6 +168,30 @@ mod tests {
     }
 
     #[test]
+    fn non_adjacent_predecessor_is_named_as_a_first_send() {
+        // The predecessor label 2 is in node 0's view of cycle(12) but
+        // not adjacent to it, as after a link that died mid-flight:
+        // the first-send branch fires, and the explanation says so.
+        let g = generators::cycle(12);
+        let view = LocalView::extract(&g, locality_graph::NodeId(0), 4);
+        let p = Packet {
+            origin: None,
+            target: Label(6),
+            predecessor: Some(Label(2)),
+        };
+        let first = Packet {
+            predecessor: None,
+            ..p
+        };
+        assert_eq!(Alg2.decide(&p, &view), Ok(Label(1)));
+        assert_eq!(Alg2.decide_explained(&p, &view), Ok((Label(1), "case-2")));
+        assert_eq!(
+            Alg2.decide_explained(&first, &view),
+            Ok((Label(1), "case-2"))
+        );
+    }
+
+    #[test]
     fn threshold_is_ceil_n_over_3() {
         assert_eq!(Alg2.min_locality(9), 3);
         assert_eq!(Alg2.min_locality(10), 4);
@@ -192,7 +207,6 @@ mod tests {
             &Alg2,
             locality_graph::NodeId(1),
             locality_graph::NodeId(3),
-            &Default::default(),
         );
         assert_eq!(r.hops(), 2);
         assert_eq!(r.dilation(), Some(1.0));

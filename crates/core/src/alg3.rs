@@ -24,7 +24,7 @@ use crate::view::LocalView;
 ///
 /// let g = generators::path(11);
 /// let k = Alg3.min_locality(11); // 5
-/// let report = engine::route(&g, k, &Alg3, NodeId(0), NodeId(10), &Default::default());
+/// let report = engine::route(&g, k, &Alg3, NodeId(0), NodeId(10));
 /// assert!(report.status.is_delivered());
 /// assert_eq!(report.dilation(), Some(1.0)); // always a shortest path
 /// ```
@@ -45,6 +45,14 @@ impl LocalRouter for Alg3 {
     }
 
     fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
+        self.decide_explained(packet, view).map(|(label, _)| label)
+    }
+
+    fn decide_explained(
+        &self,
+        packet: &Packet,
+        view: &LocalView,
+    ) -> Result<(Label, &'static str), RoutingError> {
         // Case 1: the destination is visible — step along a shortest path.
         if let Some(t_node) = view.node_by_label(packet.target) {
             if t_node == view.center() {
@@ -55,7 +63,7 @@ impl LocalRouter for Alg3 {
             let step = view.shortest_step_toward(t_node).ok_or_else(|| {
                 RoutingError::ProtocolViolation("destination visible but unreachable".into())
             })?;
-            return Ok(view.label(step));
+            return Ok((view.label(step), "case-1"));
         }
 
         // Case 2: by Lemma 12 the raw view has exactly one constrained
@@ -85,21 +93,7 @@ impl LocalRouter for Alg3 {
         let step = view.shortest_step_toward(far).ok_or_else(|| {
             RoutingError::ProtocolViolation("constraint vertex unreachable in view".into())
         })?;
-        Ok(view.label(step))
-    }
-
-    fn decide_explained(
-        &self,
-        packet: &Packet,
-        view: &LocalView,
-    ) -> Result<(Label, &'static str), RoutingError> {
-        let label = self.decide(packet, view)?;
-        let rule = if view.contains_label(packet.target) {
-            "case-1"
-        } else {
-            "case-2"
-        };
-        Ok((label, rule))
+        Ok((view.label(step), "case-2"))
     }
 }
 
@@ -207,8 +201,8 @@ mod tests {
             let k = Alg3OriginAware.min_locality(n);
             for s in g.nodes() {
                 for t in g.nodes().filter(|&t| t != s) {
-                    let a = engine::route(&g, k, &Alg3, s, t, &Default::default());
-                    let b = engine::route(&g, k, &Alg3OriginAware, s, t, &Default::default());
+                    let a = engine::route(&g, k, &Alg3, s, t);
+                    let b = engine::route(&g, k, &Alg3OriginAware, s, t);
                     assert!(b.status.is_delivered());
                     assert_eq!(a.route, b.route);
                 }

@@ -223,21 +223,14 @@ mod tests {
         let k = 2;
         let s = NodeId(10); // on the cycle, far from the tail
         let t = NodeId(22); // tail tip, distance 3 > k from the cycle
-        let r = engine::route(&g, k, &RightHandRule, s, t, &Default::default());
+        let r = engine::route(&g, k, &RightHandRule, s, t);
         assert_eq!(r.status, RunStatus::LoopDetected);
     }
 
     #[test]
     fn lowest_rank_forward_loops_quickly() {
         let g = generators::path(8);
-        let r = engine::route(
-            &g,
-            1,
-            &LowestRankForward,
-            NodeId(3),
-            NodeId(7),
-            &Default::default(),
-        );
+        let r = engine::route(&g, 1, &LowestRankForward, NodeId(3), NodeId(7));
         assert_eq!(r.status, RunStatus::LoopDetected);
     }
 
@@ -258,14 +251,7 @@ mod tests {
     fn ring_greedy_takes_chord_sized_steps() {
         // Distance 20 with chord reach 4: ⌈20/4⌉ = 5 hops.
         let g = generators::ring_lattice(40, 4);
-        let r = engine::route(
-            &g,
-            1,
-            &RingGreedy::new(40),
-            NodeId(0),
-            NodeId(20),
-            &Default::default(),
-        );
+        let r = engine::route(&g, 1, &RingGreedy::new(40), NodeId(0), NodeId(20));
         assert_eq!(r.status, RunStatus::Delivered);
         assert_eq!(r.hops(), 5);
     }

@@ -14,14 +14,6 @@ use crate::traits::LocalRouter;
 use crate::view::LocalView;
 use crate::visited::VisitedStates;
 
-/// Options controlling a run.
-#[derive(Clone, Debug, Default)]
-pub struct RunOptions {
-    /// Hard cap on hops, over and above exact loop detection. Mostly a
-    /// belt-and-braces guard; `None` means `8 * n^2 + 16`.
-    pub max_steps: Option<usize>,
-}
-
 /// Why a run ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunStatus {
@@ -39,7 +31,8 @@ pub enum RunStatus {
         /// The node at which the bad decision was made.
         at: NodeId,
     },
-    /// The belt-and-braces step cap fired.
+    /// The belt-and-braces step cap of `8·n² + 16` hops fired, over
+    /// and above exact loop detection.
     StepLimit,
 }
 
@@ -326,9 +319,8 @@ pub fn route<R: LocalRouter + ?Sized>(
     router: &R,
     s: NodeId,
     t: NodeId,
-    options: &RunOptions,
 ) -> RunReport {
-    route_with_cache(graph, &ViewStore::new(graph, k), router, s, t, options)
+    route_with_cache(graph, &ViewStore::new(graph, k), router, s, t)
 }
 
 /// Routes one message reusing an existing view store over `graph`
@@ -339,10 +331,9 @@ pub fn route_with_cache<R: LocalRouter + ?Sized>(
     router: &R,
     s: NodeId,
     t: NodeId,
-    options: &RunOptions,
 ) -> RunReport {
     let shortest = traversal::distance(graph, s, t).unwrap_or(0);
-    walk(graph, views, router, s, t, shortest, options, None)
+    walk(graph, views, router, s, t, shortest, None)
 }
 
 /// A run together with the rule that fired at each hop.
@@ -365,21 +356,11 @@ pub fn route_traced<R: LocalRouter + ?Sized>(
     router: &R,
     s: NodeId,
     t: NodeId,
-    options: &RunOptions,
 ) -> TracedRun {
     let views = ViewStore::new(graph, k);
     let shortest = traversal::distance(graph, s, t).unwrap_or(0);
     let mut rules = Vec::new();
-    let report = walk(
-        graph,
-        &views,
-        router,
-        s,
-        t,
-        shortest,
-        options,
-        Some(&mut rules),
-    );
+    let report = walk(graph, &views, router, s, t, shortest, Some(&mut rules));
     TracedRun { report, rules }
 }
 
@@ -389,7 +370,6 @@ pub fn route_traced<R: LocalRouter + ?Sized>(
 /// names the rule behind each hop ([`LocalRouter::decide_explained`])
 /// and the names are appended; without, it is asked for the next hop
 /// only.
-#[allow(clippy::too_many_arguments)]
 fn walk<R: LocalRouter + ?Sized>(
     graph: &Graph,
     views: &ViewStore,
@@ -397,12 +377,11 @@ fn walk<R: LocalRouter + ?Sized>(
     s: NodeId,
     t: NodeId,
     shortest: u32,
-    options: &RunOptions,
     mut rules: Option<&mut Vec<&'static str>>,
 ) -> RunReport {
     let k = views.k();
     let n = graph.node_count();
-    let max_steps = options.max_steps.unwrap_or(8 * n * n + 16);
+    let max_steps = 8 * n * n + 16;
     let awareness = router.awareness();
     let origin_label = graph.label(s);
     let target_label = graph.label(t);
@@ -525,7 +504,6 @@ where
     R: LocalRouter + ?Sized,
     I: IntoIterator<Item = (NodeId, NodeId)>,
 {
-    let options = RunOptions::default();
     let mut report = MatrixReport::default();
     // `dist(s, ·)` for the origin of the current run of pairs.
     let mut from: Option<(NodeId, DistMap)> = None;
@@ -534,7 +512,7 @@ where
             from = Some((s, traversal::bfs_distances(graph, s, None)));
         }
         let shortest = from.as_ref().and_then(|(_, d)| d.get(t)).unwrap_or(0);
-        let run = walk(graph, views, router, s, t, shortest, &options, None);
+        let run = walk(graph, views, router, s, t, shortest, None);
         report.runs += 1;
         if run.status.is_delivered() {
             report.total_hops += run.hops();
@@ -636,7 +614,7 @@ mod tests {
     #[test]
     fn trivial_self_delivery() {
         let g = generators::path(4);
-        let r = route(&g, 1, &Stubborn, NodeId(2), NodeId(2), &Default::default());
+        let r = route(&g, 1, &Stubborn, NodeId(2), NodeId(2));
         assert!(r.status.is_delivered());
         assert_eq!(r.hops(), 0);
         assert_eq!(r.dilation(), None);
@@ -647,7 +625,7 @@ mod tests {
         // On a path, always going to the lowest label means bouncing
         // between nodes 0 and 1 forever; state (u) recurs immediately.
         let g = generators::path(6);
-        let r = route(&g, 2, &Stubborn, NodeId(3), NodeId(5), &Default::default());
+        let r = route(&g, 2, &Stubborn, NodeId(3), NodeId(5));
         assert_eq!(r.status, RunStatus::LoopDetected);
         assert!(r.route.len() <= 12, "loop detection must be prompt");
     }
@@ -655,7 +633,7 @@ mod tests {
     #[test]
     fn stubborn_succeeds_toward_low_labels() {
         let g = generators::path(6);
-        let r = route(&g, 2, &Stubborn, NodeId(4), NodeId(0), &Default::default());
+        let r = route(&g, 2, &Stubborn, NodeId(4), NodeId(0));
         assert!(r.status.is_delivered());
         assert_eq!(r.hops(), 4);
         assert_eq!(r.dilation(), Some(1.0));
@@ -664,7 +642,7 @@ mod tests {
     #[test]
     fn invalid_decisions_are_reported() {
         let g = generators::path(3);
-        let r = route(&g, 1, &Liar, NodeId(0), NodeId(2), &Default::default());
+        let r = route(&g, 1, &Liar, NodeId(0), NodeId(2));
         assert_eq!(r.status, RunStatus::InvalidDecision { at: NodeId(0) });
     }
 
@@ -840,8 +818,8 @@ mod tests {
         use crate::Alg1;
         let g = generators::cycle(16);
         let k = 4;
-        let plain = route(&g, k, &Alg1, NodeId(0), NodeId(8), &Default::default());
-        let traced = route_traced(&g, k, &Alg1, NodeId(0), NodeId(8), &Default::default());
+        let plain = route(&g, k, &Alg1, NodeId(0), NodeId(8));
+        let traced = route_traced(&g, k, &Alg1, NodeId(0), NodeId(8));
         assert_eq!(traced.report.route, plain.route);
         assert_eq!(traced.rules.len(), traced.report.hops());
         // Rules come from Algorithm 1's named table.

@@ -47,7 +47,7 @@
 //!
 //! let g = generators::cycle(16);
 //! let k = Alg1.min_locality(g.node_count()); // ceil(n / 4) = 4
-//! let report = engine::route(&g, k, &Alg1, NodeId(0), NodeId(8), &Default::default());
+//! let report = engine::route(&g, k, &Alg1, NodeId(0), NodeId(8));
 //! assert!(report.status.is_delivered());
 //! assert!(report.dilation().unwrap() <= 7.0);
 //! ```

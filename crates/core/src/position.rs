@@ -211,14 +211,7 @@ mod tests {
         use crate::{engine, Alg1, LocalRouter};
         let g = greedy_trap();
         let k = Alg1.min_locality(g.graph.node_count());
-        let run = engine::route(
-            &g.graph,
-            k,
-            &Alg1,
-            NodeId(0),
-            NodeId(4),
-            &Default::default(),
-        );
+        let run = engine::route(&g.graph, k, &Alg1, NodeId(0), NodeId(4));
         assert!(run.status.is_delivered());
         assert_eq!(run.shortest, 4);
     }

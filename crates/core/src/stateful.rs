@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 
 use locality_graph::{traversal, Graph, Label, NodeId};
 
-use crate::engine::{RunOptions, RunReport, RunStatus};
+use crate::engine::{RunReport, RunStatus};
 use crate::error::RoutingError;
 use crate::model::Packet;
 use crate::view::LocalView;
@@ -124,11 +124,10 @@ pub fn route_stateful<R: StatefulLocalRouter>(
     router: &R,
     s: NodeId,
     t: NodeId,
-    options: &RunOptions,
 ) -> StatefulRunReport {
     let n = graph.node_count();
     let shortest = traversal::distance(graph, s, t).unwrap_or(0);
-    let max_steps = options.max_steps.unwrap_or(8 * n * n + 16);
+    let max_steps = 8 * n * n + 16;
     let max_label = graph.max_label().unwrap_or(Label(0));
     let origin = graph.label(s);
     let target = graph.label(t);
@@ -188,7 +187,7 @@ mod tests {
             let g = permute::random_relabel(&generators::random_mixed(n, &mut rng), &mut rng);
             for s in g.nodes() {
                 for t in g.nodes().filter(|&t| t != s) {
-                    let r = route_stateful(&g, 1, &DfsStateRouter, s, t, &Default::default());
+                    let r = route_stateful(&g, 1, &DfsStateRouter, s, t);
                     assert!(
                         r.report.status.is_delivered(),
                         "DFS failed on {g:?} ({s},{t}): {:?}",
@@ -204,14 +203,7 @@ mod tests {
     #[test]
     fn dfs_state_grows_linearly_not_more() {
         let g = generators::path(64);
-        let r = route_stateful(
-            &g,
-            1,
-            &DfsStateRouter,
-            NodeId(0),
-            NodeId(63),
-            &Default::default(),
-        );
+        let r = route_stateful(&g, 1, &DfsStateRouter, NodeId(0), NodeId(63));
         assert!(r.report.status.is_delivered());
         // Visited set dominates: ~n labels at ~6-7 bits each.
         assert!(r.max_state_bits >= 64 * 6);
@@ -221,14 +213,7 @@ mod tests {
     #[test]
     fn dfs_route_length_is_at_most_twice_edges_explored() {
         let g = generators::binary_tree(4);
-        let r = route_stateful(
-            &g,
-            1,
-            &DfsStateRouter,
-            NodeId(0),
-            NodeId(14),
-            &Default::default(),
-        );
+        let r = route_stateful(&g, 1, &DfsStateRouter, NodeId(0), NodeId(14));
         assert!(r.report.status.is_delivered());
         assert!(r.report.hops() <= 2 * g.edge_count());
     }

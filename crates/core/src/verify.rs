@@ -163,7 +163,7 @@ mod tests {
         let k = Alg1.min_locality(g.node_count());
         for s in g.nodes() {
             for t in g.nodes().filter(|&t| t != s) {
-                let r = engine::route(&g, k, &Alg1, s, t, &Default::default());
+                let r = engine::route(&g, k, &Alg1, s, t);
                 check_observation1(&r).unwrap();
                 check_corollary3_route_consistency(&g, k, &r, t).unwrap();
             }

@@ -1,5 +1,5 @@
 //! Zero-dependency binary codec: little-endian fixed-width and varint
-//! primitives, tagged section framing, and an FNV-1a checksum.
+//! primitives and an FNV-1a checksum.
 //!
 //! This is the wire layer of the routing-oracle artifact tier: the
 //! `oracle` module in `local-routing` serialises per-node views with
@@ -81,15 +81,6 @@ pub enum CodecError {
         /// Byte position of the varint's first byte.
         at: usize,
     },
-    /// A section tag did not match the one the caller demanded.
-    WrongSection {
-        /// Byte position of the tag.
-        at: usize,
-        /// The tag the caller expected.
-        expected: u8,
-        /// The tag actually present.
-        found: u8,
-    },
     /// A structural invariant of the decoded value was violated.
     Malformed {
         /// Byte position at which the violation was detected.
@@ -106,14 +97,6 @@ impl fmt::Display for CodecError {
             CodecError::VarintOverflow { at } => {
                 write!(f, "varint at byte {at} overflows 64 bits")
             }
-            CodecError::WrongSection {
-                at,
-                expected,
-                found,
-            } => write!(
-                f,
-                "section tag {found:#04x} at byte {at} (expected {expected:#04x})"
-            ),
             CodecError::Malformed { at, what } => {
                 write!(f, "malformed input at byte {at}: {what}")
             }
@@ -161,12 +144,6 @@ impl Writer {
         self.buf
     }
 
-    /// Appends one byte.
-    #[inline]
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
     /// Appends a little-endian `u16`.
     #[inline]
     pub fn put_u16(&mut self, v: u16) {
@@ -200,43 +177,25 @@ impl Writer {
         }
         self.buf.push(v as u8);
     }
-
-    /// Appends a framed section: one tag byte, a varint payload
-    /// length, then the payload produced by `body` into a scratch
-    /// writer. The frame lets a reader skip or demand sections by tag.
-    pub fn put_section(&mut self, tag: u8, body: impl FnOnce(&mut Writer)) {
-        let mut inner = Writer::new();
-        body(&mut inner);
-        self.put_u8(tag);
-        self.put_varint(inner.len() as u64);
-        self.buf.extend_from_slice(&inner.buf);
-    }
 }
 
 /// Bounds-checked cursor over a byte slice.
 #[derive(Clone, Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
-    /// Offset of `buf[0]` within the original input, so errors from
-    /// sub-readers report absolute positions.
-    base: usize,
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Wraps `buf` with the cursor at the start.
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader {
-            buf,
-            base: 0,
-            pos: 0,
-        }
+        Reader { buf, pos: 0 }
     }
 
-    /// Absolute byte position of the cursor within the original input.
+    /// Byte position of the cursor within the input.
     #[inline]
     pub fn position(&self) -> usize {
-        self.base + self.pos
+        self.pos
     }
 
     /// Bytes left to read.
@@ -286,19 +245,6 @@ impl<'a> Reader<'a> {
         self.take(N)?
             .try_into()
             .map_err(|_| CodecError::Truncated { at })
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
-        match self.buf.get(self.pos) {
-            Some(&b) => {
-                self.pos += 1;
-                Ok(b)
-            }
-            None => Err(CodecError::Truncated {
-                at: self.position(),
-            }),
-        }
     }
 
     /// Reads a little-endian `u16`.
@@ -371,29 +317,6 @@ impl<'a> Reader<'a> {
         usize::try_from(v).map_err(|_| CodecError::Malformed {
             at,
             what: "length does not fit in usize",
-        })
-    }
-
-    /// Enters a framed section written by [`Writer::put_section`],
-    /// returning a sub-reader scoped to the payload. The outer cursor
-    /// advances past the whole frame.
-    pub fn section(&mut self, tag: u8) -> Result<Reader<'a>, CodecError> {
-        let tag_at = self.position();
-        let found = self.u8()?;
-        if found != tag {
-            return Err(CodecError::WrongSection {
-                at: tag_at,
-                expected: tag,
-                found,
-            });
-        }
-        let len = self.varint_len()?;
-        let base = self.position();
-        let payload = self.take(len)?;
-        Ok(Reader {
-            buf: payload,
-            base,
-            pos: 0,
         })
     }
 }
@@ -587,17 +510,15 @@ mod tests {
     #[test]
     fn fixed_widths_round_trip_little_endian() {
         let mut w = Writer::new();
-        w.put_u8(0xab);
         w.put_u16(0x1234);
         w.put_u32(0xdead_beef);
         w.put_u64(0x0102_0304_0506_0708);
-        assert_eq!(w.as_bytes()[1..3], [0x34, 0x12]);
+        assert_eq!(w.as_bytes()[0..2], [0x34, 0x12]);
         let mut r = Reader::new(w.as_bytes());
-        assert_eq!(r.u8(), Ok(0xab));
         assert_eq!(r.u16(), Ok(0x1234));
         assert_eq!(r.u32(), Ok(0xdead_beef));
         assert_eq!(r.u64(), Ok(0x0102_0304_0506_0708));
-        assert_eq!(r.u8(), Err(CodecError::Truncated { at: 15 }));
+        assert_eq!(r.u16(), Err(CodecError::Truncated { at: 14 }));
     }
 
     #[test]
@@ -639,42 +560,6 @@ mod tests {
         // Word-aligned inputs take the wide path; sub-word tails take
         // the byte path, so only sub-8-byte inputs match plain FNV-1a.
         assert_ne!(fnv1a_wide(b"12345678"), fnv1a(b"12345678"));
-    }
-
-    #[test]
-    fn sections_frame_and_reject_wrong_tags() {
-        let mut w = Writer::new();
-        w.put_section(1, |w| w.put_u32(7));
-        w.put_section(2, |w| w.put_varint(99));
-        let mut r = Reader::new(w.as_bytes());
-        let mut s1 = r.section(1).expect("tag 1");
-        assert_eq!(s1.u32(), Ok(7));
-        assert!(s1.expect_eof().is_ok());
-        assert!(matches!(
-            r.clone().section(9),
-            Err(CodecError::WrongSection {
-                expected: 9,
-                found: 2,
-                ..
-            })
-        ));
-        let mut s2 = r.section(2).expect("tag 2");
-        assert_eq!(s2.varint(), Ok(99));
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn section_sub_reader_reports_absolute_positions() {
-        let mut w = Writer::new();
-        w.put_u32(0); // 4 bytes of padding before the section
-        w.put_section(5, |w| w.put_u8(1));
-        let mut r = Reader::new(w.as_bytes());
-        let _ = r.u32();
-        let mut s = r.section(5).expect("tag 5");
-        let _ = s.u8();
-        // Frame: tag at 4, len at 5, payload at 6; cursor now at 7.
-        assert_eq!(s.position(), 7);
-        assert_eq!(s.u8(), Err(CodecError::Truncated { at: 7 }));
     }
 
     fn round_trip(s: &Subgraph) -> Subgraph {

@@ -219,13 +219,6 @@ impl ComponentAnalysis {
     pub fn component_of(&self, x: NodeId) -> Option<usize> {
         self.components.iter().position(|c| c.contains(x))
     }
-
-    /// The component rooted at the centre's neighbour `v`, if any.
-    pub fn component_rooted_at(&self, v: NodeId) -> Option<&LocalComponent> {
-        self.components
-            .iter()
-            .find(|c| c.roots.binary_search(&v).is_ok())
-    }
 }
 
 #[cfg(test)]
@@ -388,16 +381,6 @@ mod tests {
 
         // Active degree counts roots of active components: 1 + 2 + 2.
         assert_eq!(a.active_degree(), 5);
-    }
-
-    #[test]
-    fn component_rooted_at_finds_multi_root_components() {
-        let g = generators::cycle(8);
-        let a = analyze(&g, NodeId(0), 4);
-        let c1 = a.component_rooted_at(NodeId(1)).unwrap();
-        let c7 = a.component_rooted_at(NodeId(7)).unwrap();
-        assert_eq!(c1, c7);
-        assert!(a.component_rooted_at(NodeId(4)).is_none());
     }
 
     #[test]

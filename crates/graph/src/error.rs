@@ -19,8 +19,6 @@ pub enum GraphError {
     SelfLoop(NodeId),
     /// An endpoint refers to a node that was never added.
     UnknownNode(NodeId),
-    /// A label lookup failed.
-    UnknownLabel(Label),
     /// A textual graph description could not be parsed.
     Parse {
         /// 1-based line number of the offending input line.
@@ -35,22 +33,12 @@ pub enum GraphError {
         /// 1-based line number of the offending input line.
         line: usize,
     },
-    /// An edgelist line repeated an edge already declared earlier
-    /// (in either direction). Only strict ingestion reports this;
-    /// lenient ingestion dedups silently.
-    EdgelistDuplicateEdge {
-        /// Smaller endpoint of the repeated edge.
-        u: NodeId,
-        /// Larger endpoint of the repeated edge.
-        v: NodeId,
-        /// 1-based line number of the repeating input line.
-        line: usize,
-    },
-    /// An edgelist endpoint is a valid integer but exceeds the
-    /// supported node-id range (node count must fit in `u32`).
-    EdgelistIdOutOfRange {
-        /// The out-of-range id as written in the input.
-        id: u64,
+    /// A graph file asks for more than [`crate::io::MAX_NODES`] nodes:
+    /// a native `n` header past the cap, or an edge-list id at or past
+    /// it.
+    TooManyNodes {
+        /// The node count the line asks for (an edge-list id plus one).
+        nodes: u64,
         /// 1-based line number of the offending input line.
         line: usize,
     },
@@ -64,19 +52,17 @@ impl fmt::Display for GraphError {
             GraphError::MissingEdge(a, b) => write!(f, "edge {{{a},{b}}} is not present"),
             GraphError::SelfLoop(a) => write!(f, "self-loop at {a} not allowed in a simple graph"),
             GraphError::UnknownNode(a) => write!(f, "node {a} does not exist"),
-            GraphError::UnknownLabel(l) => write!(f, "label {l} does not exist"),
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
             GraphError::EdgelistSelfLoop { node, line } => {
                 write!(f, "self-loop at {node} on line {line}")
             }
-            GraphError::EdgelistDuplicateEdge { u, v, line } => {
-                write!(f, "duplicate edge {{{u},{v}}} on line {line}")
-            }
-            GraphError::EdgelistIdOutOfRange { id, line } => {
-                write!(f, "node id {id} on line {line} exceeds the supported range")
-            }
+            GraphError::TooManyNodes { nodes, line } => write!(
+                f,
+                "line {line} asks for {nodes} nodes; a graph file holds at most {}",
+                crate::io::MAX_NODES
+            ),
         }
     }
 }

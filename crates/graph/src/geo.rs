@@ -82,66 +82,6 @@ pub fn unit_disc(points: &[Point], radius: f64) -> EmbeddedGraph {
     }
 }
 
-/// Builds the Gabriel graph of `points`: `{u, v}` is an edge iff the
-/// closed disc with diameter `uv` contains no third point. A classic
-/// planar, connected spanner used by the position-based routing
-/// literature the paper cites (face routing runs on planar subgraphs
-/// like this one).
-pub fn gabriel(points: &[Point]) -> EmbeddedGraph {
-    let mut b = GraphBuilder::new();
-    for i in 0..points.len() {
-        b.add_node(Label(i as u32)).expect("sequential labels");
-    }
-    for i in 0..points.len() {
-        for j in (i + 1)..points.len() {
-            let mid = Point {
-                x: (points[i].x + points[j].x) / 2.0,
-                y: (points[i].y + points[j].y) / 2.0,
-            };
-            let r = points[i].dist(points[j]) / 2.0;
-            let blocked = points
-                .iter()
-                .enumerate()
-                .any(|(k, p)| k != i && k != j && mid.dist(*p) < r - 1e-12);
-            if !blocked {
-                b.add_edge(NodeId(i as u32), NodeId(j as u32))
-                    .expect("simple");
-            }
-        }
-    }
-    EmbeddedGraph {
-        graph: b.build(),
-        positions: points.to_vec(),
-    }
-}
-
-/// Builds the relative neighbourhood graph (RNG) of `points`: `{u, v}`
-/// is an edge iff no third point is simultaneously closer to both `u`
-/// and `v` than they are to each other. A subgraph of the Gabriel
-/// graph; still connected for points in general position.
-pub fn relative_neighborhood(points: &[Point]) -> EmbeddedGraph {
-    let mut b = GraphBuilder::new();
-    for i in 0..points.len() {
-        b.add_node(Label(i as u32)).expect("sequential labels");
-    }
-    for i in 0..points.len() {
-        for j in (i + 1)..points.len() {
-            let d = points[i].dist(points[j]);
-            let blocked = points.iter().enumerate().any(|(k, p)| {
-                k != i && k != j && points[i].dist(*p) < d - 1e-12 && points[j].dist(*p) < d - 1e-12
-            });
-            if !blocked {
-                b.add_edge(NodeId(i as u32), NodeId(j as u32))
-                    .expect("simple");
-            }
-        }
-    }
-    EmbeddedGraph {
-        graph: b.build(),
-        positions: points.to_vec(),
-    }
-}
-
 /// `n` uniform random points in the unit square.
 pub fn random_points(n: usize, rng: &mut DetRng) -> Vec<Point> {
     (0..n)
@@ -195,47 +135,6 @@ mod tests {
         assert!(g.graph.has_edge(NodeId(0), NodeId(1)));
         assert!(!g.graph.has_edge(NodeId(0), NodeId(2)));
         assert!(!g.graph.has_edge(NodeId(1), NodeId(2)));
-    }
-
-    #[test]
-    fn rng_subset_of_gabriel_subset_of_complete_distance_graph() {
-        let mut rng = DetRng::seed_from_u64(4);
-        for _ in 0..10 {
-            let pts = random_points(20, &mut rng);
-            let gg = gabriel(&pts);
-            let rn = relative_neighborhood(&pts);
-            // RNG ⊆ Gabriel.
-            for (u, v) in rn.graph.edges() {
-                assert!(gg.graph.has_edge(u, v), "RNG edge {u}-{v} not in Gabriel");
-            }
-            // Both are connected spanners of points in general position.
-            assert!(crate::traversal::is_connected(&gg.graph));
-            assert!(crate::traversal::is_connected(&rn.graph));
-        }
-    }
-
-    #[test]
-    fn gabriel_blocks_edges_through_occupied_discs() {
-        // Three collinear points: the long edge's diameter disc contains
-        // the middle point, so only the two short edges survive.
-        let pts = [
-            Point { x: 0.0, y: 0.0 },
-            Point { x: 1.0, y: 0.0 },
-            Point { x: 2.0, y: 0.0 },
-        ];
-        let g = gabriel(&pts);
-        assert!(g.graph.has_edge(NodeId(0), NodeId(1)));
-        assert!(g.graph.has_edge(NodeId(1), NodeId(2)));
-        assert!(!g.graph.has_edge(NodeId(0), NodeId(2)));
-    }
-
-    #[test]
-    fn gabriel_of_udg_points_is_sparser() {
-        let mut rng = DetRng::seed_from_u64(12);
-        let pts = random_points(30, &mut rng);
-        let udg = unit_disc(&pts, 0.7);
-        let gg = gabriel(&pts);
-        assert!(gg.graph.edge_count() <= udg.graph.edge_count());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::error::GraphError;
-use crate::labels::{EdgeRank, Label, NodeId};
+use crate::labels::{Label, NodeId};
 use crate::traversal::Topology;
 
 /// A connected-or-not, unweighted, undirected, simple graph with unique
@@ -140,14 +140,6 @@ impl Graph {
         self.neighbor_by_label(u, self.label(v)).is_some()
     }
 
-    /// The rank of the edge `{u, v}` (§5.1): the lexicographically ordered
-    /// pair of endpoint labels. The caller is responsible for `{u, v}`
-    /// actually being an edge; the rank is well defined regardless.
-    #[inline]
-    pub fn edge_rank(&self, u: NodeId, v: NodeId) -> EdgeRank {
-        EdgeRank::new(self.label(u), self.label(v))
-    }
-
     /// Inserts the undirected edge `{u, v}` in place, keeping both
     /// adjacency lists sorted by label. This is the incremental
     /// counterpart of rebuilding through [`GraphBuilder`]: O(deg)
@@ -205,11 +197,6 @@ impl Graph {
         }
         self.edge_count -= 1;
         Ok(())
-    }
-
-    /// Sum of degrees (twice the edge count); handy for sizing buffers.
-    pub fn degree_sum(&self) -> usize {
-        2 * self.edge_count
     }
 
     /// The maximum label value present, or `None` for the empty graph.
@@ -473,16 +460,6 @@ mod tests {
             }
             assert_label_search_matches_scan(&g);
         }
-    }
-
-    #[test]
-    fn edge_rank_uses_labels_not_ids() {
-        let mut b = GraphBuilder::new();
-        let a = b.add_node(Label(50)).unwrap();
-        let c = b.add_node(Label(3)).unwrap();
-        b.add_edge(a, c).unwrap();
-        let g = b.build();
-        assert_eq!(g.edge_rank(a, c), EdgeRank::new(Label(3), Label(50)));
     }
 
     #[test]

@@ -1,25 +1,33 @@
 //! Minimal text serialisation for graphs.
 //!
-//! Two formats:
+//! [`to_string`] writes the **native** format: first line
+//! `n <node-count>`, then one line per node `l <node-index> <label>`
+//! (omitted when the labelling is the identity), then one line per edge
+//! `e <u> <v>` (node indices).
 //!
-//! * the **native** format ([`to_string`] / [`from_str`]): first line
-//!   `n <node-count>`, then one line per node `l <node-index> <label>`
-//!   (omitted when the labelling is the identity), then one line per
-//!   edge `e <u> <v>` (node indices);
-//! * the **plain edgelist** format ([`to_edgelist`] /
-//!   [`from_edgelist`]): one `u v` pair per line, the de-facto exchange
-//!   format of public topology datasets, so real networks can be
-//!   ingested without conversion.
+//! [`from_str`] is the one reader of graph files. Besides the native
+//! format it reads a **plain edge list**, one `u v` pair per line: the
+//! exchange format of public topology datasets, so real networks can be
+//! ingested without conversion. The first line that is neither blank
+//! nor a comment picks the dialect: if its first token is `n`, `l` or
+//! `e` the file is native, otherwise it is an edge list.
 //!
 //! In both, lines beginning with `#` are comments and blank lines are
-//! ignored. This keeps fixtures diff-able without pulling in a
-//! serialisation framework.
+//! ignored. A file names at most [`MAX_NODES`] nodes, and the reader
+//! checks that count before it allocates anything for the graph, so a
+//! file of a few bytes cannot ask for gigabytes.
 
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder};
 use crate::labels::{Label, NodeId};
 
-/// Serialises a graph to the textual format described in the module docs.
+/// The most nodes a graph file, or a graph family spec, may ask for.
+/// A native file asks through its `n` header, an edge list through its
+/// largest id plus one.
+pub const MAX_NODES: usize = 1_000_000;
+
+/// Serialises a graph to the native format described in the module
+/// docs.
 pub fn to_string(g: &Graph) -> String {
     let mut out = String::new();
     out.push_str(&format!("n {}\n", g.node_count()));
@@ -35,68 +43,104 @@ pub fn to_string(g: &Graph) -> String {
     out
 }
 
-/// Parses the textual format produced by [`to_string`].
+/// Parses a graph file in either dialect of the module docs.
+///
+/// An edge list gets the identity labelling and a node count of its
+/// largest id plus one; an edge listed twice, in either direction, is
+/// kept once (datasets often list both directions).
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::Parse`] on malformed input, and the usual
-/// construction errors for duplicate labels/edges or self-loops.
+/// Every error carries the number of the offending line:
+/// [`GraphError::Parse`] on malformed input (for a native file without
+/// an `n` header, line 0), [`GraphError::TooManyNodes`] on a count past
+/// [`MAX_NODES`], and [`GraphError::EdgelistSelfLoop`] on a `u u`
+/// edge-list line. A native file can also fail with the usual
+/// construction errors for duplicate labels or edges, self-loops and
+/// indices past its `n`.
 pub fn from_str(s: &str) -> Result<Graph, GraphError> {
+    let mut lines = s
+        .lines()
+        .enumerate()
+        .map(|(i, raw)| (i + 1, raw.trim()))
+        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
+        .peekable();
+    let native = lines
+        .peek()
+        .is_some_and(|(_, l)| matches!(l.split_whitespace().next(), Some("n" | "l" | "e")));
+    if native {
+        parse_native(lines)
+    } else {
+        parse_pairs(lines)
+    }
+}
+
+fn parse_error(line: usize, message: &str) -> GraphError {
+    GraphError::Parse {
+        line,
+        message: message.to_string(),
+    }
+}
+
+/// The next whitespace-separated field of `line` as an integer; `what`
+/// names it in the error.
+fn field<'a>(
+    parts: &mut impl Iterator<Item = &'a str>,
+    line: usize,
+    what: &str,
+) -> Result<u64, GraphError> {
+    parts
+        .next()
+        .ok_or_else(|| parse_error(line, &format!("missing {what}")))?
+        .parse::<u64>()
+        .map_err(|_| parse_error(line, &format!("{what} is not an integer")))
+}
+
+/// A field that must fit in a `u32` (a node index or a label).
+fn field_u32<'a>(
+    parts: &mut impl Iterator<Item = &'a str>,
+    line: usize,
+    what: &str,
+) -> Result<u32, GraphError> {
+    u32::try_from(field(parts, line, what)?)
+        .map_err(|_| parse_error(line, &format!("{what} does not fit in 32 bits")))
+}
+
+fn parse_native<'a>(lines: impl Iterator<Item = (usize, &'a str)>) -> Result<Graph, GraphError> {
     let mut n: Option<usize> = None;
     let mut labels: Vec<(u32, u32)> = Vec::new();
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    for (idx, raw) in s.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let tag = parts.next().expect("non-empty line has a token");
-        let parse_err = |message: &str| GraphError::Parse {
-            line: line_no,
-            message: message.to_string(),
-        };
-        let mut two = || -> Result<(u32, u32), GraphError> {
-            let a = parts
-                .next()
-                .ok_or_else(|| parse_err("missing first field"))?
-                .parse::<u32>()
-                .map_err(|_| parse_err("first field is not an integer"))?;
-            let b = parts
-                .next()
-                .ok_or_else(|| parse_err("missing second field"))?
-                .parse::<u32>()
-                .map_err(|_| parse_err("second field is not an integer"))?;
-            Ok((a, b))
-        };
-        match tag {
-            "n" => {
-                let count = parts
-                    .next()
-                    .ok_or_else(|| parse_err("missing node count"))?
-                    .parse::<usize>()
-                    .map_err(|_| parse_err("node count is not an integer"))?;
-                n = Some(count);
+    for (line, text) in lines {
+        let mut parts = text.split_whitespace();
+        match parts.next() {
+            Some("n") => {
+                let count = field(&mut parts, line, "node count")?;
+                if count > MAX_NODES as u64 {
+                    return Err(GraphError::TooManyNodes { nodes: count, line });
+                }
+                n = Some(count as usize);
             }
-            "l" => labels.push(two()?),
-            "e" => edges.push(two()?),
-            _ => return Err(parse_err("unknown line tag")),
+            Some("l") => labels.push((
+                field_u32(&mut parts, line, "node index")?,
+                field_u32(&mut parts, line, "label")?,
+            )),
+            Some("e") => edges.push((
+                field_u32(&mut parts, line, "first endpoint")?,
+                field_u32(&mut parts, line, "second endpoint")?,
+            )),
+            _ => return Err(parse_error(line, "unknown line tag")),
         }
     }
-    let n = n.ok_or(GraphError::Parse {
-        line: 0,
-        message: "missing 'n' header".to_string(),
-    })?;
+    let n = n.ok_or_else(|| parse_error(0, "missing 'n' header"))?;
     let mut label_of: Vec<u32> = (0..n as u32).collect();
     for (idx, lab) in labels {
-        if (idx as usize) >= n {
-            return Err(GraphError::UnknownNode(NodeId(idx)));
-        }
-        label_of[idx as usize] = lab;
+        let slot = label_of
+            .get_mut(idx as usize)
+            .ok_or(GraphError::UnknownNode(NodeId(idx)))?;
+        *slot = lab;
     }
     let mut b = GraphBuilder::new();
-    for &l in &label_of {
+    for l in label_of {
         b.add_node(Label(l))?;
     }
     for (u, v) in edges {
@@ -105,220 +149,37 @@ pub fn from_str(s: &str) -> Result<Graph, GraphError> {
     Ok(b.build())
 }
 
-/// Serialises a graph as a plain edgelist: one `u v` line per edge.
-///
-/// The edgelist format records topology only: labels are dropped
-/// (parsing yields the identity labelling) and isolated nodes — which
-/// cannot occur in the paper's connected model with `n >= 2` — are not
-/// representable. Each edge appears once as `min max`.
-pub fn to_edgelist(g: &Graph) -> String {
-    let mut out = String::new();
-    for (u, v) in g.edges() {
-        out.push_str(&format!("{} {}\n", u.0, v.0));
-    }
-    out
-}
-
-/// Largest edgelist node id accepted: ids up to `u32::MAX - 1`, so the
-/// inferred node count (`max id + 1`) always fits in `u32`.
-pub const MAX_EDGELIST_ID: u64 = u32::MAX as u64 - 1;
-
-/// Parses a plain edgelist: one `u v` pair per line, `#` comments and
-/// blank lines tolerated anywhere. The node count is inferred as the
-/// largest endpoint plus one, labels are the identity, and duplicate
-/// edges (common in datasets that list both directions) are deduped
-/// silently. Use [`from_edgelist_strict`] to reject duplicates instead.
-///
-/// # Errors
-///
-/// Returns [`GraphError::Parse`] (with the offending line number) on
-/// non-integer fields, a missing second field, or trailing tokens;
-/// [`GraphError::EdgelistSelfLoop`] on a `u u` line; and
-/// [`GraphError::EdgelistIdOutOfRange`] when an endpoint exceeds
-/// [`MAX_EDGELIST_ID`] — all carrying the offending line number.
-pub fn from_edgelist(s: &str) -> Result<Graph, GraphError> {
-    parse_edgelist(s, false)
-}
-
-/// Like [`from_edgelist`], but a repeated edge — in either direction —
-/// is a [`GraphError::EdgelistDuplicateEdge`] carrying the line number
-/// of the repeat, instead of being deduped silently. Use this for
-/// curated fixtures where a duplicate line indicates a corrupt file
-/// rather than a both-directions dataset convention.
-pub fn from_edgelist_strict(s: &str) -> Result<Graph, GraphError> {
-    parse_edgelist(s, true)
-}
-
-/// Chunk size, in bytes, of the fixed read buffer used by
-/// [`from_edgelist_reader`]. Memory use of the reader path is this
-/// buffer plus the carry for one partial line plus the edge set itself
-/// — never the whole file text.
-pub const EDGELIST_CHUNK_BYTES: usize = 64 * 1024;
-
-/// Streams a plain edgelist from any [`Read`](std::io::Read) source —
-/// a file, a socket, a decompressor — without materialising the file
-/// text in memory. Reads [`EDGELIST_CHUNK_BYTES`]-sized chunks into a
-/// fixed buffer, splits complete lines out byte-wise (so multi-byte
-/// sequences straddling a chunk boundary are never mis-decoded), and
-/// feeds them to the same incremental parser as [`from_edgelist`]; the
-/// two paths accept byte-identical inputs. Duplicate edges are deduped
-/// silently, as in the lenient in-memory parser.
-///
-/// # Errors
-///
-/// Everything [`from_edgelist`] returns, plus: an io error from the
-/// underlying reader surfaces as [`GraphError::Parse`] carrying the
-/// number of the line being read and a `read error: …` message, and a
-/// line that is not valid UTF-8 is a [`GraphError::Parse`] on that
-/// line.
-pub fn from_edgelist_reader<R: std::io::Read>(mut reader: R) -> Result<Graph, GraphError> {
-    let mut parser = EdgelistParser::new(false);
-    let mut chunk = vec![0u8; EDGELIST_CHUNK_BYTES];
-    // Bytes of an incomplete trailing line carried between chunks.
-    let mut carry: Vec<u8> = Vec::new();
-    loop {
-        let got = reader.read(&mut chunk).map_err(|e| GraphError::Parse {
-            line: parser.next_line(),
-            message: format!("read error: {e}"),
-        })?;
-        if got == 0 {
-            break;
-        }
-        let mut rest = &chunk[..got];
-        while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
-            let (head, tail) = rest.split_at(pos);
-            rest = &tail[1..];
-            if carry.is_empty() {
-                parser.feed_bytes(head)?;
-            } else {
-                carry.extend_from_slice(head);
-                let line = std::mem::take(&mut carry);
-                parser.feed_bytes(&line)?;
-            }
-        }
-        carry.extend_from_slice(rest);
-    }
-    if !carry.is_empty() {
-        let line = std::mem::take(&mut carry);
-        parser.feed_bytes(&line)?;
-    }
-    parser.finish()
-}
-
-fn parse_edgelist(s: &str, strict: bool) -> Result<Graph, GraphError> {
-    let mut parser = EdgelistParser::new(strict);
-    for raw in s.lines() {
-        parser.feed(raw)?;
-    }
-    parser.finish()
-}
-
-/// Incremental core shared by the in-memory and streaming edgelist
-/// parsers: feed lines one at a time, then [`finish`](Self::finish)
-/// into a graph. Both [`from_edgelist`] and [`from_edgelist_reader`]
-/// drive this, so the two paths cannot drift in what they accept.
-struct EdgelistParser {
-    strict: bool,
-    edges: Vec<(u32, u32)>,
-    seen: std::collections::BTreeSet<(u32, u32)>,
-    max_id: Option<u32>,
-    /// Lines fed so far; errors on the line being fed report `line`
-    /// after the increment, i.e. 1-based.
-    line: usize,
-}
-
-impl EdgelistParser {
-    fn new(strict: bool) -> EdgelistParser {
-        EdgelistParser {
-            strict,
-            edges: Vec::new(),
-            seen: std::collections::BTreeSet::new(),
-            max_id: None,
-            line: 0,
-        }
-    }
-
-    /// The 1-based number of the next line to be fed — where an io
-    /// error interrupting the stream is attributed.
-    fn next_line(&self) -> usize {
-        self.line + 1
-    }
-
-    /// Feeds one raw line (no trailing newline) as bytes, rejecting
-    /// invalid UTF-8 with the line's number.
-    fn feed_bytes(&mut self, raw: &[u8]) -> Result<(), GraphError> {
-        match std::str::from_utf8(raw) {
-            Ok(s) => self.feed(s),
-            Err(_) => {
-                self.line += 1;
-                Err(GraphError::Parse {
-                    line: self.line,
-                    message: "line is not valid UTF-8".to_string(),
-                })
-            }
-        }
-    }
-
-    /// Feeds one raw line (no trailing newline).
-    fn feed(&mut self, raw: &str) -> Result<(), GraphError> {
-        self.line += 1;
-        let line_no = self.line;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return Ok(());
-        }
-        let parse_err = |message: &str| GraphError::Parse {
-            line: line_no,
-            message: message.to_string(),
-        };
-        let endpoint = |token: Option<&str>, which: &str| -> Result<u32, GraphError> {
-            let id = token
-                .ok_or_else(|| parse_err(&format!("missing {which} endpoint")))?
-                .parse::<u64>()
-                .map_err(|_| parse_err(&format!("{which} endpoint is not an integer")))?;
-            if id > MAX_EDGELIST_ID {
-                return Err(GraphError::EdgelistIdOutOfRange { id, line: line_no });
+fn parse_pairs<'a>(lines: impl Iterator<Item = (usize, &'a str)>) -> Result<Graph, GraphError> {
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut n = 0usize;
+    for (line, text) in lines {
+        let mut parts = text.split_whitespace();
+        let mut endpoint = |what: &str| -> Result<u32, GraphError> {
+            let id = field(&mut parts, line, what)?;
+            if id >= MAX_NODES as u64 {
+                return Err(GraphError::TooManyNodes {
+                    nodes: id + 1,
+                    line,
+                });
             }
             Ok(id as u32)
         };
-        let mut parts = line.split_whitespace();
-        let u = endpoint(parts.next(), "first")?;
-        let v = endpoint(parts.next(), "second")?;
+        let (u, v) = (endpoint("first endpoint")?, endpoint("second endpoint")?);
         if parts.next().is_some() {
-            return Err(parse_err("trailing tokens after edge"));
+            return Err(parse_error(line, "trailing tokens after edge"));
         }
         if u == v {
             return Err(GraphError::EdgelistSelfLoop {
                 node: NodeId(u),
-                line: line_no,
+                line,
             });
         }
-        let edge = if u < v { (u, v) } else { (v, u) };
-        if !self.seen.insert(edge) {
-            if self.strict {
-                return Err(GraphError::EdgelistDuplicateEdge {
-                    u: NodeId(edge.0),
-                    v: NodeId(edge.1),
-                    line: line_no,
-                });
-            }
-            return Ok(());
-        }
-        self.max_id = Some(self.max_id.map_or(u.max(v), |m| m.max(u).max(v)));
-        self.edges.push(edge);
-        Ok(())
+        n = n.max(u.max(v) as usize + 1);
+        edges.push((u.min(v), u.max(v)));
     }
-
-    fn finish(self) -> Result<Graph, GraphError> {
-        let mut edges = self.edges;
-        edges.sort_unstable();
-        let n = self.max_id.map_or(0, |m| m as usize + 1);
-        let mut b = GraphBuilder::with_identity_labels(n);
-        for (u, v) in edges {
-            b.add_edge(NodeId(u), NodeId(v))?;
-        }
-        Ok(b.build())
-    }
+    edges.sort_unstable();
+    edges.dedup();
+    Graph::from_edges(n, &edges)
 }
 
 #[cfg(test)]
@@ -371,8 +232,11 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(0xED9E);
         for n in [2usize, 5, 17, 40] {
             let g = generators::random_connected(n, n / 3, &mut rng);
-            let s = to_edgelist(&g);
-            let h = from_edgelist(&s).unwrap();
+            let s: String = g
+                .edges()
+                .map(|(u, v)| format!("{} {}\n", u.0, v.0))
+                .collect();
+            let h = from_str(&s).unwrap();
             assert_eq!(g, h, "n = {n}");
         }
     }
@@ -380,7 +244,7 @@ mod tests {
     #[test]
     fn edgelist_tolerates_comments_blanks_and_duplicates() {
         let s = "# AS-level topology excerpt\n\n0 1\n1 0\n\n  2 1 \n# trailing comment\n";
-        let g = from_edgelist(s).unwrap();
+        let g = from_str(s).unwrap();
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 2);
         assert!(g.has_edge(NodeId(0), NodeId(1)));
@@ -390,15 +254,15 @@ mod tests {
     #[test]
     fn edgelist_errors_are_typed() {
         assert!(matches!(
-            from_edgelist("0 x\n"),
+            from_str("0 x\n"),
             Err(GraphError::Parse { line: 1, .. })
         ));
         assert!(matches!(
-            from_edgelist("0 1 2\n"),
+            from_str("0 1 2\n"),
             Err(GraphError::Parse { line: 1, .. })
         ));
         assert!(matches!(
-            from_edgelist("0 1\n3\n"),
+            from_str("0 1\n3\n"),
             Err(GraphError::Parse { line: 2, .. })
         ));
     }
@@ -406,7 +270,7 @@ mod tests {
     #[test]
     fn edgelist_self_loop_carries_line_number() {
         assert_eq!(
-            from_edgelist("0 1\n\n# comment\n4 4\n").unwrap_err(),
+            from_str("0 1\n\n# comment\n4 4\n").unwrap_err(),
             GraphError::EdgelistSelfLoop {
                 node: NodeId(4),
                 line: 4
@@ -418,140 +282,78 @@ mod tests {
     fn edgelist_overflowing_ids_carry_line_number() {
         // Larger than u64: not even an integer in range.
         assert!(matches!(
-            from_edgelist("0 99999999999999999999\n"),
+            from_str("0 99999999999999999999\n"),
             Err(GraphError::Parse { line: 1, .. })
         ));
-        // Fits u64 but exceeds the supported node-id range.
+        // Fits u64 but asks for more nodes than a file may hold.
         let big = u64::from(u32::MAX);
         assert_eq!(
-            from_edgelist(&format!("0 1\n{big} 0\n")).unwrap_err(),
-            GraphError::EdgelistIdOutOfRange { id: big, line: 2 }
-        );
-    }
-
-    #[test]
-    fn strict_edgelist_rejects_duplicates_with_line_number() {
-        // Same direction and reversed direction both count.
-        assert_eq!(
-            from_edgelist_strict("0 1\n1 2\n0 1\n").unwrap_err(),
-            GraphError::EdgelistDuplicateEdge {
-                u: NodeId(0),
-                v: NodeId(1),
-                line: 3
-            }
-        );
-        assert_eq!(
-            from_edgelist_strict("0 1\n1 0\n").unwrap_err(),
-            GraphError::EdgelistDuplicateEdge {
-                u: NodeId(0),
-                v: NodeId(1),
+            from_str(&format!("0 1\n{big} 0\n")).unwrap_err(),
+            GraphError::TooManyNodes {
+                nodes: big + 1,
                 line: 2
             }
         );
-        // Clean input parses identically to the lenient path.
-        let s = "0 1\n1 2\n2 0\n";
-        assert_eq!(from_edgelist_strict(s).unwrap(), from_edgelist(s).unwrap());
     }
 
     #[test]
     fn empty_edgelist_is_the_empty_graph() {
-        let g = from_edgelist("# nothing here\n").unwrap();
+        let g = from_str("# nothing here\n").unwrap();
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
     }
 
-    /// A reader that doles out one byte per `read` call, forcing every
-    /// line to straddle chunk boundaries in the streaming parser.
-    struct OneByteReader<'a>(&'a [u8]);
-
-    impl std::io::Read for OneByteReader<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            match self.0.split_first() {
-                Some((&b, rest)) if !buf.is_empty() => {
-                    buf[0] = b;
-                    self.0 = rest;
-                    Ok(1)
-                }
-                _ => Ok(0),
-            }
-        }
-    }
-
-    /// A reader that yields its prefix, then fails — a truncated file
-    /// or dropped connection.
-    struct TruncatedReader<'a>(&'a [u8]);
-
-    impl std::io::Read for TruncatedReader<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.0.is_empty() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "stream truncated",
-                ));
-            }
-            let n = self.0.len().min(buf.len());
-            buf[..n].copy_from_slice(&self.0[..n]);
-            self.0 = &self.0[n..];
-            Ok(n)
-        }
-    }
-
     #[test]
-    fn reader_round_trips_connected_graphs() {
-        let mut rng = DetRng::seed_from_u64(0xED9E);
-        for n in [2usize, 5, 17, 40] {
-            let g = generators::random_connected(n, n / 3, &mut rng);
-            let s = to_edgelist(&g);
-            let h = from_edgelist_reader(std::io::Cursor::new(s.as_bytes())).unwrap();
-            assert_eq!(g, h, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn reader_matches_in_memory_parser_across_chunk_boundaries() {
-        // Comments, blanks, duplicates, and a final line with no
-        // trailing newline — fed one byte at a time so every line is
-        // assembled from the carry buffer.
-        let s = "# comment\n\n0 1\n1 0\n  2 1 \n3 2";
-        let streamed = from_edgelist_reader(OneByteReader(s.as_bytes())).unwrap();
-        assert_eq!(streamed, from_edgelist(s).unwrap());
-        assert_eq!(streamed.node_count(), 4);
-        assert_eq!(streamed.edge_count(), 3);
-    }
-
-    #[test]
-    fn reader_errors_match_the_in_memory_parser() {
-        for bad in ["0 x\n", "0 1 2\n", "0 1\n3\n", "0 1\n4 4\n"] {
-            assert_eq!(
-                from_edgelist_reader(std::io::Cursor::new(bad.as_bytes())).unwrap_err(),
-                from_edgelist(bad).unwrap_err(),
-                "input {bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn reader_truncation_carries_the_interrupted_line_number() {
-        // Two full lines arrive before the stream dies mid-read.
-        let err = from_edgelist_reader(TruncatedReader(b"0 1\n1 2\n")).unwrap_err();
-        match err {
-            GraphError::Parse { line, message } => {
-                assert_eq!(line, 3, "io error lands on the line being read");
-                assert!(message.contains("read error"), "message: {message}");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn reader_rejects_invalid_utf8_with_line_number() {
-        let err = from_edgelist_reader(std::io::Cursor::new(&b"0 1\n\xff\xfe\n"[..])).unwrap_err();
+    fn node_count_is_capped_in_both_dialects() {
+        let cap = MAX_NODES as u64;
         assert_eq!(
-            err,
-            GraphError::Parse {
-                line: 2,
-                message: "line is not valid UTF-8".to_string()
+            from_str(&format!("n {cap}\n")).unwrap().node_count(),
+            MAX_NODES
+        );
+        assert_eq!(
+            from_str(&format!("0 {}\n", cap - 1)).unwrap().node_count(),
+            MAX_NODES
+        );
+        assert_eq!(
+            from_str(&format!("# header\nn {}\n", cap + 1)).unwrap_err(),
+            GraphError::TooManyNodes {
+                nodes: cap + 1,
+                line: 2
             }
+        );
+        assert_eq!(
+            from_str(&format!("0 {cap}\n")).unwrap_err(),
+            GraphError::TooManyNodes {
+                nodes: cap + 1,
+                line: 1
+            }
+        );
+        // A dozen bytes naming billions of nodes.
+        assert!(matches!(
+            from_str("n 4000000000\n"),
+            Err(GraphError::TooManyNodes { line: 1, .. })
+        ));
+        assert!(matches!(
+            from_str("0 4294967294\n"),
+            Err(GraphError::TooManyNodes { line: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn first_content_line_picks_the_dialect() {
+        // A native tag anywhere but first is not a `u v` pair.
+        assert!(matches!(
+            from_str("# c\n0 1\ne 1 2\n"),
+            Err(GraphError::Parse { line: 3, .. })
+        ));
+        // Native lines must all carry a tag.
+        assert!(matches!(
+            from_str("n 3\n0 1\n"),
+            Err(GraphError::Parse { line: 2, .. })
+        ));
+        assert_eq!(
+            from_str("\n# triangle\n0 1\n1 2\n2 0\n").unwrap(),
+            generators::cycle(3)
         );
     }
 }

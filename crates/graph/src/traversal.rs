@@ -355,75 +355,6 @@ pub fn diameter<T: Topology + ?Sized>(topo: &T) -> Option<u32> {
     Some(best)
 }
 
-const UNSET: u32 = u32::MAX;
-
-/// Articulation points (cut vertices): nodes whose removal increases
-/// the number of connected components. Iterative Hopcroft–Tarjan over
-/// dense per-id arrays.
-///
-/// Constraint vertices (§2.1) are closely related: a constraint vertex
-/// of an independent active component separates the centre from every
-/// depth-k vertex, so it is either an articulation point of the view or
-/// a depth-k vertex itself — a cross-check the test suites exploit.
-pub fn articulation_points<T: Topology + ?Sized>(topo: &T) -> Vec<NodeId> {
-    let bound = topo.id_bound();
-    let mut nodes = Vec::new();
-    topo.for_each_node(&mut |u| nodes.push(u));
-    let mut disc = vec![UNSET; bound];
-    let mut low = vec![UNSET; bound];
-    let mut parent = vec![UNSET; bound];
-    let mut is_cut = vec![false; bound];
-    let mut timer = 0u32;
-    for &root in &nodes {
-        if disc[root.index()] != UNSET {
-            continue;
-        }
-        // Iterative DFS carrying (node, neighbour cursor).
-        let mut root_children = 0;
-        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-        disc[root.index()] = timer;
-        low[root.index()] = timer;
-        timer += 1;
-        while let Some(&mut (u, ref mut cursor)) = stack.last_mut() {
-            let mut nbrs = Vec::new();
-            topo.for_each_neighbor(u, &mut |v| nbrs.push(v));
-            if let Some(&v) = nbrs.get(*cursor) {
-                *cursor += 1;
-                if disc[v.index()] == UNSET {
-                    parent[v.index()] = u.0;
-                    disc[v.index()] = timer;
-                    low[v.index()] = timer;
-                    timer += 1;
-                    if u == root {
-                        root_children += 1;
-                    }
-                    stack.push((v, 0));
-                } else if parent[u.index()] != v.0 {
-                    low[u.index()] = low[u.index()].min(disc[v.index()]);
-                }
-            } else {
-                stack.pop();
-                if let Some(&(p, _)) = stack.last() {
-                    let lu = low[u.index()];
-                    low[p.index()] = low[p.index()].min(lu);
-                    if p != root && lu >= disc[p.index()] {
-                        is_cut[p.index()] = true;
-                    }
-                }
-            }
-        }
-        if root_children >= 2 {
-            is_cut[root.index()] = true;
-        }
-    }
-    is_cut
-        .iter()
-        .enumerate()
-        .filter(|&(_, &cut)| cut)
-        .map(|(i, _)| NodeId(i as u32))
-        .collect()
-}
-
 /// Connected components as sorted node lists, sorted by smallest member.
 pub fn connected_components<T: Topology + ?Sized>(topo: &T) -> Vec<Vec<NodeId>> {
     let mut seen = vec![false; topo.id_bound()];
@@ -533,47 +464,6 @@ mod tests {
             !(a.index() + b.index() == 5 && a.index().min(b.index()) == 0)
         });
         assert_eq!(distance(&f, NodeId(0), NodeId(5)), Some(5));
-    }
-
-    #[test]
-    fn articulation_points_on_known_shapes() {
-        // Path: every interior node is a cut vertex.
-        let g = generators::path(5);
-        assert_eq!(
-            articulation_points(&g),
-            vec![NodeId(1), NodeId(2), NodeId(3)]
-        );
-        // Cycle: none.
-        assert!(articulation_points(&generators::cycle(6)).is_empty());
-        // Lollipop: the attachment node and the tail interior.
-        let g = generators::lollipop(4, 2);
-        assert_eq!(articulation_points(&g), vec![NodeId(3), NodeId(4)]);
-        // Star: only the hub.
-        assert_eq!(articulation_points(&generators::star(5)), vec![NodeId(0)]);
-        // Complete graph: none.
-        assert!(articulation_points(&generators::complete(5)).is_empty());
-    }
-
-    #[test]
-    fn articulation_points_match_removal_definition() {
-        use crate::rng::DetRng;
-        let mut rng = DetRng::seed_from_u64(17);
-        for _ in 0..20 {
-            let n = rng.gen_range(3..14);
-            let g = generators::random_mixed(n, &mut rng);
-            let base = connected_components(&g).len();
-            let cuts = articulation_points(&g);
-            for u in g.nodes() {
-                let masked = FilteredTopology::new(&g, |a: NodeId, b: NodeId| a != u && b != u);
-                // Count components ignoring the isolated u itself.
-                let comps = connected_components(&masked)
-                    .into_iter()
-                    .filter(|c| c != &vec![u])
-                    .count();
-                let is_cut = comps > base;
-                assert_eq!(cuts.binary_search(&u).is_ok(), is_cut, "node {u} on {g:?}");
-            }
-        }
     }
 
     #[test]

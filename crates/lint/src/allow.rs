@@ -16,13 +16,10 @@
 //! means entries survive line churn but die with the code they excuse.
 //! The justification is mandatory — an allowlisted violation without a
 //! reason is itself a lint error. Entries that suppress nothing are
-//! reported as *stale* so the allowlist cannot rot.
-//!
-//! Pre-v2 entries bound to a raw-line substring (third field without
-//! the `sym=` prefix) are recognized as **legacy**: they never
-//! suppress anything and each produces a re-justify diagnostic, so a
-//! format migration can't silently widen or silently drop a
-//! suppression.
+//! reported as *stale* so the allowlist cannot rot. A third field
+//! without the `sym=` prefix (an entry bound to a raw-line substring)
+//! is malformed, so it fails the lint instead of silently
+//! widening or dropping a suppression.
 
 use crate::rules::{Rule, Violation};
 
@@ -59,56 +56,15 @@ impl AllowEntry {
     }
 }
 
-/// A well-formed v1 entry whose third field is a raw-line substring
-/// rather than a `sym=` binding. Never suppresses anything.
-#[derive(Clone, Debug)]
-pub struct LegacyEntry {
-    /// Rule id of the old entry.
-    pub rule: Rule,
-    /// File of the old entry.
-    pub file: String,
-    /// The old line-content needle.
-    pub needle: String,
-    /// 1-indexed line in `lint.allow`.
-    pub line: usize,
-}
-
-impl LegacyEntry {
-    /// The re-justify diagnostic shown for this entry.
-    pub fn render(&self) -> String {
-        format!(
-            "lint.allow:{}: legacy line-bound entry `{} | {} | {}` predates symbol-bound \
-             entries and suppresses nothing; re-justify it as \
-             `{} | {} | sym=<symbol> | <why>`",
-            self.line,
-            self.rule.id(),
-            self.file,
-            self.needle,
-            self.rule.id(),
-            self.file,
-        )
-    }
-}
-
-/// The parsed allowlist: active entries plus recognized legacy lines.
-#[derive(Clone, Debug, Default)]
-pub struct Allowlist {
-    /// Symbol-bound entries that participate in suppression.
-    pub entries: Vec<AllowEntry>,
-    /// Legacy line-bound entries awaiting re-justification.
-    pub legacy: Vec<LegacyEntry>,
-}
-
 /// Parses the allowlist text.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending line on malformed entries
-/// (wrong field count, unknown rule id, empty symbol or justification).
-/// A well-formed entry whose third field lacks the `sym=` prefix is
-/// not an error: it lands in [`Allowlist::legacy`].
-pub fn parse(text: &str) -> Result<Allowlist, String> {
-    let mut out = Allowlist::default();
+/// (wrong field count, unknown rule id, a third field without the
+/// `sym=` prefix, empty symbol or justification).
+pub fn parse(text: &str) -> Result<Vec<AllowEntry>, String> {
+    let mut out = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -139,18 +95,17 @@ pub fn parse(text: &str) -> Result<Allowlist, String> {
             ));
         }
         let Some(sym) = sym.strip_prefix("sym=") else {
-            out.legacy.push(LegacyEntry {
-                rule,
-                file: file.to_string(),
-                needle: sym.to_string(),
-                line: line_no,
-            });
-            continue;
+            return Err(format!(
+                "lint.allow:{line_no}: line-bound entry `{} | {file} | {sym}` suppresses \
+                 nothing; re-justify it as `{} | {file} | sym=<symbol> | <why>`",
+                rule.id(),
+                rule.id(),
+            ));
         };
         if sym.is_empty() {
             return Err(format!("lint.allow:{line_no}: empty symbol after `sym=`"));
         }
-        out.entries.push(AllowEntry {
+        out.push(AllowEntry {
             rule,
             file: file.to_string(),
             sym: sym.to_string(),
@@ -212,11 +167,10 @@ mod tests {
         let allow =
             parse("# comment\n\nR3 | crates/sim/src/foo.rs | sym=expect | provably present\n")
                 .expect("parses");
-        let (kept, suppressed, stale) = apply(&allow.entries, violations);
+        let (kept, suppressed, stale) = apply(&allow, violations);
         assert!(kept.is_empty());
         assert_eq!(suppressed, 1);
         assert!(stale.is_empty());
-        assert!(allow.legacy.is_empty());
     }
 
     #[test]
@@ -226,7 +180,7 @@ mod tests {
         assert_eq!(violations.len(), 2);
         let allow =
             parse("R3i | crates/sim/src/foo.rs | sym=* | fixed-layout vector\n").expect("parses");
-        let (kept, suppressed, stale) = apply(&allow.entries, violations);
+        let (kept, suppressed, stale) = apply(&allow, violations);
         assert!(kept.is_empty());
         assert_eq!(suppressed, 2);
         assert!(stale.is_empty());
@@ -238,7 +192,7 @@ mod tests {
         let violations = check_file("crates/sim/src/foo.rs", src);
         let allow = parse("R3 | crates/sim/src/foo.rs | sym=expect | wrong symbol on purpose\n")
             .expect("parses");
-        let (kept, suppressed, stale) = apply(&allow.entries, violations);
+        let (kept, suppressed, stale) = apply(&allow, violations);
         assert_eq!(kept.len(), 1);
         assert_eq!(suppressed, 0);
         assert_eq!(stale.len(), 1);
@@ -250,31 +204,10 @@ mod tests {
         let violations = check_file("crates/sim/src/foo.rs", src);
         let allow = parse("R3i | crates/sim/src/foo.rs | sym=unwrap | wrong family on purpose\n")
             .expect("parses");
-        let (kept, suppressed, stale) = apply(&allow.entries, violations);
+        let (kept, suppressed, stale) = apply(&allow, violations);
         assert_eq!(kept.len(), 1);
         assert_eq!(suppressed, 0);
         assert_eq!(stale.len(), 1);
-    }
-
-    #[test]
-    fn legacy_line_bound_entries_never_suppress_and_demand_re_justification() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.expect(\"fine\") }\n";
-        let violations = check_file("crates/sim/src/foo.rs", src);
-        // A v1 entry that *would* have matched this line.
-        let allow = parse("R3 | crates/sim/src/foo.rs | .expect( | provably present\n")
-            .expect("legacy entries parse");
-        assert!(allow.entries.is_empty());
-        assert_eq!(allow.legacy.len(), 1);
-        let (kept, suppressed, _) = apply(&allow.entries, violations);
-        assert_eq!(kept.len(), 1, "legacy entry must not suppress");
-        assert_eq!(suppressed, 0);
-        let msg = allow
-            .legacy
-            .first()
-            .map(LegacyEntry::render)
-            .unwrap_or_default();
-        assert!(msg.contains("re-justify"), "{msg}");
-        assert!(msg.contains("sym=<symbol>"), "{msg}");
     }
 
     #[test]
@@ -283,5 +216,20 @@ mod tests {
         assert!(parse("R9 | a | b | c\n").is_err());
         assert!(parse("R3 | a | sym=b | \n").is_err());
         assert!(parse("R3 | a | sym= | why\n").is_err());
+    }
+
+    #[test]
+    fn legacy_line_bound_entries_never_suppress_and_demand_re_justification() {
+        // A v1 entry, bound to a substring of the offending line, is
+        // malformed: the whole allowlist is refused, so it can neither
+        // suppress nor silently drop out.
+        let err =
+            parse("# c\nR3 | crates/sim/src/foo.rs | .expect( | provably present\n").unwrap_err();
+        assert!(err.starts_with("lint.allow:2:"), "{err}");
+        assert!(err.contains("re-justify"), "{err}");
+        assert!(
+            err.contains("R3 | crates/sim/src/foo.rs | sym=<symbol>"),
+            "{err}"
+        );
     }
 }

@@ -75,7 +75,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-pub use allow::{AllowEntry, LegacyEntry};
+pub use allow::AllowEntry;
 pub use rules::{FileClass, Rule, Violation};
 
 /// Outcome of linting a workspace.
@@ -87,19 +87,15 @@ pub struct Report {
     pub suppressed: usize,
     /// Allowlist entries that matched nothing (the list is rotting).
     pub stale_allows: Vec<AllowEntry>,
-    /// Legacy line-bound allowlist entries that must be re-justified
-    /// in the symbol-bound format. Their presence fails the lint.
-    pub legacy_allows: Vec<LegacyEntry>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
 
 impl Report {
     /// Whether the workspace is clean (stale entries are warnings, not
-    /// failures; legacy entries are failures — they look like
-    /// suppressions but suppress nothing).
+    /// failures).
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.legacy_allows.is_empty()
+        self.violations.is_empty()
     }
 
     /// Human-readable multi-line rendering.
@@ -109,19 +105,15 @@ impl Report {
             out.push_str(&v.render());
             out.push('\n');
         }
-        for e in &self.legacy_allows {
-            out.push_str(&format!("error: {}\n", e.render()));
-        }
         for e in &self.stale_allows {
             out.push_str(&format!("warning: stale allowlist entry {}\n", e.render()));
         }
         out.push_str(&format!(
-            "locality-lint: {} file(s), {} violation(s), {} suppressed by lint.allow, {} stale allow entrie(s), {} legacy allow entrie(s)",
+            "locality-lint: {} file(s), {} violation(s), {} suppressed by lint.allow, {} stale allow entrie(s)",
             self.files_scanned,
             self.violations.len(),
             self.suppressed,
             self.stale_allows.len(),
-            self.legacy_allows.len(),
         ));
         out
     }
@@ -153,13 +145,6 @@ impl Report {
                 out.push('"');
             }
             out.push_str("]}\n");
-        }
-        for e in &self.legacy_allows {
-            out.push_str("{\"type\":\"legacy_allow\",\"file\":\"lint.allow\",\"line\":");
-            out.push_str(&e.line.to_string());
-            out.push_str(",\"message\":\"");
-            out.push_str(&json_escape(&e.render()));
-            out.push_str("\"}\n");
         }
         for e in &self.stale_allows {
             out.push_str("{\"type\":\"stale_allow\",\"file\":\"lint.allow\",\"line\":");
@@ -243,7 +228,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
     let allow_text = fs::read_to_string(root.join("lint.allow")).ok();
     let allowlist = match allow_text {
         Some(text) => allow::parse(&text).map_err(LintError::Allowlist)?,
-        None => allow::Allowlist::default(),
+        None => Vec::new(),
     };
 
     let mut violations: Vec<Violation> = Vec::new();
@@ -267,7 +252,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
 
     let ws = usegraph::Workspace::build(entries);
     violations.extend(ws.check_r1());
-    violations.extend(ws.check_r2_taint(&allowlist.entries));
+    violations.extend(ws.check_r2_taint(&allowlist));
     violations.extend(ws.check_r6());
     violations.extend(ws.check_r7());
 
@@ -294,12 +279,11 @@ pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
         (&a.file, a.line, a.rule.id(), &a.symbol).cmp(&(&b.file, b.line, b.rule.id(), &b.symbol))
     });
 
-    let (kept, suppressed, stale_allows) = allow::apply(&allowlist.entries, violations);
+    let (kept, suppressed, stale_allows) = allow::apply(&allowlist, violations);
     Ok(Report {
         violations: kept,
         suppressed,
         stale_allows,
-        legacy_allows: allowlist.legacy,
         files_scanned: files.len(),
     })
 }
@@ -330,7 +314,6 @@ mod tests {
             }],
             suppressed: 0,
             stale_allows: Vec::new(),
-            legacy_allows: Vec::new(),
             files_scanned: 1,
         };
         let json = report.render_json();

@@ -1267,7 +1267,7 @@ mod tests {
             "R2 | crates/sim/src/util.rs | sym=HashMap | membership only, never iterated\n",
         )
         .expect("parses");
-        assert!(w.check_r2_taint(&allow.entries).is_empty());
+        assert!(w.check_r2_taint(&allow).is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use locality_lint::{lint_workspace, rules, Rule};
+use locality_lint::{lint_workspace, rules, LintError, Rule};
 
 /// Creates a throwaway mini-workspace and returns its root.
 fn fixture_root(tag: &str, files: &[(&str, &str)]) -> PathBuf {
@@ -220,45 +220,28 @@ fn legacy_allow_entries_surface_as_re_justify_errors_not_suppressions() {
     let mut files = GRAPH_CRATE.to_vec();
     files.push(("crates/core/src/alg1.rs", router));
     let root = fixture_root("legacy", &files);
-    // A v1 line-bound entry that would have suppressed the R1 findings.
+    // A v1 line-bound entry that would have suppressed the R1 findings
+    // is malformed: the lint stops on it instead of suppressing.
     fs::write(
         root.join("lint.allow"),
         "R1 | crates/core/src/alg1.rs | Graph | drivers may hold G\n",
     )
     .expect("fixture allowlist");
-
-    let report = lint_workspace(&root).expect("fixture lints");
-    assert_eq!(
-        report.legacy_allows.len(),
-        1,
-        "entry is recognized as legacy"
-    );
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.rule == Rule::R1 && v.file == "crates/core/src/alg1.rs"),
-        "legacy entry must not suppress the violation"
-    );
-    assert!(!report.is_clean(), "legacy entries fail the lint");
-    let msg = report
-        .legacy_allows
-        .first()
-        .map(|e| e.render())
-        .unwrap_or_default();
-    assert!(
-        msg.contains("re-justify"),
-        "diagnostic demands migration: {msg}"
-    );
-    // The same entry in v2 form suppresses cleanly.
+    match lint_workspace(&root) {
+        Err(LintError::Allowlist(msg)) => {
+            assert!(msg.starts_with("lint.allow:1:"), "names the line: {msg}");
+            assert!(msg.contains("re-justify"), "demands migration: {msg}");
+        }
+        other => panic!("a line-bound entry must fail the lint, got {other:?}"),
+    }
+    // The same entry bound to symbols suppresses cleanly.
     fs::write(
         root.join("lint.allow"),
         "R1 | crates/core/src/alg1.rs | sym=Graph | drivers may hold G\n\
          R1 | crates/core/src/alg1.rs | sym=locality_graph::graph | drivers may hold G\n",
     )
     .expect("fixture allowlist v2");
-    let report = lint_workspace(&root).expect("fixture lints again");
-    assert!(report.legacy_allows.is_empty());
+    let report = lint_workspace(&root).expect("fixture lints");
     assert!(
         !report
             .violations

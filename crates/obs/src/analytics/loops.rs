@@ -5,9 +5,7 @@
 //! paper's algorithms are provably loop-free on static graphs, so
 //! every loop in a trace is fault-induced (stale views under churn) —
 //! this mode counts them per trial, tracks cycle lengths in a
-//! [`PowHistogram`], and stores a bounded set of example cycles. The
-//! per-witness detector [`detect_loops`] is public so the simulator's
-//! replay layer can classify the same way.
+//! [`PowHistogram`], and stores a bounded set of example cycles.
 
 use super::{pct1, Mode, StreamReport, TrialHeader};
 use crate::hist::PowHistogram;
@@ -16,46 +14,8 @@ use crate::witness::RouteWitness;
 /// Bounded number of stored example cycles.
 const EXAMPLES: usize = 10;
 
-/// One detected routing loop: a node revisited within one attempt.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LoopHit {
-    /// Source-side attempt the loop occurred in.
-    pub attempt: u32,
-    /// The revisited node.
-    pub node: u32,
-    /// The cycle, from the first visit of `node` back to it.
-    pub cycle: Vec<u32>,
-}
-
-impl LoopHit {
-    /// Cycle length in hops.
-    pub fn len(&self) -> u64 {
-        self.cycle.len().saturating_sub(1) as u64
-    }
-
-    /// Whether the cycle is degenerate (should not happen: a cycle has
-    /// at least one hop).
-    pub fn is_empty(&self) -> bool {
-        self.cycle.len() < 2
-    }
-}
-
-/// Scans each attempt of a witness for the first revisited node.
-/// Returns at most one [`LoopHit`] per attempt, in attempt order.
-pub fn detect_loops(w: &RouteWitness) -> Vec<LoopHit> {
-    let mut out = Vec::new();
-    for_each_loop(w, &mut Vec::new(), |attempt, cycle| {
-        out.push(LoopHit {
-            attempt,
-            node: cycle.last().copied().unwrap_or(w.s),
-            cycle: cycle.to_vec(),
-        });
-    });
-    out
-}
-
-/// The scan behind [`detect_loops`]: calls `found(attempt, cycle)` for
-/// the first revisited node of each attempt, in attempt order, where
+/// Scans each attempt of a witness for its first revisited node:
+/// calls `found(attempt, cycle)` for it, in attempt order, in attempt order, where
 /// `cycle` runs from the node's first visit back to it. `seen` is
 /// scratch, so a caller that keeps it allocates nothing per witness.
 fn for_each_loop(w: &RouteWitness, seen: &mut Vec<u32>, mut found: impl FnMut(u32, &[u32])) {
@@ -198,6 +158,17 @@ mod tests {
     use crate::analytics::{run_mode, TailMode};
     use crate::witness::{collect_witnesses, parse_trace};
 
+    /// Every `(attempt, cycle)` the scan finds in the trace's first
+    /// witness.
+    fn loops_of(trace: &str) -> Vec<(u32, Vec<u32>)> {
+        let ws = collect_witnesses(&parse_trace(trace).unwrap());
+        let mut out = Vec::new();
+        for_each_loop(&ws[0], &mut Vec::new(), |attempt, cycle| {
+            out.push((attempt, cycle.to_vec()));
+        });
+        out
+    }
+
     fn hop(tick: u64, msg: u64, att: u32, node: u32, to: u32) -> String {
         format!(
             "{{\"tick\":{tick},\"ev\":\"hop\",\"msg\":{msg},\"att\":{att},\"node\":{node},\"to\":{to},\"rule\":\"r\",\"prov\":0}}\n"
@@ -211,13 +182,7 @@ mod tests {
         t.push_str(&hop(0, 0, 0, 1, 2));
         t.push_str(&hop(1, 0, 0, 2, 3));
         t.push_str(&hop(2, 0, 0, 3, 2));
-        let ws = collect_witnesses(&parse_trace(&t).unwrap());
-        let hits = detect_loops(&ws[0]);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].node, 2);
-        assert_eq!(hits[0].cycle, vec![2, 3, 2]);
-        assert_eq!(hits[0].len(), 2);
-        assert!(!hits[0].is_empty());
+        assert_eq!(loops_of(&t), vec![(0, vec![2, 3, 2])]);
     }
 
     #[test]
@@ -225,10 +190,7 @@ mod tests {
         let mut t = String::from("{\"tick\":0,\"ev\":\"send\",\"msg\":0,\"s\":5,\"t\":9}\n");
         t.push_str(&hop(0, 0, 0, 5, 6));
         t.push_str(&hop(1, 0, 0, 6, 5));
-        let ws = collect_witnesses(&parse_trace(&t).unwrap());
-        let hits = detect_loops(&ws[0]);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].cycle, vec![5, 6, 5]);
+        assert_eq!(loops_of(&t), vec![(0, vec![5, 6, 5])]);
     }
 
     #[test]
@@ -239,8 +201,7 @@ mod tests {
         t.push_str(&hop(0, 0, 0, 1, 2));
         t.push_str(&hop(5, 0, 1, 1, 2));
         t.push_str(&hop(6, 0, 1, 2, 9));
-        let ws = collect_witnesses(&parse_trace(&t).unwrap());
-        assert!(detect_loops(&ws[0]).is_empty());
+        assert!(loops_of(&t).is_empty());
     }
 
     #[test]
@@ -249,8 +210,7 @@ mod tests {
         t.push_str(&hop(0, 0, 0, 1, 2));
         t.push_str(&hop(1, 0, 0, 2, 3));
         t.push_str(&hop(2, 0, 0, 3, 4));
-        let ws = collect_witnesses(&parse_trace(&t).unwrap());
-        assert!(detect_loops(&ws[0]).is_empty());
+        assert!(loops_of(&t).is_empty());
     }
 
     #[test]

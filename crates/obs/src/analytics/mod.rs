@@ -16,10 +16,10 @@
 //! shards (`bin/tracecat` merge) — the chunk-boundary determinism
 //! tests pin exactly that.
 //!
-//! Error reporting follows the contract
-//! `graph::io::from_edgelist_reader` established: every failure is
-//! typed and carries the 1-based number of the offending line, and io
-//! errors are attributed to the line being read when the stream died.
+//! Error reporting follows the contract of `graph::io::from_str`:
+//! every failure is typed and carries the 1-based number of the
+//! offending line, and io errors are attributed to the line being read
+//! when the stream died.
 //! [`TailMode`] distinguishes a torn final line (a trace of a killed or
 //! still-running run) from mid-file corruption: strict mode rejects it
 //! as [`StreamError::TruncatedTail`], lenient mode drops it and flags

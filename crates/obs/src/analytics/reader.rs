@@ -1,17 +1,15 @@
 //! Chunked line reader with a fixed-size buffer.
 //!
-//! The streaming analogue of `graph::io::from_edgelist_reader`: bytes
-//! are pulled through one fixed `buf_bytes` chunk, lines are split on
-//! `\n` found eight bytes at a time, and a line that straddles chunk
-//! boundaries is carried in a reusable side buffer. Steady-state
+//! Bytes are pulled through one fixed `buf_bytes` chunk, lines are
+//! split on `\n` found eight bytes at a time, and a line that straddles
+//! chunk boundaries is carried in a reusable side buffer. Steady-state
 //! operation performs no per-line allocation (the carry reuses its
 //! capacity), which is what the R6 hot-path lint scope pins for this
 //! file.
 
 use super::StreamError;
 
-/// Default chunk size for streaming reads, matching
-/// `graph::io::EDGELIST_CHUNK_BYTES`.
+/// Default chunk size for streaming reads.
 pub const DEFAULT_BUF_BYTES: usize = 64 * 1024;
 
 /// One line yielded by [`LineReader::next_line`], without its

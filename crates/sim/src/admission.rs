@@ -135,11 +135,6 @@ impl AdmissionController {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
-    }
-
     /// Whether the controller can ever interfere with traffic. `false`
     /// for [`AdmissionPolicy::Open`], which keeps the historical
     /// fast path (and every golden trace) untouched.

@@ -5,7 +5,7 @@
 //! machinery that *tests* that claim. A [`FaultPlan`] is a
 //! tick-scheduled list of [`FaultEvent`]s — link cuts and restorations,
 //! node crashes and restarts — and a [`FaultConfig`] describes the
-//! ambient degradations: per-link loss probability and extra latency,
+//! ambient degradations: link loss probability and extra latency,
 //! the policy for messages caught on a dead link, the stale-view
 //! propagation delay, and source-side reliability (timeout + bounded
 //! retries).
@@ -91,10 +91,8 @@ pub struct FaultConfig {
     /// spreading outward. `0` (default) re-provisions atomically inside
     /// the change, the historical behaviour.
     pub view_delay: u64,
-    /// Loss/latency profile applied to every link without an override.
+    /// Loss/latency profile applied to every link.
     pub default_link: LinkProfile,
-    /// Per-link profile overrides.
-    pub link_overrides: BTreeMap<LinkKey, LinkProfile>,
     /// Source-side reliability: if set, a message not delivered within
     /// this many ticks of injection is retried (or declared
     /// [`crate::MessageFate::TimedOut`] / [`crate::MessageFate::GaveUp`]).
@@ -109,30 +107,6 @@ pub struct FaultConfig {
     pub backoff: u64,
     /// Seed for the network's loss-draw [`DetRng`].
     pub seed: u64,
-}
-
-impl FaultConfig {
-    /// The effective profile of link `{a, b}`.
-    pub fn link_profile(&self, a: NodeId, b: NodeId) -> LinkProfile {
-        self.link_overrides
-            .get(&LinkKey::new(a, b))
-            .copied()
-            .unwrap_or(self.default_link)
-    }
-
-    /// The same configuration under a node permutation (`perm[u.index()]`
-    /// is `u`'s new id): link overrides follow their links. Used by the
-    /// equivariance suite.
-    pub fn permuted(&self, perm: &[NodeId]) -> FaultConfig {
-        let map = |u: NodeId| perm.get(u.index()).copied().unwrap_or(u);
-        let mut out = self.clone();
-        out.link_overrides = self
-            .link_overrides
-            .iter()
-            .map(|(&LinkKey(a, b), &p)| (LinkKey::new(map(a), map(b)), p))
-            .collect();
-        out
-    }
 }
 
 /// One scheduled fault.
@@ -379,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn permutation_maps_every_event_and_override() {
+    fn permutation_maps_every_event() {
         let perm = [NodeId(2), NodeId(0), NodeId(1)];
         let plan = FaultPlan::new()
             .at(1, FaultEvent::LinkDown(NodeId(0), NodeId(1)))
@@ -388,20 +362,6 @@ mod tests {
         let got: Vec<(u64, FaultEvent)> = p.iter().map(|(t, &e)| (t, e)).collect();
         assert_eq!(got[0], (1, FaultEvent::LinkDown(NodeId(2), NodeId(0))));
         assert_eq!(got[1], (2, FaultEvent::Crash(NodeId(1))));
-        let mut cfg = FaultConfig::default();
-        cfg.link_overrides.insert(
-            LinkKey::new(NodeId(0), NodeId(1)),
-            LinkProfile {
-                loss: 0.5,
-                extra_latency: 3,
-            },
-        );
-        let pc = cfg.permuted(&perm);
-        assert_eq!(
-            pc.link_profile(NodeId(2), NodeId(0)).extra_latency,
-            3,
-            "override must follow the permuted link"
-        );
     }
 
     #[test]
@@ -410,7 +370,7 @@ mod tests {
         assert_eq!(cfg.dead_link, DeadLinkPolicy::Deliver);
         assert_eq!(cfg.view_delay, 0);
         assert_eq!(cfg.timeout, None);
-        let p = cfg.link_profile(NodeId(0), NodeId(1));
+        let p = cfg.default_link;
         assert_eq!(p.loss, 0.0);
         assert_eq!(p.extra_latency, 0);
     }

@@ -138,9 +138,7 @@ pub struct NetworkMetrics {
     /// Total hops of delivered messages (final attempts).
     pub delivered_hops: usize,
     /// Route-length distribution of delivered messages (final
-    /// attempts): the histogram behind
-    /// [`hops_p50`](Self::hops_p50)/[`hops_p95`](Self::hops_p95)/
-    /// [`hops_max`](Self::hops_max).
+    /// attempts).
     pub hop_hist: PowHistogram,
     /// The highest per-node forwarding load.
     pub max_node_load: u64,
@@ -152,22 +150,6 @@ impl NetworkMetrics {
     /// Mean route length of delivered messages.
     pub fn mean_hops(&self) -> Option<f64> {
         (self.delivered > 0).then(|| self.delivered_hops as f64 / self.delivered as f64)
-    }
-
-    /// Median route length of delivered messages (bucket resolution).
-    pub fn hops_p50(&self) -> Option<u64> {
-        self.hop_hist.p50()
-    }
-
-    /// 95th-percentile route length of delivered messages (bucket
-    /// resolution).
-    pub fn hops_p95(&self) -> Option<u64> {
-        self.hop_hist.p95()
-    }
-
-    /// Longest delivered route.
-    pub fn hops_max(&self) -> Option<u64> {
-        self.hop_hist.max()
     }
 
     /// Delivery ratio in `[0, 1]`.
@@ -260,10 +242,10 @@ mod tests {
         assert_eq!(m.delivery_ratio(), 0.75);
         // Rank-2 of {3,4,5} falls in bucket [4,7], whose upper bound
         // is clamped to the observed max.
-        assert_eq!(m.hops_p50(), Some(5));
-        assert_eq!(m.hops_max(), Some(5));
+        assert_eq!(m.hop_hist.p50(), Some(5));
+        assert_eq!(m.hop_hist.max(), Some(5));
         assert_eq!(NetworkMetrics::default().delivery_ratio(), 1.0);
-        assert_eq!(NetworkMetrics::default().hops_p50(), None);
+        assert_eq!(NetworkMetrics::default().hop_hist.p50(), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use local_routing::visited::VisitedStates;
-use local_routing::{LocalRouter, LocalView, Packet, ViewArtifact, ViewStore, ViewStoreStats};
+use local_routing::{LocalRouter, LocalView, Packet, ViewArtifact, ViewStore};
 use locality_graph::rng::DetRng;
 use locality_graph::traversal::{self, Ball};
 use locality_graph::{Graph, GraphError, NodeId};
@@ -247,14 +247,12 @@ impl NetworkBuilder {
     }
 }
 
-/// Per-message simulator-side state that is not part of the observable
-/// record.
+/// Per-message simulator-side loop state, beside the observable
+/// record. The record's `retries` doubles as the current source-side
+/// attempt: a retry bumps it, so copies of an abandoned attempt still
+/// in flight (or parked on a dead link) are ignored when they
+/// eventually surface.
 struct MsgState {
-    /// Current source-side attempt. A retry bumps it, so copies of an
-    /// abandoned attempt still in flight (or parked on a dead link)
-    /// are ignored when they eventually surface.
-    attempt: u32,
-    retries: u32,
     /// The `(node, visible predecessor)` states this attempt has
     /// visited, for exact loop detection: sized by the route, cleared
     /// on retry and dropped with the terminal fate.
@@ -422,8 +420,6 @@ impl Network {
             retries: 0,
         });
         self.states.push(MsgState {
-            attempt: 0,
-            retries: 0,
             visited: VisitedStates::new(),
         });
         if let Some(rec) = self.trace.as_deref_mut() {
@@ -475,12 +471,6 @@ impl Network {
                 return;
             }
         }
-    }
-
-    /// Schedules a fault to fire at tick `at` (merged after any plan
-    /// events already scheduled for that tick).
-    pub fn schedule_fault(&mut self, at: u64, event: FaultEvent) {
-        self.fault_schedule.schedule(at, event);
     }
 
     /// The earliest tick at which anything is scheduled.
@@ -658,7 +648,8 @@ impl Network {
             attempt,
         } = self.slab.get(h);
         let msg = msg as usize;
-        if self.messages[msg].fate != MessageFate::InFlight || attempt != self.states[msg].attempt {
+        let record = &self.messages[msg];
+        if record.fate != MessageFate::InFlight || attempt != record.retries {
             self.slab.free(h);
             return;
         }
@@ -764,7 +755,7 @@ impl Network {
             // Valid on the node's (stale) view: the link is simply down
             // right now.
             if self.cfg.dead_link == DeadLinkPolicy::Queue {
-                let attempt = self.states[msg].attempt;
+                let attempt = self.messages[msg].retries;
                 self.messages[msg].path.push(next);
                 self.emit_hop(msg, at, next, from, rule, true);
                 let nh = self.slab.alloc(msg as u32, next, Some(at), attempt);
@@ -795,7 +786,7 @@ impl Network {
         rule: &'static str,
         parked: bool,
     ) {
-        let attempt = self.states.get(msg).map_or(0, |s| s.attempt);
+        let attempt = self.messages.get(msg).map_or(0, |r| r.retries);
         let prov = self.nodes.get(at.index()).map_or(0, |n| n.provisioned_at);
         if let Some(rec) = self.trace.as_deref_mut() {
             rec.inc("sim.hops", 1);
@@ -849,14 +840,14 @@ impl Network {
         from: Option<NodeId>,
         rule: &'static str,
     ) {
-        let profile = self.cfg.link_profile(at, next);
+        let profile = self.cfg.default_link;
         if profile.loss > 0.0 && self.rng.gen_bool(profile.loss) {
             self.lose(msg, "loss");
             return;
         }
         self.messages[msg].path.push(next);
         self.emit_hop(msg, at, next, from, rule, false);
-        let attempt = self.states[msg].attempt;
+        let attempt = self.messages[msg].retries;
         let h = self.slab.alloc(msg as u32, next, Some(at), attempt);
         let when = self.tick + 1 + profile.extra_latency;
         self.events.schedule(when, h);
@@ -886,15 +877,13 @@ impl Network {
         let Some(timeout) = self.cfg.timeout else {
             return;
         };
-        if self.states[msg].retries < self.cfg.max_retries {
-            self.states[msg].retries += 1;
-            self.states[msg].attempt += 1;
+        if self.messages[msg].retries < self.cfg.max_retries {
             self.retries_total += 1;
             let s = self.messages[msg].s;
             self.messages[msg].retries += 1;
             self.messages[msg].path = vec![s];
             self.states[msg].visited.clear();
-            let attempt = self.states[msg].attempt;
+            let attempt = self.messages[msg].retries;
             if let Some(rec) = self.trace.as_deref_mut() {
                 rec.inc("sim.retries", 1);
                 if let Some(e) = rec.event(Level::Hops, self.tick, "retry") {
@@ -909,7 +898,7 @@ impl Network {
             // stretches the retry backoff, so reliability traffic
             // yields to first attempts instead of amplifying overload.
             let factor = self.admission.backoff_factor(self.saturation_sample());
-            let wait = timeout + self.cfg.backoff * u64::from(self.states[msg].retries) * factor;
+            let wait = timeout + self.cfg.backoff * u64::from(attempt) * factor;
             self.timers.schedule(self.tick + 1 + wait, msg as u32);
         } else {
             let fate = if self.cfg.max_retries > 0 {
@@ -1134,26 +1123,11 @@ impl Network {
         rec.take_bytes()
     }
 
-    /// The admission controller's counters (rejections, sheds, peak
-    /// saturation) — all zero under the default open policy.
-    pub fn admission_stats(&self) -> &AdmissionController {
-        &self.admission
-    }
-
     /// Whether the view store serves from a precomputed oracle
     /// artifact ([`Provisioner::Oracle`]) rather than extracting on
     /// demand.
     pub fn is_artifact_backed(&self) -> bool {
         self.views.is_artifact_backed()
-    }
-
-    /// View-store effectiveness counters. On an artifact-backed
-    /// network, `artifact_loads` / `rebuilds` split the misses into
-    /// decoded-from-artifact and re-extracted-after-churn — the
-    /// conservation pair proving a churn wave rebuilt only its dirty
-    /// radius.
-    pub fn view_stats(&self) -> ViewStoreStats {
-        self.views.stats()
     }
 }
 
@@ -1459,7 +1433,7 @@ mod tests {
         let k = Alg2.min_locality(13);
         for s in g.nodes() {
             for t in g.nodes().filter(|&t| t != s) {
-                let central = local_routing::engine::route(&g, k, &Alg2, s, t, &Default::default());
+                let central = local_routing::engine::route(&g, k, &Alg2, s, t);
                 let mut net = NetworkBuilder::new(&g, k).build(Alg2);
                 let id = net.send(s, t);
                 net.run_until_quiet();
@@ -1600,10 +1574,20 @@ mod tests {
     }
 
     #[test]
+    fn per_message_state_is_the_loop_state_alone() {
+        // The attempt counter lives only in the record's `retries`.
+        assert_eq!(
+            std::mem::size_of::<MsgState>(),
+            std::mem::size_of::<VisitedStates>()
+        );
+        assert_eq!(std::mem::size_of::<MsgState>(), 32);
+    }
+
+    #[test]
     fn crashed_node_black_holes() {
         let g = generators::path(3);
         let mut net = NetworkBuilder::new(&g, 2).build(Alg3);
-        net.schedule_fault(0, FaultEvent::Crash(NodeId(1)));
+        net.fault_schedule.schedule(0, FaultEvent::Crash(NodeId(1)));
         let id = net.send(NodeId(0), NodeId(2));
         net.run_until_quiet();
         assert!(net.is_crashed(NodeId(1)));
@@ -1707,7 +1691,6 @@ mod tests {
             max_retries: 3,
             backoff: 16,
             seed: 11,
-            ..Default::default()
         };
         let plan =
             FaultPlan::random_churn(g, &ChurnConfig::default(), &mut DetRng::seed_from_u64(9));
@@ -1825,7 +1808,7 @@ mod tests {
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
         }
         // Every view came off the artifact; BFS extraction never ran.
-        let vs = oracle.view_stats();
+        let vs = oracle.views.stats();
         assert_eq!(vs.artifact_loads, 24);
         assert_eq!(vs.rebuilds, 0);
     }
@@ -1858,13 +1841,13 @@ mod tests {
             .recorder(Recorder::new(Level::Metrics))
             .provisioner(Provisioner::Oracle(artifact))
             .build(Alg3);
-        let vs = net.view_stats();
+        let vs = net.views.stats();
         assert_eq!((vs.artifact_loads, vs.rebuilds), (12, 0));
         // Removing (0, 11) dirties the nodes within k = 2 of either
         // endpoint (old or new topology): {9, 10, 11, 0, 1, 2}.
         net.set_edge(NodeId(0), NodeId(11), false)
             .expect("removing one cycle edge keeps it connected");
-        let vs = net.view_stats();
+        let vs = net.views.stats();
         assert_eq!(vs.rebuilds, 6, "exactly the dirty radius re-extracts");
         assert_eq!(vs.artifact_loads, 12, "no extra artifact decodes");
         // Conservation: every miss is either an artifact decode or a
@@ -1921,7 +1904,7 @@ mod tests {
         for id in &ids[4..] {
             assert_eq!(net.record(*id).unwrap().fate, MessageFate::Rejected);
         }
-        assert_eq!(net.admission_stats().rejected(), 6);
+        assert_eq!(net.admission.rejected(), 6);
     }
 
     #[test]

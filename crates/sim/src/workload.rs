@@ -157,37 +157,15 @@ pub struct Arrival {
     pub dst: NodeId,
 }
 
-/// The tick boundaries of one expanded phase, `[start, end)`.
-#[derive(Clone, Copy, Debug)]
-pub struct PhaseBounds {
-    /// The phase's name (shared with its [`PhaseSpec`]).
-    pub name: &'static str,
-    /// First tick of the phase.
-    pub start: u64,
-    /// One past the last tick of the phase.
-    pub end: u64,
-}
-
 /// A fully materialized arrival schedule — a pure function of
 /// `(WorkloadConfig, n)`, sorted by tick, replayable anywhere.
 #[derive(Clone, Debug)]
 pub struct ArrivalSchedule {
     /// All injections in tick order (FIFO within a tick).
     pub arrivals: Vec<Arrival>,
-    /// Phase boundaries, in order.
-    pub phases: Vec<PhaseBounds>,
 }
 
 impl ArrivalSchedule {
-    /// The phase index covering `tick`, if any.
-    pub fn phase_of(&self, tick: u64) -> Option<usize> {
-        let i = self.phases.partition_point(|p| p.end <= tick);
-        self.phases
-            .get(i)
-            .is_some_and(|p| p.start <= tick)
-            .then_some(i)
-    }
-
     /// FNV-1a digest over the full schedule — two schedules are
     /// byte-identical iff their digests agree (up to hash collision),
     /// which is what the 1-vs-8-thread determinism gate compares.
@@ -270,11 +248,9 @@ pub fn build_schedule(cfg: &WorkloadConfig, n: usize) -> ArrivalSchedule {
     let mut rng = DetRng::seed_from_u64(cfg.seed);
     let zipf = ZipfNodes::new(n, cfg.zipf_s_milli, &mut rng);
     let mut arrivals = Vec::new();
-    let mut phases = Vec::with_capacity(cfg.phases.len());
     let mut tick = 0u64;
     let mut acc = 0u64;
     for p in &cfg.phases {
-        let start = tick;
         for i in 0..p.ticks {
             // Linear interpolation in integer space; for a plateau this
             // is exactly `rate_milli` every tick.
@@ -297,13 +273,8 @@ pub fn build_schedule(cfg: &WorkloadConfig, n: usize) -> ArrivalSchedule {
             }
             tick += 1;
         }
-        phases.push(PhaseBounds {
-            name: p.name,
-            start,
-            end: tick,
-        });
     }
-    ArrivalSchedule { arrivals, phases }
+    ArrivalSchedule { arrivals }
 }
 
 /// Plays a schedule into a network: advances the clock to each
@@ -414,18 +385,5 @@ mod tests {
             max < &(min * 2),
             "uniform draw should be balanced: {counts:?}"
         );
-    }
-
-    #[test]
-    fn phase_of_maps_ticks_to_phases() {
-        let cfg = WorkloadConfig::flash_crowd(5, 500, 4, 30, 10);
-        let s = build_schedule(&cfg, 8);
-        assert_eq!(s.phase_of(0), Some(0));
-        assert_eq!(s.phase_of(29), Some(0));
-        assert_eq!(s.phase_of(30), Some(1));
-        assert_eq!(s.phase_of(39), Some(1));
-        assert_eq!(s.phase_of(40), Some(2));
-        assert_eq!(s.phase_of(69), Some(2));
-        assert_eq!(s.phase_of(70), None);
     }
 }

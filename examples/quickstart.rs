@@ -21,7 +21,7 @@ fn main() {
     for router in [&Alg1 as &dyn LocalRouter, &Alg1B, &Alg2, &Alg3] {
         // Every algorithm declares its own feasibility threshold T(n).
         let k = router.min_locality(n);
-        let report = engine::route(&g, k, &router, s, t, &Default::default());
+        let report = engine::route(&g, k, &router, s, t);
         println!(
             "{:<14} k = {:>2} ({:<32}) -> {:?} in {} hops (dilation {:.2})",
             router.name(),
@@ -35,7 +35,7 @@ fn main() {
 
     println!("\nBelow the threshold the guarantees evaporate:");
     let k = Alg3.min_locality(n) - 2;
-    let report = engine::route(&g, k, &Alg3, s, t, &Default::default());
+    let report = engine::route(&g, k, &Alg3, s, t);
     println!(
         "algorithm-3 at k = {k}: {:?} after {} hops",
         report.status,

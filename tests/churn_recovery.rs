@@ -44,7 +44,6 @@ fn same_seed_same_storm_same_fates() {
             max_retries: 3,
             backoff: 10,
             seed: seed ^ 2,
-            ..Default::default()
         };
         let mut net = NetworkBuilder::new(&g, Alg3.min_locality(20))
             .faults(cfg)
@@ -178,14 +177,13 @@ fn fault_plan_permutation_equivariance() {
             max_retries: 2,
             backoff: 16,
             seed: seed ^ 0x99,
-            ..Default::default()
         };
         let mut net_g = NetworkBuilder::new(&g, k)
             .faults(cfg.clone())
             .fault_plan(plan.clone())
             .build(Alg3);
         let mut net_h = NetworkBuilder::new(&h, k)
-            .faults(cfg.permuted(&perm))
+            .faults(cfg)
             .fault_plan(plan.permuted(&perm))
             .build(Alg3);
         let mut traffic = DetRng::seed_from_u64(seed ^ 0x55);

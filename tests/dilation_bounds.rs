@@ -71,8 +71,8 @@ fn alg1b_routes_never_longer_than_alg1() {
         let k = Alg1.min_locality(n);
         for s in g.nodes() {
             for t in g.nodes().filter(|&t| t != s) {
-                let r1 = engine::route(&g, k, &Alg1, s, t, &Default::default());
-                let rb = engine::route(&g, k, &Alg1B, s, t, &Default::default());
+                let r1 = engine::route(&g, k, &Alg1, s, t);
+                let rb = engine::route(&g, k, &Alg1B, s, t);
                 assert!(rb.hops() <= r1.hops(), "({s},{t}) on {g:?}");
             }
         }

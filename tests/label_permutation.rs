@@ -24,10 +24,10 @@ fn assert_equivariant<R: LocalRouter + ?Sized>(router: &R, g: &Graph, rng: &mut 
     let (h, perm) = permute::random_permute_nodes(g, rng);
     for s in g.nodes() {
         for t in g.nodes().filter(|&t| t != s) {
-            let on_g = engine::route(g, k, router, s, t, &Default::default());
+            let on_g = engine::route(g, k, router, s, t);
             let hs = perm[s.index()];
             let ht = perm[t.index()];
-            let on_h = engine::route(&h, k, router, hs, ht, &Default::default());
+            let on_h = engine::route(&h, k, router, hs, ht);
             assert_eq!(
                 on_g.status.is_delivered(),
                 on_h.status.is_delivered(),

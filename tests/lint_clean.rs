@@ -22,11 +22,6 @@ fn workspace_has_no_lint_violations() {
         report.render(),
     );
     assert!(
-        report.legacy_allows.is_empty(),
-        "legacy line-bound lint.allow entries (re-justify as `rule | file | sym=<symbol> | why`):\n{}",
-        report.render(),
-    );
-    assert!(
         report.files_scanned > 50,
         "suspiciously few files scanned ({}): did the walker break?",
         report.files_scanned,

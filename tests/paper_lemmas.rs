@@ -45,7 +45,7 @@ fn observation1_and_corollary3_on_alg1_runs() {
         let k = Alg1.min_locality(g.node_count());
         for s in g.nodes() {
             for t in g.nodes().filter(|&t| t != s) {
-                let r = engine::route(&g, k, &Alg1, s, t, &Default::default());
+                let r = engine::route(&g, k, &Alg1, s, t);
                 assert!(r.status.is_delivered());
                 verify::check_observation1(&r).unwrap();
                 verify::check_corollary3_route_consistency(&g, k, &r, t).unwrap();

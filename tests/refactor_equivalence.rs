@@ -8,7 +8,7 @@
 //! exhaustive small graphs, the Theorem 1/2 lower-bound families, and
 //! the tight Fig. 13 / Fig. 17 instances.
 
-use local_routing::engine::{self, MatrixReport, RunOptions};
+use local_routing::engine::{self, MatrixReport};
 use local_routing::{preprocess, Alg1, Alg1B, Alg3, LocalRouter, LocalView, ViewStore};
 use locality_adversary::{thm1, thm2, tight};
 use locality_graph::components::LocalComponent;
@@ -91,10 +91,10 @@ fn thm_families_routes_unchanged_by_cache_reuse() {
         .chain(thm2::family(n).into_iter().map(|i| (i.graph, i.s, i.t)));
     for (g, s, t) in instances {
         for k in [2, (n / 4) as u32, (n / 2) as u32] {
-            let fresh = engine::route(&g, k, &Alg1, s, t, &RunOptions::default());
+            let fresh = engine::route(&g, k, &Alg1, s, t);
             let views = ViewStore::new(&g, k);
-            let first = engine::route_with_cache(&g, &views, &Alg1, s, t, &RunOptions::default());
-            let warm = engine::route_with_cache(&g, &views, &Alg1, s, t, &RunOptions::default());
+            let first = engine::route_with_cache(&g, &views, &Alg1, s, t);
+            let warm = engine::route_with_cache(&g, &views, &Alg1, s, t);
             assert_eq!(fresh.status, first.status, "status (k = {k})");
             assert_eq!(fresh.route, first.route, "route (k = {k})");
             assert_eq!(first.route, warm.route, "route on warm cache (k = {k})");

@@ -147,7 +147,6 @@ fn storm_drop_policy_with_retries_matches_golden() {
             max_retries: 3,
             backoff: 24,
             seed: 0xD201 ^ 0x5EED,
-            ..Default::default()
         },
         rounds: 4,
         batch: 18,
@@ -182,7 +181,6 @@ fn storm_queue_policy_with_latency_matches_golden() {
             max_retries: 2,
             backoff: 10,
             seed: 0x0B17 ^ 0x5EED,
-            ..Default::default()
         },
         rounds: 4,
         batch: 15,
@@ -217,7 +215,6 @@ fn storm_deliver_policy_fire_and_forget_matches_golden() {
             max_retries: 0,
             backoff: 0,
             seed: 0xDE11 ^ 0x5EED,
-            ..Default::default()
         },
         rounds: 3,
         batch: 12,

@@ -16,7 +16,7 @@ fn routes_match_engine_for_all_algorithms() {
             let mut expect = Vec::new();
             for s in g.nodes() {
                 for t in g.nodes().filter(|&t| t != s) {
-                    let central = engine::route(&g, k, &r, s, t, &Default::default());
+                    let central = engine::route(&g, k, &r, s, t);
                     let id = net.send(s, t);
                     expect.push((id, central.route));
                 }
@@ -51,7 +51,7 @@ fn concurrent_flows_all_deliver_and_load_adds_up() {
     let mut total_hops_expected = 0usize;
     for s in g.nodes() {
         for t in g.nodes().filter(|&t| t != s) {
-            let central = engine::route(&g, k, &Alg1, s, t, &Default::default());
+            let central = engine::route(&g, k, &Alg1, s, t);
             total_hops_expected += central.hops();
             net.send(s, t);
         }
