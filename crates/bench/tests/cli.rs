@@ -294,6 +294,29 @@ fn localroute_reads_a_plain_edge_list() {
 }
 
 #[test]
+fn a_high_degree_node_loads_in_linear_time() {
+    // A star with 200,000 leaves, well inside the node cap. Each edge's
+    // duplicate check scans the leaf's list, not the hub's growing one;
+    // scanning the hub's made the load quadratic in its degree (131.5 s
+    // for this file in the debug build, against under a second).
+    let text: String = (1..=200_000).map(|i| format!("0 {i}\n")).collect();
+    let star = temp_file("star.edges", &text);
+    let arg = star.to_str().expect("temp path is UTF-8");
+    let (out, ns) = locality_bench::timing::time_once_ns(|| {
+        run(env!("CARGO_BIN_EXE_localroute"), &["gen", arg])
+    });
+    let _ = std::fs::remove_file(&star);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {err}");
+    assert!(
+        out.stdout.starts_with(b"n 200001\ne 0 1\n"),
+        "stderr: {err}"
+    );
+    let secs = ns as f64 / 1e9;
+    assert!(secs < 10.0, "a 200,000-leaf star took {secs:.1} s to load");
+}
+
+#[test]
 fn localroute_ends_quietly_when_its_reader_stops_early() {
     // grid:300x300 prints 2,467,954 bytes, more than a pipe buffers, so
     // localroute is still writing when the reader goes away.

@@ -131,16 +131,6 @@ impl RingGreedy {
     pub fn new(n: u32) -> RingGreedy {
         RingGreedy { n }
     }
-
-    fn ring_dist(&self, a: u32, b: u32) -> u32 {
-        // u64 arithmetic and a defensive modulus keep labels outside
-        // `0..n` (a misused router, not a lattice) from wrapping.
-        let n = u64::from(self.n.max(1));
-        let a = u64::from(a) % n;
-        let b = u64::from(b) % n;
-        let cw = (b + n - a) % n;
-        cw.min(n - cw) as u32
-    }
 }
 
 impl LocalRouter for RingGreedy {
@@ -157,9 +147,23 @@ impl LocalRouter for RingGreedy {
     }
 
     fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
-        view.center_neighbors()
-            .map(|v| view.label(v))
-            .min_by_key(|l| (self.ring_dist(l.value(), packet.target.value()), l.value()))
+        // Positions on `Z_n`: a label outside `0..n` (a misused router,
+        // not a lattice) is reduced, so nothing wraps. With both ends
+        // below n, the clockwise gap is one compare and one subtract.
+        let n = self.n.max(1);
+        let b = packet.target.value() % n;
+        let mut best: Option<(u32, u32)> = None;
+        for l in view.center_neighbor_labels() {
+            let l = l.value();
+            let a = if l < n { l } else { l % n };
+            let cw = if b >= a { b - a } else { n - (a - b) };
+            // Labels are unique, so `(distance, label)` never ties.
+            let key = (cw.min(n - cw), l);
+            if best.is_none_or(|k| key < k) {
+                best = Some(key);
+            }
+        }
+        best.map(|(_, l)| Label(l))
             .ok_or(RoutingError::Unroutable(packet.target))
     }
 }
@@ -254,6 +258,74 @@ mod tests {
         let r = engine::route(&g, 1, &RingGreedy::new(40), NodeId(0), NodeId(20));
         assert_eq!(r.status, RunStatus::Delivered);
         assert_eq!(r.hops(), 5);
+    }
+
+    /// `RingGreedy::decide` as it was before the slot read: each
+    /// neighbour's label looked up by id, and the ring distance from
+    /// three `u64` remainders.
+    fn reference_decide(
+        r: &RingGreedy,
+        packet: &Packet,
+        view: &LocalView,
+    ) -> Result<Label, RoutingError> {
+        let ring_dist = |a: u32, b: u32| {
+            let n = u64::from(r.n.max(1));
+            let a = u64::from(a) % n;
+            let b = u64::from(b) % n;
+            let cw = (b + n - a) % n;
+            cw.min(n - cw) as u32
+        };
+        view.center_neighbors()
+            .map(|v| view.label(v))
+            .min_by_key(|l| (ring_dist(l.value(), packet.target.value()), l.value()))
+            .ok_or(RoutingError::Unroutable(packet.target))
+    }
+
+    #[test]
+    fn ring_greedy_decides_as_the_reference() {
+        use locality_graph::permute;
+        for n in [17usize, 64, 257] {
+            for c in [1usize, 3, 8].into_iter().filter(|&c| n > 2 * c) {
+                let lattice = generators::ring_lattice(n, c);
+                for seed in [1u64, 2] {
+                    // Shuffled ids: slot order is no longer label order.
+                    let (g, _) =
+                        permute::random_permute_nodes(&lattice, &mut DetRng::seed_from_u64(seed));
+                    let views: Vec<LocalView> =
+                        g.nodes().map(|u| LocalView::extract(&g, u, 1)).collect();
+                    // A modulus below n puts labels and targets at or
+                    // past it, through the defensive reduction.
+                    for m in [n as u32, n as u32 / 3] {
+                        let r = RingGreedy::new(m);
+                        let targets = g.nodes().map(|t| g.label(t)).chain([Label(u32::MAX)]);
+                        for target in targets {
+                            for view in &views {
+                                let packet = Packet::new(view.center_label(), target, None);
+                                assert_eq!(
+                                    r.decide(&packet, view),
+                                    reference_decide(&r, &packet, view),
+                                    "n {n} c {c} seed {seed} m {m} at {} to {target}",
+                                    view.center()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // No neighbour: both say the target is unroutable.
+        let g = Graph::from_edges(2, &[]).unwrap();
+        let view = LocalView::extract(&g, NodeId(0), 1);
+        let packet = Packet::new(Label(0), Label(1), None);
+        let r = RingGreedy::new(2);
+        assert_eq!(
+            r.decide(&packet, &view),
+            Err(RoutingError::Unroutable(Label(1)))
+        );
+        assert_eq!(
+            reference_decide(&r, &packet, &view),
+            r.decide(&packet, &view)
+        );
     }
 
     #[test]

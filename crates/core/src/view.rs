@@ -313,6 +313,19 @@ impl LocalView {
         self.raw.neighbors(self.center)
     }
 
+    /// Labels of the centre's neighbours, in
+    /// [`center_neighbors`](Self::center_neighbors) order. The centre's
+    /// CSR run holds member slots, and the label table is slot-aligned,
+    /// so each label is one load: one search finds the centre's slot,
+    /// and no neighbour is looked up by id.
+    pub fn center_neighbor_labels(&self) -> impl ExactSizeIterator<Item = Label> + '_ {
+        let run: &[u32] = match self.raw.slot_of(self.center) {
+            Some(s) => self.raw.neighbor_slots(s),
+            None => &[],
+        };
+        run.iter().map(move |&t| self.labels[t as usize])
+    }
+
     /// The neighbour of the centre of **lowest label** lying on a
     /// shortest path (within the view) from the centre to `target`.
     /// `None` if `target` is the centre or unreachable in the view.

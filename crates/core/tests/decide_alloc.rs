@@ -2,11 +2,12 @@
 //! routing view, label table, step table and (for Algorithm 1B) shelter
 //! pivots, choosing the next hop reads them and builds nothing.
 //!
-//! Three workloads record every `(packet, centre)` pair that one
+//! Four workloads record every `(packet, centre)` pair that one
 //! `delivery_matrix` pass asks its router about: `fig13(64)` under
-//! Algorithm 1 and `fig17(64)` under Algorithm 1B, both at k = n/4, and
-//! a sparse `random_connected(64, 8)` under Algorithm 2 at its
-//! threshold. The pass also fills the view store. Replaying the pairs
+//! Algorithm 1 and `fig17(64)` under Algorithm 1B, both at k = n/4, a
+//! sparse `random_connected(64, 8)` under Algorithm 2 at its
+//! threshold, and `ring_lattice(64, 8)` under the greedy ring router
+//! at k = 1. The pass also fills the view store. Replaying the pairs
 //! through `decide` against that store must allocate zero bytes and
 //! give the same answers.
 //!
@@ -19,6 +20,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use local_routing::baselines::RingGreedy;
 use local_routing::engine;
 use local_routing::{
     Alg1, Alg1B, Alg2, Awareness, LocalRouter, LocalView, Packet, RoutingError, ViewStore,
@@ -79,7 +81,8 @@ impl LocalRouter for Recording<'_> {
 fn warm_decide_allocates_nothing() {
     let (f13, f17) = (tight::fig13(64), tight::fig17(64));
     let random = generators::random_connected(64, 8, &mut DetRng::seed_from_u64(20));
-    let cases: [(&str, &Graph, u32, &dyn LocalRouter); 3] = [
+    let ring = generators::ring_lattice(64, 8);
+    let cases: [(&str, &Graph, u32, &dyn LocalRouter); 4] = [
         ("fig13(64) / algorithm 1", &f13.graph, f13.k, &Alg1),
         ("fig17(64) / algorithm 1b", &f17.graph, f17.k, &Alg1B),
         (
@@ -87,6 +90,12 @@ fn warm_decide_allocates_nothing() {
             &random,
             Alg2.min_locality(64),
             &Alg2,
+        ),
+        (
+            "ring_lattice(64, 8) / ring greedy",
+            &ring,
+            1,
+            &RingGreedy::new(64),
         ),
     ];
     for (what, g, k, router) in cases {

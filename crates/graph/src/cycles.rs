@@ -30,7 +30,10 @@ pub fn girth<T: Topology + ?Sized>(topo: &T) -> Option<u32> {
         let mut queue = std::collections::VecDeque::new();
         queue.push_back(s);
         while let Some(x) = queue.pop_front() {
-            let dx = dist[x];
+            // Every queued node was given its distance before the push.
+            let Some(dx) = dist.get(x) else {
+                continue;
+            };
             if let Some(b) = best {
                 // No shorter cycle through s can be found deeper than b/2.
                 if dx * 2 >= b {
@@ -120,7 +123,10 @@ pub fn shortest_cycle_through<T: Topology + ?Sized>(topo: &T, u: NodeId) -> Opti
         queue.push_back(v);
     }
     while let Some(x) = queue.pop_front() {
-        let dx = dist[x];
+        // Every queued node was given its distance before the push.
+        let Some(dx) = dist.get(x) else {
+            continue;
+        };
         if let Some(b) = best {
             if dx * 2 >= b {
                 continue;

@@ -303,7 +303,10 @@ impl GraphBuilder {
         Ok(id)
     }
 
-    /// Adds the undirected edge `{u, v}`.
+    /// Adds the undirected edge `{u, v}`. The duplicate check scans the
+    /// shorter of the two endpoints' lists (adjacency is symmetric, so
+    /// either answers), so an edge costs O(min degree) and a node of
+    /// high degree is built in time linear in its degree.
     ///
     /// # Errors
     ///
@@ -318,7 +321,12 @@ impl GraphBuilder {
                 return Err(GraphError::UnknownNode(x));
             }
         }
-        if self.adj[u.index()].contains(&v) {
+        let (short, other) = if self.adj[u.index()].len() <= self.adj[v.index()].len() {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        if self.adj[short.index()].contains(&other) {
             return Err(GraphError::DuplicateEdge(u, v));
         }
         self.adj[u.index()].push(v);

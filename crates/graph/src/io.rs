@@ -223,6 +223,19 @@ mod tests {
     }
 
     #[test]
+    fn native_repeated_edge_is_a_duplicate_in_either_orientation() {
+        // Node 0 has the longer list when the repeat arrives, so the
+        // builder's check scans the other endpoint's list.
+        for (a, b) in [(0, 1), (1, 0)] {
+            let text = format!("n 4\ne 0 1\ne 0 2\ne 0 3\ne {a} {b}\n");
+            assert_eq!(
+                from_str(&text).unwrap_err(),
+                GraphError::DuplicateEdge(NodeId(a), NodeId(b))
+            );
+        }
+    }
+
+    #[test]
     fn missing_header_is_an_error() {
         assert!(matches!(from_str("e 0 1\n"), Err(GraphError::Parse { .. })));
     }

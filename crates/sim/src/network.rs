@@ -7,6 +7,7 @@
 //! injection on top — see [`crate::fault`].
 
 use std::collections::{BTreeMap, VecDeque};
+use std::hint::black_box;
 use std::sync::Arc;
 
 use local_routing::visited::VisitedStates;
@@ -623,13 +624,49 @@ impl Network {
     /// The arrival phase of one tick: each arrival due at `when`, in
     /// the FIFO order it was scheduled, is handled by
     /// [`arrive`](Self::arrive). Returns the number of arrivals
-    /// processed.
+    /// processed. A read-only pass over the due handles comes first
+    /// ([`read_ahead`](Self::read_ahead)), so the cache misses of the
+    /// whole tick overlap instead of stalling one hop at a time.
     fn drain_arrivals(&mut self, when: u64) -> usize {
         let due = self.events.take(when);
+        self.read_ahead(&due);
         for &h in &due {
             self.arrive(h);
         }
         due.len()
+    }
+
+    /// Loads, for each handle in `due`, what [`arrive`](Self::arrive)
+    /// will read at its node: the slab entry; the node's view, and
+    /// through it both ends of the view's member, CSR and label blocks;
+    /// the node's adjacency list; and its [`SimNode`]. On a graph larger
+    /// than the cache each hop's reads miss, one chain of pointers at a
+    /// time (slot, boxed view, blocks); issued back to back for the
+    /// whole tick, with no search between the view and its blocks, the
+    /// misses overlap, and each hop then finds its lines in cache. The
+    /// loaded values go to [`black_box`] and nowhere else: the pass
+    /// writes nothing, draws no random number, records nothing and
+    /// allocates nothing, so the FIFO order, handle values, the RNG
+    /// stream and the trace bytes are what they were without it.
+    fn read_ahead(&self, due: &[u32]) {
+        for &h in due {
+            let at = self.slab.get(h).at;
+            let Some(node) = self.nodes.get(at.index()) else {
+                continue;
+            };
+            let adj = self.graph.neighbors(at);
+            black_box((node.forwarded, adj.first().copied(), adj.last().copied()));
+            if let Some(v) = self.views.resident(at) {
+                let (raw, labels) = (v.raw(), v.labels());
+                let members = raw.node_slice();
+                black_box((members.first().copied(), members.last().copied()));
+                black_box((labels.first().copied(), labels.last().copied()));
+                if let Some(last) = raw.node_count().checked_sub(1) {
+                    let csr = (raw.neighbor_slots(0), raw.neighbor_slots(last));
+                    black_box((csr.0.first().copied(), csr.1.last().copied()));
+                }
+            }
+        }
     }
 
     /// One hop step: settles the arrival behind slab handle `h`. The
@@ -747,11 +784,11 @@ impl Network {
         self.nodes[at.index()].forwarded += 1;
         if let Some(next) = self.graph.neighbor_by_label(at, next_label) {
             self.transmit(msg, at, next, from, rule);
-        } else if let Some(next) = self
-            .views
-            .resident(at)
-            .and_then(|v| v.center_neighbors().find(|&x| v.label(x) == next_label))
-        {
+        } else if let Some((next, _)) = self.views.resident(at).and_then(|v| {
+            v.center_neighbors()
+                .zip(v.center_neighbor_labels())
+                .find(|&(_, l)| l == next_label)
+        }) {
             // Valid on the node's (stale) view: the link is simply down
             // right now.
             if self.cfg.dead_link == DeadLinkPolicy::Queue {
