@@ -11,12 +11,9 @@
 //! summarise or diff. Same seed, same level → byte-identical trace,
 //! at any worker count.
 //!
-//! With `--trace-shards W --trace-shard-dir DIR` the trace is instead
-//! written as `W` per-worker shard files `DIR/shard-<i>.jsonl` (trial
-//! block `i` → shard `i % W`, the parallel driver's strided
-//! assignment). `tracecat merge DIR/shard-*.jsonl` recombines them
-//! byte-identical to the single-writer `--trace-out` trace —
-//! `scripts/verify.sh` gates exactly that.
+//! `tracecat split` stripes that trace across files (trial block `i`
+//! → stripe `i % W`), and `tracecat merge` recombines the stripes
+//! byte-identical to it — `scripts/verify.sh` gates exactly that.
 //!
 //! With `--provisioner oracle --artifact-dir DIR` every trial network
 //! is provisioned from the precomputed view artifacts `DIR/k<K>.lrvo`
@@ -37,8 +34,7 @@ use locality_bench::chaos;
 use locality_sim::Level;
 
 const USAGE: &str = "usage: chaos [--seed N] [--trace-out PATH] \
-[--trace-level off|metrics|hops|debug] [--trace-shards W --trace-shard-dir DIR] \
-[--provisioner bfs|oracle] [--artifact-dir DIR]";
+[--trace-level off|metrics|hops|debug] [--provisioner bfs|oracle] [--artifact-dir DIR]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("chaos: {msg}");
@@ -61,8 +57,6 @@ fn emit(json: &str) {
 fn main() {
     let mut seed = 7u64;
     let mut trace_out: Option<String> = None;
-    let mut trace_shards: Option<usize> = None;
-    let mut trace_shard_dir: Option<String> = None;
     let mut level = Level::Hops;
     let mut oracle = false;
     let mut artifact_dir: Option<String> = None;
@@ -77,15 +71,6 @@ fn main() {
             "--trace-out" => match args.next() {
                 Some(p) => trace_out = Some(p),
                 None => fail("--trace-out needs a path"),
-            },
-            "--trace-shards" => match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(v)) if v >= 1 => trace_shards = Some(v),
-                Some(_) => fail("--trace-shards takes a positive integer"),
-                None => fail("--trace-shards needs a value"),
-            },
-            "--trace-shard-dir" => match args.next() {
-                Some(d) => trace_shard_dir = Some(d),
-                None => fail("--trace-shard-dir needs a directory"),
             },
             "--trace-level" => match args.next() {
                 Some(v) => match Level::from_name(&v) {
@@ -114,7 +99,7 @@ fn main() {
         let Some(dir) = artifact_dir else {
             fail("--provisioner oracle requires --artifact-dir DIR");
         };
-        if trace_out.is_some() || trace_shard_dir.is_some() || trace_shards.is_some() {
+        if trace_out.is_some() {
             fail("tracing is not supported with --provisioner oracle");
         }
         let mut artifacts: BTreeMap<u32, Arc<ViewArtifact>> = BTreeMap::new();
@@ -134,29 +119,6 @@ fn main() {
             Err(e) => fail(&format!("artifacts do not match seed {seed}: {e}")),
         }
         return;
-    }
-    if let Some(stripes) = trace_shards {
-        let Some(dir) = trace_shard_dir else {
-            fail("--trace-shards requires --trace-shard-dir DIR");
-        };
-        if trace_out.is_some() {
-            fail("--trace-shards and --trace-out are mutually exclusive");
-        }
-        let (json, shards) = chaos::report_with_trace_striped(seed, Some(level), stripes);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            fail(&format!("cannot create {dir}: {e}"));
-        }
-        for (i, bytes) in shards.iter().enumerate() {
-            let path = format!("{dir}/shard-{i}.jsonl");
-            if let Err(e) = std::fs::write(&path, bytes) {
-                fail(&format!("cannot write trace shard to {path}: {e}"));
-            }
-        }
-        emit(&json);
-        return;
-    }
-    if trace_shard_dir.is_some() {
-        fail("--trace-shard-dir requires --trace-shards W");
     }
     let (json, trace) = chaos::report_with_trace(seed, trace_out.as_ref().map(|_| level));
     if let Some(path) = trace_out {

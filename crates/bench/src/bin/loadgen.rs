@@ -13,7 +13,12 @@
 //! 1-vs-8-thread outputs byte for byte. `check` exits nonzero with the
 //! violated invariant on stderr if overload ever degrades admitted
 //! traffic. `qps` is the one wall-clock mode (its number feeds
-//! perfsmoke's `sustained_qps_at_slo`).
+//! perfsmoke's `sustained_qps_at_slo`). A reader that exits first
+//! (`loadgen check | head`) ends the program quietly with status 0;
+//! any other write error prints `error: …` and exits 1.
+
+use std::io::{ErrorKind, Write};
+use std::process::ExitCode;
 
 use locality_bench::loadgen;
 use locality_sim::driver;
@@ -26,7 +31,7 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-fn main() {
+fn main() -> ExitCode {
     // Tolerate a leading end-of-options marker (`cargo run -- ...`
     // habit when the binary is invoked directly).
     let args: Vec<String> = std::env::args().skip(1).skip_while(|a| a == "--").collect();
@@ -54,19 +59,28 @@ fn main() {
             other => fail(&format!("unknown flag '{other}'")),
         }
     }
-    match cmd.as_str() {
-        "sweep" => println!("{}", loadgen::sweep(seed, threads)),
+    let line = match cmd.as_str() {
+        "sweep" => loadgen::sweep(seed, threads),
         "check" => match loadgen::check(seed, threads) {
-            Ok(json) => println!("{json}"),
+            Ok(json) => json,
             Err(e) => fail(&format!("degradation invariant violated: {e}")),
         },
         "qps" => {
             let (qps, rate_milli, p99) = loadgen::sustained_qps_at_slo(seed);
-            println!(
+            format!(
                 "{{\"bench\":\"loadgen_qps\",\"seed\":{seed},\"sustained_qps_at_slo\":{qps:.0},\
                  \"capacity_rate_milli\":{rate_milli},\"latency_p99\":{p99}}}"
-            );
+            )
         }
         other => fail(&format!("unknown subcommand '{other}'")),
+    };
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{line}").and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -7,8 +7,9 @@
 //! localroute defeat <alg> <n> <k>              search for a defeating instance
 //! localroute trace <family> <alg> <k> <s> <t>  route with per-hop rule names
 //! localroute verify <family> [k]               check the structural lemmas
-//! localroute report                            regenerate every table/figure
 //! ```
+//!
+//! Every table and figure of the paper comes from `report`.
 //!
 //! `<family>` is either a path to a graph file (the native format of
 //! `locality_graph::io` or a plain `u v` edge list) or one of:
@@ -28,7 +29,7 @@ use locality_graph::{io, Graph, NodeId};
 
 fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: localroute gen|route|matrix|defeat|report ... (see --help)";
+    let usage = "usage: localroute gen|route|matrix|defeat|trace|verify ... (see --help)";
     match args.first().map(String::as_str) {
         Some("gen") => {
             let spec = args.get(1).ok_or("gen needs a family spec")?;
@@ -192,10 +193,6 @@ fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
             } else {
                 Err("verification failed".into())
             }
-        }
-        Some("report") => {
-            writeln!(out, "{}", locality_bench::report())?;
-            Ok(())
         }
         _ => Err(usage.into()),
     }

@@ -16,9 +16,12 @@
 //! Graph files are read by `locality_graph::io::from_str`: the native
 //! `n`/`l`/`e` format or a plain `u v` edge list. Every subcommand
 //! prints one line of JSON on success; errors go to stderr with exit
-//! status 1.
+//! status 1. A reader that exits first (`oracle inspect F | head`)
+//! ends the program quietly with status 0; any other write error
+//! prints `error: …` and exits 1.
 
-use std::process::exit;
+use std::io::{ErrorKind, Write};
+use std::process::{exit, ExitCode};
 use std::sync::Arc;
 
 use local_routing::ViewArtifact;
@@ -77,7 +80,8 @@ fn write_artifact(a: &ViewArtifact, path: &str) {
 
 /// `build --graph FILE --k K --out FILE.lrvo`, or `build
 /// --chaos-seed N --out-dir DIR` for the full chaos trial-k set.
-fn build(args: &[String]) {
+/// Returns the JSON line to print.
+fn build(args: &[String]) -> String {
     let mut graph: Option<String> = None;
     let mut k: Option<u32> = None;
     let mut out: Option<String> = None;
@@ -120,7 +124,7 @@ fn build(args: &[String]) {
             total += a.as_bytes().len();
             write_artifact(&a, &format!("{dir}/k{k}.lrvo"));
         }
-        println!(
+        return format!(
             "{{\"bench\":\"oracle-build\",\"chaos_seed\":{},\"n\":{},\"ks\":{:?},\"artifacts\":{},\"total_bytes\":{}}}",
             seed,
             g.node_count(),
@@ -128,7 +132,6 @@ fn build(args: &[String]) {
             ks.len(),
             total,
         );
-        return;
     }
     let (Some(graph), Some(k), Some(out)) = (graph, k, out) else {
         fail("build requires --graph FILE --k K --out FILE (or --chaos-seed N --out-dir DIR)");
@@ -136,21 +139,21 @@ fn build(args: &[String]) {
     let g = read_graph(&graph);
     let a = ViewArtifact::build(&g, k);
     write_artifact(&a, &out);
-    println!("{{\"bench\":\"oracle-build\",{}}}", header_json(&a));
+    format!("{{\"bench\":\"oracle-build\",{}}}", header_json(&a))
 }
 
-fn inspect(args: &[String]) {
+fn inspect(args: &[String]) -> String {
     let [path] = args else {
         fail("inspect takes exactly one artifact path");
     };
     let a = read_artifact(path);
-    println!("{{\"bench\":\"oracle-inspect\",{}}}", header_json(&a));
+    format!("{{\"bench\":\"oracle-inspect\",{}}}", header_json(&a))
 }
 
 /// Decodes every view in the artifact (the checksum already passed in
 /// `from_bytes`), and with `--graph`/`--k` also checks the artifact
 /// matches that topology.
-fn verify(args: &[String]) {
+fn verify(args: &[String]) -> String {
     let mut path: Option<String> = None;
     let mut graph: Option<String> = None;
     let mut k: Option<u32> = None;
@@ -185,23 +188,32 @@ fn verify(args: &[String]) {
             fail(&format!("artifact {path}: view of node {u} corrupt: {e}"));
         }
     }
-    println!(
+    format!(
         "{{\"bench\":\"oracle-verify\",\"ok\":true,\"views_decoded\":{},\"topology_checked\":{},{}}}",
         a.node_count(),
         matched,
         header_json(&a),
-    );
+    )
 }
 
-fn main() {
+fn main() -> ExitCode {
     // Tolerate a leading end-of-options marker (`cargo run -- ...`
     // habit when the binary is invoked directly).
     let args: Vec<String> = std::env::args().skip(1).skip_while(|a| a == "--").collect();
-    match args.split_first() {
+    let line = match args.split_first() {
         Some((cmd, rest)) if cmd == "build" => build(rest),
         Some((cmd, rest)) if cmd == "inspect" => inspect(rest),
         Some((cmd, rest)) if cmd == "verify" => verify(rest),
         Some((cmd, _)) => fail(&format!("unknown subcommand {cmd}")),
         None => fail("missing subcommand"),
+    };
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{line}").and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

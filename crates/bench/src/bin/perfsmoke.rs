@@ -22,7 +22,13 @@
 //!
 //! `--trace-out PATH` also writes the JSONL trace of one untimed pass
 //! over the `sim` workload (level from `--trace-level`, default `hops`).
+//!
+//! A reader that exits first (`perfsmoke | head`) does not cut the
+//! correctness asserts short, and ends the program with status 0; any
+//! other write error prints `error: …` and exits 1.
 
+use std::io::{ErrorKind, Write};
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use local_routing::{engine, Alg1, LocalView, ViewArtifact, ViewStore};
@@ -482,7 +488,7 @@ fn lint_violations() -> (i64, u64) {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut trace_out: Option<String> = None;
     let mut level = Level::Hops;
     let mut args = std::env::args().skip(1);
@@ -528,7 +534,9 @@ fn main() {
     // admitted traffic still meets the SLO (p99 and delivery ratio),
     // converted to messages per second of wall clock.
     let (qps, capacity_rate_milli, capacity_p99) = loadgen::sustained_qps_at_slo(7);
-    println!(
+    let mut out = std::io::stdout().lock();
+    let written = writeln!(
+        out,
         concat!(
             "{{\"bench\":\"perfsmoke\",\"graph\":\"random_connected\",\"router\":\"algorithm-1\",",
             "\"sizes\":[{}],\"sim\":{},\"scale\":{{\"sim_hops_per_sec_per_core\":{:.0}}},",
@@ -547,7 +555,8 @@ fn main() {
         qps,
         capacity_rate_milli,
         capacity_p99,
-    );
+    )
+    .and_then(|()| out.flush());
     assert!(
         lint == 0,
         "locality-lint reports {lint} unsuppressed violation(s); run `cargo run -p locality-lint`"
@@ -568,4 +577,12 @@ fn main() {
         tracecat.tracecat_mb_per_sec > 0.0,
         "tracecat probe produced no throughput figure"
     );
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -18,6 +18,13 @@
 //! the concatenated JSONL traces. The traced re-runs are separate so
 //! that the printed throughput numbers always time the untraced
 //! configuration.
+//!
+//! A reader that exits first (`simbench | head`) ends the program
+//! quietly with status 0; any other write error prints `error: …` and
+//! exits 1.
+
+use std::io::{ErrorKind, Write};
+use std::process::ExitCode;
 
 use local_routing::{Alg1, LocalRouter};
 use locality_bench::simbench::{sim_scale, sim_throughput, sim_throughput_traced, ScaleConfig};
@@ -57,7 +64,7 @@ fn scale_row(cfg: &ScaleConfig) -> String {
     )
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut trace_out: Option<String> = None;
     let mut level = Level::Metrics;
     let mut skip_scale = false;
@@ -136,10 +143,21 @@ fn main() {
             })
             .collect()
     };
-    println!(
+    let mut out = std::io::stdout().lock();
+    let written = writeln!(
+        out,
         "{{\"bench\":\"simbench\",\"seed\":{},\"rows\":[{}],\"scale\":[{}]}}",
         SEED,
         rows.join(","),
         scale.join(",")
-    );
+    )
+    .and_then(|()| out.flush());
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -209,31 +209,7 @@ pub fn report_with_trace_threads(
     trace: Option<Level>,
     threads: usize,
 ) -> (String, Vec<u8>) {
-    let (json, blocks) = run(seed, trace, threads, None);
-    (json, blocks.concat())
-}
-
-/// [`report_with_trace`] with the trace split into `stripes` per-worker
-/// shard buffers: trial block `i` (its `{"ev":"trial"}` header plus
-/// recorder span) goes to stripe `i % stripes` — exactly the parallel
-/// trial driver's strided worker assignment, and exactly the layout
-/// `tracecat merge` inverts. Concatenating the merge result is
-/// byte-identical to the single-writer trace of [`report_with_trace`];
-/// `scripts/verify.sh` pins that end to end over 8 stripes.
-pub fn report_with_trace_striped(
-    seed: u64,
-    trace: Option<Level>,
-    stripes: usize,
-) -> (String, Vec<Vec<u8>>) {
-    let stripes = stripes.max(1);
-    let (json, blocks) = run(seed, trace, driver::default_threads(), None);
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); stripes];
-    for (i, block) in blocks.iter().enumerate() {
-        if let Some(stripe) = out.get_mut(i % stripes) {
-            stripe.extend_from_slice(block);
-        }
-    }
-    (json, out)
+    run(seed, trace, threads, None)
 }
 
 /// The seed's soak topology — the graph `bin/oracle build
@@ -273,16 +249,16 @@ pub fn report_with_artifacts(
     Ok(run(seed, None, driver::default_threads(), Some(artifacts)).0)
 }
 
-/// Builds one trial block: the `{"ev":"trial"}` header line followed
-/// by the trial's recorder span. This exact header byte format is what
-/// `tracecat`'s merge/split surgery recognizes — goldens and the
+/// Appends one trial block to `out`: the `{"ev":"trial"}` header line
+/// followed by the trial's recorder span. This exact header byte format
+/// is what `tracecat`'s merge/split surgery recognizes — goldens and the
 /// verify.sh byte-identity gates depend on it not changing.
-fn trial_block(name: &str, k: u32, trace: &[u8]) -> Vec<u8> {
-    let mut block =
+fn push_trial_block(out: &mut Vec<u8>, name: &str, k: u32, trace: &[u8]) {
+    out.extend_from_slice(
         format!("{{\"seq\":0,\"tick\":0,\"ev\":\"trial\",\"router\":\"{name}\",\"k\":{k}}}\n")
-            .into_bytes();
-    block.extend_from_slice(trace);
-    block
+            .as_bytes(),
+    );
+    out.extend_from_slice(trace);
 }
 
 /// The eleven (name, k, is_sweep_row) trials: six routers at their own
@@ -314,7 +290,7 @@ fn run(
     trace: Option<Level>,
     threads: usize,
     artifacts: Option<&BTreeMap<u32, Arc<ViewArtifact>>>,
-) -> (String, Vec<Vec<u8>>) {
+) -> (String, Vec<u8>) {
     let g = topology(seed);
     let trials = trials();
 
@@ -335,10 +311,10 @@ fn run(
         };
         (json, r.trace)
     });
-    let mut blocks = Vec::new();
+    let mut bytes = Vec::new();
     if trace.is_some() {
         for ((name, k, _), (_, t)) in trials.iter().zip(&rendered) {
-            blocks.push(trial_block(name, *k, t));
+            push_trial_block(&mut bytes, name, *k, t);
         }
     }
     let rendered: Vec<String> = rendered.into_iter().map(|(json, _)| json).collect();
@@ -355,5 +331,5 @@ fn run(
         body.join(","),
         sweep.join(","),
     );
-    (json, blocks)
+    (json, bytes)
 }

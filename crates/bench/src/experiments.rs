@@ -175,18 +175,12 @@ pub fn table3(n: usize) -> String {
     let mut out = format!("## Table 3 — Theorem 1 strategies (n = {n}, k = r = {r})\n\n");
     let mut table = Table::new(&["strategy", "G1", "G2", "G3", "matches paper"]);
     for (row, paper) in rows.iter().zip(thm1::PAPER_TABLE3) {
-        let name = format!(
-            "(P{} P{} P{} P{})",
-            row.cycle_order[0] + 1,
-            row.cycle_order[1] + 1,
-            row.cycle_order[2] + 1,
-            row.cycle_order[3] + 1
-        );
+        let [g1, g2, g3] = row.outcomes;
         table.row(&[
-            name,
-            outcome(row.outcomes[0]),
-            outcome(row.outcomes[1]),
-            outcome(row.outcomes[2]),
+            strategy_name(&row.cycle_order),
+            outcome(g1),
+            outcome(g2),
+            outcome(g3),
             tick(row.outcomes == paper).to_string(),
         ]);
     }
@@ -202,23 +196,29 @@ pub fn table4(n: usize) -> String {
     let mut out = format!("## Table 4 — Theorem 2 strategies (n = {n}, k = r = {r})\n\n");
     let mut table = Table::new(&["permutation", "initial", "G1", "G2", "G3", "matches paper"]);
     for (row, paper) in rows.iter().zip(thm2::PAPER_TABLE4) {
-        let name = format!(
-            "(P{} P{} P{})",
-            row.cycle_order[0] + 1,
-            row.cycle_order[1] + 1,
-            row.cycle_order[2] + 1
-        );
+        let [g1, g2, g3] = row.outcomes;
+        let toward = match row.initial {
+            0 => "a",
+            1 => "b",
+            _ => "c",
+        };
         table.row(&[
-            name,
-            format!("toward {}", ["a", "b", "c"][row.initial]),
-            outcome(row.outcomes[0]),
-            outcome(row.outcomes[1]),
-            outcome(row.outcomes[2]),
+            strategy_name(&row.cycle_order),
+            format!("toward {toward}"),
+            outcome(g1),
+            outcome(g2),
+            outcome(g3),
             tick(row.outcomes == paper).to_string(),
         ]);
     }
     out.push_str(&table.render());
     out
+}
+
+/// A hub strategy's cyclic path order, 1-based: `(P1 P3 P2 P4)`.
+fn strategy_name(cycle_order: &[usize]) -> String {
+    let paths: Vec<String> = cycle_order.iter().map(|p| format!("P{}", p + 1)).collect();
+    format!("({})", paths.join(" "))
 }
 
 fn outcome(ok: bool) -> String {
@@ -389,7 +389,7 @@ pub fn fig06(n: usize) -> String {
             let turn = run
                 .route
                 .windows(3)
-                .position(|w| w[0] == w[2])
+                .position(|w| matches!(w, [a, _, c] if a == c))
                 .map(|i| i + 1);
             out.push_str(&format!(
                 "witness route: {} hops, shortest {}, turns around after {:?} hops\n",
@@ -843,9 +843,9 @@ pub fn report() -> String {
         fig07(),
         fig08_09(),
         fig10_12(),
-        fig13(&[16, 32, 48, 96]),
+        fig13(&[16, 32, 48, 96, 192]),
         fig14_16(32),
-        fig17(&[28, 40, 64, 96]),
+        fig17(&[28, 40, 64, 96, 192]),
         dilation_curve(40),
         state_vs_locality(40),
         position_based(24, 0.45),

@@ -24,7 +24,7 @@
 
 use local_routing::{Alg3, LocalRouter};
 use locality_graph::rng::DetRng;
-use locality_sim::workload::{build_schedule, run_schedule, ArrivalSchedule, WorkloadConfig};
+use locality_sim::workload::{build_schedule, run_schedule, PhaseSpec, WorkloadConfig};
 use locality_sim::{
     driver, replay, AdmissionConfig, AdmissionPolicy, FaultPlan, Level, Network, NetworkBuilder,
     NetworkMetrics, Recorder,
@@ -71,18 +71,8 @@ pub fn sweep_rates() -> [u64; 6] {
     [2_000, 4_000, 8_000, 16_000, 32_000, 64_000]
 }
 
-fn admission_config(policy: AdmissionPolicy) -> AdmissionConfig {
-    AdmissionConfig {
-        policy,
-        max_live: MAX_LIVE,
-        ..Default::default()
-    }
-}
-
 fn steady_workload(seed: u64, rate_milli: u64) -> WorkloadConfig {
-    WorkloadConfig::new(seed ^ TRAFFIC_MIX).phase(locality_sim::workload::PhaseSpec::steady(
-        "load", HORIZON, rate_milli,
-    ))
+    WorkloadConfig::new(seed ^ TRAFFIC_MIX).phase(PhaseSpec::steady(HORIZON, rate_milli))
 }
 
 fn flash_workload(seed: u64) -> WorkloadConfig {
@@ -90,17 +80,20 @@ fn flash_workload(seed: u64) -> WorkloadConfig {
 }
 
 /// Builds the network for one run and plays `cfg`'s schedule through
-/// it to quiescence. Returns the metrics, the schedule, and the trace
-/// bytes (empty unless `level` is set).
+/// it to quiescence. Returns the metrics, the trace bytes (empty unless
+/// `level` is set) and the sorted delivery latencies.
 fn run_once(
     seed: u64,
     spec: RunSpec,
     cfg: &WorkloadConfig,
     level: Option<Level>,
-) -> (NetworkMetrics, ArrivalSchedule, Vec<u8>, Vec<u64>) {
+) -> (NetworkMetrics, Vec<u8>, Vec<u64>) {
     let g = chaos::topology(seed);
     let k = Alg3.min_locality(g.node_count());
-    let mut b = NetworkBuilder::new(&g, k).admission(admission_config(spec.policy));
+    let mut b = NetworkBuilder::new(&g, k).admission(AdmissionConfig {
+        policy: spec.policy,
+        max_live: MAX_LIVE,
+    });
     if spec.churn {
         let plan = FaultPlan::random_churn(
             &g,
@@ -125,7 +118,7 @@ fn run_once(
     let mut lats: Vec<u64> = net.records().iter().filter_map(|r| r.latency()).collect();
     lats.sort_unstable();
     let trace = net.finish_trace();
-    (m, sched, trace, lats)
+    (m, trace, lats)
 }
 
 fn pct(lats: &[u64], p: usize) -> u64 {
@@ -187,7 +180,7 @@ fn sweep_rows(seed: u64, threads: usize) -> Vec<Row> {
         .collect();
     driver::run_trials(&specs, threads, |_, &spec| {
         let cfg = steady_workload(seed, spec.rate_milli);
-        let (m, _, _, lats) = run_once(seed, spec, &cfg, None);
+        let (m, _, lats) = run_once(seed, spec, &cfg, None);
         Row {
             rate_milli: spec.rate_milli,
             churn: spec.churn,
@@ -275,7 +268,7 @@ pub fn check(seed: u64, threads: usize) -> Result<String, String> {
             _ => flash_workload(seed),
         };
         let level = (name != "baseline").then_some(Level::Hops);
-        let (m, _, trace, _) = run_once(seed, spec, &cfg, level);
+        let (m, trace, _) = run_once(seed, spec, &cfg, level);
         (m, trace)
     });
     let (_clean_m, clean_trace) = results.pop().expect("three trials ran");

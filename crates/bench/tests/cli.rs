@@ -36,10 +36,17 @@ fn chaos_unknown_flag_exits_nonzero_with_usage() {
 
 #[test]
 fn chaos_shards_is_an_unknown_flag() {
-    let out = run(env!("CARGO_BIN_EXE_chaos"), &["--shards", "4"]);
-    assert_usage_failure(&out, "chaos --shards 4");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown flag '--shards'"), "stderr: {err}");
+    // One trial runs on one wheel, and `tracecat split` stripes a
+    // `--trace-out` trace: chaos shards neither.
+    for (flag, value) in [("--shards", "4"), ("--trace-shards", "8")] {
+        let out = run(env!("CARGO_BIN_EXE_chaos"), &[flag, value]);
+        assert_usage_failure(&out, &format!("chaos {flag} {value}"));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag '{flag}'")),
+            "stderr: {err}"
+        );
+    }
 }
 
 #[test]
@@ -369,4 +376,40 @@ fn report_ends_quietly_when_its_reader_exits_first() {
 fn chaos_ends_quietly_when_its_reader_exits_first() {
     let out = run_with_reader_gone(env!("CARGO_BIN_EXE_chaos"), &["--seed", "7"]);
     assert_quiet_success(&out, "chaos");
+}
+
+#[test]
+fn loadgen_ends_quietly_when_its_reader_exits_first() {
+    let out = run_with_reader_gone(env!("CARGO_BIN_EXE_loadgen"), &["check"]);
+    assert_quiet_success(&out, "loadgen check");
+}
+
+#[test]
+fn oracle_ends_quietly_when_its_reader_exits_first() {
+    let graph = temp_file("quiet.graph", "0 1\n1 2\n2 3\n3 0\n");
+    let artifact = graph.with_extension("lrvo");
+    let (graph_arg, artifact_arg) = (
+        graph.to_str().expect("temp path is UTF-8"),
+        artifact.to_str().expect("temp path is UTF-8"),
+    );
+    let oracle = env!("CARGO_BIN_EXE_oracle");
+    let build = run_with_reader_gone(
+        oracle,
+        &[
+            "build",
+            "--graph",
+            graph_arg,
+            "--k",
+            "1",
+            "--out",
+            artifact_arg,
+        ],
+    );
+    let inspect = run_with_reader_gone(oracle, &["inspect", artifact_arg]);
+    let written = artifact.exists();
+    let _ = std::fs::remove_file(&graph);
+    let _ = std::fs::remove_file(&artifact);
+    assert_quiet_success(&build, "oracle build");
+    assert!(written, "oracle build wrote no artifact");
+    assert_quiet_success(&inspect, "oracle inspect");
 }

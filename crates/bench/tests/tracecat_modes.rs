@@ -1,7 +1,7 @@
 //! In-process determinism gates for the `tracecat` analytics engine:
 //! every mode's rendering must be a pure function of the trace bytes —
 //! independent of read-buffer size, and identical whether the trace
-//! arrives as the single-writer file or as merged per-worker shards.
+//! arrives as the single-writer file or as merged per-worker stripes.
 //! These are the library-level counterparts of the `scripts/verify.sh`
 //! byte-diff gates, so they run on the real seed-7 chaos corpus, not a
 //! toy trace.
@@ -55,12 +55,45 @@ fn every_mode_is_byte_identical_at_any_buffer_size() {
     }
 }
 
+/// The trace's trial blocks: each `{"ev":"trial"}` header line with
+/// the recorder lines that follow it.
+fn trial_blocks(trace: &[u8]) -> Vec<Vec<u8>> {
+    let mut blocks: Vec<Vec<u8>> = Vec::new();
+    for line in trace.split_inclusive(|&b| b == b'\n') {
+        if line.starts_with(b"{\"seq\":0,\"tick\":0,\"ev\":\"trial\"") {
+            blocks.push(Vec::new());
+        }
+        if let Some(block) = blocks.last_mut() {
+            block.extend_from_slice(line);
+        }
+    }
+    blocks
+}
+
 #[test]
 fn merged_worker_shards_are_byte_identical_to_the_single_writer_trace() {
     let whole = whole_trace();
-    for stripes in [1usize, 3] {
-        let (_, shards) = chaos::report_with_trace_striped(7, Some(Level::Hops), stripes);
-        assert_eq!(shards.len(), stripes);
+    let blocks = trial_blocks(whole);
+    assert_eq!(blocks.len(), 11, "chaos runs 11 trials");
+    for stripes in [1usize, 3, 8] {
+        let mut shards: Vec<Vec<u8>> = vec![Vec::new(); stripes];
+        {
+            let mut outs: Vec<&mut Vec<u8>> = shards.iter_mut().collect();
+            split_trace(Cursor::new(whole), DEFAULT_BUF_BYTES, &mut outs[..])
+                .expect("whole trace splits");
+        }
+        // Trial block `i` lands on stripe `i % stripes`, the parallel
+        // driver's strided worker assignment.
+        for (w, shard) in shards.iter().enumerate() {
+            let expected: Vec<u8> = blocks
+                .iter()
+                .skip(w)
+                .step_by(stripes)
+                .flatten()
+                .copied()
+                .collect();
+            assert_eq!(*shard, expected, "stripe {w} of {stripes}");
+        }
         let mut merged = Vec::new();
         let inputs: Vec<Cursor<&[u8]>> = shards.iter().map(|s| Cursor::new(s.as_slice())).collect();
         let report = merge_traces(inputs, DEFAULT_BUF_BYTES, &mut merged).expect("shards merge");

@@ -12,7 +12,12 @@
 //! the output against an empty baseline. Stale `lint.allow` entries
 //! are warnings in text mode but appear as lines in JSON mode (and
 //! fail the dedicated integration test, which is stricter).
+//!
+//! Output goes through one locked stdout. A reader that exits first
+//! (`locality-lint | head`) leaves the exit status to the findings;
+//! any other write error is an I/O error: `error: …` and exit 2.
 
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -25,7 +30,9 @@ enum Format {
     Json,
 }
 
-fn run() -> Result<bool, String> {
+/// Parses the arguments and lints the workspace. Returns the text to
+/// print and whether the workspace is clean.
+fn run() -> Result<(String, bool), String> {
     let mut root: Option<PathBuf> = None;
     let mut quiet = false;
     let mut format = Format::Text;
@@ -45,10 +52,7 @@ fn run() -> Result<bool, String> {
                 };
             }
             "--quiet" | "-q" => quiet = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(true);
-            }
+            "--help" | "-h" => return Ok((format!("{USAGE}\n"), true)),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -67,29 +71,32 @@ fn run() -> Result<bool, String> {
         }
     };
     let report = lint_workspace(&root).map_err(|e| e.to_string())?;
-    match format {
-        Format::Json => {
-            // Empty on a clean workspace: the CI contract is
-            // "diffable against an empty baseline".
-            print!("{}", report.render_json());
-        }
-        Format::Text => {
-            if !quiet || !report.is_clean() {
-                println!("{}", report.render());
-            }
-        }
-    }
-    Ok(report.is_clean())
+    let text = match format {
+        // Empty on a clean workspace: the CI contract is "diffable
+        // against an empty baseline".
+        Format::Json => report.render_json(),
+        Format::Text if !quiet || !report.is_clean() => format!("{}\n", report.render()),
+        Format::Text => String::new(),
+    };
+    Ok((text, report.is_clean()))
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::from(1),
+    let (text, clean) = match run() {
+        Ok(done) => done,
         Err(msg) => {
             eprintln!("locality-lint: {msg}");
             eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("error: {e}");
             ExitCode::from(2)
         }
+        _ if clean => ExitCode::SUCCESS,
+        _ => ExitCode::from(1),
     }
 }

@@ -1,9 +1,10 @@
 //! CLI contract smoke tests: unknown flags and unreadable paths exit
 //! nonzero with a usage line; `--format json` is empty on a clean
-//! workspace and byte-identical across runs.
+//! workspace and byte-identical across runs; a reader that exits
+//! first ends the program quietly.
 
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn lint(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_locality-lint"))
@@ -71,4 +72,21 @@ fn text_mode_reports_summary_line() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("locality-lint:"), "stdout: {text}");
     assert!(text.contains("0 violation(s)"), "stdout: {text}");
+}
+
+#[test]
+fn help_ends_quietly_when_its_reader_exits_first() {
+    // Standard output is a pipe whose reader has already gone, so the
+    // usage line's write fails with `BrokenPipe`.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_locality-lint"))
+        .arg("--help")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+    assert!(err.is_empty(), "stderr: {err}");
 }

@@ -114,21 +114,6 @@ impl Recorder {
         Some(Event { buf })
     }
 
-    /// Emits a `span_open` event (at [`Level::Hops`]) labelling a
-    /// region of the trace, e.g. one trial of a multi-trial run.
-    pub fn span_open(&mut self, tick: u64, name: &str) {
-        if let Some(e) = self.event(Level::Hops, tick, "span_open") {
-            e.str("name", name).finish();
-        }
-    }
-
-    /// Emits the matching `span_close` event.
-    pub fn span_close(&mut self, tick: u64, name: &str) {
-        if let Some(e) = self.event(Level::Hops, tick, "span_close") {
-            e.str("name", name).finish();
-        }
-    }
-
     /// Adds `by` to counter `name` (when at least [`Level::Metrics`]).
     #[inline]
     pub fn inc(&mut self, name: &'static str, by: u64) {
@@ -254,20 +239,6 @@ impl Event<'_> {
         }
     }
 
-    /// Adds an array-of-integers field.
-    pub fn arr_u64(self, key: &str, vals: impl IntoIterator<Item = u64>) -> Self {
-        let e = self.key(key);
-        e.buf.push(b'[');
-        for (i, v) in vals.into_iter().enumerate() {
-            if i > 0 {
-                e.buf.push(b',');
-            }
-            json::push_u64(e.buf, v);
-        }
-        e.buf.push(b']');
-        e
-    }
-
     /// Terminates the line.
     #[inline]
     pub fn finish(self) {
@@ -312,7 +283,6 @@ mod tests {
             e.i64("d", -2)
                 .opt_u64("skip", None)
                 .opt_u64("have", Some(3))
-                .arr_u64("path", [1, 2, 3])
                 .finish();
         }
         let text = String::from_utf8(rec.into_bytes()).unwrap();
@@ -327,10 +297,7 @@ mod tests {
         assert_eq!(b.u64_of("seq"), Some(1));
         assert_eq!(b.get("skip"), None);
         assert_eq!(b.u64_of("have"), Some(3));
-        assert_eq!(
-            b.get("path").and_then(Json::as_arr).map(|a| a.len()),
-            Some(3)
-        );
+        assert_eq!(b.get("d"), Some(&Json::Int(-2)));
     }
 
     #[test]
@@ -351,10 +318,16 @@ mod tests {
 
     #[test]
     fn spans_and_take_bytes_keep_sequencing() {
+        // Each `take_bytes` cuts the trace into a span (one trial's
+        // lines, say); the sequence numbers run on across the cuts.
         let mut rec = Recorder::new(Level::Hops);
-        rec.span_open(0, "trial:0");
+        if let Some(e) = rec.event(Level::Hops, 0, "send") {
+            e.u64("msg", 0).finish();
+        }
         let first = rec.take_bytes();
-        rec.span_close(9, "trial:0");
+        if let Some(e) = rec.event(Level::Hops, 9, "fate") {
+            e.u64("msg", 0).finish();
+        }
         let second = rec.take_bytes();
         let (first, second) = (
             String::from_utf8(first).unwrap(),
@@ -364,6 +337,6 @@ mod tests {
         let b = Json::parse(second.trim()).unwrap();
         assert_eq!(a.u64_of("seq"), Some(0));
         assert_eq!(b.u64_of("seq"), Some(1));
-        assert_eq!(b.str_of("ev"), Some("span_close"));
+        assert_eq!(b.str_of("ev"), Some("fate"));
     }
 }

@@ -209,8 +209,8 @@ pub(crate) fn apply_event(
 }
 
 /// Folds a parsed event stream into route witnesses, in `send` order.
-/// Events that are not message-scoped (`fault`, `reprov`, spans,
-/// metrics) are ignored; a repeated `send` for an id opens a new
+/// Events that are not message-scoped (`fault`, `reprov`, trial
+/// headers, metrics) are ignored; a repeated `send` for an id opens a new
 /// witness generation (multi-trial traces reuse ids).
 pub fn collect_witnesses(events: &[Json<'_>]) -> Vec<RouteWitness> {
     let mut out: Vec<RouteWitness> = Vec::new();

@@ -48,9 +48,7 @@ pub mod sched;
 pub mod slab;
 pub mod workload;
 
-pub use admission::{
-    AdmissionConfig, AdmissionController, AdmissionPolicy, AdmissionVerdict, SaturationSample,
-};
+pub use admission::{AdmissionConfig, AdmissionPolicy};
 pub use error::SimError;
 pub use fault::{
     ChurnConfig, DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan, LinkKey, LinkProfile,

@@ -17,7 +17,7 @@ use locality_graph::traversal::{self, Ball};
 use locality_graph::{Graph, GraphError, NodeId};
 use locality_obs::{Level, Recorder};
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionVerdict, SaturationSample};
+use crate::admission::{AdmissionConfig, AdmissionPolicy};
 use crate::error::SimError;
 use crate::fault::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan, LinkKey};
 use crate::metrics::{MessageFate, MessageRecord, NetworkMetrics};
@@ -241,7 +241,8 @@ impl NetworkBuilder {
             faults_skipped: 0,
             tick: 0,
             next_id: 0,
-            admission: AdmissionController::new(self.admission),
+            admission: self.admission,
+            peak_live: 0,
             shed_cursor: 0,
             trace: self.recorder.map(Box::new),
         })
@@ -301,9 +302,12 @@ pub struct Network {
     faults_skipped: usize,
     tick: u64,
     next_id: u64,
-    /// Backpressure controller consulted at every injection; inert
-    /// (and cost-free beyond one enum test) under the open policy.
-    admission: AdmissionController,
+    /// Admission policy and high-water mark, consulted at every
+    /// injection; inert (one enum test) under the open policy.
+    admission: AdmissionConfig,
+    /// Highest `slab.live()` seen at an injection under a non-open
+    /// policy: the one admission figure the records cannot give.
+    peak_live: usize,
     /// Monotone scan position for the shed-oldest policy: every
     /// message before it is known non-in-flight, so finding the next
     /// victim is amortized O(1) over a run.
@@ -380,12 +384,13 @@ impl Network {
     /// Injects a message from `s` to `t` at the current tick, rejecting
     /// out-of-range endpoints with a typed error.
     ///
-    /// When a non-open [`AdmissionConfig`] is configured the controller
-    /// judges the injection first: a rejected message is still recorded
-    /// and counted as sent, but lands terminally in
-    /// [`MessageFate::Rejected`] without ever touching the scheduler;
-    /// under shed-oldest the oldest in-flight message is evicted to
-    /// [`MessageFate::Shed`] and the newcomer admitted in its place.
+    /// Under a non-open [`AdmissionConfig`] a saturated network (live
+    /// slab entries at or above `max_live`) judges the injection first:
+    /// under reject-new the message is still recorded and counted as
+    /// sent, but lands terminally in [`MessageFate::Rejected`] without
+    /// ever touching the scheduler; under shed-oldest the oldest
+    /// in-flight message, if any, is evicted to [`MessageFate::Shed`]
+    /// and the newcomer admitted.
     ///
     /// # Errors
     ///
@@ -397,17 +402,21 @@ impl Network {
                 return Err(SimError::UnknownNode(x));
             }
         }
-        let verdict = if self.admission.active() {
-            let sample = self.saturation_sample();
-            self.admission.admit(sample)
-        } else {
-            AdmissionVerdict::Admit
-        };
-        if verdict == AdmissionVerdict::ShedThenAdmit {
-            // The scan sees only already-injected messages (the
-            // newcomer is pushed below), so it can never evict the
-            // message it is making room for.
-            self.shed_oldest_in_flight();
+        let mut reject = false;
+        if self.admission.policy != AdmissionPolicy::Open {
+            let live = self.slab.live();
+            self.peak_live = self.peak_live.max(live);
+            let max_live = self.admission.max_live;
+            if max_live > 0 && live >= max_live {
+                match self.admission.policy {
+                    AdmissionPolicy::RejectNew => reject = true,
+                    // The scan sees only already-injected messages (the
+                    // newcomer is pushed below), so it can never evict
+                    // the message it is making room for.
+                    AdmissionPolicy::ShedOldest => self.shed_oldest_in_flight(),
+                    AdmissionPolicy::Open => {}
+                }
+            }
         }
         let id = self.next_id;
         self.next_id += 1;
@@ -432,7 +441,7 @@ impl Network {
                     .finish();
             }
         }
-        if verdict == AdmissionVerdict::Reject {
+        if reject {
             self.set_fate(id as usize, MessageFate::Rejected, Some("admission"));
             return Ok(MessageId(id));
         }
@@ -442,21 +451,6 @@ impl Network {
             self.timers.schedule(self.tick + timeout, id as u32);
         }
         Ok(MessageId(id))
-    }
-
-    /// The controller's inputs right now: in-flight arena occupancy
-    /// and the arrival wheel's ring occupancy (any overflow counts as
-    /// a full ring — the window is saturated by definition).
-    fn saturation_sample(&self) -> SaturationSample {
-        let wheel_occupied = if self.events.overflow_len() > 0 {
-            64
-        } else {
-            self.events.occupied_slots()
-        };
-        SaturationSample {
-            live: self.slab.live(),
-            wheel_occupied,
-        }
     }
 
     /// Evicts the oldest still-in-flight message for the shed-oldest
@@ -502,13 +496,16 @@ impl Network {
         self.reprovision_at.advance_to(when);
         self.events.advance_to(when);
         self.timers.advance_to(when);
+        // Each wheel's drained buffer goes back to its slot, so a warm
+        // tick allocates nothing.
         let mut count = 0;
-        let evs = self.fault_schedule.take(when);
+        let mut evs = self.fault_schedule.take(when);
         let n_faults = evs.len();
         count += n_faults;
-        for ev in evs {
+        for ev in evs.drain(..) {
             self.apply_fault(ev);
         }
+        self.fault_schedule.recycle(when, evs);
         let mut due = self.reprovision_at.take(when);
         let mut n_reprov = 0;
         if !due.is_empty() {
@@ -521,14 +518,16 @@ impl Network {
             count += n_reprov;
             self.reprovision(&due);
         }
+        self.reprovision_at.recycle(when, due);
         let n_arrivals = self.drain_arrivals(when);
         count += n_arrivals;
         let msgs = self.timers.take(when);
         let n_timers = msgs.len();
         count += n_timers;
-        for msg in msgs {
+        for &msg in &msgs {
             self.check_timeout(msg as usize);
         }
+        self.timers.recycle(when, msgs);
         // End-of-tick engine telemetry: per-phase activity counters and
         // scheduler/arena occupancy samples, aggregated in the metrics
         // registry (no event lines on the hot path).
@@ -633,7 +632,9 @@ impl Network {
         for &h in &due {
             self.arrive(h);
         }
-        due.len()
+        let n = due.len();
+        self.events.recycle(when, due);
+        n
     }
 
     /// Loads, for each handle in `due`, what [`arrive`](Self::arrive)
@@ -931,11 +932,7 @@ impl Network {
             }
             let h = self.slab.alloc(msg as u32, s, None, attempt);
             self.events.schedule(self.tick + 1, h);
-            // Under the backoff-scale policy a saturated network
-            // stretches the retry backoff, so reliability traffic
-            // yields to first attempts instead of amplifying overload.
-            let factor = self.admission.backoff_factor(self.saturation_sample());
-            let wait = timeout + self.cfg.backoff * u64::from(attempt) * factor;
+            let wait = timeout + self.cfg.backoff * u64::from(attempt);
             self.timers.schedule(self.tick + 1 + wait, msg as u32);
         } else {
             let fate = if self.cfg.max_retries > 0 {
@@ -1114,8 +1111,9 @@ impl Network {
         self.trace.as_deref()
     }
 
-    /// Folds end-of-run engine statistics — view-store effectiveness
-    /// and the arrival arena's high-water mark — into the recorder's
+    /// Folds end-of-run engine statistics — view-store effectiveness,
+    /// the arrival arena's high-water mark and, under a non-open
+    /// admission policy, the admission gauges — into the recorder's
     /// registry, flushes the registry into the event stream (stamped
     /// with the current tick), and returns the buffered JSONL.
     ///
@@ -1126,7 +1124,10 @@ impl Network {
         let vs = self.views.stats();
         let backed = self.views.is_artifact_backed();
         let slab_hw = self.slab.high_water() as i64;
-        let adm = self.admission.clone();
+        let admission = (self.admission.policy != AdmissionPolicy::Open).then(|| {
+            let m = self.metrics();
+            (m.rejected, m.shed, m.sent)
+        });
         let Some(rec) = self.trace.as_deref_mut() else {
             return Vec::new();
         };
@@ -1138,23 +1139,16 @@ impl Network {
             rec.gauge_set(locality_obs::names::ORACLE_LOADS, vs.artifact_loads as i64);
             rec.gauge_set(locality_obs::names::ORACLE_REBUILDS, vs.rebuilds as i64);
         }
-        // Saturation gauges appear only under a non-open policy, the
+        // Admission gauges appear only under a non-open policy, the
         // same discipline as the oracle pair: traces of the historical
-        // configuration stay byte-identical.
-        if adm.active() {
-            rec.gauge_set(
-                locality_obs::names::ADMISSION_REJECTED,
-                adm.rejected() as i64,
-            );
-            rec.gauge_set(locality_obs::names::ADMISSION_SHED, adm.shed() as i64);
-            rec.gauge_set(
-                locality_obs::names::ADMISSION_PEAK_LIVE,
-                adm.peak_live() as i64,
-            );
-            rec.gauge_set(
-                locality_obs::names::ADMISSION_DECISIONS,
-                adm.decisions() as i64,
-            );
+        // configuration stay byte-identical. Each fate is counted once,
+        // in the records; every message sent was one decision.
+        if let Some((rejected, shed, decisions)) = admission {
+            use locality_obs::names;
+            rec.gauge_set(names::ADMISSION_REJECTED, rejected as i64);
+            rec.gauge_set(names::ADMISSION_SHED, shed as i64);
+            rec.gauge_set(names::ADMISSION_PEAK_LIVE, self.peak_live as i64);
+            rec.gauge_set(names::ADMISSION_DECISIONS, decisions as i64);
         }
         rec.flush_metrics(self.tick);
         rec.take_bytes()
@@ -1922,7 +1916,6 @@ mod tests {
             .admission(AdmissionConfig {
                 policy: AdmissionPolicy::RejectNew,
                 max_live: 4,
-                ..Default::default()
             })
             .build(Alg3);
         // Each injection allocates a slab handle immediately, so the
@@ -1941,7 +1934,6 @@ mod tests {
         for id in &ids[4..] {
             assert_eq!(net.record(*id).unwrap().fate, MessageFate::Rejected);
         }
-        assert_eq!(net.admission.rejected(), 6);
     }
 
     #[test]
@@ -1952,7 +1944,6 @@ mod tests {
             .admission(AdmissionConfig {
                 policy: AdmissionPolicy::ShedOldest,
                 max_live: 4,
-                ..Default::default()
             })
             .build(Alg3);
         let ids: Vec<MessageId> = (0..8u32).map(|i| net.send(NodeId(i), NodeId(3))).collect();
@@ -1971,40 +1962,47 @@ mod tests {
     }
 
     #[test]
-    fn backoff_scale_preserves_conservation() {
+    fn shed_gauge_counts_only_messages_shed() {
         use crate::admission::{AdmissionConfig, AdmissionPolicy};
-        let g = generators::path(2);
+        // The first message times out at tick 2 while its slow first
+        // hop still holds a slab entry until tick 11, so the second
+        // send finds the network saturated with nothing in flight to
+        // evict: no message is shed, and the gauge must say so.
+        let g = generators::cycle(8);
         let cfg = FaultConfig {
             default_link: LinkProfile {
-                loss: 1.0,
-                extra_latency: 0,
+                loss: 0.0,
+                extra_latency: 10,
             },
-            timeout: Some(3),
-            max_retries: 2,
-            backoff: 2,
+            timeout: Some(2),
             ..Default::default()
         };
-        // Saturated from the first in-flight message: every retry wait
-        // is stretched 3x, but fates are unchanged.
-        let mut net = NetworkBuilder::new(&g, 1)
+        let mut net = NetworkBuilder::new(&g, 4)
             .faults(cfg)
             .admission(AdmissionConfig {
-                policy: AdmissionPolicy::BackoffScale,
+                policy: AdmissionPolicy::ShedOldest,
                 max_live: 1,
-                backoff_scale: 3,
-                ..Default::default()
             })
+            .recorder(Recorder::new(Level::Metrics))
             .build(Alg3);
-        let id = net.send(NodeId(0), NodeId(1));
+        let first = net.send(NodeId(0), NodeId(4));
+        net.run_until(3);
+        assert_eq!(net.record(first).unwrap().fate, MessageFate::TimedOut);
+        net.send(NodeId(0), NodeId(4));
         net.run_until_quiet();
-        let r = net.record(id).expect("id was returned by send");
-        assert_eq!(r.fate, MessageFate::GaveUp);
-        assert_eq!(r.retries, 2);
-        assert!(net.metrics().accounted());
-        // Unscaled run: final timer at t=3 → retry@4, wait 3+2 → t=9 →
-        // retry@10, wait 3+4 → gave up at 17. Scaled (3x): waits 3+6
-        // and 3+12 → gave up at 29.
-        assert!(net.now() > 17, "scaled backoff must stretch the run");
+        let m = net.metrics();
+        assert_eq!(m.shed, 0);
+        assert!(m.accounted());
+        let text = String::from_utf8(net.finish_trace()).unwrap();
+        let events = locality_obs::parse_trace(&text).unwrap();
+        let shed_gauge = events
+            .iter()
+            .find(|e| {
+                e.str_of("ev") == Some("gauge")
+                    && e.str_of("name") == Some(locality_obs::names::ADMISSION_SHED)
+            })
+            .and_then(|e| e.u64_of("v"));
+        assert_eq!(shed_gauge, Some(m.shed as u64), "one count per fate");
     }
 
     #[test]
@@ -2026,7 +2024,6 @@ mod tests {
             .admission(AdmissionConfig {
                 policy: AdmissionPolicy::RejectNew,
                 max_live: 1,
-                ..Default::default()
             })
             .build(Alg3);
         for i in 0..4u32 {

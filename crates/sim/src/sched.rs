@@ -6,7 +6,9 @@
 //! ticks starting at `base` — lives in a ring of dense `Vec` slots
 //! with a one-word occupancy bitmap, so finding the earliest scheduled
 //! tick is a rotate and a count-trailing-zeros instead of an ordered
-//! map probe, and draining a tick is a `mem::take` of its slot. The
+//! map probe, and draining a tick is a `mem::take` of its slot; the
+//! caller hands the emptied `Vec` back with [`Wheel::recycle`], so a
+//! warm slot keeps its capacity and a tick allocates nothing. The
 //! far future (a fault plan scheduled hundreds of ticks out) overflows
 //! into a sorted map and migrates into the ring as the window advances
 //! over it.
@@ -103,7 +105,8 @@ impl<T> Wheel<T> {
     }
 
     /// Removes and returns everything scheduled at exactly `tick`, in
-    /// scheduling order.
+    /// scheduling order. Hand the buffer back with
+    /// [`recycle`](Self::recycle) once it has been consumed.
     pub fn take(&mut self, tick: u64) -> Vec<T> {
         if tick >= self.base && tick < self.base + SLOTS as u64 {
             let slot = (tick & SLOT_MASK) as usize;
@@ -111,6 +114,23 @@ impl<T> Wheel<T> {
             return mem::take(&mut self.slots[slot]);
         }
         self.overflow.remove(&tick).unwrap_or_default()
+    }
+
+    /// Gives a buffer returned by [`take`](Self::take)`(tick)` back to
+    /// `tick`'s slot, cleared, so its capacity serves the slot's next
+    /// lap round the ring. Kept only if the slot is still empty and in
+    /// the window; otherwise (nothing the simulator does) it is dropped,
+    /// so recycling never reorders or loses an item.
+    pub fn recycle(&mut self, tick: u64, mut buf: Vec<T>) {
+        if tick < self.base || tick >= self.base + SLOTS as u64 {
+            return;
+        }
+        if let Some(slot) = self.slots.get_mut((tick & SLOT_MASK) as usize) {
+            if slot.is_empty() {
+                buf.clear();
+                *slot = buf;
+            }
+        }
     }
 
     /// Slides the window start forward to `tick` (never backward) and

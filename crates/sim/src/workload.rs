@@ -1,9 +1,9 @@
 //! Seed-replayable open-loop traffic workloads.
 //!
 //! A [`WorkloadConfig`] describes *offered load* as a sequence of
-//! [`PhaseSpec`] segments — steady plateaus, linear diurnal ramps, and
-//! flash-crowd spikes — with destination popularity drawn from a
-//! Zipf(s) distribution over a seed-shuffled node ranking. Expanding
+//! [`PhaseSpec`] plateaus — a steady load, or the baseline, spike and
+//! recovery of a flash crowd — with destination popularity drawn from
+//! a Zipf(1) distribution over a seed-shuffled node ranking. Expanding
 //! the config with [`build_schedule`] yields an [`ArrivalSchedule`]: a
 //! plain, fully materialized list of `(tick, src, dst)` injections that
 //! is a pure function of `(config, n)`. The schedule is *open-loop*:
@@ -13,74 +13,47 @@
 //! two seeds.
 //!
 //! [`run_schedule`] injects a schedule into a [`Network`] tick by tick
-//! (the admission controller, if any, judges each injection).
+//! (its admission policy, if any, judges each injection).
 
 use crate::network::Network;
 use crate::SimError;
 use locality_graph::rng::DetRng;
 use locality_graph::NodeId;
 
-/// One segment of offered load. Rates are in *arrivals per 1000
+/// One plateau of offered load. Rates are in *arrivals per 1000
 /// ticks* (`rate_milli`), so sub-one-per-tick loads need no floats and
 /// the accumulator arithmetic is exact.
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseSpec {
-    /// Phase name, reported in per-phase latency tables.
-    pub name: &'static str,
     /// Duration in ticks.
     pub ticks: u64,
-    /// Offered rate at the start of the phase, in arrivals per 1000
-    /// ticks.
+    /// Offered rate, in arrivals per 1000 ticks.
     pub rate_milli: u64,
-    /// Offered rate at the end of the phase; the rate interpolates
-    /// linearly in between (equal to `rate_milli` for a plateau).
-    pub end_rate_milli: u64,
 }
 
 impl PhaseSpec {
     /// A constant-rate plateau.
-    pub fn steady(name: &'static str, ticks: u64, rate_milli: u64) -> PhaseSpec {
-        PhaseSpec {
-            name,
-            ticks,
-            rate_milli,
-            end_rate_milli: rate_milli,
-        }
-    }
-
-    /// A linear ramp from `from_milli` to `to_milli` — half of a
-    /// diurnal cycle, or the onset of a flash crowd.
-    pub fn ramp(name: &'static str, ticks: u64, from_milli: u64, to_milli: u64) -> PhaseSpec {
-        PhaseSpec {
-            name,
-            ticks,
-            rate_milli: from_milli,
-            end_rate_milli: to_milli,
-        }
+    pub fn steady(ticks: u64, rate_milli: u64) -> PhaseSpec {
+        PhaseSpec { ticks, rate_milli }
     }
 }
 
-/// A deterministic open-loop workload: phases plus the popularity
-/// skew and the seed that fixes every random choice.
+/// A deterministic open-loop workload: phases plus the seed that fixes
+/// every random choice.
 #[derive(Clone, Debug)]
 pub struct WorkloadConfig {
     /// Seed for all traffic randomness (rank shuffle, Zipf draws,
     /// source picks). Independent of any fault-plan seed.
     pub seed: u64,
-    /// Zipf exponent ×1000 (`1000` ⇒ classic 1/rank weights; `0` ⇒
-    /// uniform destinations).
-    pub zipf_s_milli: u64,
     /// The load phases, played in order.
     pub phases: Vec<PhaseSpec>,
 }
 
 impl WorkloadConfig {
-    /// An empty workload with the given seed and classic Zipf(1.0)
-    /// popularity.
+    /// An empty workload with the given seed.
     pub fn new(seed: u64) -> WorkloadConfig {
         WorkloadConfig {
             seed,
-            zipf_s_milli: 1000,
             phases: Vec::new(),
         }
     }
@@ -88,12 +61,6 @@ impl WorkloadConfig {
     /// Appends a phase (builder style).
     pub fn phase(mut self, p: PhaseSpec) -> WorkloadConfig {
         self.phases.push(p);
-        self
-    }
-
-    /// Sets the Zipf exponent ×1000 (builder style).
-    pub fn zipf_s_milli(mut self, s_milli: u64) -> WorkloadConfig {
-        self.zipf_s_milli = s_milli;
         self
     }
 
@@ -107,33 +74,9 @@ impl WorkloadConfig {
         spike_ticks: u64,
     ) -> WorkloadConfig {
         WorkloadConfig::new(seed)
-            .phase(PhaseSpec::steady("baseline", base_ticks, base_milli))
-            .phase(PhaseSpec::steady(
-                "flash",
-                spike_ticks,
-                base_milli * spike_mult,
-            ))
-            .phase(PhaseSpec::steady("recovery", base_ticks, base_milli))
-    }
-
-    /// A four-phase diurnal cycle: night plateau, morning ramp up,
-    /// daytime plateau, evening ramp down.
-    pub fn diurnal(
-        seed: u64,
-        low_milli: u64,
-        high_milli: u64,
-        plateau_ticks: u64,
-        ramp_ticks: u64,
-    ) -> WorkloadConfig {
-        WorkloadConfig::new(seed)
-            .phase(PhaseSpec::steady("night", plateau_ticks, low_milli))
-            .phase(PhaseSpec::ramp(
-                "morning", ramp_ticks, low_milli, high_milli,
-            ))
-            .phase(PhaseSpec::steady("day", plateau_ticks, high_milli))
-            .phase(PhaseSpec::ramp(
-                "evening", ramp_ticks, high_milli, low_milli,
-            ))
+            .phase(PhaseSpec::steady(base_ticks, base_milli))
+            .phase(PhaseSpec::steady(spike_ticks, base_milli * spike_mult))
+            .phase(PhaseSpec::steady(base_ticks, base_milli))
     }
 
     /// Total workload duration in ticks.
@@ -166,27 +109,6 @@ pub struct ArrivalSchedule {
 }
 
 impl ArrivalSchedule {
-    /// FNV-1a digest over the full schedule — two schedules are
-    /// byte-identical iff their digests agree (up to hash collision),
-    /// which is what the 1-vs-8-thread determinism gate compares.
-    pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for a in &self.arrivals {
-            mix(a.tick);
-            mix(a.src.0 as u64);
-            mix(a.dst.0 as u64);
-        }
-        h
-    }
-
     /// Total injections.
     pub fn len(&self) -> usize {
         self.arrivals.len()
@@ -198,21 +120,21 @@ impl ArrivalSchedule {
     }
 }
 
-/// Zipf(s) sampler over `n` ranks via inverse-CDF binary search on a
-/// precomputed cumulative table; ranks are mapped to node ids through a
-/// seed-shuffled permutation so popularity is not correlated with id.
+/// Zipf(1) sampler over `n` ranks (rank `i` weighs `1 / (i + 1)`) via
+/// inverse-CDF binary search on a precomputed cumulative table; ranks
+/// are mapped to node ids through a seed-shuffled permutation so
+/// popularity is not correlated with id.
 struct ZipfNodes {
     cdf: Vec<f64>,
     rank_to_node: Vec<u32>,
 }
 
 impl ZipfNodes {
-    fn new(n: usize, s_milli: u64, rng: &mut DetRng) -> ZipfNodes {
-        let s = s_milli as f64 / 1000.0;
+    fn new(n: usize, rng: &mut DetRng) -> ZipfNodes {
         let mut cdf = Vec::with_capacity(n);
         let mut total = 0.0f64;
         for i in 0..n {
-            total += 1.0 / ((i + 1) as f64).powf(s);
+            total += 1.0 / (i + 1) as f64;
             cdf.push(total);
         }
         let mut rank_to_node: Vec<u32> = (0..n as u32).collect();
@@ -235,8 +157,8 @@ impl ZipfNodes {
 /// Expands a workload into its arrival schedule over `n` nodes.
 ///
 /// Rate integration is exact fixed-point arithmetic: each tick adds the
-/// linearly interpolated milli-rate to an accumulator, and every 1000
-/// accumulated units emits one arrival. Randomness (destination rank,
+/// phase's milli-rate to an accumulator, and every 1000 accumulated
+/// units emits one arrival. Randomness (destination rank,
 /// source pick) comes solely from `cfg.seed`, so the result is
 /// reproducible on any platform and at any driver thread count.
 ///
@@ -246,22 +168,13 @@ impl ZipfNodes {
 pub fn build_schedule(cfg: &WorkloadConfig, n: usize) -> ArrivalSchedule {
     assert!(n >= 2, "workload needs at least two nodes");
     let mut rng = DetRng::seed_from_u64(cfg.seed);
-    let zipf = ZipfNodes::new(n, cfg.zipf_s_milli, &mut rng);
+    let zipf = ZipfNodes::new(n, &mut rng);
     let mut arrivals = Vec::new();
     let mut tick = 0u64;
     let mut acc = 0u64;
     for p in &cfg.phases {
-        for i in 0..p.ticks {
-            // Linear interpolation in integer space; for a plateau this
-            // is exactly `rate_milli` every tick.
-            let rate = if p.ticks <= 1 {
-                p.rate_milli
-            } else {
-                let lo = p.rate_milli as i128;
-                let hi = p.end_rate_milli as i128;
-                (lo + (hi - lo) * i as i128 / (p.ticks - 1) as i128) as u64
-            };
-            acc += rate;
+        for _ in 0..p.ticks {
+            acc += p.rate_milli;
             while acc >= 1000 {
                 acc -= 1000;
                 let dst = zipf.sample(&mut rng);
@@ -305,37 +218,24 @@ mod tests {
         let a = build_schedule(&cfg, 16);
         let b = build_schedule(&cfg, 16);
         assert_eq!(a.arrivals, b.arrivals);
-        assert_eq!(a.digest(), b.digest());
         let other = build_schedule(&WorkloadConfig::flash_crowd(43, 500, 4, 50, 20), 16);
-        assert_ne!(a.digest(), other.digest());
+        assert_ne!(a.arrivals, other.arrivals);
     }
 
     #[test]
     fn plateau_rate_is_exact() {
         // 500 arrivals per 1000 ticks over 1000 ticks = exactly 500.
-        let cfg = WorkloadConfig::new(1).phase(PhaseSpec::steady("p", 1000, 500));
+        let cfg = WorkloadConfig::new(1).phase(PhaseSpec::steady(1000, 500));
         let s = build_schedule(&cfg, 8);
         assert_eq!(s.len(), 500);
         // 2.5 per tick over 100 ticks = exactly 250.
-        let cfg = WorkloadConfig::new(1).phase(PhaseSpec::steady("p", 100, 2500));
+        let cfg = WorkloadConfig::new(1).phase(PhaseSpec::steady(100, 2500));
         assert_eq!(build_schedule(&cfg, 8).len(), 250);
     }
 
     #[test]
-    fn ramp_integrates_between_endpoints() {
-        // 0 → 2000 milli over 101 ticks: mean rate 1 per tick.
-        let cfg = WorkloadConfig::new(9).phase(PhaseSpec::ramp("up", 101, 0, 2000));
-        let s = build_schedule(&cfg, 8);
-        assert_eq!(s.len(), 101);
-        // Arrivals are denser at the end of the ramp than the start.
-        let first_half = s.arrivals.iter().filter(|a| a.tick < 50).count();
-        let second_half = s.len() - first_half;
-        assert!(second_half > first_half * 2);
-    }
-
-    #[test]
     fn arrivals_are_tick_sorted_with_valid_endpoints() {
-        let cfg = WorkloadConfig::diurnal(7, 200, 2000, 40, 40);
+        let cfg = WorkloadConfig::flash_crowd(7, 200, 10, 40, 40);
         let s = build_schedule(&cfg, 12);
         assert!(!s.is_empty());
         let mut last = 0;
@@ -350,9 +250,7 @@ mod tests {
 
     #[test]
     fn zipf_skews_destination_popularity() {
-        let cfg = WorkloadConfig::new(3)
-            .zipf_s_milli(1200)
-            .phase(PhaseSpec::steady("p", 2000, 4000));
+        let cfg = WorkloadConfig::new(3).phase(PhaseSpec::steady(2000, 4000));
         let s = build_schedule(&cfg, 32);
         let mut counts = [0usize; 32];
         for a in &s.arrivals {
@@ -367,23 +265,6 @@ mod tests {
         assert!(
             max > mid * 3,
             "zipf head ({max}) should dwarf the median ({mid})"
-        );
-    }
-
-    #[test]
-    fn uniform_when_exponent_is_zero() {
-        let cfg = WorkloadConfig::new(3)
-            .zipf_s_milli(0)
-            .phase(PhaseSpec::steady("p", 4000, 4000));
-        let s = build_schedule(&cfg, 16);
-        let mut counts = [0usize; 16];
-        for a in &s.arrivals {
-            counts[a.dst.0 as usize] += 1;
-        }
-        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-        assert!(
-            max < &(min * 2),
-            "uniform draw should be balanced: {counts:?}"
         );
     }
 }

@@ -162,21 +162,18 @@ fi
 cargo run -q --release -p locality-bench --bin tracecat -- \
   diff "$trace_dir/a.jsonl" "$trace_dir/b.jsonl"
 
-echo "==> per-worker trace shards merge byte-identical (tracecat merge)"
-# The soak written as 8 per-worker shard files (trial i -> shard i%8,
-# the parallel driver's strided assignment), recombined with
+echo "==> trace stripes merge byte-identical (tracecat split, tracecat merge)"
+# The soak trace dealt into 8 stripes with `tracecat split` (trial i ->
+# stripe i%8, the parallel driver's strided assignment), recombined with
 # `tracecat merge`, must reproduce the single-writer trace byte for
-# byte — the shard/merge surgery is a pure inversion, never a rewrite.
-out_striped="$(cargo run -q --release -p locality-bench --bin chaos -- \
-  --seed 7 --trace-shards 8 --trace-shard-dir "$trace_dir/shards")"
-if [ "$out_a" != "$out_striped" ]; then
-  echo "chaos: seed 7 report differs when writing shard traces" >&2
-  exit 1
-fi
+# byte — the split/merge surgery is a pure inversion, never a rewrite.
+mkdir -p "$trace_dir/shards"
+cargo run -q --release -p locality-bench --bin tracecat -- \
+  split "$trace_dir/a.jsonl" "$trace_dir"/shards/shard-{0..7}.jsonl 2> /dev/null
 cargo run -q --release -p locality-bench --bin tracecat -- \
   merge "$trace_dir"/shards/shard-*.jsonl --out "$trace_dir/merged.jsonl" 2> /dev/null
 cmp "$trace_dir/a.jsonl" "$trace_dir/merged.jsonl" || {
-  echo "tracecat: merged worker shards differ from the single-writer trace" >&2
+  echo "tracecat: merged stripes differ from the single-writer trace" >&2
   exit 1
 }
 

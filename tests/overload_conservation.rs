@@ -3,7 +3,7 @@
 //! Two properties anchor the admission subsystem:
 //!
 //! 1. **Conservation under overload** — whatever the admission policy
-//!    does (reject at the door, shed in flight, scale backoff), every
+//!    does (admit, reject at the door, shed in flight), every
 //!    message still lands in exactly one fate bucket: `accounted()`
 //!    balances with the `Rejected` and `Shed` fates included, across
 //!    random seeds, with and without churn.
@@ -21,19 +21,16 @@ use locality_sim::{
     LinkProfile, NetworkBuilder,
 };
 
-const POLICIES: [AdmissionPolicy; 4] = [
+const POLICIES: [AdmissionPolicy; 3] = [
     AdmissionPolicy::Open,
     AdmissionPolicy::RejectNew,
     AdmissionPolicy::ShedOldest,
-    AdmissionPolicy::BackoffScale,
 ];
 
 fn overload_config(policy: AdmissionPolicy) -> AdmissionConfig {
     AdmissionConfig {
         policy,
         max_live: 8,
-        max_wheel_occupancy: 0,
-        backoff_scale: 3,
     }
 }
 
@@ -110,10 +107,6 @@ fn accounted_balances_across_policies_seeds_and_churn() {
                         );
                         assert_eq!(m.rejected, 0, "shed-oldest admits everything");
                     }
-                    AdmissionPolicy::BackoffScale => {
-                        assert_eq!(m.rejected, 0, "backoff scaling admits everything");
-                        assert_eq!(m.shed, 0, "backoff scaling never sheds");
-                    }
                 }
             }
         }
@@ -134,22 +127,20 @@ fn same_seed_same_schedule_at_any_thread_count() {
     let cfgs: Vec<u64> = vec![5, 6, 7, 8, 9, 10, 11, 12];
     let build = |_idx: usize, &seed: &u64| {
         let cfg = WorkloadConfig::flash_crowd(seed, 2000, 24, 60, 60);
-        let sched = build_schedule(&cfg, 48);
-        (sched.digest(), format!("{:?}", sched.arrivals))
+        build_schedule(&cfg, 48).arrivals
     };
     let serial = driver::run_trials(&cfgs, 1, build);
     let fanned = driver::run_trials(&cfgs, 8, build);
     assert_eq!(serial, fanned, "schedules must not depend on thread count");
-    // And the digest actually discriminates: different seeds differ.
-    let digests: Vec<u64> = serial.iter().map(|(d, _)| *d).collect();
-    for i in 1..digests.len() {
-        assert_ne!(digests[0], digests[i], "seed {} collides", cfgs[i]);
+    // And the seed actually matters: different seeds differ.
+    for i in 1..serial.len() {
+        assert_ne!(serial[0], serial[i], "seed {} collides", cfgs[i]);
     }
 }
 
 #[test]
 fn arrival_schedules_stay_inside_phase_bounds() {
-    let cfg = WorkloadConfig::diurnal(41, 500, 4000, 40, 20);
+    let cfg = WorkloadConfig::flash_crowd(41, 500, 8, 40, 20);
     let sched = build_schedule(&cfg, 32);
     assert!(!sched.is_empty());
     for a in &sched.arrivals {
