@@ -46,7 +46,9 @@ use locality_obs::analytics::loops::LoopsMode;
 use locality_obs::analytics::merge::{chunk_trace, merge_traces, split_trace};
 use locality_obs::analytics::stats::StatsMode;
 use locality_obs::analytics::summary::SummaryMode;
-use locality_obs::analytics::{run_mode, Mode, StreamError, TailMode, DEFAULT_BUF_BYTES};
+use locality_obs::analytics::{
+    run_mode, Mode, StreamError, TailMode, DEFAULT_BUF_BYTES, MAX_BUF_BYTES,
+};
 
 const USAGE: &str = "usage: tracecat MODE ...\n\
   tracecat summary FILE [--top K] [--buf BYTES] [--lenient]\n\
@@ -104,8 +106,10 @@ impl Opts {
                 "--buf" => {
                     let v = value("--buf");
                     match v.parse::<usize>() {
-                        Ok(n) if n > 0 => o.buf = Some(n),
-                        _ => usage_fail(&format!("--buf wants a positive byte count, got {v}")),
+                        Ok(n) if (1..=MAX_BUF_BYTES).contains(&n) => o.buf = Some(n),
+                        _ => usage_fail(&format!(
+                            "--buf wants a byte count in 1..={MAX_BUF_BYTES}, got {v}"
+                        )),
                     }
                     o.seen.push("--buf");
                 }

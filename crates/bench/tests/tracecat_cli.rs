@@ -204,6 +204,52 @@ fn stats_output_is_identical_at_any_buffer_size() {
 }
 
 #[test]
+fn buf_outside_its_range_is_a_usage_error_in_every_mode() {
+    let p = tmp("bufrange.jsonl");
+    let shard = tmp("bufrange-s0.jsonl");
+    let prefix = tmp("bufrange-chunk");
+    std::fs::write(&p, TRACE).expect("write");
+    let (path, shard_path, prefix_path) = (
+        p.to_str().expect("utf8"),
+        shard.to_str().expect("utf8"),
+        prefix.to_str().expect("utf8"),
+    );
+    let modes: [&[&str]; 8] = [
+        &["summary", path],
+        &["stats", path],
+        &["loops", path],
+        &["imperiled", path],
+        &["merge", path, path],
+        &["split", path, shard_path],
+        &[
+            "chunk",
+            path,
+            "--max-bytes",
+            "64",
+            "--out-prefix",
+            prefix_path,
+        ],
+        &["diff", path, path],
+    ];
+    // Zero, a terabyte (an allocation that fails), and `usize::MAX`
+    // (a capacity that overflows).
+    for buf in ["0", "1099511627776", "18446744073709551615"] {
+        for args in modes {
+            let out = tracecat(&[args, &["--buf", buf]].concat());
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?} --buf {buf}: {err}");
+            assert!(!err.contains("panicked"), "{args:?} --buf {buf}: {err}");
+            assert!(err.contains("--buf wants a byte count in 1..="), "{err}");
+        }
+    }
+    assert!(
+        !shard.exists(),
+        "split wrote a shard before rejecting --buf"
+    );
+    let _ = std::fs::remove_file(&p);
+}
+
+#[test]
 fn imperiled_and_loops_modes_run() {
     let p = tmp("modes.jsonl");
     std::fs::write(&p, TRACE).expect("write");

@@ -646,6 +646,30 @@ mod tests {
     }
 
     #[test]
+    fn degree_sum_past_the_payload_is_rejected_before_allocating() {
+        let mut bytes = ViewArtifact::build(&generators::cycle(16), 2)
+            .as_bytes()
+            .to_vec();
+        assert_eq!(bytes.len(), 790);
+        // Node 0's payload: centre, member count 5, five gap-coded ids,
+        // then its degree run, whose first four bytes become one
+        // varint of 2^27 - 1.
+        let index = HEADER_LEN;
+        let off = u64::from_le_bytes(bytes[index..index + 8].try_into().unwrap());
+        let degrees = index + 16 * INDEX_ENTRY_LEN + off as usize + 7;
+        bytes[degrees..degrees + 4].copy_from_slice(&[0xFF, 0xFF, 0xFF, 0x3F]);
+        restamp_checksum(&mut bytes);
+        let art = ViewArtifact::from_bytes(bytes).expect("the checksum holds");
+        assert_eq!(
+            art.decode_view(NodeId(0)).unwrap_err(),
+            OracleError::Codec(CodecError::Malformed {
+                at: 1,
+                what: "degree sum exceeds remaining input",
+            })
+        );
+    }
+
+    #[test]
     fn shape_mismatches_are_typed_errors() {
         let g = sample_graph(8, 10);
         let artifact = ViewArtifact::build(&g, 3);

@@ -358,8 +358,9 @@ pub fn encode_subgraph(w: &mut Writer, s: &Subgraph) {
 ///
 /// All structural invariants — strictly ascending members, in-bound
 /// target slots, sorted self-loop-free neighbour runs, an even number
-/// of directed edge ends — are validated here, before any panicking
-/// constructor runs; violations come back as [`CodecError::Malformed`].
+/// of directed edge ends, a degree sum the remaining input can hold —
+/// are validated here, before any panicking constructor runs;
+/// violations come back as [`CodecError::Malformed`].
 /// Edge symmetry (`v ∈ N(u)` ⇒ `u ∈ N(v)`) is *not* re-checked: the
 /// artifact checksum already guards against corruption, and the check
 /// would double decode cost for data the encoder produced from a
@@ -416,6 +417,14 @@ pub fn decode_subgraph(r: &mut Reader<'_>) -> Result<Subgraph, CodecError> {
         return Err(CodecError::Malformed {
             at,
             what: "odd number of directed edge ends",
+        });
+    }
+    // Every target takes at least one byte, so a larger sum is corrupt;
+    // bail before reserving the CSR block for it.
+    if total as usize > r.remaining() {
+        return Err(CodecError::Malformed {
+            at,
+            what: "degree sum exceeds remaining input",
         });
     }
     // The gap coding makes the members strictly ascending, as the
@@ -692,6 +701,7 @@ mod tests {
         w.put_varint(1);
         w.put_varint(1);
         w.put_varint(5); // slot 5 of 2
+        w.put_varint(0);
         assert!(matches!(
             decode_subgraph(&mut Reader::new(w.as_bytes())),
             Err(CodecError::Malformed {
@@ -707,6 +717,7 @@ mod tests {
         w.put_varint(1);
         w.put_varint(1);
         w.put_varint(0); // slot 0's neighbour is slot 0
+        w.put_varint(0);
         assert!(matches!(
             decode_subgraph(&mut Reader::new(w.as_bytes())),
             Err(CodecError::Malformed {
@@ -724,5 +735,20 @@ mod tests {
                 ..
             })
         ));
+        // A degree sum past the input cannot allocate either: two
+        // members claiming 2^30 edge ends each, and no targets.
+        let mut w = Writer::new();
+        w.put_varint(2);
+        w.put_varint(0);
+        w.put_varint(0);
+        w.put_varint(1 << 30);
+        w.put_varint(1 << 30);
+        assert_eq!(
+            decode_subgraph(&mut Reader::new(w.as_bytes())),
+            Err(CodecError::Malformed {
+                at: 0,
+                what: "degree sum exceeds remaining input",
+            })
+        );
     }
 }

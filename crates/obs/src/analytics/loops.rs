@@ -15,7 +15,7 @@ use crate::witness::RouteWitness;
 const EXAMPLES: usize = 10;
 
 /// Scans each attempt of a witness for its first revisited node:
-/// calls `found(attempt, cycle)` for it, in attempt order, in attempt order, where
+/// calls `found(attempt, cycle)` for it, in attempt order, where
 /// `cycle` runs from the node's first visit back to it. `seen` is
 /// scratch, so a caller that keeps it allocates nothing per witness.
 fn for_each_loop(w: &RouteWitness, seen: &mut Vec<u32>, mut found: impl FnMut(u32, &[u32])) {

@@ -42,7 +42,7 @@ pub mod summary;
 pub mod synth;
 
 pub use fold::WitnessFold;
-pub use reader::{Line, LineReader, DEFAULT_BUF_BYTES};
+pub use reader::{Line, LineReader, DEFAULT_BUF_BYTES, MAX_BUF_BYTES};
 
 /// How the final line of a stream is treated when it has no trailing
 /// newline.

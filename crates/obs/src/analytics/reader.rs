@@ -12,6 +12,11 @@ use super::StreamError;
 /// Default chunk size for streaming reads.
 pub const DEFAULT_BUF_BYTES: usize = 64 * 1024;
 
+/// Largest chunk [`LineReader::new`] allocates: 64 MiB, 1024 times the
+/// default. Output is the same at any chunk size, so a larger request
+/// buys nothing but the risk of a failed allocation.
+pub const MAX_BUF_BYTES: usize = 1024 * DEFAULT_BUF_BYTES;
+
 /// One line yielded by [`LineReader::next_line`], without its
 /// terminator.
 #[derive(Debug)]
@@ -43,11 +48,11 @@ pub struct LineReader<R> {
 
 impl<R: std::io::Read> LineReader<R> {
     /// Creates a reader pulling through a fixed `buf_bytes` chunk
-    /// (clamped to at least 1).
+    /// (clamped to `1..=MAX_BUF_BYTES`).
     pub fn new(src: R, buf_bytes: usize) -> Self {
         LineReader {
             src,
-            chunk: vec![0u8; buf_bytes.max(1)],
+            chunk: vec![0u8; buf_bytes.clamp(1, MAX_BUF_BYTES)],
             filled: 0,
             pos: 0,
             carry: Vec::new(),
@@ -281,7 +286,9 @@ mod tests {
 
     #[test]
     fn zero_buf_bytes_is_clamped() {
-        let got = drain(LineReader::new(&b"x\ny\n"[..], 0));
-        assert_eq!(got.len(), 2);
+        for buf in [0, usize::MAX] {
+            let got = drain(LineReader::new(&b"x\ny\n"[..], buf));
+            assert_eq!(got.len(), 2, "buf={buf}");
+        }
     }
 }
