@@ -6,13 +6,14 @@
 //! ```text
 //! # rule | file | sym=<symbol> | justification
 //! R3 | crates/graph/src/permute.rs | sym=expect | construction invariants of relabelling
-//! R3i | crates/adversary/src/thm1.rs | sym=* | hand-built family graphs index fixed-layout vectors
+//! R3i | crates/adversary/src/lemma1.rs | sym=f | classify checks f's image before it looks keys up
 //! ```
 //!
 //! An entry suppresses violations of `rule` in `file` whose bound
 //! *symbol* (the identifier, function name, or module path the finding
-//! attaches to) equals the entry's symbol; `sym=*` matches every
-//! symbol in the file. Binding to symbols instead of line contents
+//! attaches to) equals the entry's symbol. There is no wildcard: no
+//! finding binds to `*`, so a `sym=*` entry suppresses nothing and is
+//! reported stale. Binding to symbols instead of line contents
 //! means entries survive line churn but die with the code they excuse.
 //! The justification is mandatory — an allowlisted violation without a
 //! reason is itself a lint error. Entries that suppress nothing are
@@ -30,7 +31,7 @@ pub struct AllowEntry {
     pub rule: Rule,
     /// Workspace-relative file the entry applies to.
     pub file: String,
-    /// Symbol the entry binds to, or `*` for the whole file.
+    /// Symbol the entry binds to.
     pub sym: String,
     /// Why the violation is acceptable.
     pub justification: String,
@@ -41,7 +42,7 @@ pub struct AllowEntry {
 impl AllowEntry {
     /// Whether this entry suppresses `v`.
     pub fn matches(&self, v: &Violation) -> bool {
-        self.rule == v.rule && self.file == v.file && (self.sym == "*" || self.sym == v.symbol)
+        self.rule == v.rule && self.file == v.file && self.sym == v.symbol
     }
 
     /// Compact rendering for stale-entry reports.
@@ -174,16 +175,16 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_symbol_covers_the_file() {
+    fn wildcard_symbol_suppresses_nothing_and_goes_stale() {
         let src = "fn f(v: &[u32]) -> u32 { v[0] + v[1] }\n";
         let violations = check_file("crates/sim/src/foo.rs", src);
         assert_eq!(violations.len(), 2);
         let allow =
             parse("R3i | crates/sim/src/foo.rs | sym=* | fixed-layout vector\n").expect("parses");
         let (kept, suppressed, stale) = apply(&allow, violations);
-        assert!(kept.is_empty());
-        assert_eq!(suppressed, 2);
-        assert!(stale.is_empty());
+        assert_eq!(kept.len(), 2);
+        assert_eq!(suppressed, 0);
+        assert_eq!(stale.len(), 1);
     }
 
     #[test]

@@ -12,28 +12,26 @@
 //!    regions, and produces a token stream with byte spans and line
 //!    numbers.
 //! 2. [`symbols`] — per file: the module path, `use`/`pub use`/alias
-//!    declarations, item definitions, function bodies with their call
-//!    sites, and struct field types.
-//! 3. [`usegraph`] — the whole-workspace graph: module → imported
-//!    symbol → defining module (following re-exports and aliases
-//!    across all eight crates) plus a conservative call graph.
+//!    declarations, item definitions, and function spans.
+//! 3. [`usegraph`] — the whole-workspace use-graph: module → imported
+//!    symbol → defining module, following re-exports and aliases
+//!    across all eight crates. Only R1 needs it.
 //!
-//! The rule families:
+//! The rule families ([`rules`]):
 //!
 //! * **R1 locality** — router implementation modules cannot *reach* a
-//!   whole-graph API. The textual arm bans the names; the transitive
-//!   arm resolves every import through the use-graph, so an alias
-//!   (`use ..::Graph as G`) or a chain of re-exports is caught and the
-//!   full offending chain is printed in the diagnostic. The
-//!   `LocalRouter` trait already enforces at the type level that a
-//!   routing *decision* sees only `G_k(u)`; R1 enforces that the
-//!   modules implementing deciders cannot even import `G`.
-//! * **R2 determinism** — the crates whose outputs must be
-//!   bit-reproducible cannot iterate hash-ordered collections, read
-//!   clocks or the environment, or compare floats NaN-unstably. The
-//!   taint arm propagates over the call graph: a helper *outside* the
-//!   scoped files that touches a nondeterminism source poisons every
-//!   scoped caller, across file and crate boundaries.
+//!   whole-graph API. The textual arm bans the names; the use-graph
+//!   arm resolves every import, so an alias (`use ..::Graph as G`) or
+//!   a chain of re-exports is caught and the full offending chain is
+//!   printed in the diagnostic. The `LocalRouter` trait already
+//!   enforces at the type level that a routing *decision* sees only
+//!   `G_k(u)`; R1 enforces that the modules implementing deciders
+//!   cannot even import `G`.
+//! * **R2 determinism** — trial code (the library code of `graph`,
+//!   `core`, `adversary`, `obs` and `sim`, plus the bench crate's chaos
+//!   and loadgen modules) cannot use hash-ordered collections, clocks,
+//!   the environment, NaN-unstable float compares, or any RNG but
+//!   `DetRng`.
 //! * **R3 panic policy** — library code cannot `unwrap()`, `expect(`,
 //!   `panic!`, or raw-index slices (`R3i`); the dense-slot idiom
 //!   `container[node.index()]` is blessed.
@@ -43,14 +41,18 @@
 //!   code; output goes through the `locality-obs` recorder.
 //! * **R6 hot-path allocation** — no `Vec::new`/`vec!`/`Box::new`/
 //!   `format!`/`collect`/`to_vec` inside the designated hot-path
-//!   functions (`sim::sched`, `sim::slab`, `graph::fanout`, the
-//!   `core::view` step tables, `core::visited`, `graph::codec` decode)
-//!   outside setup constructors.
-//! * **R7 lock discipline** — no `Mutex`/`RwLock` acquisition or
-//!   blocking I/O reachable from the simulator's per-tick step path:
-//!   the trial driver runs trials side by side on threads, and a lock
-//!   or a blocking call there would let one trial stall another, so a
-//!   trial's cost would no longer be its own work.
+//!   functions (`sim::sched`, `sim::slab`, `sim::workload`,
+//!   `sim::admission`, `graph::fanout`, the `core::view` step tables,
+//!   `core::visited`, the trace reader, `graph::codec` decode) outside
+//!   setup constructors, read from each file's own function spans.
+//! * **R7 lock discipline** — no `Mutex`/`RwLock` or blocking I/O in
+//!   trial code: the trial driver runs trials side by side on threads,
+//!   and a lock or a blocking call would let one trial stall another,
+//!   so a trial's cost would no longer be its own work.
+//!
+//! R2 and R7 flag each source at its own line. The trial crates depend
+//! only on one another (a `rules` test checks it against the
+//! manifests), so nothing code in them can call escapes the scan.
 //!
 //! Known-good exceptions live in the checked-in [`allow`]list
 //! (`lint.allow`), one justified `rule | file | sym=<symbol> | why`
@@ -211,9 +213,9 @@ fn read(root: &Path, rel: &str) -> Result<String, LintError> {
 }
 
 /// Lints the workspace rooted at `root`: walks the source tree, runs
-/// the per-file textual arms of R1–R5, builds the workspace use-graph,
-/// runs the transitive arms (R1 reachability, R2 taint, R6, R7), and
-/// applies the `lint.allow` allowlist.
+/// every per-file arm (R1's textual arm, R2–R7), builds the workspace
+/// use-graph for R1's reachability arm, and applies the `lint.allow`
+/// allowlist.
 ///
 /// # Errors
 ///
@@ -241,6 +243,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
         }
         let lx = lexer::lex(&source);
         let sym = symbols::parse(rel, &lx);
+        violations.extend(rules::check_r6(rel, &lx, &sym.fns));
         entries.push(usegraph::FileEntry {
             rel: rel.clone(),
             lx,
@@ -250,13 +253,9 @@ pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
     let clippy = fs::read_to_string(root.join("clippy.toml")).ok();
     violations.extend(rules::check_clippy_toml(clippy.as_deref()));
 
-    let ws = usegraph::Workspace::build(entries);
-    violations.extend(ws.check_r1());
-    violations.extend(ws.check_r2_taint(&allowlist));
-    violations.extend(ws.check_r6());
-    violations.extend(ws.check_r7());
+    violations.extend(usegraph::Workspace::build(entries).check_r1());
 
-    // The textual and transitive arms can flag the same site (e.g. a
+    // R1's textual and use-graph arms can flag the same site (e.g. a
     // direct `use locality_graph::Graph`): dedupe on (rule, file,
     // line, symbol), preferring the finding that carries a chain.
     let mut dedup: BTreeMap<(String, String, usize, String), Violation> = BTreeMap::new();

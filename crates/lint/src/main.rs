@@ -1,7 +1,7 @@
 //! `locality-lint` — the command-line front end.
 //!
 //! ```text
-//! locality-lint [--root <dir>] [--format text|json] [--quiet]
+//! locality-lint [--root <dir>] [--format text|json]
 //! ```
 //!
 //! Exits 0 when the workspace has no unsuppressed violations, 1 when it
@@ -23,7 +23,7 @@ use std::process::ExitCode;
 
 use locality_lint::{lint_workspace, walk};
 
-const USAGE: &str = "usage: locality-lint [--root <dir>] [--format text|json] [--quiet]";
+const USAGE: &str = "usage: locality-lint [--root <dir>] [--format text|json]";
 
 enum Format {
     Text,
@@ -34,7 +34,6 @@ enum Format {
 /// print and whether the workspace is clean.
 fn run() -> Result<(String, bool), String> {
     let mut root: Option<PathBuf> = None;
-    let mut quiet = false;
     let mut format = Format::Text;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -51,7 +50,6 @@ fn run() -> Result<(String, bool), String> {
                     other => return Err(format!("unknown format `{other}` (use text or json)")),
                 };
             }
-            "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => return Ok((format!("{USAGE}\n"), true)),
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -75,8 +73,7 @@ fn run() -> Result<(String, bool), String> {
         // Empty on a clean workspace: the CI contract is "diffable
         // against an empty baseline".
         Format::Json => report.render_json(),
-        Format::Text if !quiet || !report.is_clean() => format!("{}\n", report.render()),
-        Format::Text => String::new(),
+        Format::Text => format!("{}\n", report.render()),
     };
     Ok((text, report.is_clean()))
 }

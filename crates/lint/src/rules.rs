@@ -1,23 +1,16 @@
-//! The four rule families.
+//! The rule families, run file by file.
 //!
-//! * **R1 locality leak** — router implementation modules may not name
-//!   whole-graph APIs (`Graph`, `GraphBuilder`, `EmbeddedGraph`,
-//!   `locality_graph::graph`); a `k`-local router sees `G_k(u)` and
-//!   nothing else, so its module must be physically unable to reach
-//!   `G`.
-//! * **R2 determinism** — the crates whose outputs must be
-//!   bit-reproducible (`locality-graph`, `local-routing`,
-//!   `locality-adversary`) may not use hash-ordered collections, wall
-//!   clocks, the process environment, or NaN-unstable float
-//!   comparisons. A narrower randomness-source arm applies to the
-//!   fault-injection module and the chaos soak module
-//!   ([`R2_DETRNG_FILES`]) regardless of crate: their whole contract is
-//!   replayability from one seed, so every draw must come from the
-//!   in-repo `DetRng` — ambient RNGs, OS entropy, and clocks are
-//!   flagged even where full R2 does not apply. The simulator's
-//!   scheduling/arena/driver files ([`R2_SIM_FILES`]) get the full R2
-//!   treatment for the same reason: they carry the
-//!   byte-identical-per-seed guarantee of `bin/chaos`.
+//! * **R1 locality leak** — router implementation modules
+//!   ([`R1_FILES`]) may not name whole-graph APIs (`Graph`,
+//!   `GraphBuilder`, `EmbeddedGraph`, `locality_graph::graph`); a
+//!   `k`-local router sees `G_k(u)` and nothing else, so its module
+//!   must be physically unable to reach `G`. This is R1's textual arm;
+//!   the arm that follows aliases and re-export chains runs on the
+//!   workspace use-graph in [`crate::usegraph`].
+//! * **R2 determinism** — trial code (see below) must replay
+//!   byte for byte from one seed, so it may not use hash-ordered
+//!   collections, wall clocks, the process environment, NaN-unstable
+//!   float comparisons, or any randomness but the in-repo `DetRng`.
 //! * **R3 panic policy** — library code may not `unwrap()`, `expect(`,
 //!   `panic!`, or (sub-rule `R3i`) index slices, except through the
 //!   blessed dense-slot idiom `container[node.index()]` or an
@@ -32,16 +25,25 @@
 //!   observability goes through the `locality-obs` recorder, whose
 //!   output is deterministic and machine-readable. Binaries, tests,
 //!   benches, and examples are exempt.
-//! * **R6 hot-path allocation** and **R7 lock discipline** are the
-//!   workspace-level families: they need the call graph and live in
-//!   [`crate::usegraph`]; only their identifiers are declared here.
+//! * **R6 hot-path allocation** ([`check_r6`]) — no `Vec::new`/`vec!`/
+//!   `Box::new`/`format!`/`collect`/`to_vec` inside a file's designated
+//!   hot-path functions, outside setup constructors.
+//! * **R7 lock discipline** — trial code may not name a lock or a
+//!   blocking-I/O type or path: trials run side by side on the
+//!   fan-out's threads, so a lock or a blocking call in one trial
+//!   could stall another, and a trial's cost would no longer be its own
+//!   work.
 //!
-//! This module holds the *per-file, textual* arms of the families; the
-//! transitive arms (R1 reachability through re-exports, R2 taint
-//! propagation, R6, R7) are implemented on the workspace use-graph in
-//! [`crate::usegraph`].
+//! Trial code is the library code of the `graph`, `core`, `adversary`,
+//! `obs` and `sim` crates plus the bench crate's `chaos.rs` and
+//! `loadgen.rs`: what runs inside `fanout::run_trials` jobs. R2 and R7
+//! scan each of its lines, so a source is flagged where it is written.
+//! That reaches everything code in those crates can call, because they
+//! depend only on one another (the `tests` module below checks the
+//! closure against the manifests).
 
-use crate::lexer::{identifiers, next_nonspace, preprocess, prev_nonspace};
+use crate::lexer::{identifiers, next_nonspace, preprocess, prev_nonspace, Lexed, TokenKind};
+use crate::symbols::FnDef;
 
 /// Identifier of a rule family (sub-rule `R3i` is R3's slice-indexing
 /// arm, split out so allowlist entries stay precise).
@@ -49,7 +51,7 @@ use crate::lexer::{identifiers, next_nonspace, preprocess, prev_nonspace};
 pub enum Rule {
     /// Locality leak in a router module.
     R1,
-    /// Nondeterminism in a bit-reproducible crate.
+    /// Nondeterminism in trial code.
     R2,
     /// Panicking call in library code.
     R3,
@@ -61,7 +63,7 @@ pub enum Rule {
     R5,
     /// Allocation inside a designated hot-path function.
     R6,
-    /// Lock acquisition / blocking I/O reachable from the step path.
+    /// A lock or blocking I/O in trial code.
     R7,
 }
 
@@ -112,14 +114,14 @@ pub struct Violation {
     pub message: String,
     /// The raw source line (untrimmed), shown in reports.
     pub raw_line: String,
-    /// For transitive findings: the offending use/call chain, one hop
-    /// per entry, ending at the root cause.
+    /// For R1's use-graph findings: the offending `use` chain, one hop
+    /// per entry, ending at the whole-graph API.
     pub chain: Vec<String>,
 }
 
 impl Violation {
     /// `RULE file:line: message` plus a trimmed excerpt and, for
-    /// transitive findings, the full chain.
+    /// use-graph findings, the full chain.
     pub fn render(&self) -> String {
         let mut s = format!(
             "{} {}:{}: {}\n    {}",
@@ -186,7 +188,6 @@ pub fn crate_dir(rel: &str) -> Option<&str> {
 /// algorithms and the baseline/position/stateful comparators.
 pub const R1_FILES: &[&str] = &[
     "crates/core/src/alg1.rs",
-    "crates/core/src/alg1b.rs",
     "crates/core/src/alg2.rs",
     "crates/core/src/alg3.rs",
     "crates/core/src/baselines.rs",
@@ -194,36 +195,40 @@ pub const R1_FILES: &[&str] = &[
     "crates/core/src/position.rs",
 ];
 
-/// Crates whose outputs must be bit-reproducible (R2). The tracing
-/// layer (`obs`) is included: a trace is only useful as a golden or a
-/// diff target if the bytes are a pure function of the run.
-pub const R2_CRATES: &[&str] = &["graph", "core", "adversary", "obs"];
+/// Crates whose library code runs inside trial jobs (R2 and R7). The
+/// tracing layer (`obs`) is included: a trace is only useful as a
+/// golden or a diff target if the bytes are a pure function of the run.
+const TRIAL_CRATES: &[&str] = &["graph", "core", "adversary", "obs", "sim"];
 
-/// Files whose randomness may come only from the in-repo `DetRng`
-/// (R2's randomness-source arm). Fault injection and the chaos soak
-/// promise byte-identical replays from a single `u64` seed, so any
-/// other entropy source — ambient RNGs, OS randomness, clocks — is a
-/// violation even though these files sit outside [`R2_CRATES`].
-pub const R2_DETRNG_FILES: &[&str] = &[
-    "crates/sim/src/fault.rs",
-    "crates/sim/src/workload.rs",
-    "crates/bench/src/chaos.rs",
-    "crates/bench/src/loadgen.rs",
-];
+/// The bench crate's trial modules, scoped like `TRIAL_CRATES`: the
+/// chaos soak and the capacity load generator promise byte-identical
+/// replays from one `u64` seed.
+const TRIAL_FILES: &[&str] = &["crates/bench/src/chaos.rs", "crates/bench/src/loadgen.rs"];
 
-/// Simulator hot-path files held to full R2 determinism even though
-/// the `sim` crate as a whole sits outside [`R2_CRATES`]: the timing
-/// wheel, the arrival arena and the overload modules are the machinery
-/// behind the simulator's byte-identical-per-seed guarantee, so
-/// hash-ordered collections, wall clocks, and NaN-unstable floats are
-/// banned in them outright. (The parallel trial driver is
-/// `locality_graph::fanout`, which the `graph` crate's full R2 covers.)
-pub const R2_SIM_FILES: &[&str] = &[
+/// Files whose every function is R6 hot-path scope.
+const R6_FILES: &[&str] = &[
     "crates/sim/src/sched.rs",
     "crates/sim/src/slab.rs",
     "crates/sim/src/workload.rs",
     "crates/sim/src/admission.rs",
+    // The one fan-out behind the trial driver, the parallel matrix,
+    // the artifact build and the adversary scans.
+    "crates/graph/src/fanout.rs",
+    // Per-hop loop detection for the engine and the simulator.
+    "crates/core/src/visited.rs",
+    // The chunked trace reader: its per-line loop runs once per event
+    // over multi-GB corpora, so a stray per-line allocation turns the
+    // bounded-memory design into an allocator benchmark.
+    "crates/obs/src/analytics/reader.rs",
 ];
+/// The view module, whose step-table functions (`R6_VIEW_FNS`) are
+/// R6 scope.
+const R6_VIEW: &str = "crates/core/src/view.rs";
+/// The step-table functions of `R6_VIEW` in R6 scope.
+const R6_VIEW_FNS: &[&str] = &["step_table", "shortest_step_toward"];
+/// The codec module, whose decode path (`decode*` functions and the
+/// methods of `Reader`) is R6 scope.
+const R6_CODEC: &str = "crates/graph/src/codec.rs";
 
 const R1_IDENTS: &[&str] = &["Graph", "GraphBuilder", "EmbeddedGraph"];
 const R2_IDENTS: &[(&str, &str)] = &[
@@ -235,29 +240,41 @@ const R2_IDENTS: &[(&str, &str)] = &[
         "HashSet",
         "hash-ordered set: iteration order is nondeterministic",
     ),
+    ("RandomState", "hash-seeded state is nondeterministic"),
     ("Instant", "wall-clock reads break bit-reproducibility"),
     ("SystemTime", "wall-clock reads break bit-reproducibility"),
     (
         "partial_cmp",
         "NaN-unstable float comparison; use total_cmp or integer keys",
     ),
+    ("thread_rng", "ambient RNG breaks seed-replayability"),
+    ("OsRng", "OS entropy breaks seed-replayability"),
+    ("getrandom", "OS entropy breaks seed-replayability"),
+    ("StdRng", "external RNG; draw from the in-repo DetRng"),
+    ("SmallRng", "external RNG; draw from the in-repo DetRng"),
+    ("fastrand", "external RNG; draw from the in-repo DetRng"),
+    ("rand_core", "external RNG; draw from the in-repo DetRng"),
 ];
 const R2_PATHS: &[(&str, &str)] = &[
     ("std::time", "wall-clock reads break bit-reproducibility"),
     ("std::env", "environment reads break bit-reproducibility"),
 ];
-const R2_RNG_IDENTS: &[(&str, &str)] = &[
-    ("thread_rng", "ambient RNG breaks seed-replayability"),
-    ("OsRng", "OS entropy breaks seed-replayability"),
-    ("StdRng", "external RNG; draw from the in-repo DetRng"),
-    ("SmallRng", "external RNG; draw from the in-repo DetRng"),
-    ("getrandom", "OS entropy breaks seed-replayability"),
-    ("fastrand", "external RNG; draw from the in-repo DetRng"),
-    ("rand_core", "external RNG; draw from the in-repo DetRng"),
-    ("RandomState", "hash-seeded state is nondeterministic"),
-    ("Instant", "wall-clock reads break seed-replayability"),
-    ("SystemTime", "wall-clock reads break seed-replayability"),
+/// Lock and blocking-I/O types (R7).
+const R7_IDENTS: &[&str] = &[
+    "Mutex",
+    "RwLock",
+    "Condvar",
+    "Barrier",
+    "File",
+    "OpenOptions",
+    "TcpListener",
+    "TcpStream",
+    "UdpSocket",
+    "Stdin",
+    "Stdout",
 ];
+/// Blocking-I/O module paths (R7).
+const R7_PATHS: &[&str] = &["std::fs", "std::net"];
 
 const R3_CALLS: &[&str] = &["unwrap", "expect"];
 const R3_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -276,21 +293,17 @@ fn is_keyword(tok: &str) -> bool {
     KEYWORDS.contains(&tok)
 }
 
-/// Runs R1/R2/R3/R3i over one file. `rel` is the workspace-relative
-/// path; `source` the raw text.
+/// Runs the line-by-line arms (R1's textual arm, R2, R3, R3i, R5, R7)
+/// over one file. `rel` is the workspace-relative path; `source` the
+/// raw text.
 pub fn check_file(rel: &str, source: &str) -> Vec<Violation> {
-    let Some(class) = classify(rel) else {
-        return Vec::new();
-    };
-    let pre = preprocess(source);
-    let r1 = R1_FILES.contains(&rel);
-    let r2 = class != FileClass::TestBench
-        && (crate_dir(rel).is_some_and(|c| R2_CRATES.contains(&c)) || R2_SIM_FILES.contains(&rel));
-    let r2_rng = R2_DETRNG_FILES.contains(&rel);
-    let r3 = class == FileClass::Lib;
-    if !(r1 || r2 || r2_rng || r3) {
+    if classify(rel) != Some(FileClass::Lib) {
         return Vec::new();
     }
+    let pre = preprocess(source);
+    let r1 = R1_FILES.contains(&rel);
+    let trial =
+        crate_dir(rel).is_some_and(|c| TRIAL_CRATES.contains(&c)) || TRIAL_FILES.contains(&rel);
     let mut out = Vec::new();
     for (idx, (masked_line, raw_line)) in pre.text.lines().zip(source.lines()).enumerate() {
         if pre.test_lines.get(idx).copied().unwrap_or(false) {
@@ -312,19 +325,13 @@ pub fn check_file(rel: &str, source: &str) -> Vec<Violation> {
         if r1 {
             check_r1(masked_line, &idents, &mut push);
         }
-        if r2 {
+        if trial {
             check_r2(masked_line, &idents, &mut push);
+            check_r7(masked_line, &idents, &mut push);
         }
-        if r2_rng {
-            check_r2_rng(masked_line, &idents, &mut push);
-        }
-        if r3 {
-            check_r3(masked_line, &idents, &mut push);
-            check_r3i(masked_line, &idents, &mut push);
-        }
-        if class == FileClass::Lib {
-            check_r5(masked_line, &idents, &mut push);
-        }
+        check_r3(masked_line, &idents, &mut push);
+        check_r3i(masked_line, &idents, &mut push);
+        check_r5(masked_line, &idents, &mut push);
     }
     out
 }
@@ -367,7 +374,7 @@ fn check_r2(
             push(
                 Rule::R2,
                 tok.to_string(),
-                format!("`{tok}` in a bit-reproducible crate: {why}"),
+                format!("`{tok}` in trial code: {why}"),
             );
         }
     }
@@ -376,25 +383,34 @@ fn check_r2(
             push(
                 Rule::R2,
                 path.to_string(),
-                format!("`{path}` in a bit-reproducible crate: {why}"),
+                format!("`{path}` in trial code: {why}"),
             );
         }
     }
 }
 
-fn check_r2_rng(
-    _masked_line: &str,
+fn check_r7(
+    masked_line: &str,
     idents: &[(usize, &str)],
     push: &mut impl FnMut(Rule, String, String),
 ) {
-    for &(_, tok) in idents {
-        if let Some(&(_, why)) = R2_RNG_IDENTS.iter().find(|&&(name, _)| name == tok) {
-            push(
-                Rule::R2,
-                tok.to_string(),
-                format!("`{tok}` in a seed-replayable fault/chaos file: {why}; use DetRng"),
-            );
-        }
+    let types = idents
+        .iter()
+        .map(|&(_, tok)| tok)
+        .filter(|tok| R7_IDENTS.contains(tok));
+    let paths = R7_PATHS
+        .iter()
+        .copied()
+        .filter(|path| masked_line.contains(path));
+    for name in types.chain(paths) {
+        push(
+            Rule::R7,
+            name.to_string(),
+            format!(
+                "`{name}` locks or blocks in trial code: trials run side by side on the \
+                 fan-out's threads, so one trial's lock or blocking call would stall another"
+            ),
+        );
     }
 }
 
@@ -510,6 +526,94 @@ fn check_r3i(
     }
 }
 
+fn r6_in_scope(rel: &str, def: &FnDef) -> bool {
+    let setup = matches!(def.name.as_str(), "new" | "default")
+        || ["from_", "with_", "build"]
+            .iter()
+            .any(|prefix| def.name.starts_with(prefix));
+    if def.is_test || setup {
+        return false;
+    }
+    match rel {
+        R6_VIEW => R6_VIEW_FNS.contains(&def.name.as_str()),
+        R6_CODEC => def.name.starts_with("decode") || def.self_ty.as_deref() == Some("Reader"),
+        _ => R6_FILES.contains(&rel),
+    }
+}
+
+/// The allocation that token `j` of a function ending at token `hi`
+/// starts, if any: `Vec::new`, `Box::new`, `format!`, `vec!`,
+/// `collect(` (turbofish included) or `to_vec(`.
+fn allocation_at(lx: &Lexed, j: usize, hi: usize) -> Option<&str> {
+    let path_new =
+        lx.is_punct(j + 1, b':') && lx.is_punct(j + 2, b':') && lx.is_ident(j + 3, "new");
+    match lx.text(j) {
+        "Vec" if path_new => Some("Vec::new"),
+        "Box" if path_new => Some("Box::new"),
+        "format" if lx.is_punct(j + 1, b'!') => Some("format!"),
+        "vec" if lx.is_punct(j + 1, b'!') => Some("vec!"),
+        name @ ("collect" | "to_vec") => {
+            let mut k = j + 1;
+            if lx.is_punct(k, b':') && lx.is_punct(k + 1, b':') && lx.is_punct(k + 2, b'<') {
+                let mut depth = 1usize;
+                k += 3;
+                while k <= hi && depth > 0 {
+                    if lx.is_punct(k, b'<') {
+                        depth += 1;
+                    } else if lx.is_punct(k, b'>') {
+                        depth -= 1;
+                    }
+                    k += 1;
+                }
+            }
+            lx.is_punct(k, b'(').then_some(name)
+        }
+        _ => None,
+    }
+}
+
+/// R6 over one file: allocations inside its hot-path functions, read
+/// from the file's own function spans (`fns`, from
+/// [`crate::symbols::parse`]). Setup constructors (`new`, `default`,
+/// `from_*`, `with_*`, `build*`) are exempt.
+pub fn check_r6(rel: &str, lx: &Lexed, fns: &[FnDef]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for def in fns.iter().filter(|def| r6_in_scope(rel, def)) {
+        let qname = match &def.self_ty {
+            Some(ty) => format!("{ty}::{}", def.name),
+            None => def.name.clone(),
+        };
+        for j in def.tok_lo..=def.tok_hi {
+            let Some(t) = lx.tok(j) else { break };
+            if t.kind != TokenKind::Ident || lx.is_test_line(t.line) {
+                continue;
+            }
+            let Some(what) = allocation_at(lx, j, def.tok_hi) else {
+                continue;
+            };
+            out.push(Violation {
+                rule: Rule::R6,
+                file: rel.to_string(),
+                line: t.line,
+                symbol: def.name.clone(),
+                message: format!(
+                    "`{what}` allocates inside hot-path fn `{qname}`; hoist to a setup fn \
+                     (new/default/from_*/with_*/build*) or allowlist with a justification"
+                ),
+                raw_line: lx
+                    .masked
+                    .lines()
+                    .nth(t.line.saturating_sub(1))
+                    .unwrap_or("")
+                    .trim()
+                    .to_string(),
+                chain: Vec::new(),
+            });
+        }
+    }
+    out
+}
+
 /// R4: crate-root hygiene for `crates/<c>/src/lib.rs`.
 ///
 /// The `missing_docs` requirement accepts a documented opt-out: a line
@@ -603,10 +707,30 @@ mod tests {
     #[test]
     fn r2_catches_hash_collections_in_reproducible_crates() {
         let src = "use std::collections::HashMap;\nfn f() { let s: HashSet<u32> = d(); }\n";
-        let v = check_file("crates/graph/src/foo.rs", src);
-        assert_eq!(rules_of(&v), vec![Rule::R2, Rule::R2]);
-        // The simulator crate is not bit-reproducibility-scoped.
-        assert!(check_file("crates/sim/src/foo.rs", src).is_empty());
+        for rel in ["crates/graph/src/foo.rs", "crates/sim/src/foo.rs"] {
+            assert_eq!(
+                rules_of(&check_file(rel, src)),
+                vec![Rule::R2, Rule::R2],
+                "{rel}"
+            );
+        }
+        // Bench library code outside the two trial modules is not
+        // bit-reproducibility-scoped.
+        assert!(check_file("crates/bench/src/experiments.rs", src).is_empty());
+    }
+
+    #[test]
+    fn r2_survives_the_clippy_opt_out_attribute() {
+        // `bench::simbench` and `bench::timing` open with this attribute
+        // to read clocks; clippy's `disallowed-types` then stays silent,
+        // so R2 is the only guard left in the deterministic crates.
+        let src = "#![allow(clippy::disallowed_types)]\nuse std::collections::HashMap;\n";
+        let v = check_file("crates/core/src/foo.rs", src);
+        assert_eq!(rules_of(&v), vec![Rule::R2]);
+        assert_eq!(
+            v.first().map(|x| (x.line, x.symbol.as_str())),
+            Some((2, "HashMap"))
+        );
     }
 
     #[test]
@@ -629,47 +753,85 @@ mod tests {
 
     #[test]
     fn r2_rng_arm_covers_fault_and_chaos_files_only() {
+        // The RNG names sit in R2's one list, so fault injection, the
+        // chaos soak and the load generator see them with every other
+        // trial file; bench binaries, bench modules outside the two
+        // trial files, the lint and integration tests do not.
         let src = "fn f() { let mut r = rand::thread_rng(); }\n\
                    fn g() { let t = std::time::SystemTime::now(); }\n";
-        // The fault module is Lib code inside a non-R2 crate: only the
-        // randomness-source arm fires (plus nothing from full R2).
-        let v = check_file("crates/sim/src/fault.rs", src);
-        assert_eq!(rules_of(&v), vec![Rule::R2, Rule::R2]);
-        // The chaos soak lives in the bench crate — outside R2_CRATES —
-        // but the randomness arm still applies.
-        let v = check_file("crates/bench/src/chaos.rs", src);
-        assert_eq!(rules_of(&v), vec![Rule::R2, Rule::R2]);
-        // Other sim files and bench bins are untouched.
-        assert!(check_file("crates/sim/src/network.rs", src).is_empty());
-        assert!(check_file("crates/bench/src/bin/perfsmoke.rs", src).is_empty());
-        assert!(check_file("crates/bench/src/bin/chaos.rs", src).is_empty());
+        for rel in [
+            "crates/sim/src/fault.rs",
+            "crates/bench/src/chaos.rs",
+            "crates/bench/src/loadgen.rs",
+        ] {
+            let v = check_file(rel, src);
+            let at: Vec<(usize, &str)> = v.iter().map(|x| (x.line, x.symbol.as_str())).collect();
+            assert_eq!(rules_of(&v), vec![Rule::R2; 3], "{rel}");
+            assert_eq!(
+                at,
+                vec![(1, "thread_rng"), (2, "SystemTime"), (2, "std::time")]
+            );
+        }
+        for rel in [
+            "crates/bench/src/bin/chaos.rs",
+            "crates/bench/src/bin/perfsmoke.rs",
+            "crates/bench/src/timing.rs",
+            "crates/lint/src/lib.rs",
+            "crates/sim/tests/foo.rs",
+        ] {
+            assert!(check_file(rel, src).is_empty(), "{rel}");
+        }
     }
 
     #[test]
     fn r2_sim_arm_covers_scheduler_arena_and_driver() {
         let src = "use std::collections::HashMap;\n\
                    fn f() { let t = std::time::Instant::now(); }\n";
-        // The wheel, the slab and the overload modules get full R2
-        // despite the sim crate sitting outside R2_CRATES, and the
-        // trial driver (the graph crate's fan-out) gets it with its
-        // crate. A file that is *also* in the DetRng set (the workload)
-        // picks up one extra hit from the randomness-source arm.
-        let v = check_file("crates/graph/src/fanout.rs", src);
-        assert_eq!(rules_of(&v), vec![Rule::R2; 3]);
-        for rel in super::R2_SIM_FILES {
-            let v = check_file(rel, src);
-            let expected = if super::R2_DETRNG_FILES.contains(rel) {
-                4
-            } else {
-                3
-            };
-            assert_eq!(rules_of(&v), vec![Rule::R2; expected], "{rel}");
+        // The wheel, the slab, the workload and the overload modules,
+        // the rest of the sim crate and the trial driver (the graph
+        // crate's fan-out) are all trial code under full R2.
+        for rel in [
+            "crates/sim/src/sched.rs",
+            "crates/sim/src/slab.rs",
+            "crates/sim/src/workload.rs",
+            "crates/sim/src/admission.rs",
+            "crates/sim/src/network.rs",
+            "crates/graph/src/fanout.rs",
+        ] {
+            assert_eq!(rules_of(&check_file(rel, src)), vec![Rule::R2; 3], "{rel}");
         }
         // Deterministic ordered collections pass.
         let ok = "use std::collections::BTreeMap;\nfn f(m: &BTreeMap<u64, u32>) {}\n";
         assert!(check_file("crates/sim/src/sched.rs", ok).is_empty());
-        // Other sim lib files still see only R3/R3i, not R2.
-        assert!(check_file("crates/sim/src/network.rs", src).is_empty());
+    }
+
+    #[test]
+    fn r7_flags_locks_and_blocking_io_in_trial_code_only() {
+        let src = "use std::sync::Mutex;\n\
+                   fn f() -> std::io::Result<Vec<u8>> { std::fs::read(\"x\") }\n\
+                   fn g(s: &std::net::TcpStream) {}\n";
+        for rel in [
+            "crates/core/src/foo.rs",
+            "crates/sim/src/network.rs",
+            "crates/bench/src/loadgen.rs",
+        ] {
+            let v = check_file(rel, src);
+            let at: Vec<(usize, &str)> = v.iter().map(|x| (x.line, x.symbol.as_str())).collect();
+            assert_eq!(rules_of(&v), vec![Rule::R7; 4], "{rel}");
+            assert_eq!(
+                at,
+                vec![
+                    (1, "Mutex"),
+                    (2, "std::fs"),
+                    (3, "TcpStream"),
+                    (3, "std::net")
+                ]
+            );
+        }
+        assert!(check_file("crates/bench/src/bin/perfsmoke.rs", src).is_empty());
+        // A doc comment or a test module may name them.
+        let ok = "/// Reads a File.\nfn f() {}\n#[cfg(test)]\nmod tests {\n use std::sync::Barrier;\n}\n";
+        assert!(check_file("crates/core/src/engine.rs", ok).is_empty());
     }
 
     #[test]
@@ -765,6 +927,54 @@ mod tests {
         assert!(check_file("crates/sim/src/foo.rs", ok).is_empty());
     }
 
+    fn r6(rel: &str, src: &str) -> Vec<(String, String)> {
+        let lx = crate::lexer::lex(src);
+        let fns = crate::symbols::parse(rel, &lx).fns;
+        check_r6(rel, &lx, &fns)
+            .into_iter()
+            .map(|x| {
+                let what = x.message.split('`').nth(1).unwrap_or("").to_string();
+                (x.symbol, what)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn r6_flags_hot_path_allocations_outside_setup_fns() {
+        let src = "pub struct Wheel { slots: Vec<u32> }\n\
+                   impl Wheel {\n\
+                       pub fn new() -> Wheel { Wheel { slots: Vec::new() } }\n\
+                       pub fn advance(&mut self) { let v: Vec<u32> = Vec::new(); let _ = v; }\n\
+                       pub fn drain(&self) -> Vec<u32> { self.slots.iter().copied().collect() }\n\
+                       pub fn grow(&mut self) { self.slots = vec![0; 8]; }\n\
+                       pub fn sorted(&self) -> Vec<u32> { self.slots.iter().copied().collect::<Vec<_>>() }\n\
+                   }\n";
+        let pair = |s: &str, w: &str| (s.to_string(), w.to_string());
+        assert_eq!(
+            r6("crates/sim/src/sched.rs", src),
+            vec![
+                pair("advance", "Vec::new"),
+                pair("drain", "collect"),
+                pair("grow", "vec!"),
+                pair("sorted", "collect"),
+            ],
+            "the setup fn `new` is exempt"
+        );
+        // Outside R6 scope nothing is flagged.
+        assert!(r6("crates/sim/src/network.rs", src).is_empty());
+        // In the view and the codec only the named paths are hot.
+        let view =
+            "fn step_table() -> Vec<u32> { vec![1] }\nfn members() -> Vec<u32> { vec![1] }\n";
+        assert_eq!(r6(R6_VIEW, view), vec![pair("step_table", "vec!")]);
+        let codec =
+            "fn decode_view() -> Vec<u8> { Vec::new() }\nfn encode() -> Vec<u8> { Vec::new() }\n\
+                     impl Reader { fn u32(&mut self) -> Vec<u8> { self.b.to_vec() } }\n";
+        assert_eq!(
+            r6(R6_CODEC, codec),
+            vec![pair("decode_view", "Vec::new"), pair("u32", "to_vec")]
+        );
+    }
+
     #[test]
     fn r4_requires_crate_root_headers() {
         let bad = "//! docs\n";
@@ -785,5 +995,167 @@ mod tests {
         assert!(
             check_clippy_toml(Some("disallowed-types = []\ndisallowed-methods = []")).is_empty()
         );
+    }
+
+    /// The workspace root, read by the tests that check the lint's scope
+    /// lists against the workspace they describe.
+    fn workspace_root() -> std::path::PathBuf {
+        let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        crate::walk::find_workspace_root(here).expect("tests run inside the workspace")
+    }
+
+    fn read(path: &std::path::Path) -> String {
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
+    /// The names of the non-test functions `rel` defines.
+    fn fns_defined_in(root: &std::path::Path, rel: &str) -> Vec<String> {
+        let lx = crate::lexer::lex(&read(&root.join(rel)));
+        crate::symbols::parse(rel, &lx)
+            .fns
+            .into_iter()
+            .filter(|f| !f.is_test)
+            .map(|f| f.name)
+            .collect()
+    }
+
+    #[test]
+    fn every_path_the_lint_names_exists() {
+        // A renamed file or function drops out of its rule without a
+        // finding, so each must still be where the lint looks for it.
+        let root = workspace_root();
+        let named = R1_FILES
+            .iter()
+            .chain(TRIAL_FILES)
+            .chain(R6_FILES)
+            .chain([&R6_VIEW, &R6_CODEC]);
+        for rel in named {
+            assert!(
+                root.join(rel).is_file(),
+                "the lint names {rel}, which does not exist"
+            );
+        }
+        for dir in TRIAL_CRATES {
+            let lib = format!("crates/{dir}/src/lib.rs");
+            assert!(
+                root.join(&lib).is_file(),
+                "trial crate `{dir}` has no {lib}"
+            );
+        }
+        let view = fns_defined_in(&root, R6_VIEW);
+        for name in R6_VIEW_FNS {
+            assert!(
+                view.iter().any(|f| f == name),
+                "`{name}` is not a function of {R6_VIEW}"
+            );
+        }
+        assert!(
+            fns_defined_in(&root, R6_CODEC)
+                .iter()
+                .any(|f| f.starts_with("decode")),
+            "{R6_CODEC} has no decode function in R6 scope"
+        );
+    }
+
+    /// The key of a `name = ...` or `name.key = ...` manifest line.
+    fn manifest_key(line: &str) -> Option<&str> {
+        let (lhs, _) = line.split_once('=')?;
+        lhs.split('.').next().map(str::trim)
+    }
+
+    /// Package name → `crates/<dir>` directory, from the path entries of
+    /// the root manifest's `[workspace.dependencies]`.
+    fn workspace_crates(manifest: &str) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        let mut inside = false;
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                inside = line == "[workspace.dependencies]";
+                continue;
+            }
+            let dir = line
+                .split_once("path = \"crates/")
+                .and_then(|(_, rest)| rest.split('"').next());
+            if let (true, Some(name), Some(dir)) = (inside, manifest_key(line), dir) {
+                out.push((name.to_string(), dir.to_string()));
+            }
+        }
+        out
+    }
+
+    /// Package names a crate manifest depends on: the `[dependencies]`
+    /// table, target-specific ones, and `[dependencies.<name>]` tables.
+    /// Dev- and build-dependencies never run inside a trial.
+    fn dependencies(manifest: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut inside = false;
+        for line in manifest.lines().map(str::trim) {
+            if let Some(header) = line.strip_prefix('[') {
+                let header = header.trim_end_matches(']');
+                inside = header == "dependencies" || header.ends_with(".dependencies");
+                if let Some(name) = header.strip_prefix("dependencies.") {
+                    out.push(name.to_string());
+                }
+                continue;
+            }
+            if let (true, Some(name)) = (inside, manifest_key(line)) {
+                if !name.is_empty() && !name.starts_with('#') {
+                    out.push(name.to_string());
+                }
+            }
+        }
+        out
+    }
+
+    /// `dir -> package` for every dependency of a trial crate that is
+    /// not itself a trial crate.
+    fn escapes(root: &std::path::Path) -> Vec<String> {
+        let crates = workspace_crates(&read(&root.join("Cargo.toml")));
+        let mut out = Vec::new();
+        for dir in TRIAL_CRATES {
+            let manifest = read(&root.join("crates").join(dir).join("Cargo.toml"));
+            for dep in dependencies(&manifest) {
+                let in_scope = crates
+                    .iter()
+                    .any(|(name, d)| *name == dep && TRIAL_CRATES.contains(&d.as_str()));
+                if !in_scope {
+                    out.push(format!("{dir} -> {dep}"));
+                }
+            }
+        }
+        out
+    }
+
+    /// R2 and R7 scan trial files line by line instead of following
+    /// calls. That reaches every source trial code can call only
+    /// because a trial crate can call into nothing but trial crates: a
+    /// trial crate that gained a dependency outside the scope (say
+    /// `core` on `bench`) could call code neither arm scans, so this
+    /// test fails first.
+    #[test]
+    fn the_trial_crates_depend_only_on_trial_crates() {
+        let root = workspace_root();
+        assert_eq!(escapes(&root), Vec::<String>::new());
+
+        // The same manifests, with `core` gaining a dependency on `bench`.
+        let copy = std::env::temp_dir().join(format!("locality-lint-scope-{}", std::process::id()));
+        for dir in TRIAL_CRATES {
+            let to = copy.join("crates").join(dir);
+            std::fs::create_dir_all(&to).expect("scratch crate dir");
+            let mut manifest = read(&root.join("crates").join(dir).join("Cargo.toml"));
+            if *dir == "core" {
+                manifest = manifest.replacen(
+                    "[dependencies]\n",
+                    "[dependencies]\nlocality-bench = { workspace = true }\n",
+                    1,
+                );
+            }
+            std::fs::write(to.join("Cargo.toml"), manifest).expect("scratch manifest");
+        }
+        std::fs::write(copy.join("Cargo.toml"), read(&root.join("Cargo.toml")))
+            .expect("root manifest");
+        let found = escapes(&copy);
+        std::fs::remove_dir_all(&copy).expect("scratch dir removable");
+        assert_eq!(found, vec!["core -> locality-bench".to_string()]);
     }
 }

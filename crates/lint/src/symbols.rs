@@ -1,9 +1,9 @@
-//! Per-file symbol layer: `use` declarations, item definitions,
-//! function bodies, and the calls they make.
+//! Per-file symbol layer: `use` declarations, item definitions and
+//! function spans.
 //!
 //! [`parse`] runs a single forward pass over a file's token stream
-//! (see [`crate::lexer`]) and produces the facts the workspace
-//! use-graph is built from:
+//! (see [`crate::lexer`]) and produces the facts R1's use-graph and
+//! R6's per-function scan read:
 //!
 //! * every `use`/`pub use` binding, with its full path, alias, and
 //!   visibility — use *trees* (`use a::{b, c as d, e::*}`) are
@@ -11,16 +11,11 @@
 //! * every module-level item definition (`fn`, `struct`, `enum`,
 //!   `trait`, `type`, `const`, `static`, `mod`, `macro_rules!`);
 //! * every function definition — free or in an `impl` block — with its
-//!   line span, token span (signature included), and the calls its
-//!   body makes, classified well enough for conservative call-graph
-//!   edges (see [`CallKind`]);
-//! * struct fields with the head identifier of their type, so
-//!   `self.field.method(..)` calls can be resolved exactly.
+//!   name, `impl` self type, and token span (signature included).
 //!
 //! The parser is deliberately approximate — it is a lint substrate,
-//! not a compiler front end — but errs on the side of *missing* edges
-//! rather than inventing them, so downstream analyses stay
-//! false-positive-free.
+//! not a compiler front end. It records no call sites and no field
+//! types: no rule follows calls.
 
 use crate::lexer::{Lexed, TokenKind};
 use crate::rules;
@@ -118,66 +113,21 @@ pub struct Item {
     pub kind: ItemKind,
     /// Item name.
     pub name: String,
-    /// 1-indexed definition line.
-    pub line: usize,
-}
-
-/// How a call site names its callee.
-#[derive(Clone, Debug)]
-pub enum CallKind {
-    /// `name(..)` — a free function in scope.
-    Bare(String),
-    /// `a::b::name(..)` — segments then the callee name last.
-    Path(Vec<String>),
-    /// `self.name(..)` — a method on the enclosing impl type.
-    SelfMethod(String),
-    /// `self.field.name(..)` — a method on a field's type.
-    FieldMethod(String, String),
-    /// `recv.name(..)` — a method on an arbitrary receiver.
-    Method(String),
-}
-
-/// One call site inside a function body.
-#[derive(Clone, Debug)]
-pub struct Call {
-    /// How the callee is named.
-    pub kind: CallKind,
-    /// 1-indexed line of the call.
-    pub line: usize,
 }
 
 /// One function definition (free or method).
 #[derive(Clone, Debug)]
 pub struct FnDef {
-    /// Module the function is defined in.
-    pub module: String,
     /// Function name.
     pub name: String,
     /// `impl` self type, when the function is a method.
     pub self_ty: Option<String>,
-    /// 1-indexed line of the `fn` keyword.
-    pub line: usize,
-    /// 1-indexed line of the body's closing brace.
-    pub end_line: usize,
     /// Whether the definition sits in a `#[cfg(test)]` region.
     pub is_test: bool,
     /// Token range `[lo, hi]` covering signature and body.
     pub tok_lo: usize,
     /// Inclusive upper token index.
     pub tok_hi: usize,
-    /// Calls the body makes.
-    pub calls: Vec<Call>,
-}
-
-/// One struct field with the head identifier of its type.
-#[derive(Clone, Debug)]
-pub struct Field {
-    /// Struct the field belongs to.
-    pub owner: String,
-    /// Field name.
-    pub name: String,
-    /// First identifier of the field's type (`ViewStore`, `Vec`, ..).
-    pub ty: String,
 }
 
 /// Everything the symbol pass extracts from one file.
@@ -189,10 +139,8 @@ pub struct FileSymbols {
     pub uses: Vec<UseDecl>,
     /// Module-level item definitions.
     pub items: Vec<Item>,
-    /// Function definitions with call sites.
+    /// Function definitions.
     pub fns: Vec<FnDef>,
-    /// Struct fields (for `self.field.method(..)` resolution).
-    pub fields: Vec<Field>,
     /// `mod name;` child-file declarations, as (parent module, name).
     pub submods: Vec<(String, String)>,
 }
@@ -336,7 +284,7 @@ impl Parser<'_> {
                         ItemKind::Trait
                     };
                     if let Some(name) = self.ident_at(i + 1) {
-                        self.push_item(module, kind, name, self.line(i));
+                        self.push_item(module, kind, name);
                     }
                     let h = self.header_end(i + 1, end);
                     i = if self.lx.is_punct(h, b'{') {
@@ -348,7 +296,7 @@ impl Parser<'_> {
                 }
                 "type" => {
                     if let Some(name) = self.ident_at(i + 1) {
-                        self.push_item(module, ItemKind::TypeAlias, name, self.line(i));
+                        self.push_item(module, ItemKind::TypeAlias, name);
                     }
                     i = self.skip_to_semi(i + 1, end);
                     vis = false;
@@ -369,9 +317,9 @@ impl Parser<'_> {
                     };
                     if let Some(name) = self.ident_at(i + 1) {
                         if name != "mut" {
-                            self.push_item(module, kind, name, self.line(i));
+                            self.push_item(module, kind, name);
                         } else if let Some(name) = self.ident_at(i + 2) {
-                            self.push_item(module, kind, name, self.line(i));
+                            self.push_item(module, kind, name);
                         }
                     }
                     i = self.skip_to_semi(i + 1, end);
@@ -379,7 +327,7 @@ impl Parser<'_> {
                 }
                 "macro_rules" => {
                     if let Some(name) = self.ident_at(i + 2) {
-                        self.push_item(module, ItemKind::Macro, name, self.line(i));
+                        self.push_item(module, ItemKind::Macro, name);
                     }
                     let h = self.header_end(i + 1, end);
                     i = if self.lx.is_punct(h, b'{') {
@@ -411,12 +359,11 @@ impl Parser<'_> {
         }
     }
 
-    fn push_item(&mut self, module: &str, kind: ItemKind, name: String, line: usize) {
+    fn push_item(&mut self, module: &str, kind: ItemKind, name: String) {
         self.out.items.push(Item {
             module: module.to_string(),
             kind,
             name,
-            line,
         });
     }
 
@@ -437,7 +384,7 @@ impl Parser<'_> {
         let Some(name) = self.ident_at(i + 1) else {
             return i + 1;
         };
-        self.push_item(module, ItemKind::Mod, name.clone(), self.line(i));
+        self.push_item(module, ItemKind::Mod, name.clone());
         if self.lx.is_punct(i + 2, b';') {
             self.out.submods.push((module.to_string(), name));
             return i + 3;
@@ -484,40 +431,29 @@ impl Parser<'_> {
             j += 1;
         }
         let close = self.skip_group(h, end);
-        self.items_in_impl(h + 1, close.saturating_sub(1), module, ty.as_deref());
+        self.items(h + 1, close.saturating_sub(1), module, ty.as_deref());
         close
-    }
-
-    fn items_in_impl(&mut self, i: usize, end: usize, module: &str, ty: Option<&str>) {
-        self.items(i, end, module, ty);
     }
 
     fn parse_fn(&mut self, i: usize, end: usize, module: &str, self_ty: Option<&str>) -> usize {
         let Some(name) = self.ident_at(i + 1) else {
             return i + 1;
         };
-        let line = self.line(i);
         let h = self.header_end(i + 2, end);
-        let (close, calls) = if self.lx.is_punct(h, b'{') {
-            let close = self.skip_group(h, end);
-            (close, self.extract_calls(h + 1, close.saturating_sub(1)))
+        let close = if self.lx.is_punct(h, b'{') {
+            self.skip_group(h, end)
         } else {
-            (h + 1, Vec::new())
+            h + 1
         };
-        let tok_hi = close.saturating_sub(1).max(i);
         self.out.fns.push(FnDef {
-            module: module.to_string(),
             name: name.clone(),
             self_ty: self_ty.map(str::to_string),
-            line,
-            end_line: self.line(tok_hi).max(line),
-            is_test: self.lx.is_test_line(line),
+            is_test: self.lx.is_test_line(self.line(i)),
             tok_lo: i,
-            tok_hi,
-            calls,
+            tok_hi: close.saturating_sub(1).max(i),
         });
         if self_ty.is_none() {
-            self.push_item(module, ItemKind::Fn, name, line);
+            self.push_item(module, ItemKind::Fn, name);
         }
         close
     }
@@ -526,55 +462,12 @@ impl Parser<'_> {
         let Some(name) = self.ident_at(i + 1) else {
             return i + 1;
         };
-        self.push_item(module, ItemKind::Struct, name.clone(), self.line(i));
+        self.push_item(module, ItemKind::Struct, name);
         let h = self.header_end(i + 2, end);
-        if !self.lx.is_punct(h, b'{') {
-            return h + 1; // unit or tuple struct
-        }
-        let close = self.skip_group(h, end);
-        self.parse_fields(&name, h + 1, close.saturating_sub(1));
-        close
-    }
-
-    /// Extracts `field: Type` pairs from a named-struct body. A field
-    /// name is an ident directly followed by a single `:`, preceded by
-    /// `,`, `{`, `]` (attribute close), or `pub`.
-    fn parse_fields(&mut self, owner: &str, lo: usize, hi: usize) {
-        let mut j = lo;
-        while j < hi {
-            let is_field = matches!(self.lx.tok(j), Some(t) if t.kind == TokenKind::Ident)
-                && !is_keyword(self.lx.text(j))
-                && self.lx.is_punct(j + 1, b':')
-                && !self.lx.is_punct(j + 2, b':')
-                && (j == lo
-                    || self.lx.is_punct(j - 1, b',')
-                    || self.lx.is_punct(j - 1, b'{')
-                    || self.lx.is_punct(j - 1, b']')
-                    || self.lx.is_ident(j - 1, "pub")
-                    || self.lx.is_punct(j - 1, b')'));
-            if is_field {
-                let name = self.lx.text(j).to_string();
-                // Head identifier of the type.
-                let mut k = j + 2;
-                while k < hi {
-                    match self.lx.tok(k).map(|t| t.kind) {
-                        Some(TokenKind::Ident) => {
-                            let ty = self.lx.text(k);
-                            if !matches!(ty, "dyn" | "mut" | "impl" | "const") {
-                                self.out.fields.push(Field {
-                                    owner: owner.to_string(),
-                                    name,
-                                    ty: ty.to_string(),
-                                });
-                                break;
-                            }
-                            k += 1;
-                        }
-                        _ => k += 1,
-                    }
-                }
-            }
-            j += 1;
+        if self.lx.is_punct(h, b'{') {
+            self.skip_group(h, end)
+        } else {
+            h + 1 // unit or tuple struct
         }
     }
 
@@ -669,100 +562,6 @@ impl Parser<'_> {
         prefix.truncate(depth_base);
         end
     }
-
-    /// Call-site extraction over a body token range (inclusive lo,
-    /// exclusive hi).
-    fn extract_calls(&self, lo: usize, hi: usize) -> Vec<Call> {
-        let mut out = Vec::new();
-        let mut j = lo;
-        while j < hi {
-            let Some(t) = self.lx.tok(j) else { break };
-            if t.kind != TokenKind::Ident {
-                j += 1;
-                continue;
-            }
-            let name = self.lx.text(j);
-            if is_keyword(name) {
-                j += 1;
-                continue;
-            }
-            // Macro invocation — not a call edge.
-            if self.lx.is_punct(j + 1, b'!') {
-                j += 1;
-                continue;
-            }
-            // Optional turbofish between name and `(`.
-            let mut k = j + 1;
-            if self.lx.is_punct(k, b':')
-                && self.lx.is_punct(k + 1, b':')
-                && self.lx.is_punct(k + 2, b'<')
-            {
-                let mut depth = 1usize;
-                k += 3;
-                while k < hi && depth > 0 {
-                    if self.lx.is_punct(k, b'<') {
-                        depth += 1;
-                    } else if self.lx.is_punct(k, b'>') {
-                        depth -= 1;
-                    }
-                    k += 1;
-                }
-            }
-            if !self.lx.is_punct(k, b'(') {
-                j += 1;
-                continue;
-            }
-            // Skip nested fn definitions inside the body.
-            if self.lx.is_ident(j.wrapping_sub(1), "fn") {
-                j = k;
-                continue;
-            }
-            let line = t.line;
-            let kind = if self.lx.is_punct(j.wrapping_sub(1), b'.') {
-                if self.lx.is_ident(j.wrapping_sub(2), "self")
-                    && !self.lx.is_punct(j.wrapping_sub(3), b'.')
-                {
-                    CallKind::SelfMethod(name.to_string())
-                } else if self.lx.is_punct(j.wrapping_sub(3), b'.')
-                    && self.lx.is_ident(j.wrapping_sub(4), "self")
-                {
-                    match self.ident_at(j.wrapping_sub(2)) {
-                        Some(field) => CallKind::FieldMethod(field, name.to_string()),
-                        None => CallKind::Method(name.to_string()),
-                    }
-                } else {
-                    CallKind::Method(name.to_string())
-                }
-            } else if self.lx.is_punct(j.wrapping_sub(1), b':')
-                && self.lx.is_punct(j.wrapping_sub(2), b':')
-            {
-                let mut segs: Vec<String> = vec![name.to_string()];
-                // `m` sits on the first `:` of the `::` pair whose
-                // preceding token is the next segment leftward.
-                let mut m = j.wrapping_sub(2);
-                while m >= 1 {
-                    let Some(seg) = self.ident_at(m.wrapping_sub(1)) else {
-                        break;
-                    };
-                    segs.push(seg);
-                    if self.lx.is_punct(m.wrapping_sub(2), b':')
-                        && self.lx.is_punct(m.wrapping_sub(3), b':')
-                    {
-                        m = m.wrapping_sub(3);
-                    } else {
-                        break;
-                    }
-                }
-                segs.reverse();
-                CallKind::Path(segs)
-            } else {
-                CallKind::Bare(name.to_string())
-            };
-            out.push(Call { kind, line });
-            j = k;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -818,15 +617,14 @@ mod tests {
     }
 
     #[test]
-    fn items_fns_and_fields_are_recorded() {
-        let s = sym(
-            "crates/sim/src/foo.rs",
-            "pub struct Net { views: Store, n: u32 }\n\
-             impl Net {\n    pub fn tick(&mut self) { self.views.view(1); self.help(); }\n\
-                 fn help(&self) {}\n}\n\
-             pub fn free(x: u32) -> u32 { double(x) }\n\
-             pub enum E { A }\npub const N: usize = 4;\nmod sub;\n",
-        );
+    fn items_and_fns_are_recorded() {
+        let src = "pub struct Net { views: Store, n: u32 }\n\
+                   impl Net {\n    pub fn tick(&mut self) { self.views.view(1); self.help(); }\n\
+                       fn help(&self) {}\n}\n\
+                   pub fn free(x: u32) -> u32 { double(x) }\n\
+                   pub enum E { A }\npub const N: usize = 4;\nmod sub;\n";
+        let lx = lexer::lex(src);
+        let s = parse("crates/sim/src/foo.rs", &lx);
         let names: Vec<(&ItemKind, &str)> =
             s.items.iter().map(|i| (&i.kind, i.name.as_str())).collect();
         assert!(names.contains(&(&ItemKind::Struct, "Net")));
@@ -838,46 +636,16 @@ mod tests {
             s.submods,
             vec![("locality_sim::foo".to_string(), "sub".to_string())]
         );
-        assert!(s
-            .fields
-            .iter()
-            .any(|f| f.owner == "Net" && f.name == "views" && f.ty == "Store"));
         let tick = s.fns.iter().find(|f| f.name == "tick").expect("tick");
         assert_eq!(tick.self_ty.as_deref(), Some("Net"));
-        assert!(tick.calls.iter().any(
-            |c| matches!(&c.kind, CallKind::FieldMethod(f, m) if f == "views" && m == "view")
-        ));
-        assert!(tick
-            .calls
-            .iter()
-            .any(|c| matches!(&c.kind, CallKind::SelfMethod(m) if m == "help")));
         let free = s.fns.iter().find(|f| f.name == "free").expect("free");
         assert!(free.self_ty.is_none());
-        assert!(free
-            .calls
-            .iter()
-            .any(|c| matches!(&c.kind, CallKind::Bare(n) if n == "double")));
-    }
-
-    #[test]
-    fn path_calls_and_turbofish_are_classified() {
-        let s = sym(
-            "crates/sim/src/foo.rs",
-            "fn f() { let v = iter.collect::<Vec<u32>>(); Wheel::advance(w); a::b::g(); }\n",
-        );
-        let f = s.fns.first().expect("fn");
-        assert!(f
-            .calls
-            .iter()
-            .any(|c| matches!(&c.kind, CallKind::Method(m) if m == "collect")));
-        assert!(f
-            .calls
-            .iter()
-            .any(|c| matches!(&c.kind, CallKind::Path(p) if p.join("::") == "Wheel::advance")));
-        assert!(f
-            .calls
-            .iter()
-            .any(|c| matches!(&c.kind, CallKind::Path(p) if p.join("::") == "a::b::g")));
+        // A span runs from the `fn` keyword to the body's closing brace.
+        for f in [tick, free] {
+            assert_eq!(lx.text(f.tok_lo), "fn", "{}", f.name);
+            assert_eq!(lx.text(f.tok_hi), "}", "{}", f.name);
+        }
+        assert_eq!(s.fns.len(), 3, "fields are not functions: {:?}", s.fns);
     }
 
     #[test]

@@ -20,11 +20,14 @@ fn workspace_root() -> std::path::PathBuf {
 
 #[test]
 fn unknown_flag_exits_nonzero_with_usage() {
-    let out = lint(&["--bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown argument"), "stderr: {err}");
-    assert!(err.contains("usage:"), "stderr: {err}");
+    // There is no quiet mode: the text summary always prints.
+    for flag in ["--bogus", "--quiet"] {
+        let out = lint(&[flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown argument"), "{flag} stderr: {err}");
+        assert!(err.contains("usage:"), "{flag} stderr: {err}");
+    }
 }
 
 #[test]

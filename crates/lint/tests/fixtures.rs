@@ -1,7 +1,17 @@
-//! Adversarial fixtures: each one defeats the v1 *textual* check and
-//! is caught by the v2 workspace analysis, with the test asserting
-//! **both** — so the blind spots the pipeline was built to close stay
-//! demonstrably closed.
+//! Adversarial fixtures, each asserting what the lint reports on a
+//! mini-workspace built to probe one of its claims:
+//!
+//! * R1's use-graph arm: an aliased import and a two-hop re-export each
+//!   defeat the *textual* arm (v1) and are caught by the use-graph
+//!   (v2), with the test asserting both, so those blind spots stay
+//!   demonstrably closed;
+//! * R2 and R7 over the trial scope: nondeterminism and lock sources
+//!   planted in helpers that the simulator's step path calls are each
+//!   flagged at the helper's own line, while the spotless callers are
+//!   not;
+//! * `lint.allow`: a line-bound entry fails the lint instead of
+//!   suppressing;
+//! * the JSON report: stable across runs and sorted by location.
 //!
 //! The fixture workspace is materialized into a temp directory at
 //! runtime (committed `.rs` fixture trees would be scanned by the real
@@ -153,63 +163,86 @@ fn two_hop_re_export_is_missed_by_v1_and_caught_by_v2_with_both_hops() {
 }
 
 #[test]
-fn tainted_helper_chain_is_missed_by_v1_and_caught_by_v2_across_crates() {
-    // The helper lives in the sim crate (outside R2 textual scope) and
-    // iterates a HashMap; the R2-crate caller's own file is spotless.
+fn planted_trial_sources_are_flagged_at_their_own_lines() {
+    // The simulator's wheel, workload and step path call helpers in
+    // other files and crates that hold a hash map, a NaN-unstable
+    // compare, a blocking read and a lock. Each call site is spotless.
     let files: &[(&str, &str)] = &[
         (
             "crates/sim/src/lib.rs",
-            "//! fixture sim\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\npub mod util;\n",
+            "//! fixture sim\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n\
+             pub mod network;\npub mod sched;\npub mod util;\npub mod workload;\n",
         ),
         (
             "crates/sim/src/util.rs",
-            "//! order helper\nuse std::collections::HashMap;\n\
-             /// Returns keys in hash order.\n\
-             pub fn shuffled(m: &HashMap<u32, u32>, out: &mut Vec<u32>) {\n\
-                 for (k, _) in m.iter() { out.push(*k); }\n\
-             }\n",
+            "//! fixture helpers\nuse std::collections::HashMap;\n\
+             /// Distinct keys of a hash map.\n\
+             pub fn distinct(m: &HashMap<u32, u32>) -> usize {\n    m.len()\n}\n\
+             /// Whether `a` sorts before `b`.\n\
+             pub fn before(a: f64, b: f64) -> bool {\n\
+                 a.partial_cmp(&b) == Some(std::cmp::Ordering::Less)\n}\n",
+        ),
+        (
+            "crates/sim/src/sched.rs",
+            "//! fixture wheel\nuse crate::util::distinct;\n\
+             /// One tick.\npub fn tick() -> usize { distinct(&Default::default()) }\n",
+        ),
+        (
+            "crates/sim/src/workload.rs",
+            "//! fixture workload\n/// Picks the earlier deadline.\n\
+             pub fn pick(a: f64, b: f64) -> f64 { if crate::util::before(a, b) { a } else { b } }\n",
+        ),
+        (
+            "crates/sim/src/network.rs",
+            "//! fixture network\nuse local_routing::io::slurp;\n\
+             /// The simulated network.\npub struct Network;\nimpl Network {\n\
+                 pub fn step(&mut self) -> usize { slurp().len() + locality_obs::lock::guarded() }\n}\n",
         ),
         (
             "crates/core/src/lib.rs",
-            "//! fixture core\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\npub mod order;\n",
+            "//! fixture core\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\npub mod io;\n",
         ),
         (
-            "crates/core/src/order.rs",
-            "//! spotless caller\nuse locality_sim::util::shuffled;\n\
-             use std::collections::HashMap as M;\n\
-             /// Produce an ordering.\n\
-             pub fn order(m: &M, out: &mut Vec<u32>) { shuffled(m, out) }\n",
+            "crates/core/src/io.rs",
+            "//! fixture io\n/// Reads a file.\n\
+             pub fn slurp() -> Vec<u8> { std::fs::read(\"x\").unwrap_or_default() }\n",
+        ),
+        (
+            "crates/obs/src/lib.rs",
+            "//! fixture obs\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\npub mod lock;\n",
+        ),
+        (
+            "crates/obs/src/lock.rs",
+            "//! fixture lock\n/// Reads a value behind a lock.\n\
+             pub fn guarded() -> usize { *std::sync::Mutex::new(1).lock().unwrap_or_else(|e| e.into_inner()) }\n",
         ),
     ];
-    let root = fixture_root("taint", files);
-
-    // v1 on the *caller* file: the alias `M` hides HashMap? No — the
-    // textual check does see `HashMap` on the caller's use line, so
-    // build the blindness claim on the call line instead: strip the
-    // caller's own import and v1 sees nothing at all.
-    let clean_caller = "//! spotless caller\nuse locality_sim::util::shuffled;\n\
-                        /// Produce an ordering.\n\
-                        pub fn order(out: &mut Vec<u32>) { shuffled(out) }\n";
-    let v1 = rules::check_file("crates/core/src/order.rs", clean_caller);
-    assert!(
-        v1.is_empty(),
-        "v1 sees nothing in a caller whose own file is clean: {v1:?}"
-    );
-
+    let root = fixture_root("planted", files);
     let report = lint_workspace(&root).expect("fixture lints");
-    let hit = report
-        .violations
-        .iter()
-        .find(|v| v.rule == Rule::R2 && v.file == "crates/core/src/order.rs" && v.symbol == "order")
-        .expect("v2 taints the R2-crate caller across the crate boundary");
-    let chain = hit.chain.join("\n");
-    assert!(
-        chain.contains("util.rs"),
-        "chain crosses into the helper:\n{chain}"
+    let found = |rule: Rule| -> Vec<(&str, usize, &str)> {
+        report
+            .violations
+            .iter()
+            .filter(|v| v.rule == rule)
+            .map(|v| (v.file.as_str(), v.line, v.symbol.as_str()))
+            .collect()
+    };
+    assert_eq!(
+        found(Rule::R2),
+        vec![
+            ("crates/sim/src/util.rs", 2, "HashMap"),
+            ("crates/sim/src/util.rs", 4, "HashMap"),
+            ("crates/sim/src/util.rs", 9, "partial_cmp"),
+        ],
+        "every nondeterminism source, at its own line"
     );
-    assert!(
-        chain.contains("HashMap"),
-        "chain names the source:\n{chain}"
+    assert_eq!(
+        found(Rule::R7),
+        vec![
+            ("crates/core/src/io.rs", 3, "std::fs"),
+            ("crates/obs/src/lock.rs", 3, "Mutex"),
+        ],
+        "both blocking helpers the step path calls, at their own lines"
     );
 }
 
@@ -253,30 +286,41 @@ fn legacy_allow_entries_surface_as_re_justify_errors_not_suppressions() {
 }
 
 #[test]
-fn json_report_is_stable_sorted_and_escaped() {
+fn json_report_is_stable_and_sorted_by_location() {
     let router = "//! fixture router\nuse locality_graph::quick::G;\n\
                   /// route\npub fn decide(_g: &G) -> u32 { 1 }\n";
     let mut files = GRAPH_CRATE.to_vec();
     files.push(("crates/core/src/alg1.rs", router));
     let root = fixture_root("json", &files);
 
-    let a = lint_workspace(&root).expect("first run").render_json();
+    let report = lint_workspace(&root).expect("first run");
+    let a = report.render_json();
     let b = lint_workspace(&root).expect("second run").render_json();
     assert_eq!(a, b, "byte-identical across runs");
-    assert!(!a.is_empty());
-    for line in a.lines() {
+    // Three findings, listed by (file, line, rule, symbol): the missing
+    // clippy.toml, then the aliased import and its use in the body.
+    let keys: Vec<(&str, usize, &str, &str)> = report
+        .violations
+        .iter()
+        .map(|v| (v.file.as_str(), v.line, v.rule.id(), v.symbol.as_str()))
+        .collect();
+    assert_eq!(
+        keys,
+        vec![
+            ("clippy.toml", 1, "R4", "clippy"),
+            ("crates/core/src/alg1.rs", 2, "R1", "Graph"),
+            ("crates/core/src/alg1.rs", 4, "R1", "Graph"),
+        ]
+    );
+    // One JSON object per finding, in the report's order.
+    assert_eq!(a.lines().count(), keys.len());
+    for (line, (file, at, rule, _)) in a.lines().zip(&keys) {
         assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "one object per line: {line}"
+            line.starts_with("{\"type\":\"violation\",\"rule\":\""),
+            "{line}"
         );
-        assert!(line.contains("\"type\":\"violation\""), "{line}");
+        assert!(line.ends_with('}'), "{line}");
+        let located = format!("\"rule\":\"{rule}\",\"file\":\"{file}\",\"line\":{at},");
+        assert!(line.contains(&located), "{line} should hold {located}");
     }
-    // Sorted by (file, line, rule, symbol).
-    let keys: Vec<&str> = a.lines().collect();
-    let mut sorted = keys.clone();
-    sorted.sort_unstable();
-    // Lines share the file prefix, so lexicographic order equals the
-    // report order for this fixture.
-    assert!(!keys.is_empty());
-    drop(sorted);
 }
