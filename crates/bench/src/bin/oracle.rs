@@ -10,7 +10,7 @@
 //! oracle build --graph FILE --k K --out FILE.lrvo
 //! oracle build --chaos-seed N --out-dir DIR
 //! oracle inspect FILE.lrvo
-//! oracle verify FILE.lrvo [--graph FILE --k K]
+//! oracle verify FILE.lrvo [--graph FILE [--k K]]
 //! ```
 //!
 //! Graph files are read by `locality_graph::io::from_str`: the native
@@ -30,7 +30,7 @@ use locality_graph::{io, Graph, NodeId};
 
 const USAGE: &str = "usage: oracle build --graph FILE --k K --out FILE.lrvo | \
 oracle build --chaos-seed N --out-dir DIR | oracle inspect FILE.lrvo | \
-oracle verify FILE.lrvo [--graph FILE --k K]";
+oracle verify FILE.lrvo [--graph FILE [--k K]]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("oracle: {msg}");
@@ -48,6 +48,22 @@ fn read_graph(path: &str) -> Graph {
         Ok(g) => g,
         Err(e) => fail(&format!("cannot parse graph {path}: {e}")),
     }
+}
+
+/// The value after `flag`. A missing value, or another flag in its
+/// place, is a usage error.
+fn value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> String {
+    match it.next() {
+        Some(v) if !v.starts_with("--") => v.clone(),
+        _ => fail(&format!("{flag} needs a value")),
+    }
+}
+
+/// The unsigned integer after `flag`.
+fn number<'a, T: std::str::FromStr>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> T {
+    value(it, flag)
+        .parse()
+        .unwrap_or_else(|_| fail(&format!("{flag} takes an unsigned integer")))
 }
 
 fn read_artifact(path: &str) -> ViewArtifact {
@@ -90,19 +106,11 @@ fn build(args: &[String]) -> String {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--graph" => graph = it.next().cloned(),
-            "--k" => match it.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(v)) => k = Some(v),
-                Some(Err(_)) => fail("--k takes an unsigned integer"),
-                None => fail("--k needs a value"),
-            },
-            "--out" => out = it.next().cloned(),
-            "--chaos-seed" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(v)) => chaos_seed = Some(v),
-                Some(Err(_)) => fail("--chaos-seed takes an unsigned integer"),
-                None => fail("--chaos-seed needs a value"),
-            },
-            "--out-dir" => out_dir = it.next().cloned(),
+            "--graph" => graph = Some(value(&mut it, a)),
+            "--k" => k = Some(number(&mut it, a)),
+            "--out" => out = Some(value(&mut it, a)),
+            "--chaos-seed" => chaos_seed = Some(number(&mut it, a)),
+            "--out-dir" => out_dir = Some(value(&mut it, a)),
             // Conventional end-of-options marker (`cargo run -- ...`
             // habit when the binary is invoked directly).
             "--" => {}
@@ -151,8 +159,8 @@ fn inspect(args: &[String]) -> String {
 }
 
 /// Decodes every view in the artifact (the checksum already passed in
-/// `from_bytes`), and with `--graph`/`--k` also checks the artifact
-/// matches that topology.
+/// `from_bytes`), and with `--graph` also checks the artifact matches
+/// that topology, at `--k` or at the artifact's own k.
 fn verify(args: &[String]) -> String {
     let mut path: Option<String> = None;
     let mut graph: Option<String> = None;
@@ -160,12 +168,8 @@ fn verify(args: &[String]) -> String {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--graph" => graph = it.next().cloned(),
-            "--k" => match it.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(v)) => k = Some(v),
-                Some(Err(_)) => fail("--k takes an unsigned integer"),
-                None => fail("--k needs a value"),
-            },
+            "--graph" => graph = Some(value(&mut it, a)),
+            "--k" => k = Some(number(&mut it, a)),
             other if path.is_none() && !other.starts_with("--") => path = Some(other.to_string()),
             other => fail(&format!("unknown verify argument {other}")),
         }
@@ -173,6 +177,9 @@ fn verify(args: &[String]) -> String {
     let Some(path) = path else {
         fail("verify takes an artifact path");
     };
+    if graph.is_none() && k.is_some() {
+        fail("verify --k needs --graph FILE");
+    }
     let a = Arc::new(read_artifact(&path));
     let mut matched = false;
     if let Some(gpath) = graph {

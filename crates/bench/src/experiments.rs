@@ -1,7 +1,6 @@
 //! One regeneration function per table/figure of the paper. Each
-//! returns its output as text; `bin/<id>` wrappers print single
-//! experiments and `bin/report` prints them all (that output is the
-//! basis of EXPERIMENTS.md).
+//! returns its output as text; `bin/report` is the one printer and
+//! prints them all (that output is the basis of EXPERIMENTS.md).
 
 use local_routing::baselines::RightHandRule;
 use local_routing::engine;
@@ -73,7 +72,6 @@ pub fn table1(n: usize) -> String {
             format!("{} ({} graphs, all pairs)", tick(ok), suite.len()),
             defeated,
         ]);
-        let _ = ok;
     }
     out.push_str(&table.render());
     out.push_str(&format!(

@@ -84,6 +84,67 @@ fn oracle_malformed_k_exits_nonzero_with_usage() {
 }
 
 #[test]
+fn oracle_flag_without_its_value_exits_nonzero_with_usage() {
+    // A real artifact, so a `verify` that skipped its topology check
+    // would pass.
+    let graph = temp_file("flags.graph", "0 1\n1 2\n2 0\n");
+    let artifact = graph.with_extension("lrvo");
+    let (graph_arg, artifact_arg) = (
+        graph.to_str().expect("temp path is UTF-8"),
+        artifact.to_str().expect("temp path is UTF-8"),
+    );
+    let oracle = env!("CARGO_BIN_EXE_oracle");
+    let built = run(
+        oracle,
+        &[
+            "build",
+            "--graph",
+            graph_arg,
+            "--k",
+            "1",
+            "--out",
+            artifact_arg,
+        ],
+    );
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &["verify", artifact_arg, "--graph"],
+            "--graph needs a value",
+        ),
+        (
+            &["verify", artifact_arg, "--graph", "--k", "1"],
+            "--graph needs a value",
+        ),
+        (
+            &["verify", artifact_arg, "--k", "1"],
+            "verify --k needs --graph",
+        ),
+        (
+            &["build", "--graph", "--k", "1", "--out", artifact_arg],
+            "--graph needs a value",
+        ),
+        (
+            &["build", "--graph", graph_arg, "--k", "1", "--out"],
+            "--out needs a value",
+        ),
+        (
+            &["build", "--chaos-seed", "7", "--out-dir"],
+            "--out-dir needs a value",
+        ),
+    ];
+    let outs: Vec<Output> = cases.iter().map(|(args, _)| run(oracle, args)).collect();
+    let _ = std::fs::remove_file(&graph);
+    let _ = std::fs::remove_file(&artifact);
+    assert!(built.status.success(), "oracle build: {built:?}");
+    for ((args, why), out) in cases.iter().zip(&outs) {
+        let what = format!("oracle {}", args.join(" "));
+        assert_usage_failure(out, &what);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(why), "{what}: stderr: {err}");
+    }
+}
+
+#[test]
 fn oracle_unreadable_artifact_exits_nonzero_with_usage() {
     let out = run(
         env!("CARGO_BIN_EXE_oracle"),

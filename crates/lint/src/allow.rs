@@ -154,12 +154,13 @@ pub fn apply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
     use crate::rules::check_file;
 
     #[test]
     fn entries_suppress_matching_violations_by_symbol() {
         let src = "fn f(x: Option<u32>) -> u32 { x.expect(\"fine\") }\n";
-        let violations = check_file("crates/sim/src/foo.rs", src);
+        let violations = check_file("crates/sim/src/foo.rs", &lex(src));
         assert_eq!(violations.len(), 1);
         assert_eq!(
             violations.first().map(|v| v.symbol.as_str()),
@@ -177,7 +178,7 @@ mod tests {
     #[test]
     fn wildcard_symbol_suppresses_nothing_and_goes_stale() {
         let src = "fn f(v: &[u32]) -> u32 { v[0] + v[1] }\n";
-        let violations = check_file("crates/sim/src/foo.rs", src);
+        let violations = check_file("crates/sim/src/foo.rs", &lex(src));
         assert_eq!(violations.len(), 2);
         let allow =
             parse("R3i | crates/sim/src/foo.rs | sym=* | fixed-layout vector\n").expect("parses");
@@ -190,7 +191,7 @@ mod tests {
     #[test]
     fn a_different_symbol_does_not_match_and_goes_stale() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let violations = check_file("crates/sim/src/foo.rs", src);
+        let violations = check_file("crates/sim/src/foo.rs", &lex(src));
         let allow = parse("R3 | crates/sim/src/foo.rs | sym=expect | wrong symbol on purpose\n")
             .expect("parses");
         let (kept, suppressed, stale) = apply(&allow, violations);
@@ -202,7 +203,7 @@ mod tests {
     #[test]
     fn unused_entries_are_stale_and_wrong_rule_does_not_match() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let violations = check_file("crates/sim/src/foo.rs", src);
+        let violations = check_file("crates/sim/src/foo.rs", &lex(src));
         let allow = parse("R3i | crates/sim/src/foo.rs | sym=unwrap | wrong family on purpose\n")
             .expect("parses");
         let (kept, suppressed, stale) = apply(&allow, violations);

@@ -1,29 +1,19 @@
-//! Lexical substrate: masked token streams with spans.
+//! Lexical substrate: one masked token stream per file, with spans.
 //!
-//! Everything above this module — the per-line rule checks, the symbol
-//! layer, the workspace use-graph — operates on the output of [`lex`]:
-//! a *masked* copy of the source (comments, string literals, and char
-//! literals blanked out, line structure preserved) plus a flat token
-//! stream with byte spans and line numbers. Masking keeps the analyses
-//! honest — `"HashMap"` inside a string or a doc comment is not a
-//! determinism leak — and spans let every diagnostic point at a real
-//! location.
+//! The lint lexes each file once. Every rule arm, the symbol layer and
+//! the workspace use-graph read that one [`Lexed`]: a *masked* copy of
+//! the source (comments, string literals and char literals blanked
+//! out, line structure preserved), its `#[cfg(test)]` line flags, and a
+//! flat token stream with byte spans and line numbers. Masking keeps
+//! the analyses honest — `"HashMap"` inside a string or a doc comment
+//! is not a determinism leak — and spans let every diagnostic point at
+//! a real location. The raw source rides along for the excerpts that
+//! reports print.
 //!
-//! The lexer distinguishes identifiers, lifetimes, numbers, and
-//! punctuation bytes. Lifetimes matter: the v1 line scanner could not
-//! tell `&'a [u8]` (a type) from `a[..]` (an index expression), which
-//! cost two permanent allowlist entries; the token stream makes the
-//! distinction structural.
-
-/// A masked source file: same byte length and line structure as the
-/// input, with comment/string/char-literal *contents* blanked out.
-pub struct MaskedSource {
-    /// The masked text.
-    pub text: String,
-    /// `test_lines[i]` is true when 0-indexed line `i` lies inside a
-    /// `#[cfg(test)]` item (typically a `mod tests { .. }` block).
-    pub test_lines: Vec<bool>,
-}
+//! The lexer distinguishes idents, lifetimes, numbers, and
+//! punctuation bytes. Lifetimes matter: a line scanner cannot tell
+//! `&'a [u8]` (a type) from `a[..]` (an index expression), while the
+//! token stream makes the distinction structural.
 
 /// What a token is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,6 +43,8 @@ pub struct Token {
 
 /// The full lexical view of one file.
 pub struct Lexed {
+    /// The source as read, for report excerpts.
+    pub source: String,
     /// Masked text (same length and line structure as the input).
     pub masked: String,
     /// Per-line `#[cfg(test)]` flags (0-indexed).
@@ -85,6 +77,14 @@ impl Lexed {
         matches!(self.tok(i), Some(t) if t.kind == TokenKind::Punct(b))
     }
 
+    /// The raw source text of 1-indexed `line` (empty past the end).
+    pub fn raw_line(&self, line: usize) -> &str {
+        self.source
+            .lines()
+            .nth(line.saturating_sub(1))
+            .unwrap_or("")
+    }
+
     /// Whether 1-indexed `line` lies in a `#[cfg(test)]` region.
     pub fn is_test_line(&self, line: usize) -> bool {
         line.checked_sub(1)
@@ -92,6 +92,21 @@ impl Lexed {
             .copied()
             .unwrap_or(false)
     }
+}
+
+/// Rust keywords. Before `[`, one starts a pattern or a type
+/// (`let [a, b] = ..`, `&mut [T]`), not an index; in an `impl` header,
+/// none is the self type.
+const KEYWORDS: &[&str] = &[
+    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
+    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
+    "mut", "pub", "ref", "return", "self", "static", "struct", "super", "trait", "true", "type",
+    "union", "unsafe", "use", "where", "while", "yield",
+];
+
+/// Whether `word` is a Rust keyword.
+pub fn is_keyword(word: &str) -> bool {
+    KEYWORDS.contains(&word)
 }
 
 /// States of the masking scanner.
@@ -111,7 +126,7 @@ fn is_ident_byte(b: u8) -> bool {
 
 /// Masks comments, strings, and char literals with spaces, preserving
 /// newlines and total length.
-pub fn mask(source: &str) -> String {
+fn mask(source: &str) -> String {
     let bytes = source.as_bytes();
     let mut out: Vec<u8> = Vec::with_capacity(bytes.len());
     let mut mode = Mode::Code;
@@ -269,7 +284,7 @@ pub fn mask(source: &str) -> String {
 /// `{` or `;`, whichever comes first; a `{` opens a brace-matched
 /// region (the usual `mod tests { .. }`), a `;` ends a single-item
 /// exemption (`#[cfg(test)] use ..;`).
-pub fn test_line_flags(masked: &str) -> Vec<bool> {
+fn test_line_flags(masked: &str) -> Vec<bool> {
     let line_count = masked.lines().count();
     let mut flags = vec![false; line_count];
     let bytes = masked.as_bytes();
@@ -319,7 +334,7 @@ pub fn test_line_flags(masked: &str) -> Vec<bool> {
 /// Tokenizes masked text into idents, lifetimes, numbers, and
 /// punctuation bytes. Whitespace is skipped; every other byte appears
 /// in exactly one token.
-pub fn tokenize(masked: &str) -> Vec<Token> {
+fn tokenize(masked: &str) -> Vec<Token> {
     let bytes = masked.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -410,61 +425,11 @@ pub fn lex(source: &str) -> Lexed {
     let test_lines = test_line_flags(&masked);
     let tokens = tokenize(&masked);
     Lexed {
+        source: source.to_string(),
         masked,
         test_lines,
         tokens,
     }
-}
-
-/// Masks a file and computes its test-line flags in one pass (the
-/// pre-token view used by the per-line rule checks).
-pub fn preprocess(source: &str) -> MaskedSource {
-    let text = mask(source);
-    let test_lines = test_line_flags(&text);
-    MaskedSource { text, test_lines }
-}
-
-/// Identifier tokens of one masked line, with byte offsets.
-pub fn identifiers(line: &str) -> Vec<(usize, &str)> {
-    let bytes = line.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let b = bytes.get(i).copied().unwrap_or(b' ');
-        if b.is_ascii_alphabetic() || b == b'_' {
-            let start = i;
-            while i < bytes.len() && bytes.get(i).copied().map(is_ident_byte).unwrap_or(false) {
-                i += 1;
-            }
-            if let Some(tok) = line.get(start..i) {
-                out.push((start, tok));
-            }
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// The first non-space byte at or after `from`, with its offset.
-pub fn next_nonspace(line: &str, from: usize) -> Option<(usize, u8)> {
-    line.as_bytes()
-        .iter()
-        .enumerate()
-        .skip(from)
-        .find(|(_, &b)| b != b' ' && b != b'\t')
-        .map(|(i, &b)| (i, b))
-}
-
-/// The last non-space byte strictly before `before`, with its offset.
-pub fn prev_nonspace(line: &str, before: usize) -> Option<(usize, u8)> {
-    line.as_bytes()
-        .iter()
-        .enumerate()
-        .take(before)
-        .rev()
-        .find(|(_, &b)| b != b' ' && b != b'\t')
-        .map(|(i, &b)| (i, b))
 }
 
 #[cfg(test)]
@@ -567,18 +532,21 @@ mod tests {
 
     #[test]
     fn identifier_tokens_are_maximal() {
-        let ids = identifiers("let sub = Subgraph::new(Graph);");
-        let names: Vec<&str> = ids.iter().map(|&(_, n)| n).collect();
+        let lx = lex("let sub = Subgraph::new(Graph);");
+        let names: Vec<&str> = (0..lx.tokens.len())
+            .filter(|&i| lx.tok(i).map(|t| t.kind) == Some(TokenKind::Ident))
+            .map(|i| lx.text(i))
+            .collect();
         assert!(names.contains(&"Subgraph"));
         assert!(names.contains(&"Graph"));
         assert!(!names.contains(&"Sub"));
     }
 
     #[test]
-    fn nonspace_scans_skip_blanks() {
-        assert_eq!(next_nonspace("  x", 0), Some((2, b'x')));
-        assert_eq!(prev_nonspace("x  ", 3), Some((0, b'x')));
-        assert_eq!(next_nonspace("x  ", 1), None);
-        assert_eq!(prev_nonspace("  x", 2), None);
+    fn raw_lines_keep_what_masking_blanks() {
+        let lx = lex("let a = 1;\nlet s = \"HashMap\"; // note\n");
+        assert_eq!(lx.raw_line(2), "let s = \"HashMap\"; // note");
+        assert!(!lx.masked.contains("HashMap"));
+        assert_eq!(lx.raw_line(3), "");
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! 1. [`lexer`] — masks comments/strings, tracks `#[cfg(test)]`
 //!    regions, and produces a token stream with byte spans and line
-//!    numbers.
+//!    numbers, once per file; every rule arm reads that one output.
 //! 2. [`symbols`] — per file: the module path, `use`/`pub use`/alias
 //!    declarations, item definitions, and function spans.
 //! 3. [`usegraph`] — the whole-workspace use-graph: module → imported
@@ -36,7 +36,8 @@
 //!   `panic!`, or raw-index slices (`R3i`); the dense-slot idiom
 //!   `container[node.index()]` is blessed.
 //! * **R4 lint hygiene** — crate roots forbid unsafe code and deny
-//!   missing docs; `clippy.toml` co-enforces R2/R3 natively.
+//!   missing docs in code, not in comments; `clippy.toml` co-enforces
+//!   R2/R3 natively.
 //! * **R5 silent libraries** — no stdout/stderr writes from library
 //!   code; output goes through the `locality-obs` recorder.
 //! * **R6 hot-path allocation** — no `Vec::new`/`vec!`/`Box::new`/
@@ -50,7 +51,8 @@
 //!   and a lock or a blocking call would let one trial stall another,
 //!   so a trial's cost would no longer be its own work.
 //!
-//! R2 and R7 flag each source at its own line. The trial crates depend
+//! R2 and R7 flag each source at its own line, module paths included
+//! when a grouped `use` tree holds them. The trial crates depend
 //! only on one another (a `rules` test checks it against the
 //! manifests), so nothing code in them can call escapes the scan.
 //!
@@ -236,12 +238,11 @@ pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
     let mut violations: Vec<Violation> = Vec::new();
     let mut entries = Vec::with_capacity(files.len());
     for rel in &files {
-        let source = read(root, rel)?;
-        violations.extend(rules::check_file(rel, &source));
+        let lx = lexer::lex(&read(root, rel)?);
+        violations.extend(rules::check_file(rel, &lx));
         if !walk::crate_roots(std::slice::from_ref(rel)).is_empty() {
-            violations.extend(rules::check_crate_root(rel, &source));
+            violations.extend(rules::check_crate_root(rel, &lx));
         }
-        let lx = lexer::lex(&source);
         let sym = symbols::parse(rel, &lx);
         violations.extend(rules::check_r6(rel, &lx, &sym.fns));
         entries.push(usegraph::FileEntry {

@@ -1,5 +1,13 @@
 //! The rule families, run file by file.
 //!
+//! Every arm reads the one [`Lexed`] the lint builds per file: the
+//! masked text, its `#[cfg(test)]` line flags and its token stream.
+//! Names are matched as identifier tokens and module paths as token
+//! sequences (`std :: env`) and through every leaf of a `use` tree, so
+//! a grouped import (`use std::{env, fs};`) names each path it holds.
+//! Nothing in a comment or a string literal counts, R4's attributes
+//! included. Excerpts come from the raw source line.
+//!
 //! * **R1 locality leak** — router implementation modules
 //!   ([`R1_FILES`]) may not name whole-graph APIs (`Graph`,
 //!   `GraphBuilder`, `EmbeddedGraph`, `locality_graph::graph`); a
@@ -17,9 +25,9 @@
 //!   allowlisted, justified site. Test modules, benches, and binaries
 //!   are exempt.
 //! * **R4 lint hygiene** — every library crate root carries
-//!   `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` (or a
-//!   documented opt-out), and the workspace `clippy.toml` co-enforces
-//!   R2/R3 natively.
+//!   `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` in its code,
+//!   and the workspace `clippy.toml` sets `disallowed-types` and
+//!   `disallowed-methods`, co-enforcing R2/R3 natively.
 //! * **R5 silent libraries** — library code may not write to
 //!   stdout/stderr (`println!`, `eprintln!`, `print!`, `eprint!`):
 //!   observability goes through the `locality-obs` recorder, whose
@@ -37,13 +45,15 @@
 //! Trial code is the library code of the `graph`, `core`, `adversary`,
 //! `obs` and `sim` crates plus the bench crate's `chaos.rs` and
 //! `loadgen.rs`: what runs inside `fanout::run_trials` jobs. R2 and R7
-//! scan each of its lines, so a source is flagged where it is written.
+//! scan each of its tokens, so a source is flagged where it is written.
 //! That reaches everything code in those crates can call, because they
 //! depend only on one another (the `tests` module below checks the
 //! closure against the manifests).
 
-use crate::lexer::{identifiers, next_nonspace, preprocess, prev_nonspace, Lexed, TokenKind};
-use crate::symbols::FnDef;
+use std::collections::BTreeSet;
+
+use crate::lexer::{is_keyword, Lexed, TokenKind};
+use crate::symbols::{self, FnDef};
 
 /// Identifier of a rule family (sub-rule `R3i` is R3's slice-indexing
 /// arm, split out so allowlist entries stay precise).
@@ -230,8 +240,15 @@ const R6_VIEW_FNS: &[&str] = &["step_table", "shortest_step_toward"];
 /// methods of `Reader`) is R6 scope.
 const R6_CODEC: &str = "crates/graph/src/codec.rs";
 
-const R1_IDENTS: &[&str] = &["Graph", "GraphBuilder", "EmbeddedGraph"];
-const R2_IDENTS: &[(&str, &str)] = &[
+/// Whole-graph names (R1): type names, and the graph module's path.
+const R1_NAMES: &[&str] = &[
+    "Graph",
+    "GraphBuilder",
+    "EmbeddedGraph",
+    "locality_graph::graph",
+];
+/// Nondeterminism sources (R2): names and module paths, with why.
+const R2_NAMES: &[(&str, &str)] = &[
     (
         "HashMap",
         "hash-ordered map: iteration order is nondeterministic",
@@ -254,13 +271,11 @@ const R2_IDENTS: &[(&str, &str)] = &[
     ("SmallRng", "external RNG; draw from the in-repo DetRng"),
     ("fastrand", "external RNG; draw from the in-repo DetRng"),
     ("rand_core", "external RNG; draw from the in-repo DetRng"),
-];
-const R2_PATHS: &[(&str, &str)] = &[
     ("std::time", "wall-clock reads break bit-reproducibility"),
     ("std::env", "environment reads break bit-reproducibility"),
 ];
-/// Lock and blocking-I/O types (R7).
-const R7_IDENTS: &[&str] = &[
+/// Lock and blocking-I/O types and module paths (R7).
+const R7_NAMES: &[&str] = &[
     "Mutex",
     "RwLock",
     "Condvar",
@@ -272,258 +287,171 @@ const R7_IDENTS: &[&str] = &[
     "UdpSocket",
     "Stdin",
     "Stdout",
+    "std::fs",
+    "std::net",
 ];
-/// Blocking-I/O module paths (R7).
-const R7_PATHS: &[&str] = &["std::fs", "std::net"];
 
 const R3_CALLS: &[&str] = &["unwrap", "expect"];
 const R3_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 const R5_MACROS: &[&str] = &["println", "eprintln", "print", "eprint"];
 
-/// Keywords that may directly precede `[` without forming an index
-/// expression (`let [a, b] = ..`, `&mut [T]`, ..).
-const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
-    "mut", "pub", "ref", "return", "self", "static", "struct", "super", "trait", "true", "type",
-    "union", "unsafe", "use", "where", "while", "yield",
-];
-
-fn is_keyword(tok: &str) -> bool {
-    KEYWORDS.contains(&tok)
-}
-
-/// Runs the line-by-line arms (R1's textual arm, R2, R3, R3i, R5, R7)
-/// over one file. `rel` is the workspace-relative path; `source` the
-/// raw text.
-pub fn check_file(rel: &str, source: &str) -> Vec<Violation> {
+/// Runs the per-file arms (R1's textual arm, R2, R3, R3i, R5, R7) over
+/// one file's token stream, skipping `#[cfg(test)]` lines. `rel` is the
+/// workspace-relative path. Findings come sorted by line.
+pub fn check_file(rel: &str, lx: &Lexed) -> Vec<Violation> {
     if classify(rel) != Some(FileClass::Lib) {
         return Vec::new();
     }
-    let pre = preprocess(source);
     let r1 = R1_FILES.contains(&rel);
     let trial =
         crate_dir(rel).is_some_and(|c| TRIAL_CRATES.contains(&c)) || TRIAL_FILES.contains(&rel);
-    let mut out = Vec::new();
-    for (idx, (masked_line, raw_line)) in pre.text.lines().zip(source.lines()).enumerate() {
-        if pre.test_lines.get(idx).copied().unwrap_or(false) {
+    let (mut out, mut paths) = (Vec::new(), BTreeSet::new());
+    let mut push = |line: usize, symbol: &str, (rule, message): (Rule, String)| {
+        out.push(Violation {
+            rule,
+            file: rel.to_string(),
+            line,
+            symbol: symbol.to_string(),
+            message,
+            raw_line: lx.raw_line(line).to_string(),
+            chain: Vec::new(),
+        });
+    };
+    for (i, t) in lx.tokens.iter().enumerate() {
+        if lx.is_test_line(t.line) {
             continue;
         }
-        let line_no = idx + 1;
-        let mut push = |rule: Rule, symbol: String, message: String| {
-            out.push(Violation {
-                rule,
-                file: rel.to_string(),
-                line: line_no,
-                symbol,
-                message,
-                raw_line: raw_line.to_string(),
-                chain: Vec::new(),
-            });
-        };
-        let idents = identifiers(masked_line);
-        if r1 {
-            check_r1(masked_line, &idents, &mut push);
+        if t.kind == TokenKind::Punct(b'[') {
+            if let Some(receiver) = unchecked_index(lx, i) {
+                let why = "unchecked slice indexing can panic; use `.get()`, the dense \
+                           `container[node.index()]` idiom, or allowlist with a justification";
+                push(t.line, receiver, (Rule::R3i, why.to_string()));
+            }
+            continue;
         }
-        if trial {
-            check_r2(masked_line, &idents, &mut push);
-            check_r7(masked_line, &idents, &mut push);
+        if t.kind != TokenKind::Ident {
+            continue;
         }
-        check_r3(masked_line, &idents, &mut push);
-        check_r3i(masked_line, &idents, &mut push);
-        check_r5(masked_line, &idents, &mut push);
+        let name = lx.text(i);
+        let next = lx.tok(i + 1).filter(|n| n.line == t.line).map(|n| n.kind);
+        for hit in [call(name, next), banned(name, r1, trial)]
+            .into_iter()
+            .flatten()
+        {
+            push(t.line, name, hit);
+        }
+        // Module paths, once per line: `a::b` as written, and the head
+        // of every leaf of a `use` tree, so `use std::{env, fs}` names
+        // both.
+        if lx.is_punct(i + 1, b':') && lx.is_punct(i + 2, b':') {
+            paths.insert((t.line, format!("{name}::{}", lx.text(i + 3))));
+        }
+        if name == "use" {
+            for leaf in symbols::use_leaves(lx, i) {
+                let head: Vec<&str> = leaf.path.iter().take(2).map(String::as_str).collect();
+                paths.insert((leaf.line, head.join("::")));
+            }
+        }
     }
+    for (line, path) in &paths {
+        if let Some(hit) = banned(path, r1, trial) {
+            push(*line, path, hit);
+        }
+    }
+    out.sort_by(|a, b| (a.line, a.rule.id(), &a.symbol).cmp(&(b.line, b.rule.id(), &b.symbol)));
     out
 }
 
-fn check_r1(
-    masked_line: &str,
-    idents: &[(usize, &str)],
-    push: &mut impl FnMut(Rule, String, String),
-) {
-    for &(_, tok) in idents {
-        if R1_IDENTS.contains(&tok) {
-            push(
-                Rule::R1,
-                tok.to_string(),
-                format!(
-                    "`{tok}` is a whole-graph API; a k-local router module may only \
-                     name LocalView/Subgraph/model types"
-                ),
-            );
-        }
-    }
-    if masked_line.contains("locality_graph::graph") {
-        push(
-            Rule::R1,
-            "locality_graph::graph".to_string(),
-            "`locality_graph::graph` is the whole-graph module; router modules must \
-             not reach it"
-                .to_string(),
-        );
-    }
-}
-
-fn check_r2(
-    masked_line: &str,
-    idents: &[(usize, &str)],
-    push: &mut impl FnMut(Rule, String, String),
-) {
-    for &(_, tok) in idents {
-        if let Some(&(_, why)) = R2_IDENTS.iter().find(|&&(name, _)| name == tok) {
-            push(
-                Rule::R2,
-                tok.to_string(),
-                format!("`{tok}` in trial code: {why}"),
-            );
-        }
-    }
-    for &(path, why) in R2_PATHS {
-        if masked_line.contains(path) {
-            push(
-                Rule::R2,
-                path.to_string(),
-                format!("`{path}` in trial code: {why}"),
-            );
-        }
-    }
-}
-
-fn check_r7(
-    masked_line: &str,
-    idents: &[(usize, &str)],
-    push: &mut impl FnMut(Rule, String, String),
-) {
-    let types = idents
-        .iter()
-        .map(|&(_, tok)| tok)
-        .filter(|tok| R7_IDENTS.contains(tok));
-    let paths = R7_PATHS
-        .iter()
-        .copied()
-        .filter(|path| masked_line.contains(path));
-    for name in types.chain(paths) {
-        push(
-            Rule::R7,
-            name.to_string(),
+/// The R1, R2 or R7 finding for `name` (an identifier, or a module
+/// path `a::b`) when it is banned in a file of this scope.
+fn banned(name: &str, r1: bool, trial: bool) -> Option<(Rule, String)> {
+    if r1 && R1_NAMES.contains(&name) {
+        let message = if name.contains("::") {
+            format!("`{name}` is the whole-graph module; router modules must not reach it")
+        } else {
             format!(
-                "`{name}` locks or blocks in trial code: trials run side by side on the \
-                 fan-out's threads, so one trial's lock or blocking call would stall another"
+                "`{name}` is a whole-graph API; a k-local router module may only \
+                 name LocalView/Subgraph/model types"
+            )
+        };
+        return Some((Rule::R1, message));
+    }
+    if !trial {
+        return None;
+    }
+    if let Some((_, why)) = R2_NAMES.iter().find(|&&(n, _)| n == name) {
+        return Some((Rule::R2, format!("`{name}` in trial code: {why}")));
+    }
+    R7_NAMES.contains(&name).then(|| {
+        let message = format!(
+            "`{name}` locks or blocks in trial code: trials run side by side on the \
+             fan-out's threads, so one trial's lock or blocking call would stall another"
+        );
+        (Rule::R7, message)
+    })
+}
+
+/// The R3 or R5 finding for identifier `name` when the next token on
+/// its line, `next`, makes it a panicking call or a printing macro.
+fn call(name: &str, next: Option<TokenKind>) -> Option<(Rule, String)> {
+    let why = "return a typed error or allowlist with a justification";
+    match next? {
+        TokenKind::Punct(b'(') if R3_CALLS.contains(&name) => Some((
+            Rule::R3,
+            format!("`{name}(` can panic in library code; {why}"),
+        )),
+        TokenKind::Punct(b'!') if R3_MACROS.contains(&name) => {
+            Some((Rule::R3, format!("`{name}!` panics in library code; {why}")))
+        }
+        TokenKind::Punct(b'!') if R5_MACROS.contains(&name) => Some((
+            Rule::R5,
+            format!(
+                "`{name}!` writes to stdout/stderr from library code; emit through the \
+                 locality-obs recorder or allowlist with a justification"
             ),
-        );
+        )),
+        _ => None,
     }
 }
 
-fn check_r3(
-    masked_line: &str,
-    idents: &[(usize, &str)],
-    push: &mut impl FnMut(Rule, String, String),
-) {
-    for &(off, tok) in idents {
-        let next = next_nonspace(masked_line, off + tok.len()).map(|(_, b)| b);
-        if R3_CALLS.contains(&tok) && next == Some(b'(') {
-            push(
-                Rule::R3,
-                tok.to_string(),
-                format!("`{tok}(` can panic in library code; return a typed error or allowlist with a justification"),
-            );
-        }
-        if R3_MACROS.contains(&tok) && next == Some(b'!') {
-            push(
-                Rule::R3,
-                tok.to_string(),
-                format!("`{tok}!` panics in library code; return a typed error or allowlist with a justification"),
-            );
-        }
-    }
-}
-
-fn check_r5(
-    masked_line: &str,
-    idents: &[(usize, &str)],
-    push: &mut impl FnMut(Rule, String, String),
-) {
-    for &(off, tok) in idents {
-        let next = next_nonspace(masked_line, off + tok.len()).map(|(_, b)| b);
-        if R5_MACROS.contains(&tok) && next == Some(b'!') {
-            push(
-                Rule::R5,
-                tok.to_string(),
-                format!(
-                    "`{tok}!` writes to stdout/stderr from library code; emit through the \
-                     locality-obs recorder or allowlist with a justification"
-                ),
-            );
-        }
-    }
-}
-
-fn check_r3i(
-    masked_line: &str,
-    idents: &[(usize, &str)],
-    push: &mut impl FnMut(Rule, String, String),
-) {
-    let bytes = masked_line.as_bytes();
-    for (open, _) in bytes.iter().enumerate().filter(|&(_, &b)| b == b'[') {
-        let Some((prev_off, prev)) = prev_nonspace(masked_line, open) else {
-            continue;
-        };
-        let mut receiver = "[]".to_string();
-        let indexable = match prev {
-            b')' | b']' | b'?' => true,
-            b if b.is_ascii_alphanumeric() || b == b'_' => {
-                // The identifier ending at prev_off must not be a
-                // keyword (`let [a, b] = ..` is a pattern, not an
-                // index) and not a lifetime (`&'a [u8]` is a type).
-                idents
-                    .iter()
-                    .rev()
-                    .find(|&&(o, t)| o <= prev_off && o + t.len() > prev_off)
-                    .map(|&(o, t)| {
-                        receiver = t.to_string();
-                        let lifetime = o > 0 && bytes.get(o - 1) == Some(&b'\'');
-                        !is_keyword(t) && !lifetime
-                    })
-                    .unwrap_or(true)
-            }
-            _ => false,
-        };
-        if !indexable {
-            continue;
-        }
-        // Bracket content, matched within the line (fall back to
-        // end-of-line when the expression wraps).
-        let mut depth = 0usize;
-        let mut close = masked_line.len();
-        for (j, &b) in bytes.iter().enumerate().skip(open) {
-            match b {
-                b'[' => depth += 1,
-                b']' => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        close = j;
-                        break;
-                    }
+/// The receiver R3i reports when the `[` at token `open` opens an
+/// unchecked index. The receiver is the previous token on the same
+/// line: an identifier that is not a keyword (reported by name), a
+/// number, or `)`, `]` or `?` (reported as `[]`). A lifetime never
+/// opens an index: `&'a [u8]` is a type. The bracket content ends at
+/// the matching `]` or at the end of the line; an empty one, or one
+/// holding the blessed dense-slot idiom `.index()` (a `NodeId` into a
+/// slot-aligned `Vec` is in bounds by construction), is not flagged.
+fn unchecked_index(lx: &Lexed, open: usize) -> Option<&str> {
+    let line = lx.tok(open)?.line;
+    let on_line = |j: usize| lx.tok(j).filter(|t| t.line == line).map(|t| t.kind);
+    let prev = open.checked_sub(1)?;
+    let receiver = match on_line(prev)? {
+        TokenKind::Ident if !is_keyword(lx.text(prev)) => lx.text(prev),
+        TokenKind::Num | TokenKind::Punct(b')' | b']' | b'?') => "[]",
+        _ => return None,
+    };
+    let (mut close, mut depth) = (open, 0usize);
+    while let Some(kind) = on_line(close) {
+        match kind {
+            TokenKind::Punct(b'[') => depth += 1,
+            TokenKind::Punct(b']') => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
                 }
-                _ => {}
             }
+            _ => {}
         }
-        let content = masked_line.get(open + 1..close).unwrap_or("");
-        if content.trim().is_empty() {
-            continue;
-        }
-        if content.contains(".index()") {
-            // The blessed dense-slot idiom: NodeId::index() into a
-            // slot-aligned Vec is bounds-correct by construction.
-            continue;
-        }
-        push(
-            Rule::R3i,
-            receiver,
-            "unchecked slice indexing can panic; use `.get()`, the dense `container[node.index()]` idiom, or allowlist with a justification"
-                .to_string(),
-        );
+        close += 1;
     }
+    let blessed = (open + 1..close.saturating_sub(3)).any(|k| {
+        lx.is_punct(k, b'.')
+            && lx.is_ident(k + 1, "index")
+            && lx.is_punct(k + 2, b'(')
+            && lx.is_punct(k + 3, b')')
+    });
+    (close > open + 1 && !blessed).then_some(receiver)
 }
 
 fn r6_in_scope(rel: &str, def: &FnDef) -> bool {
@@ -600,13 +528,7 @@ pub fn check_r6(rel: &str, lx: &Lexed, fns: &[FnDef]) -> Vec<Violation> {
                     "`{what}` allocates inside hot-path fn `{qname}`; hoist to a setup fn \
                      (new/default/from_*/with_*/build*) or allowlist with a justification"
                 ),
-                raw_line: lx
-                    .masked
-                    .lines()
-                    .nth(t.line.saturating_sub(1))
-                    .unwrap_or("")
-                    .trim()
-                    .to_string(),
+                raw_line: lx.raw_line(t.line).to_string(),
                 chain: Vec::new(),
             });
         }
@@ -614,37 +536,22 @@ pub fn check_r6(rel: &str, lx: &Lexed, fns: &[FnDef]) -> Vec<Violation> {
     out
 }
 
-/// R4: crate-root hygiene for `crates/<c>/src/lib.rs`.
-///
-/// The `missing_docs` requirement accepts a documented opt-out: a line
-/// containing `locality-lint: allow missing_docs` (with a reason) in
-/// the crate root.
-pub fn check_crate_root(rel: &str, source: &str) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mut push = |message: String| {
-        out.push(Violation {
+/// R4: crate-root hygiene for `crates/<c>/src/lib.rs`, read from the
+/// masked text, so an attribute in a comment or a string does not count.
+pub fn check_crate_root(rel: &str, lx: &Lexed) -> Vec<Violation> {
+    ["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"]
+        .into_iter()
+        .filter(|attr| !lx.masked.contains(attr))
+        .map(|attr| Violation {
             rule: Rule::R4,
             file: rel.to_string(),
             line: 1,
             symbol: "crate".to_string(),
-            message,
-            raw_line: source.lines().next().unwrap_or("").to_string(),
+            message: format!("crate root must carry `{attr}`"),
+            raw_line: lx.raw_line(1).to_string(),
             chain: Vec::new(),
-        });
-    };
-    if !source.contains("#![forbid(unsafe_code)]") {
-        push("crate root must carry `#![forbid(unsafe_code)]`".to_string());
-    }
-    if !source.contains("#![deny(missing_docs)]")
-        && !source.contains("locality-lint: allow missing_docs")
-    {
-        push(
-            "crate root must carry `#![deny(missing_docs)]` (or a documented \
-             `locality-lint: allow missing_docs` opt-out)"
-                .to_string(),
-        );
-    }
-    out
+        })
+        .collect()
 }
 
 /// R4: the workspace `clippy.toml` must co-enforce R2/R3 natively.
@@ -669,7 +576,14 @@ pub fn check_clippy_toml(clippy_toml: Option<&str>) -> Vec<Violation> {
         ),
         Some(text) => {
             for key in ["disallowed-types", "disallowed-methods"] {
-                if !text.contains(key) {
+                // Only a line that opens with the key sets it; a `#`
+                // comment naming it configures nothing.
+                let set = text.lines().any(|line| {
+                    line.trim_start()
+                        .strip_prefix(key)
+                        .is_some_and(|rest| rest.trim_start().starts_with('='))
+                });
+                if !set {
                     push(format!("clippy.toml is missing a `{key}` section"));
                 }
             }
@@ -681,6 +595,7 @@ pub fn check_clippy_toml(clippy_toml: Option<&str>) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
 
     fn rules_of(v: &[Violation]) -> Vec<Rule> {
         v.iter().map(|x| x.rule).collect()
@@ -689,17 +604,17 @@ mod tests {
     #[test]
     fn r1_catches_whole_graph_names_in_router_modules() {
         let src = "use locality_graph::{Graph, NodeId};\nfn f(g: &Graph) {}\n";
-        let v = check_file("crates/core/src/alg1.rs", src);
+        let v = check_file("crates/core/src/alg1.rs", &lex(src));
         assert_eq!(rules_of(&v), vec![Rule::R1, Rule::R1]);
         // The same text is fine outside an R1 module (engine is the
         // driver and is allowed to hold G).
-        assert!(check_file("crates/core/src/engine.rs", src).is_empty());
+        assert!(check_file("crates/core/src/engine.rs", &lex(src)).is_empty());
     }
 
     #[test]
     fn r1_catches_the_graph_module_path_but_not_subgraph() {
         let src = "use locality_graph::graph::something;\nuse locality_graph::Subgraph;\n";
-        let v = check_file("crates/core/src/alg2.rs", src);
+        let v = check_file("crates/core/src/alg2.rs", &lex(src));
         assert_eq!(rules_of(&v), vec![Rule::R1]);
         assert_eq!(v.first().map(|x| x.line), Some(1));
     }
@@ -709,14 +624,14 @@ mod tests {
         let src = "use std::collections::HashMap;\nfn f() { let s: HashSet<u32> = d(); }\n";
         for rel in ["crates/graph/src/foo.rs", "crates/sim/src/foo.rs"] {
             assert_eq!(
-                rules_of(&check_file(rel, src)),
+                rules_of(&check_file(rel, &lex(src))),
                 vec![Rule::R2, Rule::R2],
                 "{rel}"
             );
         }
         // Bench library code outside the two trial modules is not
         // bit-reproducibility-scoped.
-        assert!(check_file("crates/bench/src/experiments.rs", src).is_empty());
+        assert!(check_file("crates/bench/src/experiments.rs", &lex(src)).is_empty());
     }
 
     #[test]
@@ -725,7 +640,7 @@ mod tests {
         // to read clocks; clippy's `disallowed-types` then stays silent,
         // so R2 is the only guard left in the deterministic crates.
         let src = "#![allow(clippy::disallowed_types)]\nuse std::collections::HashMap;\n";
-        let v = check_file("crates/core/src/foo.rs", src);
+        let v = check_file("crates/core/src/foo.rs", &lex(src));
         assert_eq!(rules_of(&v), vec![Rule::R2]);
         assert_eq!(
             v.first().map(|x| (x.line, x.symbol.as_str())),
@@ -738,7 +653,7 @@ mod tests {
         let src = "fn f() { let t = std::time::Instant::now(); }\n\
                    fn g() { let h = std::env::var(\"HOME\"); }\n\
                    fn h(a: f64, b: f64) { a.partial_cmp(&b); }\n";
-        let v = check_file("crates/adversary/src/foo.rs", src);
+        let v = check_file("crates/adversary/src/foo.rs", &lex(src));
         // Line 1 fires twice (Instant ident + std::time path).
         assert_eq!(v.len(), 4);
         assert!(v.iter().all(|x| x.rule == Rule::R2));
@@ -748,7 +663,7 @@ mod tests {
     fn r2_ignores_strings_comments_and_tests() {
         let src = "// HashMap in a comment\nconst N: &str = \"HashMap\";\n\
                    #[cfg(test)]\nmod tests {\n use std::collections::HashMap;\n}\n";
-        assert!(check_file("crates/graph/src/foo.rs", src).is_empty());
+        assert!(check_file("crates/graph/src/foo.rs", &lex(src)).is_empty());
     }
 
     #[test]
@@ -764,7 +679,7 @@ mod tests {
             "crates/bench/src/chaos.rs",
             "crates/bench/src/loadgen.rs",
         ] {
-            let v = check_file(rel, src);
+            let v = check_file(rel, &lex(src));
             let at: Vec<(usize, &str)> = v.iter().map(|x| (x.line, x.symbol.as_str())).collect();
             assert_eq!(rules_of(&v), vec![Rule::R2; 3], "{rel}");
             assert_eq!(
@@ -779,7 +694,7 @@ mod tests {
             "crates/lint/src/lib.rs",
             "crates/sim/tests/foo.rs",
         ] {
-            assert!(check_file(rel, src).is_empty(), "{rel}");
+            assert!(check_file(rel, &lex(src)).is_empty(), "{rel}");
         }
     }
 
@@ -798,11 +713,15 @@ mod tests {
             "crates/sim/src/network.rs",
             "crates/graph/src/fanout.rs",
         ] {
-            assert_eq!(rules_of(&check_file(rel, src)), vec![Rule::R2; 3], "{rel}");
+            assert_eq!(
+                rules_of(&check_file(rel, &lex(src))),
+                vec![Rule::R2; 3],
+                "{rel}"
+            );
         }
         // Deterministic ordered collections pass.
         let ok = "use std::collections::BTreeMap;\nfn f(m: &BTreeMap<u64, u32>) {}\n";
-        assert!(check_file("crates/sim/src/sched.rs", ok).is_empty());
+        assert!(check_file("crates/sim/src/sched.rs", &lex(ok)).is_empty());
     }
 
     #[test]
@@ -815,7 +734,7 @@ mod tests {
             "crates/sim/src/network.rs",
             "crates/bench/src/loadgen.rs",
         ] {
-            let v = check_file(rel, src);
+            let v = check_file(rel, &lex(src));
             let at: Vec<(usize, &str)> = v.iter().map(|x| (x.line, x.symbol.as_str())).collect();
             assert_eq!(rules_of(&v), vec![Rule::R7; 4], "{rel}");
             assert_eq!(
@@ -828,18 +747,71 @@ mod tests {
                 ]
             );
         }
-        assert!(check_file("crates/bench/src/bin/perfsmoke.rs", src).is_empty());
+        assert!(check_file("crates/bench/src/bin/perfsmoke.rs", &lex(src)).is_empty());
         // A doc comment or a test module may name them.
         let ok = "/// Reads a File.\nfn f() {}\n#[cfg(test)]\nmod tests {\n use std::sync::Barrier;\n}\n";
-        assert!(check_file("crates/core/src/engine.rs", ok).is_empty());
+        assert!(check_file("crates/core/src/engine.rs", &lex(ok)).is_empty());
+    }
+
+    /// (rule, line, symbol) of each finding `check_file` gives `src`.
+    fn found(rel: &str, src: &str) -> Vec<(Rule, usize, String)> {
+        check_file(rel, &lex(src))
+            .into_iter()
+            .map(|x| (x.rule, x.line, x.symbol))
+            .collect()
+    }
+
+    #[test]
+    fn grouped_imports_are_flagged_at_each_leaf() {
+        let src = "use std::{env, fs};\n\
+                   pub fn f() -> Vec<u8> {\n\
+                       fs::read(env::args().next().unwrap_or_default()).unwrap_or_default()\n\
+                   }\n";
+        assert_eq!(
+            found("crates/core/src/foo.rs", src),
+            vec![
+                (Rule::R2, 1, "std::env".to_string()),
+                (Rule::R7, 1, "std::fs".to_string())
+            ]
+        );
+    }
+
+    #[test]
+    fn grouped_imports_in_function_bodies_are_flagged() {
+        // Neither leaf names a listed type, so only the tree shows the
+        // paths; each is flagged at its own line.
+        let src = "pub fn f() {\n    use std::{\n        time,\n        net,\n    };\n}\n";
+        assert_eq!(
+            found("crates/sim/src/foo.rs", src),
+            vec![
+                (Rule::R2, 3, "std::time".to_string()),
+                (Rule::R7, 4, "std::net".to_string())
+            ]
+        );
+    }
+
+    #[test]
+    fn r1_reads_the_graph_module_through_grouped_imports() {
+        let src = "use locality_graph::{\n    graph::Adjacency,\n    NodeId,\n};\n";
+        assert_eq!(
+            found("crates/core/src/alg3.rs", src),
+            vec![(Rule::R1, 2, "locality_graph::graph".to_string())]
+        );
+    }
+
+    #[test]
+    fn grouped_imports_in_test_modules_are_exempt() {
+        let src = "#[cfg(test)]\nmod tests {\n    use std::{env, fs};\n    fn f() {\n        \
+                   use std::{\n            time,\n            net,\n        };\n    }\n}\n";
+        assert!(found("crates/core/src/foo.rs", src).is_empty());
     }
 
     #[test]
     fn r2_rng_arm_accepts_detrng() {
         let src = "use locality_graph::rng::DetRng;\n\
                    fn f() { let mut r = DetRng::seed_from_u64(7); let _ = r.gen_bool(0.5); }\n";
-        assert!(check_file("crates/sim/src/fault.rs", src).is_empty());
-        assert!(check_file("crates/bench/src/chaos.rs", src).is_empty());
+        assert!(check_file("crates/sim/src/fault.rs", &lex(src)).is_empty());
+        assert!(check_file("crates/bench/src/chaos.rs", &lex(src)).is_empty());
     }
 
     #[test]
@@ -850,17 +822,17 @@ mod tests {
         // them out of coverage would go unnoticed without this pin.
         let src = "use std::collections::HashMap;\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
         for rel in ["crates/graph/src/codec.rs", "crates/core/src/oracle.rs"] {
-            let v = check_file(rel, src);
+            let v = check_file(rel, &lex(src));
             assert_eq!(rules_of(&v), vec![Rule::R2, Rule::R3], "{rel}");
         }
         // Codec-style clean code — bounds-checked reads, typed errors —
         // passes untouched.
         let ok = "fn f(v: &[u8], i: usize) -> Option<u8> { v.get(i).copied() }\n";
         for rel in ["crates/graph/src/codec.rs", "crates/core/src/oracle.rs"] {
-            assert!(check_file(rel, ok).is_empty(), "{rel}");
+            assert!(check_file(rel, &lex(ok)).is_empty(), "{rel}");
         }
         // The artifact CLI is a bench bin: neither net reaches it.
-        assert!(check_file("crates/bench/src/bin/oracle.rs", src).is_empty());
+        assert!(check_file("crates/bench/src/bin/oracle.rs", &lex(src)).is_empty());
     }
 
     #[test]
@@ -868,29 +840,29 @@ mod tests {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
                    fn g(x: Option<u32>) -> u32 { x.expect(\"present\") }\n\
                    fn h() { panic!(\"boom\"); }\n";
-        let v = check_file("crates/sim/src/foo.rs", src);
+        let v = check_file("crates/sim/src/foo.rs", &lex(src));
         assert_eq!(rules_of(&v), vec![Rule::R3, Rule::R3, Rule::R3]);
-        assert!(check_file("crates/bench/src/bin/foo.rs", src).is_empty());
-        assert!(check_file("crates/sim/tests/foo.rs", src).is_empty());
-        assert!(check_file("tests/foo.rs", src).is_empty());
-        assert!(check_file("examples/foo.rs", src).is_empty());
+        assert!(check_file("crates/bench/src/bin/foo.rs", &lex(src)).is_empty());
+        assert!(check_file("crates/sim/tests/foo.rs", &lex(src)).is_empty());
+        assert!(check_file("tests/foo.rs", &lex(src)).is_empty());
+        assert!(check_file("examples/foo.rs", &lex(src)).is_empty());
     }
 
     #[test]
     fn r3_does_not_flag_unwrap_or_variants() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0).max(x.unwrap_or_default()) }\n";
-        assert!(check_file("crates/sim/src/foo.rs", src).is_empty());
+        assert!(check_file("crates/sim/src/foo.rs", &lex(src)).is_empty());
     }
 
     #[test]
     fn r3i_catches_raw_indexing_but_blesses_dense_slots() {
         let flagged = "fn f(v: &[u32], i: usize) -> u32 { v[i] }\n";
         assert_eq!(
-            rules_of(&check_file("crates/sim/src/foo.rs", flagged)),
+            rules_of(&check_file("crates/sim/src/foo.rs", &lex(flagged))),
             vec![Rule::R3i]
         );
         let blessed = "fn f(v: &[u32], u: NodeId) -> u32 { v[u.index()] }\n";
-        assert!(check_file("crates/sim/src/foo.rs", blessed).is_empty());
+        assert!(check_file("crates/sim/src/foo.rs", &lex(blessed)).is_empty());
     }
 
     #[test]
@@ -900,7 +872,7 @@ mod tests {
         // positive.
         let src = "pub struct R<'a> { buf: &'a [u8] }\n\
                    fn f<'a>(x: &'a [u8]) -> &'a [u8] { x }\n";
-        assert!(check_file("crates/sim/src/foo.rs", src).is_empty());
+        assert!(check_file("crates/sim/src/foo.rs", &lex(src)).is_empty());
     }
 
     #[test]
@@ -908,27 +880,27 @@ mod tests {
         let src = "#[derive(Debug)]\nstruct S { a: [u8; 4] }\n\
                    fn f(s: &S) -> Vec<u32> { let [x, y] = [1u32, 2]; vec![x, y] }\n\
                    fn g(v: &mut [u32]) {}\n";
-        assert!(check_file("crates/sim/src/foo.rs", src).is_empty());
+        assert!(check_file("crates/sim/src/foo.rs", &lex(src)).is_empty());
     }
 
     #[test]
     fn r5_catches_stdout_writes_in_lib_code_only() {
         let src = "fn f() { println!(\"hi\"); }\nfn g() { eprintln!(\"err\"); }\n\
                    fn h() { print!(\"x\"); eprint!(\"y\"); }\n";
-        let v = check_file("crates/sim/src/foo.rs", src);
+        let v = check_file("crates/sim/src/foo.rs", &lex(src));
         assert_eq!(rules_of(&v), vec![Rule::R5, Rule::R5, Rule::R5, Rule::R5]);
         // Binaries, tests, and examples stay free to print.
-        assert!(check_file("crates/bench/src/bin/foo.rs", src).is_empty());
-        assert!(check_file("crates/lint/src/main.rs", src).is_empty());
-        assert!(check_file("tests/foo.rs", src).is_empty());
-        assert!(check_file("examples/foo.rs", src).is_empty());
+        assert!(check_file("crates/bench/src/bin/foo.rs", &lex(src)).is_empty());
+        assert!(check_file("crates/lint/src/main.rs", &lex(src)).is_empty());
+        assert!(check_file("tests/foo.rs", &lex(src)).is_empty());
+        assert!(check_file("examples/foo.rs", &lex(src)).is_empty());
         // A `println` identifier without `!` (e.g. a doc mention) is fine.
         let ok = "fn f() { let println = 3; let _ = println; }\n";
-        assert!(check_file("crates/sim/src/foo.rs", ok).is_empty());
+        assert!(check_file("crates/sim/src/foo.rs", &lex(ok)).is_empty());
     }
 
     fn r6(rel: &str, src: &str) -> Vec<(String, String)> {
-        let lx = crate::lexer::lex(src);
+        let lx = lex(src);
         let fns = crate::symbols::parse(rel, &lx).fns;
         check_r6(rel, &lx, &fns)
             .into_iter()
@@ -978,14 +950,29 @@ mod tests {
     #[test]
     fn r4_requires_crate_root_headers() {
         let bad = "//! docs\n";
-        let v = check_crate_root("crates/sim/src/lib.rs", bad);
+        let v = check_crate_root("crates/sim/src/lib.rs", &lex(bad));
         assert_eq!(v.len(), 2);
         assert!(v.iter().all(|x| x.rule == Rule::R4));
         let good = "//! docs\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n";
-        assert!(check_crate_root("crates/sim/src/lib.rs", good).is_empty());
-        let opted_out =
-            "//! docs\n#![forbid(unsafe_code)]\n// locality-lint: allow missing_docs: generated\n";
-        assert!(check_crate_root("crates/sim/src/lib.rs", opted_out).is_empty());
+        assert!(check_crate_root("crates/sim/src/lib.rs", &lex(good)).is_empty());
+    }
+
+    #[test]
+    fn r4_reads_code_not_comments_or_strings() {
+        // The attribute must be code: a comment or a string literal that
+        // spells it does not satisfy R4.
+        for root in [
+            "//! docs\n// #![forbid(unsafe_code)] (disabled)\n#![deny(missing_docs)]\n",
+            "//! docs\n#![deny(missing_docs)]\nconst A: &str = \"#![forbid(unsafe_code)]\";\n",
+        ] {
+            let v = check_crate_root("crates/obs/src/lib.rs", &lex(root));
+            let at: Vec<(usize, &str)> = v.iter().map(|x| (x.line, x.message.as_str())).collect();
+            assert_eq!(
+                at,
+                vec![(1, "crate root must carry `#![forbid(unsafe_code)]`")],
+                "{root}"
+            );
+        }
     }
 
     #[test]
@@ -994,6 +981,14 @@ mod tests {
         assert_eq!(check_clippy_toml(Some("disallowed-types = []")).len(), 1);
         assert!(
             check_clippy_toml(Some("disallowed-types = []\ndisallowed-methods = []")).is_empty()
+        );
+        // A key that appears only in a `#` comment configures nothing.
+        let commented = "# disallowed-types = []\ndisallowed-methods = []\n";
+        let v = check_clippy_toml(Some(commented));
+        let at: Vec<(usize, &str)> = v.iter().map(|x| (x.line, x.message.as_str())).collect();
+        assert_eq!(
+            at,
+            vec![(1, "clippy.toml is missing a `disallowed-types` section")]
         );
     }
 
@@ -1010,7 +1005,7 @@ mod tests {
 
     /// The names of the non-test functions `rel` defines.
     fn fns_defined_in(root: &std::path::Path, rel: &str) -> Vec<String> {
-        let lx = crate::lexer::lex(&read(&root.join(rel)));
+        let lx = lex(&read(&root.join(rel)));
         crate::symbols::parse(rel, &lx)
             .fns
             .into_iter()

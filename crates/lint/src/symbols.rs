@@ -17,7 +17,7 @@
 //! not a compiler front end. It records no call sites and no field
 //! types: no rule follows calls.
 
-use crate::lexer::{Lexed, TokenKind};
+use crate::lexer::{is_keyword, Lexed, TokenKind};
 use crate::rules;
 
 /// Directory-name → library-crate-identifier map for the workspace
@@ -145,17 +145,6 @@ pub struct FileSymbols {
     pub submods: Vec<(String, String)>,
 }
 
-const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
-    "mut", "pub", "ref", "return", "self", "static", "struct", "super", "trait", "true", "type",
-    "union", "unsafe", "use", "where", "while", "yield",
-];
-
-fn is_keyword(s: &str) -> bool {
-    KEYWORDS.contains(&s)
-}
-
 struct Parser<'a> {
     lx: &'a Lexed,
     out: FileSymbols,
@@ -176,6 +165,18 @@ pub fn parse(rel: &str, lx: &Lexed) -> FileSymbols {
     };
     p.items(0, lx.tokens.len(), &module, None);
     p.out
+}
+
+/// The leaves of the `use` tree whose `use` keyword is token `i`,
+/// expanded by the walker [`parse`] runs on module-level declarations,
+/// so a tree inside a function body expands the same way.
+pub fn use_leaves(lx: &Lexed, i: usize) -> Vec<UseDecl> {
+    let mut p = Parser {
+        lx,
+        out: FileSymbols::default(),
+    };
+    p.parse_use(i + 1, lx.tokens.len(), "", false);
+    p.out.uses
 }
 
 impl Parser<'_> {

@@ -9,7 +9,7 @@
 //! in the diagnostic.
 //!
 //! No other rule needs the whole workspace: R2 and R7 are per-file
-//! textual arms over a dependency-closed scope, and R6 scans one file's
+//! token arms over a dependency-closed scope, and R6 scans one file's
 //! own function spans (see [`crate::rules`]).
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -105,15 +105,6 @@ impl Workspace {
 
     fn rel(&self, file: usize) -> &str {
         self.files.get(file).map(|f| f.rel.as_str()).unwrap_or("")
-    }
-
-    /// The masked text of 1-indexed `line` in `file`.
-    fn line_text(&self, file: usize, line: usize) -> String {
-        self.files
-            .get(file)
-            .and_then(|f| f.lx.masked.lines().nth(line.saturating_sub(1)))
-            .unwrap_or("")
-            .to_string()
     }
 
     /// Resolves the root of a use path in `module`.
@@ -315,7 +306,7 @@ impl Workspace {
     /// R1 transitive reachability over the use-graph.
     pub fn check_r1(&self) -> Vec<Violation> {
         let mut out = Vec::new();
-        for (fi, file) in self.files.iter().enumerate() {
+        for file in &self.files {
             if !rules::R1_FILES.contains(&file.rel.as_str()) {
                 continue;
             }
@@ -354,7 +345,7 @@ impl Workspace {
                          a k-local router module may only see G_k(u)",
                         u.binding
                     ),
-                    raw_line: self.line_text(fi, u.line).trim().to_string(),
+                    raw_line: file.lx.raw_line(u.line).to_string(),
                     chain: full_chain.clone(),
                 });
                 if u.binding != "*" {
@@ -386,7 +377,7 @@ impl Workspace {
                     message: format!(
                         "`{name}` is an alias of the whole-graph API `{banned}` (see its use chain)"
                     ),
-                    raw_line: self.line_text(fi, t.line).trim().to_string(),
+                    raw_line: file.lx.raw_line(t.line).to_string(),
                     chain: chain.clone(),
                 });
             }

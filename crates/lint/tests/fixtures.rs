@@ -11,27 +11,47 @@
 //!   not;
 //! * `lint.allow`: a line-bound entry fails the lint instead of
 //!   suppressing;
-//! * the JSON report: stable across runs and sorted by location.
+//! * the JSON report: stable across runs and sorted by location;
+//! * what the line scanner missed: grouped imports of banned paths, and
+//!   R4 attributes or `clippy.toml` keys that appear only in comments.
 //!
 //! The fixture workspace is materialized into a temp directory at
 //! runtime (committed `.rs` fixture trees would be scanned by the real
-//! workspace walk and would have to be allowlisted).
+//! workspace walk and would have to be allowlisted), and removed when
+//! its test ends, failed assertions included.
 
 use std::fs;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 
-use locality_lint::{lint_workspace, rules, LintError, Rule};
+use locality_lint::{lexer, lint_workspace, rules, LintError, Rule};
 
-/// Creates a throwaway mini-workspace and returns its root.
-fn fixture_root(tag: &str, files: &[(&str, &str)]) -> PathBuf {
-    let root = std::env::temp_dir().join(format!(
+/// A throwaway mini-workspace, removed when dropped.
+struct Fixture(PathBuf);
+
+impl Deref for Fixture {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Fixture {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Creates a throwaway mini-workspace.
+fn fixture_root(tag: &str, files: &[(&str, &str)]) -> Fixture {
+    let root = Fixture(std::env::temp_dir().join(format!(
         "locality-lint-fixture-{}-{tag}",
         std::process::id()
-    ));
+    )));
     if root.exists() {
-        fs::remove_dir_all(&root).expect("stale fixture dir removable");
+        fs::remove_dir_all(&root.0).expect("stale fixture dir removable");
     }
-    fs::create_dir_all(&root).expect("fixture root");
+    fs::create_dir_all(&root.0).expect("fixture root");
     fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = []\n").expect("manifest");
     for (rel, text) in files {
         let path = root.join(rel);
@@ -91,7 +111,7 @@ fn aliased_import_is_missed_by_v1_and_caught_by_v2_with_chain() {
     // its list, and `locality_graph::quick` is not the graph module.
     let v1 = rules::check_file(
         "crates/core/src/alg1.rs",
-        &read(&root, "crates/core/src/alg1.rs"),
+        &lexer::lex(&read(&root, "crates/core/src/alg1.rs")),
     );
     assert!(
         v1.iter().all(|v| v.rule != Rule::R1),
@@ -137,7 +157,7 @@ fn two_hop_re_export_is_missed_by_v1_and_caught_by_v2_with_both_hops() {
 
     let v1 = rules::check_file(
         "crates/core/src/alg2.rs",
-        &read(&root, "crates/core/src/alg2.rs"),
+        &lexer::lex(&read(&root, "crates/core/src/alg2.rs")),
     );
     assert!(
         v1.iter().all(|v| v.rule != Rule::R1),
@@ -323,4 +343,40 @@ fn json_report_is_stable_and_sorted_by_location() {
         let located = format!("\"rule\":\"{rule}\",\"file\":\"{file}\",\"line\":{at},");
         assert!(line.contains(&located), "{line} should hold {located}");
     }
+}
+
+#[test]
+fn grouped_imports_and_commented_out_hygiene_are_flagged() {
+    let files: &[(&str, &str)] = &[
+        (
+            "crates/core/src/lib.rs",
+            "//! fixture core\n#![deny(missing_docs)]\n// #![forbid(unsafe_code)] (disabled)\n\
+             pub mod probe;\n",
+        ),
+        (
+            "crates/core/src/probe.rs",
+            "//! fixture probe\nuse std::{env, fs};\n/// Reads the file the first argument names.\n\
+             pub fn f() -> Vec<u8> {\n    fs::read(env::args().next().unwrap_or_default()).unwrap_or_default()\n}\n",
+        ),
+        (
+            "clippy.toml",
+            "# disallowed-types = []\ndisallowed-methods = []\n",
+        ),
+    ];
+    let root = fixture_root("holes", files);
+    let report = lint_workspace(&root).expect("fixture lints");
+    let keys: Vec<(&str, usize, &str, &str)> = report
+        .violations
+        .iter()
+        .map(|v| (v.file.as_str(), v.line, v.rule.id(), v.symbol.as_str()))
+        .collect();
+    assert_eq!(
+        keys,
+        vec![
+            ("clippy.toml", 1, "R4", "clippy"),
+            ("crates/core/src/lib.rs", 1, "R4", "crate"),
+            ("crates/core/src/probe.rs", 2, "R2", "std::env"),
+            ("crates/core/src/probe.rs", 2, "R7", "std::fs"),
+        ]
+    );
 }

@@ -261,7 +261,7 @@ impl<'a> Parser<'a> {
     /// The input from `start` to the cursor. Callers cut only at ASCII
     /// delimiters, which are always `char` boundaries.
     fn since(&self, start: usize) -> Result<&'a str, JsonError> {
-        self.text.get(start..self.at).ok_or(JsonError {
+        cut(self.text, start, self.at).ok_or(JsonError {
             at: start,
             what: "invalid UTF-8 in string",
         })
@@ -605,8 +605,7 @@ impl<'a> Parser<'a> {
                 return Ok(Json::Int(v));
             }
         }
-        self.text
-            .get(start..self.at)
+        cut(self.text, start, self.at)
             .and_then(|text| text.parse::<f64>().ok())
             .map(Json::Num)
             .ok_or(JsonError {
@@ -614,6 +613,14 @@ impl<'a> Parser<'a> {
                 what: "malformed number",
             })
     }
+}
+
+/// `text[lo..hi]` when both ends are `char` boundaries and in order.
+/// `split_at_checked` inlines where `str::get` with a range is a call.
+#[inline(always)]
+fn cut(text: &str, lo: usize, hi: usize) -> Option<&str> {
+    let (head, _) = text.split_at_checked(hi)?;
+    head.split_at_checked(lo).map(|(_, run)| run)
 }
 
 /// The parser as it was before the plain-member loop, kept verbatim so
