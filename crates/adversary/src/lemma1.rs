@@ -170,10 +170,8 @@ mod tests {
             1
         }
         fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
-            if let Some(t_node) = view.node_by_label(packet.target) {
-                if let Some(step) = view.shortest_step_toward(t_node) {
-                    return Ok(view.label(step));
-                }
+            if let Some(Some(step)) = view.step_toward_label(packet.target) {
+                return Ok(step);
             }
             // Send the message straight back where it came from; first
             // hop goes to the lowest-label neighbour.

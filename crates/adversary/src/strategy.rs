@@ -99,15 +99,14 @@ impl LocalRouter for StrategyRouter {
     }
 
     fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
-        if let Some(t_node) = view.node_by_label(packet.target) {
-            if t_node == view.center() {
+        match view.step_toward_label(packet.target) {
+            Some(Some(step)) => return Ok(step),
+            Some(None) if packet.target == view.center_label() => {
                 return Err(RoutingError::ProtocolViolation(
                     "message already delivered".into(),
                 ));
             }
-            if let Some(step) = view.shortest_step_toward(t_node) {
-                return Ok(view.label(step));
-            }
+            _ => {}
         }
         let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
         if nbrs.is_empty() {
@@ -180,15 +179,14 @@ impl LocalRouter for ArrowRouter {
     }
 
     fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
-        if let Some(t_node) = view.node_by_label(packet.target) {
-            if t_node == view.center() {
+        match view.step_toward_label(packet.target) {
+            Some(Some(step)) => return Ok(step),
+            Some(None) if packet.target == view.center_label() => {
                 return Err(RoutingError::ProtocolViolation(
                     "message already delivered".into(),
                 ));
             }
-            if let Some(step) = view.shortest_step_toward(t_node) {
-                return Ok(view.label(step));
-            }
+            _ => {}
         }
         let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
         if nbrs.is_empty() {

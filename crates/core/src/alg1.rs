@@ -136,16 +136,16 @@ fn decide(
     u2: U2Mode,
 ) -> Result<(Label, &'static str), RoutingError> {
     // Case 1: dist(u, t) <= k — follow a shortest path in G_k(u).
-    if let Some(t_node) = view.node_by_label(packet.target) {
-        if t_node == view.center() {
-            return Err(RoutingError::ProtocolViolation(
+    if let Some(step) = view.step_toward_label(packet.target) {
+        return match step {
+            Some(step) => Ok((step, "case-1")),
+            None if packet.target == view.center_label() => Err(RoutingError::ProtocolViolation(
                 "asked to forward a message already at its destination".into(),
-            ));
-        }
-        let step = view.shortest_step_toward(t_node).ok_or_else(|| {
-            RoutingError::ProtocolViolation("destination visible but unreachable".into())
-        })?;
-        return Ok((view.label(step), "case-1"));
+            )),
+            None => Err(RoutingError::ProtocolViolation(
+                "destination visible but unreachable".into(),
+            )),
+        };
     }
 
     let origin = packet.origin.ok_or(RoutingError::MissingOrigin)?;

@@ -42,15 +42,14 @@ impl LocalRouter for RightHandRule {
     }
 
     fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
-        if let Some(t_node) = view.node_by_label(packet.target) {
-            if t_node == view.center() {
+        match view.step_toward_label(packet.target) {
+            Some(Some(step)) => return Ok(step),
+            Some(None) if packet.target == view.center_label() => {
                 return Err(RoutingError::ProtocolViolation(
                     "asked to forward a message already at its destination".into(),
                 ));
             }
-            if let Some(step) = view.shortest_step_toward(t_node) {
-                return Ok(view.label(step));
-            }
+            _ => {}
         }
         let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
         if nbrs.is_empty() {
@@ -91,10 +90,8 @@ impl LocalRouter for LowestRankForward {
     }
 
     fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
-        if let Some(t_node) = view.node_by_label(packet.target) {
-            if let Some(step) = view.shortest_step_toward(t_node) {
-                return Ok(view.label(step));
-            }
+        if let Some(Some(step)) = view.step_toward_label(packet.target) {
+            return Ok(step);
         }
         let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
         if nbrs.is_empty() {

@@ -66,11 +66,7 @@ impl RunReport {
     /// `route length / dist(s, t)`; `None` unless delivered with
     /// `s != t`.
     pub fn dilation(&self) -> Option<f64> {
-        if self.status.is_delivered() && self.shortest > 0 {
-            Some(self.hops() as f64 / self.shortest as f64)
-        } else {
-            None
-        }
+        dilation(&self.status, self.hops(), self.shortest)
     }
 
     /// Maximum number of times any directed edge was traversed
@@ -312,6 +308,11 @@ impl ViewStore {
     }
 }
 
+/// `hops / shortest` for a delivered run with `s != t`.
+fn dilation(status: &RunStatus, hops: usize, shortest: u32) -> Option<f64> {
+    (status.is_delivered() && shortest > 0).then(|| hops as f64 / shortest as f64)
+}
+
 /// Routes one message from `s` to `t` with a fresh view store.
 pub fn route<R: LocalRouter + ?Sized>(
     graph: &Graph,
@@ -332,8 +333,7 @@ pub fn route_with_cache<R: LocalRouter + ?Sized>(
     s: NodeId,
     t: NodeId,
 ) -> RunReport {
-    let shortest = traversal::distance(graph, s, t).unwrap_or(0);
-    walk(graph, views, router, s, t, shortest, None)
+    fresh_run(graph, views, router, s, t, None)
 }
 
 /// A run together with the rule that fired at each hop.
@@ -357,41 +357,69 @@ pub fn route_traced<R: LocalRouter + ?Sized>(
     s: NodeId,
     t: NodeId,
 ) -> TracedRun {
-    let views = ViewStore::new(graph, k);
-    let shortest = traversal::distance(graph, s, t).unwrap_or(0);
     let mut rules = Vec::new();
-    let report = walk(graph, &views, router, s, t, shortest, Some(&mut rules));
+    let views = ViewStore::new(graph, k);
+    let report = fresh_run(graph, &views, router, s, t, Some(&mut rules));
     TracedRun { report, rules }
 }
 
-/// The hop loop behind every engine run. `shortest` is `dist(s, t)`
-/// (0 when disconnected), which the caller computes: one BFS for a
-/// single route, one per origin for a matrix. With `rules`, the router
-/// names the rule behind each hop ([`LocalRouter::decide_explained`])
-/// and the names are appended; without, it is asked for the next hop
-/// only.
+/// One run with fresh buffers, as a [`RunReport`].
+fn fresh_run<R: LocalRouter + ?Sized>(
+    graph: &Graph,
+    views: &ViewStore,
+    router: &R,
+    s: NodeId,
+    t: NodeId,
+    rules: Option<&mut Vec<&'static str>>,
+) -> RunReport {
+    let mut buf = Walk::default();
+    let status = walk(graph, views, router, s, t, &mut buf, rules);
+    RunReport {
+        status,
+        route: buf.route,
+        shortest: traversal::distance(graph, s, t).unwrap_or(0),
+        k: views.k(),
+    }
+}
+
+/// The buffers of one walk: its route and its visited states. A matrix
+/// keeps one for all of its pairs, so a warm matrix allocates nothing
+/// per pair.
+#[derive(Default)]
+struct Walk {
+    /// The walk taken, starting at the origin.
+    route: Vec<NodeId>,
+    visited: VisitedStates,
+}
+
+/// The hop loop behind every engine run. It clears `buf` first, in
+/// time that follows the previous route, and leaves the walk taken in
+/// `buf.route`. With `rules`, the router names the rule behind each hop
+/// ([`LocalRouter::decide_explained`]) and the names are appended;
+/// without, it is asked for the next hop only.
 fn walk<R: LocalRouter + ?Sized>(
     graph: &Graph,
     views: &ViewStore,
     router: &R,
     s: NodeId,
     t: NodeId,
-    shortest: u32,
+    buf: &mut Walk,
     mut rules: Option<&mut Vec<&'static str>>,
-) -> RunReport {
-    let k = views.k();
+) -> RunStatus {
     let n = graph.node_count();
     let max_steps = 8 * n * n + 16;
     let awareness = router.awareness();
     let origin_label = graph.label(s);
     let target_label = graph.label(t);
 
-    let mut route = vec![s];
+    let Walk { route, visited } = buf;
+    route.clear();
+    route.push(s);
+    visited.clear();
     let mut current = s;
     let mut predecessor: Option<NodeId> = None;
-    let mut visited = VisitedStates::new();
 
-    let status = loop {
+    loop {
         if current == t {
             break RunStatus::Delivered;
         }
@@ -435,13 +463,6 @@ fn walk<R: LocalRouter + ?Sized>(
                 current = next;
             }
         }
-    };
-
-    RunReport {
-        status,
-        route,
-        shortest,
-        k,
     }
 }
 
@@ -491,9 +512,12 @@ where
 ///
 /// `dist(s, t)` comes from one whole-graph BFS per run of consecutive
 /// pairs that share an origin, so a matrix listed origin by origin (as
-/// [`delivery_matrix`] lists it) costs `n` BFS rather than `n²`. Any
-/// order gives the same report, up to the order of `failures` and
-/// which of several tied pairs is named worst.
+/// [`delivery_matrix`] lists it) costs `n` BFS rather than `n²`. Every
+/// pair walks in one route buffer and one [`VisitedStates`], each
+/// cleared in time that follows the previous route, so once the store
+/// is warm the BFS is the only allocation, per origin and never per
+/// pair. Any order gives the same report, up to the order of
+/// `failures` and which of several tied pairs is named worst.
 pub fn delivery_matrix_with_cache<R, I>(
     graph: &Graph,
     views: &ViewStore,
@@ -507,22 +531,24 @@ where
     let mut report = MatrixReport::default();
     // `dist(s, ·)` for the origin of the current run of pairs.
     let mut from: Option<(NodeId, DistMap)> = None;
+    let mut buf = Walk::default();
     for (s, t) in pairs {
         if from.as_ref().is_none_or(|&(o, _)| o != s) {
             from = Some((s, traversal::bfs_distances(graph, s, None)));
         }
         let shortest = from.as_ref().and_then(|(_, d)| d.get(t)).unwrap_or(0);
-        let run = walk(graph, views, router, s, t, shortest, None);
+        let status = walk(graph, views, router, s, t, &mut buf, None);
         report.runs += 1;
-        if run.status.is_delivered() {
-            report.total_hops += run.hops();
-            if let Some(d) = run.dilation() {
+        if status.is_delivered() {
+            let hops = buf.route.len().saturating_sub(1);
+            report.total_hops += hops;
+            if let Some(d) = dilation(&status, hops, shortest) {
                 if report.worst_dilation.is_none_or(|(w, _, _)| d > w) {
                     report.worst_dilation = Some((d, s, t));
                 }
             }
         } else {
-            report.failures.push((s, t, run.status));
+            report.failures.push((s, t, status));
         }
     }
     report

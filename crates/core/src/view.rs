@@ -23,7 +23,7 @@ use crate::preprocess::{self, EdgeKey, Preprocessed};
 /// aligned with the raw subgraph's slot order, beside the subgraph's
 /// own two blocks, so an extracted view keeps four heap blocks and a
 /// 112-byte struct. The derived structure sits behind one boxed cache
-/// that is allocated on first use: the label→node lookup (a sorted
+/// that is allocated on first use: the label→slot lookup (a sorted
 /// table searched by binary search), the [`RoutingView`], Algorithm
 /// 1B's shelter pivots and the raw component analysis. Routers that
 /// never ask for them, like the ring baselines, and views that are
@@ -56,10 +56,11 @@ pub struct LocalView {
 /// its first query.
 #[derive(Default)]
 struct Derived {
-    /// `(label, node)` sorted by label; binary-searched by
-    /// [`LocalView::node_by_label`]. Cold provisioning (BFS and
+    /// `(label, raw slot)` sorted by label; binary-searched by
+    /// [`LocalView::node_by_label`] and
+    /// [`LocalView::step_toward_label`]. Cold provisioning (BFS and
     /// artifact paths alike) never asks for it.
-    by_label: OnceLock<Box<[(Label, NodeId)]>>,
+    by_label: OnceLock<Box<[(Label, u32)]>>,
     routing: OnceLock<RoutingView>,
     /// Algorithm 1B's shelter pivots, slot-aligned with the routing
     /// view's subgraph (see [`RoutingView::shelter_table`]). Only a
@@ -273,33 +274,32 @@ impl LocalView {
     }
 
     /// The label-sorted lookup table, built on first use.
-    fn by_label(&self) -> &[(Label, NodeId)] {
+    fn by_label(&self) -> &[(Label, u32)] {
         self.derived().by_label.get_or_init(|| {
-            let mut v: Box<[(Label, NodeId)]> = self
-                .raw
-                .node_slice()
-                .iter()
+            let mut v: Box<[(Label, u32)]> = (0u32..)
                 .zip(&self.labels)
-                .map(|(&x, &l)| (l, x))
+                .map(|(slot, &l)| (l, slot))
                 .collect();
             v.sort_unstable();
             v
         })
     }
 
+    /// The raw slot of the visible node labelled `l`.
+    fn slot_by_label(&self, l: Label) -> Option<usize> {
+        let table = self.by_label();
+        let i = table.binary_search_by_key(&l, |&(lbl, _)| lbl).ok()?;
+        table.get(i).map(|&(_, slot)| slot as usize)
+    }
+
     /// Finds a visible node by label.
     pub fn node_by_label(&self, l: Label) -> Option<NodeId> {
-        let table = self.by_label();
-        table
-            .binary_search_by_key(&l, |&(lbl, _)| lbl)
-            .ok()
-            .and_then(|i| table.get(i))
-            .map(|&(_, x)| x)
+        self.slot_by_label(l).map(|slot| self.raw.id_of(slot))
     }
 
     /// Whether any visible node carries label `l`.
     pub fn contains_label(&self, l: Label) -> bool {
-        self.node_by_label(l).is_some()
+        self.slot_by_label(l).is_some()
     }
 
     /// Distance from the centre within the view, if `x` is visible.
@@ -343,6 +343,26 @@ impl LocalView {
             Some(&s) if s != 0 => Some(self.raw.id_of(s as usize - 1)),
             _ => None,
         }
+    }
+
+    /// Case 1 of every router that follows a shortest path to a
+    /// visible target: the label of the centre's neighbour of lowest
+    /// label on a shortest path (within the view) toward the node
+    /// labelled `target`. `None` if no visible node carries `target`;
+    /// `Some(None)` if it is the centre's own label, or the node is
+    /// unreachable in the view.
+    ///
+    /// One search of the label table finds the target's slot, one read
+    /// of the [step table](Self::step_table) its first step, and one
+    /// read of the slot-aligned label table that step's label: no
+    /// node id is looked up.
+    pub fn step_toward_label(&self, target: Label) -> Option<Option<Label>> {
+        let slot = self.slot_by_label(target)?;
+        let step = self.step_table().get(slot).copied().unwrap_or(0);
+        Some(
+            step.checked_sub(1)
+                .and_then(|s| self.labels.get(s as usize).copied()),
+        )
     }
 
     /// Slot-indexed table of lowest-label shortest first steps, for
@@ -557,6 +577,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Case 1 the long way, as every router asked it before
+    /// [`LocalView::step_toward_label`]: the target label to a node,
+    /// the node to its step, the step to a label.
+    fn step_toward_label_reference(view: &LocalView, target: Label) -> Option<Option<Label>> {
+        let t = view.node_by_label(target)?;
+        Some(view.shortest_step_toward(t).map(|x| view.label(x)))
+    }
+
+    #[test]
+    fn step_toward_label_matches_the_three_lookup_reference() {
+        use locality_adversary::tight;
+        use locality_graph::permute;
+        use locality_graph::rng::DetRng;
+        let mut rng = DetRng::seed_from_u64(29);
+        let mut cases: Vec<(Graph, u32)> = Vec::new();
+        for n in [28, 64] {
+            let (f13, f17) = (tight::fig13(n), tight::fig17(n));
+            cases.push((f13.graph, f13.k));
+            cases.push((f17.graph, f17.k));
+        }
+        for (n, extra, k) in [(24, 10, 3u32), (40, 6, 5), (60, 30, 2)] {
+            cases.push((generators::random_connected(n, extra, &mut rng), k));
+        }
+        let (mut steps, mut silent) = (0usize, 0usize);
+        for (g, k) in &cases {
+            // Node ids permuted two ways: labels and ids part.
+            for seed in [1u64, 2] {
+                let (pg, _) = permute::random_permute_nodes(g, &mut DetRng::seed_from_u64(seed));
+                let top = pg.nodes().map(|x| pg.label(x).0).max().unwrap_or(0);
+                for u in pg.nodes() {
+                    let view = LocalView::extract(&pg, u, *k);
+                    // Every label the view holds, the centre's own, and
+                    // labels no node carries.
+                    for l in (0..=top + 2).map(Label) {
+                        let got = view.step_toward_label(l);
+                        assert_eq!(
+                            got,
+                            step_toward_label_reference(&view, l),
+                            "view at {u} (k = {k}), target {l}"
+                        );
+                        match got {
+                            Some(Some(_)) => steps += 1,
+                            _ => silent += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(steps > 0 && silent > 0, "{steps} steps, {silent} others");
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //!
 //! Each state packs into one `u64` key, and the keys live in an
 //! open-addressed table (linear probing, a fixed multiplicative hash,
-//! power-of-two capacity, doubled at half load). Nothing is allocated
-//! before the first insert, and memory and per-hop work are
-//! O(states visited). The hash is a constant and the table is never
-//! iterated, so no ordering or seed reaches an output.
+//! power-of-two capacity, doubled at half load). A log beside the table
+//! names the slot of each key, so a clear empties those slots and
+//! nothing else. Nothing is allocated before the first insert; memory
+//! and per-hop work are O(states visited), and a clear costs the states
+//! recorded since the last one, not the largest table the set has
+//! grown. The hash is a constant and the table is never iterated, so no
+//! ordering or seed reaches an output.
 
 use locality_graph::NodeId;
 
@@ -21,7 +24,7 @@ use locality_graph::NodeId;
 /// `u32::MAX`.
 const EMPTY: u64 = u64::MAX;
 
-/// Slots the first insert allocates.
+/// Table slots the first insert allocates (the log adds half as many).
 const MIN_SLOTS: usize = 16;
 
 /// Fibonacci hashing multiplier, 2⁶⁴ / φ rounded to odd.
@@ -37,14 +40,16 @@ fn pack(at: NodeId, from: Option<NodeId>) -> u64 {
 /// The set of `(node, predecessor)` states one route has visited.
 ///
 /// A walk tests and records a state in one [`insert`](Self::insert).
-/// `clear` keeps the allocation for the route's next attempt; dropping
-/// the set returns it.
+/// `clear` keeps the allocation for the route's next attempt, or the
+/// next route; dropping the set returns it.
 #[derive(Debug, Default)]
 pub struct VisitedStates {
-    /// Packed keys, [`EMPTY`] where free: empty until the first insert,
-    /// then a power of two at most half full.
+    /// One block, empty until the first insert: the table, a power of
+    /// two of packed keys ([`EMPTY`] where free) at most half full, then
+    /// the log, half the table's length, whose first `len` entries are
+    /// the table slots filled since the last clear.
     slots: Vec<u64>,
-    /// Occupied slots.
+    /// Recorded states: occupied table slots, and log entries in use.
     len: usize,
 }
 
@@ -64,21 +69,39 @@ impl VisitedStates {
     /// already present: the route has looped.
     pub fn insert(&mut self, at: NodeId, from: Option<NodeId>) -> bool {
         let key = pack(at, from);
-        if self.has(key) {
-            return false;
-        }
-        if 2 * (self.len + 1) > self.slots.len() {
+        if 2 * (self.len + 1) > self.table_len() {
+            if self.has(key) {
+                return false;
+            }
             self.grow();
         }
-        self.place(key);
-        self.len += 1;
+        // One probe: it ends at the key, or at the free slot it takes.
+        let i = self.probe(key);
+        if self.slots.get(i) == Some(&key) {
+            return false;
+        }
+        self.put(i, key);
         true
     }
 
-    /// Forgets every state, keeping the allocation.
+    /// Forgets every state, keeping the allocation. Empties the slots
+    /// the log names, so the cost is the states recorded since the last
+    /// clear.
     pub fn clear(&mut self) {
-        self.slots.fill(EMPTY);
+        let table_len = self.table_len();
+        let (table, log) = self.slots.split_at_mut(table_len);
+        for &i in log.get(..self.len).unwrap_or_default() {
+            if let Some(slot) = table.get_mut(i as usize) {
+                *slot = EMPTY;
+            }
+        }
         self.len = 0;
+    }
+
+    /// Slots in the table: the first two thirds of the block.
+    #[inline]
+    fn table_len(&self) -> usize {
+        self.slots.len() / 3 * 2
     }
 
     /// Whether `key` is in the table.
@@ -90,8 +113,9 @@ impl VisitedStates {
     /// run. The table must be allocated; half load guarantees a free
     /// slot, so the probe terminates.
     fn probe(&self, key: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let shift = 64 - self.slots.len().trailing_zeros();
+        let slots = self.table_len();
+        let mask = slots - 1;
+        let shift = 64 - slots.trailing_zeros();
         let mut i = (key.wrapping_mul(HASH) >> shift) as usize;
         while let Some(&k) = self.slots.get(i) {
             if k == key || k == EMPTY {
@@ -102,22 +126,30 @@ impl VisitedStates {
         i
     }
 
-    /// Writes `key` into its free slot (the caller knows it is absent).
-    fn place(&mut self, key: u64) {
-        let i = self.probe(key);
+    /// Writes `key` into free slot `i`, which ends its probe run (the
+    /// caller knows the key is absent and the table has room), and logs
+    /// the slot.
+    fn put(&mut self, i: usize, key: u64) {
+        let entry = self.table_len() + self.len;
         if let Some(slot) = self.slots.get_mut(i) {
             *slot = key;
         }
+        if let Some(logged) = self.slots.get_mut(entry) {
+            *logged = i as u64;
+        }
+        self.len += 1;
     }
 
     /// Doubles the table (or allocates the first [`MIN_SLOTS`]) and
-    /// re-places every key.
+    /// re-places every logged key, in log order.
     fn grow(&mut self) {
-        let slots = (2 * self.slots.len()).max(MIN_SLOTS);
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY; slots]);
-        for key in old {
-            if key != EMPTY {
-                self.place(key);
+        let table = (2 * self.table_len()).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; table + table / 2]);
+        let (old_table, old_log) = old.split_at(old.len() / 3 * 2);
+        let count = std::mem::take(&mut self.len);
+        for &i in old_log.get(..count).unwrap_or_default() {
+            if let Some(&key) = old_table.get(i as usize) {
+                self.put(self.probe(key), key);
             }
         }
     }
@@ -216,8 +248,8 @@ mod tests {
                 assert!(set.insert(NodeId(i), Some(NodeId(i + 1))));
             }
             assert_eq!(set.len, count as usize);
-            assert!(set.slots.len().is_power_of_two());
-            assert!(2 * set.len <= set.slots.len(), "at most half full");
+            assert!(set.table_len().is_power_of_two());
+            assert!(2 * set.len <= set.table_len(), "at most half full");
             for i in 0..count {
                 assert!(set.contains(NodeId(i), Some(NodeId(i + 1))));
                 assert!(!set.contains(NodeId(i), None));
@@ -247,6 +279,54 @@ mod tests {
             let from = Some(NodeId(rng.gen_range(0..30u32)));
             both(&mut set, &mut reference, at, from);
         }
+    }
+
+    #[test]
+    fn clears_between_routes_of_every_length_match_btreeset() {
+        // Routes long and short in turn, so clears follow tables grown
+        // by earlier routes, and growth follows clears.
+        let mut rng = DetRng::seed_from_u64(11);
+        let mut set = VisitedStates::new();
+        for _ in 0..60 {
+            set.clear();
+            let mut reference = Reference::new();
+            let ids = rng.gen_range(1..400u32);
+            for _ in 0..rng.gen_range(0..600u32) {
+                let at = NodeId(rng.gen_range(0..ids));
+                let from =
+                    Some(NodeId(rng.gen_range(0..ids))).filter(|_| rng.gen_range(0..4u32) > 0);
+                both(&mut set, &mut reference, at, from);
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_route_does_not_make_later_clears_cost_more() {
+        let mut set = VisitedStates::new();
+        for i in 0..5000 {
+            assert!(set.insert(NodeId(i), None));
+        }
+        set.clear();
+        let table = set.table_len();
+        assert!(table >= 10_000, "the long route grew the table");
+        for i in 0..3 {
+            assert!(set.insert(NodeId(i), Some(NodeId(i + 1))));
+        }
+        // Mark every free slot with a value no state packs to (node id
+        // `u32::MAX`), so a clear that writes a slot it did not fill
+        // shows.
+        const MARK: u64 = u64::MAX - 1;
+        for slot in set.slots.iter_mut().take(table) {
+            if *slot == EMPTY {
+                *slot = MARK;
+            }
+        }
+        set.clear();
+        let emptied = set.slots.iter().take(table).filter(|&&k| k == EMPTY);
+        let marked = set.slots.iter().take(table).filter(|&&k| k == MARK);
+        assert_eq!(emptied.count(), 3, "a clear writes the 3 slots filled");
+        assert_eq!(marked.count(), table - 3, "and no other slot");
+        assert_eq!(set.table_len(), table, "clear keeps the allocation");
     }
 
     /// Random states on `g`: no predecessor, a neighbour, or any node.

@@ -262,12 +262,18 @@ pub fn bfs_distances<T: Topology + ?Sized>(
     dist
 }
 
-/// Distance between `u` and `v`, or `None` if disconnected.
+/// Distance between `u` and `v`, or `None` if disconnected (or if
+/// either is not a node). Searches outward from `u` on the thread's
+/// [`Ball`] and stops at `v`, so a call costs the ball out to
+/// `dist(u, v)` and allocates nothing once the ball covers the graph.
 pub fn distance<T: Topology + ?Sized>(topo: &T, u: NodeId, v: NodeId) -> Option<u32> {
-    if u == v {
-        return topo.contains_node(u).then_some(0);
-    }
-    bfs_distances(topo, u, None).get(v)
+    Ball::with(|ball| {
+        if !ball.reaches(topo, u, v) {
+            return None;
+        }
+        let i = ball.position(v)?;
+        ball.members().get(i).map(|&(_, d)| d)
+    })
 }
 
 /// One shortest path from `u` to `v` (inclusive of both), deterministic:
@@ -412,6 +418,40 @@ mod tests {
         assert_eq!(distance(&g, NodeId(0), NodeId(3)), None);
         assert!(!is_connected(&g));
         assert_eq!(connected_components(&g).len(), 2);
+    }
+
+    #[test]
+    fn distance_matches_bfs_distances() {
+        use crate::rng::DetRng;
+        let mut rng = DetRng::seed_from_u64(23);
+        let mut graphs: Vec<Graph> = [2usize, 9, 30]
+            .iter()
+            .map(|&n| generators::random_connected(n, n / 3, &mut rng))
+            .collect();
+        // Two components: two random connected graphs side by side.
+        for (a, b) in [(5usize, 7usize), (12, 3)] {
+            let left = generators::random_connected(a, 2, &mut rng);
+            let right = generators::random_connected(b, 1, &mut rng);
+            let shift = a as u32;
+            let edges: Vec<(u32, u32)> = left
+                .edges()
+                .map(|(x, y)| (x.0, y.0))
+                .chain(right.edges().map(|(x, y)| (x.0 + shift, y.0 + shift)))
+                .collect();
+            graphs.push(Graph::from_edges(a + b, &edges).unwrap());
+        }
+        for g in &graphs {
+            let n = g.node_count() as u32;
+            // Every pair, `u == v` included, and ids past the graph.
+            let ids: Vec<NodeId> = (0..n + 2).chain([u32::MAX - 1]).map(NodeId).collect();
+            for &u in &ids {
+                let reference = bfs_distances(g, u, None);
+                for &v in &ids {
+                    assert_eq!(distance(g, u, v), reference.get(v), "n = {n}, {u} to {v}");
+                }
+            }
+        }
+        assert!(!is_connected(&graphs[3]) && !is_connected(&graphs[4]));
     }
 
     #[test]

@@ -43,9 +43,10 @@
 //! * **R6 hot-path allocation** — no `Vec::new`/`vec!`/`Box::new`/
 //!   `format!`/`collect`/`to_vec` inside the designated hot-path
 //!   functions (`sim::sched`, `sim::slab`, `sim::workload`,
-//!   `sim::admission`, `graph::fanout`, the `core::view` step tables,
-//!   `core::visited`, the trace reader, `graph::codec` decode) outside
-//!   setup constructors, read from each file's own function spans.
+//!   `graph::fanout`, the `core::view` step tables and Case 1's label
+//!   search, `core::visited`, the trace reader, `graph::codec` decode)
+//!   outside setup constructors, read from each file's own function
+//!   spans.
 //! * **R7 lock discipline** — no `Mutex`/`RwLock` or blocking I/O in
 //!   trial code: the trial driver runs trials side by side on threads,
 //!   and a lock or a blocking call would let one trial stall another,
