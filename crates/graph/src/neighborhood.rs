@@ -14,10 +14,19 @@
 //! cycle is visible from any node, while on a cycle of length `2k + 1`
 //! the "far" edge joining the two antipodal vertices is *not* visible,
 //! splitting the view into two independent path components.
+//!
+//! A view's slots number its members in id order, so extraction puts
+//! the radius-`k` ball in id order. When the member ids span at most
+//! `DENSE_FACTOR` (4) times the member count, the density at which a
+//! view keeps an id → slot table, it walks that span and reads each
+//! id's mark in the ball, which gives the members already in order; a
+//! sparser ball, the neighbourhood of a node in a large graph, is
+//! sorted. The CSR runs arrive in the parent's neighbour order, and
+//! only a run that did not arrive ascending is sorted.
 
 use crate::dist::UNREACHED;
 use crate::labels::NodeId;
-use crate::subgraph::{Scratch, Subgraph};
+use crate::subgraph::{Scratch, Subgraph, DENSE_FACTOR};
 use crate::traversal::{Ball, Topology};
 
 /// Extracts `G_k(u)` from `topo` as a [`Subgraph`].
@@ -80,6 +89,13 @@ pub fn k_neighborhood_with_distances<T: Topology + ?Sized>(
     (sub, dists)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Extractions on this thread that walked their id span, and that
+    /// sorted, so the tests can show that both orders ran.
+    static ORDERS: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+}
+
 /// Builds `G_k(u)` from a finished radius-`k` search around `u`. The
 /// members, the CSR block and the distances are each allocated once,
 /// at their final size; everything else lives in the thread's
@@ -97,13 +113,31 @@ fn from_ball<T: Topology + ?Sized>(topo: &T, ball: &Ball, k: u32) -> (Subgraph, 
         // Slot order is id order. `at` maps a BFS position to the
         // member's slot and distance, for the edge pass below.
         by_id.clear();
-        by_id.extend(
-            reached
-                .iter()
-                .enumerate()
-                .map(|(i, &(x, d))| (x, d, i as u32)),
-        );
-        by_id.sort_unstable();
+        let lo = reached.iter().map(|&(x, _)| x.0).min().unwrap_or(0);
+        let hi = reached.iter().map(|&(x, _)| x.0).max().unwrap_or(0);
+        // Walk the span when it is at most `DENSE_FACTOR` times the
+        // member count, the density at which a view keeps an id → slot
+        // table.
+        if ((hi - lo) as usize) < reached.len().saturating_mul(DENSE_FACTOR) {
+            // The ball marks its members by id, so the ids from `lo` to
+            // `hi` that it reached come out in order: no sort.
+            by_id.extend((lo..=hi).filter_map(|x| {
+                let i = ball.position(NodeId(x))?;
+                reached.get(i).map(|&(_, d)| (NodeId(x), d, i as u32))
+            }));
+            #[cfg(test)]
+            ORDERS.with(|n| n.set((n.get().0 + 1, n.get().1)));
+        } else {
+            by_id.extend(
+                reached
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(x, d))| (x, d, i as u32)),
+            );
+            by_id.sort_unstable();
+            #[cfg(test)]
+            ORDERS.with(|n| n.set((n.get().0, n.get().1 + 1)));
+        }
         at.clear();
         at.resize(reached.len(), (0, 0));
         for (s, &(_, d, i)) in by_id.iter().enumerate() {
@@ -201,7 +235,7 @@ mod tests {
     use super::*;
     use crate::rng::DetRng;
     use crate::traversal::FilteredTopology;
-    use crate::{generators, traversal};
+    use crate::{generators, permute, traversal, SubgraphBuilder};
 
     #[test]
     fn path_neighborhood_is_truncated_path() {
@@ -296,6 +330,48 @@ mod tests {
         // With k = 4 the joining edge becomes visible.
         let view = k_neighborhood(&g, NodeId(0), 4);
         assert!(view.has_edge(NodeId(3), NodeId(6)));
+    }
+
+    #[test]
+    fn extraction_matches_the_definition_in_both_member_orders() {
+        // Permuted ids scatter a small ball over the id range, which
+        // is sorted; a ball holding most of the graph walks its range.
+        // Each view must equal the definition built through the
+        // builder: members within k, edges whose nearer end is closer
+        // than k, distances from a whole-graph BFS.
+        let mut rng = DetRng::seed_from_u64(0x1D5);
+        ORDERS.with(|n| n.set((0, 0)));
+        for _ in 0..10 {
+            let n = rng.gen_range(6..50usize);
+            let base = generators::random_connected(n, n / 3, &mut rng);
+            let (g, _) = permute::random_permute_nodes(&base, &mut rng);
+            for u in g.nodes() {
+                let full = traversal::bfs_distances(&g, u, None);
+                let ecc = full.iter().map(|(_, d)| d).max().unwrap_or(0);
+                for k in 0..=ecc + 1 {
+                    let mut b = SubgraphBuilder::new();
+                    let mut dists = Vec::new();
+                    for (x, d) in full.iter().filter(|&(_, d)| d <= k) {
+                        b.insert_node(x);
+                        dists.push(d);
+                    }
+                    for x in g.nodes() {
+                        for &y in g.neighbors(x) {
+                            // The edge rule: min(d) + 1 <= k.
+                            if x < y && full[x].min(full[y]) < k {
+                                b.insert_edge(x, y);
+                            }
+                        }
+                    }
+                    let want = b.build();
+                    let (sub, got) = k_neighborhood_with_distances(&g, u, k);
+                    assert_eq!(sub, want, "u={u} k={k}");
+                    assert_eq!(got, dists, "u={u} k={k}");
+                }
+            }
+        }
+        let (walked, sorted) = ORDERS.with(|n| n.get());
+        assert!(walked > 0 && sorted > 0, "walked {walked}, sorted {sorted}");
     }
 
     #[test]

@@ -18,7 +18,7 @@ const ABSENT: u32 = u32::MAX;
 /// sized by the largest member id, so without this cap a small `G_k(u)`
 /// of a large parent would hold memory in proportion to the parent
 /// rather than to what the view can see.
-const DENSE_FACTOR: usize = 4;
+pub(crate) const DENSE_FACTOR: usize = 4;
 
 /// A vertex- and edge-subset of a parent graph, keyed by the parent's
 /// [`NodeId`]s.
@@ -295,8 +295,9 @@ impl Subgraph {
     /// Lays out a subgraph over `members` from its directed edge ends
     /// `(from_slot, to_slot)`: every undirected edge must appear once
     /// in each direction, with no duplicates. A counting sort groups
-    /// the ends into per-slot runs, each then sorted ascending;
-    /// `cursor` is its scratch.
+    /// the ends into per-slot runs, and a run that did not arrive
+    /// ascending is then sorted; `cursor` is the counting sort's
+    /// scratch.
     pub(crate) fn from_directed_ends(
         members: Box<[NodeId]>,
         ends: &[(u32, u32)],
@@ -321,7 +322,10 @@ impl Subgraph {
             }
             let mut start = 0;
             for &end in &offsets[1..] {
-                targets[start..end as usize].sort_unstable();
+                let run = &mut targets[start..end as usize];
+                if !run.is_sorted() {
+                    run.sort_unstable();
+                }
                 start = end as usize;
             }
             Ok::<(), Infallible>(())

@@ -4,14 +4,41 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use local_routing::{engine, LocalRouter};
+use std::collections::BTreeMap;
+
+use local_routing::engine::{self, MatrixReport};
+use local_routing::{LocalRouter, ViewStore};
 use locality_graph::rng::DetRng;
 use locality_graph::{generators, permute, Graph};
 
 /// Asserts that `router`, run with locality `k`, delivers every ordered
 /// pair on `g`; panics with a diagnostic otherwise.
 pub fn assert_all_delivered<R: LocalRouter + ?Sized>(router: &R, g: &Graph, k: u32) {
-    let m = engine::delivery_matrix(g, k, router);
+    check_delivered(&engine::delivery_matrix(g, k, router), router, g, k);
+}
+
+/// Asserts that every `(router, k)` of `runs` delivers every ordered
+/// pair on `g`, as [`assert_all_delivered`] does for one. Runs at the
+/// same `k` route through one view store: a view and its preprocessing
+/// do not depend on the router, so each is built once per node and
+/// `k` rather than once per router.
+pub fn assert_all_delivered_sharing_views<'r>(
+    g: &Graph,
+    runs: impl IntoIterator<Item = (&'r dyn LocalRouter, u32)>,
+) {
+    let mut stores: BTreeMap<u32, ViewStore> = BTreeMap::new();
+    for (router, k) in runs {
+        let views = stores.entry(k).or_insert_with(|| ViewStore::new(g, k));
+        let pairs = g
+            .nodes()
+            .flat_map(|s| g.nodes().filter(move |&t| t != s).map(move |t| (s, t)));
+        let m = engine::delivery_matrix_with_cache(g, views, router, pairs);
+        check_delivered(&m, router, g, k);
+    }
+}
+
+/// Panics with a diagnostic unless `m` delivered every pair.
+fn check_delivered<R: LocalRouter + ?Sized>(m: &MatrixReport, router: &R, g: &Graph, k: u32) {
     assert!(
         m.all_delivered(),
         "{} (k={k}) failed on {:?}: first failure {:?} of {}",
@@ -20,12 +47,6 @@ pub fn assert_all_delivered<R: LocalRouter + ?Sized>(router: &R, g: &Graph, k: u
         m.failures.first(),
         m.failures.len(),
     );
-}
-
-/// Asserts delivery at the router's own threshold `T(n)`.
-pub fn assert_all_delivered_at_threshold<R: LocalRouter + ?Sized>(router: &R, g: &Graph) {
-    let k = router.min_locality(g.node_count());
-    assert_all_delivered(router, g, k);
 }
 
 /// The worst dilation over the full delivery matrix (requires all

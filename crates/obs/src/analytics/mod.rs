@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::io::Read;
 
 use crate::json::{Json, JsonError};
-use crate::witness::RouteWitness;
+use crate::witness::{EventFields, Kind, RouteWitness};
 
 pub mod diff;
 pub mod fold;
@@ -236,7 +236,8 @@ pub fn run_mode<R: Read, M: Mode + ?Sized>(
             std::str::from_utf8(line.bytes).map_err(|_| StreamError::Utf8 { line: number })?;
         let ev = Json::parse(text).map_err(|err| StreamError::Json { line: number, err })?;
         report.events += 1;
-        if ev.str_of("ev") == Some("trial") {
+        let fields = EventFields::read(&ev);
+        if fields.kind == Some(Kind::Trial) {
             for w in fold.drain() {
                 report.witnesses += 1;
                 mode.on_witness(&w);
@@ -244,8 +245,8 @@ pub fn run_mode<R: Read, M: Mode + ?Sized>(
             }
             let header = TrialHeader {
                 index: trial_index,
-                router: ev.str_of("router").unwrap_or("?").to_string(),
-                k: ev.u64_of("k").unwrap_or(0) as u32,
+                router: fields.router.unwrap_or("?").to_string(),
+                k: fields.k.unwrap_or(0) as u32,
             };
             trial_index += 1;
             report.trials += 1;
@@ -253,7 +254,7 @@ pub fn run_mode<R: Read, M: Mode + ?Sized>(
             continue;
         }
         mode.on_event(number, &ev);
-        if let Some(w) = fold.feed(&ev) {
+        if let Some(w) = fold.feed_fields(&fields) {
             report.witnesses += 1;
             mode.on_witness(&w);
             fold.recycle(w);

@@ -11,8 +11,10 @@
 //! (no floats on the emission path — float formatting is where
 //! cross-platform byte drift creeps in), and appends `\n`-terminated
 //! lines to a caller-owned buffer. It formats without `fmt`: integers
-//! from a stack buffer, strings by copying each run that needs no
-//! escape in one piece.
+//! from a stack buffer, and a string or key with nothing to escape
+//! (every one the recorder writes) as one copied run, a key together
+//! with its `,"` and `":`; a string that needs an escape is copied run
+//! by run between its escapes.
 //!
 //! The parser accepts general JSON (objects, arrays, strings, bools,
 //! null, and both integer and float numbers) because `tracecat` must
@@ -65,8 +67,48 @@ pub fn push_i64(buf: &mut Vec<u8>, v: i64) {
     push_u64(buf, v.unsigned_abs());
 }
 
+/// Whether `s` holds no byte a JSON string must escape: no `"`, no
+/// `\` and no control byte. Every key and name the recorder writes
+/// is plain.
+#[inline]
+fn is_plain(s: &str) -> bool {
+    // `fold` rather than `all`: no early exit, so the loop has no
+    // branch per byte.
+    !s.bytes().fold(false, |esc, b| {
+        esc | (b < 0x20) | (b == b'"') | (b == b'\\')
+    })
+}
+
 /// Appends `s` as a JSON string literal (quoted, escaped) to `buf`.
+#[inline]
 pub fn push_str(buf: &mut Vec<u8>, s: &str) {
+    if is_plain(s) {
+        buf.push(b'"');
+        buf.extend_from_slice(s.as_bytes());
+        buf.push(b'"');
+    } else {
+        push_escaped(buf, s);
+    }
+}
+
+/// Appends `,"key":`, which opens every object member after the first:
+/// one run copied for a plain key.
+#[inline]
+pub(crate) fn push_key(buf: &mut Vec<u8>, key: &str) {
+    if is_plain(key) {
+        buf.extend_from_slice(b",\"");
+        buf.extend_from_slice(key.as_bytes());
+        buf.extend_from_slice(b"\":");
+    } else {
+        buf.push(b',');
+        push_escaped(buf, key);
+        buf.push(b':');
+    }
+}
+
+/// [`push_str`] for a string that holds a byte to escape.
+#[cold]
+fn push_escaped(buf: &mut Vec<u8>, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let bytes = s.as_bytes();
     buf.push(b'"');
@@ -985,6 +1027,50 @@ mod tests {
             String::from_utf8(buf).unwrap(),
             "0|-9223372036854775808|9223372036854775807"
         );
+    }
+
+    #[test]
+    fn plain_and_escaped_keys_and_strings_write_the_same_bytes_as_ever() {
+        // Each case against the string escaped byte by byte, the way
+        // the writer did before it copied plain text as one run.
+        fn by_byte(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        for s in [
+            "",
+            "msg",
+            "rule",
+            "é→ü",
+            "a\"b",
+            "\\",
+            "x\u{1f}",
+            "tab\there",
+            "\u{7f}",
+        ] {
+            let mut buf = Vec::new();
+            push_str(&mut buf, s);
+            assert_eq!(String::from_utf8(buf).unwrap(), by_byte(s), "string {s:?}");
+            let mut buf = Vec::new();
+            push_key(&mut buf, s);
+            assert_eq!(
+                String::from_utf8(buf).unwrap(),
+                format!(",{}:", by_byte(s)),
+                "key {s:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,9 +15,20 @@
 //! clock APIs in this crate at the source level), which is what makes
 //! `tracecat diff` meaningful across runs, machines, and thread
 //! counts.
+//!
+//! A line is written as it is built. [`Recorder::event`] reserves room
+//! for the whole line once, and each field then appends `,"key":` as
+//! one copied run (`json::push_key`) and its value; a key or a name
+//! with nothing to escape, which is every one the simulator writes, is
+//! never taken through the escape loop byte by byte.
 
 use crate::json;
 use crate::registry::Metrics;
+
+/// Bytes reserved for each event line as it starts, so its fields do
+/// not regrow the buffer one by one: more than any line the simulator
+/// writes takes, unless it carries a long error text.
+const LINE_BYTES: usize = 256;
 
 /// How much a recorder captures, in increasing order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
@@ -104,6 +115,7 @@ impl Recorder {
             return None;
         }
         let buf = &mut self.buf;
+        buf.reserve(LINE_BYTES);
         buf.extend_from_slice(b"{\"seq\":");
         json::push_u64(buf, self.seq);
         self.seq += 1;
@@ -191,9 +203,7 @@ pub struct Event<'a> {
 impl Event<'_> {
     #[inline]
     fn key(self, key: &str) -> Self {
-        self.buf.push(b',');
-        json::push_str(self.buf, key);
-        self.buf.push(b':');
+        json::push_key(self.buf, key);
         self
     }
 

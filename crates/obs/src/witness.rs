@@ -17,8 +17,7 @@
 //! its own network); the collector therefore treats a fresh `send` for
 //! an id as opening a new witness generation rather than an error.
 
-use std::collections::BTreeMap;
-
+use crate::analytics::fold::MsgTable;
 use crate::json::{Json, JsonError};
 
 /// One forwarding decision of one message.
@@ -155,56 +154,141 @@ impl Spares {
     }
 }
 
-/// Builds a fresh witness from a `send` event. Shared by the batch
-/// collector below and the streaming `analytics::WitnessFold` so the
-/// two folds cannot drift.
-pub(crate) fn witness_from_send(
-    ev: &Json<'_>,
-    tick: u64,
-    msg: u64,
-    spares: &mut Spares,
-) -> RouteWitness {
-    RouteWitness {
-        msg,
-        s: ev.u64_of("s").unwrap_or(0) as u32,
-        t: ev.u64_of("t").unwrap_or(0) as u32,
-        sent_at: tick,
-        hops: spares.lists.pop().unwrap_or_default(),
-        ..RouteWitness::default()
+/// What an event is, from its `ev` member: the kinds a witness fold
+/// reads, and the trial header that the stream driver reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// A trial header (`bin/chaos` writes one per trial).
+    Trial,
+    /// A message enters the network: a witness opens.
+    Send,
+    /// One forwarding decision.
+    Hop,
+    /// A source-side retransmission.
+    Retry,
+    /// Arrival at the destination.
+    Deliver,
+    /// The terminal fate: the witness closes.
+    Fate,
+    /// Any other kind (`lost`, `fault`, `reprov`, metrics lines).
+    Other,
+}
+
+impl Kind {
+    fn of(name: &str) -> Kind {
+        match name {
+            "trial" => Kind::Trial,
+            "send" => Kind::Send,
+            "hop" => Kind::Hop,
+            "retry" => Kind::Retry,
+            "deliver" => Kind::Deliver,
+            "fate" => Kind::Fate,
+            _ => Kind::Other,
+        }
     }
 }
 
-/// Applies one non-`send` message-scoped event to its open witness.
-/// Shared by the batch collector below and the streaming
-/// `analytics::WitnessFold`.
-pub(crate) fn apply_event(
-    w: &mut RouteWitness,
-    kind: &str,
-    tick: u64,
-    ev: &Json<'_>,
-    spares: &mut Spares,
-) {
-    match kind {
-        "hop" => w.hops.push(WitnessHop {
-            tick,
-            node: ev.u64_of("node").unwrap_or(0) as u32,
-            from: ev.u64_of("from").map(|v| v as u32),
-            to: ev.u64_of("to").unwrap_or(0) as u32,
-            rule: spares.name(ev.str_of("rule").unwrap_or("?")),
-            attempt: ev.u64_of("att").unwrap_or(0) as u32,
-            provisioned_at: ev.u64_of("prov").unwrap_or(0),
-        }),
-        "retry" => w.retries = ev.u64_of("att").unwrap_or(0) as u32,
-        "deliver" => w.delivered_at = Some(tick),
-        "fate" => {
-            w.fate = ev.str_of("fate").map(|f| spares.name(f));
-            w.fate_tick = Some(tick);
-            w.fate_detail = ev
-                .str_of("why")
-                .or_else(|| ev.str_of("err"))
-                .map(|d| spares.name(d));
+/// The members of one event that the witness folds and the stream
+/// driver read, taken in one pass over the event's members. Each field
+/// is the first member with its key, as [`Json::get`] finds it, read
+/// as `u64_of` or `str_of` would read it: absent when the key is
+/// missing or its first value has another type. Every field is absent
+/// for a line that is not an object.
+#[derive(Debug, Default)]
+pub(crate) struct EventFields<'j> {
+    /// `ev`.
+    pub(crate) kind: Option<Kind>,
+    /// `tick`.
+    pub(crate) tick: Option<u64>,
+    /// `msg`.
+    pub(crate) msg: Option<u64>,
+    s: Option<u64>,
+    t: Option<u64>,
+    node: Option<u64>,
+    from: Option<u64>,
+    to: Option<u64>,
+    att: Option<u64>,
+    prov: Option<u64>,
+    rule: Option<&'j str>,
+    fate: Option<&'j str>,
+    why: Option<&'j str>,
+    err: Option<&'j str>,
+    /// `router`, of a trial header.
+    pub(crate) router: Option<&'j str>,
+    /// `k`, of a trial header.
+    pub(crate) k: Option<u64>,
+}
+
+impl<'j> EventFields<'j> {
+    /// Reads `ev`'s fields in one pass over its members.
+    pub(crate) fn read(ev: &'j Json<'_>) -> EventFields<'j> {
+        let mut f = EventFields::default();
+        let Json::Obj(members) = ev else {
+            return f;
+        };
+        // Last to first, so the first member with a key is the one
+        // that stays.
+        for (key, value) in members.iter().rev() {
+            match key.as_ref() {
+                "ev" => f.kind = value.as_str().map(Kind::of),
+                "tick" => f.tick = value.as_u64(),
+                "msg" => f.msg = value.as_u64(),
+                "s" => f.s = value.as_u64(),
+                "t" => f.t = value.as_u64(),
+                "node" => f.node = value.as_u64(),
+                "from" => f.from = value.as_u64(),
+                "to" => f.to = value.as_u64(),
+                "att" => f.att = value.as_u64(),
+                "prov" => f.prov = value.as_u64(),
+                "rule" => f.rule = value.as_str(),
+                "fate" => f.fate = value.as_str(),
+                "why" => f.why = value.as_str(),
+                "err" => f.err = value.as_str(),
+                "router" => f.router = value.as_str(),
+                "k" => f.k = value.as_u64(),
+                _ => {}
+            }
         }
-        _ => {}
+        f
+    }
+
+    /// A fresh witness for message `msg`, from its `send` event. Shared
+    /// by the batch collector below and the streaming
+    /// `analytics::WitnessFold`, so the two folds cannot drift.
+    pub(crate) fn open(&self, msg: u64, spares: &mut Spares) -> RouteWitness {
+        RouteWitness {
+            msg,
+            s: self.s.unwrap_or(0) as u32,
+            t: self.t.unwrap_or(0) as u32,
+            sent_at: self.tick.unwrap_or(0),
+            hops: spares.lists.pop().unwrap_or_default(),
+            ..RouteWitness::default()
+        }
+    }
+
+    /// Applies this event, one that is not a `send`, to its message's
+    /// open witness. Shared as [`open`](Self::open) is.
+    pub(crate) fn apply(&self, w: &mut RouteWitness, spares: &mut Spares) {
+        let tick = self.tick.unwrap_or(0);
+        match self.kind {
+            Some(Kind::Hop) => w.hops.push(WitnessHop {
+                tick,
+                node: self.node.unwrap_or(0) as u32,
+                from: self.from.map(|v| v as u32),
+                to: self.to.unwrap_or(0) as u32,
+                rule: spares.name(self.rule.unwrap_or("?")),
+                attempt: self.att.unwrap_or(0) as u32,
+                provisioned_at: self.prov.unwrap_or(0),
+            }),
+            Some(Kind::Retry) => w.retries = self.att.unwrap_or(0) as u32,
+            Some(Kind::Deliver) => w.delivered_at = Some(tick),
+            Some(Kind::Fate) => {
+                w.fate = self.fate.map(|f| spares.name(f));
+                w.fate_tick = Some(tick);
+                w.fate_detail = self.why.or(self.err).map(|d| spares.name(d));
+            }
+            _ => {}
+        }
     }
 }
 
@@ -215,26 +299,22 @@ pub(crate) fn apply_event(
 pub fn collect_witnesses(events: &[Json<'_>]) -> Vec<RouteWitness> {
     let mut out: Vec<RouteWitness> = Vec::new();
     // msg id -> index in `out` of its open (most recent) witness.
-    let mut open: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut open = MsgTable::default();
     // Nothing is recycled here: every witness is returned.
     let mut spares = Spares::default();
     for ev in events {
-        let Some(kind) = ev.str_of("ev") else {
+        let f = EventFields::read(ev);
+        let (Some(kind), Some(msg)) = (f.kind, f.msg) else {
             continue;
         };
-        let tick = ev.u64_of("tick").unwrap_or(0);
-        let Some(msg) = ev.u64_of("msg") else {
-            continue;
-        };
-        if kind == "send" {
+        if kind == Kind::Send {
             open.insert(msg, out.len());
-            out.push(witness_from_send(ev, tick, msg, &mut spares));
+            out.push(f.open(msg, &mut spares));
             continue;
         }
-        let Some(w) = open.get(&msg).and_then(|&i| out.get_mut(i)) else {
-            continue;
-        };
-        apply_event(w, kind, tick, ev, &mut spares);
+        if let Some(w) = open.get(msg).and_then(|i| out.get_mut(i)) {
+            f.apply(w, &mut spares);
+        }
     }
     out
 }
