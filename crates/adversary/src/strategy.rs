@@ -11,8 +11,8 @@
 //! such choice, letting tests and benches enumerate all of them —
 //! regenerating Tables 3 and 4.
 
-use local_routing::{Awareness, LocalRouter, LocalView, Packet, RoutingError};
-use locality_graph::{Label, NodeId};
+use local_routing::{next_port, Awareness, LocalRouter, LocalView, Packet, RoutingError, Schema};
+use locality_graph::Label;
 
 /// A k-local, predecessor-aware router that behaves canonically
 /// everywhere except at one *hub* node, where it applies a chosen
@@ -108,37 +108,29 @@ impl LocalRouter for StrategyRouter {
             }
             _ => {}
         }
-        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
-        if nbrs.is_empty() {
+        let nbrs = || view.center_neighbor_labels();
+        if view.center_label() != self.hub {
+            return next_port(nbrs(), packet.predecessor, Schema::Cyclic)
+                .ok_or(RoutingError::Unroutable(packet.target));
+        }
+        let d = nbrs().len();
+        if d == 0 {
             return Err(RoutingError::Unroutable(packet.target));
         }
-        view.sort_by_label(&mut nbrs);
-        let v_pos = packet
-            .predecessor
-            .and_then(|l| view.node_by_label(l))
-            .and_then(|p| nbrs.iter().position(|&x| x == p));
-        let next = if view.center_label() == self.hub {
-            match v_pos {
-                None => nbrs[self.initial.min(nbrs.len() - 1)],
-                Some(i) => {
-                    // A strategy over more positions than the hub has
-                    // neighbours can name one that does not exist.
-                    let j = self.cycle.get(i).copied().unwrap_or(0);
-                    *nbrs.get(j).ok_or_else(|| {
-                        RoutingError::ProtocolViolation(format!(
-                            "strategy position {j} is past the hub's {} neighbours",
-                            nbrs.len()
-                        ))
-                    })?
-                }
-            }
-        } else {
-            match v_pos {
-                None => nbrs[0],
-                Some(i) => nbrs[(i + 1) % nbrs.len()],
-            }
+        // A neighbour's position in label order is the number of
+        // neighbour labels below its own, so nothing is sorted.
+        let position = |l: Label| nbrs().filter(|&m| m < l).count();
+        let j = match packet.predecessor.filter(|&v| nbrs().any(|l| l == v)) {
+            None => self.initial.min(d - 1),
+            // A strategy over more positions than the hub has
+            // neighbours can name one that does not exist.
+            Some(v) => self.cycle.get(position(v)).copied().unwrap_or(0),
         };
-        Ok(view.label(next))
+        nbrs().find(|&l| position(l) == j).ok_or_else(|| {
+            RoutingError::ProtocolViolation(format!(
+                "strategy position {j} is past the hub's {d} neighbours"
+            ))
+        })
     }
 }
 
@@ -188,21 +180,13 @@ impl LocalRouter for ArrowRouter {
             }
             _ => {}
         }
-        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
-        if nbrs.is_empty() {
-            return Err(RoutingError::Unroutable(packet.target));
-        }
-        view.sort_by_label(&mut nbrs);
         let high = *self
             .arrows
             .get(&view.center_label())
             .unwrap_or(&self.default_high);
-        let pick = if high {
-            *nbrs.last().expect("nonempty")
-        } else {
-            nbrs[0]
-        };
-        Ok(view.label(pick))
+        let labels = view.center_neighbor_labels();
+        if high { labels.max() } else { labels.min() }
+            .ok_or(RoutingError::Unroutable(packet.target))
     }
 }
 
@@ -210,7 +194,8 @@ impl LocalRouter for ArrowRouter {
 mod tests {
     use super::*;
     use local_routing::engine;
-    use locality_graph::generators;
+    use locality_graph::rng::DetRng;
+    use locality_graph::{generators, permute, NodeId};
 
     #[test]
     fn cycle_orders_enumeration_counts() {
@@ -264,6 +249,130 @@ mod tests {
         let r = StrategyRouter::new(Label(999), &[0], 0);
         let m = engine::delivery_matrix(&g, 2, &r);
         assert!(m.all_delivered());
+    }
+
+    /// `StrategyRouter::decide` past Case 1 as it was before
+    /// [`next_port`]: the centre's neighbours collected, sorted by
+    /// label, and the predecessor found by position.
+    fn strategy_reference(
+        r: &StrategyRouter,
+        packet: &Packet,
+        view: &LocalView,
+    ) -> Result<Label, RoutingError> {
+        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
+        if nbrs.is_empty() {
+            return Err(RoutingError::Unroutable(packet.target));
+        }
+        view.sort_by_label(&mut nbrs);
+        let v_pos = packet
+            .predecessor
+            .and_then(|l| view.node_by_label(l))
+            .and_then(|p| nbrs.iter().position(|&x| x == p));
+        let next = if view.center_label() == r.hub {
+            match v_pos {
+                None => nbrs[r.initial.min(nbrs.len() - 1)],
+                Some(i) => {
+                    let j = r.cycle.get(i).copied().unwrap_or(0);
+                    *nbrs.get(j).ok_or_else(|| {
+                        RoutingError::ProtocolViolation(format!(
+                            "strategy position {j} is past the hub's {} neighbours",
+                            nbrs.len()
+                        ))
+                    })?
+                }
+            }
+        } else {
+            match v_pos {
+                None => nbrs[0],
+                Some(i) => nbrs[(i + 1) % nbrs.len()],
+            }
+        };
+        Ok(view.label(next))
+    }
+
+    /// `ArrowRouter::decide` past Case 1 as it was: the lowest or
+    /// highest of the sorted neighbours.
+    fn arrow_reference(
+        r: &ArrowRouter,
+        packet: &Packet,
+        view: &LocalView,
+    ) -> Result<Label, RoutingError> {
+        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
+        if nbrs.is_empty() {
+            return Err(RoutingError::Unroutable(packet.target));
+        }
+        view.sort_by_label(&mut nbrs);
+        let high = *r
+            .arrows
+            .get(&view.center_label())
+            .unwrap_or(&r.default_high);
+        let pick = if high {
+            *nbrs.last().expect("nonempty")
+        } else {
+            nbrs[0]
+        };
+        Ok(view.label(pick))
+    }
+
+    #[test]
+    fn decides_as_the_sorted_reference_at_and_away_from_the_hub() {
+        // Relabelled spiders part label order from id order. Every node
+        // is a hub in turn, under every strategy over its degree, one wider
+        // strategy and every initial direction, for every arrival: none,
+        // each neighbour, a visible non-neighbour and an absent label.
+        let mut rng = DetRng::seed_from_u64(31);
+        let (mut hub_calls, mut calls) = (0usize, 0usize);
+        for legs in [1usize, 3, 4] {
+            let base = generators::spider(legs, 4);
+            for _ in 0..2 {
+                let g = permute::random_relabel(&base, &mut rng);
+                for u in g.nodes() {
+                    let view = LocalView::extract(&g, u, 2);
+                    let d = view.center_neighbors().len();
+                    let arrivals = [None, Some(Label(900))]
+                        .into_iter()
+                        .chain(view.raw().nodes().map(|x| Some(view.label(x))));
+                    let mut orders = StrategyRouter::all_cycle_orders(d.max(1));
+                    orders.push((0..=d).collect());
+                    for v in arrivals {
+                        // No node carries the target: always out of view.
+                        let packet = Packet {
+                            origin: None,
+                            target: Label(902),
+                            predecessor: v,
+                        };
+                        for order in &orders {
+                            for initial in 0..=d {
+                                let r = StrategyRouter::new(view.center_label(), order, initial);
+                                assert_eq!(
+                                    r.decide(&packet, &view),
+                                    strategy_reference(&r, &packet, &view),
+                                    "hub {u} order {order:?} initial {initial} from {v:?}"
+                                );
+                                hub_calls += 1;
+                            }
+                        }
+                        let away = StrategyRouter::new(Label(901), &[0], 0);
+                        assert_eq!(
+                            away.decide(&packet, &view),
+                            strategy_reference(&away, &packet, &view)
+                        );
+                        for high in [false, true] {
+                            let a = ArrowRouter::new(Default::default(), high);
+                            assert_eq!(
+                                a.decide(&packet, &view),
+                                arrow_reference(&a, &packet, &view)
+                            );
+                        }
+                        calls += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            hub_calls > calls && calls > 0,
+            "{hub_calls} hub calls, {calls} arrivals"
+        );
     }
 
     #[test]

@@ -32,25 +32,30 @@
 //! | US2  | `s` passive, 2 active    | `a`            | `b`      | `b`      |          |
 //! | US3  | `s` passive, 3 active    | `a`            | `b`      | `c`      | `c`      |
 //!
-//! The S/US rules share one schema: first try `a`; a return from port
-//! `j` advances to port `j + 1`; a return from the *last* port reverses
-//! back into it. (At `u = s`, or with `s` sheltered in a passive
-//! component, Lemma 1 does not force circularity — and sequential
-//! probing is what keeps the origin's ports from being re-used, which a
-//! cyclic rule at `s` would do.) The U rules are the label-order
-//! circular permutation that Lemma 1 *does* force when neither `s` nor
-//! `t` is relevantly placed.
+//! The table is the specification; the code reads it as two schemas of
+//! one next-port read ([`next_port`]), with the active neighbours as
+//! ports. In both, a first send goes out `a`, and a return from port `j`
+//! goes out port `j + 1`; they differ only at the last port. The S/US
+//! rules are *sequential*: a return from the last port reverses back
+//! into it. (At `u = s`, or with `s` sheltered in a passive component,
+//! Lemma 1 does not force circularity — and sequential probing is what
+//! keeps the origin's ports from being re-used, which a cyclic rule at
+//! `s` would do.) The U rules are *cyclic*: the label-order circular
+//! permutation that Lemma 1 *does* force when neither `s` nor `t` is
+//! relevantly placed.
 //!
-//! (Arrivals from passive components other than `P` cannot occur in a
-//! well-formed run — Corollary 4 — and fall back to `a`.)
+//! An arrival from a neighbour that is not a port goes out `a` too. For
+//! an arrival from `P` that is the table's rule, since `P`'s roots are
+//! passive and so never ports. Arrivals from other passive components
+//! cannot occur in a well-formed run (Corollary 4).
 
 use locality_graph::components::LocalComponent;
 use locality_graph::{Label, NodeId};
 
 use crate::error::RoutingError;
 use crate::model::{Awareness, Packet};
-use crate::traits::{ceil_div, LocalRouter};
-use crate::view::{LocalView, RoutingView};
+use crate::traits::{case_1, ceil_div, LocalRouter};
+use crate::view::{next_port, LocalView, RoutingView, Schema};
 
 /// Algorithm 1: origin-aware, predecessor-aware, succeeds on every
 /// connected graph when `k >= n/4`, dilation at most 7 (Theorem 5).
@@ -135,24 +140,15 @@ fn decide(
     view: &LocalView,
     u2: U2Mode,
 ) -> Result<(Label, &'static str), RoutingError> {
-    // Case 1: dist(u, t) <= k — follow a shortest path in G_k(u).
-    if let Some(step) = view.step_toward_label(packet.target) {
-        return match step {
-            Some(step) => Ok((step, "case-1")),
-            None if packet.target == view.center_label() => Err(RoutingError::ProtocolViolation(
-                "asked to forward a message already at its destination".into(),
-            )),
-            None => Err(RoutingError::ProtocolViolation(
-                "destination visible but unreachable".into(),
-            )),
-        };
+    if let Some(decision) = case_1(packet, view) {
+        return decision;
     }
 
     let origin = packet.origin.ok_or(RoutingError::MissingOrigin)?;
     let rv = view.routing_view();
 
     // Active neighbours of u in G'_k(u), ordered by label: the paper's
-    // a, b, c.
+    // a, b, c, and the ports of every rule below.
     let active = rv.active();
     if active.is_empty() {
         return Err(RoutingError::NoActiveComponent);
@@ -163,122 +159,53 @@ fn decide(
             max: 3,
         });
     }
-
-    let v = packet
-        .predecessor
-        .and_then(|l| view.node_by_label(l))
-        .filter(|p| view.raw().has_edge(view.center(), *p));
+    let port = |schema| {
+        next_port(active.iter().map(|&(l, _)| l), packet.predecessor, schema)
+            .ok_or(RoutingError::NoActiveComponent)
+    };
 
     // Case 2: u = s.
     if view.center_label() == origin {
         let rule = ["S1", "S2", "S3"][active.len() - 1];
-        return Ok((view.label(s_rules(active, v)), rule));
+        return Ok((port(Schema::Sequential)?, rule));
     }
 
     // Locate s within G'_k(u) to pick Case 3 vs Case 4.
     let s_node = view
         .node_by_label(origin)
         .filter(|x| rv.sub.contains_node(*x));
-    let s_passive_comp = s_node.and_then(|x| {
-        rv.analysis
-            .component_of(x)
-            .and_then(|i| rv.analysis.components.get(i))
-            .filter(|c| !c.is_active())
-    });
+    let s_passive = s_node
+        .and_then(|x| rv.analysis.component_of(x))
+        .and_then(|i| rv.analysis.components.get(i))
+        .is_some_and(|c| !c.is_active());
 
-    let (next, rule) = match s_passive_comp {
+    Ok(if s_passive {
         // Case 4: s lies in a passive component of u.
-        Some(comp) => (
-            us_rules(active, v, comp),
-            ["US1", "US2", "US3"][active.len() - 1],
-        ),
+        let rule = ["US1", "US2", "US3"][active.len() - 1];
+        (port(Schema::Sequential)?, rule)
+    } else {
         // Case 3: s not visible in G'_k(u), or in an active component.
-        None => match (active.len(), u2) {
-            (2, U2Mode::Refined) => u2_refined(view, rv, active, v, s_node),
-            (len, _) => (u_rules(active, v), ["U1", "U2", "U3"][len - 1]),
-        },
-    };
-    Ok((view.label(next), rule))
-}
-
-/// Next element after `v` in the label-cyclic order of `active`.
-fn cyclic_next(active: &[NodeId], v: NodeId) -> Option<NodeId> {
-    let i = active.iter().position(|&x| x == v)?;
-    Some(active[(i + 1) % active.len()])
-}
-
-/// Case 2 (rules S1–S3): the message is at the origin. Sequential port
-/// probing: a return from port `j` advances to port `j + 1`; a return
-/// from the last port reverses back into it.
-fn s_rules(active: &[NodeId], v: Option<NodeId>) -> NodeId {
-    match v {
-        // First send: lowest-rank active neighbour.
-        None => active[0],
-        Some(v) => sequential_next(active, v),
-    }
-}
-
-/// A return from port `j` advances to port `j + 1`; a return from the
-/// last port (or from a passive neighbour, which cannot occur in a
-/// well-formed run) picks the last (resp. first) port.
-fn sequential_next(active: &[NodeId], v: NodeId) -> NodeId {
-    match active.iter().position(|&x| x == v) {
-        Some(i) if i + 1 < active.len() => active[i + 1],
-        Some(_) => *active.last().expect("active is nonempty"),
-        None => active[0],
-    }
-}
-
-/// Case 3 (rules U1–U3): s not in a passive component of u.
-fn u_rules(active: &[NodeId], v: Option<NodeId>) -> NodeId {
-    match v {
-        None => active[0],
-        Some(v) => match active.len() {
-            1 => active[0],
-            2 => {
-                // U2: pass straight through.
-                if v == active[0] {
-                    active[1]
-                } else {
-                    // A return from the second port — or from a passive
-                    // neighbour — goes back out the first.
-                    active[0]
-                }
-            }
-            _ => cyclic_next(active, v).unwrap_or(active[0]),
-        },
-    }
-}
-
-/// Case 4 (rules US1–US3): s lies in the passive component `p_comp`.
-fn us_rules(active: &[NodeId], v: Option<NodeId>, p_comp: &LocalComponent) -> NodeId {
-    match v {
-        None => active[0],
-        Some(v) => {
-            if p_comp.roots.binary_search(&v).is_ok() {
-                // Arrival from the passive component sheltering s:
-                // lowest-rank active neighbour.
-                return active[0];
-            }
-            // US1–US3 follow the same sequential schema as S1–S3.
-            sequential_next(active, v)
+        let next = port(Schema::Cyclic)?;
+        match (active.len(), u2) {
+            (2, U2Mode::Refined) => u2_refined(view, rv, next, s_node),
+            (len, _) => (next, ["U1", "U2", "U3"][len - 1]),
         }
-    }
+    })
 }
 
 /// Rules U2a–U2f of Algorithm 1B: with two active components, reverse
 /// pre-emptively when the node can already see that rule S2 (at `s`) or
 /// US2 (at the constraint vertex sheltering `s`) would bounce the
-/// message back.
+/// message back. `through` is plain U2's port.
 fn u2_refined(
     view: &LocalView,
     rv: &RoutingView,
-    active: &[NodeId],
-    v: Option<NodeId>,
+    through: Label,
     s_node: Option<NodeId>,
-) -> (NodeId, &'static str) {
+) -> (Label, &'static str) {
+    let active = rv.active();
     debug_assert_eq!(active.len(), 2);
-    let plain = |rule: &'static str| (u_rules(active, v), rule);
+    let plain = |rule: &'static str| (through, rule);
 
     // U2a: s not in G'_k(u), or at the edge of knowledge.
     let Some(s) = s_node else {
@@ -302,10 +229,13 @@ fn u2_refined(
         return plain("U2a");
     }
     // The active neighbour whose component shelters s, and the other one.
-    let Some(&toward_s) = active.iter().find(|&&x| comp.contains(x)) else {
+    let Some(&(_, toward_s)) = active.iter().find(|&&(_, x)| comp.contains(x)) else {
         return plain("U2f");
     };
-    let Some(&other) = active.iter().find(|&&x| x != toward_s && !comp.contains(x)) else {
+    let Some(&(other, _)) = active
+        .iter()
+        .find(|&&(_, x)| x != toward_s && !comp.contains(x))
+    else {
         return plain("U2f");
     };
 
@@ -404,7 +334,7 @@ mod tests {
     use super::*;
     use crate::engine::{self, RunStatus};
     use locality_graph::rng::DetRng;
-    use locality_graph::{generators, permute, NodeId};
+    use locality_graph::{generators, permute};
 
     fn assert_all_delivered<R: LocalRouter>(router: &R, g: &locality_graph::Graph, k: u32) {
         let m = engine::delivery_matrix(g, k, router);
@@ -518,36 +448,36 @@ mod tests {
     fn s2_rule_reverses_on_high_rank_side() {
         // At the origin with two active neighbours, arrival from either
         // side forwards to b — in particular arrival from b reverses.
-        let active = [NodeId(1), NodeId(2)];
-        assert_eq!(s_rules(&active, None), NodeId(1));
-        assert_eq!(s_rules(&active, Some(NodeId(1))), NodeId(2));
-        assert_eq!(s_rules(&active, Some(NodeId(2))), NodeId(2));
+        let s2 = |v| next_port([Label(1), Label(2)], v, Schema::Sequential);
+        assert_eq!(s2(None), Some(Label(1)));
+        assert_eq!(s2(Some(Label(1))), Some(Label(2)));
+        assert_eq!(s2(Some(Label(2))), Some(Label(2)));
     }
 
     #[test]
     fn s3_rule_probes_sequentially_and_reverses_at_last() {
-        let active = [NodeId(1), NodeId(2), NodeId(3)];
-        assert_eq!(s_rules(&active, None), NodeId(1));
-        assert_eq!(s_rules(&active, Some(NodeId(1))), NodeId(2));
-        assert_eq!(s_rules(&active, Some(NodeId(2))), NodeId(3));
+        let s3 = |v| next_port([Label(1), Label(2), Label(3)], v, Schema::Sequential);
+        assert_eq!(s3(None), Some(Label(1)));
+        assert_eq!(s3(Some(Label(1))), Some(Label(2)));
+        assert_eq!(s3(Some(Label(2))), Some(Label(3)));
         // Unlike U3, the origin must not cycle back to a (that directed
         // edge is already spent): it reverses into c.
-        assert_eq!(s_rules(&active, Some(NodeId(3))), NodeId(3));
+        assert_eq!(s3(Some(Label(3))), Some(Label(3)));
     }
 
     #[test]
     fn u2_rule_passes_through() {
-        let active = [NodeId(1), NodeId(2)];
-        assert_eq!(u_rules(&active, Some(NodeId(1))), NodeId(2));
-        assert_eq!(u_rules(&active, Some(NodeId(2))), NodeId(1));
+        let u2 = |v| next_port([Label(1), Label(2)], Some(v), Schema::Cyclic);
+        assert_eq!(u2(Label(1)), Some(Label(2)));
+        assert_eq!(u2(Label(2)), Some(Label(1)));
     }
 
     #[test]
     fn u3_rule_is_label_cyclic() {
-        let active = [NodeId(1), NodeId(4), NodeId(9)];
-        assert_eq!(u_rules(&active, Some(NodeId(1))), NodeId(4));
-        assert_eq!(u_rules(&active, Some(NodeId(4))), NodeId(9));
-        assert_eq!(u_rules(&active, Some(NodeId(9))), NodeId(1));
+        let u3 = |v| next_port([Label(1), Label(4), Label(9)], Some(v), Schema::Cyclic);
+        assert_eq!(u3(Label(1)), Some(Label(4)));
+        assert_eq!(u3(Label(4)), Some(Label(9)));
+        assert_eq!(u3(Label(9)), Some(Label(1)));
     }
 
     /// Checks the per-view pivot table against the per-call search for

@@ -11,8 +11,8 @@ use locality_graph::Label;
 
 use crate::error::RoutingError;
 use crate::model::{Awareness, Packet};
-use crate::traits::{ceil_div, LocalRouter};
-use crate::view::LocalView;
+use crate::traits::{case_1, ceil_div, LocalRouter};
+use crate::view::{next_port, LocalView, Schema};
 
 /// Algorithm 2: origin-oblivious, predecessor-aware, succeeds on every
 /// connected graph when `k >= n/3`, dilation < 3.
@@ -52,19 +52,8 @@ impl LocalRouter for Alg2 {
         packet: &Packet,
         view: &LocalView,
     ) -> Result<(Label, &'static str), RoutingError> {
-        // Case 1: dist(u, t) <= k.
-        if let Some(step) = view.step_toward_label(packet.target) {
-            return match step {
-                Some(step) => Ok((step, "case-1")),
-                None if packet.target == view.center_label() => {
-                    Err(RoutingError::ProtocolViolation(
-                        "asked to forward a message already at its destination".into(),
-                    ))
-                }
-                None => Err(RoutingError::ProtocolViolation(
-                    "destination visible but unreachable".into(),
-                )),
-            };
+        if let Some(decision) = case_1(packet, view) {
+            return decision;
         }
 
         let active = view.routing_view().active();
@@ -78,33 +67,26 @@ impl LocalRouter for Alg2 {
             });
         }
 
-        let v = packet
-            .predecessor
-            .and_then(|l| view.node_by_label(l))
-            .filter(|p| view.raw().has_edge(view.center(), *p));
-
-        let (next, rule) = match v {
-            // Case 2: first send from the origin — any active edge. A
-            // predecessor that is not adjacent (the message crossed a
-            // link that has since died) counts as none.
-            None => (active[0], "case-2"),
-            Some(v) => match active.len() {
-                // Rule U1: reverse.
-                1 => (active[0], "U1"),
-                // Rule U2: pass through; arrivals from passive
-                // components take any active edge.
-                _ => {
-                    if v == active[0] {
-                        (active[1], "U2")
-                    } else {
-                        // From the second port or a passive neighbour:
-                        // out the first.
-                        (active[0], "U2")
-                    }
+        // Rule U1 reverses and rule U2 passes through: the cyclic
+        // schema over one or two ports. An arrival from a passive
+        // neighbour takes the first active edge.
+        let ports = active.iter().map(|&(l, _)| l);
+        let next = next_port(ports, packet.predecessor, Schema::Cyclic)
+            .ok_or(RoutingError::NoActiveComponent)?;
+        // Case 2: a first send from the origin takes the same edge. A
+        // predecessor that is not adjacent (the message crossed a link
+        // that has since died) counts as none.
+        let rule = match packet.predecessor {
+            Some(v) if view.center_neighbor_labels().any(|l| l == v) => {
+                if active.len() == 1 {
+                    "U1"
+                } else {
+                    "U2"
                 }
-            },
+            }
+            _ => "case-2",
         };
-        Ok((view.label(next), rule))
+        Ok((next, rule))
     }
 }
 

@@ -13,7 +13,7 @@ use locality_graph::Label;
 
 use crate::error::RoutingError;
 use crate::model::{Awareness, Packet};
-use crate::traits::LocalRouter;
+use crate::traits::{case_1, LocalRouter};
 use crate::view::LocalView;
 
 /// Algorithm 3: fully oblivious shortest-path routing for `k >= ⌊n/2⌋`.
@@ -54,18 +54,8 @@ impl LocalRouter for Alg3 {
         view: &LocalView,
     ) -> Result<(Label, &'static str), RoutingError> {
         // Case 1: the destination is visible — step along a shortest path.
-        if let Some(step) = view.step_toward_label(packet.target) {
-            return match step {
-                Some(step) => Ok((step, "case-1")),
-                None if packet.target == view.center_label() => {
-                    Err(RoutingError::ProtocolViolation(
-                        "asked to forward a message already at its destination".into(),
-                    ))
-                }
-                None => Err(RoutingError::ProtocolViolation(
-                    "destination visible but unreachable".into(),
-                )),
-            };
+        if let Some(decision) = case_1(packet, view) {
+            return decision;
         }
 
         // Case 2: by Lemma 12 the raw view has exactly one constrained

@@ -15,7 +15,7 @@ use locality_graph::{Graph, Label, NodeId};
 use crate::error::RoutingError;
 use crate::model::{Awareness, Packet};
 use crate::traits::LocalRouter;
-use crate::view::LocalView;
+use crate::view::{next_port, LocalView, Schema};
 
 /// The right-hand rule: when the destination is out of view, forward to
 /// the next neighbour in label-cyclic order after the one that delivered
@@ -51,20 +51,12 @@ impl LocalRouter for RightHandRule {
             }
             _ => {}
         }
-        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
-        if nbrs.is_empty() {
-            return Err(RoutingError::Unroutable(packet.target));
-        }
-        view.sort_by_label(&mut nbrs);
-        let v = packet
-            .predecessor
-            .and_then(|l| view.node_by_label(l))
-            .and_then(|p| nbrs.iter().position(|&x| x == p));
-        let next = match v {
-            None => nbrs[0],
-            Some(i) => nbrs[(i + 1) % nbrs.len()],
-        };
-        Ok(view.label(next))
+        next_port(
+            view.center_neighbor_labels(),
+            packet.predecessor,
+            Schema::Cyclic,
+        )
+        .ok_or(RoutingError::Unroutable(packet.target))
     }
 }
 
@@ -93,12 +85,9 @@ impl LocalRouter for LowestRankForward {
         if let Some(Some(step)) = view.step_toward_label(packet.target) {
             return Ok(step);
         }
-        let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
-        if nbrs.is_empty() {
-            return Err(RoutingError::Unroutable(packet.target));
-        }
-        view.sort_by_label(&mut nbrs);
-        Ok(view.label(nbrs[0]))
+        view.center_neighbor_labels()
+            .min()
+            .ok_or(RoutingError::Unroutable(packet.target))
     }
 }
 

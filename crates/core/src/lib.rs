@@ -79,4 +79,4 @@ pub use error::RoutingError;
 pub use model::{Awareness, Packet};
 pub use oracle::{OracleError, ViewArtifact};
 pub use traits::LocalRouter;
-pub use view::{LocalView, RoutingView};
+pub use view::{next_port, LocalView, RoutingView, Schema};

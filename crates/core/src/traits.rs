@@ -106,6 +106,24 @@ impl<R: LocalRouter + ?Sized> LocalRouter for Box<R> {
     }
 }
 
+/// Case 1 of Algorithms 1, 1B, 2 and 3: with the destination in view,
+/// step to the centre's lowest-label neighbour on a shortest path toward
+/// it, named `case-1`. `None` when the destination is out of view.
+pub(crate) fn case_1(
+    packet: &Packet,
+    view: &LocalView,
+) -> Option<Result<(Label, &'static str), RoutingError>> {
+    Some(match view.step_toward_label(packet.target)? {
+        Some(step) => Ok((step, "case-1")),
+        None if packet.target == view.center_label() => Err(RoutingError::ProtocolViolation(
+            "asked to forward a message already at its destination".into(),
+        )),
+        None => Err(RoutingError::ProtocolViolation(
+            "destination visible but unreachable".into(),
+        )),
+    })
+}
+
 /// `ceil(n / d)` as `u32` — the usual form of the paper's thresholds.
 pub(crate) fn ceil_div(n: usize, d: usize) -> u32 {
     n.div_ceil(d) as u32

@@ -80,9 +80,9 @@ pub struct RoutingView {
     /// Local-component decomposition of `G'_k(u)`; its distances are
     /// the paper's `dist'`, read through [`dist`](Self::dist).
     pub analysis: ComponentAnalysis,
-    /// The centre's active neighbours ordered by label, read through
-    /// [`active`](Self::active).
-    active: Box<[NodeId]>,
+    /// The centre's active neighbours with their labels, ordered by
+    /// label, read through [`active`](Self::active).
+    active: Box<[(Label, NodeId)]>,
 }
 
 impl RoutingView {
@@ -94,9 +94,11 @@ impl RoutingView {
     }
 
     /// The centre's active neighbours in `G'_k(u)` in ascending label
-    /// order: the paper's `a, b, c`. Sorted once, when the routing view
-    /// is built, so a routing decision reads them without allocating.
-    pub(crate) fn active(&self) -> &[NodeId] {
+    /// order, each with its label: the paper's `a, b, c`, and the ports
+    /// that Algorithms 1, 1B and 2 hand to [`next_port`]. Sorted once,
+    /// when the routing view is built, so a routing decision reads them
+    /// without allocating.
+    pub(crate) fn active(&self) -> &[(Label, NodeId)] {
         &self.active
     }
 
@@ -432,13 +434,17 @@ impl LocalView {
                 dormant, routing, ..
             } = preprocess::preprocess(&self.raw, &self.labels, self.center, self.k);
             let analysis = ComponentAnalysis::analyze(&routing, self.center, self.k);
-            let mut active = analysis.active_neighbors();
-            self.sort_by_label(&mut active);
+            let mut active: Box<[(Label, NodeId)]> = analysis
+                .active_neighbors()
+                .into_iter()
+                .map(|x| (self.label(x), x))
+                .collect();
+            active.sort_unstable();
             RoutingView {
                 dormant,
                 sub: routing,
                 analysis,
-                active: active.into_boxed_slice(),
+                active,
             }
         })
     }
@@ -500,6 +506,67 @@ impl LocalView {
             let _ = write!(out, "{l};");
         }
         out
+    }
+}
+
+/// How a forwarding rule moves on from its last port: the two schemas
+/// of the S/U/US rules (see [`next_port`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Schema {
+    /// After the last port, the first again: rules U1–U3, Algorithm 2's
+    /// U1 and U2, and the right-hand rule.
+    Cyclic,
+    /// After the last port, the last again: rules S1–S3 and US1–US3.
+    Sequential,
+}
+
+/// The port to forward to, read in label order, after an arrival from
+/// the neighbour labelled `from`: the rules past Case 1, as
+/// [`LocalView::step_toward_label`] is Case 1.
+///
+/// A first send (`from` is `None`), or an arrival from a label that is
+/// not a port, goes out the first port. An arrival from a port goes out
+/// the next one. An arrival from the last port goes out the first under
+/// [`Schema::Cyclic`] and back out the last under
+/// [`Schema::Sequential`]. `None` if there is no port.
+///
+/// `ports` may come in any order; one pass over them finds the lowest
+/// port and the lowest above `from`, with no sort, no allocation and no
+/// lookup in the view. Algorithms 1, 1B and 2 pass the labels of the
+/// centre's active neighbours in `G'_k(u)`, the baselines every
+/// neighbour's ([`LocalView::center_neighbor_labels`]).
+///
+/// ```
+/// use local_routing::{next_port, Schema};
+/// use locality_graph::Label;
+///
+/// let ports = [Label(9), Label(2), Label(5)];
+/// assert_eq!(next_port(ports, None, Schema::Cyclic), Some(Label(2)));
+/// assert_eq!(next_port(ports, Some(Label(2)), Schema::Cyclic), Some(Label(5)));
+/// assert_eq!(next_port(ports, Some(Label(9)), Schema::Cyclic), Some(Label(2)));
+/// assert_eq!(next_port(ports, Some(Label(9)), Schema::Sequential), Some(Label(9)));
+/// assert_eq!(next_port(ports, Some(Label(7)), Schema::Sequential), Some(Label(2)));
+/// ```
+pub fn next_port(
+    ports: impl IntoIterator<Item = Label>,
+    from: Option<Label>,
+    schema: Schema,
+) -> Option<Label> {
+    let (mut first, mut after, mut from_port) = (None, None, false);
+    for p in ports {
+        if first.is_none_or(|f| p < f) {
+            first = Some(p);
+        }
+        match from {
+            Some(v) if p == v => from_port = true,
+            Some(v) if p > v && after.is_none_or(|a| p < a) => after = Some(p),
+            _ => {}
+        }
+    }
+    match (from_port, after, schema) {
+        (true, Some(next), _) => Some(next),
+        (true, None, Schema::Sequential) => from,
+        _ => first,
     }
 }
 
@@ -628,6 +695,297 @@ mod tests {
             }
         }
         assert!(steps > 0 && silent > 0, "{steps} steps, {silent} others");
+    }
+
+    /// The forwarding rules as they were before [`next_port`], kept
+    /// verbatim: Algorithm 1's five rule helpers and its decision with
+    /// plain U2, Algorithm 2's match, and the right-hand rule's
+    /// sorted-position read. Each finds the predecessor as a node.
+    mod rules_reference {
+        use crate::error::RoutingError;
+        use crate::model::Packet;
+        use crate::view::LocalView;
+        use locality_graph::components::LocalComponent;
+        use locality_graph::{Label, NodeId};
+
+        /// Next element after `v` in the label-cyclic order of `active`.
+        fn cyclic_next(active: &[NodeId], v: NodeId) -> Option<NodeId> {
+            let i = active.iter().position(|&x| x == v)?;
+            Some(active[(i + 1) % active.len()])
+        }
+
+        /// Case 2 (rules S1–S3): the message is at the origin. Sequential port
+        /// probing: a return from port `j` advances to port `j + 1`; a return
+        /// from the last port reverses back into it.
+        fn s_rules(active: &[NodeId], v: Option<NodeId>) -> NodeId {
+            match v {
+                // First send: lowest-rank active neighbour.
+                None => active[0],
+                Some(v) => sequential_next(active, v),
+            }
+        }
+
+        /// A return from port `j` advances to port `j + 1`; a return from the
+        /// last port (or from a passive neighbour, which cannot occur in a
+        /// well-formed run) picks the last (resp. first) port.
+        fn sequential_next(active: &[NodeId], v: NodeId) -> NodeId {
+            match active.iter().position(|&x| x == v) {
+                Some(i) if i + 1 < active.len() => active[i + 1],
+                Some(_) => *active.last().expect("active is nonempty"),
+                None => active[0],
+            }
+        }
+
+        /// Case 3 (rules U1–U3): s not in a passive component of u.
+        fn u_rules(active: &[NodeId], v: Option<NodeId>) -> NodeId {
+            match v {
+                None => active[0],
+                Some(v) => match active.len() {
+                    1 => active[0],
+                    2 => {
+                        // U2: pass straight through.
+                        if v == active[0] {
+                            active[1]
+                        } else {
+                            // A return from the second port — or from a passive
+                            // neighbour — goes back out the first.
+                            active[0]
+                        }
+                    }
+                    _ => cyclic_next(active, v).unwrap_or(active[0]),
+                },
+            }
+        }
+
+        /// Case 4 (rules US1–US3): s lies in the passive component `p_comp`.
+        fn us_rules(active: &[NodeId], v: Option<NodeId>, p_comp: &LocalComponent) -> NodeId {
+            match v {
+                None => active[0],
+                Some(v) => {
+                    if p_comp.roots.binary_search(&v).is_ok() {
+                        // Arrival from the passive component sheltering s:
+                        // lowest-rank active neighbour.
+                        return active[0];
+                    }
+                    // US1–US3 follow the same sequential schema as S1–S3.
+                    sequential_next(active, v)
+                }
+            }
+        }
+
+        /// The active neighbours as nodes, in label order.
+        fn active(view: &LocalView) -> Vec<NodeId> {
+            view.routing_view()
+                .active()
+                .iter()
+                .map(|&(_, x)| x)
+                .collect()
+        }
+
+        /// Algorithm 1 past Case 1, with plain U2.
+        pub fn alg1(
+            packet: &Packet,
+            view: &LocalView,
+        ) -> Result<(Label, &'static str), RoutingError> {
+            let origin = packet.origin.ok_or(RoutingError::MissingOrigin)?;
+            let rv = view.routing_view();
+            let active = &active(view)[..];
+            if active.is_empty() {
+                return Err(RoutingError::NoActiveComponent);
+            }
+            if active.len() > 3 {
+                return Err(RoutingError::TooManyActiveComponents {
+                    found: active.len(),
+                    max: 3,
+                });
+            }
+
+            let v = packet
+                .predecessor
+                .and_then(|l| view.node_by_label(l))
+                .filter(|p| view.raw().has_edge(view.center(), *p));
+
+            // Case 2: u = s.
+            if view.center_label() == origin {
+                let rule = ["S1", "S2", "S3"][active.len() - 1];
+                return Ok((view.label(s_rules(active, v)), rule));
+            }
+
+            // Locate s within G'_k(u) to pick Case 3 vs Case 4.
+            let s_node = view
+                .node_by_label(origin)
+                .filter(|x| rv.sub.contains_node(*x));
+            let s_passive_comp = s_node.and_then(|x| {
+                rv.analysis
+                    .component_of(x)
+                    .and_then(|i| rv.analysis.components.get(i))
+                    .filter(|c| !c.is_active())
+            });
+
+            let (next, rule) = match s_passive_comp {
+                // Case 4: s lies in a passive component of u.
+                Some(comp) => (
+                    us_rules(active, v, comp),
+                    ["US1", "US2", "US3"][active.len() - 1],
+                ),
+                // Case 3: s not visible in G'_k(u), or in an active component.
+                None => (u_rules(active, v), ["U1", "U2", "U3"][active.len() - 1]),
+            };
+            Ok((view.label(next), rule))
+        }
+
+        /// Algorithm 2 past Case 1.
+        pub fn alg2(
+            packet: &Packet,
+            view: &LocalView,
+        ) -> Result<(Label, &'static str), RoutingError> {
+            let active = &active(view)[..];
+            if active.is_empty() {
+                return Err(RoutingError::NoActiveComponent);
+            }
+            if active.len() > 2 {
+                return Err(RoutingError::TooManyActiveComponents {
+                    found: active.len(),
+                    max: 2,
+                });
+            }
+
+            let v = packet
+                .predecessor
+                .and_then(|l| view.node_by_label(l))
+                .filter(|p| view.raw().has_edge(view.center(), *p));
+
+            let (next, rule) = match v {
+                // Case 2: first send from the origin — any active edge. A
+                // predecessor that is not adjacent (the message crossed a
+                // link that has since died) counts as none.
+                None => (active[0], "case-2"),
+                Some(v) => match active.len() {
+                    // Rule U1: reverse.
+                    1 => (active[0], "U1"),
+                    // Rule U2: pass through; arrivals from passive
+                    // components take any active edge.
+                    _ => {
+                        if v == active[0] {
+                            (active[1], "U2")
+                        } else {
+                            // From the second port or a passive neighbour:
+                            // out the first.
+                            (active[0], "U2")
+                        }
+                    }
+                },
+            };
+            Ok((view.label(next), rule))
+        }
+
+        /// The right-hand rule past Case 1.
+        pub fn right_hand_rule(packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
+            let mut nbrs: Vec<NodeId> = view.center_neighbors().collect();
+            if nbrs.is_empty() {
+                return Err(RoutingError::Unroutable(packet.target));
+            }
+            view.sort_by_label(&mut nbrs);
+            let v = packet
+                .predecessor
+                .and_then(|l| view.node_by_label(l))
+                .and_then(|p| nbrs.iter().position(|&x| x == p));
+            let next = match v {
+                None => nbrs[0],
+                Some(i) => nbrs[(i + 1) % nbrs.len()],
+            };
+            Ok(view.label(next))
+        }
+    }
+
+    #[test]
+    fn next_port_decides_as_the_rules_it_replaced() {
+        use crate::baselines::RightHandRule;
+        use crate::model::Packet;
+        use crate::traits::LocalRouter;
+        use crate::{Alg1, Alg2};
+        use locality_graph::permute;
+        use locality_graph::rng::DetRng;
+
+        // At k = 2 the centre 0 has `active` legs of four nodes, each an
+        // active component, and one passive leaf. Relabelling parts label
+        // order from id order.
+        let k = 2;
+        let mut rng = DetRng::seed_from_u64(5);
+        let mut fired = std::collections::BTreeSet::new();
+        for active in 1..=3u32 {
+            let leaf = 1 + 4 * active;
+            let mut edges = vec![(0, leaf)];
+            for leg in 0..active {
+                let base = 1 + 4 * leg;
+                edges.extend([
+                    (0, base),
+                    (base, base + 1),
+                    (base + 1, base + 2),
+                    (base + 2, base + 3),
+                ]);
+            }
+            let plain = Graph::from_edges(leaf as usize + 1, &edges).expect("a spider");
+            for g in [
+                plain.clone(),
+                permute::random_relabel(&plain, &mut rng),
+                permute::random_relabel(&plain, &mut rng),
+            ] {
+                let view = LocalView::extract(&g, NodeId(0), k);
+                assert_eq!(view.routing_view().active().len(), active as usize);
+                let label = |x: u32| g.label(NodeId(x));
+                let absent = Label(1000);
+                // Arrivals: none, each port, the passive leaf, a visible
+                // non-neighbour and a label no node carries.
+                let arrivals = [None, Some(label(leaf)), Some(label(2)), Some(absent)]
+                    .into_iter()
+                    .chain((0..active).map(|leg| Some(label(1 + 4 * leg))));
+                // Origins: the centre (S), the passive leaf (US), a node
+                // of an active component and one out of view (U).
+                let origins = [label(0), label(leaf), label(1), label(4), absent];
+                for from in arrivals {
+                    for origin in origins {
+                        let packet = Packet {
+                            origin: Some(origin),
+                            target: Label(1001),
+                            predecessor: from,
+                        };
+                        let want = rules_reference::alg1(&packet, &view);
+                        assert_eq!(
+                            Alg1.decide_explained(&packet, &view),
+                            want,
+                            "algorithm 1: {packet:?}, {active} active"
+                        );
+                        if let Ok((_, rule)) = want {
+                            fired.insert(rule);
+                        }
+                    }
+                    let packet = Packet {
+                        origin: None,
+                        target: Label(1001),
+                        predecessor: from,
+                    };
+                    let want = rules_reference::alg2(&packet, &view);
+                    assert_eq!(
+                        Alg2.decide_explained(&packet, &view),
+                        want,
+                        "algorithm 2: {packet:?}, {active} active"
+                    );
+                    if let Ok((_, rule)) = want {
+                        fired.insert(rule);
+                    }
+                    assert_eq!(
+                        RightHandRule.decide(&packet, &view),
+                        rules_reference::right_hand_rule(&packet, &view),
+                        "right-hand rule: {packet:?}"
+                    );
+                }
+            }
+        }
+        let want = [
+            "S1", "S2", "S3", "U1", "U2", "U3", "US1", "US2", "US3", "case-2",
+        ];
+        assert!(want.iter().all(|r| fired.contains(r)), "fired {fired:?}");
     }
 
     #[test]

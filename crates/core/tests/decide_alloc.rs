@@ -2,14 +2,16 @@
 //! routing view, label table, step table and (for Algorithm 1B) shelter
 //! pivots, choosing the next hop reads them and builds nothing.
 //!
-//! Four workloads record every `(packet, centre)` pair that one
+//! Six workloads record every `(packet, centre)` pair that one
 //! `delivery_matrix` pass asks its router about: `fig13(64)` under
 //! Algorithm 1 and `fig17(64)` under Algorithm 1B, both at k = n/4, a
 //! sparse `random_connected(64, 8)` under Algorithm 2 at its
-//! threshold, and `ring_lattice(64, 8)` under the greedy ring router
-//! at k = 1. The pass also fills the view store. Replaying the pairs
-//! through `decide` against that store must allocate zero bytes and
-//! give the same answers.
+//! threshold, `ring_lattice(64, 8)` under the greedy ring router at
+//! k = 1, a relabelled `random_tree(64)` under the right-hand rule at
+//! k = 2, and `binary_tree(6)` under lowest-rank forwarding at k = 5
+//! (each delivers every pair there). The pass also fills the view
+//! store. Replaying the pairs through `decide` against that store must
+//! allocate zero bytes and give the same answers.
 //!
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide, and contains exactly one
@@ -20,14 +22,14 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use local_routing::baselines::RingGreedy;
+use local_routing::baselines::{LowestRankForward, RightHandRule, RingGreedy};
 use local_routing::engine;
 use local_routing::{
     Alg1, Alg1B, Alg2, Awareness, LocalRouter, LocalView, Packet, RoutingError, ViewStore,
 };
 use locality_adversary::tight;
 use locality_graph::rng::DetRng;
-use locality_graph::{generators, Graph, Label, NodeId};
+use locality_graph::{generators, permute, Graph, Label, NodeId};
 
 /// System allocator that totals the bytes it hands out.
 struct Counting;
@@ -82,7 +84,10 @@ fn warm_decide_allocates_nothing() {
     let (f13, f17) = (tight::fig13(64), tight::fig17(64));
     let random = generators::random_connected(64, 8, &mut DetRng::seed_from_u64(20));
     let ring = generators::ring_lattice(64, 8);
-    let cases: [(&str, &Graph, u32, &dyn LocalRouter); 4] = [
+    let mut rng = DetRng::seed_from_u64(21);
+    let tree = permute::random_relabel(&generators::random_tree(64, &mut rng), &mut rng);
+    let heap = generators::binary_tree(6);
+    let cases: [(&str, &Graph, u32, &dyn LocalRouter); 6] = [
         ("fig13(64) / algorithm 1", &f13.graph, f13.k, &Alg1),
         ("fig17(64) / algorithm 1b", &f17.graph, f17.k, &Alg1B),
         (
@@ -96,6 +101,18 @@ fn warm_decide_allocates_nothing() {
             &ring,
             1,
             &RingGreedy::new(64),
+        ),
+        (
+            "random_tree(64) / right-hand rule",
+            &tree,
+            2,
+            &RightHandRule,
+        ),
+        (
+            "binary_tree(6) / lowest-rank forward",
+            &heap,
+            5,
+            &LowestRankForward,
         ),
     ];
     for (what, g, k, router) in cases {

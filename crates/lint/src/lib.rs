@@ -43,8 +43,9 @@
 //! * **R6 hot-path allocation** — no `Vec::new`/`vec!`/`Box::new`/
 //!   `format!`/`collect`/`to_vec` inside the designated hot-path
 //!   functions (`sim::sched`, `sim::slab`, `sim::workload`,
-//!   `graph::fanout`, the `core::view` step tables and Case 1's label
-//!   search, `core::visited`, the trace reader, `graph::codec` decode)
+//!   `graph::fanout`, the `core::view` step tables, Case 1's label
+//!   search and the next-port read, `core::visited`, the trace reader,
+//!   `graph::codec` decode)
 //!   outside setup constructors, read from each file's own function
 //!   spans.
 //! * **R7 lock discipline** — no `Mutex`/`RwLock` or blocking I/O in

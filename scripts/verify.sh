@@ -10,6 +10,13 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> cargo test -q -- --ignored (the n = 6 suites and the n = 100 validation)"
+# The slow tests: every connected graph on 6 nodes at each router's
+# threshold, the n = 6 rounding-gap cell of Algorithms 1 and 1B, and
+# the n = 100 randomized validation. The n = 6 pass is the strongest
+# evidence for the reconstructed rules, so it gates every change.
+cargo test -q --workspace -- --ignored
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
