@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use local_routing::engine;
-use local_routing::{LocalRouter, LocalView, Packet};
+use local_routing::{LocalRouter, LocalView};
 use locality_graph::{generators, Graph, GraphBuilder, Label, NodeId};
 
 /// Classification of a local routing function over `Adj(u)`.
@@ -41,14 +41,7 @@ pub fn probe_local_function<R: LocalRouter + ?Sized>(
 ) -> BTreeMap<NodeId, NodeId> {
     let mut f = BTreeMap::new();
     for v in view.center_neighbors() {
-        let packet = Packet {
-            origin: Some(origin),
-            target,
-            predecessor: Some(view.label(v)),
-        }
-        .masked(router.awareness());
-        let out = router
-            .decide(&packet, view)
+        let (out, _) = engine::decide_hop(view, router, origin, target, Some(view.label(v)))
             .unwrap_or_else(|e| panic!("probe failed at v={v}: {e}"));
         let out_node = view.node_by_label(out).expect("decision names a neighbour");
         f.insert(v, out_node);
@@ -154,7 +147,7 @@ pub fn defeat_on_fig2<R: LocalRouter + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use local_routing::{Alg1, Alg1B, Alg2, Awareness, RoutingError};
+    use local_routing::{Alg1, Alg1B, Alg2, Awareness, Packet, RoutingError};
 
     /// Router with a fixed-point local function (f(v) = v for one leg).
     struct Reflector;

@@ -308,9 +308,8 @@ mod tests {
         // send and the bounce), U3 at c on both passes, U2 everywhere
         // else on the cycle, case-1 down the pendant.
         let inst = fig13(32);
-        let traced =
-            local_routing::engine::route_traced(&inst.graph, inst.k, &Alg1, inst.s, inst.t);
-        assert!(traced.report.status.is_delivered());
+        let traced = local_routing::engine::route(&inst.graph, inst.k, &Alg1, inst.s, inst.t);
+        assert!(traced.status.is_delivered());
         assert_eq!(traced.rules.iter().filter(|r| **r == "S2").count(), 2);
         assert_eq!(traced.rules.iter().filter(|r| **r == "U3").count(), 2);
         assert!(traced.rules.contains(&"case-1"));
@@ -320,9 +319,8 @@ mod tests {
         // US2 at e, U2e exactly once (the pre-emptive reversal at u),
         // U3 at c, case-1 down to t.
         let inst = fig17(40);
-        let traced =
-            local_routing::engine::route_traced(&inst.graph, inst.k, &Alg1B, inst.s, inst.t);
-        assert!(traced.report.status.is_delivered());
+        let traced = local_routing::engine::route(&inst.graph, inst.k, &Alg1B, inst.s, inst.t);
+        assert!(traced.status.is_delivered());
         assert_eq!(traced.rules[0], "S1");
         assert!(traced.rules.contains(&"US1"));
         assert!(traced.rules.contains(&"US2"));

@@ -128,16 +128,16 @@ fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
         }
         Some("trace") => {
             let (g, router, k, s, t) = route_args(&args)?;
-            let traced = engine::route_traced(&g, k, &router, s, t);
-            writeln!(out, "{} ({:?}):", router.name(), traced.report.status)?;
-            for (i, rule) in traced.rules.iter().enumerate() {
+            let run = engine::route(&g, k, &router, s, t);
+            writeln!(out, "{} ({:?}):", router.name(), run.status)?;
+            for (i, rule) in run.rules.iter().enumerate() {
                 writeln!(
                     out,
                     "  {:>4}  {:>7}  {} -> {}",
                     i,
                     rule,
-                    g.label(traced.report.route[i]),
-                    g.label(traced.report.route[i + 1])
+                    g.label(run.route[i]),
+                    g.label(run.route[i + 1])
                 )?;
             }
             Ok(())

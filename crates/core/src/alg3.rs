@@ -114,12 +114,21 @@ impl LocalRouter for Alg3OriginAware {
     }
 
     fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
-        // Degrade gracefully to the origin-oblivious decision.
+        self.decide_explained(packet, view).map(|(label, _)| label)
+    }
+
+    fn decide_explained(
+        &self,
+        packet: &Packet,
+        view: &LocalView,
+    ) -> Result<(Label, &'static str), RoutingError> {
+        // Degrade gracefully to the origin-oblivious decision, rules and
+        // all.
         let oblivious = Packet {
             origin: None,
             ..*packet
         };
-        Alg3.decide(&oblivious, view)
+        Alg3.decide_explained(&oblivious, view)
     }
 }
 
@@ -197,6 +206,7 @@ mod tests {
                     let b = engine::route(&g, k, &Alg3OriginAware, s, t);
                     assert!(b.status.is_delivered());
                     assert_eq!(a.route, b.route);
+                    assert_eq!(a.rules, b.rules);
                 }
             }
         }

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use locality_graph::{fanout, traversal, DistMap, Graph, NodeId};
+use locality_graph::{fanout, traversal, DistMap, Graph, Label, NodeId};
 
 use crate::error::RoutingError;
 use crate::model::Packet;
@@ -31,8 +31,8 @@ pub enum RunStatus {
         /// The node at which the bad decision was made.
         at: NodeId,
     },
-    /// The belt-and-braces step cap of `8·n² + 16` hops fired, over
-    /// and above exact loop detection.
+    /// The run reached [`step_cap`] hops: for a stateless router, only
+    /// a loop-detector bug can get there.
     StepLimit,
 }
 
@@ -51,6 +51,12 @@ pub struct RunReport {
     /// The walk taken, starting at the origin. For failed runs this is
     /// the prefix walked before the failure was proven.
     pub route: Vec<NodeId>,
+    /// `rules[i]` names the rule that produced hop `i`
+    /// (`route[i] -> route[i + 1]`), as
+    /// [`LocalRouter::decide_explained`] reports it: the executable
+    /// version of the paper's route narrations ("Rule S2 is applied at
+    /// s, Rule U3 at c, …").
+    pub rules: Vec<&'static str>,
     /// `dist(s, t)` in the underlying graph.
     pub shortest: u32,
     /// The locality parameter used.
@@ -333,70 +339,64 @@ pub fn route_with_cache<R: LocalRouter + ?Sized>(
     s: NodeId,
     t: NodeId,
 ) -> RunReport {
-    fresh_run(graph, views, router, s, t, None)
-}
-
-/// A run together with the rule that fired at each hop.
-#[derive(Clone, Debug)]
-pub struct TracedRun {
-    /// The plain run report.
-    pub report: RunReport,
-    /// `rules[i]` names the rule that produced hop `i`
-    /// (`route[i] -> route[i + 1]`); see
-    /// [`LocalRouter::decide_explained`].
-    pub rules: Vec<&'static str>,
-}
-
-/// Routes one message recording the rule fired at every hop — the
-/// executable version of the paper's route narrations ("Rule S2 is
-/// applied at s, Rule U3 at c, …").
-pub fn route_traced<R: LocalRouter + ?Sized>(
-    graph: &Graph,
-    k: u32,
-    router: &R,
-    s: NodeId,
-    t: NodeId,
-) -> TracedRun {
-    let mut rules = Vec::new();
-    let views = ViewStore::new(graph, k);
-    let report = fresh_run(graph, &views, router, s, t, Some(&mut rules));
-    TracedRun { report, rules }
-}
-
-/// One run with fresh buffers, as a [`RunReport`].
-fn fresh_run<R: LocalRouter + ?Sized>(
-    graph: &Graph,
-    views: &ViewStore,
-    router: &R,
-    s: NodeId,
-    t: NodeId,
-    rules: Option<&mut Vec<&'static str>>,
-) -> RunReport {
     let mut buf = Walk::default();
-    let status = walk(graph, views, router, s, t, &mut buf, rules);
+    let status = walk(graph, views, router, s, t, &mut buf);
     RunReport {
         status,
         route: buf.route,
+        rules: buf.rules,
         shortest: traversal::distance(graph, s, t).unwrap_or(0),
         k: views.k(),
     }
 }
 
-/// The buffers of one walk: its route and its visited states. A matrix
-/// keeps one for all of its pairs, so a warm matrix allocates nothing
-/// per pair.
+/// The hop cap of one run, and of one simulated attempt: `8·n² + 16`
+/// hops on `n` nodes. Exact loop detection fires first, since a
+/// stateless walk has at most `n(n + 1)` distinct (node, visible
+/// predecessor) states; the cap guards against a loop-detector bug,
+/// and bounds the stateful driver, which detects no loops.
+pub fn step_cap(n: usize) -> usize {
+    8 * n * n + 16
+}
+
+/// The one hop decision, `f(s, t, u, v, G_k(u))` (§2.1): the packet of
+/// `origin`, `target` and the predecessor `from` (all labels), masked by
+/// the router's [`Awareness`](crate::Awareness), decided at the centre
+/// of `view`. Returns the next hop's label and the rule that fired
+/// ([`LocalRouter::decide_explained`]). The engine's walk, the
+/// simulator and witness replay all decide through it, so the mask sits
+/// at one site.
+///
+/// # Errors
+///
+/// Returns the router's [`RoutingError`] when the view violates its
+/// structural preconditions.
+pub fn decide_hop<R: LocalRouter + ?Sized>(
+    view: &LocalView,
+    router: &R,
+    origin: Label,
+    target: Label,
+    from: Option<Label>,
+) -> Result<(Label, &'static str), RoutingError> {
+    let packet = Packet::new(origin, target, from).masked(router.awareness());
+    router.decide_explained(&packet, view)
+}
+
+/// The buffers of one walk: its route, the rule behind each hop and its
+/// visited states. A matrix keeps one for all of its pairs, so a warm
+/// matrix allocates nothing per pair.
 #[derive(Default)]
 struct Walk {
     /// The walk taken, starting at the origin.
     route: Vec<NodeId>,
+    /// `rules[i]` names the rule behind `route[i] -> route[i + 1]`.
+    rules: Vec<&'static str>,
     visited: VisitedStates,
 }
 
 /// The hop loop behind every engine run. It clears `buf` first, in
 /// time that follows the previous route, and leaves the walk taken in
-/// `buf.route`. With `rules`, the router names the rule behind each hop
-/// ([`LocalRouter::decide_explained`]) and the names are appended;
-/// without, it is asked for the next hop only.
+/// `buf.route` and the rule behind each hop in `buf.rules`.
 fn walk<R: LocalRouter + ?Sized>(
     graph: &Graph,
     views: &ViewStore,
@@ -404,17 +404,20 @@ fn walk<R: LocalRouter + ?Sized>(
     s: NodeId,
     t: NodeId,
     buf: &mut Walk,
-    mut rules: Option<&mut Vec<&'static str>>,
 ) -> RunStatus {
-    let n = graph.node_count();
-    let max_steps = 8 * n * n + 16;
-    let awareness = router.awareness();
+    let max_steps = step_cap(graph.node_count());
+    let see_predecessor = router.awareness().predecessor;
     let origin_label = graph.label(s);
     let target_label = graph.label(t);
 
-    let Walk { route, visited } = buf;
+    let Walk {
+        route,
+        rules,
+        visited,
+    } = buf;
     route.clear();
     route.push(s);
+    rules.clear();
     visited.clear();
     let mut current = s;
     let mut predecessor: Option<NodeId> = None;
@@ -426,11 +429,7 @@ fn walk<R: LocalRouter + ?Sized>(
         // The run state that determines all future behaviour of a pure
         // stateless router: the current node plus — only if the router
         // can see it — the predecessor.
-        let visible = if awareness.predecessor {
-            predecessor
-        } else {
-            None
-        };
+        let visible = if see_predecessor { predecessor } else { None };
         if !visited.insert(current, visible) {
             break RunStatus::LoopDetected;
         }
@@ -438,27 +437,15 @@ fn walk<R: LocalRouter + ?Sized>(
             break RunStatus::StepLimit;
         }
         let view = views.view(graph, current);
-        let packet = Packet::new(
-            origin_label,
-            target_label,
-            predecessor.map(|p| graph.label(p)),
-        )
-        .masked(awareness);
-        let decision = if rules.is_some() {
-            router.decide_explained(&packet, view)
-        } else {
-            router.decide(&packet, view).map(|l| (l, "?"))
-        };
-        match decision {
+        let from = predecessor.map(|p| graph.label(p));
+        match decide_hop(view, router, origin_label, target_label, from) {
             Err(e) => break RunStatus::RouterError(e),
             Ok((next_label, rule)) => {
                 let Some(next) = graph.neighbor_by_label(current, next_label) else {
                     break RunStatus::InvalidDecision { at: current };
                 };
                 route.push(next);
-                if let Some(rules) = rules.as_deref_mut() {
-                    rules.push(rule);
-                }
+                rules.push(rule);
                 predecessor = Some(current);
                 current = next;
             }
@@ -486,24 +473,12 @@ impl MatrixReport {
     }
 }
 
-/// Runs `router` on every ordered pair `(s, t)`, `s != t`.
+/// Runs `router` on every ordered pair `(s, t)`, `s != t`, through one
+/// fresh view store.
 pub fn delivery_matrix<R: LocalRouter + ?Sized>(graph: &Graph, k: u32, router: &R) -> MatrixReport {
-    delivery_matrix_for_pairs(
-        graph,
-        k,
-        router,
-        graph
-            .nodes()
-            .flat_map(|s| graph.nodes().filter(move |&t| t != s).map(move |t| (s, t))),
-    )
-}
-
-/// Runs `router` on the given pairs, sharing one view store.
-pub fn delivery_matrix_for_pairs<R, I>(graph: &Graph, k: u32, router: &R, pairs: I) -> MatrixReport
-where
-    R: LocalRouter + ?Sized,
-    I: IntoIterator<Item = (NodeId, NodeId)>,
-{
+    let pairs = graph
+        .nodes()
+        .flat_map(|s| graph.nodes().filter(move |&t| t != s).map(move |t| (s, t)));
     delivery_matrix_with_cache(graph, &ViewStore::new(graph, k), router, pairs)
 }
 
@@ -537,7 +512,7 @@ where
             from = Some((s, traversal::bfs_distances(graph, s, None)));
         }
         let shortest = from.as_ref().and_then(|(_, d)| d.get(t)).unwrap_or(0);
-        let status = walk(graph, views, router, s, t, &mut buf, None);
+        let status = walk(graph, views, router, s, t, &mut buf);
         report.runs += 1;
         if status.is_delivered() {
             let hops = buf.route.len().saturating_sub(1);
@@ -596,7 +571,7 @@ mod tests {
     use super::*;
     use crate::model::Awareness;
     use crate::RoutingError;
-    use locality_graph::{generators, Label};
+    use locality_graph::generators;
 
     /// A router that always forwards to the centre's lowest-label
     /// neighbour — loops on anything with a detour.
@@ -722,9 +697,12 @@ mod tests {
                 .nodes()
                 .flat_map(|s| g.nodes().filter(move |&t| t != s).map(move |t| (s, t)))
                 .collect();
-            let ordered = delivery_matrix_for_pairs(g, k, router, pairs.iter().copied());
+            let matrix = |pairs: &[(NodeId, NodeId)]| {
+                delivery_matrix_with_cache(g, &ViewStore::new(g, k), router, pairs.iter().copied())
+            };
+            let ordered = matrix(&pairs);
             rng.shuffle(&mut pairs);
-            let shuffled = delivery_matrix_for_pairs(g, k, router, pairs.iter().copied());
+            let shuffled = matrix(&pairs);
             let sorted = |m: &MatrixReport| {
                 let mut f = m.failures.clone();
                 f.sort_by_key(|&(s, t, _)| (s, t));
@@ -841,13 +819,18 @@ mod tests {
 
     #[test]
     fn traced_run_matches_plain_run() {
+        // A traced run is a run over the caller's store: the same route
+        // and rules as a run over a fresh one.
         use crate::Alg1;
         let g = generators::cycle(16);
         let k = 4;
         let plain = route(&g, k, &Alg1, NodeId(0), NodeId(8));
-        let traced = route_traced(&g, k, &Alg1, NodeId(0), NodeId(8));
-        assert_eq!(traced.report.route, plain.route);
-        assert_eq!(traced.rules.len(), traced.report.hops());
+        let views = ViewStore::new(&g, k);
+        route_with_cache(&g, &views, &Alg1, NodeId(8), NodeId(0));
+        let traced = route_with_cache(&g, &views, &Alg1, NodeId(0), NodeId(8));
+        assert_eq!(traced.route, plain.route);
+        assert_eq!(traced.rules, plain.rules);
+        assert_eq!(traced.rules.len(), traced.hops());
         // Rules come from Algorithm 1's named table.
         for rule in &traced.rules {
             assert!(
@@ -858,10 +841,61 @@ mod tests {
     }
 
     #[test]
+    fn decide_hop_masks_by_awareness() {
+        // Reports what it was shown: the predecessor as the next hop,
+        // and whether the origin was visible as the rule.
+        struct Echo(Awareness);
+        impl LocalRouter for Echo {
+            fn name(&self) -> &'static str {
+                "echo"
+            }
+            fn awareness(&self) -> Awareness {
+                self.0
+            }
+            fn min_locality(&self, _n: usize) -> u32 {
+                1
+            }
+            fn decide(&self, p: &Packet, _view: &LocalView) -> Result<Label, RoutingError> {
+                Ok(p.predecessor.unwrap_or(Label(0)))
+            }
+            fn decide_explained(
+                &self,
+                p: &Packet,
+                view: &LocalView,
+            ) -> Result<(Label, &'static str), RoutingError> {
+                let rule = if p.origin.is_some() { "origin" } else { "-" };
+                Ok((self.decide(p, view)?, rule))
+            }
+        }
+        let g = generators::path(3);
+        let view = LocalView::extract(&g, NodeId(1), 1);
+        let (s, t, v) = (Label(0), Label(2), Some(Label(7)));
+        for (awareness, want) in [
+            (Awareness::FULL, (Label(7), "origin")),
+            (Awareness::ORIGIN_OBLIVIOUS, (Label(7), "-")),
+            (Awareness::PREDECESSOR_OBLIVIOUS, (Label(0), "origin")),
+            (Awareness::OBLIVIOUS, (Label(0), "-")),
+        ] {
+            assert_eq!(decide_hop(&view, &Echo(awareness), s, t, v), Ok(want));
+        }
+    }
+
+    #[test]
+    fn step_cap_exceeds_every_distinct_state() {
+        // A walk on n nodes has at most n(n + 1) distinct (node, visible
+        // predecessor) states, so exact loop detection always fires
+        // before the cap.
+        for n in 0..2048 {
+            assert!(step_cap(n) > n * (n + 1), "n = {n}");
+        }
+    }
+
+    #[test]
     fn report_edge_use_accounting() {
         let r = RunReport {
             status: RunStatus::Delivered,
             route: vec![NodeId(0), NodeId(1), NodeId(0), NodeId(1)],
+            rules: vec!["?"; 3],
             shortest: 1,
             k: 1,
         };

@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 
 use locality_graph::{traversal, Graph, Label, NodeId};
 
-use crate::engine::{RunReport, RunStatus};
+use crate::engine::{step_cap, RunReport, RunStatus};
 use crate::error::RoutingError;
 use crate::model::Packet;
 use crate::view::LocalView;
@@ -125,9 +125,8 @@ pub fn route_stateful<R: StatefulLocalRouter>(
     s: NodeId,
     t: NodeId,
 ) -> StatefulRunReport {
-    let n = graph.node_count();
     let shortest = traversal::distance(graph, s, t).unwrap_or(0);
-    let max_steps = 8 * n * n + 16;
+    let max_steps = step_cap(graph.node_count());
     let max_label = graph.max_label().unwrap_or(Label(0));
     let origin = graph.label(s);
     let target = graph.label(t);
@@ -165,6 +164,9 @@ pub fn route_stateful<R: StatefulLocalRouter>(
     StatefulRunReport {
         report: RunReport {
             status,
+            // Stateful routers name no rules: `?` per hop, as the
+            // `decide_explained` default reports.
+            rules: vec!["?"; route.len().saturating_sub(1)],
             route,
             shortest,
             k,

@@ -41,8 +41,10 @@ pub trait LocalRouter: Sync {
     fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError>;
 
     /// Like [`decide`](Self::decide), but also names the rule that fired
-    /// (e.g. `"case-1"`, `"S2"`, `"U3"`, `"U2e"`), for tracing and
-    /// diagnostics. The default reports `"?"`.
+    /// (e.g. `"case-1"`, `"S2"`, `"U3"`, `"U2e"`). This is the call
+    /// every hop makes, through
+    /// [`engine::decide_hop`](crate::engine::decide_hop). The default
+    /// reports `"?"`.
     fn decide_explained(
         &self,
         packet: &Packet,

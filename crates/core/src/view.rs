@@ -355,7 +355,7 @@ impl LocalView {
     /// unreachable in the view.
     ///
     /// One search of the label table finds the target's slot, one read
-    /// of the [step table](Self::step_table) its first step, and one
+    /// of the step table (`step_table`) its first step, and one
     /// read of the slot-aligned label table that step's label: no
     /// node id is looked up.
     pub fn step_toward_label(&self, target: Label) -> Option<Option<Label>> {

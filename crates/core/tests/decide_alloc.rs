@@ -1,4 +1,4 @@
-//! A warm `decide` allocates nothing: once a node's view holds its
+//! A warm hop decision allocates nothing: once a node's view holds its
 //! routing view, label table, step table and (for Algorithm 1B) shelter
 //! pivots, choosing the next hop reads them and builds nothing.
 //!
@@ -10,8 +10,9 @@
 //! k = 1, a relabelled `random_tree(64)` under the right-hand rule at
 //! k = 2, and `binary_tree(6)` under lowest-rank forwarding at k = 5
 //! (each delivers every pair there). The pass also fills the view
-//! store. Replaying the pairs through `decide` against that store must
-//! allocate zero bytes and give the same answers.
+//! store. Replaying the pairs through `decide_explained`, the call
+//! every hop makes, against that store must allocate zero bytes and
+//! give the same answers and rules.
 //!
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide, and contains exactly one
@@ -50,11 +51,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// One question a router was asked: the packet, the centre it was asked
+/// at, and its answer with the rule that fired.
+type Call = (Packet, NodeId, (Label, &'static str));
+
 /// A router that records each question it is asked, and its answer,
 /// before passing the answer on.
 struct Recording<'a> {
     inner: &'a dyn LocalRouter,
-    calls: Mutex<Vec<(Packet, NodeId, Label)>>,
+    calls: Mutex<Vec<Call>>,
 }
 
 impl LocalRouter for Recording<'_> {
@@ -71,7 +76,15 @@ impl LocalRouter for Recording<'_> {
     }
 
     fn decide(&self, packet: &Packet, view: &LocalView) -> Result<Label, RoutingError> {
-        let next = self.inner.decide(packet, view)?;
+        self.decide_explained(packet, view).map(|(label, _)| label)
+    }
+
+    fn decide_explained(
+        &self,
+        packet: &Packet,
+        view: &LocalView,
+    ) -> Result<(Label, &'static str), RoutingError> {
+        let next = self.inner.decide_explained(packet, view)?;
         if let Ok(mut calls) = self.calls.lock() {
             calls.push((*packet, view.center(), next));
         }
@@ -133,7 +146,7 @@ fn warm_decide_allocates_nothing() {
         let before = ALLOCATED.load(Ordering::Relaxed);
         let mut same = 0usize;
         for (packet, centre, next) in &calls {
-            let got = router.decide(packet, views.view(g, *centre));
+            let got = router.decide_explained(packet, views.view(g, *centre));
             same += usize::from(black_box(got) == Ok(*next));
         }
         let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
@@ -141,7 +154,7 @@ fn warm_decide_allocates_nothing() {
         assert_eq!(
             allocated,
             0,
-            "{what}: {} warm decide calls allocated {allocated} bytes",
+            "{what}: {} warm decide_explained calls allocated {allocated} bytes",
             calls.len()
         );
     }

@@ -8,7 +8,7 @@
 //! holding more than two lines in memory. For *intentionally*
 //! different runs (other seed, other config), byte-diffing is useless;
 //! [`stats_diff`] instead aggregates both streams with
-//! [`StatsMode`](super::stats::StatsMode) and renders a per-trial
+//! [`StatsMode`] and renders a per-trial
 //! comparison table ready for EXPERIMENTS.md.
 
 use std::io::Read;

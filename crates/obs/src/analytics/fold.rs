@@ -9,11 +9,11 @@
 //!
 //! The open witnesses sit in a slab, a `Vec` that keeps its capacity
 //! from trial to trial, and are found by message id through
-//! [`MsgTable`], an open-addressing table whose layout is a pure
+//! `MsgTable`, an open-addressing table whose layout is a pure
 //! function of the ids inserted: no per-process hash seed, so nothing
 //! read from it varies from run to run (lint rule R2). An event
 //! usually reaches its witness in one probe, and its fields are read
-//! in one pass over its members ([`EventFields`]). [`WitnessFold::drain`] sorts the live
+//! in one pass over its members (`EventFields`). [`WitnessFold::drain`] sorts the live
 //! witnesses by id, so witnesses leave in message-id order as before.
 
 use std::collections::BTreeMap;

@@ -3,7 +3,7 @@
 //!
 //! Holds one [`TrialStats`] row per trial header plus a corpus-wide
 //! rule tally — O(trials + rules), never O(trace). All rendering is
-//! integer-only (ratios via [`ratio4`](super::ratio4)), so output is
+//! integer-only (ratios via [`ratio4`]), so output is
 //! byte-identical across platforms and input chunkings.
 
 use std::collections::BTreeMap;

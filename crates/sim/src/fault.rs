@@ -14,7 +14,7 @@
 //! are explicit schedules (or generated from a single `u64` seed via
 //! [`FaultPlan::random_churn`]), and every probabilistic draw the
 //! network makes (link loss) comes from the in-repo
-//! [`DetRng`](locality_graph::rng::DetRng) seeded by
+//! [`DetRng`] seeded by
 //! [`FaultConfig::seed`]. Same seed, same plan, same workload — same
 //! fates, paths, and metrics, byte for byte. The `locality-lint` R2
 //! extension enforces at the source level that no other randomness

@@ -15,7 +15,10 @@ pub enum MessageFate {
     Looped,
     /// The router reported an error at some node.
     Errored(String),
-    /// The per-message hop budget was exhausted.
+    /// The attempt reached
+    /// [`engine::step_cap`](local_routing::engine::step_cap) hops. Exact
+    /// loop detection ends every attempt first, so this fate guards
+    /// only against a loop-detector bug.
     HopBudgetExhausted,
     /// Lost in transit — a lossy link, a dead link under the `Drop`
     /// policy, or a crashed node — with no source-side timeout
@@ -113,7 +116,8 @@ pub struct NetworkMetrics {
     pub looped: usize,
     /// Messages dropped on router errors.
     pub errored: usize,
-    /// Messages that exhausted their hop budget.
+    /// Messages whose attempt reached the step cap
+    /// ([`MessageFate::HopBudgetExhausted`]).
     pub exhausted: usize,
     /// Messages lost in transit with no reliability configured.
     pub dropped: usize,

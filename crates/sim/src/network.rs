@@ -11,7 +11,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use local_routing::visited::VisitedStates;
-use local_routing::{LocalRouter, LocalView, Packet, ViewArtifact, ViewStore};
+use local_routing::{engine, LocalRouter, LocalView, ViewArtifact, ViewStore};
 use locality_graph::rng::DetRng;
 use locality_graph::traversal::{self, Ball};
 use locality_graph::{Graph, GraphError, NodeId};
@@ -57,13 +57,12 @@ pub enum Provisioner {
 /// use locality_sim::NetworkBuilder;
 ///
 /// let g = generators::cycle(10);
-/// let net = NetworkBuilder::new(&g, 5).hop_budget(64).build(Alg3);
+/// let net = NetworkBuilder::new(&g, 5).build(Alg3);
 /// assert_eq!(net.node_count(), 10);
 /// ```
 pub struct NetworkBuilder {
     graph: Graph,
     k: u32,
-    hop_budget: usize,
     faults: FaultConfig,
     plan: FaultPlan,
     recorder: Option<Recorder>,
@@ -79,7 +78,6 @@ impl NetworkBuilder {
         NetworkBuilder {
             graph: graph.clone(),
             k,
-            hop_budget: 0,
             faults: FaultConfig::default(),
             plan: FaultPlan::new(),
             recorder: None,
@@ -136,13 +134,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Overrides the per-message hop budget (default `8 n² + 16`). With
-    /// source-side retries the budget applies to each attempt.
-    pub fn hop_budget(mut self, budget: usize) -> NetworkBuilder {
-        self.hop_budget = budget;
-        self
-    }
-
     /// Sets the ambient fault model. The default disables every fault,
     /// reproducing the pre-fault simulator exactly.
     pub fn faults(mut self, cfg: FaultConfig) -> NetworkBuilder {
@@ -190,7 +181,6 @@ impl NetworkBuilder {
                 return Err(SimError::ShardOption { option, value });
             }
         }
-        let n = self.graph.node_count();
         let views = match self.provisioner {
             Provisioner::Bfs => ViewStore::new(&self.graph, self.k),
             Provisioner::Oracle(artifact) => {
@@ -216,11 +206,6 @@ impl NetworkBuilder {
         Ok(Network {
             connected: traversal::is_connected(&self.graph),
             k: self.k,
-            hop_budget: if self.hop_budget == 0 {
-                8 * n * n + 16
-            } else {
-                self.hop_budget
-            },
             graph: self.graph,
             crashed: vec![false; nodes.len()],
             nodes,
@@ -270,7 +255,6 @@ pub struct Network {
     /// connected, and a link-up on a disconnected graph re-checks.
     connected: bool,
     k: u32,
-    hop_budget: usize,
     nodes: Vec<SimNode>,
     /// `crashed[u.index()]`: the node black-holes arrivals until restart.
     crashed: Vec<bool>,
@@ -672,7 +656,7 @@ impl Network {
 
     /// One hop step: settles the arrival behind slab handle `h`. The
     /// checks run in a fixed order (stale attempt, dead incoming link,
-    /// crash, delivery, loop, hop budget, then the router's decision
+    /// crash, delivery, loop, step cap, then the router's decision
     /// from the node's own view), and the first that fires settles it.
     /// The handle is freed before any terminal handling, except that a
     /// transmission parked on a dead link keeps it, and the loss draw
@@ -745,7 +729,7 @@ impl Network {
             self.set_fate(msg, MessageFate::Looped, None);
             return;
         }
-        if self.messages[msg].hops() >= self.hop_budget {
+        if self.messages[msg].hops() >= engine::step_cap(self.graph.node_count()) {
             self.set_fate(msg, MessageFate::HopBudgetExhausted, None);
             return;
         }
@@ -760,19 +744,8 @@ impl Network {
             self.set_fate(msg, MessageFate::Errored(err), None);
             return;
         };
-        let packet =
-            Packet::new(origin_label, target_label, from_label).masked(self.router.awareness());
-        // The traced path asks the router to name its rule; the
-        // untraced path is the exact pre-tracing decision call.
-        let traced_hops = self
-            .trace
-            .as_deref()
-            .is_some_and(|r| r.enabled(Level::Hops));
-        let decision = if traced_hops {
-            self.router.decide_explained(&packet, view)
-        } else {
-            self.router.decide(&packet, view).map(|l| (l, "?"))
-        };
+        let decision =
+            engine::decide_hop(view, &*self.router, origin_label, target_label, from_label);
         let (next_label, rule) = match decision {
             Ok(d) => d,
             Err(e) => {
@@ -1182,7 +1155,7 @@ fn fate_counter(fate: &MessageFate) -> &'static str {
 mod tests {
     use super::*;
     use crate::fault::{ChurnConfig, LinkProfile};
-    use local_routing::{Alg1, Alg2, Alg3, Awareness, LocalRouter, RoutingError};
+    use local_routing::{Alg1, Alg2, Alg3, Awareness, LocalRouter, Packet, RoutingError};
     use locality_graph::{generators, Label};
 
     #[test]
@@ -1427,23 +1400,6 @@ mod tests {
         assert!(r.delivered());
         assert_eq!(r.hops(), 0);
         assert_eq!(r.latency(), Some(0));
-    }
-
-    #[test]
-    fn hop_budget_caps_runaways() {
-        use local_routing::baselines::RightHandRule;
-        // A router that legitimately wanders: with a tiny budget the
-        // simulator reports exhaustion instead of looping to detection.
-        let g = generators::lollipop(20, 3);
-        let mut net = NetworkBuilder::new(&g, 2)
-            .hop_budget(4)
-            .build(RightHandRule);
-        let id = net.send(NodeId(10), NodeId(22));
-        net.run_until_quiet();
-        assert_eq!(
-            net.record(id).expect("id was returned by send").fate,
-            crate::MessageFate::HopBudgetExhausted
-        );
     }
 
     #[test]

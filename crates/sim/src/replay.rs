@@ -21,7 +21,7 @@
 //! churn (only the tick it was provisioned). Conservation checking
 //! has no such restriction and is what the chaos suite uses.
 
-use local_routing::{LocalRouter, Packet, ViewStore};
+use local_routing::{engine, LocalRouter, ViewStore};
 use locality_graph::{traversal, Graph, NodeId};
 use locality_obs::RouteWitness;
 
@@ -255,14 +255,12 @@ pub fn verify_witnesses<R: LocalRouter + ?Sized>(
                 // re-derivable from G_k(at) and nothing else.
                 let view = views.view(graph, at);
                 let from_label = hop.from.map(|f| graph.label(NodeId(f)));
-                let packet = Packet::new(origin, target, from_label).masked(router.awareness());
-                let (label, rule) = router.decide_explained(&packet, view).map_err(|e| {
-                    ReplayError::RouterError {
+                let (label, rule) = engine::decide_hop(view, router, origin, target, from_label)
+                    .map_err(|e| ReplayError::RouterError {
                         msg: w.msg,
                         hop: i,
                         err: e.to_string(),
-                    }
-                })?;
+                    })?;
                 let derived = graph.neighbor_by_label(at, label).map_or(u32::MAX, |x| x.0);
                 if derived != hop.to {
                     return Err(ReplayError::Divergence {

@@ -2,7 +2,7 @@
 //!
 //! A [`Wheel`] replaces a `BTreeMap<u64, Vec<T>>` tick map for
 //! workloads whose next event is almost always within a few ticks of
-//! the clock. The near future — a window of [`SLOTS`] consecutive
+//! the clock. The near future — a window of `SLOTS` (64) consecutive
 //! ticks starting at `base` — lives in a ring of dense `Vec` slots
 //! with a one-word occupancy bitmap, so finding the earliest scheduled
 //! tick is a rotate and a count-trailing-zeros instead of an ordered

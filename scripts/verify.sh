@@ -23,6 +23,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (no dangling or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> locality-lint"
 cargo run -q -p locality-lint
 

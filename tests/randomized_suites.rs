@@ -4,7 +4,7 @@
 //! small exhaustive suites cannot (the S3 probing order was caught by
 //! exactly this kind of instance).
 
-use local_routing::{engine, Alg1, Alg1B, Alg2, Alg3, LocalRouter};
+use local_routing::{engine, Alg1, Alg1B, Alg2, Alg3, LocalRouter, ViewStore};
 use locality_graph::rng::DetRng;
 use locality_graph::{generators, permute, NodeId};
 use locality_integration::{assert_all_delivered, random_suite};
@@ -30,7 +30,8 @@ fn larger_graphs_sampled_pairs() {
         let pairs = generators::sample_pairs(n, 40, &mut rng);
         for r in [&Alg1 as &dyn LocalRouter, &Alg1B, &Alg2, &Alg3] {
             let k = r.min_locality(n);
-            let m = engine::delivery_matrix_for_pairs(&g, k, &r, pairs.iter().copied());
+            let views = ViewStore::new(&g, k);
+            let m = engine::delivery_matrix_with_cache(&g, &views, &r, pairs.iter().copied());
             assert!(
                 m.all_delivered(),
                 "{} failed on n={n}: {:?}",

@@ -1,11 +1,12 @@
 //! The rule census: how often each rule of Algorithms 1, 1B, 2 and 3
 //! fires over a fixed corpus, pinned per router and rule name.
 //!
-//! Every ordered pair of every corpus graph is routed with
-//! [`engine::route_traced`], which names the rule behind each hop. The
-//! corpus is Algorithm 1 on `fig13(16)` and `fig13(32)`, Algorithm 1B on
-//! `fig17(28)` and `fig17(32)`, and all four algorithms at their
-//! thresholds on `exhaustive_suite(4)` and a seeded `random_suite`.
+//! Every ordered pair of every corpus graph is routed through one view
+//! store per (graph, k), and each run's `RunReport::rules` names the
+//! rule behind each hop. The corpus is Algorithm 1 on `fig13(16)` and
+//! `fig13(32)`, Algorithm 1B on `fig17(28)` and `fig17(32)`, and all
+//! four algorithms at their thresholds on `exhaustive_suite(4)` and a
+//! seeded `random_suite`.
 //! Between them these fire every rule the four routers have except
 //! US3, including the rare ones: S3, U3, U2c, U2d and U2e.
 //!
@@ -16,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use local_routing::{engine, Alg1, Alg1B, Alg2, Alg3, LocalRouter};
+use local_routing::{engine, Alg1, Alg1B, Alg2, Alg3, LocalRouter, ViewStore};
 use locality_adversary::tight;
 use locality_graph::Graph;
 use locality_integration::{exhaustive_suite, random_suite};
@@ -54,17 +55,17 @@ const CENSUS: &[(&str, &str, usize)] = &[
     ("algorithm-3", "case-2", 64),
 ];
 
-/// Routes every ordered pair of `g` at locality `k`, adding each hop's
+/// Routes every ordered pair of `g` through `views`, adding each hop's
 /// rule to `census`.
 fn count(
     census: &mut BTreeMap<(&'static str, &'static str), usize>,
     router: &dyn LocalRouter,
     g: &Graph,
-    k: u32,
+    views: &ViewStore,
 ) {
     for s in g.nodes() {
         for t in g.nodes().filter(|&t| t != s) {
-            for rule in engine::route_traced(g, k, router, s, t).rules {
+            for rule in engine::route_with_cache(g, views, router, s, t).rules {
                 *census.entry((router.name(), rule)).or_default() += 1;
             }
         }
@@ -76,18 +77,27 @@ fn rule_census_over_the_fixed_corpus() {
     let mut census = BTreeMap::new();
     for n in [16, 32] {
         let f = tight::fig13(n);
-        count(&mut census, &Alg1, &f.graph, f.k);
+        count(&mut census, &Alg1, &f.graph, &ViewStore::new(&f.graph, f.k));
     }
     for n in [28, 32] {
         let f = tight::fig17(n);
-        count(&mut census, &Alg1B, &f.graph, f.k);
+        count(
+            &mut census,
+            &Alg1B,
+            &f.graph,
+            &ViewStore::new(&f.graph, f.k),
+        );
     }
     let suites = exhaustive_suite(4)
         .into_iter()
         .chain(random_suite(0xc0de, 20, 8..16));
     for g in suites {
+        // Views do not depend on the router: one store per k.
+        let mut stores: BTreeMap<u32, ViewStore> = BTreeMap::new();
         for router in [&Alg1 as &dyn LocalRouter, &Alg1B, &Alg2, &Alg3] {
-            count(&mut census, router, &g, router.min_locality(g.node_count()));
+            let k = router.min_locality(g.node_count());
+            let views = stores.entry(k).or_insert_with(|| ViewStore::new(&g, k));
+            count(&mut census, router, &g, views);
         }
     }
     let got: Vec<(&str, &str, usize)> = census.into_iter().map(|((r, n), c)| (r, n, c)).collect();

@@ -1,10 +1,14 @@
 //! The distributed simulator must agree hop-for-hop with the central
-//! engine, and keep delivering through topology changes.
+//! engine, rule names included, and keep delivering through topology
+//! changes.
 
-use local_routing::{engine, Alg1, Alg1B, Alg2, Alg3, LocalRouter};
+use std::collections::BTreeMap;
+
+use local_routing::{engine, Alg1, Alg1B, Alg2, Alg3, LocalRouter, ViewStore};
 use locality_graph::NodeId;
 use locality_integration::random_suite;
-use locality_sim::{MessageFate, NetworkBuilder};
+use locality_obs::{collect_witnesses, parse_trace};
+use locality_sim::{Level, MessageFate, NetworkBuilder, Recorder};
 
 #[test]
 fn routes_match_engine_for_all_algorithms() {
@@ -12,20 +16,30 @@ fn routes_match_engine_for_all_algorithms() {
         let n = g.node_count();
         for r in [&Alg1 as &dyn LocalRouter, &Alg1B, &Alg2, &Alg3] {
             let k = r.min_locality(n);
-            let mut net = NetworkBuilder::new(&g, k).build(r);
+            let mut net = NetworkBuilder::new(&g, k)
+                .recorder(Recorder::new(Level::Hops))
+                .build(r);
+            let views = ViewStore::new(&g, k);
             let mut expect = Vec::new();
             for s in g.nodes() {
                 for t in g.nodes().filter(|&t| t != s) {
-                    let central = engine::route(&g, k, &r, s, t);
+                    let central = engine::route_with_cache(&g, &views, &r, s, t);
                     let id = net.send(s, t);
-                    expect.push((id, central.route));
+                    expect.push((id, central.route, central.rules));
                 }
             }
             net.run_until_quiet();
-            for (id, route) in expect {
+            let text = String::from_utf8(net.finish_trace()).expect("traces are UTF-8");
+            let events = parse_trace(&text).expect("the recorder writes well-formed lines");
+            let witnesses: BTreeMap<u64, Vec<String>> = collect_witnesses(&events)
+                .into_iter()
+                .map(|w| (w.msg, w.hops.into_iter().map(|h| h.rule).collect()))
+                .collect();
+            for (id, route, rules) in expect {
                 let rec = net.record(id).unwrap();
                 assert_eq!(rec.fate, MessageFate::Delivered);
                 assert_eq!(rec.path, route);
+                assert_eq!(witnesses[&id.0], rules, "{} message {}", r.name(), id.0);
             }
         }
     }

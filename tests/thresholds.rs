@@ -132,9 +132,9 @@ fn alg1b_loops_at_threshold_on_two_graphs_where_alg1_delivers() {
             [(NodeId(s), NodeId(t), RunStatus::LoopDetected)],
             "algorithm 1b at k = {k}"
         );
-        let run = engine::route_traced(&g, k, &Alg1B, NodeId(s), NodeId(t));
-        assert_eq!(run.report.status, RunStatus::LoopDetected);
-        assert_eq!(run.report.route, route.map(NodeId));
+        let run = engine::route(&g, k, &Alg1B, NodeId(s), NodeId(t));
+        assert_eq!(run.status, RunStatus::LoopDetected);
+        assert_eq!(run.route, route.map(NodeId));
         assert_eq!(run.rules, rules);
     }
 }
