@@ -151,7 +151,9 @@ struct ArtifactBacking {
 /// lookup was served from a filled slot (`hits`) versus materialized
 /// (`misses`), and how many invalidations emptied a slot. Relaxed
 /// atomics — each slot is filled exactly once, so the counts are exact;
-/// only their *reads* are racy, and hosts read them after a run.
+/// only their *reads* are racy, and hosts read them after a run. An
+/// engine walk counts its hits in a local and adds them once, when it
+/// ends, so `hits` is exact after every walk but lags one in progress.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ViewStoreStats {
     /// Lookups served from an existing view.
@@ -259,8 +261,8 @@ impl ViewStore {
     /// The view resident at `u`, if any, without materializing one or
     /// counting a hit: the read for a host that fills every slot up
     /// front and keeps its own traffic counters (the simulator's
-    /// per-hop decision). `None` for an empty slot or an id out of
-    /// range.
+    /// per-hop decision), or counts its hits itself (the engine's
+    /// walk). `None` for an empty slot or an id out of range.
     pub fn resident(&self, u: NodeId) -> Option<&LocalView> {
         self.slots
             .get(u.index())
@@ -396,7 +398,9 @@ struct Walk {
 
 /// The hop loop behind every engine run. It clears `buf` first, in
 /// time that follows the previous route, and leaves the walk taken in
-/// `buf.route` and the rule behind each hop in `buf.rules`.
+/// `buf.route` and the rule behind each hop in `buf.rules`. A hop reads
+/// a resident view without touching the store's counters; the walk
+/// adds its hits to them once, as it ends.
 fn walk<R: LocalRouter + ?Sized>(
     graph: &Graph,
     views: &ViewStore,
@@ -421,8 +425,9 @@ fn walk<R: LocalRouter + ?Sized>(
     visited.clear();
     let mut current = s;
     let mut predecessor: Option<NodeId> = None;
+    let mut hits = 0u64;
 
-    loop {
+    let status = loop {
         if current == t {
             break RunStatus::Delivered;
         }
@@ -436,7 +441,13 @@ fn walk<R: LocalRouter + ?Sized>(
         if route.len() > max_steps {
             break RunStatus::StepLimit;
         }
-        let view = views.view(graph, current);
+        let view = match views.resident(current) {
+            Some(view) => {
+                hits += 1;
+                view
+            }
+            None => views.view(graph, current),
+        };
         let from = predecessor.map(|p| graph.label(p));
         match decide_hop(view, router, origin_label, target_label, from) {
             Err(e) => break RunStatus::RouterError(e),
@@ -450,7 +461,9 @@ fn walk<R: LocalRouter + ?Sized>(
                 current = next;
             }
         }
-    }
+    };
+    views.hits.fetch_add(hits, Ordering::Relaxed);
+    status
 }
 
 /// Aggregate outcome over every ordered origin–destination pair.
@@ -802,6 +815,29 @@ mod tests {
         );
         let s = views.stats();
         assert_eq!((s.hits, s.misses, s.invalidations), (2, 2, 1));
+    }
+
+    #[test]
+    fn a_walk_counts_one_hit_per_hop_on_a_warm_store() {
+        use crate::Alg1;
+        use locality_adversary::tight;
+        let f13 = tight::fig13(32);
+        let (g, k) = (&f13.graph, f13.k);
+        let views = ViewStore::new(g, k);
+        for u in g.nodes() {
+            views.view(g, u);
+        }
+        let pairs = g
+            .nodes()
+            .flat_map(|s| g.nodes().filter(move |&t| t != s).map(move |t| (s, t)));
+        let before = views.stats();
+        let m = delivery_matrix_with_cache(g, &views, &Alg1, pairs);
+        assert!(m.all_delivered());
+        let after = views.stats();
+        assert_eq!(after.hits - before.hits, m.total_hops as u64);
+        assert_eq!(after.misses, before.misses);
+        let r = route_with_cache(g, &views, &Alg1, f13.s, f13.t);
+        assert_eq!(views.stats().hits - after.hits, r.hops() as u64);
     }
 
     #[test]

@@ -23,15 +23,15 @@ use crate::preprocess::{self, EdgeKey, Preprocessed};
 /// aligned with the raw subgraph's slot order, beside the subgraph's
 /// own two blocks, so an extracted view keeps four heap blocks and a
 /// 112-byte struct. The derived structure sits behind one boxed cache
-/// that is allocated on first use: the label→slot lookup (a sorted
-/// table searched by binary search), the [`RoutingView`], Algorithm
+/// that is allocated on first use: the label→slot lookup (a hashed
+/// index of slots, probed linearly), the [`RoutingView`], Algorithm
 /// 1B's shelter pivots and the raw component analysis. Routers that
 /// never ask for them, like the ring baselines, and views that are
-/// only decoded and stored pay one empty 16-byte cell. The first-step table stays outside that box, because
-/// every view decoded from an artifact arrives with it. No per-query
-/// allocation or tree traversal happens on the hot path, and the
-/// derived structure and the work that builds it index member slots
-/// only, never node ids.
+/// only decoded and stored pay one empty 16-byte cell. The first-step
+/// table stays outside that box, because every view decoded from an
+/// artifact arrives with it. No per-query allocation or tree traversal
+/// happens on the hot path, and the derived structure and the work
+/// that builds it index member slots only, never node ids.
 pub struct LocalView {
     center: NodeId,
     k: u32,
@@ -56,11 +56,19 @@ pub struct LocalView {
 /// its first query.
 #[derive(Default)]
 struct Derived {
-    /// `(label, raw slot)` sorted by label; binary-searched by
-    /// [`LocalView::node_by_label`] and
-    /// [`LocalView::step_toward_label`]. Cold provisioning (BFS and
+    /// The label index of [`LocalView::node_by_label`] and
+    /// [`LocalView::step_toward_label`]: a power of two of entries, at
+    /// least twice the members, each a raw slot plus one or `0` for an
+    /// empty entry. Each member sits in the first empty entry at or
+    /// after the home entry of its label ([`label_home`]), wrapping, so
+    /// a lookup probes from the key's home entry until it meets the
+    /// entry whose slot carries the key, or an empty one. It takes 8 to
+    /// 16 bytes per member. The hash is a constant, so a label set
+    /// crafted to share one home entry makes a lookup probe up to every
+    /// member: O(m) where a sorted table would take O(log m). A lookup
+    /// never allocates and never panics. Cold provisioning (BFS and
     /// artifact paths alike) never asks for it.
-    by_label: OnceLock<Box<[(Label, u32)]>>,
+    by_label: OnceLock<Box<[u32]>>,
     routing: OnceLock<RoutingView>,
     /// Algorithm 1B's shelter pivots, slot-aligned with the routing
     /// view's subgraph (see [`RoutingView::shelter_table`]). Only a
@@ -275,23 +283,40 @@ impl LocalView {
         self.derived.get_or_init(Box::default)
     }
 
-    /// The label-sorted lookup table, built on first use.
-    fn by_label(&self) -> &[(Label, u32)] {
+    /// The label index ([`Derived::by_label`]), built on first use in
+    /// one block of its final size.
+    fn by_label(&self) -> &[u32] {
         self.derived().by_label.get_or_init(|| {
-            let mut v: Box<[(Label, u32)]> = (0u32..)
-                .zip(&self.labels)
-                .map(|(slot, &l)| (l, slot))
-                .collect();
-            v.sort_unstable();
-            v
+            // At most half full, so every probe run ends at an empty entry.
+            let entries = (2 * self.labels.len()).next_power_of_two();
+            let mask = entries - 1;
+            let mut index = vec![0u32; entries].into_boxed_slice();
+            for (slot, &l) in (1u32..).zip(self.labels.iter()) {
+                let mut i = label_home(l, entries);
+                while index.get(i).is_some_and(|&e| e != 0) {
+                    i = (i + 1) & mask;
+                }
+                if let Some(e) = index.get_mut(i) {
+                    *e = slot;
+                }
+            }
+            index
         })
     }
 
-    /// The raw slot of the visible node labelled `l`.
+    /// The raw slot of the visible node labelled `l`: one probe run of
+    /// the label index, read against the slot-aligned label table.
     fn slot_by_label(&self, l: Label) -> Option<usize> {
-        let table = self.by_label();
-        let i = table.binary_search_by_key(&l, |&(lbl, _)| lbl).ok()?;
-        table.get(i).map(|&(_, slot)| slot as usize)
+        let index = self.by_label();
+        let mask = index.len() - 1;
+        let mut i = label_home(l, index.len());
+        loop {
+            let slot = index.get(i)?.checked_sub(1)? as usize;
+            if self.labels.get(slot) == Some(&l) {
+                return Some(slot);
+            }
+            i = (i + 1) & mask;
+        }
     }
 
     /// Finds a visible node by label.
@@ -354,10 +379,13 @@ impl LocalView {
     /// `Some(None)` if it is the centre's own label, or the node is
     /// unreachable in the view.
     ///
-    /// One search of the label table finds the target's slot, one read
+    /// One probe of the label index finds the target's slot, one read
     /// of the step table (`step_table`) its first step, and one
     /// read of the slot-aligned label table that step's label: no
-    /// node id is looked up.
+    /// node id is looked up. The probe run is short for labels the
+    /// hash spreads, but reads up to every member of the view for
+    /// labels crafted to share one home entry: O(m), never a panic or
+    /// an allocation.
     pub fn step_toward_label(&self, target: Label) -> Option<Option<Label>> {
         let slot = self.slot_by_label(target)?;
         let step = self.step_table().get(slot).copied().unwrap_or(0);
@@ -509,6 +537,18 @@ impl LocalView {
     }
 }
 
+/// Fibonacci hashing multiplier for labels, 2³² / φ rounded to odd:
+/// the 32-bit member of the family [`crate::visited`] hashes with.
+const LABEL_HASH: u32 = 0x9E37_79B9;
+
+/// The home entry of label `l` in a label index of `entries` entries, a
+/// power of two: the top bits of its Fibonacci hash.
+#[inline]
+fn label_home(l: Label, entries: usize) -> usize {
+    let hash = u64::from(l.0.wrapping_mul(LABEL_HASH));
+    ((hash * entries as u64) >> 32) as usize
+}
+
 /// How a forwarding rule moves on from its last port: the two schemas
 /// of the S/U/US rules (see [`next_port`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -646,11 +686,18 @@ mod tests {
         }
     }
 
+    /// The visible node labelled `target`, found by a scan of the
+    /// slot-aligned label table rather than the label index.
+    fn node_by_label_scan(view: &LocalView, target: Label) -> Option<NodeId> {
+        let slot = view.labels().iter().position(|&l| l == target)?;
+        Some(view.raw().id_of(slot))
+    }
+
     /// Case 1 the long way, as every router asked it before
     /// [`LocalView::step_toward_label`]: the target label to a node,
     /// the node to its step, the step to a label.
     fn step_toward_label_reference(view: &LocalView, target: Label) -> Option<Option<Label>> {
-        let t = view.node_by_label(target)?;
+        let t = node_by_label_scan(view, target)?;
         Some(view.shortest_step_toward(t).map(|x| view.label(x)))
     }
 
@@ -660,26 +707,45 @@ mod tests {
         use locality_graph::permute;
         use locality_graph::rng::DetRng;
         let mut rng = DetRng::seed_from_u64(29);
-        let mut cases: Vec<(Graph, u32)> = Vec::new();
+        // Each graph is labelled `0..n` times a scale: `1`, or
+        // `LABEL_HASH⁻¹ mod 2³²`, under which label `i · scale` hashes
+        // to `i`. Then every member of every view shares home entry 0,
+        // and each lookup probes through one cluster of the whole view.
+        let inverse = (0..5).fold(LABEL_HASH, |x, _| {
+            x.wrapping_mul(2u32.wrapping_sub(LABEL_HASH.wrapping_mul(x)))
+        });
+        assert_eq!(inverse.wrapping_mul(LABEL_HASH), 1);
+        let mut cases: Vec<(Graph, u32, u32)> = Vec::new();
         for n in [28, 64] {
             let (f13, f17) = (tight::fig13(n), tight::fig17(n));
-            cases.push((f13.graph, f13.k));
-            cases.push((f17.graph, f17.k));
+            cases.push((f13.graph, f13.k, 1));
+            cases.push((f17.graph, f17.k, 1));
         }
         for (n, extra, k) in [(24, 10, 3u32), (40, 6, 5), (60, 30, 2)] {
-            cases.push((generators::random_connected(n, extra, &mut rng), k));
+            cases.push((generators::random_connected(n, extra, &mut rng), k, 1));
         }
+        let f13 = tight::fig13(28);
+        let scaled: Vec<Label> = f13
+            .graph
+            .nodes()
+            .map(|x| Label(f13.graph.label(x).0.wrapping_mul(inverse)))
+            .collect();
+        assert!(scaled.iter().all(|&l| label_home(l, 1 << 20) == 0));
+        cases.push((permute::relabel(&f13.graph, &scaled), f13.k, inverse));
         let (mut steps, mut silent) = (0usize, 0usize);
-        for (g, k) in &cases {
+        for (g, k, scale) in &cases {
             // Node ids permuted two ways: labels and ids part.
             for seed in [1u64, 2] {
                 let (pg, _) = permute::random_permute_nodes(g, &mut DetRng::seed_from_u64(seed));
-                let top = pg.nodes().map(|x| pg.label(x).0).max().unwrap_or(0);
+                let top = pg.node_count() as u32 - 1;
                 for u in pg.nodes() {
                     let view = LocalView::extract(&pg, u, *k);
                     // Every label the view holds, the centre's own, and
                     // labels no node carries.
-                    for l in (0..=top + 2).map(Label) {
+                    for l in (0..=top + 2).map(|i| Label(i.wrapping_mul(*scale))) {
+                        let node = node_by_label_scan(&view, l);
+                        assert_eq!(view.node_by_label(l), node, "view at {u}, label {l}");
+                        assert_eq!(view.contains_label(l), node.is_some());
                         let got = view.step_toward_label(l);
                         assert_eq!(
                             got,

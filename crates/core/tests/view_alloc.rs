@@ -10,6 +10,10 @@
 //! decoded from an artifact also keeps its first-step table, so it may
 //! hold four more bytes per member.
 //!
+//! The first label lookup adds the boxed cache of derived structure
+//! and the label index, which holds at most 16 bytes per member: the
+//! same bytes at both sizes, because the index is sized by the view.
+//!
 //! The counts are deterministic, not timings. This lives in its own
 //! integration-test binary because a `#[global_allocator]` is
 //! process-wide, and contains exactly one `#[test]` so no concurrent
@@ -20,7 +24,7 @@ use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use local_routing::{LocalView, ViewArtifact};
-use locality_graph::{generators, NodeId};
+use locality_graph::{generators, Label, NodeId};
 
 /// System allocator that totals the blocks and bytes it hands out and
 /// takes back.
@@ -74,10 +78,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, Counted) {
 /// Bytes a view of 17 nodes may hold, its struct included.
 const BOUND: usize = 560;
 
+/// Bytes of the boxed cache of derived structure (248 on 64-bit
+/// targets), which the first label lookup allocates beside the index.
+const DERIVED_BOX: usize = 256;
+
 #[test]
 fn a_view_keeps_what_it_can_see_and_extraction_allocates_only_that() {
     let u = NodeId(1000);
-    let mut resident = Vec::new();
+    let (mut resident, mut indexed) = (Vec::new(), Vec::new());
     for n in [2048, 1_000_000] {
         let g = generators::ring_lattice(n, 8);
         drop(LocalView::extract(&g, u, 1));
@@ -93,10 +101,23 @@ fn a_view_keeps_what_it_can_see_and_extraction_allocates_only_that() {
             c.kept_blocks
         );
         resident.push(c.kept + size_of::<LocalView>());
+
+        let (found, c) = counted(|| view.node_by_label(Label(1001)));
+        assert_eq!(found, Some(NodeId(1001)));
+        assert_eq!(c.allocated, c.kept, "n = {n}: the first lookup {c:?}");
+        assert!(
+            c.kept <= 16 * view.node_count() + DERIVED_BOX,
+            "n = {n}: the first lookup keeps {c:?}"
+        );
+        indexed.push(c.kept);
     }
     assert_eq!(
         resident[0], resident[1],
         "bytes per view grow with n: {resident:?} at n = 2048 / 10^6"
+    );
+    assert_eq!(
+        indexed[0], indexed[1],
+        "label index bytes grow with n: {indexed:?} at n = 2048 / 10^6"
     );
     assert!(
         resident[0] <= BOUND,
@@ -110,7 +131,8 @@ fn a_view_keeps_what_it_can_see_and_extraction_allocates_only_that() {
     let (view, c) = counted(|| artifact.decode_view(u).expect("decode"));
     let decoded = c.kept + size_of::<LocalView>();
     eprintln!(
-        "bytes per view: extracted {resident:?} at n = 2048 / 10^6, decoded {decoded}, struct {}",
+        "bytes per view: extracted {resident:?} at n = 2048 / 10^6, decoded {decoded}, \
+         struct {}; first label lookup {indexed:?}",
         size_of::<LocalView>()
     );
     assert!(

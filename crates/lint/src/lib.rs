@@ -44,8 +44,8 @@
 //!   `format!`/`collect`/`to_vec` inside the designated hot-path
 //!   functions (`sim::sched`, `sim::slab`, `sim::workload`,
 //!   `graph::fanout`, the `core::view` step tables, Case 1's label
-//!   search and the next-port read, `core::visited`, the trace reader,
-//!   `graph::codec` decode)
+//!   probe and its hash, the next-port read, `core::visited`, the
+//!   trace reader, `graph::codec` decode)
 //!   outside setup constructors, read from each file's own function
 //!   spans.
 //! * **R7 lock discipline** — no `Mutex`/`RwLock` or blocking I/O in

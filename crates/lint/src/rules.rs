@@ -234,12 +234,14 @@ const R6_FILES: &[&str] = &[
 /// R6 scope.
 const R6_VIEW: &str = "crates/core/src/view.rs";
 /// The step-table functions of `R6_VIEW` in R6 scope, with Case 1's
-/// label search and the next-port read of the rules past Case 1.
+/// label probe and its hash, and the next-port read of the rules past
+/// Case 1.
 const R6_VIEW_FNS: &[&str] = &[
     "step_table",
     "shortest_step_toward",
     "step_toward_label",
     "slot_by_label",
+    "label_home",
     "next_port",
 ];
 /// The codec module, whose decode path (`decode*` functions and the
