@@ -731,6 +731,131 @@ mod tests {
         );
     }
 
+    /// A payload of `view` as [`encode_view`] writes it, but with `dists`
+    /// in place of the view's distances.
+    fn payload_claiming(view: &LocalView, dists: &[u32]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_varint(u64::from(view.center().0));
+        codec::encode_subgraph(&mut w, view.raw());
+        for &l in view.labels() {
+            w.put_varint(u64::from(l.value()));
+        }
+        for &d in dists {
+            w.put_varint(u64::from(d));
+        }
+        for &s in view.step_table() {
+            w.put_varint(u64::from(s));
+        }
+        w.as_bytes().to_vec()
+    }
+
+    /// Preprocessing reads a decoded view's edges, never the distances
+    /// its payload claims: two payloads of one subgraph, one with its
+    /// true distances and one with others that pass decoding (all at
+    /// most k, the centre at 0), give the same routing view and raw
+    /// analysis, and those of the reference pipeline. So do hand-built
+    /// payloads whose claims hide a triangle, a member beyond k, or a
+    /// cycle in a view with m = n − 1.
+    #[test]
+    fn claimed_distances_never_steer_preprocessing() {
+        use crate::view::reference;
+        use locality_adversary::tight;
+
+        let mut cases: Vec<(Graph, u32)> = vec![
+            (tight::fig13(28).graph, 7),
+            (tight::fig17(28).graph, 7),
+            (generators::cycle(9), 4),
+            (
+                locality_graph::permute::reverse_labels(&generators::lollipop(6, 3)),
+                4,
+            ),
+        ];
+        for (seed, n) in [(1, 16), (2, 24)] {
+            cases.push((sample_graph(seed, n), 3));
+        }
+        let mut lies = 0;
+        for (g, k) in &cases {
+            let nodes = g.node_count() as u32;
+            for u in g.nodes() {
+                let view = LocalView::extract(g, u, *k);
+                let truth: Vec<u32> = view
+                    .raw()
+                    .node_slice()
+                    .iter()
+                    .map(|&x| view.dist_from_center(x).expect("a member"))
+                    .collect();
+                // Every member but the centre claims to sit at depth k.
+                let lie: Vec<u32> = truth.iter().map(|&d| if d == 0 { 0 } else { *k }).collect();
+                lies += usize::from(lie != truth);
+                let decode = |dists: &[u32]| {
+                    decode_view_payload(&payload_claiming(&view, dists), u, *k, nodes)
+                        .expect("the claims pass decoding")
+                };
+                let (honest, lying) = (decode(&truth), decode(&lie));
+                assert_eq!(lying.dist_from_center(u), Some(0));
+                assert_eq!(honest.routing_view(), lying.routing_view(), "centre {u}");
+                assert_eq!(honest.raw_analysis(), lying.raw_analysis(), "centre {u}");
+                assert_eq!(
+                    lying.routing_view(),
+                    &reference::routing_view(&lying),
+                    "centre {u}"
+                );
+                assert_eq!(
+                    lying.raw_analysis(),
+                    &reference::analyze(lying.raw(), u, *k),
+                    "centre {u}"
+                );
+            }
+        }
+        assert!(lies > 0, "no view claimed false distances");
+
+        // Forged views, centre 0 and labels equal to ids, whose claimed
+        // depths (all at most k) hide what their edges say. The triangle
+        // 0-1-2 at k = 1 has nothing dormant, yet its edge 1-2 joins two
+        // depth-k members and must leave G'_k(u). The path 0-1-2-3 at
+        // k = 2 is a tree with member 3 beyond k. The 4-cycle 0-1-2-3
+        // beside the edge 4-5 at k = 2 has m = n − 1 but is no tree.
+        let forged = [
+            (&[(0, 1), (1, 2), (0, 2)][..], 1, &[0, 1, 1][..], 2, 0),
+            (&[(0, 1), (1, 2), (2, 3)], 2, &[0, 1, 2, 2], 2, 0),
+            (
+                &[(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)],
+                2,
+                &[0, 1, 2, 1, 1, 2],
+                2,
+                1,
+            ),
+        ];
+        for (edges, k, dists, routing_edges, dormant) in forged {
+            let n = dists.len() as u32;
+            let mut b = locality_graph::SubgraphBuilder::new();
+            for x in 0..n {
+                b.insert_node(NodeId(x));
+            }
+            for &(x, y) in edges {
+                b.insert_edge(NodeId(x), NodeId(y));
+            }
+            let mut w = Writer::new();
+            w.put_varint(0);
+            codec::encode_subgraph(&mut w, &b.build());
+            let steps = std::iter::repeat_n(0, dists.len());
+            for v in (0..u64::from(n)).chain(dists.iter().copied()).chain(steps) {
+                w.put_varint(v); // labels, claimed distances, steps
+            }
+            let view = decode_view_payload(w.as_bytes(), NodeId(0), k, n)
+                .expect("the claims pass decoding");
+            let rv = view.routing_view();
+            assert_eq!(rv, &reference::routing_view(&view), "{edges:?}");
+            assert_eq!(rv.sub.edge_count(), routing_edges, "{edges:?}: G'_k(u)");
+            assert_eq!(rv.dormant.len(), dormant, "{edges:?}: dormant edges");
+            assert_eq!(
+                view.raw_analysis(),
+                &reference::analyze(view.raw(), NodeId(0), k),
+                "{edges:?}"
+            );
+        }
+    }
+
     #[test]
     fn artifact_backed_store_loads_lazily_and_rebuilds_only_stale() {
         use crate::engine::ViewStore;

@@ -60,7 +60,41 @@
 //! the view's member slots or edge-end positions, so its memory is
 //! sized by the view, never by the largest node id in it.
 //! [`preprocess`] then builds `G'_k(u)` with one slot BFS over the
-//! view that skips the dormant edge ends.
+//! view that skips the dormant edge ends, and that search's distances
+//! are `dist'`.
+//!
+//! ### No pass where nothing can be dormant
+//!
+//! *A connected view has at most m − n + 1 dormant edges.* Removing the
+//! dormant set keeps it connected. Take the dormant edges from the
+//! highest rank down. A dormant `e = {x, y}` of rank `r` has its
+//! witness: paths from `u` to `x` and to `y` over edges ranked above
+//! `r`, which join `x` to `y`. Each dormant edge on them ranks above
+//! `r`, so by induction its own endpoints are joined by non-dormant
+//! edges; substituted in, they join `x` to `y` without any dormant
+//! edge (Lemma 3's argument). So the non-dormant edges connect all `n`
+//! members, which takes at least n − 1 of them, and at most m − n + 1
+//! edges are left to be dormant. *A tree has no dormant edge.*
+//!
+//! [`preprocess`] therefore decides "tree" before the pass: m = n − 1,
+//! and one search of the view from `u`, cut at depth `k`, reaches every
+//! member. Then every edge joins depths `d` and `d + 1 ≤ k`, so
+//! re-extraction would keep every member and edge: `G'_k(u)` is the
+//! view, copied, and the search's distances are `dist'`. The edge list,
+//! its rank sort, the relaxations and the masked rebuild never run. The
+//! decision reads the view's edges, never the distances stored beside
+//! it ([`crate::LocalView`]'s table): a decoded artifact only claims
+//! those, and decoding checks little more than "at most `k`" and
+//! "centre at 0". Every view at k = 1 is a tree, a star: its members
+//! are `u` and `u`'s neighbours, and an edge between two neighbours
+//! joins two depth-k members, which the view leaves out. So are all 128
+//! views of Fig. 13 and 52 of the 128 of Fig. 17 at n = 128.
+//!
+//! A cyclic view goes through the pass and the masked rebuild even when
+//! the pass marks nothing. Such views are rare: no edge of theirs closes
+//! a walk from `u` of length at most `2k` whose other edges all rank
+//! above it. The rebuild also drops whatever a decoded view holds
+//! beyond its centre's k-neighbourhood.
 //!
 //! ### Label convention
 //!
@@ -204,7 +238,47 @@ fn dormant_set(view: &Subgraph, mask: &[bool]) -> BTreeSet<EdgeKey> {
 }
 
 /// Runs the full preprocessing step at `center`, producing `G'_k(u)`.
+///
+/// A tree within `k` hops of the centre skips the dormant pass and is
+/// its own `G'_k(u)`; any other view is re-extracted without its
+/// dormant edges (see the module docs). The view's own edges decide
+/// which: no distance stored beside it is read.
 pub fn preprocess(view: &Subgraph, labels: &[Label], center: NodeId, k: u32) -> Preprocessed {
+    let n = view.node_count();
+    if view.edge_count() + 1 == n {
+        // With m = n − 1, the view is a tree iff one search reaches
+        // every member; cut at depth k, it also puts them within k.
+        let (mut dist, mut order) = (Vec::new(), Vec::with_capacity(n));
+        view.bfs_slots(center, k, |_, _| true, &mut dist, &mut order);
+        if order.len() == n {
+            // A tree has no dormant edge, and every edge joins depths
+            // `d` and `d + 1 ≤ k`: the view is its own `G'_k(u)`.
+            return Preprocessed {
+                dormant: BTreeSet::new(),
+                routing: view.clone(),
+                dist,
+            };
+        }
+    }
+    let mask = dormant_mask(view, labels, center, k);
+    let (routing, dist) = neighborhood::k_neighborhood_masked(view, center, k, &mask);
+    Preprocessed {
+        dormant: dormant_set(view, &mask),
+        routing,
+        dist,
+    }
+}
+
+/// [`preprocess`] as it was before the acyclic skip, kept as the
+/// reference the routing view is compared with: the rank-ordered pass
+/// on every view, then `G'_k(u)` re-extracted through its mask.
+#[cfg(test)]
+pub(crate) fn preprocess_reference(
+    view: &Subgraph,
+    labels: &[Label],
+    center: NodeId,
+    k: u32,
+) -> Preprocessed {
     let mask = dormant_mask(view, labels, center, k);
     let (routing, dist) = neighborhood::k_neighborhood_masked(view, center, k, &mask);
     Preprocessed {
@@ -390,6 +464,28 @@ mod tests {
             assert_matches_per_edge_bfs(&tight::fig13(n).graph, k, "fig13");
             assert_matches_per_edge_bfs(&tight::fig17(n).graph, k, "fig17");
         }
+    }
+
+    #[test]
+    fn n_minus_one_edges_without_a_tree_still_run_the_pass() {
+        // Six members and five edges, but not a tree: the centre 0 sits
+        // on the 4-cycle 0-1-2-3, and the edge 4-5 lies apart from it.
+        let mut b = SubgraphBuilder::new();
+        for x in 0..6 {
+            b.insert_node(NodeId(x));
+        }
+        for (x, y) in [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)] {
+            b.insert_edge(NodeId(x), NodeId(y));
+        }
+        let view = b.build();
+        assert_eq!(view.edge_count() + 1, view.node_count());
+        let labels: Vec<Label> = (0..6).map(Label).collect();
+        let p = preprocess(&view, &labels, NodeId(0), 2);
+        let want = preprocess_reference(&view, &labels, NodeId(0), 2);
+        assert_eq!(p.dormant, BTreeSet::from([(NodeId(0), NodeId(1))]));
+        assert_eq!(p.dormant, want.dormant);
+        assert_eq!(p.routing, want.routing);
+        assert_eq!(p.dist, want.dist);
     }
 
     #[test]

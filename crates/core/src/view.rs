@@ -79,7 +79,7 @@ struct Derived {
 
 /// The preprocessed routing structure `G'_k(u)` (§5.1) with its
 /// component analysis.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoutingView {
     /// Edges of `G_k(u)` classified dormant at the centre.
     pub dormant: std::collections::BTreeSet<EdgeKey>,
@@ -455,24 +455,31 @@ impl LocalView {
     }
 
     /// The preprocessed routing structure `G'_k(u)`, computed on first
-    /// use and cached.
+    /// use and cached. The component analysis reads the distances
+    /// preprocessing found, so `G'_k(u)` is not searched again.
     pub fn routing_view(&self) -> &RoutingView {
         self.derived().routing.get_or_init(|| {
             let Preprocessed {
-                dormant, routing, ..
+                dormant,
+                routing,
+                dist,
             } = preprocess::preprocess(&self.raw, &self.labels, self.center, self.k);
-            let analysis = ComponentAnalysis::analyze(&routing, self.center, self.k);
-            let mut active: Box<[(Label, NodeId)]> = analysis
-                .active_neighbors()
-                .into_iter()
-                .map(|x| (self.label(x), x))
-                .collect();
+            let analysis = ComponentAnalysis::from_distances(&routing, self.center, self.k, dist);
+            // The roots of the active components, in one block, sorted
+            // once, by label.
+            let mut active = Vec::with_capacity(analysis.active_degree());
+            active.extend(
+                analysis
+                    .active_components()
+                    .flat_map(|c| &c.roots)
+                    .map(|&x| (self.label(x), x)),
+            );
             active.sort_unstable();
             RoutingView {
                 dormant,
                 sub: routing,
                 analysis,
-                active,
+                active: active.into_boxed_slice(),
             }
         })
     }
@@ -620,6 +627,140 @@ impl fmt::Debug for LocalView {
             self.raw.node_count(),
             self.raw.edge_count()
         )
+    }
+}
+
+/// The routing view as it was built before the acyclic skip, kept as
+/// the reference the tests compare [`LocalView::routing_view`] and
+/// [`LocalView::raw_analysis`] with: the dormant pass on every view,
+/// `G'_k(u)` re-extracted through its mask, and a component analysis
+/// that searches `G'_k(u)` again and sorts each component's members.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::RoutingView;
+    use crate::preprocess::{self, Preprocessed};
+    use crate::LocalView;
+    use locality_graph::components::{ComponentAnalysis, LocalComponent};
+    use locality_graph::dist::UNREACHED;
+    use locality_graph::{Label, NodeId, Subgraph};
+
+    /// `view.routing_view()` built the old way.
+    pub(crate) fn routing_view(view: &LocalView) -> RoutingView {
+        let Preprocessed {
+            dormant, routing, ..
+        } = preprocess::preprocess_reference(view.raw(), view.labels(), view.center(), view.k());
+        let analysis = analyze(&routing, view.center(), view.k());
+        // `ComponentAnalysis::active_neighbors` as it was: the roots of
+        // the active components, sorted by id.
+        let mut active_neighbors: Vec<NodeId> = analysis
+            .active_components()
+            .flat_map(|c| c.roots.iter().copied())
+            .collect();
+        active_neighbors.sort_unstable();
+        let mut active: Box<[(Label, NodeId)]> = active_neighbors
+            .into_iter()
+            .map(|x| (view.label(x), x))
+            .collect();
+        active.sort_unstable();
+        RoutingView {
+            dormant,
+            sub: routing,
+            analysis,
+            active,
+        }
+    }
+
+    /// `ComponentAnalysis::analyze` as it was: one BFS, one backward
+    /// pass over its order, and one flood whose members are sorted and
+    /// then filtered into each list.
+    pub(crate) fn analyze(view: &Subgraph, center: NodeId, k: u32) -> ComponentAnalysis {
+        assert!(
+            view.contains_node(center),
+            "centre {center} missing from view"
+        );
+        let n = view.node_count();
+        let (mut dist, mut order) = (Vec::new(), Vec::new());
+        view.bfs_slots(center, u32::MAX, |_, _| true, &mut dist, &mut order);
+        let c = view.slot_of(center).unwrap_or_default();
+
+        // On-path vertices (see `locality_graph::components`): walking
+        // the BFS order backwards visits every vertex after all its DAG
+        // successors.
+        let mut on_path = vec![false; n];
+        for &x in order.iter().rev() {
+            let x = x as usize;
+            if x == c || (dist[x] != k && !on_path[x]) {
+                continue;
+            }
+            on_path[x] = true;
+            for &y in view.neighbor_slots(x) {
+                if dist[y as usize] + 1 == dist[x] {
+                    on_path[y as usize] = true;
+                }
+            }
+        }
+
+        // One flood of the view minus the centre. Scanning slots in
+        // ascending order meets each component first at its smallest
+        // member, so components come out sorted by their smallest id.
+        // Stray members the centre cannot reach (impossible in a
+        // genuine k-neighbourhood) are skipped.
+        let mut seen = vec![false; n];
+        let mut per_depth = vec![0u32; n];
+        let mut stack = Vec::new();
+        let mut components = Vec::new();
+        for first in 0..n {
+            if first == c || seen[first] || dist[first] == UNREACHED {
+                continue;
+            }
+            let mut members = Vec::new();
+            seen[first] = true;
+            stack.push(first);
+            while let Some(x) = stack.pop() {
+                members.push(x);
+                for &y in view.neighbor_slots(x) {
+                    let y = y as usize;
+                    if y != c && !seen[y] {
+                        seen[y] = true;
+                        stack.push(y);
+                    }
+                }
+            }
+            members.sort_unstable();
+            let ids = |keep: &dyn Fn(usize) -> bool| -> Vec<NodeId> {
+                members
+                    .iter()
+                    .filter(|&&x| keep(x))
+                    .map(|&x| view.id_of(x))
+                    .collect()
+            };
+            let depth_k_nodes = ids(&|x| dist[x] == k);
+            let constraint_vertices = if depth_k_nodes.is_empty() {
+                Vec::new()
+            } else {
+                for &x in members.iter().filter(|&&x| on_path[x]) {
+                    per_depth[dist[x] as usize] += 1;
+                }
+                let unique = ids(&|x| on_path[x] && per_depth[dist[x] as usize] == 1);
+                for &x in members.iter().filter(|&&x| on_path[x]) {
+                    per_depth[dist[x] as usize] = 0;
+                }
+                unique
+            };
+            components.push(LocalComponent {
+                nodes: ids(&|_| true),
+                // The centre's neighbours are exactly the depth-1 nodes.
+                roots: ids(&|x| dist[x] == 1),
+                depth_k_nodes,
+                constraint_vertices,
+            });
+        }
+        ComponentAnalysis {
+            center,
+            k,
+            components,
+            dist,
+        }
     }
 }
 
@@ -1062,6 +1203,113 @@ mod tests {
         let rv2 = v.routing_view() as *const RoutingView;
         assert_eq!(rv1, rv2, "routing view must be computed once");
         assert_eq!(v.routing_view().dormant.len(), 1);
+    }
+
+    /// Checks every view of `g` at `k`, with node ids permuted under two
+    /// seeds, against the [`reference`] pipeline, field by field, and
+    /// its raw analysis against the reference analysis of the raw view.
+    /// Returns how many views were trees (which skip the dormant pass),
+    /// cyclic with nothing dormant, and with dormant edges (both of
+    /// which run the pass and the masked rebuild).
+    fn assert_matches_reference(g: &Graph, k: u32, what: &str) -> [usize; 3] {
+        use locality_graph::permute;
+        use locality_graph::rng::DetRng;
+        let mut arms = [0; 3];
+        for seed in [1u64, 2] {
+            let (pg, _) = permute::random_permute_nodes(g, &mut DetRng::seed_from_u64(seed));
+            for u in pg.nodes() {
+                let view = LocalView::extract(&pg, u, k);
+                let ctx = format!("{what}, seed {seed}, centre {u}, k = {k}");
+                let (got, want) = (view.routing_view(), reference::routing_view(&view));
+                assert_eq!(got.dormant, want.dormant, "{ctx}: dormant edges");
+                assert_eq!(got.sub, want.sub, "{ctx}: G'_k(u)");
+                let (a, b) = (&got.analysis, &want.analysis);
+                assert_eq!(a.components.len(), b.components.len(), "{ctx}");
+                for (c, d) in a.components.iter().zip(&b.components) {
+                    assert_eq!(c.nodes, d.nodes, "{ctx}: component nodes");
+                    assert_eq!(c.roots, d.roots, "{ctx}: roots");
+                    assert_eq!(c.depth_k_nodes, d.depth_k_nodes, "{ctx}: depth-k nodes");
+                    assert_eq!(
+                        c.constraint_vertices, d.constraint_vertices,
+                        "{ctx}: constraint vertices"
+                    );
+                }
+                assert_eq!(a.dist, b.dist, "{ctx}: dist'");
+                assert_eq!(got.active(), want.active(), "{ctx}: active neighbours");
+                assert_eq!(got, &want, "{ctx}: routing view");
+                let raw = reference::analyze(view.raw(), u, k);
+                assert_eq!(view.raw_analysis(), &raw, "{ctx}: raw analysis");
+                let tree = view.raw().edge_count() + 1 == view.node_count();
+                arms[if tree {
+                    0
+                } else if want.dormant.is_empty() {
+                    1
+                } else {
+                    2
+                }] += 1;
+            }
+        }
+        arms
+    }
+
+    #[test]
+    fn routing_view_matches_the_reference_arm_by_arm() {
+        use locality_adversary::tight;
+        use locality_graph::permute;
+        use locality_graph::rng::DetRng;
+
+        // Trees: the tight families at k = n/4, and C_{2k+1}, whose
+        // views are paths because the far edge is hidden.
+        for n in [28, 64, 128] {
+            for (name, inst) in [("fig13", tight::fig13(n)), ("fig17", tight::fig17(n))] {
+                let arms = assert_matches_reference(&inst.graph, inst.k, &format!("{name}({n})"));
+                assert!(arms[0] > 0, "{name}({n}) has no tree view: {arms:?}");
+                if n == 128 {
+                    // Labels travel with the nodes, so these counts hold
+                    // under every permutation tight-matrix draws.
+                    let trees = if name == "fig13" { 128 } else { 52 };
+                    let want = [2 * trees, 0, 2 * (128 - trees)];
+                    assert_eq!(arms, want, "{name}(128), both seeds");
+                }
+            }
+        }
+        for k in [1, 2, 3, 5] {
+            let n = 2 * k as usize + 1;
+            let arms = assert_matches_reference(&generators::cycle(n), k, "odd cycle");
+            assert_eq!(arms, [2 * n, 0, 0], "C_{n} at k = {k}");
+        }
+
+        // Cyclic with nothing dormant: a cycle behind a bridge that
+        // ranks below every cycle edge.
+        let g = permute::reverse_labels(&generators::lollipop(6, 3));
+        let arms = assert_matches_reference(&g, 4, "reversed lollipop(6, 3)");
+        assert!(
+            arms[1] > 0,
+            "no cyclic view without dormant edges: {arms:?}"
+        );
+
+        // Dormant edges: relabelled `random_mixed` graphs (as
+        // `random_suite` draws them), `random_connected` graphs and
+        // complete graphs.
+        let mut rng = DetRng::seed_from_u64(34);
+        let mut dormant = 0;
+        for _ in 0..8 {
+            let n = rng.gen_range(6..16usize);
+            let g = permute::random_relabel(&generators::random_mixed(n, &mut rng), &mut rng);
+            for k in [1, 2, (n as u32 / 4).max(2)] {
+                dormant += assert_matches_reference(&g, k, "random_mixed")[2];
+            }
+        }
+        for (n, extra, k) in [(24, 10, 3u32), (40, 20, 5), (60, 30, 2)] {
+            let g = generators::random_connected(n, extra, &mut rng);
+            dormant += assert_matches_reference(&g, k, "random_connected")[2];
+        }
+        for n in [5, 8, 12] {
+            for k in 1..=3 {
+                dormant += assert_matches_reference(&generators::complete(n), k, "complete")[2];
+            }
+        }
+        assert!(dormant > 0, "no view with dormant edges");
     }
 
     #[test]

@@ -33,13 +33,44 @@
 //!
 //! The on-path vertices are what a walk backwards from the depth-`k`
 //! vertices along the BFS DAG (edges from depth `d - 1` to depth `d`)
-//! reaches, so [`ComponentAnalysis::analyze`] finds every component's
-//! constraint vertices with one BFS, one backward pass and one flood of
-//! `G_k(u) \ {u}`: O(view), with every array sized by the member count.
+//! reaches, so every component's constraint vertices take one backward
+//! walk and one flood of `G_k(u) \ {u}`: O(view), with every array sized
+//! by the member count.
+//!
+//! ### Distances handed in, one flood, lists in slot order
+//!
+//! The analysis needs the distances from `u`, not a search of its own:
+//! [`ComponentAnalysis::from_distances`] takes them slot-aligned, as the
+//! search that built or checked the view left them, and
+//! [`ComponentAnalysis::analyze`] is one BFS in front of it. The routing
+//! view hands in `dist'` from preprocessing, so `G'_k(u)` is never
+//! searched a second time.
+//!
+//! One flood labels every slot with its component, numbering the
+//! components by their smallest slot. Right after a component's flood
+//! its on-path members are counted per depth, its constraint vertices
+//! marked and the counts reset, so each component sees only its own.
+//! One pass over the slots in ascending order then appends each member
+//! to its component's lists, which therefore come out in id order (slot
+//! order is id order) with no sort, each filled into a block counted to
+//! its final size.
 
 use crate::dist::UNREACHED;
 use crate::labels::NodeId;
 use crate::subgraph::Subgraph;
+
+/// A slot off every active path, in [`ComponentAnalysis::from_distances`].
+const OFF_PATH: u8 = 0;
+/// A slot on some active path that is not a constraint vertex.
+const ON_PATH: u8 = 1;
+/// A constraint vertex: the only on-path slot of its component at its
+/// depth.
+const CONSTRAINT: u8 = 2;
+
+/// Component label of a slot no flood has reached.
+const UNSEEN: u32 = u32::MAX;
+/// Component label of the centre, which belongs to no component.
+const CENTRE: u32 = u32::MAX - 1;
 
 /// One local component of a node's k-neighbourhood.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -83,7 +114,7 @@ impl LocalComponent {
 }
 
 /// The full local-component decomposition of a view around its centre.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ComponentAnalysis {
     /// The centre node `u`.
     pub center: NodeId,
@@ -99,91 +130,152 @@ pub struct ComponentAnalysis {
 
 impl ComponentAnalysis {
     /// Decomposes `view` (assumed to be a k-neighbourhood of `center`,
-    /// raw `G_k(u)` or preprocessed `G'_k(u)`) into local components.
+    /// raw `G_k(u)` or preprocessed `G'_k(u)`) into local components:
+    /// one BFS from the centre, whose distances
+    /// [`from_distances`](Self::from_distances) reads.
     ///
     /// # Panics
     ///
     /// Panics if `center` is not a node of `view`.
     pub fn analyze(view: &Subgraph, center: NodeId, k: u32) -> ComponentAnalysis {
+        let (mut dist, mut order) = (Vec::new(), Vec::with_capacity(view.node_count()));
+        view.bfs_slots(center, u32::MAX, |_, _| true, &mut dist, &mut order);
+        ComponentAnalysis::from_distances(view, center, k, dist)
+    }
+
+    /// Decomposes `view` into local components, given the distances
+    /// from `center` that a search of `view` already found:
+    /// `dist[view.slot_of(x)]` is the distance to `x` within `view`, or
+    /// [`UNREACHED`] for a member the centre cannot reach, as
+    /// [`Subgraph::bfs_slots`] leaves them. A search cut off at depth
+    /// `k` serves when it reached every member. The analysis keeps
+    /// `dist` as its [`dist`](Self::dist).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `center` is not a node of `view`, or if `dist` does not
+    /// hold one distance per member.
+    pub fn from_distances(
+        view: &Subgraph,
+        center: NodeId,
+        k: u32,
+        dist: Vec<u32>,
+    ) -> ComponentAnalysis {
         assert!(
             view.contains_node(center),
             "centre {center} missing from view"
         );
         let n = view.node_count();
-        let (mut dist, mut order) = (Vec::new(), Vec::new());
-        view.bfs_slots(center, u32::MAX, |_, _| true, &mut dist, &mut order);
+        assert_eq!(dist.len(), n, "one distance per member of the view");
         let c = view.slot_of(center).unwrap_or_default();
 
-        // On-path vertices (see the module docs): walking the BFS order
-        // backwards visits every vertex after all its DAG successors.
-        let mut on_path = vec![false; n];
-        for &x in order.iter().rev() {
-            let x = x as usize;
-            if x == c || (dist[x] != k && !on_path[x]) {
-                continue;
+        // On-path vertices (see the module docs): everything a walk back
+        // along the BFS DAG from the depth-k vertices reaches, the
+        // centre aside. The walk's stack is the flood's queue below.
+        let mut on_path = vec![OFF_PATH; n];
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        for x in 0..n {
+            if x != c && dist[x] == k {
+                on_path[x] = ON_PATH;
+                queue.push(x as u32);
             }
-            on_path[x] = true;
+        }
+        while let Some(x) = queue.pop() {
+            let x = x as usize;
             for &y in view.neighbor_slots(x) {
-                if dist[y as usize] + 1 == dist[x] {
-                    on_path[y as usize] = true;
+                let y = y as usize;
+                if y != c && on_path[y] == OFF_PATH && dist[y].saturating_add(1) == dist[x] {
+                    on_path[y] = ON_PATH;
+                    queue.push(y as u32);
                 }
             }
         }
 
-        // One flood of the view minus the centre. Scanning slots in
-        // ascending order meets each component first at its smallest
+        // One flood labels every slot with its component. Scanning slots
+        // in ascending order meets each component first at its smallest
         // member, so components come out sorted by their smallest id.
-        // Stray members the centre cannot reach (impossible in a
-        // genuine k-neighbourhood) are skipped.
-        let mut seen = vec![false; n];
+        // Stray members the centre cannot reach (impossible in a genuine
+        // k-neighbourhood) are skipped. The centre holds a label that
+        // names no component, so no flood enters it.
+        let mut label = vec![UNSEEN; n];
+        if let Some(l) = label.get_mut(c) {
+            *l = CENTRE;
+        }
         let mut per_depth = vec![0u32; n];
-        let mut stack = Vec::new();
-        let mut components = Vec::new();
+        // Each component holds a neighbour of the centre.
+        let mut components = Vec::with_capacity(view.neighbor_slots(c).len());
         for first in 0..n {
-            if first == c || seen[first] || dist[first] == UNREACHED {
+            if label.get(first) != Some(&UNSEEN) || dist[first] == UNREACHED {
                 continue;
             }
-            let mut members = Vec::new();
-            seen[first] = true;
-            stack.push(first);
-            while let Some(x) = stack.pop() {
-                members.push(x);
-                for &y in view.neighbor_slots(x) {
-                    let y = y as usize;
-                    if y != c && !seen[y] {
-                        seen[y] = true;
-                        stack.push(y);
+            let id = components.len() as u32;
+            queue.clear();
+            queue.push(first as u32);
+            if let Some(l) = label.get_mut(first) {
+                *l = id;
+            }
+            let mut head = 0;
+            while let Some(&x) = queue.get(head) {
+                head += 1;
+                for &y in view.neighbor_slots(x as usize) {
+                    if let Some(l) = label.get_mut(y as usize).filter(|l| **l == UNSEEN) {
+                        *l = id;
+                        queue.push(y);
                     }
                 }
             }
-            members.sort_unstable();
-            let ids = |keep: &dyn Fn(usize) -> bool| -> Vec<NodeId> {
-                members
-                    .iter()
-                    .filter(|&&x| keep(x))
-                    .map(|&x| view.id_of(x))
-                    .collect()
-            };
-            let depth_k_nodes = ids(&|x| dist[x] == k);
-            let constraint_vertices = if depth_k_nodes.is_empty() {
-                Vec::new()
-            } else {
-                for &x in members.iter().filter(|&&x| on_path[x]) {
+            // `queue` holds the component's members. A constraint vertex
+            // is the only on-path member at its depth: count them per
+            // depth, mark the unique ones, then reset the counts for the
+            // next component. Only an active component has on-path
+            // members.
+            for &x in &queue {
+                let x = x as usize;
+                if on_path[x] != OFF_PATH {
                     per_depth[dist[x] as usize] += 1;
                 }
-                let unique = ids(&|x| on_path[x] && per_depth[dist[x] as usize] == 1);
-                for &x in members.iter().filter(|&&x| on_path[x]) {
+            }
+            let (mut roots, mut deep, mut constraints) = (0, 0, 0);
+            for &x in &queue {
+                let x = x as usize;
+                // The centre's neighbours are exactly the depth-1 nodes.
+                roots += usize::from(dist[x] == 1);
+                deep += usize::from(dist[x] == k);
+                if on_path[x] == ON_PATH && per_depth[dist[x] as usize] == 1 {
+                    on_path[x] = CONSTRAINT;
+                    constraints += 1;
+                }
+            }
+            for &x in &queue {
+                let x = x as usize;
+                if on_path[x] != OFF_PATH {
                     per_depth[dist[x] as usize] = 0;
                 }
-                unique
-            };
+            }
             components.push(LocalComponent {
-                nodes: ids(&|_| true),
-                // The centre's neighbours are exactly the depth-1 nodes.
-                roots: ids(&|x| dist[x] == 1),
-                depth_k_nodes,
-                constraint_vertices,
+                nodes: Vec::with_capacity(queue.len()),
+                roots: Vec::with_capacity(roots),
+                depth_k_nodes: Vec::with_capacity(deep),
+                constraint_vertices: Vec::with_capacity(constraints),
             });
+        }
+
+        // Every list filled in slot order, which is id order.
+        for (x, &l) in label.iter().enumerate() {
+            let Some(comp) = components.get_mut(l as usize) else {
+                continue;
+            };
+            let id = view.id_of(x);
+            comp.nodes.push(id);
+            if dist[x] == 1 {
+                comp.roots.push(id);
+            }
+            if dist[x] == k {
+                comp.depth_k_nodes.push(id);
+            }
+            if on_path[x] == CONSTRAINT {
+                comp.constraint_vertices.push(id);
+            }
         }
         ComponentAnalysis {
             center,
@@ -203,16 +295,6 @@ impl ComponentAnalysis {
     /// bound this by 3, 2, 1 for k ≥ n/4, n/3, n/2 respectively).
     pub fn active_degree(&self) -> usize {
         self.active_components().map(|c| c.roots.len()).sum()
-    }
-
-    /// All active neighbours of the centre, sorted by id.
-    pub fn active_neighbors(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .active_components()
-            .flat_map(|c| c.roots.iter().copied())
-            .collect();
-        v.sort_unstable();
-        v
     }
 
     /// Index of the component containing `x`, if any.

@@ -87,6 +87,7 @@ spread_gate() { # spread_gate <figure> <current> <higher|lower|exponent>
   }'
 }
 perf_bad=0
+spread_gate preprocess_ns "$(extract "$perf_now" preprocess_ns)" lower || perf_bad=1
 spread_gate delivery_matrix_ns "$(extract "$perf_now" delivery_matrix_ns)" lower || perf_bad=1
 spread_gate sim_hops_per_sec "$(extract "$perf_now" sim_hops_per_sec)" higher || perf_bad=1
 spread_gate sim_hops_per_sec_per_core "$(extract "$perf_now" sim_hops_per_sec_per_core)" higher || perf_bad=1
