@@ -2,9 +2,9 @@
 //!
 //! Builds, inspects, and verifies the versioned, checksummed view
 //! artifacts (`*.lrvo`) that [`local_routing::ViewArtifact`] defines:
-//! every node's k-neighbourhood view — subgraph, labels, distances,
-//! and the min-label first-step table — extracted offline so a
-//! simulator boot decodes blobs instead of running n BFS traversals.
+//! every node's k-neighbourhood view — subgraph, labels and the
+//! min-label first-step table — extracted offline so a simulator
+//! boot decodes blobs instead of running n BFS traversals.
 //!
 //! ```text
 //! oracle build --graph FILE --k K --out FILE.lrvo

@@ -71,16 +71,13 @@ impl LocalRouter for Alg3 {
                 max: 1,
             });
         }
+        // The analysis searched `G_k(u)`, so it holds each vertex's depth.
+        let depth = |w| view.raw().slot_of(w).and_then(|s| analysis.dist.get(s));
         let far = comp
             .constraint_vertices
             .iter()
             .copied()
-            .max_by_key(|w| {
-                (
-                    view.dist_from_center(*w).unwrap_or(0),
-                    std::cmp::Reverse(view.label(*w)),
-                )
-            })
+            .max_by_key(|&w| (depth(w), std::cmp::Reverse(view.label(w))))
             .expect("constrained component has a constraint vertex");
         let step = view.shortest_step_toward(far).ok_or_else(|| {
             RoutingError::ProtocolViolation("constraint vertex unreachable in view".into())

@@ -6,16 +6,18 @@
 //! that is a pure function of `(G, k)` and therefore wasted every time
 //! a deployment restarts. A [`ViewArtifact`] moves that work offline:
 //! an **arena-layout blob** holding one encoded payload per node (CSR
-//! view, slot-aligned labels, centre distances, min-label first-step
-//! table) behind a fixed-width offset index, so loading is one read
-//! plus an index fixup and materialising any single view is a linear
-//! decode with no graph traversal at all.
+//! view, slot-aligned labels, min-label first-step table) behind a
+//! fixed-width offset index, so loading is one read plus an index
+//! fixup and materialising any single view is a linear decode with no
+//! graph traversal at all. A payload carries no distances: a view
+//! stores none, and whatever distance a decision needs is a search of
+//! the decoded `G_k(u)`.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! ```text
 //! magic     4 bytes   "LRVO"
-//! version   u16 le    1
+//! version   u16 le    2
 //! k         u32 le    locality parameter of every payload
 //! n         u32 le    node count (payload count)
 //! edges     u64 le    edge count of the source graph (shape guard)
@@ -28,7 +30,9 @@
 //! Versioning policy: the magic identifies the file family, the
 //! version gates the payload layout; readers reject any version they
 //! do not know ([`OracleError::UnsupportedVersion`]) rather than
-//! guessing. The trailing checksum — [`codec::fnv1a_wide`], FNV-1a
+//! guessing. Version 1 payloads held a per-member distance column
+//! between the labels and the step table; a version-1 file is refused,
+//! not migrated. The trailing checksum — [`codec::fnv1a_wide`], FNV-1a
 //! applied to 64-bit words so the load-time scan costs a fraction of
 //! the byte-wise reference — covers header, index and arena, so a
 //! single flipped bit anywhere surfaces as
@@ -50,7 +54,7 @@ use crate::view::LocalView;
 /// File magic of a view artifact.
 pub const MAGIC: [u8; 4] = *b"LRVO";
 /// Current format version.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 /// Fixed header length: magic, version, k, n, edges, arena_len.
 const HEADER_LEN: usize = 4 + 2 + 4 + 4 + 8 + 8;
 /// Bytes per index entry: offset u64 + len u32.
@@ -382,7 +386,7 @@ impl ViewArtifact {
     /// Materialises node `u`'s view from the arena.
     ///
     /// Decoding validates every structural invariant (membership of
-    /// the centre, slot alignment, distance bounds, step-table slots)
+    /// the centre, member range, slot alignment, step-table slots)
     /// before any panicking constructor runs, so corrupt payloads come
     /// back as [`OracleError`], never a panic.
     pub fn decode_view(&self, u: NodeId) -> Result<LocalView, OracleError> {
@@ -400,19 +404,15 @@ impl ViewArtifact {
     }
 }
 
-/// Serialises one view: centre, CSR subgraph, slot-aligned labels and
-/// distances, then the first-step table as slot + 1 (0 = none). The
-/// table is forced before encoding so artifact consumers never pay the
-/// step BFS.
+/// Serialises one view: centre, CSR subgraph, slot-aligned labels,
+/// then the first-step table as slot + 1 (0 = none). The table is
+/// forced before encoding so artifact consumers never pay the step
+/// BFS.
 pub(crate) fn encode_view(w: &mut Writer, view: &LocalView) {
-    let raw = view.raw();
     w.put_varint(u64::from(view.center().0));
-    codec::encode_subgraph(w, raw);
+    codec::encode_subgraph(w, view.raw());
     for &l in view.labels() {
         w.put_varint(u64::from(l.value()));
-    }
-    for &x in raw.node_slice() {
-        w.put_varint(u64::from(view.dist_from_center(x).unwrap_or(0)));
     }
     for &s in view.step_table() {
         // The memo already stores the wire encoding (slot + 1, 0 =
@@ -453,23 +453,6 @@ fn decode_view_payload(
         let l = u32::try_from(l).map_err(|_| corrupt("label overflows u32"))?;
         labels.push(Label(l));
     }
-    // Distances arrive slot-aligned and the view stores them exactly
-    // that way, so decoding is one bounded varint per member.
-    let mut dists: Vec<u32> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let d = r.varint()?;
-        let d = u32::try_from(d)
-            .ok()
-            .filter(|&d| d <= k)
-            .ok_or_else(|| corrupt("distance exceeds k"))?;
-        dists.push(d);
-    }
-    let center_dist = raw
-        .slot_of(expect_center)
-        .and_then(|s| dists.get(s).copied());
-    if center_dist != Some(0) {
-        return Err(corrupt("centre distance is not zero"));
-    }
     // Steps stay in their wire encoding (slot + 1, 0 = none); only the
     // slot bound needs checking before the table is trusted.
     let mut steps: Vec<u32> = Vec::with_capacity(n);
@@ -488,7 +471,6 @@ fn decode_view_payload(
         expect_center,
         k,
         raw,
-        dists.into_boxed_slice(),
         labels.into_boxed_slice(),
         steps.into_boxed_slice(),
     ))
@@ -504,17 +486,13 @@ mod tests {
         generators::random_connected(n, n / 2, &mut DetRng::seed_from_u64(seed))
     }
 
-    /// Behavioural equality of two views: same fingerprint, distances,
-    /// step table, and routing structure.
+    /// Behavioural equality of two views: same fingerprint, step
+    /// table, raw component analysis and routing structure.
     fn assert_views_equal(a: &LocalView, b: &LocalView, ctx: &str) {
         assert_eq!(a.fingerprint(), b.fingerprint(), "{ctx}: fingerprint");
         assert_eq!(a.raw(), b.raw(), "{ctx}: raw subgraph");
+        assert_eq!(a.raw_analysis(), b.raw_analysis(), "{ctx}: raw analysis");
         for &x in a.raw().node_slice() {
-            assert_eq!(
-                a.dist_from_center(x),
-                b.dist_from_center(x),
-                "{ctx}: dist of {x}"
-            );
             assert_eq!(
                 a.shortest_step_toward(x),
                 b.shortest_step_toward(x),
@@ -608,14 +586,17 @@ mod tests {
 
     #[test]
     fn wrong_version_stamp_is_a_typed_error() {
+        // 1 is the layout with a distance column; 0x63 was never one.
         let g = sample_graph(6, 6);
-        let mut bytes = ViewArtifact::build(&g, 2).as_bytes().to_vec();
-        bytes[4] = 0x63; // version low byte
-        restamp_checksum(&mut bytes);
-        assert_eq!(
-            ViewArtifact::from_bytes(bytes).unwrap_err(),
-            OracleError::UnsupportedVersion(0x63)
-        );
+        for version in [1, 0x63] {
+            let mut bytes = ViewArtifact::build(&g, 2).as_bytes().to_vec();
+            bytes[4] = version; // version low byte
+            restamp_checksum(&mut bytes);
+            assert_eq!(
+                ViewArtifact::from_bytes(bytes).unwrap_err(),
+                OracleError::UnsupportedVersion(u16::from(version))
+            );
+        }
     }
 
     #[test]
@@ -650,7 +631,7 @@ mod tests {
         let mut bytes = ViewArtifact::build(&generators::cycle(16), 2)
             .as_bytes()
             .to_vec();
-        assert_eq!(bytes.len(), 790);
+        assert_eq!(bytes.len(), 710);
         // Node 0's payload: centre, member count 5, five gap-coded ids,
         // then its degree run, whose first four bytes become one
         // varint of 2^27 - 1.
@@ -719,8 +700,8 @@ mod tests {
         w.put_varint(1);
         w.put_varint(1);
         w.put_varint(0);
-        for v in [0, 1, 0, 1, 0, 2] {
-            w.put_varint(v); // labels, distances, steps
+        for v in [0, 1, 0, 2] {
+            w.put_varint(v); // labels, steps
         }
         assert_eq!(
             decode_view_payload(w.as_bytes(), NodeId(0), 1, 2048).unwrap_err(),
@@ -731,103 +712,26 @@ mod tests {
         );
     }
 
-    /// A payload of `view` as [`encode_view`] writes it, but with `dists`
-    /// in place of the view's distances.
-    fn payload_claiming(view: &LocalView, dists: &[u32]) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_varint(u64::from(view.center().0));
-        codec::encode_subgraph(&mut w, view.raw());
-        for &l in view.labels() {
-            w.put_varint(u64::from(l.value()));
-        }
-        for &d in dists {
-            w.put_varint(u64::from(d));
-        }
-        for &s in view.step_table() {
-            w.put_varint(u64::from(s));
-        }
-        w.as_bytes().to_vec()
-    }
-
-    /// Preprocessing reads a decoded view's edges, never the distances
-    /// its payload claims: two payloads of one subgraph, one with its
-    /// true distances and one with others that pass decoding (all at
-    /// most k, the centre at 0), give the same routing view and raw
-    /// analysis, and those of the reference pipeline. So do hand-built
-    /// payloads whose claims hide a triangle, a member beyond k, or a
-    /// cycle in a view with m = n − 1.
+    /// Preprocessing reads a decoded view's edges alone, and decoding
+    /// does not check that they form a k-neighbourhood. Hand-built
+    /// payloads, centre 0 and labels equal to ids, whose edges hide a
+    /// triangle, a member beyond k, or a cycle in a view with m = n − 1
+    /// give the routing view and raw analysis of the reference
+    /// pipeline. The triangle 0-1-2 at k = 1 has nothing dormant, yet
+    /// its edge 1-2 joins two depth-k members and must leave G'_k(u).
+    /// The path 0-1-2-3 at k = 2 is a tree with member 3 beyond k. The
+    /// 4-cycle 0-1-2-3 beside the edge 4-5 at k = 2 has m = n − 1 but
+    /// is no tree.
     #[test]
-    fn claimed_distances_never_steer_preprocessing() {
+    fn forged_views_preprocess_as_the_reference() {
         use crate::view::reference;
-        use locality_adversary::tight;
 
-        let mut cases: Vec<(Graph, u32)> = vec![
-            (tight::fig13(28).graph, 7),
-            (tight::fig17(28).graph, 7),
-            (generators::cycle(9), 4),
-            (
-                locality_graph::permute::reverse_labels(&generators::lollipop(6, 3)),
-                4,
-            ),
-        ];
-        for (seed, n) in [(1, 16), (2, 24)] {
-            cases.push((sample_graph(seed, n), 3));
-        }
-        let mut lies = 0;
-        for (g, k) in &cases {
-            let nodes = g.node_count() as u32;
-            for u in g.nodes() {
-                let view = LocalView::extract(g, u, *k);
-                let truth: Vec<u32> = view
-                    .raw()
-                    .node_slice()
-                    .iter()
-                    .map(|&x| view.dist_from_center(x).expect("a member"))
-                    .collect();
-                // Every member but the centre claims to sit at depth k.
-                let lie: Vec<u32> = truth.iter().map(|&d| if d == 0 { 0 } else { *k }).collect();
-                lies += usize::from(lie != truth);
-                let decode = |dists: &[u32]| {
-                    decode_view_payload(&payload_claiming(&view, dists), u, *k, nodes)
-                        .expect("the claims pass decoding")
-                };
-                let (honest, lying) = (decode(&truth), decode(&lie));
-                assert_eq!(lying.dist_from_center(u), Some(0));
-                assert_eq!(honest.routing_view(), lying.routing_view(), "centre {u}");
-                assert_eq!(honest.raw_analysis(), lying.raw_analysis(), "centre {u}");
-                assert_eq!(
-                    lying.routing_view(),
-                    &reference::routing_view(&lying),
-                    "centre {u}"
-                );
-                assert_eq!(
-                    lying.raw_analysis(),
-                    &reference::analyze(lying.raw(), u, *k),
-                    "centre {u}"
-                );
-            }
-        }
-        assert!(lies > 0, "no view claimed false distances");
-
-        // Forged views, centre 0 and labels equal to ids, whose claimed
-        // depths (all at most k) hide what their edges say. The triangle
-        // 0-1-2 at k = 1 has nothing dormant, yet its edge 1-2 joins two
-        // depth-k members and must leave G'_k(u). The path 0-1-2-3 at
-        // k = 2 is a tree with member 3 beyond k. The 4-cycle 0-1-2-3
-        // beside the edge 4-5 at k = 2 has m = n − 1 but is no tree.
         let forged = [
-            (&[(0, 1), (1, 2), (0, 2)][..], 1, &[0, 1, 1][..], 2, 0),
-            (&[(0, 1), (1, 2), (2, 3)], 2, &[0, 1, 2, 2], 2, 0),
-            (
-                &[(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)],
-                2,
-                &[0, 1, 2, 1, 1, 2],
-                2,
-                1,
-            ),
+            (&[(0, 1), (1, 2), (0, 2)][..], 1, 3, 2, 0),
+            (&[(0, 1), (1, 2), (2, 3)], 2, 4, 2, 0),
+            (&[(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)], 2, 6, 2, 1),
         ];
-        for (edges, k, dists, routing_edges, dormant) in forged {
-            let n = dists.len() as u32;
+        for (edges, k, n, routing_edges, dormant) in forged {
             let mut b = locality_graph::SubgraphBuilder::new();
             for x in 0..n {
                 b.insert_node(NodeId(x));
@@ -838,12 +742,12 @@ mod tests {
             let mut w = Writer::new();
             w.put_varint(0);
             codec::encode_subgraph(&mut w, &b.build());
-            let steps = std::iter::repeat_n(0, dists.len());
-            for v in (0..u64::from(n)).chain(dists.iter().copied()).chain(steps) {
-                w.put_varint(v); // labels, claimed distances, steps
+            let steps = std::iter::repeat_n(0, n as usize);
+            for v in (0..u64::from(n)).chain(steps) {
+                w.put_varint(v); // labels, steps
             }
             let view = decode_view_payload(w.as_bytes(), NodeId(0), k, n)
-                .expect("the claims pass decoding");
+                .expect("the payload passes decoding");
             let rv = view.routing_view();
             assert_eq!(rv, &reference::routing_view(&view), "{edges:?}");
             assert_eq!(rv.sub.edge_count(), routing_edges, "{edges:?}: G'_k(u)");

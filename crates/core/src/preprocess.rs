@@ -82,10 +82,9 @@
 //! re-extraction would keep every member and edge: `G'_k(u)` is the
 //! view, copied, and the search's distances are `dist'`. The edge list,
 //! its rank sort, the relaxations and the masked rebuild never run. The
-//! decision reads the view's edges, never the distances stored beside
-//! it ([`crate::LocalView`]'s table): a decoded artifact only claims
-//! those, and decoding checks little more than "at most `k`" and
-//! "centre at 0". Every view at k = 1 is a tree, a star: its members
+//! decision reads the view's edges alone: a view, extracted or decoded
+//! from an artifact, stores no distances. Every view at k = 1 is a
+//! tree, a star: its members
 //! are `u` and `u`'s neighbours, and an edge between two neighbours
 //! joins two depth-k members, which the view leaves out. So are all 128
 //! views of Fig. 13 and 52 of the 128 of Fig. 17 at n = 128.
@@ -427,7 +426,7 @@ mod tests {
 
     /// At every node of `g`: the pass marks what the per-edge reference
     /// marks, and `G'_k(u)` with its distances is what extraction over
-    /// the view minus those edges gives.
+    /// the view minus those edges, and a search of the result, give.
     fn assert_matches_per_edge_bfs(g: &Graph, k: u32, what: &str) {
         for u in g.nodes() {
             let view = neighborhood::k_neighborhood(g, u, k);
@@ -438,7 +437,9 @@ mod tests {
             let kept = FilteredTopology::new(&view, |a: NodeId, b: NodeId| {
                 !want.contains(&edge_key(a, b))
             });
-            let (routing, dist) = neighborhood::k_neighborhood_with_distances(&kept, u, k);
+            let routing = neighborhood::k_neighborhood(&kept, u, k);
+            let (mut dist, mut order) = (Vec::new(), Vec::new());
+            routing.bfs_slots(u, k, |_, _| true, &mut dist, &mut order);
             assert_eq!(p.routing, routing, "{what}: G'_k at {u}, k = {k}");
             assert_eq!(p.dist, dist, "{what}: dist' at {u}, k = {k}");
         }

@@ -19,10 +19,12 @@ use crate::preprocess::{self, EdgeKey, Preprocessed};
 /// hops — locality is a type-level guarantee, not a convention.
 ///
 /// Internally the view is flat and sized by what it can see, never by
-/// the parent graph: labels and centre distances are exact-size blocks
-/// aligned with the raw subgraph's slot order, beside the subgraph's
-/// own two blocks, so an extracted view keeps four heap blocks and a
-/// 112-byte struct. The derived structure sits behind one boxed cache
+/// the parent graph: the labels are one exact-size block aligned with
+/// the raw subgraph's slot order, beside the subgraph's own two blocks,
+/// so an extracted view keeps three heap blocks and a 96-byte struct.
+/// It stores no distances: any distance a decision needs is a search of
+/// `G_k(u)`, as [`raw_analysis`](Self::raw_analysis) and the first-step
+/// table each run. The derived structure sits behind one boxed cache
 /// that is allocated on first use: the label→slot lookup (a hashed
 /// index of slots, probed linearly), the [`RoutingView`], Algorithm
 /// 1B's shelter pivots and the raw component analysis. Routers that
@@ -38,9 +40,6 @@ pub struct LocalView {
     raw: Subgraph,
     /// `labels[raw.slot_of(x)]` is the label of visible node `x`.
     labels: Box<[Label]>,
-    /// `dists[raw.slot_of(x)]` is the distance from the centre to `x`;
-    /// every member of `G_k(u)` is reached, so the table is total.
-    dists: Box<[u32]>,
     /// All-targets memo for [`shortest_step_toward`](Self::shortest_step_toward),
     /// indexed by the target's raw slot and packed as the step's slot
     /// plus one (`0` = no step) — the artifact wire encoding, so
@@ -179,23 +178,20 @@ impl RoutingView {
 
 impl LocalView {
     /// Extracts `G_k(u)` (with labels) from `graph`. Allocates the
-    /// view's four blocks, each once at its final size, and nothing
+    /// view's three blocks, each once at its final size, and nothing
     /// else once the thread has extracted a view before.
     ///
     /// # Panics
     ///
     /// Panics if `u` is not a node of `graph`.
     pub fn extract(graph: &Graph, u: NodeId, k: u32) -> LocalView {
-        let (raw, dists) = neighborhood::k_neighborhood_with_distances(graph, u, k);
+        let raw = neighborhood::k_neighborhood(graph, u, k);
         let labels = raw.node_slice().iter().map(|&x| graph.label(x)).collect();
         LocalView {
             center: u,
             k,
             raw,
             labels,
-            // One distance per member: the Vec is full, so boxing it
-            // keeps the allocation as it is.
-            dists: dists.into_boxed_slice(),
             steps: OnceLock::new(),
             derived: OnceLock::new(),
         }
@@ -206,7 +202,7 @@ impl LocalView {
     /// table in raw slot order; it seeds the [`step_table`] memo so a
     /// decoded view never re-runs that BFS. The caller
     /// ([`crate::oracle`]) has validated that the parts are mutually
-    /// consistent — slot-aligned `labels` and `dists` covering
+    /// consistent — slot-aligned `labels` and `steps` covering
     /// exactly the members — before constructing.
     ///
     /// [`step_table`]: Self::step_table
@@ -214,7 +210,6 @@ impl LocalView {
         center: NodeId,
         k: u32,
         raw: Subgraph,
-        dists: Box<[u32]>,
         labels: Box<[Label]>,
         steps: Box<[u32]>,
     ) -> LocalView {
@@ -223,7 +218,6 @@ impl LocalView {
             k,
             raw,
             labels,
-            dists,
             steps: OnceLock::from(steps),
             derived: OnceLock::new(),
         }
@@ -327,12 +321,6 @@ impl LocalView {
     /// Whether any visible node carries label `l`.
     pub fn contains_label(&self, l: Label) -> bool {
         self.slot_by_label(l).is_some()
-    }
-
-    /// Distance from the centre within the view, if `x` is visible.
-    pub fn dist_from_center(&self, x: NodeId) -> Option<u32> {
-        let slot = self.raw.slot_of(x)?;
-        self.dists.get(slot).copied()
     }
 
     /// Neighbours of the centre in `G_k(u)`, sorted by node id.
@@ -755,12 +743,7 @@ pub(crate) mod reference {
                 constraint_vertices,
             });
         }
-        ComponentAnalysis {
-            center,
-            k,
-            components,
-            dist,
-        }
+        ComponentAnalysis { components, dist }
     }
 }
 
@@ -771,9 +754,9 @@ mod tests {
 
     #[test]
     fn view_struct_stays_small() {
-        // Centre, k, the subgraph's two blocks, labels, distances, the
-        // step table's cell and one pointer for every other cache.
-        assert!(std::mem::size_of::<LocalView>() <= 128);
+        // Centre, k, the subgraph's two blocks, labels, the step
+        // table's cell and one pointer for every other cache.
+        assert!(std::mem::size_of::<LocalView>() <= 96);
     }
 
     #[test]
@@ -784,7 +767,8 @@ mod tests {
         assert_eq!(v.k(), 3);
         assert_eq!(v.node_count(), 7);
         assert_eq!(v.center_label(), Label(0));
-        assert_eq!(v.dist_from_center(NodeId(8)), Some(2));
+        let slot = v.raw().slot_of(NodeId(8)).unwrap();
+        assert_eq!(v.raw_analysis().dist[slot], 2);
         assert_eq!(v.node_by_label(Label(9)), Some(NodeId(9)));
         assert!(!v.contains_label(Label(5)));
     }

@@ -1,5 +1,5 @@
 //! Allocation bounded by input size on a corrupt `.lrvo` payload: a
-//! degree run that claims 2^27 - 1 edge ends in a 790-byte artifact is
+//! degree run that claims 2^27 - 1 edge ends in a 710-byte artifact is
 //! rejected before any block is sized by that claim.
 //!
 //! The artifact is `ViewArtifact::build(&cycle(16), 2)` with the first
@@ -62,7 +62,7 @@ fn a_degree_sum_past_the_payload_allocates_nothing_sized_by_it() {
     let mut bytes = ViewArtifact::build(&generators::cycle(16), 2)
         .as_bytes()
         .to_vec();
-    assert_eq!(bytes.len(), 790);
+    assert_eq!(bytes.len(), 710);
     // Node 0's payload: centre, member count 5, five gap-coded ids, then
     // its degree run.
     let index = bytes.get(HEADER_LEN..HEADER_LEN + 8).expect("index entry");

@@ -116,10 +116,6 @@ impl LocalComponent {
 /// The full local-component decomposition of a view around its centre.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ComponentAnalysis {
-    /// The centre node `u`.
-    pub center: NodeId,
-    /// The locality parameter the view was built with.
-    pub k: u32,
     /// All local components, sorted by their smallest node id.
     pub components: Vec<LocalComponent>,
     /// Distances from the centre within the view, slot-aligned with it:
@@ -277,12 +273,7 @@ impl ComponentAnalysis {
                 comp.constraint_vertices.push(id);
             }
         }
-        ComponentAnalysis {
-            center,
-            k,
-            components,
-            dist,
-        }
+        ComponentAnalysis { components, dist }
     }
 
     /// The active components, in storage order.

@@ -32,8 +32,12 @@ use crate::traversal::{Ball, Topology};
 /// Extracts `G_k(u)` from `topo` as a [`Subgraph`].
 ///
 /// Works on any [`Topology`], so it can also re-extract a neighbourhood
-/// from an already-filtered routing view (used to build `G'_k(u)` after
-/// dormant edges are removed).
+/// from an already-filtered view: the tests build `G'_k(u)` that way as
+/// the reference for [`k_neighborhood_masked`].
+///
+/// The work is proportional to the view, not to `topo`: the ball of
+/// radius `k` around `u` comes from the thread's reusable [`Ball`], and
+/// the CSR is laid out directly in slots from it.
 ///
 /// # Example
 ///
@@ -51,42 +55,10 @@ use crate::traversal::{Ball, Topology};
 /// assert_eq!(view.edge_count(), 8);
 /// ```
 pub fn k_neighborhood<T: Topology + ?Sized>(topo: &T, u: NodeId, k: u32) -> Subgraph {
-    k_neighborhood_with_distances(topo, u, k).0
-}
-
-/// `G_k(u)` together with the BFS distances from `u` in slot order:
-/// `dists[view.slot_of(x)]` is `dist(u, x)`, which every consumer of a
-/// view wants anyway.
-///
-/// The work is proportional to the view, not to `topo`: the ball of
-/// radius `k` around `u` comes from the thread's reusable [`Ball`], and
-/// the CSR is laid out directly in slots from it. The distances are
-/// the ones the extraction BFS computed: distances within `G_k(u)`
-/// equal distances within `G` truncated at depth `k`, because every
-/// prefix of a shortest path of length `<= k` lies in the view by the
-/// edge-membership rule. (A debug assertion re-checks this equivalence
-/// in debug builds.)
-pub fn k_neighborhood_with_distances<T: Topology + ?Sized>(
-    topo: &T,
-    u: NodeId,
-    k: u32,
-) -> (Subgraph, Vec<u32>) {
-    let (sub, dists) = Ball::with(|ball| {
+    Ball::with(|ball| {
         ball.search(topo, u, k);
         from_ball(topo, ball, k)
-    });
-    debug_assert!(
-        Ball::with(|ball| {
-            ball.search(&sub, u, k);
-            ball.len() == dists.len()
-                && ball
-                    .members()
-                    .iter()
-                    .all(|&(x, d)| sub.slot_of(x).and_then(|s| dists.get(s)) == Some(&d))
-        }),
-        "distances in G truncated at k must equal distances within G_k(u)"
-    );
-    (sub, dists)
+    })
 }
 
 #[cfg(test)]
@@ -97,10 +69,9 @@ thread_local! {
 }
 
 /// Builds `G_k(u)` from a finished radius-`k` search around `u`. The
-/// members, the CSR block and the distances are each allocated once,
-/// at their final size; everything else lives in the thread's
-/// [`Scratch`].
-fn from_ball<T: Topology + ?Sized>(topo: &T, ball: &Ball, k: u32) -> (Subgraph, Vec<u32>) {
+/// members and the CSR block are each allocated once, at their final
+/// size; everything else lives in the thread's [`Scratch`].
+fn from_ball<T: Topology + ?Sized>(topo: &T, ball: &Ball, k: u32) -> Subgraph {
     Scratch::with(|scratch| {
         let Scratch {
             by_id,
@@ -121,26 +92,21 @@ fn from_ball<T: Topology + ?Sized>(topo: &T, ball: &Ball, k: u32) -> (Subgraph, 
         if ((hi - lo) as usize) < reached.len().saturating_mul(DENSE_FACTOR) {
             // The ball marks its members by id, so the ids from `lo` to
             // `hi` that it reached come out in order: no sort.
-            by_id.extend((lo..=hi).filter_map(|x| {
-                let i = ball.position(NodeId(x))?;
-                reached.get(i).map(|&(_, d)| (NodeId(x), d, i as u32))
-            }));
+            by_id.extend(
+                (lo..=hi).filter_map(|x| Some((NodeId(x), ball.position(NodeId(x))? as u32))),
+            );
             #[cfg(test)]
             ORDERS.with(|n| n.set((n.get().0 + 1, n.get().1)));
         } else {
-            by_id.extend(
-                reached
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(x, d))| (x, d, i as u32)),
-            );
+            by_id.extend(reached.iter().zip(0u32..).map(|(&(x, _), i)| (x, i)));
             by_id.sort_unstable();
             #[cfg(test)]
             ORDERS.with(|n| n.set((n.get().0, n.get().1 + 1)));
         }
         at.clear();
         at.resize(reached.len(), (0, 0));
-        for (s, &(_, d, i)) in by_id.iter().enumerate() {
+        for (s, &(_, i)) in by_id.iter().enumerate() {
+            let d = reached.get(i as usize).map_or(0, |&(_, d)| d);
             at[i as usize] = (s as u32, d);
         }
         // An edge is in the view iff its nearer endpoint is closer than
@@ -162,9 +128,8 @@ fn from_ball<T: Topology + ?Sized>(topo: &T, ball: &Ball, k: u32) -> (Subgraph, 
                 }
             });
         }
-        let dists = by_id.iter().map(|&(_, d, _)| d).collect();
-        let members = by_id.iter().map(|&(x, _, _)| x).collect();
-        (Subgraph::from_directed_ends(members, ends, cursor), dists)
+        let members = by_id.iter().map(|&(x, _)| x).collect();
+        Subgraph::from_directed_ends(members, ends, cursor)
     })
 }
 
@@ -233,9 +198,19 @@ pub fn k_neighborhood_masked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::components::ComponentAnalysis;
     use crate::rng::DetRng;
     use crate::traversal::FilteredTopology;
     use crate::{generators, permute, traversal, SubgraphBuilder};
+
+    /// `G_k(u)` with the distances from `u` in its slot order: the
+    /// extraction, then one search of the result.
+    fn with_distances<T: Topology + ?Sized>(topo: &T, u: NodeId, k: u32) -> (Subgraph, Vec<u32>) {
+        let sub = k_neighborhood(topo, u, k);
+        let (mut dist, mut order) = (Vec::new(), Vec::new());
+        sub.bfs_slots(u, k, |_, _| true, &mut dist, &mut order);
+        (sub, dist)
+    }
 
     #[test]
     fn path_neighborhood_is_truncated_path() {
@@ -284,8 +259,11 @@ mod tests {
 
     #[test]
     fn distances_accompany_view() {
+        // A view stores no distances: its component analysis holds
+        // them, slot-aligned, from one search of the view.
         let g = generators::cycle(12);
-        let (view, dist) = k_neighborhood_with_distances(&g, NodeId(0), 5);
+        let view = k_neighborhood(&g, NodeId(0), 5);
+        let dist = ComponentAnalysis::analyze(&view, NodeId(0), 5).dist;
         let at = |x: u32| dist[view.slot_of(NodeId(x)).expect("member")];
         assert_eq!(at(0), 0);
         assert_eq!(at(5), 5);
@@ -295,8 +273,9 @@ mod tests {
 
     #[test]
     fn distances_match_in_view_bfs() {
-        // The returned distances are taken from the extraction BFS; they
-        // must equal a from-scratch BFS inside the extracted subgraph.
+        // Every prefix of a shortest path of length at most k lies in
+        // G_k(u) by the edge rule, so distances within the view equal
+        // distances within the whole graph truncated at depth k.
         for (g, k) in [
             (generators::cycle(11), 4u32),
             (generators::lollipop(6, 4), 3),
@@ -304,11 +283,11 @@ mod tests {
             (generators::complete(6), 2),
         ] {
             for u in g.nodes() {
-                let (sub, dist) = k_neighborhood_with_distances(&g, u, k);
-                let inside = traversal::bfs_distances(&sub, u, Some(k));
+                let (sub, dist) = with_distances(&g, u, k);
+                let whole = traversal::bfs_distances(&g, u, Some(k));
                 assert_eq!(
                     sub.nodes().zip(dist).collect::<Vec<_>>(),
-                    inside.iter().collect::<Vec<_>>(),
+                    whole.iter().collect::<Vec<_>>(),
                     "node {u} k={k}"
                 );
             }
@@ -364,7 +343,7 @@ mod tests {
                         }
                     }
                     let want = b.build();
-                    let (sub, got) = k_neighborhood_with_distances(&g, u, k);
+                    let (sub, got) = with_distances(&g, u, k);
                     assert_eq!(sub, want, "u={u} k={k}");
                     assert_eq!(got, dists, "u={u} k={k}");
                 }
@@ -393,7 +372,7 @@ mod tests {
             let kept = FilteredTopology::new(&view, |a, b| !is_gone(a, b));
             for k in 0..=4 {
                 let got = k_neighborhood_masked(&view, NodeId(0), k, &removed);
-                assert_eq!(got, k_neighborhood_with_distances(&kept, NodeId(0), k));
+                assert_eq!(got, with_distances(&kept, NodeId(0), k));
             }
         }
     }

@@ -343,8 +343,8 @@ impl Subgraph {
 /// extraction makes is a block the view keeps.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    /// `(id, distance, BFS position)` per reached node, sorted by id.
-    pub(crate) by_id: Vec<(NodeId, u32, u32)>,
+    /// `(id, BFS position)` per reached node, sorted by id.
+    pub(crate) by_id: Vec<(NodeId, u32)>,
     /// Per BFS position: the node's slot and distance.
     pub(crate) at: Vec<(u32, u32)>,
     /// Directed edge ends `(from_slot, to_slot)` awaiting layout.

@@ -192,9 +192,14 @@ echo "==> oracle artifact tier: chaos routing byte-identity"
 # Precompute view artifacts for the chaos seed-7 topology, rerun the
 # soak with provisioning served from the artifacts, and demand a
 # report byte-identical to the BFS-provisioned run above — the whole
-# chaos machinery certifies the oracle tier for free.
+# chaos machinery certifies the oracle tier for free. The soak decodes
+# only the views its trials touch, so `oracle verify` first decodes
+# every view of each artifact.
 cargo run -q --release -p locality-bench --bin oracle -- \
   build --chaos-seed 7 --out-dir "$trace_dir/artifacts"
+for artifact in "$trace_dir"/artifacts/k*.lrvo; do
+  cargo run -q --release -p locality-bench --bin oracle -- verify "$artifact" > /dev/null
+done
 out_oracle="$(cargo run -q --release -p locality-bench --bin chaos -- \
   --seed 7 --provisioner oracle --artifact-dir "$trace_dir/artifacts")"
 if [ "$out_a" != "$out_oracle" ]; then

@@ -62,7 +62,7 @@ fn lemma12_every_node_sees_t_or_one_constrained_component() {
         let k = (n / 2) as u32;
         for u in g.nodes() {
             let view = LocalView::extract(&g, u, k);
-            let sees_all = g.nodes().all(|t| view.dist_from_center(t).is_some());
+            let sees_all = g.nodes().all(|t| view.raw().contains_node(t));
             if !sees_all {
                 let constrained = view
                     .raw_analysis()

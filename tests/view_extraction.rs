@@ -1,11 +1,11 @@
 //! View extraction against its definition, and artifact byte-identity.
 //!
-//! `neighborhood::k_neighborhood_with_distances` builds `G_k(u)` from a
-//! radius-k ball and lays the CSR out directly in slots. These tests
-//! rebuild every view from the paper's definition instead — a vertex is
-//! in the view iff its full-graph BFS distance is at most k, an edge iff
-//! its nearer endpoint is closer than k — and compare members, CSR runs,
-//! slot-ordered distances and the step table. The `.lrvo` checksums pin
+//! `neighborhood::k_neighborhood` builds `G_k(u)` from a radius-k ball
+//! and lays the CSR out directly in slots. These tests rebuild every
+//! view from the paper's definition instead — a vertex is in the view
+//! iff its full-graph BFS distance is at most k, an edge iff its nearer
+//! endpoint is closer than k — and compare members, CSR runs, the
+//! distances a search inside the view finds, and the step table. The `.lrvo` checksums pin
 //! the artifact bytes the extraction feeds, so a change in layout or
 //! order anywhere on the path shows up as a changed checksum.
 
@@ -72,12 +72,15 @@ fn slot_bfs(runs: &[Vec<u32>], from: usize) -> Vec<Option<u32>> {
 /// Checks the view of `u` at radius `k` against the reference.
 fn check_view(g: &Graph, u: NodeId, k: u32, what: &str) {
     let want = reference(g, u, k);
-    let (sub, dists) = neighborhood::k_neighborhood_with_distances(g, u, k);
+    let sub = neighborhood::k_neighborhood(g, u, k);
     assert_eq!(sub.node_slice(), &want.members[..], "{what}: members");
     let runs: Vec<Vec<u32>> = (0..sub.node_count())
         .map(|s| sub.neighbor_slots(s).to_vec())
         .collect();
     assert_eq!(runs, want.runs, "{what}: CSR runs");
+    // Distances within the view are the whole graph's, cut at k.
+    let (mut dists, mut order) = (Vec::new(), Vec::new());
+    sub.bfs_slots(u, k, |_, _| true, &mut dists, &mut order);
     assert_eq!(dists, want.dists, "{what}: slot-ordered distances");
     assert_eq!(
         sub.edge_count() * 2,
@@ -169,16 +172,18 @@ fn extraction_matches_definition_on_paths() {
     assert_eq!(seen, (7..=13).collect::<Vec<u32>>());
 }
 
-/// Artifact bytes are unchanged by the move to slot-indexed views: the
-/// checksums were computed from the id-keyed extraction it replaced.
+/// The bytes of two format-2 artifacts, pinned: any change in the
+/// layout, or in the order extraction lays a view out, changes them.
+/// Format 2 dropped format 1's per-member distance column, which read
+/// 304,806 and 3,510,160 bytes here.
 #[test]
 fn artifact_bytes_are_pinned() {
     let ring = ViewArtifact::build(&generators::ring_lattice(2048, 8), 1);
-    assert_eq!(ring.as_bytes().len(), 304_806);
-    assert_eq!(fnv1a(ring.as_bytes()), 0x8535_d1bd_b2d9_636c);
+    assert_eq!(ring.as_bytes().len(), 269_990);
+    assert_eq!(fnv1a(ring.as_bytes()), 0x610d_fdd0_ae19_7392);
 
     let g = generators::random_connected(2048, 256, &mut DetRng::seed_from_u64(42));
     let random = ViewArtifact::build(&g, 8);
-    assert_eq!(random.as_bytes().len(), 3_510_160);
-    assert_eq!(fnv1a(random.as_bytes()), 0x1577_ca64_b0d1_8ca2);
+    assert_eq!(random.as_bytes().len(), 3_130_758);
+    assert_eq!(fnv1a(random.as_bytes()), 0x9c10_770e_71bb_56fe);
 }
